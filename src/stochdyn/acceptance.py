@@ -118,26 +118,6 @@ def _c04_height_closed_forms(ctx):
     return ok, f"rel errors {r1:.2e}, {r2:.2e} (<=1e-12)"
 
 
-def _atom_height(q0: np.ndarray, digits: int = 14) -> np.ndarray:
-    """Heights of tree atoms zeta * 2^q0 under the dyadic system.
-
-    Forward orbits multiply the exponent by 2 and add a fair coin b, so
-    the normalized height is log2 * E|q0 + U| with U a uniform binary
-    expansion.  Both one-sided escape expectations (archimedean and
-    2-adic) are evaluated over the exact law of the first `digits` coin
-    digits; truncation changes each atom's height by at most
-    2^-digits * log 2 (about 4.2e-5 at 14 digits; 2.1e-5 measured on the
-    level-6 atoms), inside the 1e-4 to which
-    tests/test_acceptance.py::test_criterion[05-backward-height-decay]
-    holds the level averages against their closed form.
-    """
-    u = np.arange(1 << digits, dtype=float) / (1 << digits)
-    shifted = q0[:, None] + u[None, :]
-    arch = np.mean(np.maximum(shifted, 0.0), axis=1)
-    dyadic = np.mean(np.maximum(-shifted, 0.0), axis=1)
-    return LOG2 * (arch + dyadic)
-
-
 def _c05_backward_height_decay(ctx):
     tree = backward_tree(ctx["system"], normalize_point(1, 1), 6)
     ctx["tree"] = tree
@@ -145,8 +125,12 @@ def _c05_backward_height_decay(ctx):
     ok = True
     for n in range(1, 7):
         level = tree.levels[n]
+        # atoms zeta * 2^q, q in [-1, 0], have h_S = log 2 * E|q + U| with U
+        # uniform on [0, 1] (archimedean plus 2-adic escape)
         q = np.log2(np.abs(np.array(level.points)))
-        heights = _atom_height(q)
+        if not np.all((q >= -1.0 - 1e-9) & (q <= 1e-9)):
+            raise ValueError(f"level-{n} atom exponents leave [-1, 0]: {q}")
+        heights = LOG2 * ((1.0 + q) ** 2 + q**2) / 2.0
         value = float(np.dot(heights, np.array([float(w) for w in level.weights])))
         bound = LOG2 / 2.0 * 2.0 ** -n + 1e-3
         if value > bound:

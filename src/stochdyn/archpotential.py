@@ -15,7 +15,9 @@ additive constant; we pin the constant by anchoring at infinity,
 
     g_S(z) = T(z) - T(infinity),
 
-which forces g_S(infinity) = 0.  The anchoring matters: for systems with
+which forces g_S(infinity) = 0.  The escape sum is the stochastic-height
+kernel of stochheight with complex lifts and infinity as its only place,
+sharing its tail budget.  The anchoring matters: for systems with
 unbalanced leading coefficients the raw escape sum carries a constant
 drift (for {z^2 (1/2), 2 z^2 (1/2)} it is (log 2)/2) that would otherwise
 pollute every value.
@@ -30,15 +32,13 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass
-from fractions import Fraction
+from dataclasses import dataclass, field
 from typing import Callable, Optional, Sequence
 
 import numpy as np
 
-from .dynsys import StochasticSystem, is_exceptional_system, stochastic_degree
+from .dynsys import StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, normalize_point
-from .heights import ARCH, l1_height_control_total
 from .orbits import (
     OrbitSampleBatch,
     backward_sample,
@@ -46,10 +46,7 @@ from .orbits import (
     _steps_monomial,
     _walk_numeric,
 )
-
-
-class ConvergenceFailure(Exception):
-    """Escape iteration lost all significant digits."""
+from .stochheight import Lifts, escape_sum_exact, escape_sum_mc, tail_budget
 
 
 class QuadratureFailure(Exception):
@@ -67,13 +64,10 @@ _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed kno
 class GreenConfig:
     """Accuracy knobs for Green's function evaluation.
 
-    depth None means: pick the smallest truncation depth n whose tail
-    bound (sum of certified one-step distortions) * delta^(1-n) / (delta-1)
-    is at most tol.  An explicit depth is honored only if it meets the
-    same bound, so a resolved config always carries a certified tail.
-    samples is the Monte Carlo word count used when full word enumeration
-    would be too large.  precision is the floor below which homogeneous
-    coordinates are considered collapsed.
+    depth None means the smallest depth whose TailBudget tail is at most
+    tol; an explicit depth must meet the same bound.  samples is the Monte
+    Carlo word count used when full word enumeration would be too large.
+    precision is the floor below which homogeneous coordinates collapse.
     """
 
     depth: Optional[int] = None
@@ -89,101 +83,32 @@ class GreenConfig:
         if self.depth is not None and self.depth < 1:
             raise ValueError("depth must be at least 1")
 
-    def tail_bound(self, system: StochasticSystem, depth: int) -> float:
-        c_total = l1_height_control_total(system).total
-        delta = stochastic_degree(system)
-        return c_total * delta ** (1 - depth) / (delta - 1.0)
-
-    def resolve_depth(self, system: StochasticSystem) -> int:
-        c_total = l1_height_control_total(system).total
-        delta = stochastic_degree(system)
-        if c_total == 0.0:
-            needed = 1
-        else:
-            # smallest n with c * delta^(1-n)/(delta-1) <= tol
-            needed = 1
-            while self.tail_bound(system, needed) > self.tol:
-                needed += 1
-                if needed > 64:
-                    raise ValueError("tolerance unreachable within depth 64")
-        if self.depth is None:
-            return needed
-        if self.tail_bound(system, self.depth) > self.tol:
-            raise ValueError(
-                f"depth {self.depth} leaves tail "
-                f"{self.tail_bound(system, self.depth):.3g} > tol {self.tol}")
-        return self.depth
-
 
 _ENUM_CAP = 1 << 15  # enumerate words exactly up to this many leaves
 
 
 def _hom_arrays(zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
     """Max-norm-normalized homogeneous lifts; inf maps to (1, 0)."""
-    xs = np.empty(len(zs), dtype=complex)
-    ys = np.empty(len(zs), dtype=complex)
-    for i, z in enumerate(zs):
-        z = complex(z)
-        if math.isinf(z.real) or math.isinf(z.imag):
-            xs[i], ys[i] = 1.0, 0.0
-        elif abs(z) <= 1.0:
-            xs[i], ys[i] = z, 1.0
-        else:
-            xs[i], ys[i] = z / abs(z), 1.0 / abs(z)
-    return xs, ys
-
-
-def _escape_terms(system: StochasticSystem, xs: np.ndarray, ys: np.ndarray,
-                  depth: int, floor: float,
-                  rng: Optional[np.random.Generator]) -> np.ndarray:
-    """E[sum_{k=1}^{depth} log(m_k)/deg gamma_k] per input point.
-
-    rng None runs an exact expectation by depth-first word enumeration
-    with shared prefixes; otherwise one Monte Carlo path is walked per
-    call (the caller averages).
-    """
-    total = np.zeros(len(xs))
-    stack = [(xs, ys, 0, 1, 1.0)]
-    while stack:
-        x, y, k, deg, w = stack.pop()
-        if k == depth:
-            continue
-        if rng is None:
-            choices = list(zip(system.maps, system.probs))
-        else:
-            probs = np.array([float(p) for p in system.probs])
-            i = int(rng.choice(len(system.maps), p=probs))
-            choices = [(system.maps[i], Fraction(1))]
-        for phi, prob in choices:
-            fx, gy = phi.hom_eval(x, y)
-            m = np.maximum(np.abs(fx), np.abs(gy))
-            if np.any(m < floor):
-                raise ConvergenceFailure(
-                    "homogeneous coordinates collapsed below precision floor")
-            deg_next = deg * phi.d
-            total = total + (w * float(prob) / deg_next) * np.log(m)
-            stack.append((fx / m, gy / m, k + 1, deg_next, w * float(prob)))
-    return total
-
-
-def _escape_tail(system: StochasticSystem, zs: Sequence[complex],
-                 cfg: GreenConfig) -> np.ndarray:
-    depth = cfg.resolve_depth(system)
-    xs, ys = _hom_arrays(zs)
-    if len(system.maps) ** depth <= _ENUM_CAP:
-        return _escape_terms(system, xs, ys, depth, cfg.precision, None)
-    rng = np.random.default_rng(0)
-    acc = np.zeros(len(xs))
-    for _ in range(cfg.samples):
-        acc += _escape_terms(system, xs, ys, depth, cfg.precision, rng)
-    return acc / cfg.samples
+    z = np.array([complex(v) for v in zs])
+    inf = np.isinf(z)
+    scale = np.where(inf, 1.0, np.maximum(np.abs(z), 1.0))
+    return (np.where(inf, 1.0, np.where(inf, 0.0, z) / scale),
+            np.where(inf, 0.0, 1.0 / scale) + 0j)
 
 
 def gS_eval_many(system: StochasticSystem, zs: Sequence[complex],
                  cfg: Optional[GreenConfig] = None) -> np.ndarray:
     """Green's function at each point, anchored so g(infinity) = 0."""
     cfg = cfg or GreenConfig()
-    vals = _escape_tail(system, list(zs) + [math.inf], cfg)
+    depth = tail_budget(system).depth(cfg.tol, cfg.depth)
+    lifts = Lifts(_hom_arrays(list(zs) + [math.inf]))
+    if len(system.maps) ** depth <= _ENUM_CAP:
+        vals = escape_sum_exact(system, lifts, depth, cfg.precision)
+    else:
+        probs = np.array([float(p) for p in system.probs])
+        words = np.random.default_rng(0).choice(
+            len(system.maps), size=(cfg.samples, depth), p=probs)
+        vals = escape_sum_mc(system, lifts, words, cfg.precision)[0]
     return vals[:-1] - vals[-1]
 
 
@@ -193,16 +118,10 @@ def gS_eval(system: StochasticSystem, z: complex,
 
 
 def g1_eval(system: StochasticSystem, z: complex) -> float:
-    """One-step expected Green's function E[(1/d) log max|Phi(z,1)| - log+|z|]."""
-    xs, ys = _hom_arrays([z])
-    out = 0.0
-    for phi, prob in system:
-        fx, gy = phi.hom_eval(xs, ys)
-        m = float(np.maximum(np.abs(fx), np.abs(gy))[0])
-        if m == 0.0:
-            raise ConvergenceFailure("point maps to a common root")
-        out += float(prob) * math.log(m) / phi.d
-    return out
+    """One-step expected Green's function E[(1/d) log max|Phi(z,1)| - log+|z|],
+    the depth-1 escape sum; a point mapped to (0, 0) raises."""
+    lifts = Lifts(_hom_arrays([z]))
+    return float(escape_sum_exact(system, lifts, 1, math.ulp(0.0))[0])
 
 
 def potential_eval(system: StochasticSystem, z: complex,
@@ -394,6 +313,7 @@ class ArchEquidistResult:
     ks_angular: float
     potential_residual: float
     reference: str  # "atom", "stationary-cdf", or "sampled"
+    batch: OrbitSampleBatch = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -409,7 +329,8 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
                        cfg: Optional[GreenConfig] = None) -> ArchEquidistResult:
     """Compare the level-n backward measure from alpha with the canonical
     measure: KS distance in radius and angle plus a logarithmic-potential
-    residual over a fixed probe set.
+    residual over a fixed probe set.  The result keeps the backward batch
+    it scored.
 
     Monomial-shaped systems are scored against the closed-form stationary
     radial law; others fall back to a 4x-size canonically sampled
@@ -450,7 +371,7 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
     g = gS_eval_many(system, probes, cfg)
     pot = g + np.maximum(np.log(np.maximum(np.abs(probes), 1e-300)), 0.0)
     residual = float(np.max(np.abs(emp - pot)))
-    return ArchEquidistResult(ks_rad, ks_ang, residual, refname)
+    return ArchEquidistResult(ks_rad, ks_ang, residual, refname, batch)
 
 
 def pullback_invariance_residual(system: StochasticSystem, n: int,
@@ -539,7 +460,7 @@ def rho_self_energy(system: StochasticSystem,
     sit well inside a one-percent radius budget.
     """
     cfg = cfg or GreenConfig()
-    depth = cfg.resolve_depth(system)
+    depth = tail_budget(system).depth(cfg.tol, cfg.depth)
     draws = max(cfg.samples, 8192)
     batch = canonical_sample(system, depth + 10, draws, _RADII_SEED)
     g = gS_eval_many(system, batch.points, cfg)
@@ -547,18 +468,20 @@ def rho_self_energy(system: StochasticSystem,
     return float(-np.mean(p))
 
 
-def radii(system: StochasticSystem,
-          cfg: Optional[GreenConfig] = None) -> tuple[float, float]:
+def radii(system: StochasticSystem, cfg: Optional[GreenConfig] = None,
+          energy: Optional[float] = None) -> tuple[float, float]:
     """Inner and outer radii of the recentered Green's function.
 
     With gt = g_S + (rho, rho)/2, returns (exp(-sup gt), exp(-inf gt))
     over a probe grid of 64 shells x 64 angles plus {0, infinity}.  The
     shift recenters by half the self-energy of the canonical measure, so
     a single map c z^d with |c| != 1 gets the symmetric pair of radii
-    around its Julia circle.
+    around its Julia circle.  energy, when given, is rho_self_energy(system,
+    cfg) already computed by the caller.
     """
     cfg = cfg or GreenConfig()
-    energy = rho_self_energy(system, cfg)
+    if energy is None:
+        energy = rho_self_energy(system, cfg)
     g = gS_eval_many(system, _radii_probes(), cfg)
     gt = g + 0.5 * energy
     return float(np.exp(-np.max(gt))), float(np.exp(-np.min(gt)))

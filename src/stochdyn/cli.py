@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
 invariant (bad probabilities, degenerate maps, unsupported place, config
-mismatch), 4 exceptional starting point.
+mismatch) or exhausted budget (word cap, tree nodes, numeric convergence,
+quadrature), 4 exceptional starting point.
 
 Every JSON record embeds the sha256 of the config file bytes, the
 effective seed, and the package version, so identical inputs reproduce
@@ -26,6 +27,7 @@ from . import __version__
 from .archpotential import (
     ExceptionalStart,
     GreenConfig,
+    QuadratureFailure,
     gS_eval,
     radii,
     rho_self_energy,
@@ -36,20 +38,22 @@ from .dynsys import (
     DegenerateMap,
     DegreeTooLow,
     StochasticSystem,
+    WordCapExceeded,
     bad_primes,
     exceptional_report,
+    is_exceptional_system,
     make_map,
     make_system,
     stochastic_degree,
 )
 from .exactnum import (
-    INFINITY,
+    ConvergenceFailure,
     FactorizationTooLarge,
     ProjPointQ,
-    point_from_rational,
+    parse_point,
 )
 from .heights import l1_height_control_total, weil_height
-from .orbits import backward_sample, write_samples_csv
+from .orbits import NodeBudgetExceeded, backward_sample, write_samples_csv
 from .padicmodel import (
     UnsupportedStructure,
     equidist_test_padic,
@@ -58,7 +62,7 @@ from .padicmodel import (
     write_valuation_cdf_csv,
 )
 from .archpotential import equidist_test_arch
-from .stochheight import stoch_height
+from .stochheight import stoch_height, tail_budget
 
 
 class ConfigParseError(Exception):
@@ -149,11 +153,8 @@ def build_system(cfg: SystemConfig) -> StochasticSystem:
 
 
 def parse_alpha(text: str) -> ProjPointQ:
-    t = text.strip().lower()
-    if t in {"inf", "infinity", "oo"}:
-        return INFINITY
     try:
-        return point_from_rational(Fraction(t))
+        return parse_point(text)
     except (ValueError, ZeroDivisionError):
         raise ConfigParseError(f"cannot parse point {text!r}; use 'a/b' or 'inf'")
 
@@ -232,6 +233,8 @@ def cmd_orbit_sample(cfg: SystemConfig, args, out) -> int:
     alpha = parse_alpha(args.alpha)
     depth = args.depth if args.depth is not None else cfg.depth
     samples = args.samples if args.samples is not None else cfg.samples
+    if is_exceptional_system(system, alpha):
+        raise ExceptionalStart(f"{alpha} is exceptional for this system")
     batch = backward_sample(system, alpha, depth, samples, args.seed)
     if args.out:
         with open(args.out, "w") as fh:
@@ -261,9 +264,8 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
                    "depth": depth, "samples": samples}
         payload.update(res.as_dict())
         if args.out:
-            batch = backward_sample(system, alpha, depth, samples, args.seed)
             with open(args.out, "w") as fh:
-                write_radial_cdf_csv(batch, system, fh)
+                write_radial_cdf_csv(res.batch, system, fh)
             payload["csv"] = args.out
     else:
         p = int(args.place)
@@ -295,7 +297,7 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
         "alpha": _format_point(alpha),
         "green": val,
         "potential": math.inf if alpha.is_infinity else val + logplus,
-        "depth": gcfg.resolve_depth(system),
+        "depth": tail_budget(system).depth(gcfg.tol, gcfg.depth),
         "tol": gcfg.tol,
     }
     _emit(payload, cfg, args.seed, out)
@@ -305,12 +307,9 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
 def cmd_radii(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     gcfg = _green_config(cfg, None)
-    r_in, r_out = radii(system, gcfg)
-    payload = {
-        "r_in": r_in,
-        "r_out": r_out,
-        "self_energy": rho_self_energy(system, gcfg),
-    }
+    energy = rho_self_energy(system, gcfg)
+    r_in, r_out = radii(system, gcfg, energy)
+    payload = {"r_in": r_in, "r_out": r_out, "self_energy": energy}
     _emit(payload, cfg, args.seed, out)
     return 0
 
@@ -398,15 +397,14 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except (InvariantViolation, UnsupportedStructure, DegenerateMap,
-            DegreeTooLow, CommonFactor, FactorizationTooLarge) as exc:
+            DegreeTooLow, CommonFactor, FactorizationTooLarge,
+            WordCapExceeded, NodeBudgetExceeded, ConvergenceFailure,
+            QuadratureFailure, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 3
     except ExceptionalStart as exc:
         print(f"error: ExceptionalStart: {exc}", file=sys.stderr)
         return 4
-    except ValueError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

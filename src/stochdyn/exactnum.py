@@ -472,7 +472,3 @@ class LogCombination:
             return "LogCombination(0)"
         parts = [f"{c}*log({p})" for p, c in sorted(self.coeffs.items())]
         return "LogCombination(" + " + ".join(parts) + ")"
-
-
-def zero_log_combination() -> LogCombination:
-    return LogCombination()

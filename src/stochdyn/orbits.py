@@ -416,6 +416,6 @@ def write_samples_csv(batch: OrbitSampleBatch, fileobj):
     pts = batch.points
     for i in range(batch.samples):
         writer.writerow(
-            [i, repr(pts[i].real), repr(pts[i].imag),
+            [i, repr(float(pts[i].real)), repr(float(pts[i].imag)),
              repr(float(batch.log_abs[i])), batch.depth]
         )

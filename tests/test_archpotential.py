@@ -9,7 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from stochdyn.archpotential import (
     ArchEquidistResult,
-    ConvergenceFailure,
     EmpiricalCDF,
     ExceptionalStart,
     GreenConfig,
@@ -32,8 +31,9 @@ from stochdyn.archpotential import (
     write_radial_cdf_csv,
 )
 from stochdyn.dynsys import make_map, make_system
-from stochdyn.exactnum import INFINITY, normalize_point
+from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.heights import l1_height_control_total
+from stochdyn.stochheight import tail_budget
 
 LOG2 = math.log(2.0)
 ONE = Fraction(1)
@@ -53,12 +53,12 @@ def mixed():
 
 
 def test_auto_depth_resolution(dyadic, single_z2):
-    assert GreenConfig(tol=1e-3).resolve_depth(dyadic) == 10
-    assert GreenConfig(tol=1e-3).resolve_depth(single_z2) == 1
+    assert tail_budget(dyadic).depth(1e-3) == 10
+    assert tail_budget(single_z2).depth(1e-3) == 1
     # explicit depth is honored when its tail fits the tolerance
-    assert GreenConfig(depth=4, tol=10.0).resolve_depth(dyadic) == 4
+    assert tail_budget(dyadic).depth(10.0, 4) == 4
     with pytest.raises(ValueError):
-        GreenConfig(depth=2, tol=1e-6).resolve_depth(dyadic)
+        tail_budget(dyadic).depth(1e-6, 2)
 
 
 def test_green_dyadic_values(dyadic):
@@ -104,7 +104,7 @@ def test_green_depth_refinement(dyadic):
         lo = GreenConfig(depth=n, tol=10.0)
         hi = GreenConfig(depth=n + 1, tol=10.0)
         diff = np.abs(gS_eval_many(dyadic, zs, hi) - gS_eval_many(dyadic, zs, lo))
-        assert np.max(diff) <= lo.tail_bound(dyadic, n) + 1e-12
+        assert np.max(diff) <= tail_budget(dyadic).bound(n) + 1e-12
 
 
 def test_precision_floor_guard(single_z2):

@@ -1,8 +1,13 @@
+import csv
 import json
 import math
+import pathlib
 
 import pytest
 
+import stochdyn.archpotential
+import stochdyn.cli
+from stochdyn.archpotential import QuadratureFailure
 from stochdyn.cli import (
     ConfigParseError,
     SystemConfig,
@@ -11,7 +16,10 @@ from stochdyn.cli import (
     main,
     parse_alpha,
 )
-from stochdyn.exactnum import INFINITY, normalize_point
+from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
+from stochdyn.orbits import NodeBudgetExceeded
+
+REPO_CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "example.json"
 
 EXAMPLE = {
     "maps": [
@@ -68,7 +76,7 @@ def test_validate_report(capsys, example_config):
     assert record["version"] and len(record["config_sha256"]) == 64
 
 
-def test_exit_codes(capsys, tmp_path, example_config):
+def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
     code, _, err = run_cli(capsys, "validate", "--config",
                            str(tmp_path / "missing.json"))
     assert code == 2 and "cannot read" in err
@@ -98,6 +106,26 @@ def test_exit_codes(capsys, tmp_path, example_config):
                          "1", "--place", "xyz")
     assert code == 2
 
+    code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                             example_config, "0", "--samples", "10")
+    assert code == 4 and "ExceptionalStart" in err and out == ""
+
+    # 101 maps give 101^3 > 10^6 length-3 words for the exceptional test
+    many = tmp_path / "many.json"
+    many.write_text(json.dumps({"maps": [
+        {"num_coeffs": [0, 0, 1], "den_coeffs": [1], "prob": "1/101"}] * 101}))
+    code, _, err = run_cli(capsys, "validate", "--config", str(many))
+    assert code == 3 and "WordCapExceeded" in err
+
+    # no CLI input reaches these budgets cheaply; check the mapping itself
+    for exc in (NodeBudgetExceeded, ConvergenceFailure, QuadratureFailure):
+        def fail(*args, exc=exc, **kwargs):
+            raise exc("budget exhausted")
+        monkeypatch.setattr(stochdyn.cli, "stoch_height", fail)
+        code, _, err = run_cli(capsys, "stoch-height", "--config",
+                               example_config, "1")
+        assert code == 3 and exc.__name__ in err
+
 
 def test_height_command(capsys, example_config):
     code, out, _ = run_cli(capsys, "height", "--config", example_config, "3/2")
@@ -115,6 +143,15 @@ def test_stoch_height_command(capsys, example_config):
     assert record["mode"] == "exact"
     assert record["value"] == pytest.approx(math.log(2) / 2, abs=1e-3)
     assert record["tail_bound"] <= 1e-3
+
+
+def test_stoch_height_small_tol(capsys):
+    code, out, _ = run_cli(capsys, "stoch-height", "--config",
+                           str(REPO_CONFIG), "3/2", "--tol", "1e-6")
+    assert code == 0
+    record = json.loads(out)
+    assert record["tail_bound"] <= 1e-6
+    assert record["value"] == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_green_eval_command(capsys, example_config):
@@ -153,9 +190,14 @@ def test_orbit_sample_csv(capsys, tmp_path, example_config):
     assert code == 0
     record = json.loads(out)
     assert record["csv"] == str(out_csv)
-    lines = out_csv.read_text().strip().splitlines()
-    assert len(lines) == 51
-    assert lines[0].startswith("index,")
+    with open(out_csv, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 51
+    assert rows[0][0] == "index"
+    for row in rows[1:]:
+        assert len(row) == 5
+        for cell in row:
+            float(cell)
 
 
 def test_orbit_sample_stdout(capsys, example_config):
@@ -182,6 +224,24 @@ def test_equidist_csv_outputs(capsys, tmp_path, example_config):
     record = json.loads(out)
     assert record["ks"] <= 0.2
     assert p_csv.read_text().startswith("v,empirical_cdf,reference_cdf")
+
+
+def test_equidist_out_draws_once(capsys, tmp_path, example_config,
+                                 monkeypatch):
+    calls = []
+    draw = stochdyn.archpotential.backward_sample
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(stochdyn.archpotential, "backward_sample", counted)
+    monkeypatch.setattr(stochdyn.cli, "backward_sample", counted)
+    code, _, _ = run_cli(capsys, "equidist", "--config", example_config,
+                         "1", "--samples", "200", "--depth", "8",
+                         "--out", str(tmp_path / "arch.csv"))
+    assert code == 0
+    assert len(calls) == 1
 
 
 def test_unsupported_place_exit(capsys, tmp_path):

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -18,12 +19,14 @@ from stochdyn.dynsys import (
 from stochdyn.exactnum import INFINITY, ProjPointQ
 from stochdyn.heights import l1_height_control_total, weil_height
 from stochdyn.stochheight import (
-    IntegerOverflowBudget,
+    Lifts,
+    escape_sum_exact,
+    escape_sum_mc,
     scaling_residual,
     stoch_height,
     stoch_height_exact,
     stoch_height_mc,
-    system_tail_bound,
+    tail_budget,
     weil_comparison_residual,
 )
 
@@ -32,6 +35,24 @@ LOG2 = math.log(2)
 ONE = ProjPointQ(1, 1)
 TWO = ProjPointQ(2, 1)
 ZERO = ProjPointQ(0, 1)
+
+
+def dp_oracle(system, alpha, n):
+    """E h(word(alpha))/deg over all length-n words, from exact big-integer
+    orbits: a dynamic program on (point, degree) states whose colliding
+    forward images collapse.  Coordinates double in bits at every step, so
+    this is only a small-depth reference for the escape-sum kernel."""
+    dist = {(alpha, 1): Fraction(1)}
+    for _ in range(n):
+        nxt = {}
+        for (pt, deg), w in dist.items():
+            for phi, p in system:
+                key = (eval_map(phi, pt), deg * phi.d)
+                nxt[key] = nxt.get(key, Fraction(0)) + w * p
+        dist = nxt
+    return math.fsum(
+        float(w / deg) * weil_height(pt) for (pt, deg), w in dist.items()
+    )
 
 
 def mixed_system():
@@ -81,15 +102,21 @@ def test_exact_word_cap(dyadic):
         stoch_height_exact(dyadic, ONE, 10, word_cap=100)
 
 
-def test_bit_budget_guard(dyadic):
-    with pytest.raises(IntegerOverflowBudget):
-        stoch_height_exact(dyadic, TWO, 9, bit_budget=100)
+def test_stoch_height_three_halves_is_log3(dyadic):
+    # the 3-power numerator always dominates, so every word gives log 3;
+    # tol 1e-6 needs depth 20, past the word cap, and coordinates of 2^20
+    # digits that the escape sums never build
+    est = stoch_height(dyadic, ProjPointQ(3, 2), 1e-6)
+    assert est.mode == "mc" and est.depth == 20
+    assert est.tail_bound <= 1e-6
+    assert est.value == pytest.approx(math.log(3), abs=1e-12)
 
 
 def test_tail_bound_formula(dyadic):
     # integrated bound (log 2)/2 and rate 2 give tail (log 2) / 2^n
     for n in range(1, 8):
-        assert system_tail_bound(dyadic, n) == pytest.approx(LOG2 * 0.5**n)
+        assert tail_budget(dyadic).bound(n) == pytest.approx(LOG2 * 0.5**n)
+    assert tail_budget(dyadic).depth(LOG2 * 0.5**7) == 7
 
 
 def test_mc_single_map_zero_variance(single_z2):
@@ -187,3 +214,48 @@ def test_exact_nonnegative(phi1, phi2, n):
     system = make_system([phi1, phi2], [Fraction(1, 2), Fraction(1, 2)])
     est = stoch_height_exact(system, ONE, n)
     assert est.value >= 0.0
+
+
+@settings(max_examples=40, deadline=None)
+@given(small_maps(), small_maps(), st.integers(1, 5),
+       st.sampled_from([ONE, TWO, ZERO, INFINITY, ProjPointQ(-7, 3),
+                        ProjPointQ(5, 9), ProjPointQ(12, 25)]))
+def test_kernel_matches_dp_oracle(phi1, phi2, n, alpha):
+    # coefficients in [-5, 5] give resultants with bad primes 2, 3, 5 and
+    # more, so the p-adic terms of the kernel are exercised at odd primes
+    system = make_system([phi1, phi2], [Fraction(1, 3), Fraction(2, 3)])
+    est = stoch_height_exact(system, alpha, n)
+    assert est.value == pytest.approx(dp_oracle(system, alpha, n),
+                                      rel=1e-12, abs=1e-12)
+
+
+def test_mc_matches_dp_oracle_words():
+    # with every path of a one-map system equal, the sample mean is the
+    # word average itself
+    phi = make_map([3, 0, 5], [0, 9])
+    system = make_system([phi], [Fraction(1)])
+    for alpha in (ONE, ProjPointQ(-7, 3), ProjPointQ(2, 15)):
+        mc = stoch_height_mc(system, alpha, 6, 4, seed=0)
+        assert mc.value == pytest.approx(dp_oracle(system, alpha, 6),
+                                         rel=1e-12)
+
+
+def test_kernel_batching_is_invisible(dyadic):
+    # 6000 lifts: the exact walk never merges siblings, and Monte Carlo
+    # fits two paths per chunk, so seven paths run in four merged chunks
+    rng = np.random.default_rng(3)
+    z = rng.normal(size=6000) + 1j * rng.normal(size=6000)
+    scale = np.maximum(np.abs(z), 1.0)
+    lifts = Lifts((z / scale, 1.0 / scale + 0j))
+    exact = escape_sum_exact(dyadic, lifts, 6)
+    for i in (0, 17, 5999):
+        single = escape_sum_exact(dyadic, lifts.take([i]), 6)
+        assert exact[i] == pytest.approx(single[0], rel=1e-12, abs=1e-15)
+
+    words = rng.integers(0, 2, size=(7, 9))
+    mean, stderr = escape_sum_mc(dyadic, lifts, words)
+    paths = np.array([escape_sum_mc(dyadic, lifts, words[s:s + 1])[0]
+                      for s in range(7)])
+    assert mean == pytest.approx(paths.mean(axis=0), rel=1e-12, abs=1e-15)
+    want = paths.std(axis=0, ddof=1) / math.sqrt(7)
+    assert stderr == pytest.approx(want, rel=1e-9, abs=1e-15)
