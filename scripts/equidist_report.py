@@ -23,10 +23,8 @@ from stochdyn.archpotential import (
     write_radial_cdf_csv,
 )
 from stochdyn.cli import build_system, load_config, parse_alpha
-from stochdyn.orbits import backward_sample
 from stochdyn.padicmodel import (
     equidist_test_padic,
-    sample_backward_valuations,
     stationary_segment,
     write_valuation_cdf_csv,
 )
@@ -58,19 +56,18 @@ def main():
         res = equidist_test_arch(system, alpha, depth, samples, seed, gcfg)
         row = (f"{depth:>6} {res.ks_radial:>10.4f} {res.ks_angular:>11.4f} "
                f"{res.potential_residual:>10.4f}")
+        valuations = {}
         for p in args.primes:
-            ks = equidist_test_padic(system, p, alpha, depth, samples, seed)
+            ks, valuations[p] = equidist_test_padic(system, p, alpha, depth,
+                                                    samples, seed)
             row += f" {ks:>8.4f}"
         print(row)
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
-            batch = backward_sample(system, alpha, depth, samples, seed)
             path = os.path.join(args.out_dir, f"radial_depth{depth}.csv")
             with open(path, "w") as fh:
-                write_radial_cdf_csv(batch, system, fh)
-            for p in args.primes:
-                vals = sample_backward_valuations(system, p, alpha, depth,
-                                                  samples, seed)
+                write_radial_cdf_csv(res.batch, system, fh)
+            for p, vals in valuations.items():
                 ref = stationary_segment(system, p)
                 path = os.path.join(args.out_dir, f"val{p}_depth{depth}.csv")
                 with open(path, "w") as fh:

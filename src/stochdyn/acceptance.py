@@ -52,8 +52,9 @@ from .heights import (
     product_formula_sum,
     standard_energy_defect,
 )
-from .archpotential import gS_eval_many, ks_one_sample, pullback_invariance_residual, radii
+from .archpotential import gS_eval_many, pullback_invariance_residual, radii
 from .exactnum import point_from_rational
+from .ifs import ks_one_sample
 from .orbits import backward_sample, backward_tree, well_distributed_stat
 from .padicmodel import sample_backward_valuations
 from .stochheight import stoch_height_exact, weil_comparison_residual

@@ -30,31 +30,29 @@ multiplicity/degree at each step.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .dynsys import StochasticSystem, is_exceptional_system
+from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, normalize_point
-from .orbits import (
-    OrbitSampleBatch,
-    backward_sample,
-    _monomial_stepper,
-    _steps_monomial,
-    _walk_numeric,
+from .ifs import (
+    StationaryLaw,
+    affine_ifs,
+    ks_one_sample,
+    ks_to_law,
+    ks_two_sample,
+    stationary_law,
+    write_cdf_csv,
 )
+from .orbits import OrbitSampleBatch, backward_sample, backward_walk
 from .stochheight import Lifts, escape_sum_exact, escape_sum_mc, tail_budget
 
 
 class QuadratureFailure(Exception):
     """Circle quadrature did not settle under refinement."""
-
-
-class ExceptionalStart(Exception):
-    """Backward orbits of an exceptional point never equidistribute."""
 
 
 _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed knob
@@ -146,150 +144,20 @@ def canonical_sample(system: StochasticSystem, n: int, samples: int,
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, samples)
-    log_r = np.zeros(samples)
-    stepper = _monomial_stepper(system)
-    if stepper is not None:
-        log_r, theta = _steps_monomial(stepper, log_r, theta, n, rng)
-        return OrbitSampleBatch(log_r, theta, n, seed, samples)
-    probs = np.array([float(p) for p in system.probs])
-    for s in range(samples):
-        z0 = np.exp(1j * theta[s])
-        z = _walk_numeric(system, probs, None, z0, n, rng)
-        log_r[s] = np.log(abs(z)) if z != 0 else -math.inf
-        theta[s] = np.angle(z) if z != 0 else 0.0
+    log_r, theta = backward_walk(system, np.zeros(samples), theta, None, n, rng)
     return OrbitSampleBatch(log_r, theta, n, seed, samples)
 
 
-# ---------------------------------------------------------------------------
-# empirical CDFs and Kolmogorov-Smirnov distances (hand rolled; scipy is
-# only used as an oracle in the test suite)
+def reference_radial_cdf(system: StochasticSystem) -> Optional[StationaryLaw]:
+    """Stationary law of log|w| under the backward radial walk, or None
+    for systems with a non-monomial map.
 
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    values: np.ndarray  # sorted ascending
-
-    @classmethod
-    def from_samples(cls, xs: np.ndarray) -> "EmpiricalCDF":
-        return cls(np.sort(np.asarray(xs, dtype=float)))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def eval(self, x) -> np.ndarray:
-        return np.searchsorted(self.values, x, side="right") / self.n
-
-    def eval_left(self, x) -> np.ndarray:
-        return np.searchsorted(self.values, x, side="left") / self.n
-
-
-def ks_one_sample(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup |F_emp - F| for a continuous reference CDF."""
-    xs = np.sort(np.asarray(samples, dtype=float))
-    n = len(xs)
-    ref = np.asarray(cdf(xs), dtype=float)
-    lo = np.arange(n) / n
-    hi = np.arange(1, n + 1) / n
-    return float(max(np.max(ref - lo), np.max(hi - ref)))
-
-
-def ks_vs_grid_cdf(samples: np.ndarray, grid: np.ndarray, ref: np.ndarray) -> float:
-    """sup |F_emp - F_ref| against a piecewise-linear CDF given on a grid.
-
-    Candidates include both the sample points and the grid nodes, and the
-    empirical CDF is evaluated from both sides, so step-like references
-    are handled without assuming continuity of the empirical part.
+    For monomial-shaped systems the radial step is the affine contraction
+    L -> +-(L - log|a|)/d of their IFS, and the preimage choice does not
+    affect the radius.
     """
-    emp = EmpiricalCDF.from_samples(samples)
-    cand = np.concatenate([emp.values, grid])
-    fr = np.interp(cand, grid, ref, left=float(ref[0]), right=float(ref[-1]))
-    d1 = np.max(np.abs(emp.eval(cand) - fr))
-    d2 = np.max(np.abs(emp.eval_left(cand) - fr))
-    return float(max(d1, d2))
-
-
-def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    fa = EmpiricalCDF.from_samples(a)
-    fb = EmpiricalCDF.from_samples(b)
-    cand = np.concatenate([fa.values, fb.values])
-    d1 = np.max(np.abs(fa.eval(cand) - fb.eval(cand)))
-    d2 = np.max(np.abs(fa.eval_left(cand) - fb.eval_left(cand)))
-    return float(max(d1, d2))
-
-
-# ---------------------------------------------------------------------------
-# stationary radial law for monomial-shaped systems
-
-def _radial_affine_data(system: StochasticSystem):
-    """Per-map (log|a|, inverted, d, prob) when every map is c*z^d or c/z^d."""
-    rows = []
-    for phi, prob in system:
-        pr = phi.monomial_profile
-        if pr is None:
-            return None
-        rows.append((math.log(abs(float(pr.coeff))), pr.inverted, phi.d,
-                     float(prob)))
-    return rows
-
-
-def radial_atom(system: StochasticSystem) -> Optional[float]:
-    """log-radius of the common fixed point if the stationary radial law
-    is a single atom, else None."""
-    rows = _radial_affine_data(system)
-    if rows is None:
-        return None
-    fps = []
-    for log_a, inverted, d, _ in rows:
-        if inverted:
-            fps.append(log_a / (d + 1))
-        else:
-            fps.append(-log_a / (d - 1))
-    if max(fps) - min(fps) <= 1e-9:
-        return fps[0]
-    return None
-
-
-def reference_radial_cdf(system: StochasticSystem, grid_size: int = 4096,
-                         iters: int = 64):
-    """(grid, F): stationary CDF of log|w| under the backward radial walk.
-
-    Valid only for monomial-shaped systems, where the radial step is the
-    affine contraction L -> +-(L - log|a|)/d and the preimage choice does
-    not affect the radius.  Iterates the CDF fixed-point equation
-    F'(u) = sum_i nu_i F(d_i u + log|a_i|) on a grid from the unit-circle
-    start until the transient is below grid resolution.  Returns None for
-    systems with a non-monomial map.
-    """
-    rows = _radial_affine_data(system)
-    if rows is None:
-        return None
-    anchors = [0.0]
-    for log_a, inverted, d, _ in rows:
-        anchors.append(log_a / (d + 1) if inverted else -log_a / (d - 1))
-    lo, hi = min(anchors) - 1.0, max(anchors) + 1.0
-    for _ in range(200):
-        nlo, nhi = lo, hi
-        for log_a, inverted, d, _ in rows:
-            for u in (lo, hi):
-                v = (log_a - u) / d if inverted else (u - log_a) / d
-                nlo, nhi = min(nlo, v), max(nhi, v)
-        if nlo == lo and nhi == hi:
-            break
-        lo, hi = nlo, nhi
-    grid = np.linspace(lo, hi, grid_size)
-    f = (grid >= 0.0).astype(float)
-    for _ in range(iters):
-        nxt = np.zeros_like(f)
-        for log_a, inverted, d, prob in rows:
-            if inverted:
-                # P(L' <= u) = P(L >= log a - d u)
-                q = np.interp(log_a - d * grid, grid, f, left=0.0, right=1.0)
-                nxt += prob * (1.0 - q)
-            else:
-                q = np.interp(d * grid + log_a, grid, f, left=0.0, right=1.0)
-                nxt += prob * q
-        f = nxt
-    return grid, f
+    ifs = affine_ifs(system)
+    return None if ifs is None else stationary_law(ifs)
 
 
 # ---------------------------------------------------------------------------
@@ -343,21 +211,14 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
     cfg = cfg or GreenConfig()
     batch = backward_sample(system, alpha, n, samples, seed)
 
-    atom = radial_atom(system)
-    if atom is not None:
-        window = max(1.0 / max(n, 1), 1e-9)
-        ks_rad = float(np.mean(np.abs(batch.log_abs - atom) > window))
-        refname = "atom"
+    law = reference_radial_cdf(system)
+    if law is not None:
+        ks_rad = ks_to_law(batch.log_abs, law, n)
+        refname = "atom" if law.atom is not None else "stationary-cdf"
     else:
-        ref = reference_radial_cdf(system)
-        if ref is not None:
-            grid, f = ref
-            ks_rad = ks_vs_grid_cdf(batch.log_abs, grid, f)
-            refname = "stationary-cdf"
-        else:
-            ref_batch = canonical_sample(system, n, 4 * samples, seed + 1)
-            ks_rad = ks_two_sample(batch.log_abs, ref_batch.log_abs)
-            refname = "sampled"
+        ref_batch = canonical_sample(system, n, 4 * samples, seed + 1)
+        ks_rad = ks_two_sample(batch.log_abs, ref_batch.log_abs)
+        refname = "sampled"
 
     ks_ang = ks_one_sample(batch.angle, lambda t: t / (2.0 * np.pi))
 
@@ -497,15 +358,5 @@ def write_radial_cdf_csv(batch: OrbitSampleBatch, system: StochasticSystem,
     The reference column uses the stationary radial law when available
     and is left blank otherwise.
     """
-    emp = EmpiricalCDF.from_samples(batch.log_abs)
-    ref = reference_radial_cdf(system)
-    writer = csv.writer(fileobj)
-    writer.writerow(["r", "empirical_cdf", "reference_cdf"])
-    fvals = None
-    if ref is not None:
-        grid, f = ref
-        fvals = np.interp(emp.values, grid, f, left=0.0, right=1.0)
-    for i, u in enumerate(emp.values):
-        row = [f"{math.exp(u):.12g}", f"{(i + 1) / emp.n:.12g}"]
-        row.append(f"{fvals[i]:.12g}" if fvals is not None else "")
-        writer.writerow(row)
+    write_cdf_csv(batch.log_abs, reference_radial_cdf(system), "r", fileobj,
+                  math.exp)

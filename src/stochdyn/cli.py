@@ -25,7 +25,6 @@ import numpy as np
 
 from . import __version__
 from .archpotential import (
-    ExceptionalStart,
     GreenConfig,
     QuadratureFailure,
     gS_eval,
@@ -37,6 +36,7 @@ from .dynsys import (
     CommonFactor,
     DegenerateMap,
     DegreeTooLow,
+    ExceptionalStart,
     StochasticSystem,
     WordCapExceeded,
     bad_primes,
@@ -57,7 +57,6 @@ from .orbits import NodeBudgetExceeded, backward_sample, write_samples_csv
 from .padicmodel import (
     UnsupportedStructure,
     equidist_test_padic,
-    sample_backward_valuations,
     stationary_segment,
     write_valuation_cdf_csv,
 )
@@ -80,7 +79,6 @@ class SystemConfig:
     depth: int = 30
     samples: int = 100000
     tol: float = 1e-3
-    precision: float = 1e-9
     sha256: str = ""
 
 
@@ -132,16 +130,13 @@ def load_config(path: str) -> SystemConfig:
     depth = _int_field(data.get("depth"), "depth", 30)
     samples = _int_field(data.get("samples"), "samples", 100000)
     tol = data.get("tol", 1e-3)
-    precision = data.get("precision", 1e-9)
-    for name, val in (("tol", tol), ("precision", precision)):
-        _require(isinstance(val, (int, float)) and not isinstance(val, bool),
-                 f"{name} must be a number")
+    _require(isinstance(tol, (int, float)) and not isinstance(tol, bool),
+             "tol must be a number")
     _require(depth >= 0, "depth must be nonnegative", InvariantViolation)
     _require(samples >= 1, "samples must be positive", InvariantViolation)
     _require(tol > 0, "tol must be positive", InvariantViolation)
-    _require(precision > 0, "precision must be positive", InvariantViolation)
     return SystemConfig(tuple(maps), seed, depth, samples, float(tol),
-                        float(precision), hashlib.sha256(blob).hexdigest())
+                        hashlib.sha256(blob).hexdigest())
 
 
 def build_system(cfg: SystemConfig) -> StochasticSystem:
@@ -269,15 +264,13 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
             payload["csv"] = args.out
     else:
         p = int(args.place)
-        ks = equidist_test_padic(system, p, alpha, depth, samples, args.seed)
+        ks, vals = equidist_test_padic(system, p, alpha, depth, samples,
+                                       args.seed)
         payload = {"place": p, "alpha": _format_point(alpha), "depth": depth,
                    "samples": samples, "ks": ks}
         if args.out:
-            vals = sample_backward_valuations(system, p, alpha, depth, samples,
-                                              args.seed)
-            reference = stationary_segment(system, p)
             with open(args.out, "w") as fh:
-                write_valuation_cdf_csv(vals, reference, fh)
+                write_valuation_cdf_csv(vals, stationary_segment(system, p), fh)
             payload["csv"] = args.out
     _emit(payload, cfg, args.seed, out)
     return 0

@@ -62,6 +62,10 @@ class WordCapExceeded(Exception):
     """A word enumeration would produce more words than the configured cap."""
 
 
+class ExceptionalStart(Exception):
+    """Backward orbits of an exceptional point never equidistribute."""
+
+
 class MonomialProfile(NamedTuple):
     """Shape certificate for maps of the form a*z^d or a*z^(-d)."""
 

@@ -35,6 +35,7 @@ from .exactnum import (
     rational_roots,
 )
 from .heights import DiscreteMeasure, make_measure
+from .ifs import affine_ifs
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -331,81 +332,63 @@ def _start_log_polar(alpha: ProjPointQ):
     return log_abs_fraction(q), 0.0 if q > 0 else math.pi
 
 
-def _monomial_stepper(system: StochasticSystem):
-    """Vectorized log-polar backward-step data, or None if some map is
-    not of monomial shape."""
-    profiles = [phi.monomial_profile for phi in system.maps]
-    if any(pr is None for pr in profiles):
-        return None
-    return (
-        np.array([log_abs_fraction(pr.coeff) for pr in profiles]),
-        np.array([0.0 if pr.coeff > 0 else math.pi for pr in profiles]),
-        np.array([pr.inverted for pr in profiles]),
-        np.array([phi.d for phi in system.maps], dtype=float),
-        np.array([float(p) for p in system.probs]),
-    )
-
-
-def _steps_monomial(stepper, log_r, theta, steps, rng):
-    log_a, arg_a, inverted, degs, probs = stepper
-    count = len(log_r)
-    for _ in range(steps):
-        idx = rng.choice(len(degs), size=count, p=probs)
-        d = degs[idx]
-        j = np.floor(rng.random(count) * d)
-        sign = np.where(inverted[idx], -1.0, 1.0)
-        log_r = sign * (log_r - log_a[idx]) / d
-        theta = sign * (theta - arg_a[idx]) / d + 2.0 * np.pi * j / d
-        theta = np.mod(theta, 2.0 * np.pi)
-    return log_r, theta
-
-
-def _walk_numeric(system, probs, exact_start, z_start, steps, rng):
-    """One backward path through numeric fibers; returns the end point."""
-    cur_exact = exact_start
-    z = z_start
-    for _ in range(steps):
-        i = int(rng.choice(len(system.maps), p=probs))
-        phi = system.maps[i]
-        if cur_exact is not None:
-            pre = _preimages_exact(phi, cur_exact)
-        else:
-            pre = [(w, None, m) for w, m in _preimages_numeric(phi, z)]
-        mults = np.array([m for _, _, m in pre], dtype=float)
-        pick = int(rng.choice(len(pre), p=mults / phi.d))
-        _, cur_exact, _ = pre[pick]
-        z = pre[pick][0]
-    return z
-
-
-def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
-                    samples: int, seed: int) -> OrbitSampleBatch:
-    """i.i.d. draws from the level-n measure.
+def backward_walk(system: StochasticSystem, log_r: np.ndarray,
+                  theta: np.ndarray, start: Optional[ProjPointQ], steps: int,
+                  rng: np.random.Generator):
+    """Walks each point (log_r[k], theta[k]) `steps` levels backward and
+    returns the end points as (log_r, theta).
 
     Each step picks a map by its probability and then one preimage with
     chance multiplicity/degree.  Magnitudes are tracked as logs, so deep
     monomial systems neither underflow nor overflow.  Systems whose maps
-    are all of monomial shape run fully vectorized; anything else walks
-    sample by sample through numeric fibers.
+    are all of monomial shape step the radius through their affine IFS and
+    the angle alongside it, vectorized over the points; other systems walk
+    point by point through the fibers.  start, when given, is the common
+    start as an exact point, and fibers are then solved exactly until the
+    path leaves the rational points.
     """
+    count = len(log_r)
+    ifs = affine_ifs(system)
+    if ifs is not None:
+        arg_a = np.array([0.0 if phi.monomial_profile.coeff > 0 else math.pi
+                          for phi in system.maps])
+        _, degs, inverted = ifs.arrays
+        sign = np.where(inverted, -1.0, 1.0)
+        for _ in range(steps):
+            idx = rng.choice(len(degs), size=count, p=ifs.probs)
+            d = degs[idx]
+            j = np.floor(rng.random(count) * d)
+            log_r = ifs.step(log_r, idx)
+            theta = sign[idx] * (theta - arg_a[idx]) / d + 2.0 * np.pi * j / d
+            theta = np.mod(theta, 2.0 * np.pi)
+        return log_r, theta
+    probs = np.array([float(p) for p in system.probs])
+    for k in range(count):
+        exact = start
+        z = (None if math.isinf(log_r[k])
+             else np.exp(log_r[k]) * np.exp(1j * theta[k]))
+        for _ in range(steps):
+            phi = system.maps[int(rng.choice(len(system.maps), p=probs))]
+            if exact is not None:
+                pre = _preimages_exact(phi, exact)
+            else:
+                pre = [(w, None, m) for w, m in _preimages_numeric(phi, z)]
+            mults = np.array([m for _, _, m in pre], dtype=float)
+            z, exact, _ = pre[int(rng.choice(len(pre), p=mults / phi.d))]
+        log_r[k] = np.log(abs(z)) if z != 0 else -math.inf
+        theta[k] = np.angle(z) if z != 0 else 0.0
+    return log_r, theta
+
+
+def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
+                    samples: int, seed: int) -> OrbitSampleBatch:
+    """i.i.d. draws from the level-n measure, by backward_walk from alpha."""
     if samples < 1:
         raise ValueError("need at least one sample")
     rng = np.random.default_rng(seed)
     log_r0, theta0 = _start_log_polar(alpha)
-    stepper = _monomial_stepper(system)
-    if stepper is not None:
-        log_r = np.full(samples, log_r0)
-        theta = np.full(samples, theta0)
-        log_r, theta = _steps_monomial(stepper, log_r, theta, n, rng)
-        return OrbitSampleBatch(log_r, theta, n, seed, samples)
-    probs = np.array([float(p) for p in system.probs])
-    log_r = np.empty(samples)
-    theta = np.empty(samples)
-    for s in range(samples):
-        z0 = None if math.isinf(log_r0) else np.exp(log_r0) * np.exp(1j * theta0)
-        z = _walk_numeric(system, probs, alpha, z0, n, rng)
-        log_r[s] = np.log(abs(z)) if z != 0 else -math.inf
-        theta[s] = np.angle(z) if z != 0 else 0.0
+    log_r, theta = backward_walk(system, np.full(samples, log_r0),
+                                 np.full(samples, theta0), alpha, n, rng)
     return OrbitSampleBatch(log_r, theta, n, seed, samples)
 
 

@@ -2,36 +2,38 @@
 
 At a finite place p the only systems with computable canonical measures
 here are the monomial-shaped ones, a z^d or a z^(-d).  Their action on
-the valuation coordinate v = v_p(z) is affine, v -> d v + v_p(a) (sign
-flipped for inverted maps), so backward orbits of valuations form an
-affine iterated function system on a segment.  Its stationary law is the
-canonical measure seen through the valuation coordinate; for the system
-{z^2 (1/2), 2 z^2 (1/2)} at p = 2 it is uniform on v in [-1, 0].
+the valuation coordinate v = v_p(z) is the affine IFS of `ifs` at p,
+v -> d v + v_p(a) (sign flipped for inverted maps), so backward orbits of
+valuations walk backward through it; degrees and exponent signs may be
+mixed.  Its stationary law is the canonical measure seen through the
+valuation coordinate; for the system {z^2 (1/2), 2 z^2 (1/2)} at p = 2 it
+is uniform on v in [-1, 0].
 
 Good-reduction places keep all mass at the Gauss point v = 0.  Places of
 bad reduction whose maps are not monomial-shaped are reported
 UnsupportedStructure rather than approximated.
 
-Valuations are exact rationals throughout the walk: with all degrees
-equal to d, the level-n valuation is N / (q d^n) for an integer N, which
-is tracked directly (int64 when the bit budget allows, exact floats for
-the dyadic cases of interest) and only converted to float for the CDF
-comparison at the end.
+Shifts, fixed points and atoms are exact rationals.  The walk itself
+runs in float64, which is exact while every degree is a power of 2 and
+the valuations need at most 53 significant bits.
 """
 
 from __future__ import annotations
 
-import csv
-import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Sequence
 
 import numpy as np
 
-from .archpotential import ExceptionalStart, ks_vs_grid_cdf
-from .dynsys import StochasticSystem, is_exceptional_system
+from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, normalize_point, padic_valuation
+from .ifs import (
+    AffineIFS,
+    StationaryLaw,
+    affine_ifs,
+    ks_to_law,
+    stationary_law,
+    write_cdf_csv,
+)
 
 import sympy
 
@@ -41,44 +43,18 @@ class UnsupportedStructure(Exception):
 
 
 @dataclass(frozen=True)
-class ValAffine:
-    """Valuation action of a monomial-shaped map a z^(+-d) at a fixed prime:
-    forward v -> d v + shift, or shift - d v when inverted."""
-
-    d: int
-    shift: int
-    inverted: bool = False
-
-    def __post_init__(self):
-        if self.d < 2:
-            raise ValueError("degree must be at least 2")
-
-
-@dataclass(frozen=True)
 class GoodReduction:
     pass
 
 
 @dataclass(frozen=True)
 class MonomialLike:
-    maps: tuple
+    ifs: AffineIFS
 
 
 @dataclass(frozen=True)
 class Unsupported:
     pass
-
-
-def _val_affines(system: StochasticSystem, p: int) -> Optional[list]:
-    out = []
-    for phi in system.maps:
-        pr = phi.monomial_profile
-        if pr is None:
-            return None
-        shift = padic_valuation(pr.coeff.numerator, p) - \
-            padic_valuation(pr.coeff.denominator, p)
-        out.append(ValAffine(phi.d, shift, pr.inverted))
-    return out
 
 
 def classify_place(system: StochasticSystem, p: int):
@@ -88,136 +64,18 @@ def classify_place(system: StochasticSystem, p: int):
         raise ValueError(f"{p} is not prime")
     if all(phi.res % p != 0 for phi in system.maps):
         return GoodReduction()
-    rows = _val_affines(system, p)
-    if rows is not None:
-        return MonomialLike(tuple(rows))
-    return Unsupported()
+    ifs = affine_ifs(system, p)
+    return Unsupported() if ifs is None else MonomialLike(ifs)
 
 
-def val_backward_step(m: ValAffine, v: Fraction, branch: int = 0) -> Fraction:
-    """Valuation of any preimage; all d branches agree, so branch is ignored."""
-    v = Fraction(v)
-    if m.inverted:
-        return (Fraction(m.shift) - v) / m.d
-    return (v - Fraction(m.shift)) / m.d
-
-
-def val_forward_step(m: ValAffine, v: Fraction) -> Fraction:
-    v = Fraction(v)
-    if m.inverted:
-        return Fraction(m.shift) - m.d * v
-    return m.d * v + Fraction(m.shift)
-
-
-@dataclass(frozen=True, eq=False)
-class SegmentMeasure:
-    """Stationary valuation law on the segment [v_lo, v_hi].
-
-    Either a single atom (v_lo == v_hi) or a piecewise-constant density
-    described by a CDF sampled on a uniform grid.  Total mass is 1 by
-    construction.
-    """
-
-    v_lo: Fraction
-    v_hi: Fraction
-    atom: Optional[Fraction] = None
-    edges: Optional[np.ndarray] = None
-    cdf_values: Optional[np.ndarray] = None
-
-    def cdf_at(self, v):
-        v = np.asarray(v, dtype=float)
-        if self.atom is not None:
-            return (v >= float(self.atom)).astype(float)
-        return np.interp(v, self.edges, self.cdf_values, left=0.0, right=1.0)
-
-    @property
-    def density(self) -> Optional[np.ndarray]:
-        if self.atom is not None:
-            return None
-        return np.diff(self.cdf_values) / np.diff(self.edges)
-
-
-def _same_shape_rows(system: StochasticSystem, p: int) -> list:
-    rows = _val_affines(system, p)
-    if rows is None:
+def stationary_segment(system: StochasticSystem, p: int) -> StationaryLaw:
+    """Stationary law of the backward valuation walk at p: an exact atom
+    when every map fixes the same valuation, else a grid CDF."""
+    ifs = affine_ifs(system, p)
+    if ifs is None:
         raise UnsupportedStructure(
             f"system has a non-monomial map; no valuation dynamics at p={p}")
-    if len({r.d for r in rows}) != 1 or len({r.inverted for r in rows}) != 1:
-        raise UnsupportedStructure(
-            "mixed degrees or exponent signs; stationary segment undefined")
-    return rows
-
-
-def _fixed_point(r: ValAffine) -> Fraction:
-    if r.inverted:
-        return Fraction(r.shift, r.d + 1)
-    return Fraction(-r.shift, r.d - 1)
-
-
-def stationary_segment(system: StochasticSystem, p: int,
-                       grid_size: int = 4096, iters: int = 64) -> SegmentMeasure:
-    """Stationary law of the backward valuation walk at p.
-
-    Requires every map to be monomial-shaped with a common degree and
-    exponent sign.  A common fixed point gives an atom; otherwise the CDF
-    fixed-point equation F'(u) = sum_i nu_i F(d u + s_i) is iterated on a
-    grid from an arbitrary start until the transient is negligible.
-    """
-    rows = _same_shape_rows(system, p)
-    probs = [float(q) for q in system.probs]
-    fps = [_fixed_point(r) for r in rows]
-    lo_f, hi_f = min(fps), max(fps)
-    if lo_f == hi_f:
-        return SegmentMeasure(lo_f, hi_f, atom=lo_f)
-    lo, hi = float(lo_f) - 1.0, float(hi_f) + 1.0
-    grid = np.linspace(lo, hi, grid_size)
-    f = (grid >= 0.0).astype(float)
-    for _ in range(iters):
-        nxt = np.zeros_like(f)
-        for r, prob in zip(rows, probs):
-            if r.inverted:
-                q = np.interp(r.shift - r.d * grid, grid, f, left=0.0, right=1.0)
-                nxt += prob * (1.0 - q)
-            else:
-                q = np.interp(r.d * grid + r.shift, grid, f, left=0.0, right=1.0)
-                nxt += prob * q
-        f = nxt
-    return SegmentMeasure(lo_f, hi_f, edges=grid, cdf_values=f)
-
-
-def _sample_valuations(rows: list, probs: Sequence[float], v0: Fraction,
-                       n: int, samples: int, seed: int) -> np.ndarray:
-    """Vectorized n-step backward valuation walk from v0.
-
-    With common degree d the walk stays in (1/(q d^k)) Z, so the integer
-    numerator is iterated exactly when it fits in int64; otherwise the
-    walk falls back to float64, which is still exact for dyadic shifts
-    up to 52 bits of depth.
-    """
-    d = rows[0].d
-    inverted = rows[0].inverted
-    shifts = np.array([r.shift for r in rows], dtype=np.int64)
-    probs = np.asarray(probs, dtype=float)
-    rng = np.random.default_rng(seed)
-    q = v0.denominator
-    max_s = max(1, max(abs(int(s)) for s in shifts))
-    bits = (math.log2(max_s * q + abs(v0.numerator) + 1)
-            + (n + 1) * math.log2(d))
-    if bits < 60:
-        num = np.full(samples, int(v0.numerator), dtype=np.int64)
-        powd = 1
-        for _ in range(n):
-            i = rng.choice(len(rows), size=samples, p=probs)
-            step = shifts[i] * (q * powd)
-            num = step - num if inverted else num - step
-            powd *= d
-        return num / float(q * powd)
-    v = np.full(samples, float(v0))
-    for _ in range(n):
-        i = rng.choice(len(rows), size=samples, p=probs)
-        s = shifts[i].astype(float)
-        v = (s - v) / d if inverted else (v - s) / d
-    return v
+    return stationary_law(ifs)
 
 
 def sample_backward_valuations(system: StochasticSystem, p: int,
@@ -231,47 +89,31 @@ def sample_backward_valuations(system: StochasticSystem, p: int,
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
     if alpha.a == 0 or alpha.b == 0:
         raise ValueError("start must have finite nonzero valuation")
-    cls = classify_place(system, p)
-    if isinstance(cls, Unsupported):
+    if isinstance(classify_place(system, p), Unsupported):
         raise UnsupportedStructure(
             f"bad reduction at p={p} without monomial shape")
-    rows = _val_affines(system, p)
-    if rows is None:
+    ifs = affine_ifs(system, p)
+    if ifs is None:
         # good reduction but no valuation coordinate to walk in
         raise UnsupportedStructure(
             f"place p={p} has good reduction but the maps are not "
             "monomial-shaped; valuation sampling is undefined")
-    _same_shape_rows(system, p)
-    v0 = Fraction(padic_valuation(alpha.a, p) - padic_valuation(alpha.b, p))
-    probs = [float(q) for q in system.probs]
-    return _sample_valuations(rows, probs, v0, n, samples, seed)
+    v = np.full(samples, float(padic_valuation(alpha.as_fraction(), p)))
+    rng = np.random.default_rng(seed)
+    for _ in range(n):
+        v = ifs.step(v, rng.choice(len(ifs.probs), size=samples, p=ifs.probs))
+    return v
 
 
 def equidist_test_padic(system: StochasticSystem, p: int, alpha: ProjPointQ,
-                        n: int, samples: int, seed: int) -> float:
-    """KS distance between the level-n backward valuation law from alpha
-    and the stationary segment law at p.
-
-    Against an atomic reference the statistic is the fraction of samples
-    farther than 1/n from the atom (the sup-CDF distance for a window of
-    that width); against a continuous segment it is the usual sup-CDF
-    distance.
-    """
+                        n: int, samples: int, seed: int):
+    """(ks, vals): the level-n backward valuations vals from alpha and
+    their distance ks (`ifs.ks_to_law`) from the stationary law at p."""
     vals = sample_backward_valuations(system, p, alpha, n, samples, seed)
-    reference = stationary_segment(system, p)
-    if reference.atom is not None:
-        window = 1.0 / n
-        return float(np.mean(np.abs(vals - float(reference.atom)) > window))
-    return ks_vs_grid_cdf(vals, reference.edges, reference.cdf_values)
+    return ks_to_law(vals, stationary_segment(system, p), n), vals
 
 
-def write_valuation_cdf_csv(vals: np.ndarray, reference: SegmentMeasure,
+def write_valuation_cdf_csv(vals: np.ndarray, reference: StationaryLaw,
                             fileobj) -> None:
     """Rows (v, empirical CDF, reference CDF) at the sorted sample values."""
-    xs = np.sort(np.asarray(vals, dtype=float))
-    ref = reference.cdf_at(xs)
-    writer = csv.writer(fileobj)
-    writer.writerow(["v", "empirical_cdf", "reference_cdf"])
-    for i, v in enumerate(xs):
-        writer.writerow([f"{v:.12g}", f"{(i + 1) / len(xs):.12g}",
-                         f"{ref[i]:.12g}"])
+    write_cdf_csv(vals, reference, "v", fileobj)

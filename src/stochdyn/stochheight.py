@@ -208,6 +208,12 @@ def escape_sum_mc(system: StochasticSystem, lifts: Lifts, words: np.ndarray,
     return mean, np.sqrt(m2 / max(samples - 1, 1)) / math.sqrt(samples)
 
 
+def _height(alpha: ProjPointQ, escape: float) -> float:
+    # the heights averaged are >= 0, but logs that cancel exactly (log 6 -
+    # log 2 - log 3 when a word sends 1 to infinity) can leave -1e-16
+    return max(0.0, weil_height(alpha) + float(escape))
+
+
 def stoch_height_exact(system: StochasticSystem, alpha: ProjPointQ, n: int,
                        word_cap: int = WORD_CAP_DEFAULT) -> StochHeightEstimate:
     """Exact average over all length-n words."""
@@ -215,7 +221,7 @@ def stoch_height_exact(system: StochasticSystem, alpha: ProjPointQ, n: int,
         raise WordCapExceeded(f"{len(system.maps) ** n} words of length {n} "
                               f"exceeds cap {word_cap}")
     escape = escape_sum_exact(system, _point_lifts(system, [alpha], n), n)
-    return StochHeightEstimate(weil_height(alpha) + float(escape[0]), 0.0, n,
+    return StochHeightEstimate(_height(alpha, escape[0]), 0.0, n,
                                "exact", 0, tail_budget(system).bound(n))
 
 
@@ -228,7 +234,7 @@ def stoch_height_mc(system: StochasticSystem, alpha: ProjPointQ, n: int,
     probs = np.array([float(p) for p in system.probs])
     words = rng.choice(len(system.maps), size=(samples, n), p=probs)
     mean, stderr = escape_sum_mc(system, _point_lifts(system, [alpha], n), words)
-    return StochHeightEstimate(weil_height(alpha) + float(mean[0]),
+    return StochHeightEstimate(_height(alpha, mean[0]),
                                float(stderr[0]), n, "mc", samples,
                                tail_budget(system).bound(n))
 

@@ -9,8 +9,6 @@ from hypothesis import given, settings, strategies as st
 
 from stochdyn.archpotential import (
     ArchEquidistResult,
-    EmpiricalCDF,
-    ExceptionalStart,
     GreenConfig,
     QuadratureFailure,
     canonical_sample,
@@ -18,21 +16,24 @@ from stochdyn.archpotential import (
     g1_eval,
     gS_eval,
     gS_eval_many,
-    ks_one_sample,
-    ks_two_sample,
-    ks_vs_grid_cdf,
     potential_eval,
     pullback_invariance_residual,
-    radial_atom,
     radii,
     reference_radial_cdf,
     regularize,
     rho_self_energy,
     write_radial_cdf_csv,
 )
-from stochdyn.dynsys import make_map, make_system
+from stochdyn.dynsys import ExceptionalStart, make_map, make_system
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.heights import l1_height_control_total
+from stochdyn.ifs import (
+    EmpiricalCDF,
+    affine_ifs,
+    ks_one_sample,
+    ks_two_sample,
+    ks_vs_grid_cdf,
+)
 from stochdyn.stochheight import tail_budget
 
 LOG2 = math.log(2.0)
@@ -128,8 +129,8 @@ def test_canonical_sample_dyadic_radial_law(dyadic):
     batch = canonical_sample(dyadic, 25, 20000, 5)
     assert np.all(batch.log_abs <= 1e-12)
     assert np.all(batch.log_abs >= -LOG2 - 1e-12)
-    grid, f = reference_radial_cdf(dyadic)
-    assert ks_vs_grid_cdf(batch.log_abs, grid, f) <= 0.02
+    law = reference_radial_cdf(dyadic)
+    assert ks_vs_grid_cdf(batch.log_abs, law.grid, law.cdf) <= 0.02
 
 
 def test_canonical_sample_general_path(mixed):
@@ -139,20 +140,32 @@ def test_canonical_sample_general_path(mixed):
 
 
 def test_reference_cdf_closed_form(dyadic):
-    grid, f = reference_radial_cdf(dyadic)
-    exact = np.clip(1.0 + grid / LOG2, 0.0, 1.0)
-    assert np.max(np.abs(f - exact)) <= 1e-9
+    law = reference_radial_cdf(dyadic)
+    exact = np.clip(1.0 + law.grid / LOG2, 0.0, 1.0)
+    assert np.max(np.abs(law.cdf - exact)) <= 1e-9
 
 
 def test_reference_cdf_none_for_nonmonomial(mixed):
     assert reference_radial_cdf(mixed) is None
-    assert radial_atom(mixed) is None
+    assert affine_ifs(mixed) is None
 
 
 def test_radial_atom_detection(dyadic, single_z2, two_z2):
-    assert radial_atom(single_z2) == pytest.approx(0.0, abs=1e-12)
-    assert radial_atom(two_z2) == pytest.approx(-LOG2, abs=1e-12)
-    assert radial_atom(dyadic) is None
+    assert reference_radial_cdf(single_z2).atom == pytest.approx(0.0, abs=1e-12)
+    assert reference_radial_cdf(two_z2).atom == pytest.approx(-LOG2, abs=1e-12)
+    assert reference_radial_cdf(dyadic).atom is None
+
+
+def test_radial_law_huge_coefficient():
+    # log|3^700| = 769.03... is far beyond float range as 3^700 itself
+    system = make_system([make_map([0, 0, 3**700], [1]),
+                          make_map([0, 0, 1], [1])], [HALF, HALF])
+    law = reference_radial_cdf(system)
+    shift = 700 * math.log(3.0)
+    # the law lives on [-log|a|, 0], between the two fixed points
+    assert law.grid[0] <= -shift and law.grid[-1] >= 0.0
+    assert law.cdf_at(-shift - 1e-6) == pytest.approx(0.0, abs=1e-3)
+    assert law.cdf_at(1e-6) == pytest.approx(1.0, abs=1e-3)
 
 
 def test_ks_one_sample_matches_scipy():

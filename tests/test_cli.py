@@ -7,6 +7,7 @@ import pytest
 
 import stochdyn.archpotential
 import stochdyn.cli
+import stochdyn.padicmodel
 from stochdyn.archpotential import QuadratureFailure
 from stochdyn.cli import (
     ConfigParseError,
@@ -62,6 +63,9 @@ def test_load_config_defaults(tmp_path):
     assert cfg.tol == 1e-3 and len(cfg.sha256) == 64
     system = build_system(cfg)
     assert len(system.maps) == 2
+    # configs written for the removed 'precision' setting still load
+    path.write_text(json.dumps({"maps": EXAMPLE["maps"], "precision": 1e-9}))
+    assert load_config(str(path)).tol == 1e-3
 
 
 def test_validate_report(capsys, example_config):
@@ -242,6 +246,28 @@ def test_equidist_out_draws_once(capsys, tmp_path, example_config,
                          "--out", str(tmp_path / "arch.csv"))
     assert code == 0
     assert len(calls) == 1
+
+
+def test_equidist_padic_out_draws_once(capsys, tmp_path, example_config,
+                                       monkeypatch):
+    calls = []
+    draw = stochdyn.padicmodel.sample_backward_valuations
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return draw(*args, **kwargs)
+
+    monkeypatch.setattr(stochdyn.padicmodel, "sample_backward_valuations",
+                        counted)
+    monkeypatch.setattr(stochdyn.cli, "sample_backward_valuations", counted,
+                        raising=False)
+    path = tmp_path / "val2.csv"
+    code, out, _ = run_cli(capsys, "equidist", "--config", example_config,
+                           "1", "--place", "2", "--samples", "200",
+                           "--depth", "8", "--out", str(path))
+    assert code == 0
+    assert len(calls) == 1
+    assert len(path.read_text().splitlines()) == 201
 
 
 def test_unsupported_place_exit(capsys, tmp_path):

@@ -4,23 +4,17 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
 
-from stochdyn.archpotential import ExceptionalStart
-from stochdyn.dynsys import make_map, make_system
+from stochdyn.dynsys import ExceptionalStart, make_map, make_system
 from stochdyn.exactnum import normalize_point
 from stochdyn.padicmodel import (
     GoodReduction,
     MonomialLike,
-    SegmentMeasure,
     Unsupported,
     UnsupportedStructure,
-    ValAffine,
     classify_place,
     equidist_test_padic,
     stationary_segment,
-    val_backward_step,
-    val_forward_step,
     write_valuation_cdf_csv,
 )
 
@@ -39,7 +33,8 @@ def test_classify_dyadic(dyadic):
     assert isinstance(classify_place(dyadic, 3), GoodReduction)
     cls = classify_place(dyadic, 2)
     assert isinstance(cls, MonomialLike)
-    assert cls.maps == (ValAffine(2, 0), ValAffine(2, 1))
+    assert cls.ifs.shifts == (0, 1) and cls.ifs.degrees == (2, 2)
+    assert cls.ifs.inverted == (False, False)
 
 
 def test_classify_good_reduction_nonmonomial(shifted_quads):
@@ -61,39 +56,15 @@ def test_classify_rejects_nonprime(dyadic):
         classify_place(dyadic, 4)
 
 
-def test_val_affine_validation():
-    with pytest.raises(ValueError):
-        ValAffine(1, 0)
-
-
-def test_backward_step_examples():
-    assert val_backward_step(ValAffine(2, 0), Fraction(-1)) == Fraction(-1, 2)
-    assert val_backward_step(ValAffine(2, 1), Fraction(0)) == Fraction(-1, 2)
-    assert val_backward_step(ValAffine(2, 1), Fraction(-1)) == Fraction(-1)
-
-
-@given(
-    st.integers(min_value=2, max_value=9),
-    st.integers(min_value=-20, max_value=20),
-    st.booleans(),
-    st.fractions(min_value=-100, max_value=100, max_denominator=64),
-)
-def test_backward_inverts_forward(d, shift, inverted, v):
-    m = ValAffine(d, shift, inverted)
-    assert val_backward_step(m, val_forward_step(m, v)) == v
-    assert val_forward_step(m, val_backward_step(m, v)) == v
-
-
 def test_stationary_segment_dyadic(dyadic):
     seg = stationary_segment(dyadic, 2)
     assert seg.atom is None
-    assert seg.v_lo == Fraction(-1) and seg.v_hi == Fraction(0)
+    exact = np.clip(seg.grid + 1.0, 0.0, 1.0)
+    assert np.max(np.abs(seg.cdf - exact)) <= 1e-9
     assert seg.cdf_at(-0.5) == pytest.approx(0.5, abs=1e-3)
     assert seg.cdf_at(-1.0) == pytest.approx(0.0, abs=1e-3)
     assert seg.cdf_at(0.0) == pytest.approx(1.0, abs=1e-3)
     assert seg.cdf_at(-2.0) == 0.0 and seg.cdf_at(1.0) == 1.0
-    dens = seg.density
-    assert np.all(dens >= -1e-12)
 
 
 def test_stationary_segment_atoms(single_z2):
@@ -113,32 +84,46 @@ def test_stationary_segment_inverted():
     assert seg.atom == Fraction(1, 3)
 
 
+def _equidistributes_at_two(system):
+    ks, _ = equidist_test_padic(system, 2, normalize_point(3, 1), 30, 20000, 5)
+    return ks <= 0.02
+
+
 def test_stationary_segment_unsupported(shifted_quads):
     with pytest.raises(UnsupportedStructure):
         stationary_segment(shifted_quads, 2)
-    mixed_sign = make_system([make_map([0, 0, 1], [1]), make_map([1], [0, 0, 1])],
+    # mixed exponent signs and mixed degrees have a law too
+    mixed_sign = make_system([make_map([0, 0, 2], [1]), make_map([1], [0, 0, 1])],
                              [HALF, HALF])
-    with pytest.raises(UnsupportedStructure):
-        stationary_segment(mixed_sign, 2)
+    assert _equidistributes_at_two(mixed_sign)
     mixed_deg = make_system(
-        [make_map([0, 0, 1], [1]), make_map([0, 0, 0, 1], [1])], [HALF, HALF])
-    with pytest.raises(UnsupportedStructure):
-        stationary_segment(mixed_deg, 2)
+        [make_map([0, 0, 1], [1]), make_map([0, 0, 0, 2], [1])], [HALF, HALF])
+    assert _equidistributes_at_two(mixed_deg)
+
+
+def test_equidist_inverted_at_two():
+    # {1/z^2, 2^10/z^2}: the walk fills [-10/3, 20/3], beyond the hull
+    # [0, 10/3] of the fixed points
+    inv = make_system([make_map([1], [0, 0, 1]), make_map([2**10], [0, 0, 1])],
+                      [HALF, HALF])
+    assert _equidistributes_at_two(inv)
+    seg = stationary_segment(inv, 2)
+    assert seg.cdf_at(-10 / 3 + 0.1) > 0.0 and seg.cdf_at(20 / 3 - 0.1) < 1.0
 
 
 def test_equidist_dyadic_at_two(dyadic):
-    ks = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 30, 20000, 5)
+    ks, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 30, 20000, 5)
     assert ks <= 0.02
 
 
 def test_equidist_dyadic_at_three(dyadic):
     # good reduction: the walk never leaves v = 0
-    ks = equidist_test_padic(dyadic, 3, normalize_point(1, 1), 30, 5000, 1)
+    ks, _ = equidist_test_padic(dyadic, 3, normalize_point(1, 1), 30, 5000, 1)
     assert ks == 0.0
 
 
 def test_equidist_z2_contracts(single_z2):
-    ks = equidist_test_padic(single_z2, 2, normalize_point(2, 1), 30, 1000, 9)
+    ks, _ = equidist_test_padic(single_z2, 2, normalize_point(2, 1), 30, 1000, 9)
     assert ks == 0.0
 
 
@@ -155,14 +140,16 @@ def test_equidist_guards(dyadic, shifted_quads):
 
 
 def test_equidist_deterministic(dyadic):
-    a = equidist_test_padic(dyadic, 2, normalize_point(3, 2), 20, 2000, 42)
-    b = equidist_test_padic(dyadic, 2, normalize_point(3, 2), 20, 2000, 42)
-    assert a == b
+    ks_a, vals_a = equidist_test_padic(dyadic, 2, normalize_point(3, 2), 20,
+                                       2000, 42)
+    ks_b, vals_b = equidist_test_padic(dyadic, 2, normalize_point(3, 2), 20,
+                                       2000, 42)
+    assert ks_a == ks_b and np.array_equal(vals_a, vals_b)
 
 
 def test_deep_walk_uses_float_fallback(dyadic):
-    # depth 80 forces the float64 path; the law is still the segment law
-    ks = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 80, 20000, 3)
+    # depth 80 takes valuations past 53 bits; the law is still the segment law
+    ks, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 80, 20000, 3)
     assert ks <= 0.02
 
 
