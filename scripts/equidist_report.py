@@ -23,11 +23,7 @@ from stochdyn.archpotential import (
     write_radial_cdf_csv,
 )
 from stochdyn.cli import build_system, load_config, parse_alpha
-from stochdyn.padicmodel import (
-    equidist_test_padic,
-    stationary_segment,
-    write_valuation_cdf_csv,
-)
+from stochdyn.padicmodel import equidist_test_padic, write_valuation_cdf_csv
 
 
 def main():
@@ -58,17 +54,17 @@ def main():
                f"{res.potential_residual:>10.4f}")
         valuations = {}
         for p in args.primes:
-            ks, valuations[p] = equidist_test_padic(system, p, alpha, depth,
-                                                    samples, seed)
+            ks, vals, law = equidist_test_padic(system, p, alpha, depth,
+                                                samples, seed)
+            valuations[p] = (vals, law)
             row += f" {ks:>8.4f}"
         print(row)
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
             path = os.path.join(args.out_dir, f"radial_depth{depth}.csv")
             with open(path, "w") as fh:
-                write_radial_cdf_csv(res.batch, system, fh)
-            for p, vals in valuations.items():
-                ref = stationary_segment(system, p)
+                write_radial_cdf_csv(res.batch, res.law, fh)
+            for p, (vals, ref) in valuations.items():
                 path = os.path.join(args.out_dir, f"val{p}_depth{depth}.csv")
                 with open(path, "w") as fh:
                     write_valuation_cdf_csv(vals, ref, fh)

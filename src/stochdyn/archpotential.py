@@ -37,7 +37,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
-from .exactnum import ProjPointQ, normalize_point
+from .exactnum import ProjPointQ, StochdynError, normalize_point
 from .ifs import (
     StationaryLaw,
     affine_ifs,
@@ -51,7 +51,7 @@ from .orbits import OrbitSampleBatch, backward_sample, backward_walk
 from .stochheight import Lifts, escape_sum_exact, escape_sum_mc, tail_budget
 
 
-class QuadratureFailure(Exception):
+class QuadratureFailure(StochdynError):
     """Circle quadrature did not settle under refinement."""
 
 
@@ -182,6 +182,7 @@ class ArchEquidistResult:
     potential_residual: float
     reference: str  # "atom", "stationary-cdf", or "sampled"
     batch: OrbitSampleBatch = field(repr=False, compare=False)
+    law: Optional[StationaryLaw] = field(repr=False, compare=False)
 
     def as_dict(self) -> dict:
         return {
@@ -198,7 +199,7 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
     """Compare the level-n backward measure from alpha with the canonical
     measure: KS distance in radius and angle plus a logarithmic-potential
     residual over a fixed probe set.  The result keeps the backward batch
-    it scored.
+    and the stationary radial law (None when sampled) it scored.
 
     Monomial-shaped systems are scored against the closed-form stationary
     radial law; others fall back to a 4x-size canonically sampled
@@ -232,7 +233,7 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
     g = gS_eval_many(system, probes, cfg)
     pot = g + np.maximum(np.log(np.maximum(np.abs(probes), 1e-300)), 0.0)
     residual = float(np.max(np.abs(emp - pot)))
-    return ArchEquidistResult(ks_rad, ks_ang, residual, refname, batch)
+    return ArchEquidistResult(ks_rad, ks_ang, residual, refname, batch, law)
 
 
 def pullback_invariance_residual(system: StochasticSystem, n: int,
@@ -351,12 +352,11 @@ def radii(system: StochasticSystem, cfg: Optional[GreenConfig] = None,
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def write_radial_cdf_csv(batch: OrbitSampleBatch, system: StochasticSystem,
-                         fileobj) -> None:
+def write_radial_cdf_csv(batch: OrbitSampleBatch,
+                         reference: Optional[StationaryLaw], fileobj) -> None:
     """Rows (r, empirical CDF, reference CDF) at the sorted sample radii.
 
-    The reference column uses the stationary radial law when available
-    and is left blank otherwise.
+    The reference column uses the stationary radial law (as from
+    reference_radial_cdf) when there is one and is left blank otherwise.
     """
-    write_cdf_csv(batch.log_abs, reference_radial_cdf(system), "r", fileobj,
-                  math.exp)
+    write_cdf_csv(batch.log_abs, reference, "r", fileobj, math.exp)

@@ -2,8 +2,10 @@
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
 invariant (bad probabilities, degenerate maps, unsupported place, config
-mismatch) or exhausted budget (word cap, tree nodes, numeric convergence,
-quadrature), 4 exceptional starting point.
+mismatch), exhausted budget (word cap, tree nodes, numeric convergence,
+quadrature) or a value outside float range, 4 exceptional starting point.
+Every stochdyn error carries its code (StochdynError.exit_code); ValueError
+and OverflowError exit 3.
 
 Every JSON record embeds the sha256 of the config file bytes, the
 effective seed, and the package version, so identical inputs reproduce
@@ -26,19 +28,15 @@ import numpy as np
 from . import __version__
 from .archpotential import (
     GreenConfig,
-    QuadratureFailure,
+    equidist_test_arch,
     gS_eval,
     radii,
     rho_self_energy,
     write_radial_cdf_csv,
 )
 from .dynsys import (
-    CommonFactor,
-    DegenerateMap,
-    DegreeTooLow,
     ExceptionalStart,
     StochasticSystem,
-    WordCapExceeded,
     bad_primes,
     exceptional_report,
     is_exceptional_system,
@@ -47,28 +45,24 @@ from .dynsys import (
     stochastic_degree,
 )
 from .exactnum import (
-    ConvergenceFailure,
     FactorizationTooLarge,
     ProjPointQ,
+    StochdynError,
     parse_point,
 )
 from .heights import l1_height_control_total, weil_height
-from .orbits import NodeBudgetExceeded, backward_sample, write_samples_csv
-from .padicmodel import (
-    UnsupportedStructure,
-    equidist_test_padic,
-    stationary_segment,
-    write_valuation_cdf_csv,
-)
-from .archpotential import equidist_test_arch
+from .orbits import backward_sample, write_samples_csv
+from .padicmodel import equidist_test_padic, write_valuation_cdf_csv
 from .stochheight import stoch_height, tail_budget
 
 
-class ConfigParseError(Exception):
+class ConfigParseError(StochdynError):
     """Config file missing, unreadable, or structurally malformed."""
 
+    exit_code = 2
 
-class InvariantViolation(Exception):
+
+class InvariantViolation(StochdynError):
     """Config parsed but describes an invalid system or run."""
 
 
@@ -140,11 +134,8 @@ def load_config(path: str) -> SystemConfig:
 
 
 def build_system(cfg: SystemConfig) -> StochasticSystem:
-    try:
-        maps = [make_map(list(num), list(den)) for num, den, _ in cfg.maps]
-        return make_system(maps, [prob for _, _, prob in cfg.maps])
-    except (DegenerateMap, DegreeTooLow, CommonFactor, ValueError) as exc:
-        raise InvariantViolation(f"{type(exc).__name__}: {exc}")
+    maps = [make_map(list(num), list(den)) for num, den, _ in cfg.maps]
+    return make_system(maps, [prob for _, _, prob in cfg.maps])
 
 
 def parse_alpha(text: str) -> ProjPointQ:
@@ -260,17 +251,17 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
         payload.update(res.as_dict())
         if args.out:
             with open(args.out, "w") as fh:
-                write_radial_cdf_csv(res.batch, system, fh)
+                write_radial_cdf_csv(res.batch, res.law, fh)
             payload["csv"] = args.out
     else:
         p = int(args.place)
-        ks, vals = equidist_test_padic(system, p, alpha, depth, samples,
-                                       args.seed)
+        ks, vals, law = equidist_test_padic(system, p, alpha, depth,
+                                            samples, args.seed)
         payload = {"place": p, "alpha": _format_point(alpha), "depth": depth,
                    "samples": samples, "ks": ks}
         if args.out:
             with open(args.out, "w") as fh:
-                write_valuation_cdf_csv(vals, stationary_segment(system, p), fh)
+                write_valuation_cdf_csv(vals, law, fh)
             payload["csv"] = args.out
     _emit(payload, cfg, args.seed, out)
     return 0
@@ -386,18 +377,9 @@ def main(argv=None) -> int:
                 raise ConfigParseError(
                     f"--place must be 'arch' or a prime, got {args.place!r}")
         return _COMMANDS[args.command](cfg, args, sys.stdout)
-    except ConfigParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (InvariantViolation, UnsupportedStructure, DegenerateMap,
-            DegreeTooLow, CommonFactor, FactorizationTooLarge,
-            WordCapExceeded, NodeBudgetExceeded, ConvergenceFailure,
-            QuadratureFailure, ValueError) as exc:
+    except (StochdynError, ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return 3
-    except ExceptionalStart as exc:
-        print(f"error: ExceptionalStart: {exc}", file=sys.stderr)
-        return 4
+        return getattr(exc, "exit_code", 3)
 
 
 if __name__ == "__main__":

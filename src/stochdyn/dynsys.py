@@ -4,7 +4,12 @@ A map is stored as a pair of homogeneous integer forms (F, G) of common
 degree d >= 2 with nonzero resultant.  A stochastic system is a finite
 list of such maps together with strictly positive rational weights that
 sum to one.  Words are finite compositions drawn from the system; their
-weights multiplyies and their degrees multiply.
+weights and their degrees multiply.
+
+The fiber of a rational point, its preimages with multiplicities, comes
+from one exact factorization over Q of the fiber form (see fiber); the
+ramification index and the exceptional candidates are read from the same
+kind of factorization.
 
 Exceptional points are decided through a depth-3 ramification test: a
 point z passes when every length-3 word is totally ramified at z.  One
@@ -21,49 +26,49 @@ does not suffice, as the pair {1/z^2, z^2 + 1} at infinity shows.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from math import gcd
+from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
 from .exactnum import (
+    _INT_LOG_CUTOFF_BITS,
     INFINITY,
     ProjPointQ,
+    StochdynError,
+    complex_roots,
     factor_integer,
+    factor_poly,
     normalize_point,
     point_from_rational,
-    poly_degree,
-    poly_divmod,
-    poly_eval,
-    poly_gcd,
     poly_trim,
-    rational_roots,
     resultant,
-    squarefree_decomposition,
 )
 
 WORD_CAP_DEFAULT = 10**6
 
 
-class DegenerateMap(Exception):
+class DegenerateMap(StochdynError):
     """The numerator/denominator pair does not define a rational map."""
 
 
-class DegreeTooLow(Exception):
+class DegreeTooLow(StochdynError):
     """Maps must have degree at least 2."""
 
 
-class CommonFactor(Exception):
+class CommonFactor(StochdynError):
     """Numerator and denominator share a nonconstant polynomial factor."""
 
 
-class WordCapExceeded(Exception):
+class WordCapExceeded(StochdynError):
     """A word enumeration would produce more words than the configured cap."""
 
 
-class ExceptionalStart(Exception):
+class ExceptionalStart(StochdynError):
     """Backward orbits of an exceptional point never equidistribute."""
+
+    exit_code = 4
 
 
 class MonomialProfile(NamedTuple):
@@ -86,28 +91,25 @@ class RationalMapQ:
     d: int
     res: int
 
-    def hom_eval_int(self, a: int, b: int) -> tuple:
-        """Exact (F(a,b), G(a,b)) for integer a, b."""
-        fa = 0
-        ga = 0
-        bp = 1
-        for fc, gc in zip(self.fcoeffs, self.gcoeffs):
-            fa = fa * a + fc * bp
-            ga = ga * a + gc * bp
-            bp *= b
-        return fa, ga
+    def hom_eval_int(self, a, b) -> tuple:
+        """Exact (F(a,b), G(a,b)) for integers a, b, or numpy object arrays
+        of Python ints."""
+        return _horner(self.fcoeffs, self.gcoeffs, a, b)
 
-    def hom_eval(self, x, y):
-        """(F(x,y), G(x,y)) by the same Horner walk; works on floats,
-        complexes and numpy arrays alike."""
-        fa = 0
-        ga = 0
-        bp = 1
-        for fc, gc in zip(self.fcoeffs, self.gcoeffs):
-            fa = fa * x + fc * bp
-            ga = ga * x + gc * bp
-            bp = bp * y
-        return fa, ga
+    @cached_property
+    def _float_forms(self) -> tuple:
+        # 2^-k F and 2^-k G as floats; k > 0 only past 2^960, as in int_log
+        bits = max(abs(c).bit_length() for c in self.fcoeffs + self.gcoeffs)
+        k = max(0, bits - _INT_LOG_CUTOFF_BITS)
+        return (tuple(c / 2**k for c in self.fcoeffs),
+                tuple(c / 2**k for c in self.gcoeffs), k)
+
+    def hom_eval_float(self, x, y) -> tuple:
+        """(2^-k F(x,y), 2^-k G(x,y), k) for float or complex x, y (numpy
+        arrays too), from one float view of the forms.  k > 0 only when a
+        coefficient passes 2^960, so no coefficient overflows a float."""
+        fc, gc, k = self._float_forms
+        return (*_horner(fc, gc, x, y), k)
 
     def num_den_z(self) -> tuple:
         """Dehomogenized (f(z), g(z)) as ascending coefficient tuples."""
@@ -131,6 +133,17 @@ class RationalMapQ:
         return f"({_poly_str(num)})/({_poly_str(den)})"
 
 
+def _horner(fcoeffs, gcoeffs, x, y) -> tuple:
+    fa = 0
+    ga = 0
+    bp = 1
+    for fc, gc in zip(fcoeffs, gcoeffs):
+        fa = fa * x + fc * bp
+        ga = ga * x + gc * bp
+        bp = bp * y
+    return fa, ga
+
+
 def _poly_str(asc) -> str:
     terms = []
     for k in range(len(asc) - 1, -1, -1):
@@ -149,27 +162,25 @@ def make_map(num: Sequence, den: Sequence) -> RationalMapQ:
     """Build a map f(z)/g(z) from ascending integer coefficient lists.
 
     Homogenizes to the common degree d = max(deg f, deg g), divides out
-    the joint integer content and caches the resultant.
+    the joint integer content and caches the resultant.  At that degree
+    the forms cannot both vanish at [1:0], so the resultant is 0 exactly
+    when f and g share a nonconstant factor.
     """
     num_t = poly_trim(tuple(int(c) for c in num))
     den_t = poly_trim(tuple(int(c) for c in den))
     if not num_t or not den_t:
         raise DegenerateMap("numerator or denominator is identically zero")
-    if poly_degree(poly_gcd(num_t, den_t)) >= 1:
-        raise CommonFactor(f"gcd({num_t}, {den_t}) is nonconstant")
-    d = max(poly_degree(num_t), poly_degree(den_t))
-    if d < 2:
-        raise DegreeTooLow(f"degree {d} map; need degree >= 2")
+    d = max(len(num_t), len(den_t)) - 1
     fdesc = [num_t[d - i] if d - i < len(num_t) else 0 for i in range(d + 1)]
     gdesc = [den_t[d - i] if d - i < len(den_t) else 0 for i in range(d + 1)]
-    content = 0
-    for c in fdesc + gdesc:
-        content = gcd(content, c)
+    content = math.gcd(*fdesc, *gdesc)
     fdesc = [c // content for c in fdesc]
     gdesc = [c // content for c in gdesc]
     res = resultant(fdesc, gdesc, d)
     if res == 0:
-        raise DegenerateMap("vanishing resultant")
+        raise CommonFactor(f"{num_t} and {den_t} share a nonconstant factor")
+    if d < 2:
+        raise DegreeTooLow(f"degree {d} map; need degree >= 2")
     return RationalMapQ(tuple(fdesc), tuple(gdesc), d, res)
 
 
@@ -177,27 +188,48 @@ def eval_map(phi: RationalMapQ, point: ProjPointQ) -> ProjPointQ:
     return normalize_point(*phi.hom_eval_int(point.a, point.b))
 
 
-def ramification_index(phi: RationalMapQ, point: ProjPointQ) -> int:
-    """Local ramification index e_P(phi), between 1 and deg(phi).
-
-    Computed as the multiplicity of P as a root of the fiber form
-    H = F * G(a,b) - G * F(a,b), which vanishes exactly on the preimage
-    of phi(P).
-    """
-    fab, gab = phi.hom_eval_int(point.a, point.b)
-    h = [fc * gab - gc * fab for fc, gc in zip(phi.fcoeffs, phi.gcoeffs)]
+def _fiber_form(phi: RationalMapQ, point: ProjPointQ) -> tuple:
+    """(m, f) for the fiber form H = v F - u G of point [u : v], which
+    vanishes exactly on the preimages: [1:0] is a root of multiplicity m
+    (the Y-adic valuation of H) and f is the ascending affine part."""
+    h = [point.b * fc - point.a * gc for fc, gc in zip(phi.fcoeffs, phi.gcoeffs)]
     assert any(h), "F and G proportional despite nonzero resultant"
+    return next(i for i, c in enumerate(h) if c != 0), poly_trim(h[::-1])
+
+
+# backward walks repeat exact fiber solves: `orbit-sample 3` on
+# perfbench/general.json asks for about 1,500 fibers of 6 distinct (map,
+# point) pairs, and an exact tree of depth 5-7 for at most 26
+@lru_cache(maxsize=64)
+def fiber(phi: RationalMapQ, point: ProjPointQ) -> tuple:
+    """Preimages of a rational point with multiplicities: (complex,
+    exact point or None, multiplicity) triples, infinity first, then the
+    rational preimages in increasing order, then the others by (re, im).
+
+    The linear factors over Q of the fiber form are the rational
+    preimages, which keep their exact identity; only its nonlinear
+    irreducible factors are solved numerically.
+    """
+    inf_mult, finite = _fiber_form(phi, point)
+    out = [(complex(math.inf, 0.0), INFINITY, inf_mult)] if inf_mult else []
+    factors = factor_poly(finite)
+    rational = sorted((Fraction(-f[0], f[1]), m) for f, m in factors if len(f) == 2)
+    out += [(complex(q), point_from_rational(q), m) for q, m in rational]
+    nonlinear = [(f, m) for f, m in factors if len(f) > 2]
+    out += [(w, None, m) for w, m in complex_roots(nonlinear)]
+    assert sum(m for _, _, m in out) == phi.d
+    return tuple(out)
+
+
+def ramification_index(phi: RationalMapQ, point: ProjPointQ) -> int:
+    """Local ramification index e_P(phi), between 1 and deg(phi): the
+    multiplicity of P in the fiber form of phi(P), read from its exact
+    factorization (the linear factor b z - a of P = [a : b])."""
+    inf_mult, finite = _fiber_form(phi, eval_map(phi, point))
     if point.is_infinity:
-        # multiplicity of [1:0] is the Y-adic valuation of H
-        e = next(i for i, c in enumerate(h) if c != 0)
+        e = inf_mult
     else:
-        z0 = point.as_fraction()
-        g = poly_trim(tuple(reversed(h)))
-        e = 0
-        while poly_degree(g) >= 1 and poly_eval(g, z0) == 0:
-            g, rem = poly_divmod(g, (-z0, Fraction(1)))
-            assert not rem
-            e += 1
+        e = dict(factor_poly(finite)).get((-point.a, point.b), 0)
     assert 1 <= e <= phi.d
     return e
 
@@ -257,24 +289,19 @@ def words(system: StochasticSystem, n: int, word_cap: int = WORD_CAP_DEFAULT):
 
 def word_ramification(system: StochasticSystem, indices, point: ProjPointQ) -> int:
     """e_P of the composition given by indices (applied left to right)."""
+    return _word_ram_cached(system, indices, point, {})
+
+
+def _word_ram_cached(system, indices, point, cache):
+    # cache: (map index, point) -> (ramification index, image), across words
     e = 1
     cur = point
     for i in indices:
-        e *= ramification_index(system.maps[i], cur)
-        cur = eval_map(system.maps[i], cur)
-    return e
-
-
-def _word_ram_cached(system, indices, point, ecache, fcache):
-    e = 1
-    cur = point
-    for i in indices:
-        key = (i, cur)
-        if key not in ecache:
-            ecache[key] = ramification_index(system.maps[i], cur)
-            fcache[key] = eval_map(system.maps[i], cur)
-        e *= ecache[key]
-        cur = fcache[key]
+        if (i, cur) not in cache:
+            phi = system.maps[i]
+            cache[i, cur] = (ramification_index(phi, cur), eval_map(phi, cur))
+        step, cur = cache[i, cur]
+        e *= step
     return e
 
 
@@ -292,10 +319,10 @@ def sigma3(system: StochasticSystem, point: ProjPointQ,
 
     Equals 1 precisely when the point passes is_exceptional_system.
     """
-    ecache, fcache = {}, {}
+    cache = {}
     acc = Fraction(0)
     for w in words(system, 3, word_cap):
-        e = _word_ram_cached(system, w.indices, point, ecache, fcache)
+        e = _word_ram_cached(system, w.indices, point, cache)
         acc += w.weight * Fraction(e, w.degree)
     assert 0 < acc <= 1
     return acc
@@ -304,9 +331,9 @@ def sigma3(system: StochasticSystem, point: ProjPointQ,
 def is_exceptional_system(system: StochasticSystem, point: ProjPointQ,
                           word_cap: int = WORD_CAP_DEFAULT) -> bool:
     """Depth-3 decision: every length-3 word totally ramified at the point."""
-    ecache, fcache = {}, {}
+    cache = {}
     for w in words(system, 3, word_cap):
-        if _word_ram_cached(system, w.indices, point, ecache, fcache) != w.degree:
+        if _word_ram_cached(system, w.indices, point, cache) != w.degree:
             return False
     return True
 
@@ -344,9 +371,10 @@ def wronskian(phi: RationalMapQ) -> tuple:
 class ExceptionalReport:
     """Confirmed exceptional points plus any unresolved candidate factors.
 
-    unresolved_factors lists (ascending monic coefficients, multiplicity)
-    for Wronskian factors of high enough multiplicity whose roots could
-    not be confirmed rational; such candidates are reported, not decided.
+    unresolved_factors lists (primitive ascending integer coefficients,
+    multiplicity) for the irreducible Wronskian factors of degree >= 2 and
+    high enough multiplicity: their roots are candidates over a number
+    field, not over Q, and are reported, not decided.
     """
 
     confirmed: tuple
@@ -358,24 +386,16 @@ def exceptional_report(system: StochasticSystem,
     phi = system.maps[0]
     d = phi.d
     w = wronskian(phi)
-    candidates = []
     inf_mult = next(i for i, c in enumerate(w) if c != 0)
-    if inf_mult >= d - 1:
-        candidates.append(INFINITY)
+    candidates = [INFINITY] if inf_mult >= d - 1 else []
     unresolved = []
-    wz = poly_trim(tuple(reversed(w)))
-    for factor, mult in squarefree_decomposition(wz):
+    for factor, mult in factor_poly(w[::-1]):
         if mult < d - 1:
             continue
-        roots = rational_roots(factor)
-        for r, _ in roots:
-            candidates.append(point_from_rational(r))
-        leftover = factor
-        for r, _ in roots:
-            leftover, rem = poly_divmod(leftover, (-r, Fraction(1)))
-            assert not rem
-        if poly_degree(leftover) >= 1:
-            unresolved.append((leftover, mult))
+        if len(factor) == 2:
+            candidates.append(normalize_point(-factor[0], factor[1]))
+        else:
+            unresolved.append((factor, mult))
     confirmed = [
         p for p in candidates
         if ramification_index(phi, p) == d

@@ -1,9 +1,11 @@
 """Exact arithmetic primitives.
 
-Projective points over Q, integer resultants, p-adic valuations, complex
-root extraction with exact multiplicities, logs of huge integers, and
-exact rational-coefficient combinations of logs of primes (the currency
-of product-formula identities).
+Projective points over Q, integer resultants, p-adic valuations, exact
+factorization of rational polynomials over Q (sympy) with numeric roots
+for the nonlinear factors only, logs of huge integers, and exact
+rational-coefficient combinations of logs of primes (the currency of
+product-formula identities).  StochdynError is the base of every error
+the package raises.
 
 Conventions:
   * univariate integer polynomials ("IntPoly") are coefficient tuples in
@@ -16,7 +18,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import NamedTuple, Optional, Sequence, Union
+from typing import NamedTuple, Sequence, Union
 
 import numpy as np
 
@@ -25,19 +27,27 @@ LOG2 = math.log(2.0)
 Rational = Union[int, Fraction]
 
 
-class ZeroPoint(Exception):
+class StochdynError(Exception):
+    """Base of every stochdyn error.  exit_code is the command-line exit
+    status: 3 (violated invariant or exhausted budget) unless a subclass
+    says otherwise."""
+
+    exit_code = 3
+
+
+class ZeroPoint(StochdynError):
     """Raised when (0, 0) is offered as a projective point."""
 
 
-class DegreeMismatch(Exception):
+class DegreeMismatch(StochdynError):
     """Coefficient list length does not match the declared degree."""
 
 
-class ConvergenceFailure(Exception):
+class ConvergenceFailure(StochdynError):
     """Numeric root refinement did not reach the requested precision."""
 
 
-class FactorizationTooLarge(Exception):
+class FactorizationTooLarge(StochdynError):
     """Integer factorization exceeded its budget.
 
     Carries partial_primes (primes found so far) and cofactor (the
@@ -150,28 +160,29 @@ def _bareiss_det(m: list[list[int]]) -> int:
     return sign * m[n - 1][n - 1]
 
 
+def sylvester_rows(fcoeffs: Sequence[int], gcoeffs: Sequence[int],
+                   d: int) -> list:
+    """Rows of the 2d x 2d Sylvester matrix of two degree-d forms: the
+    coefficients of X^(d-1-j) Y^j F, then of X^(d-1-j) Y^j G."""
+    if len(fcoeffs) != d + 1 or len(gcoeffs) != d + 1:
+        raise DegreeMismatch(
+            f"expected {d + 1} coefficients, got {len(fcoeffs)} and {len(gcoeffs)}"
+        )
+    return [[0] * shift + list(form) + [0] * (d - 1 - shift)
+            for form in (fcoeffs, gcoeffs) for shift in range(d)]
+
+
 def resultant(fcoeffs: Sequence[int], gcoeffs: Sequence[int], d: int) -> int:
     """Res of two degree-d homogeneous forms given by descending coefficient lists.
 
     Leading zeros are honored (the degree convention is part of the input),
     so resultant([0,1,0], [0,0,1], 2) treats XY and Y^2 as degree-2 forms.
     """
-    if len(fcoeffs) != d + 1 or len(gcoeffs) != d + 1:
-        raise DegreeMismatch(
-            f"expected {d + 1} coefficients, got {len(fcoeffs)} and {len(gcoeffs)}"
-        )
-    n = 2 * d
-    rows = []
-    for shift in range(d):
-        rows.append([0] * shift + list(fcoeffs) + [0] * (d - 1 - shift))
-    for shift in range(d):
-        rows.append([0] * shift + list(gcoeffs) + [0] * (d - 1 - shift))
-    assert all(len(r) == n for r in rows)
-    return _bareiss_det(rows)
+    return _bareiss_det(sylvester_rows(fcoeffs, gcoeffs, d))
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomial helpers over Q (ascending coefficients)
+# exact factorization over Q (ascending coefficients) and complex roots
 
 
 def poly_trim(coeffs) -> tuple:
@@ -186,119 +197,19 @@ def poly_degree(coeffs) -> int:
     return len(c) - 1 if c else -1
 
 
-def poly_eval(coeffs, x):
-    r = 0
-    for c in reversed(coeffs):
-        r = r * x + c
-    return r
+def factor_poly(coeffs) -> list:
+    """Irreducible factors over Q of a nonzero rational polynomial, with
+    multiplicities: [(factor, multiplicity)], each factor a primitive integer
+    tuple (ascending) with positive leading coefficient, sorted.  A linear
+    factor (-a, b) is the rational root a/b; constants have no factors."""
+    import sympy
 
-
-def poly_derivative(coeffs) -> tuple:
-    return poly_trim(tuple(i * c for i, c in enumerate(coeffs) if i > 0))
-
-
-def poly_monic(coeffs) -> tuple:
-    c = poly_trim(coeffs)
-    if not c:
-        return c
-    lead = c[-1]
-    return tuple(Fraction(x) / lead for x in c)
-
-
-def poly_divmod(num, den):
-    num = [Fraction(x) for x in poly_trim(num)]
-    den = [Fraction(x) for x in poly_trim(den)]
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    quot = [Fraction(0)] * max(0, len(num) - len(den) + 1)
-    while len(num) >= len(den) and any(num):
-        shift = len(num) - len(den)
-        factor = num[-1] / den[-1]
-        quot[shift] = factor
-        for i, c in enumerate(den):
-            num[i + shift] -= factor * c
-        while num and num[-1] == 0:
-            num.pop()
-    return poly_trim(quot), poly_trim(num)
-
-
-def poly_gcd(a, b) -> tuple:
-    """Monic gcd over Q of two ascending-coefficient polynomials."""
-    a = poly_monic(a)
-    b = poly_monic(b)
-    while b:
-        _, r = poly_divmod(a, b)
-        a, b = b, poly_monic(r)
-    return a
-
-
-def squarefree_decomposition(coeffs):
-    """Yun's algorithm. Returns [(factor, multiplicity)] with monic factors over Q.
-
-    The product of factor**multiplicity recovers the monic part of the input.
-    """
-    f = poly_monic(coeffs)
-    if poly_degree(f) < 1:
-        return []
-    df = poly_derivative(f)
-    a = poly_gcd(f, df)
-    b, _ = poly_divmod(f, a)
-    c, _ = poly_divmod(df, a)
-    d = poly_sub(c, poly_derivative(b))
-    out = []
-    i = 1
-    while poly_degree(b) > 0:
-        g = poly_gcd(b, d)
-        if poly_degree(g) > 0:
-            out.append((g, i))
-        b, _ = poly_divmod(b, g)
-        c, _ = poly_divmod(d, g)
-        d = poly_sub(c, poly_derivative(b))
-        i += 1
-    return out
-
-
-def poly_sub(a, b) -> tuple:
-    n = max(len(a), len(b))
-    a = list(a) + [0] * (n - len(a))
-    b = list(b) + [0] * (n - len(b))
-    return poly_trim(tuple(Fraction(x) - Fraction(y) for x, y in zip(a, b)))
-
-
-def rational_roots(coeffs):
-    """Exact rational roots with multiplicities, reconstructed from numeric roots.
-
-    Sound but not complete: a rational root is only reported after exact
-    verification, and roots whose denominator exceeds the reconstruction
-    bound are left to the numeric channel.
-    """
-    f = poly_trim(coeffs)
-    if poly_degree(f) < 1:
-        return []
-    deg = poly_degree(f)
-    numeric = np.roots([float(c) for c in reversed(f)])
-    found = {}
-    for r in numeric:
-        if abs(r.imag) > 1e-6 * (1.0 + abs(r.real)):
-            continue
-        cand = Fraction(r.real).limit_denominator(10**6)
-        if cand in found:
-            continue
-        if poly_eval(f, cand) == 0:
-            mult = 0
-            g = f
-            while poly_eval(g, cand) == 0 and poly_degree(g) >= 1:
-                g, rem = poly_divmod(g, (-cand, Fraction(1)))
-                assert not rem
-                mult += 1
-            found[cand] = mult
-    total = sum(found.values())
-    assert total <= deg
-    return sorted(found.items())
-
-
-# ---------------------------------------------------------------------------
-# complex roots
+    c = [Fraction(x) for x in poly_trim(coeffs)]
+    den = math.lcm(*(x.denominator for x in c))
+    desc = [int(x * den) for x in reversed(c)]
+    _, factors = sympy.Poly(desc, sympy.Symbol("x")).factor_list()
+    return sorted((tuple(int(a) for a in reversed(f.all_coeffs())), m)
+                  for f, m in factors)
 
 
 def _polish_roots(coeffs_desc, roots, precision):
@@ -315,46 +226,73 @@ def _polish_roots(coeffs_desc, roots, precision):
     return r
 
 
-def poly_roots_complex(coeffs, precision: float = 1e-12):
-    """All complex roots of an ascending-coefficient rational polynomial.
+def scaled_roots(factor, precision: float = 1e-12) -> tuple:
+    """(ys, s): the complex roots of an irreducible integer polynomial of
+    degree >= 2 are 2^s y for y in ys.
 
-    Returns [(root, multiplicity)] sorted by (re, im). Multiplicities come
-    from an exact square-free decomposition, so clustered numeric roots are
-    never misread as higher multiplicity. precision below about 1e-14
-    switches to mpmath.
+    The roots y of the monic polynomial in y = x / 2^s are found
+    numerically.  s > 0 only when a monic coefficient passes 2^960, as in
+    int_log; s then brings every monic coefficient to at most 1, so every
+    |y| < 2 (Fujiwara's bound) and no float overflows.  precision below
+    about 1e-14 switches to mpmath.
     """
-    f = poly_trim(tuple(Fraction(c) for c in coeffs))
-    deg = poly_degree(f)
-    if deg < 1:
-        return []
-    out = []
-    for factor, mult in squarefree_decomposition(f):
-        fdeg = poly_degree(factor)
-        desc = [float(c) for c in reversed(factor)]
-        if precision < 1e-14:
-            import mpmath
+    deg = len(factor) - 1
+    lead = factor[-1]
+    # |c / lead| < 2^(b + 1) for each nonzero coefficient c of x^j
+    bits = [(j, abs(c).bit_length() - abs(lead).bit_length())
+            for j, c in enumerate(factor[:-1]) if c]
+    s = 0
+    if max(b for _, b in bits) >= _INT_LOG_CUTOFF_BITS:
+        s = max(-(-(b + 1) // (deg - j)) for j, b in bits)
+    monic = [Fraction(c, lead << (s * (deg - j))) for j, c in enumerate(factor)]
+    desc = [float(c) for c in reversed(monic)]
+    if precision < 1e-14:
+        import mpmath
 
-            mp_prec = max(50, int(-mpmath.log10(precision)) + 20)
-            with mpmath.workdps(mp_prec):
-                roots = mpmath.polyroots(
-                    [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                     for c in reversed(factor)],
-                    maxsteps=200,
-                )
-            refined = [complex(r) for r in roots]
-        else:
-            raw = np.roots(desc)
-            refined = list(_polish_roots(desc, raw, precision))
-        scale = max(1.0, max(abs(c) for c in desc))
-        for r in refined:
-            resid = abs(np.polyval(np.array(desc), r))
-            if resid > math.sqrt(precision) * scale * max(1.0, abs(r)) ** fdeg:
-                raise ConvergenceFailure(
-                    f"root residual {resid:.3g} too large for factor of degree {fdeg}"
-                )
-            out.append((complex(r), mult))
-    assert sum(m for _, m in out) == deg
+        mp_prec = max(50, int(-mpmath.log10(precision)) + 20)
+        with mpmath.workdps(mp_prec):
+            roots = mpmath.polyroots(
+                [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
+                 for c in reversed(monic)],
+                maxsteps=200,
+            )
+        refined = [complex(r) for r in roots]
+    else:
+        refined = list(_polish_roots(desc, np.roots(desc), precision))
+    scale = max(1.0, max(abs(c) for c in desc))
+    for r in refined:
+        resid = abs(np.polyval(np.array(desc), r))
+        if resid > math.sqrt(precision) * scale * max(1.0, abs(r)) ** deg:
+            raise ConvergenceFailure(
+                f"root residual {resid:.3g} too large for factor of degree {deg}"
+            )
+    return [complex(r) for r in refined], s
+
+
+def complex_roots(factors, precision: float = 1e-12) -> list:
+    """Roots of irreducible factors (as from factor_poly) with their
+    multiplicities, [(root, multiplicity)] sorted by (re, im).  Linear
+    factors give their rational root, correctly rounded; only nonlinear ones
+    are solved numerically (scaled_roots)."""
+    out = []
+    for factor, mult in factors:
+        if len(factor) == 2:
+            out.append((complex(Fraction(-factor[0], factor[1])), mult))
+            continue
+        ys, s = scaled_roots(factor, precision)
+        out += [(complex(math.ldexp(y.real, s), math.ldexp(y.imag, s)), mult)
+                for y in ys]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
+    return out
+
+
+def poly_roots_complex(coeffs, precision: float = 1e-12):
+    """All complex roots of an ascending-coefficient rational polynomial,
+    [(root, multiplicity)] sorted by (re, im).  Multiplicities come from the
+    exact factorization, so clustered numeric roots are never misread as
+    higher multiplicity, and rational roots are exact."""
+    out = complex_roots(factor_poly(coeffs), precision)
+    assert sum(m for _, m in out) == max(poly_degree(coeffs), 0)
     return out
 
 

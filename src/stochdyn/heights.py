@@ -24,21 +24,25 @@ import numpy as np
 
 from .dynsys import RationalMapQ, StochasticSystem, _form_mul, bad_primes
 from .exactnum import (
+    LOG2,
     LogCombination,
     ProjPointQ,
+    StochdynError,
+    factor_poly,
     int_log,
     log_abs_fraction,
     padic_valuation,
-    poly_roots_complex,
     poly_trim,
+    scaled_roots,
+    sylvester_rows,
 )
 
 
-class InfinitePoint(Exception):
+class InfinitePoint(StochdynError):
     """Operation not defined for the point at infinity."""
 
 
-class NotIrreducible(Exception):
+class NotIrreducible(StochdynError):
     """Polynomial has a nontrivial factorization over Q."""
 
 
@@ -94,20 +98,21 @@ def weil_height_minpoly(coeffs: Sequence) -> float:
     """Height of any root of an irreducible integer polynomial (ascending).
 
     (1/deg)(log|lead| + sum of log+ over complex roots), the Mahler-measure
-    form of the height.
+    form of the height.  The root of a linear polynomial is exact; the
+    roots 2^s y of a nonlinear one enter as log|y| + s log 2.
     """
-    import sympy
-
     f = poly_trim(tuple(int(c) for c in coeffs))
     deg = len(f) - 1
     if deg < 1:
         raise ValueError("need degree >= 1")
-    x = sympy.Symbol("x")
-    _, factors = sympy.Poly(list(reversed(f)), x).factor_list()
+    factors = factor_poly(f)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotIrreducible(f"{f} factors over Q")
-    roots = poly_roots_complex(f)
-    tail = math.fsum(m * max(0.0, math.log(abs(r))) for r, m in roots if r != 0)
+    if deg == 1:
+        tail = max(0.0, log_abs_fraction(Fraction(-f[0], f[1]))) if f[0] else 0.0
+    else:
+        ys, s = scaled_roots(f)
+        tail = math.fsum(max(0.0, math.log(abs(y)) + s * LOG2) for y in ys)
     return (int_log(abs(f[-1])) + tail) / deg
 
 
@@ -261,11 +266,7 @@ def _bezout_cofactors(phi: RationalMapQ):
     A F + B G = Res X^(2d-1) and C F + D G = Res Y^(2d-1)."""
     d = phi.d
     n = 2 * d
-    rows = []
-    for shift in range(d):
-        rows.append([0] * shift + list(phi.fcoeffs) + [0] * (d - 1 - shift))
-    for shift in range(d):
-        rows.append([0] * shift + list(phi.gcoeffs) + [0] * (d - 1 - shift))
+    rows = sylvester_rows(phi.fcoeffs, phi.gcoeffs, d)
     # u . rows = target, so solve rows^T u = target
     def solve(target):
         m = [[Fraction(rows[r][c]) for r in range(n)] for c in range(n)]
@@ -302,15 +303,16 @@ def _bezout_cofactors(phi: RationalMapQ):
 
 
 def _arch_grid_sup(phi: RationalMapQ, radii: int, angles: int) -> float:
-    """Grid sup of |g| over both charts of P1."""
+    """Grid sup of |g| over both charts of P1; the forms are evaluated
+    scaled by 2^-k, so k log 2 / d goes back into g."""
     r = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, radii)])
     th = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
     z = np.outer(r, np.exp(1j * th)).ravel()
     best = 0.0
     for x, y in ((z, np.ones_like(z)), (np.ones_like(z), z)):
-        fv, gv = phi.hom_eval(x, y)
+        fv, gv, k = phi.hom_eval_float(x, y)
         top = np.maximum(np.abs(fv), np.abs(gv))
-        g = np.log(np.maximum(top, 1e-300)) / phi.d - np.log(
+        g = (np.log(np.maximum(top, 1e-300)) + k * LOG2) / phi.d - np.log(
             np.maximum(np.abs(x), np.abs(y))
         )
         best = max(best, float(np.max(np.abs(g))))

@@ -4,10 +4,13 @@ The level-n measure pulls the start point back through every length-n word,
 weighting each preimage by (word probability) * multiplicity / degree.  The
 tree keeps weights as exact rationals; support points carry a complex
 embedding always, plus an exact projective identity whenever the preimage
-is rational.  Merging of numerically coincident support points is refused
-when the two carry distinct exact identities, and any merge involving a
-point without an exact identity is counted as tolerance-driven so callers
-can see when output atoms rest on a numeric coincidence.
+is rational.  Fibers of rational points are exact (dynsys.fiber), so no
+rational preimage loses its identity; fibers of numeric points are solved
+here with np.roots.  Merging of numerically coincident support points is
+refused when the two carry distinct exact identities, and any merge
+involving a point without an exact identity is counted as
+tolerance-driven so callers can see when output atoms rest on a numeric
+coincidence.
 """
 
 from __future__ import annotations
@@ -21,18 +24,12 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .dynsys import RationalMapQ, StochasticSystem
+from .dynsys import RationalMapQ, StochasticSystem, fiber
 from .exactnum import (
-    INFINITY,
     ConvergenceFailure,
     ProjPointQ,
+    StochdynError,
     log_abs_fraction,
-    point_from_rational,
-    poly_degree,
-    poly_divmod,
-    poly_roots_complex,
-    poly_trim,
-    rational_roots,
 )
 from .heights import DiscreteMeasure, make_measure
 from .ifs import affine_ifs
@@ -41,42 +38,12 @@ DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
 
 
-class NodeBudgetExceeded(Exception):
+class NodeBudgetExceeded(StochdynError):
     """Backward tree would exceed the configured node budget."""
 
 
 # ---------------------------------------------------------------------------
 # preimages
-
-
-def _preimages_exact(phi: RationalMapQ, point: ProjPointQ):
-    """Preimages of a rational point: list of (complex, exact or None, mult).
-
-    The fiber form v F - u G has integer coefficients, so multiplicities
-    come from exact factorization; rational roots keep their identity.
-    """
-    u, v = point.a, point.b
-    h = [v * fc - u * gc for fc, gc in zip(phi.fcoeffs, phi.gcoeffs)]
-    out = []
-    inf_mult = 0
-    while inf_mult <= phi.d and h[inf_mult] == 0:
-        inf_mult += 1
-    if inf_mult:
-        out.append((complex(math.inf, 0.0), INFINITY, inf_mult))
-    asc = poly_trim(tuple(reversed(h)))
-    if poly_degree(asc) >= 1:
-        found = rational_roots(asc)
-        leftover = asc
-        for q, m in found:
-            out.append((complex(q), point_from_rational(q), m))
-            for _ in range(m):
-                leftover, rem = poly_divmod(leftover, (-q, Fraction(1)))
-                assert not rem
-        if poly_degree(leftover) >= 1:
-            for w, m in poly_roots_complex(leftover):
-                out.append((w, None, m))
-    assert sum(m for _, _, m in out) == phi.d
-    return out
 
 
 def _cluster_roots(roots, tol):
@@ -121,7 +88,7 @@ def _preimages_numeric(phi: RationalMapQ, z: complex, tol=DEFAULT_CLUSTER_TOL):
 def preimages(phi: RationalMapQ, z: Union[ProjPointQ, complex]):
     """Preimages of z with multiplicities, as (complex, mult) pairs."""
     if isinstance(z, ProjPointQ):
-        return [(w, m) for w, _, m in _preimages_exact(phi, z)]
+        return [(w, m) for w, _, m in fiber(phi, z)]
     return _preimages_numeric(phi, complex(z))
 
 
@@ -235,7 +202,7 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ, n: int,
         ):
             for midx, (phi, prob) in enumerate(system):
                 if exact is not None:
-                    pre = _preimages_exact(phi, exact)
+                    pre = fiber(phi, exact)
                 else:
                     pre = [(wpt, None, m)
                            for wpt, m in _preimages_numeric(phi, z, cluster_tol)]
@@ -365,12 +332,12 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     probs = np.array([float(p) for p in system.probs])
     for k in range(count):
         exact = start
-        z = (None if math.isinf(log_r[k])
+        z = (None if exact is not None or math.isinf(log_r[k])
              else np.exp(log_r[k]) * np.exp(1j * theta[k]))
         for _ in range(steps):
             phi = system.maps[int(rng.choice(len(system.maps), p=probs))]
             if exact is not None:
-                pre = _preimages_exact(phi, exact)
+                pre = fiber(phi, exact)
             else:
                 pre = [(w, None, m) for w, m in _preimages_numeric(phi, z)]
             mults = np.array([m for _, _, m in pre], dtype=float)

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
-from .exactnum import ProjPointQ, normalize_point, padic_valuation
+from .exactnum import ProjPointQ, StochdynError, normalize_point, padic_valuation
 from .ifs import (
     AffineIFS,
     StationaryLaw,
@@ -38,7 +38,7 @@ from .ifs import (
 import sympy
 
 
-class UnsupportedStructure(Exception):
+class UnsupportedStructure(StochdynError):
     """No computable valuation dynamics for this system at this place."""
 
 
@@ -107,10 +107,11 @@ def sample_backward_valuations(system: StochasticSystem, p: int,
 
 def equidist_test_padic(system: StochasticSystem, p: int, alpha: ProjPointQ,
                         n: int, samples: int, seed: int):
-    """(ks, vals): the level-n backward valuations vals from alpha and
-    their distance ks (`ifs.ks_to_law`) from the stationary law at p."""
+    """(ks, vals, law): the level-n backward valuations vals from alpha,
+    the stationary law at p and their distance ks (`ifs.ks_to_law`)."""
     vals = sample_backward_valuations(system, p, alpha, n, samples, seed)
-    return ks_to_law(vals, stationary_segment(system, p), n), vals
+    law = stationary_segment(system, p)
+    return ks_to_law(vals, law, n), vals, law
 
 
 def write_valuation_cdf_csv(vals: np.ndarray, reference: StationaryLaw,

@@ -34,7 +34,7 @@ from .dynsys import (
     eval_map,
     stochastic_degree,
 )
-from .exactnum import ConvergenceFailure, ProjPointQ, padic_valuation
+from .exactnum import LOG2, ConvergenceFailure, ProjPointQ, padic_valuation
 from .heights import l1_height_control_total, weil_height
 
 _BATCH = 1 << 14  # lifts advanced together; bounds the kernel's working set
@@ -126,16 +126,18 @@ def _point_lifts(system: StochasticSystem, points, depth: int) -> Lifts:
 
 
 def _apply(phi, lifts: Lifts, floor: float):
-    """(Phi(u) renormalized at every place, sum_v log|Phi(u)|_v)."""
-    fx, gy = phi.hom_eval(*lifts.coords[:2])
+    """(Phi(u) renormalized at every place, sum_v log|Phi(u)|_v).  At
+    infinity Phi is evaluated scaled by 2^-k (RationalMapQ.hom_eval_float),
+    so its term gains k log 2."""
+    fx, gy, k = phi.hom_eval_float(*lifts.coords[:2])
     m = np.maximum(np.abs(fx), np.abs(gy))
-    if np.any(m < floor):
+    if np.any(m < math.ldexp(floor, -k)):
         raise ConvergenceFailure(
             "homogeneous coordinates collapsed below precision floor")
-    term = np.log(m)
+    term = np.log(m) + k * LOG2
     coords = [fx / m, gy / m]
     for j, (p, modulus, powers) in enumerate(lifts.places):
-        f, g = phi.hom_eval(*lifts.coords[2 + 2 * j:4 + 2 * j])
+        f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
         f, g = f % modulus, g % modulus
         e = np.zeros(len(f), dtype=int)
         for q in powers[1:]:

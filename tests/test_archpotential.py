@@ -294,7 +294,7 @@ def test_radii_oracles(dyadic, single_z2, two_z2):
 def test_radial_cdf_csv(dyadic):
     batch = canonical_sample(dyadic, 10, 50, 2)
     buf = io.StringIO()
-    write_radial_cdf_csv(batch, dyadic, buf)
+    write_radial_cdf_csv(batch, reference_radial_cdf(dyadic), buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "r,empirical_cdf,reference_cdf"
     assert len(lines) == 51

@@ -7,6 +7,7 @@ import pytest
 
 import stochdyn.archpotential
 import stochdyn.cli
+import stochdyn.ifs
 import stochdyn.padicmodel
 from stochdyn.archpotential import QuadratureFailure
 from stochdyn.cli import (
@@ -21,6 +22,8 @@ from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.orbits import NodeBudgetExceeded
 
 REPO_CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "example.json"
+GENERAL_CONFIG = (pathlib.Path(__file__).parent.parent / "perfbench"
+                  / "general.json")
 
 EXAMPLE = {
     "maps": [
@@ -268,6 +271,76 @@ def test_equidist_padic_out_draws_once(capsys, tmp_path, example_config,
     assert code == 0
     assert len(calls) == 1
     assert len(path.read_text().splitlines()) == 201
+
+
+@pytest.mark.parametrize("place", ["arch", "2"])
+def test_equidist_out_builds_law_once(capsys, tmp_path, example_config,
+                                      monkeypatch, place):
+    # the CSV's reference column is the stationary law that was scored
+    calls = []
+    build = stochdyn.ifs.stationary_law
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return build(*args, **kwargs)
+
+    monkeypatch.setattr(stochdyn.archpotential, "stationary_law", counted)
+    monkeypatch.setattr(stochdyn.padicmodel, "stationary_law", counted)
+    code, _, _ = run_cli(capsys, "equidist", "--config", example_config,
+                         "1", "--place", place, "--samples", "200",
+                         "--depth", "8", "--out", str(tmp_path / "cdf.csv"))
+    assert code == 0
+    assert len(calls) == 1
+
+
+def _big_config(tmp_path, name, maps):
+    path = tmp_path / name
+    path.write_text(json.dumps({"maps": [
+        {"num_coeffs": num, "den_coeffs": den, "prob": "1/2"}
+        for num, den in maps]}))
+    return str(path)
+
+
+def _finite(record, *keys):
+    return all(math.isfinite(record[k]) for k in keys)
+
+
+def test_orbit_sample_huge_start(capsys):
+    # the fiber forms of 3^700 have coefficients far above 1e308
+    code, out, _ = run_cli(capsys, "orbit-sample", "--config",
+                           str(GENERAL_CONFIG), str(3**700), "--samples", "5",
+                           "--depth", "1")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert rows[0][0] == "index" and len(rows) == 6
+    for row in rows[1:]:
+        for cell in row:
+            float(cell)
+
+
+def test_huge_coefficients_at_infinity(capsys, tmp_path):
+    # 3^700 > 1e308: the escape sums and the grid potential at infinity
+    # evaluate the forms scaled by a power of 2
+    mono = _big_config(tmp_path, "mono.json",
+                       [([0, 0, 3**700], [1]), ([0, 0, 1], [1])])
+    code, out, _ = run_cli(capsys, "green-eval", "--config", mono, "3")
+    assert code == 0 and _finite(json.loads(out), "green", "potential")
+    code, out, _ = run_cli(capsys, "equidist", "--config", mono, "3",
+                           "--samples", "200", "--depth", "10")
+    assert code == 0
+    assert _finite(json.loads(out), "ks_radial", "ks_angular",
+                   "potential_residual")
+    general = _big_config(tmp_path, "general.json",
+                          [([-3**700, 0, 1], [1]), ([1, 0, 0, 1], [0, 2])])
+    code, out, _ = run_cli(capsys, "validate", "--config", general)
+    assert code == 0
+    assert _finite(json.loads(out), "stochastic_degree", "distortion_budget")
+
+
+def test_out_of_float_range_exit(capsys, example_config):
+    code, out, err = run_cli(capsys, "green-eval", "--config", example_config,
+                             str(10**400))
+    assert code == 3 and "OverflowError" in err and out == ""
 
 
 def test_unsupported_place_exit(capsys, tmp_path):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from stochdyn.dynsys import (
     CommonFactor,
@@ -13,6 +14,7 @@ from stochdyn.dynsys import (
     eval_map,
     exceptional_report,
     exceptional_set,
+    fiber,
     is_exceptional_system,
     make_map,
     make_system,
@@ -23,12 +25,7 @@ from stochdyn.dynsys import (
     words,
     wronskian,
 )
-from stochdyn.exactnum import (
-    INFINITY,
-    ProjPointQ,
-    poly_roots_complex,
-    poly_trim,
-)
+from stochdyn.exactnum import INFINITY, ProjPointQ, normalize_point
 
 Z2 = make_map([0, 0, 1], [1])
 TWO_Z2 = make_map([0, 0, 2], [1])
@@ -163,6 +160,15 @@ def test_exceptional_set_mixed_pair_empty():
     assert report.unresolved_factors == ()
 
 
+def test_exceptional_report_irrational_candidates():
+    # (z^2 - 2)/(2z) is critical at +-i sqrt(2): a Wronskian factor that is
+    # irreducible over Q is reported, not decided
+    system = make_system([make_map([-2, 0, 1], [0, 2])], [1])
+    report = exceptional_report(system)
+    assert report.confirmed == ()
+    assert report.unresolved_factors == (((2, 0, 1), 1),)
+
+
 def test_exceptional_set_single_map():
     assert exceptional_set(make_system([Z2_PLUS_1], [1])) == [INFINITY]
 
@@ -194,21 +200,35 @@ def test_ramification_bounds(phi, p):
 @given(small_maps(), points())
 def test_fiber_multiplicities_sum_to_degree(phi, q):
     # preimage of q under phi, counted with multiplicity, has size deg(phi)
-    u, v = q.a, q.b
-    h = [v * fc - u * gc for fc, gc in zip(phi.fcoeffs, phi.gcoeffs)]
-    inf_mult = 0
-    while inf_mult <= phi.d and h[inf_mult] == 0:
-        inf_mult += 1
-    finite = poly_trim(tuple(reversed(h)))
-    finite_mult = sum(m for _, m in poly_roots_complex(finite))
-    assert inf_mult + finite_mult == phi.d
+    pre = fiber(phi, q)
+    assert sum(m for _, _, m in pre) == phi.d
+    exact = [e for _, e, _ in pre if e is not None]
+    assert all(eval_map(phi, e) == q for e in exact)
+    assert len(set(exact)) == len(exact)
+
+
+@settings(max_examples=100, deadline=None)
+@given(small_maps(), st.integers(-10**30, 10**30), st.integers(1, 10**30))
+def test_fiber_keeps_rational_preimages(phi, a, b):
+    # every rational x is an exact preimage of phi(x), whatever its height,
+    # with multiplicity e_x(phi)
+    x = normalize_point(a, b)
+    found = {e: m for _, e, m in fiber(phi, eval_map(phi, x)) if e is not None}
+    assert found.get(x) == ramification_index(phi, x)
+
+
+def test_fiber_of_large_denominator():
+    # the root-rounding that fibers once relied on lost (10^7 + 1)/10^7
+    x = normalize_point(10**7 + 1, 10**7)
+    pre = fiber(Z2, eval_map(Z2, x))
+    assert [e for _, e, _ in pre] == [normalize_point(-(10**7 + 1), 10**7), x]
 
 
 @settings(max_examples=40, deadline=None)
 @given(small_maps(), points())
 def test_eval_consistency_int_vs_float(phi, p):
     fa, ga = phi.hom_eval_int(p.a, p.b)
-    fc, gc = phi.hom_eval(float(p.a), float(p.b))
+    fc, gc, _ = phi.hom_eval_float(float(p.a), float(p.b))
     assert abs(fa - fc) <= 1e-6 * max(1.0, abs(fa))
     assert abs(ga - gc) <= 1e-6 * max(1.0, abs(ga))
 

@@ -12,15 +12,14 @@ from stochdyn.exactnum import (
     ProjPointQ,
     ZeroPoint,
     factor_integer,
+    factor_poly,
     int_log,
     log_abs_fraction,
     normalize_point,
     padic_valuation,
     parse_point,
     poly_roots_complex,
-    rational_roots,
     resultant,
-    squarefree_decomposition,
 )
 
 
@@ -122,15 +121,14 @@ def test_resultant_antisymmetry(f):
     assert resultant(f, g, d) == (-1) ** (d * d) * resultant(g, f, d)
 
 
-def test_squarefree_decomposition():
+def test_factor_poly_multiplicities():
     # x^2 (x - 1)^3, ascending coefficients
     # = x^5 - 3x^4 + 3x^3 - x^2
     f = (0, 0, -1, 3, -3, 1)
-    parts = squarefree_decomposition(f)
-    assert [(tuple(p), m) for p, m in parts] == [
-        ((Fraction(0), Fraction(1)), 2),
-        ((Fraction(-1), Fraction(1)), 3),
-    ]
+    assert factor_poly(f) == [((-1, 1), 3), ((0, 1), 2)]
+    # content and rational coefficients do not change the factors
+    assert factor_poly([Fraction(c, 7) for c in f]) == factor_poly(f)
+    assert factor_poly((6,)) == []
 
 
 def test_poly_roots_multiplicities():
@@ -172,9 +170,12 @@ def test_poly_roots_are_roots(coeffs):
 
 
 def test_rational_roots():
-    # (x - 1/2)^2 (x + 3) * 4 = ascending of 4x^3 + 8x^2 - 11x + 3
+    # (x - 1/2)^2 (x + 3) * 4 = ascending of 4x^3 + 8x^2 - 11x + 3; the
+    # linear factors (-a, b) are the rational roots a/b
     f = (3, -11, 8, 4)
-    assert rational_roots(f) == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
+    roots = [(Fraction(-g[0], g[1]), m) for g, m in factor_poly(f)]
+    assert sorted(roots) == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
+    assert poly_roots_complex(f) == [(-3 + 0j, 1), (0.5 + 0j, 2)]
 
 
 def test_int_log_huge():

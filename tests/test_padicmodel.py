@@ -85,7 +85,7 @@ def test_stationary_segment_inverted():
 
 
 def _equidistributes_at_two(system):
-    ks, _ = equidist_test_padic(system, 2, normalize_point(3, 1), 30, 20000, 5)
+    ks, _, _ = equidist_test_padic(system, 2, normalize_point(3, 1), 30, 20000, 5)
     return ks <= 0.02
 
 
@@ -112,18 +112,18 @@ def test_equidist_inverted_at_two():
 
 
 def test_equidist_dyadic_at_two(dyadic):
-    ks, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 30, 20000, 5)
+    ks, _, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 30, 20000, 5)
     assert ks <= 0.02
 
 
 def test_equidist_dyadic_at_three(dyadic):
     # good reduction: the walk never leaves v = 0
-    ks, _ = equidist_test_padic(dyadic, 3, normalize_point(1, 1), 30, 5000, 1)
+    ks, _, _ = equidist_test_padic(dyadic, 3, normalize_point(1, 1), 30, 5000, 1)
     assert ks == 0.0
 
 
 def test_equidist_z2_contracts(single_z2):
-    ks, _ = equidist_test_padic(single_z2, 2, normalize_point(2, 1), 30, 1000, 9)
+    ks, _, _ = equidist_test_padic(single_z2, 2, normalize_point(2, 1), 30, 1000, 9)
     assert ks == 0.0
 
 
@@ -140,16 +140,16 @@ def test_equidist_guards(dyadic, shifted_quads):
 
 
 def test_equidist_deterministic(dyadic):
-    ks_a, vals_a = equidist_test_padic(dyadic, 2, normalize_point(3, 2), 20,
-                                       2000, 42)
-    ks_b, vals_b = equidist_test_padic(dyadic, 2, normalize_point(3, 2), 20,
-                                       2000, 42)
+    ks_a, vals_a, _ = equidist_test_padic(dyadic, 2, normalize_point(3, 2),
+                                          20, 2000, 42)
+    ks_b, vals_b, _ = equidist_test_padic(dyadic, 2, normalize_point(3, 2),
+                                          20, 2000, 42)
     assert ks_a == ks_b and np.array_equal(vals_a, vals_b)
 
 
 def test_deep_walk_uses_float_fallback(dyadic):
     # depth 80 takes valuations past 53 bits; the law is still the segment law
-    ks, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 80, 20000, 3)
+    ks, _, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 80, 20000, 3)
     assert ks <= 0.02
 
 
