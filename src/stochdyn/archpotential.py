@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from typing import Optional, Sequence, Union
 
 import numpy as np
 
@@ -97,9 +97,15 @@ def _hom_arrays(zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
 def gS_eval_many(system: StochasticSystem, zs: Sequence[complex],
                  cfg: Optional[GreenConfig] = None) -> np.ndarray:
     """Green's function at each point, anchored so g(infinity) = 0."""
+    return _anchored_green(system, _hom_arrays(list(zs) + [math.inf]), cfg)
+
+
+def _anchored_green(system: StochasticSystem, coords: tuple,
+                    cfg: Optional[GreenConfig]) -> np.ndarray:
+    # coords: max-norm lifts whose last entry is infinity, (1, 0)
     cfg = cfg or GreenConfig()
     depth = tail_budget(system).depth(cfg.tol, cfg.depth)
-    lifts = Lifts(_hom_arrays(list(zs) + [math.inf]))
+    lifts = Lifts(coords)
     if len(system.maps) ** depth <= _ENUM_CAP:
         vals = escape_sum_exact(system, lifts, depth, cfg.precision)
     else:
@@ -110,9 +116,17 @@ def gS_eval_many(system: StochasticSystem, zs: Sequence[complex],
     return vals[:-1] - vals[-1]
 
 
-def gS_eval(system: StochasticSystem, z: complex,
+def gS_eval(system: StochasticSystem, z: Union[complex, ProjPointQ],
             cfg: Optional[GreenConfig] = None) -> float:
-    return float(gS_eval_many(system, [z], cfg)[0])
+    """Green's function at a complex number, or at a rational point through
+    its lift (a, b)/max(|a|, |b|) taken by int true division, as
+    stochheight._point_lifts does, so a and b may lie past float range."""
+    if not isinstance(z, ProjPointQ):
+        return float(gS_eval_many(system, [z], cfg)[0])
+    top = max(abs(z.a), abs(z.b))
+    coords = (np.array([z.a / top, 1.0], dtype=complex),
+              np.array([z.b / top, 0.0], dtype=complex))
+    return float(_anchored_green(system, coords, cfg)[0])
 
 
 def g1_eval(system: StochasticSystem, z: complex) -> float:

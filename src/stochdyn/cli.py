@@ -48,6 +48,7 @@ from .exactnum import (
     FactorizationTooLarge,
     ProjPointQ,
     StochdynError,
+    log_abs_fraction,
     parse_point,
 )
 from .heights import l1_height_control_total, weil_height
@@ -270,13 +271,10 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
 def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
-    if alpha.is_infinity:
-        z = math.inf
-    else:
-        z = float(Fraction(alpha.a, alpha.b))
     gcfg = _green_config(cfg, args.depth)
-    val = gS_eval(system, z, gcfg)
-    logplus = 0.0 if alpha.is_infinity or z == 0 else max(math.log(abs(z)), 0.0)
+    val = gS_eval(system, alpha, gcfg)
+    logplus = (0.0 if alpha.is_infinity or alpha.a == 0
+               else max(log_abs_fraction(alpha.as_fraction()), 0.0))
     payload = {
         "alpha": _format_point(alpha),
         "green": val,

@@ -97,8 +97,9 @@ class RationalMapQ:
         return _horner(self.fcoeffs, self.gcoeffs, a, b)
 
     @cached_property
-    def _float_forms(self) -> tuple:
-        # 2^-k F and 2^-k G as floats; k > 0 only past 2^960, as in int_log
+    def float_forms(self) -> tuple:
+        """(2^-k F, 2^-k G, k): the descending coefficients as floats,
+        with k > 0 only past 2^960, as in int_log."""
         bits = max(abs(c).bit_length() for c in self.fcoeffs + self.gcoeffs)
         k = max(0, bits - _INT_LOG_CUTOFF_BITS)
         return (tuple(c / 2**k for c in self.fcoeffs),
@@ -108,7 +109,7 @@ class RationalMapQ:
         """(2^-k F(x,y), 2^-k G(x,y), k) for float or complex x, y (numpy
         arrays too), from one float view of the forms.  k > 0 only when a
         coefficient passes 2^960, so no coefficient overflows a float."""
-        fc, gc, k = self._float_forms
+        fc, gc, k = self.float_forms
         return (*_horner(fc, gc, x, y), k)
 
     def num_den_z(self) -> tuple:

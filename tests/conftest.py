@@ -17,3 +17,20 @@ def dyadic():
 @pytest.fixture(scope="session")
 def single_z2():
     return make_system([make_map([0, 0, 1], [1])], [Fraction(1)])
+
+
+@pytest.fixture(scope="session")
+def mixed():
+    """{z^2 + 1 (1/2), z^2 (1/2)}: one non-monomial map, so samplers take
+    the fiber walk and equidist the sampled reference."""
+    return make_system([make_map([1, 0, 1], [1]), make_map([0, 0, 1], [1])],
+                       [Fraction(1, 2), Fraction(1, 2)])
+
+
+@pytest.fixture(scope="session")
+def general():
+    """The pair {z^2 - 1 (1/2), (z^3 + 1)/(2z) (1/2)} of
+    perfbench/general.json."""
+    return make_system(
+        [make_map([-1, 0, 1], [1]), make_map([1, 0, 0, 1], [0, 2])],
+        [Fraction(1, 2), Fraction(1, 2)])

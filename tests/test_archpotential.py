@@ -46,13 +46,6 @@ def two_z2():
     return make_system([make_map([0, 0, 2], [1])], [ONE])
 
 
-@pytest.fixture(scope="module")
-def mixed():
-    # one non-monomial map so the sampled-reference paths get exercised
-    return make_system([make_map([1, 0, 1], [1]), make_map([0, 0, 1], [1])],
-                       [HALF, HALF])
-
-
 def test_auto_depth_resolution(dyadic, single_z2):
     assert tail_budget(dyadic).depth(1e-3) == 10
     assert tail_budget(single_z2).depth(1e-3) == 1

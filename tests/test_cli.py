@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import pathlib
+import runpy
+import sys
 
 import pytest
 
@@ -24,6 +26,8 @@ from stochdyn.orbits import NodeBudgetExceeded
 REPO_CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "example.json"
 GENERAL_CONFIG = (pathlib.Path(__file__).parent.parent / "perfbench"
                   / "general.json")
+TREE_SCRIPT = (pathlib.Path(__file__).parent.parent / "scripts"
+               / "backward_tree_stats.py")
 
 EXAMPLE = {
     "maps": [
@@ -337,9 +341,42 @@ def test_huge_coefficients_at_infinity(capsys, tmp_path):
     assert _finite(json.loads(out), "stochastic_degree", "distortion_budget")
 
 
-def test_out_of_float_range_exit(capsys, example_config):
+def test_huge_numeric_points(capsys, monkeypatch):
+    # 10^30 pulls back to points far above 1e13, whose fibers under
+    # (z^3 + 1)/(2z) are solved in the chart t = 1/w
+    code, out, _ = run_cli(capsys, "orbit-sample", "--config",
+                           str(GENERAL_CONFIG), str(10**30), "--samples", "5",
+                           "--depth", "3")
+    assert code == 0
+    rows = list(csv.reader(out.splitlines()))
+    assert len(rows) == 6
+    assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
+    monkeypatch.setattr(sys, "argv", [str(TREE_SCRIPT), "--config",
+                                      str(GENERAL_CONFIG), str(10**30),
+                                      "--depth", "3"])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(TREE_SCRIPT), run_name="__main__")
+    assert stop.value.code == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:5]]
+    assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
+    assert all(math.isfinite(float(r[4])) for r in rows)
+
+
+def test_out_of_float_range_exit(capsys, example_config, monkeypatch):
+    # g_S is evaluated through the point's lift, so 10^400 > 1.8e308 works
+    code, out, _ = run_cli(capsys, "green-eval", "--config", example_config,
+                           str(10**400))
+    assert code == 0
+    record = json.loads(out)
+    assert record["potential"] == pytest.approx(400 * math.log(10),
+                                                abs=record["tol"])
+    # a value outside float range still exits 3
+
+    def fail(*args, **kwargs):
+        raise OverflowError("integer division result too large for a float")
+    monkeypatch.setattr(stochdyn.cli, "gS_eval", fail)
     code, out, err = run_cli(capsys, "green-eval", "--config", example_config,
-                             str(10**400))
+                             "3")
     assert code == 3 and "OverflowError" in err and out == ""
 
 

@@ -8,10 +8,13 @@ import pytest
 from stochdyn.dynsys import make_map, make_system
 from stochdyn.exactnum import INFINITY, ProjPointQ
 from stochdyn.heights import dirac, make_measure
+from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
     NodeBudgetExceeded,
     backward_sample,
     backward_tree,
+    backward_walk,
+    numeric_fiber,
     preimages,
     pushforward,
     sup_mass_certificate,
@@ -51,6 +54,44 @@ def test_preimages_numeric_input():
     assert got[1][0] == pytest.approx(2.0)
     got = preimages(Z2, complex(0.0))
     assert len(got) == 1 and got[0][1] == 2
+
+
+def test_numeric_fiber_log_polar():
+    # |z| = e^100 under z^2: two roots of modulus e^50, half the angle apart
+    log_w, arg_w = numeric_fiber(Z2, [100.0], [1.0])
+    assert log_w[0] == pytest.approx([50.0, 50.0], rel=1e-12)
+    assert sorted(arg_w[0]) == pytest.approx([0.5, 0.5 + math.pi], rel=1e-12)
+    # infinity is (1, 0): a double root at infinity under z^2, at 0 under
+    # 1/z^2, and both 0 and infinity under (z^2 + 1)/z, whose fiber form
+    # vanishes at both ends
+    inf = [math.inf]
+    assert numeric_fiber(Z2, inf, [0.0])[0].tolist() == [[math.inf] * 2]
+    assert numeric_fiber(INV_Z2, inf, [0.0])[0].tolist() == [[-math.inf] * 2]
+    log_w, arg_w = numeric_fiber(make_map([1, 0, 1], [0, 1]), inf, [0.0])
+    assert sorted(log_w[0]) == [-math.inf, math.inf]
+    assert arg_w.tolist() == [[0.0, 0.0]]
+
+
+def test_numeric_fiber_matches_roots_loop(general):
+    # reference: np.roots of each point's fiber polynomial, one at a time
+    rng = np.random.default_rng(4)
+    log_r = rng.uniform(-3.0, 3.0, 50)
+    theta = rng.uniform(0.0, 2.0 * np.pi, 50)
+    z = np.exp(log_r + 1j * theta)
+    for phi in general.maps:
+        log_w, arg_w = numeric_fiber(phi, log_r, theta)
+        assert log_w.shape == (50, phi.d)
+        assert np.all((arg_w >= 0.0) & (arg_w < 2.0 * np.pi))
+        w = np.exp(log_w + 1j * arg_w)
+        f, g, _ = phi.hom_eval_float(w, np.ones_like(w))
+        assert np.allclose(f / g, z[:, None], rtol=1e-9)
+        fc, gc = np.array(phi.fcoeffs), np.array(phi.gcoeffs)
+        for zk, wk in zip(z, w):
+            want = list(np.roots(fc - zk * gc))
+            for r in wk:
+                nearest = min(want, key=lambda x: abs(x - r))
+                assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r))
+                want.remove(nearest)
 
 
 def test_backward_tree_depth_zero(dyadic):
@@ -213,6 +254,48 @@ def test_sampler_general_path_multiplicity():
     assert 0.5 in weights
     for f, w in zip(freqs, weights):
         assert abs(f - w) <= slack
+    # irrational multiple preimages: (z^2 - 2)^2 pulls 0 back to +-sqrt 2,
+    # each twice
+    quartic = make_system([make_map([4, 0, -4, 0, 1], [1])], [Fraction(1)])
+    batch = backward_sample(quartic, ProjPointQ(0, 1), 1, 4000, seed=5)
+    assert np.allclose(np.abs(batch.points), math.sqrt(2.0))
+    assert abs(np.mean(batch.points.real > 0) - 0.5) <= slack
+
+
+def test_sampler_numeric_phase_vs_tree(general):
+    # level 1 from 3 holds the irrational roots of z^3 - 6z + 1, so the
+    # draws that reach them take their level-2 fibers from numeric_fiber
+    tree = backward_tree(general, ProjPointQ(3, 1), 2)
+    assert any(e is None for e in tree.levels[1].exact_points)
+    batch = backward_sample(general, ProjPointQ(3, 1), 2, 20000, seed=8)
+    freqs = _atom_freqs(batch, tree.levels[2])
+    slack = 4.0 / math.sqrt(batch.samples)
+    for f, w in zip(freqs, tree.levels[2].weights):
+        assert abs(f - float(w)) <= slack
+
+
+def test_walker_numeric_double_root(mixed):
+    # z^2 + 1 pulls the numeric point 1.0 back to 0 twice: a uniform index
+    # over the two eigenvalues must draw 0 with chance 1/2 (map 1/2 times
+    # multiplicity 2 over degree 2), and +-1 with 1/4 each from z^2
+    n = 4000
+    log_r, theta = backward_walk(mixed, np.zeros(n), np.zeros(n), None, 1,
+                                 np.random.default_rng(3))
+    slack = 4.0 / math.sqrt(n)
+    assert abs(np.mean(np.isneginf(log_r)) - 0.5) <= slack
+    unit = np.abs(log_r) < 1e-12
+    at_one = np.minimum(theta, 2.0 * np.pi - theta) < 1e-12
+    assert abs(np.mean(unit & at_one) - 0.25) <= slack
+    assert abs(np.mean(unit & (np.abs(theta - np.pi) < 1e-12)) - 0.25) <= slack
+
+
+def test_walker_angles_in_range(dyadic, mixed):
+    # the IFS walk (dyadic) and the fiber walk (mixed) both give [0, 2 pi)
+    for system in (dyadic, mixed):
+        for batch in (backward_sample(system, ProjPointQ(3, 1), 6, 2000, 4),
+                      canonical_sample(system, 6, 2000, 4)):
+            assert np.all((batch.angle >= 0.0) & (batch.angle < 2.0 * np.pi))
+            assert batch.angle.min() < 1.0 and batch.angle.max() > 5.0
 
 
 def test_csv_export(dyadic):
