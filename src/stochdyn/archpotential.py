@@ -48,7 +48,13 @@ from .ifs import (
     write_cdf_csv,
 )
 from .orbits import OrbitSampleBatch, backward_sample, backward_walk
-from .stochheight import Lifts, escape_sum_exact, escape_sum_mc, tail_budget
+from .stochheight import (
+    Lifts,
+    escape_sum_exact,
+    escape_sum_mc,
+    tail_budget,
+    word_source,
+)
 
 
 class QuadratureFailure(StochdynError):
@@ -109,10 +115,9 @@ def _anchored_green(system: StochasticSystem, coords: tuple,
     if len(system.maps) ** depth <= _ENUM_CAP:
         vals = escape_sum_exact(system, lifts, depth, cfg.precision)
     else:
-        probs = np.array([float(p) for p in system.probs])
-        words = np.random.default_rng(0).choice(
-            len(system.maps), size=(cfg.samples, depth), p=probs)
-        vals = escape_sum_mc(system, lifts, words, cfg.precision)[0]
+        words = word_source(system, depth, np.random.default_rng(0))
+        vals = escape_sum_mc(system, lifts, cfg.samples, words,
+                             cfg.precision)[0]
     return vals[:-1] - vals[-1]
 
 

@@ -94,7 +94,12 @@ class RationalMapQ:
     def hom_eval_int(self, a, b) -> tuple:
         """Exact (F(a,b), G(a,b)) for integers a, b, or numpy object arrays
         of Python ints."""
-        return _horner(self.fcoeffs, self.gcoeffs, a, b)
+        return _eval_forms(self._int_terms, self.d, a, b)
+
+    @cached_property
+    def _int_terms(self) -> tuple:
+        """F and G as sparse terms for _eval_forms."""
+        return _sparse_terms(self.fcoeffs), _sparse_terms(self.gcoeffs)
 
     @cached_property
     def float_forms(self) -> tuple:
@@ -105,12 +110,18 @@ class RationalMapQ:
         return (tuple(c / 2**k for c in self.fcoeffs),
                 tuple(c / 2**k for c in self.gcoeffs), k)
 
+    @cached_property
+    def _float_terms(self) -> tuple:
+        """2^-k F and 2^-k G of float_forms as sparse terms for _eval_forms."""
+        fc, gc, _ = self.float_forms
+        return _sparse_terms(fc), _sparse_terms(gc)
+
     def hom_eval_float(self, x, y) -> tuple:
         """(2^-k F(x,y), 2^-k G(x,y), k) for float or complex x, y (numpy
         arrays too), from one float view of the forms.  k > 0 only when a
         coefficient passes 2^960, so no coefficient overflows a float."""
-        fc, gc, k = self.float_forms
-        return (*_horner(fc, gc, x, y), k)
+        return (*_eval_forms(self._float_terms, self.d, x, y),
+                self.float_forms[2])
 
     def num_den_z(self) -> tuple:
         """Dehomogenized (f(z), g(z)) as ascending coefficient tuples."""
@@ -134,15 +145,44 @@ class RationalMapQ:
         return f"({_poly_str(num)})/({_poly_str(den)})"
 
 
-def _horner(fcoeffs, gcoeffs, x, y) -> tuple:
-    fa = 0
-    ga = 0
-    bp = 1
-    for fc, gc in zip(fcoeffs, gcoeffs):
-        fa = fa * x + fc * bp
-        ga = ga * x + gc * bp
-        bp = bp * y
-    return fa, ga
+def _sparse_terms(coeffs) -> tuple:
+    """(i, c) for each nonzero descending coefficient c, of X^(d-i) Y^i."""
+    return tuple((i, c) for i, c in enumerate(coeffs) if c != 0)
+
+
+def _eval_forms(forms, d, x, y) -> tuple:
+    """Values at (x, y) of degree-d forms given as sparse terms (i, c).
+
+    The rule is Horner's in x, with the powers of y taken by repeated
+    products: F = (..(c_0 x + c_1 y) x + ..) x + c_d y^d.  Only its exact
+    no-ops are skipped: products and sums with a zero accumulator or a zero
+    coefficient, products with a coefficient of +-1, and powers of y that
+    no term uses.  So Python ints come out exact, and on finite floats and
+    complex numbers every remaining operation is the full rule's, in its
+    order: the values agree with it bit for bit, but for signs of zeros.
+    """
+    top = max(terms[-1][0] for terms in forms)
+    ypow = [1, y]
+    while len(ypow) <= top:
+        ypow.append(ypow[-1] * y)
+    out = []
+    for terms in forms:
+        acc, last = None, 0
+        for i, c in terms:
+            if acc is not None:
+                for _ in range(i - last):
+                    acc = acc * x
+            if c == 1:
+                acc = ypow[i] if acc is None else acc + ypow[i]
+            elif c == -1:
+                acc = -ypow[i] if acc is None else acc - ypow[i]
+            else:
+                acc = c * ypow[i] if acc is None else acc + c * ypow[i]
+            last = i
+        for _ in range(d - last):
+            acc = acc * x
+        out.append(acc)
+    return tuple(out)
 
 
 def _poly_str(asc) -> str:

@@ -35,7 +35,7 @@ from .exactnum import (
     log_abs_fraction,
 )
 from .heights import DiscreteMeasure, make_measure
-from .ifs import affine_ifs
+from .ifs import CSV_BLOCK, affine_ifs
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -203,7 +203,9 @@ class _LevelBuilder:
     def _close(self, z1, z2):
         if self._key(z1) == ("inf",) or self._key(z2) == ("inf",):
             return self._key(z1) == self._key(z2)
-        return abs(z1 - z2) <= self.tol * max(1.0, abs(z1), abs(z2))
+        # relative at every scale: an absolute floor would merge distinct
+        # tiny preimages, even of opposite signs
+        return abs(z1 - z2) <= self.tol * max(abs(z1), abs(z2))
 
     def _find_mergeable(self, z, exact):
         if exact is not None and exact in self.by_exact:
@@ -359,7 +361,17 @@ class OrbitSampleBatch:
 
     @property
     def points(self) -> np.ndarray:
-        return np.exp(self.log_abs) * np.exp(1j * self.angle)
+        return _points(self.log_abs, self.angle)
+
+
+def _points(log_abs, angle):
+    """Complex numbers of (log|z|, arg z) arrays, with log|z| = +inf as
+    complex(inf, 0.0), which the product e^{log|z|} e^{i arg z} would give
+    as (inf, nan)."""
+    with np.errstate(invalid="ignore"):
+        z = np.exp(log_abs) * np.exp(1j * angle)
+    z[np.isposinf(log_abs)] = complex(math.inf, 0.0)
+    return z
 
 
 def _exact_log_polar(point: ProjPointQ):
@@ -464,12 +476,13 @@ def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
 
 
 def write_samples_csv(batch: OrbitSampleBatch, fileobj):
-    """CSV export with columns index, re, im, log_abs, depth."""
-    writer = csv.writer(fileobj)
-    writer.writerow(["index", "re", "im", "log_abs", "depth"])
-    pts = batch.points
-    for i in range(batch.samples):
-        writer.writerow(
-            [i, repr(float(pts[i].real)), repr(float(pts[i].imag)),
-             repr(float(batch.log_abs[i])), batch.depth]
-        )
+    """CSV export with columns index, re, im, log_abs, depth: the lines of
+    csv.writer, written a block of rows at a time (no cell needs quoting)."""
+    csv.writer(fileobj).writerow(["index", "re", "im", "log_abs", "depth"])
+    for lo in range(0, batch.samples, CSV_BLOCK):
+        log_abs = batch.log_abs[lo:lo + CSV_BLOCK]
+        pts = _points(log_abs, batch.angle[lo:lo + CSV_BLOCK])
+        rows = zip(range(lo, lo + len(log_abs)), pts.real.tolist(),
+                   pts.imag.tolist(), log_abs.tolist())
+        fileobj.write("".join(f"{i},{re!r},{im!r},{la!r},{batch.depth}\r\n"
+                              for i, re, im, la in rows))

@@ -135,7 +135,11 @@ def _apply(phi, lifts: Lifts, floor: float):
         raise ConvergenceFailure(
             "homogeneous coordinates collapsed below precision floor")
     term = np.log(m) + k * LOG2
-    coords = [fx / m, gy / m]
+    # numpy divides a complex by a real as a product with its reciprocal,
+    # so c * (1 / m) is c / m bit for bit on complex lifts, at a third of
+    # the cost; on real lifts the two differ in the last bit
+    inv = 1.0 / m
+    coords = [c * inv if np.iscomplexobj(c) else c / m for c in (fx, gy)]
     for j, (p, modulus, powers) in enumerate(lifts.places):
         f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
         f, g = f % modulus, g % modulus
@@ -176,21 +180,34 @@ def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
     return total
 
 
-def escape_sum_mc(system: StochasticSystem, lifts: Lifts, words: np.ndarray,
-                  floor: float = 0.0) -> tuple:
-    """(sample mean, standard error) per lift of the escape sum along words,
-    one row of map indices per path.  Paths run in chunks of at most _BATCH
-    lifts whose means and squared deviations merge (Chan-Golub-LeVeque)."""
-    samples, depth = words.shape
+def word_source(system: StochasticSystem, depth: int,
+                rng: np.random.Generator):
+    """Rows lo..hi-1 of a samples x depth matrix of i.i.d. map indices, as
+    a function (lo, hi) -> rows that draws them from rng when called.
+    rng.choice takes one uniform per entry in row-major order, so rows
+    drawn chunk after chunk equal one draw of the whole matrix."""
+    probs = np.array([float(p) for p in system.probs])
+    return lambda lo, hi: rng.choice(len(system.maps), size=(hi - lo, depth),
+                                     p=probs)
+
+
+def escape_sum_mc(system: StochasticSystem, lifts: Lifts, samples: int,
+                  words, floor: float = 0.0) -> tuple:
+    """(sample mean, standard error) per lift of the escape sum along
+    `samples` words, one row of map indices per path, which words(lo, hi)
+    gives for paths lo..hi-1 (see word_source; a caller holding a word
+    matrix passes its slices).  Paths run in chunks of at most _BATCH lifts
+    whose means and squared deviations merge (Chan-Golub-LeVeque); a
+    chunk's words are asked for when it runs, so no word matrix is held."""
     npts = len(lifts)
     degs = np.array([float(phi.d) for phi in system.maps])
     chunk = max(1, _BATCH // npts)
     mean, m2 = np.zeros(npts), np.zeros(npts)
     for start in range(0, samples, chunk):
-        rows = words[start:start + chunk]
+        rows = words(start, min(start + chunk, samples))
         cur = lifts.take(np.tile(np.arange(npts), len(rows)))
         vals, deg = np.zeros(len(cur)), np.ones(len(cur))
-        for k in range(depth):
+        for k in range(rows.shape[1]):
             idx = np.repeat(rows[:, k], npts)
             coords = [np.empty_like(c) for c in cur.coords]
             term = np.empty(len(cur))
@@ -232,10 +249,9 @@ def stoch_height_mc(system: StochasticSystem, alpha: ProjPointQ, n: int,
     """Monte Carlo average of h(word(alpha))/deg over i.i.d. words."""
     if samples < 1:
         raise ValueError("need at least one sample")
-    rng = np.random.default_rng(seed)
-    probs = np.array([float(p) for p in system.probs])
-    words = rng.choice(len(system.maps), size=(samples, n), p=probs)
-    mean, stderr = escape_sum_mc(system, _point_lifts(system, [alpha], n), words)
+    words = word_source(system, n, np.random.default_rng(seed))
+    mean, stderr = escape_sum_mc(system, _point_lifts(system, [alpha], n),
+                                 samples, words)
     return StochHeightEstimate(_height(alpha, mean[0]),
                                float(stderr[0]), n, "mc", samples,
                                tail_budget(system).bound(n))

@@ -1,7 +1,8 @@
 from fractions import Fraction
 
+import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from stochdyn.dynsys import (
@@ -238,3 +239,64 @@ def test_eval_consistency_int_vs_float(phi, p):
 def test_sigma3_one_iff_exceptional(p):
     sys2 = dyadic_system()
     assert (sigma3(sys2, p) == 1) == is_exceptional_system(sys2, p)
+
+
+def full_horner(fcoeffs, gcoeffs, x, y):
+    """The full Horner rule that hom_eval_int and hom_eval_float prune:
+    every coefficient, every power of y, including the unused last one."""
+    fa = 0
+    ga = 0
+    bp = 1
+    for fc, gc in zip(fcoeffs, gcoeffs):
+        fa = fa * x + fc * bp
+        ga = ga * x + gc * bp
+        bp = bp * y
+    return fa, ga
+
+
+# zero and unit coefficients are the ones the sparse rule skips; 2^1000 + 1
+# pushes float_forms to k > 0, where 2^-k F has no unit coefficient left
+COEFFS = st.sampled_from([0, 0, 0, 1, 1, -1, -1, 2, -3, 7, 2**1000 + 1])
+
+
+@st.composite
+def sparse_maps(draw):
+    num = draw(st.lists(COEFFS, min_size=1, max_size=5))
+    den = draw(st.lists(COEFFS, min_size=1, max_size=5))
+    try:
+        return make_map(num, den)
+    except (CommonFactor, DegenerateMap, DegreeTooLow):
+        assume(False)
+
+
+def same_magnitudes(got, want):
+    # equal bit for bit but for signs of zeros
+    got, want = np.asarray(got), np.asarray(want)
+    return (np.array_equal(np.abs(got.real), np.abs(want.real))
+            and np.array_equal(np.abs(got.imag), np.abs(want.imag)))
+
+
+FINITE = st.floats(-4.0, 4.0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(sparse_maps(), st.lists(st.tuples(st.integers(-10**30, 10**30),
+                                         st.integers(-10**30, 10**30)),
+                               min_size=1, max_size=4),
+       st.lists(st.tuples(FINITE, FINITE, FINITE, FINITE), min_size=1,
+                max_size=4))
+def test_form_evaluator_matches_full_horner(phi, ints, floats):
+    for a, b in ints:
+        assert phi.hom_eval_int(a, b) == full_horner(phi.fcoeffs,
+                                                     phi.gcoeffs, a, b)
+    a, b = (np.array(col, dtype=object) for col in zip(*ints))
+    got, want = phi.hom_eval_int(a, b), full_horner(phi.fcoeffs,
+                                                    phi.gcoeffs, a, b)
+    assert all(list(g) == list(w) for g, w in zip(got, want))
+    fc, gc, k = phi.float_forms
+    xr, yr, xi, yi = (np.array(col) for col in zip(*floats))
+    for x, y in ((xr, yr), (xr + 1j * xi, yr + 1j * yi)):
+        fx, gy, kk = phi.hom_eval_float(x, y)
+        wf, wg = full_horner(fc, gc, x, y)
+        assert kk == k
+        assert same_magnitudes(fx, wf) and same_magnitudes(gy, wg)

@@ -298,6 +298,21 @@ def test_walker_angles_in_range(dyadic, mixed):
             assert batch.angle.min() < 1.0 and batch.angle.max() > 5.0
 
 
+def test_tree_keeps_tiny_points_apart(general):
+    # level 1 of 10^30 holds +-1e15 and +-1.4e15; under (z^3 + 1)/(2z)
+    # each has a preimage near +-5e-16 or +-3.5e-16, four distinct points
+    # that an absolute tolerance below |z| = 1 merged into one atom
+    level = backward_tree(general, ProjPointQ(10**30, 1), 3).levels[2]
+    tiny = sorted((z.real, w) for z, w in zip(level.points, level.weights)
+                  if abs(z) < 1e-10)
+    half_root2 = 2.5 * math.sqrt(2.0)
+    assert [x * 1e16 for x, _ in tiny] == pytest.approx(
+        [-5.0, -half_root2, half_root2, 5.0], rel=1e-9)
+    assert [w for _, w in tiny] == [Fraction(1, 24), Fraction(1, 36),
+                                    Fraction(1, 36), Fraction(1, 24)]
+    assert sum(level.weights) == 1
+
+
 def test_csv_export(dyadic):
     batch = backward_sample(dyadic, ONE, 3, 10, seed=0)
     buf = io.StringIO()

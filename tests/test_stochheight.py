@@ -20,6 +20,7 @@ from stochdyn.exactnum import INFINITY, ProjPointQ
 from stochdyn.heights import l1_height_control_total, weil_height
 from stochdyn.stochheight import (
     Lifts,
+    _apply,
     escape_sum_exact,
     escape_sum_mc,
     scaling_residual,
@@ -28,6 +29,7 @@ from stochdyn.stochheight import (
     stoch_height_mc,
     tail_budget,
     weil_comparison_residual,
+    word_source,
 )
 
 LOG2 = math.log(2)
@@ -253,9 +255,59 @@ def test_kernel_batching_is_invisible(dyadic):
         assert exact[i] == pytest.approx(single[0], rel=1e-12, abs=1e-15)
 
     words = rng.integers(0, 2, size=(7, 9))
-    mean, stderr = escape_sum_mc(dyadic, lifts, words)
-    paths = np.array([escape_sum_mc(dyadic, lifts, words[s:s + 1])[0]
+    mean, stderr = escape_sum_mc(dyadic, lifts, 7, lambda lo, hi: words[lo:hi])
+    paths = np.array([escape_sum_mc(dyadic, lifts, 1,
+                                    lambda lo, hi: words[s + lo:s + hi])[0]
                       for s in range(7)])
     assert mean == pytest.approx(paths.mean(axis=0), rel=1e-12, abs=1e-15)
     want = paths.std(axis=0, ddof=1) / math.sqrt(7)
     assert stderr == pytest.approx(want, rel=1e-9, abs=1e-15)
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def test_renormalization_is_division(dyadic, general):
+    # _apply scales complex lifts by 1/m where it means fx / m: numpy
+    # divides a complex by a real as a product with the reciprocal, and
+    # this pins that; real lifts keep the division, which 1/m would move
+    rng = np.random.default_rng(5)
+    z = rng.normal(size=500) * np.exp(rng.normal(size=500) * 20.0)
+    zc = z * np.exp(1j * rng.uniform(0.0, 2.0 * np.pi, size=500))
+    for x, y in ((zc, np.ones_like(zc)), (np.ones_like(zc), zc),
+                 (zc, rng.normal(size=500) + 1j * rng.normal(size=500)),
+                 (z, np.ones_like(z)), (np.ones_like(z), z),
+                 (z, rng.normal(size=500))):
+        scale = np.maximum(np.abs(x), np.abs(y))
+        x, y = x / scale, y / scale
+        for phi in dyadic.maps + general.maps:
+            fx, gy, _ = phi.hom_eval_float(x, y)
+            m = np.maximum(np.abs(fx), np.abs(gy))
+            nxt, _ = _apply(phi, Lifts((x, y)), 0.0)
+            assert nxt.coords[0].dtype == fx.dtype
+            assert np.array_equal(bits(nxt.coords[0]), bits(fx / m))
+            assert np.array_equal(bits(nxt.coords[1]), bits(gy / m))
+
+
+@pytest.mark.parametrize("probs", [(Fraction(1, 2), Fraction(1, 2)),
+                                   (Fraction(3, 10), Fraction(7, 10))])
+def test_word_source_in_chunks_equal_one_draw(probs):
+    system = make_system([make_map([0, 0, 1], [1]), make_map([0, 0, 2], [1])],
+                         probs)
+    words = word_source(system, 7, np.random.default_rng(9))
+    chunks = np.concatenate([words(lo, min(lo + 3, 20))
+                             for lo in range(0, 20, 3)])
+    whole = np.random.default_rng(9).choice(2, size=(20, 7),
+                                            p=[float(p) for p in probs])
+    assert np.array_equal(chunks, whole)
+    # the kernel asks for its chunks in order, so its bits do not depend
+    # on whether the words are drawn up front or chunk by chunk
+    z = np.exp(1j * np.linspace(0.0, 6.0, 5000)) * np.linspace(0.1, 3.0, 5000)
+    scale = np.maximum(np.abs(z), 1.0)
+    lifts = Lifts((z / scale, 1.0 / scale + 0j))
+    drawn = escape_sum_mc(system, lifts, 20,
+                          word_source(system, 7, np.random.default_rng(9)))
+    held = escape_sum_mc(system, lifts, 20, lambda lo, hi: whole[lo:hi])
+    for a, b in zip(drawn, held):
+        assert np.array_equal(bits(a), bits(b))
