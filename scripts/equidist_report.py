@@ -17,12 +17,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from stochdyn.archpotential import (
-    GreenConfig,
-    equidist_test_arch,
-    write_radial_cdf_csv,
-)
-from stochdyn.cli import build_system, load_config, parse_alpha
+from stochdyn.archpotential import equidist_test_arch, write_radial_cdf_csv
+from stochdyn.cli import build_system, green_config, load_config, parse_alpha
 from stochdyn.padicmodel import equidist_test_padic, write_valuation_cdf_csv
 
 
@@ -42,7 +38,7 @@ def main():
     alpha = parse_alpha(args.alpha)
     samples = args.samples if args.samples is not None else cfg.samples
     seed = args.seed if args.seed is not None else cfg.seed
-    gcfg = GreenConfig(samples=max(cfg.samples // 64, 256), tol=cfg.tol)
+    gcfg = green_config(cfg, None)
 
     header = f"{'depth':>6} {'ks_radial':>10} {'ks_angular':>11} {'residual':>10}"
     for p in args.primes:

@@ -37,7 +37,7 @@ from typing import Optional, Sequence, Union
 import numpy as np
 
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
-from .exactnum import ProjPointQ, StochdynError, normalize_point
+from .exactnum import ProjPointQ, normalize_point
 from .ifs import (
     StationaryLaw,
     affine_ifs,
@@ -57,10 +57,6 @@ from .stochheight import (
 )
 
 
-class QuadratureFailure(StochdynError):
-    """Circle quadrature did not settle under refinement."""
-
-
 _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed knob
 
 
@@ -71,13 +67,13 @@ class GreenConfig:
     depth None means the smallest depth whose TailBudget tail is at most
     tol; an explicit depth must meet the same bound.  samples is the Monte
     Carlo word count used when full word enumeration would be too large.
-    precision is the floor below which homogeneous coordinates collapse.
+    Homogeneous coordinates that collapse below the fixed floor
+    _COLLAPSE_FLOOR raise ConvergenceFailure.
     """
 
     depth: Optional[int] = None
     samples: int = 1024
     tol: float = 1e-3
-    precision: float = 1e-12
 
     def __post_init__(self):
         if self.tol <= 0:
@@ -89,6 +85,7 @@ class GreenConfig:
 
 
 _ENUM_CAP = 1 << 15  # enumerate words exactly up to this many leaves
+_COLLAPSE_FLOOR = 1e-12  # homogeneous coordinates below this have collapsed
 
 
 def _hom_arrays(zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
@@ -113,11 +110,11 @@ def _anchored_green(system: StochasticSystem, coords: tuple,
     depth = tail_budget(system).depth(cfg.tol, cfg.depth)
     lifts = Lifts(coords)
     if len(system.maps) ** depth <= _ENUM_CAP:
-        vals = escape_sum_exact(system, lifts, depth, cfg.precision)
+        vals = escape_sum_exact(system, lifts, depth, _COLLAPSE_FLOOR)
     else:
         words = word_source(system, depth, np.random.default_rng(0))
         vals = escape_sum_mc(system, lifts, cfg.samples, words,
-                             cfg.precision)[0]
+                             _COLLAPSE_FLOOR)[0]
     return vals[:-1] - vals[-1]
 
 
@@ -132,23 +129,6 @@ def gS_eval(system: StochasticSystem, z: Union[complex, ProjPointQ],
     coords = (np.array([z.a / top, 1.0], dtype=complex),
               np.array([z.b / top, 0.0], dtype=complex))
     return float(_anchored_green(system, coords, cfg)[0])
-
-
-def g1_eval(system: StochasticSystem, z: complex) -> float:
-    """One-step expected Green's function E[(1/d) log max|Phi(z,1)| - log+|z|],
-    the depth-1 escape sum; a point mapped to (0, 0) raises."""
-    lifts = Lifts(_hom_arrays([z]))
-    return float(escape_sum_exact(system, lifts, 1, math.ulp(0.0))[0])
-
-
-def potential_eval(system: StochasticSystem, z: complex,
-                   cfg: Optional[GreenConfig] = None) -> float:
-    """Potential of the canonical measure, p(z) = g_S(z) + log+|z|."""
-    z = complex(z)
-    if math.isinf(z.real) or math.isinf(z.imag):
-        return math.inf
-    logplus = max(math.log(abs(z)), 0.0) if z != 0 else 0.0
-    return gS_eval(system, z, cfg) + logplus
 
 
 def canonical_sample(system: StochasticSystem, n: int, samples: int,
@@ -266,54 +246,6 @@ def pullback_invariance_residual(system: StochasticSystem, n: int,
     a = canonical_sample(system, n, samples, seed)
     b = canonical_sample(system, n + 1, samples, seed + 1)
     return ks_two_sample(a.log_abs, b.log_abs)
-
-
-# ---------------------------------------------------------------------------
-# epsilon-regularized energy
-
-def _circle_quadrature(delta: complex, eps: float, precision: float) -> float:
-    """(1/2pi) int log max(|delta - eps e^{is}|, eps) ds by trapezoid
-    refinement.  The integrand is periodic and piecewise smooth, so the
-    rule converges fast away from the kink and quadratically across it.
-    """
-    prev = None
-    npts = 256
-    while npts <= (1 << 17):
-        s = np.linspace(0.0, 2.0 * np.pi, npts, endpoint=False)
-        vals = np.log(np.maximum(np.abs(delta - eps * np.exp(1j * s)), eps))
-        cur = float(np.mean(vals))
-        if prev is not None and abs(cur - prev) <= precision:
-            return cur
-        prev = cur
-        npts *= 2
-    raise QuadratureFailure(
-        f"circle quadrature for |delta|={abs(delta):.3g}, eps={eps:.3g} "
-        f"did not converge to {precision:.1g}")
-
-
-def regularize(support: Sequence[complex], weights: Sequence,
-               eps: float, precision: float = 1e-8) -> float:
-    """Energy (Delta_eps, Delta_eps) of the measure smoothed onto
-    eps-circles: each atom t_i delta_{z_i} becomes t_i times the uniform
-    measure on the circle |z - z_i| = eps.
-
-    Self-energy of each circle is -log eps; cross terms integrate the
-    floored point potential over the difference circle.
-    """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
-    pts = [complex(z) for z in support]
-    wts = [float(t) for t in weights]
-    if len(pts) != len(wts):
-        raise ValueError("support and weights must have equal length")
-    total = sum(t * t for t in wts) * (-math.log(eps))
-    for i, zi in enumerate(pts):
-        for j, zj in enumerate(pts):
-            if i == j:
-                continue
-            mutual = -_circle_quadrature(zi - zj, eps, precision)
-            total += wts[i] * wts[j] * mutual
-    return total
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
 invariant (bad probabilities, degenerate maps, unsupported place, config
-mismatch), exhausted budget (word cap, tree nodes, numeric convergence,
-quadrature) or a value outside float range, 4 exceptional starting point.
+mismatch), exhausted budget (word cap, tree nodes, numeric convergence)
+or a value outside float range, 4 exceptional starting point.
 Every stochdyn error carries its code (StochdynError.exit_code); ValueError
 and OverflowError exit 3.
 
@@ -160,7 +160,8 @@ def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
     out.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
 
 
-def _green_config(cfg: SystemConfig, depth: Optional[int]) -> GreenConfig:
+def green_config(cfg: SystemConfig, depth: Optional[int]) -> GreenConfig:
+    """The Green's-function accuracy every command derives from a config."""
     return GreenConfig(depth=depth, samples=max(cfg.samples // 64, 256),
                        tol=cfg.tol)
 
@@ -246,7 +247,7 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
     samples = args.samples if args.samples is not None else cfg.samples
     if args.place == "arch":
         res = equidist_test_arch(system, alpha, depth, samples, args.seed,
-                                 _green_config(cfg, None))
+                                 green_config(cfg, None))
         payload = {"place": "arch", "alpha": _format_point(alpha),
                    "depth": depth, "samples": samples}
         payload.update(res.as_dict())
@@ -271,7 +272,7 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
 def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
-    gcfg = _green_config(cfg, args.depth)
+    gcfg = green_config(cfg, args.depth)
     val = gS_eval(system, alpha, gcfg)
     logplus = (0.0 if alpha.is_infinity or alpha.a == 0
                else max(log_abs_fraction(alpha.as_fraction()), 0.0))
@@ -288,7 +289,7 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
 
 def cmd_radii(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
-    gcfg = _green_config(cfg, None)
+    gcfg = green_config(cfg, None)
     energy = rho_self_energy(system, gcfg)
     r_in, r_out = radii(system, gcfg, energy)
     payload = {"r_in": r_in, "r_out": r_out, "self_energy": energy}

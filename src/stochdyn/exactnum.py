@@ -44,7 +44,8 @@ class DegreeMismatch(StochdynError):
 
 
 class ConvergenceFailure(StochdynError):
-    """Numeric root refinement did not reach the requested precision."""
+    """Numeric root refinement did not converge, or homogeneous
+    coordinates collapsed below an escape sum's floor."""
 
 
 class FactorizationTooLarge(StochdynError):
@@ -192,11 +193,6 @@ def poly_trim(coeffs) -> tuple:
     return tuple(c)
 
 
-def poly_degree(coeffs) -> int:
-    c = poly_trim(coeffs)
-    return len(c) - 1 if c else -1
-
-
 def factor_poly(coeffs) -> list:
     """Irreducible factors over Q of a nonzero rational polynomial, with
     multiplicities: [(factor, multiplicity)], each factor a primitive integer
@@ -212,7 +208,12 @@ def factor_poly(coeffs) -> list:
                   for f, m in factors)
 
 
-def _polish_roots(coeffs_desc, roots, precision):
+# relative Newton step at which polishing stops; its square root bounds the
+# accepted root residual
+_ROOT_PRECISION = 1e-12
+
+
+def _polish_roots(coeffs_desc, roots):
     poly = np.array(coeffs_desc, dtype=float)
     dpoly = np.polyder(poly)
     r = np.array(roots, dtype=complex)
@@ -221,20 +222,19 @@ def _polish_roots(coeffs_desc, roots, precision):
         dval = np.polyval(dpoly, r)
         step = np.where(dval != 0, val / np.where(dval != 0, dval, 1.0), 0.0)
         r = r - step
-        if np.all(np.abs(step) <= precision * (1.0 + np.abs(r))):
+        if np.all(np.abs(step) <= _ROOT_PRECISION * (1.0 + np.abs(r))):
             break
     return r
 
 
-def scaled_roots(factor, precision: float = 1e-12) -> tuple:
+def scaled_roots(factor) -> tuple:
     """(ys, s): the complex roots of an irreducible integer polynomial of
     degree >= 2 are 2^s y for y in ys.
 
     The roots y of the monic polynomial in y = x / 2^s are found
     numerically.  s > 0 only when a monic coefficient passes 2^960, as in
     int_log; s then brings every monic coefficient to at most 1, so every
-    |y| < 2 (Fujiwara's bound) and no float overflows.  precision below
-    about 1e-14 switches to mpmath.
+    |y| < 2 (Fujiwara's bound) and no float overflows.
     """
     deg = len(factor) - 1
     lead = factor[-1]
@@ -246,30 +246,18 @@ def scaled_roots(factor, precision: float = 1e-12) -> tuple:
         s = max(-(-(b + 1) // (deg - j)) for j, b in bits)
     monic = [Fraction(c, lead << (s * (deg - j))) for j, c in enumerate(factor)]
     desc = [float(c) for c in reversed(monic)]
-    if precision < 1e-14:
-        import mpmath
-
-        mp_prec = max(50, int(-mpmath.log10(precision)) + 20)
-        with mpmath.workdps(mp_prec):
-            roots = mpmath.polyroots(
-                [mpmath.mpf(c.numerator) / mpmath.mpf(c.denominator)
-                 for c in reversed(monic)],
-                maxsteps=200,
-            )
-        refined = [complex(r) for r in roots]
-    else:
-        refined = list(_polish_roots(desc, np.roots(desc), precision))
+    refined = list(_polish_roots(desc, np.roots(desc)))
     scale = max(1.0, max(abs(c) for c in desc))
     for r in refined:
         resid = abs(np.polyval(np.array(desc), r))
-        if resid > math.sqrt(precision) * scale * max(1.0, abs(r)) ** deg:
+        if resid > math.sqrt(_ROOT_PRECISION) * scale * max(1.0, abs(r)) ** deg:
             raise ConvergenceFailure(
                 f"root residual {resid:.3g} too large for factor of degree {deg}"
             )
     return [complex(r) for r in refined], s
 
 
-def complex_roots(factors, precision: float = 1e-12) -> list:
+def complex_roots(factors) -> list:
     """Roots of irreducible factors (as from factor_poly) with their
     multiplicities, [(root, multiplicity)] sorted by (re, im).  Linear
     factors give their rational root, correctly rounded; only nonlinear ones
@@ -279,20 +267,10 @@ def complex_roots(factors, precision: float = 1e-12) -> list:
         if len(factor) == 2:
             out.append((complex(Fraction(-factor[0], factor[1])), mult))
             continue
-        ys, s = scaled_roots(factor, precision)
+        ys, s = scaled_roots(factor)
         out += [(complex(math.ldexp(y.real, s), math.ldexp(y.imag, s)), mult)
                 for y in ys]
     out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
-
-
-def poly_roots_complex(coeffs, precision: float = 1e-12):
-    """All complex roots of an ascending-coefficient rational polynomial,
-    [(root, multiplicity)] sorted by (re, im).  Multiplicities come from the
-    exact factorization, so clustered numeric roots are never misread as
-    higher multiplicity, and rational roots are exact."""
-    out = complex_roots(factor_poly(coeffs), precision)
-    assert sum(m for _, m in out) == max(poly_degree(coeffs), 0)
     return out
 
 

@@ -15,12 +15,10 @@ from coefficient norms (upper side) and from integer Bezout cofactors of
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
-
-import numpy as np
 
 from .dynsys import RationalMapQ, StochasticSystem, _form_mul, bad_primes
 from .exactnum import (
@@ -251,13 +249,8 @@ def standard_energy_defect(measure: DiscreteMeasure, place: PlaceQ) -> float:
 
 @dataclass(frozen=True)
 class CphiBound:
-    map_index: Optional[int]
     place: PlaceQ
-    numeric_estimate: float
     certified_upper: float
-
-    def __post_init__(self):
-        assert 0.0 <= self.numeric_estimate <= self.certified_upper + 1e-12
 
 
 @lru_cache(maxsize=256)
@@ -302,48 +295,8 @@ def _bezout_cofactors(phi: RationalMapQ):
     return a, b, c, e
 
 
-def _arch_grid_sup(phi: RationalMapQ, radii: int, angles: int) -> float:
-    """Grid sup of |g| over both charts of P1; the forms are evaluated
-    scaled by 2^-k, so k log 2 / d goes back into g."""
-    r = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, radii)])
-    th = np.linspace(0.0, 2.0 * np.pi, angles, endpoint=False)
-    z = np.outer(r, np.exp(1j * th)).ravel()
-    best = 0.0
-    for x, y in ((z, np.ones_like(z)), (np.ones_like(z), z)):
-        fv, gv, k = phi.hom_eval_float(x, y)
-        top = np.maximum(np.abs(fv), np.abs(gv))
-        g = (np.log(np.maximum(top, 1e-300)) + k * LOG2) / phi.d - np.log(
-            np.maximum(np.abs(x), np.abs(y))
-        )
-        best = max(best, float(np.max(np.abs(g))))
-    return best
-
-
-def _finite_sample_sup(phi: RationalMapQ, p: int) -> float:
-    """|g_p| at a few valuation profiles; exact for each sampled point."""
-    num, den = phi.num_den_z()
-    best = Fraction(0)
-    for k in range(-3, 4):
-        z = Fraction(p) ** k
-        fz = sum(Fraction(c) * z**i for i, c in enumerate(num))
-        gz = sum(Fraction(c) * z**i for i, c in enumerate(den))
-        if fz == 0 and gz == 0:
-            continue
-        vmin = min(padic_valuation(fz, p), padic_valuation(gz, p))
-        gval = Fraction(-vmin, phi.d) - max(0, -k)
-        best = max(best, abs(gval))
-    fa, ga = phi.hom_eval_int(1, 0)
-    vmin = min(padic_valuation(fa, p), padic_valuation(ga, p))
-    best = max(best, abs(Fraction(-vmin, phi.d)))
-    f0, g0 = phi.hom_eval_int(0, 1)
-    vmin = min(padic_valuation(f0, p), padic_valuation(g0, p))
-    best = max(best, abs(Fraction(-vmin, phi.d)))
-    return float(best) * math.log(p)
-
-
-def cphi_bound(phi: RationalMapQ, place: PlaceQ,
-               grid_radii: int = 200, grid_angles: int = 256) -> CphiBound:
-    """Numeric estimate and certified upper bound for sup |g_v|.
+def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> CphiBound:
+    """Certified upper bound for sup |g_v|.
 
     Monomial-like maps get the exact closed form at every place.  Otherwise
     the upper side comes from coefficient norms and the lower side from the
@@ -357,7 +310,7 @@ def cphi_bound(phi: RationalMapQ, place: PlaceQ,
             exact = int_log(max(abs(a), c)) / phi.d
         else:
             exact = abs(padic_valuation(prof.coeff, place.p)) * math.log(place.p) / phi.d
-        return CphiBound(None, place, exact, exact)
+        return CphiBound(place, exact)
     a, b, c, e = _bezout_cofactors(phi)
     if place.is_arch:
         l1f = sum(abs(x) for x in phi.fcoeffs)
@@ -370,16 +323,14 @@ def cphi_bound(phi: RationalMapQ, place: PlaceQ,
             math.log(max(l1f, l1g)) / phi.d,
             (math.log(k2) - int_log(abs(phi.res))) / phi.d,
         )
-        numeric = min(_arch_grid_sup(phi, grid_radii, grid_angles), certified)
-        return CphiBound(None, place, numeric, certified)
+        return CphiBound(place, certified)
     p = place.p
     vres = padic_valuation(phi.res, p)
     m = min(
         padic_valuation(x, p) for x in (*a, *b, *c, *e) if x != 0
     )
     certified = max(0.0, (vres - m) * math.log(p) / phi.d)
-    numeric = min(_finite_sample_sup(phi, p), certified)
-    return CphiBound(None, place, numeric, certified)
+    return CphiBound(place, certified)
 
 
 @dataclass(frozen=True)
@@ -396,9 +347,8 @@ def l1_height_control_total(system: StochasticSystem) -> L1HeightControl:
         primes |= bad_primes(phi)
     places = [ARCH] + [prime_place(p) for p in sorted(primes)]
     entries = []
-    for idx, (phi, w) in enumerate(system):
+    for phi, w in system:
         for place in places:
-            bound = replace(cphi_bound(phi, place), map_index=idx)
-            entries.append((w, bound))
+            entries.append((w, cphi_bound(phi, place)))
     total = math.fsum(float(w) * b.certified_upper for w, b in entries)
     return L1HeightControl(total, tuple(entries))

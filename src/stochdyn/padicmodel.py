@@ -57,11 +57,25 @@ class Unsupported:
     pass
 
 
+def _require_prime(p: int) -> None:
+    if p < 2 or not sympy.isprime(p):
+        raise ValueError(f"{p} is not prime")
+
+
+def _valuation_ifs(system: StochasticSystem, p: int) -> AffineIFS:
+    """The affine IFS of the valuation coordinate at the prime p."""
+    _require_prime(p)
+    ifs = affine_ifs(system, p)
+    if ifs is None:
+        raise UnsupportedStructure(
+            f"system has a non-monomial map; no valuation dynamics at p={p}")
+    return ifs
+
+
 def classify_place(system: StochasticSystem, p: int):
     """GoodReduction if p divides no resultant; else MonomialLike when
     every map is monomial-shaped; else Unsupported."""
-    if p < 2 or not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
+    _require_prime(p)
     if all(phi.res % p != 0 for phi in system.maps):
         return GoodReduction()
     ifs = affine_ifs(system, p)
@@ -71,11 +85,7 @@ def classify_place(system: StochasticSystem, p: int):
 def stationary_segment(system: StochasticSystem, p: int) -> StationaryLaw:
     """Stationary law of the backward valuation walk at p: an exact atom
     when every map fixes the same valuation, else a grid CDF."""
-    ifs = affine_ifs(system, p)
-    if ifs is None:
-        raise UnsupportedStructure(
-            f"system has a non-monomial map; no valuation dynamics at p={p}")
-    return stationary_law(ifs)
+    return stationary_law(_valuation_ifs(system, p))
 
 
 def sample_backward_valuations(system: StochasticSystem, p: int,
@@ -89,15 +99,7 @@ def sample_backward_valuations(system: StochasticSystem, p: int,
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
     if alpha.a == 0 or alpha.b == 0:
         raise ValueError("start must have finite nonzero valuation")
-    if isinstance(classify_place(system, p), Unsupported):
-        raise UnsupportedStructure(
-            f"bad reduction at p={p} without monomial shape")
-    ifs = affine_ifs(system, p)
-    if ifs is None:
-        # good reduction but no valuation coordinate to walk in
-        raise UnsupportedStructure(
-            f"place p={p} has good reduction but the maps are not "
-            "monomial-shaped; valuation sampling is undefined")
+    ifs = _valuation_ifs(system, p)
     v = np.full(samples, float(padic_valuation(alpha.as_fraction(), p)))
     rng = np.random.default_rng(seed)
     for _ in range(n):

@@ -5,22 +5,18 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
-from hypothesis import given, settings, strategies as st
 
+from stochdyn import archpotential
 from stochdyn.archpotential import (
     ArchEquidistResult,
     GreenConfig,
-    QuadratureFailure,
     canonical_sample,
     equidist_test_arch,
-    g1_eval,
     gS_eval,
     gS_eval_many,
-    potential_eval,
     pullback_invariance_residual,
     radii,
     reference_radial_cdf,
-    regularize,
     rho_self_energy,
     write_radial_cdf_csv,
 )
@@ -76,12 +72,6 @@ def test_green_two_z2_closed_form(two_z2):
         assert gS_eval(two_z2, z) == pytest.approx(want, abs=2e-3)
 
 
-def test_one_step_green(dyadic, single_z2):
-    assert g1_eval(dyadic, 3.0) == pytest.approx(LOG2 / 4, abs=1e-12)
-    assert g1_eval(dyadic, 0.0) == 0.0
-    assert g1_eval(single_z2, 1.7) == 0.0
-
-
 def test_green_bounded_by_distortion(dyadic, two_z2):
     for system in (dyadic, two_z2):
         bound = 2.0 * sum(
@@ -101,15 +91,10 @@ def test_green_depth_refinement(dyadic):
         assert np.max(diff) <= tail_budget(dyadic).bound(n) + 1e-12
 
 
-def test_precision_floor_guard(single_z2):
+def test_precision_floor_guard(single_z2, monkeypatch):
+    monkeypatch.setattr(archpotential, "_COLLAPSE_FLOOR", 2.0)
     with pytest.raises(ConvergenceFailure):
-        gS_eval(single_z2, 0.5, GreenConfig(precision=2.0))
-
-
-def test_potential_eval(dyadic):
-    assert potential_eval(dyadic, 10.0) == pytest.approx(math.log(10.0), abs=1e-3)
-    assert potential_eval(dyadic, 0.0) == pytest.approx(-LOG2 / 2, abs=1e-3)
-    assert potential_eval(dyadic, math.inf) == math.inf
+        gS_eval(single_z2, 0.5)
 
 
 def test_canonical_sample_z2_is_unit_circle(single_z2):
@@ -231,36 +216,6 @@ def test_pullback_invariance(dyadic, single_z2):
     assert pullback_invariance_residual(single_z2, 5, 2000, 3) == 0.0
 
 
-def test_regularize_oracles():
-    assert regularize([2.0 + 1.0j], [1.0], 0.1) == pytest.approx(-math.log(0.1))
-    want = 0.5 * (-math.log(0.1)) + 0.5 * (-math.log(3.0))
-    assert regularize([0.0, 3.0], [0.5, 0.5], 0.1) == pytest.approx(want, abs=1e-7)
-    assert regularize([5.0], [1.0], 1.0) == pytest.approx(0.0, abs=1e-12)
-
-
-def test_regularize_validation():
-    with pytest.raises(ValueError):
-        regularize([0.0], [1.0], 0.0)
-    with pytest.raises(ValueError):
-        regularize([0.0, 1.0], [1.0], 0.5)
-    with pytest.raises(QuadratureFailure):
-        regularize([0.0, 1.0], [0.5, 0.5], 0.5, precision=-1.0)
-
-
-@settings(max_examples=25, deadline=None)
-@given(
-    st.complex_numbers(min_magnitude=0.0, max_magnitude=5.0,
-                       allow_nan=False, allow_infinity=False),
-    st.floats(min_value=0.05, max_value=2.0),
-)
-def test_regularized_mutual_energy_floor(delta, eps):
-    # pairing of two eps-circles never drops below the point-pair floor
-    energy = regularize([0.0, 3.0 + delta], [0.5, 0.5], eps)
-    gap = abs(3.0 + delta)
-    floor = math.log(max(gap, eps))
-    # energy = 0.5(-log eps) + 0.5 * mutual, and -mutual >= floor
-    mutual = 2.0 * energy + math.log(eps)
-    assert -mutual >= floor - 1e-9
 
 
 def test_rho_self_energy(dyadic, single_z2, two_z2):

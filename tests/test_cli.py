@@ -11,7 +11,6 @@ import stochdyn.archpotential
 import stochdyn.cli
 import stochdyn.ifs
 import stochdyn.padicmodel
-from stochdyn.archpotential import QuadratureFailure
 from stochdyn.cli import (
     ConfigParseError,
     SystemConfig,
@@ -87,6 +86,13 @@ def test_validate_report(capsys, example_config):
     assert record["version"] and len(record["config_sha256"]) == 64
 
 
+def test_validate_general_distortion_budget(capsys):
+    # the certified per-place bounds of perfbench/general.json, summed
+    code, out, _ = run_cli(capsys, "validate", "--config", str(GENERAL_CONFIG))
+    assert code == 0
+    assert '"distortion_budget": 0.40433585532663474,' in out
+
+
 def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
     code, _, err = run_cli(capsys, "validate", "--config",
                            str(tmp_path / "missing.json"))
@@ -129,7 +135,7 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
     assert code == 3 and "WordCapExceeded" in err
 
     # no CLI input reaches these budgets cheaply; check the mapping itself
-    for exc in (NodeBudgetExceeded, ConvergenceFailure, QuadratureFailure):
+    for exc in (NodeBudgetExceeded, ConvergenceFailure):
         def fail(*args, exc=exc, **kwargs):
             raise exc("budget exhausted")
         monkeypatch.setattr(stochdyn.cli, "stoch_height", fail)
@@ -323,8 +329,8 @@ def test_orbit_sample_huge_start(capsys):
 
 
 def test_huge_coefficients_at_infinity(capsys, tmp_path):
-    # 3^700 > 1e308: the escape sums and the grid potential at infinity
-    # evaluate the forms scaled by a power of 2
+    # 3^700 > 1e308: the escape sums at infinity evaluate the forms scaled
+    # by a power of 2
     mono = _big_config(tmp_path, "mono.json",
                        [([0, 0, 3**700], [1]), ([0, 0, 1], [1])])
     code, out, _ = run_cli(capsys, "green-eval", "--config", mono, "3")

@@ -11,6 +11,7 @@ from stochdyn.exactnum import (
     LogCombination,
     ProjPointQ,
     ZeroPoint,
+    complex_roots,
     factor_integer,
     factor_poly,
     int_log,
@@ -18,7 +19,7 @@ from stochdyn.exactnum import (
     normalize_point,
     padic_valuation,
     parse_point,
-    poly_roots_complex,
+    poly_trim,
     resultant,
 )
 
@@ -133,7 +134,7 @@ def test_factor_poly_multiplicities():
 
 def test_poly_roots_multiplicities():
     # x^2 (x - 1), ascending
-    roots = poly_roots_complex((0, 0, -1, 1))
+    roots = complex_roots(factor_poly((0, 0, -1, 1)))
     assert len(roots) == 2
     (r0, m0), (r1, m1) = roots
     assert m0 == 2 and abs(r0) < 1e-10
@@ -141,32 +142,25 @@ def test_poly_roots_multiplicities():
 
 
 def test_poly_roots_quadratic():
-    roots = poly_roots_complex((-2, 0, 1))  # x^2 - 2
+    roots = complex_roots(factor_poly((-2, 0, 1)))  # x^2 - 2
     vals = sorted(r.real for r, _ in roots)
     assert abs(vals[0] + math.sqrt(2)) < 1e-12
     assert abs(vals[1] - math.sqrt(2)) < 1e-12
 
 
-def test_poly_roots_high_precision_path():
-    roots = poly_roots_complex((-2, 0, 1), precision=1e-20)
-    vals = sorted(r.real for r, _ in roots)
-    assert abs(vals[1] - math.sqrt(2)) < 1e-15
-
-
 @settings(max_examples=100)
 @given(st.lists(st.integers(-8, 8), min_size=2, max_size=6))
 def test_poly_roots_are_roots(coeffs):
-    from stochdyn.exactnum import poly_degree, poly_trim
-
     f = poly_trim(tuple(coeffs))
-    if poly_degree(f) < 1:
+    deg = len(f) - 1
+    if deg < 1:
         return
-    roots = poly_roots_complex(f)
-    assert sum(m for _, m in roots) == poly_degree(f)
+    roots = complex_roots(factor_poly(f))
+    assert sum(m for _, m in roots) == deg
     desc = [float(c) for c in reversed(f)]
     scale = max(abs(c) for c in desc)
     for r, _ in roots:
-        assert abs(np.polyval(desc, r)) < 1e-7 * scale * max(1.0, abs(r)) ** poly_degree(f)
+        assert abs(np.polyval(desc, r)) < 1e-7 * scale * max(1.0, abs(r)) ** deg
 
 
 def test_rational_roots():
@@ -175,7 +169,7 @@ def test_rational_roots():
     f = (3, -11, 8, 4)
     roots = [(Fraction(-g[0], g[1]), m) for g, m in factor_poly(f)]
     assert sorted(roots) == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
-    assert poly_roots_complex(f) == [(-3 + 0j, 1), (0.5 + 0j, 2)]
+    assert complex_roots(factor_poly(f)) == [(-3 + 0j, 1), (0.5 + 0j, 2)]
 
 
 def test_int_log_huge():

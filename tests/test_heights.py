@@ -9,7 +9,13 @@ from hypothesis import strategies as st
 from strategies import finite_measures, points, small_maps
 
 from stochdyn.dynsys import make_map, make_system
-from stochdyn.exactnum import INFINITY, ProjPointQ, factor_integer, normalize_point
+from stochdyn.exactnum import (
+    INFINITY,
+    ProjPointQ,
+    factor_integer,
+    normalize_point,
+    padic_valuation,
+)
 from stochdyn.heights import (
     ARCH,
     InfinitePoint,
@@ -185,20 +191,43 @@ def test_standard_energy_defect_bounds(m):
         assert standard_energy_defect(m, prime_place(p)) >= -1e-9
 
 
+def _grid_sup_arch(phi):
+    """Sup of |g| at infinity over a polar grid of both charts |z| <= 1 of
+    P1, where the lift (z, 1) or (1, z) has max-norm 1."""
+    r = np.concatenate([[0.0], np.geomspace(1e-4, 1.0, 40)])
+    z = np.outer(r, np.exp(2j * np.pi * np.arange(32) / 32)).ravel()
+    f = np.array(phi.fcoeffs, dtype=float)
+    g = np.array(phi.gcoeffs, dtype=float)
+    best = 0.0
+    for fc, gc in ((f, g), (f[::-1], g[::-1])):
+        top = np.maximum(np.abs(np.polyval(fc, z)), np.abs(np.polyval(gc, z)))
+        best = max(best, float(np.max(np.abs(np.log(top)))) / phi.d)
+    return best
+
+
+def _sample_sup_padic(phi, p):
+    """Exact max of |g_p| over p^k for -3 <= k <= 3, 0 and infinity, each
+    lifted to a coprime integer pair (so of p-adic max-norm 1)."""
+    lifts = ([(p**k, 1) for k in range(4)] + [(1, p**k) for k in range(1, 4)]
+             + [(0, 1), (1, 0)])
+    vmins = [min(padic_valuation(v, p) for v in phi.hom_eval_int(a, b))
+             for a, b in lifts]
+    return max(abs(v) for v in vmins) * math.log(p) / phi.d
+
+
 def test_cphi_z2_vanishes():
     for place in (ARCH, prime_place(2), prime_place(7)):
-        b = cphi_bound(Z2, place)
-        assert b.numeric_estimate == 0.0
-        assert b.certified_upper == 0.0
+        assert cphi_bound(Z2, place).certified_upper == 0.0
+    assert _grid_sup_arch(Z2) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_cphi_two_z2_closed_form():
     arch = cphi_bound(TWO_Z2, ARCH)
-    assert arch.numeric_estimate == pytest.approx(LOG2 / 2)
     assert arch.certified_upper == pytest.approx(LOG2 / 2)
+    assert _grid_sup_arch(TWO_Z2) == pytest.approx(LOG2 / 2)
     p2 = cphi_bound(TWO_Z2, prime_place(2))
-    assert p2.numeric_estimate == pytest.approx(LOG2 / 2)
     assert p2.certified_upper == pytest.approx(LOG2 / 2)
+    assert _sample_sup_padic(TWO_Z2, 2) == pytest.approx(LOG2 / 2)
     assert cphi_bound(TWO_Z2, prime_place(3)).certified_upper == 0.0
 
 
@@ -207,7 +236,7 @@ def test_cphi_z2_plus_1_arch():
     # sup of |g| is attained at z = 1 with value (log 2)/2, and the
     # certified bound from coefficient norms is tight here
     assert b.certified_upper == pytest.approx(LOG2 / 2)
-    assert b.numeric_estimate == pytest.approx(LOG2 / 2, abs=1e-6)
+    assert _grid_sup_arch(Z2_PLUS_1) == pytest.approx(LOG2 / 2, abs=1e-6)
 
 
 def test_bezout_cofactors_z2_plus_1():
@@ -221,9 +250,11 @@ def test_bezout_cofactors_z2_plus_1():
 @settings(max_examples=30, deadline=None)
 @given(small_maps())
 def test_cphi_invariant_fuzz(phi):
-    for place in (ARCH, prime_place(2), prime_place(3)):
-        b = cphi_bound(phi, place, grid_radii=40, grid_angles=32)
-        assert 0.0 <= b.numeric_estimate <= b.certified_upper + 1e-12
+    # the certified bound sits above sampled values of |g_v|
+    assert cphi_bound(phi, ARCH).certified_upper >= _grid_sup_arch(phi) - 1e-12
+    for p in (2, 3):
+        b = cphi_bound(phi, prime_place(p))
+        assert b.certified_upper >= _sample_sup_padic(phi, p) - 1e-12
 
 
 def test_l1_height_control_examples():

@@ -56,6 +56,11 @@ def test_classify_rejects_nonprime(dyadic):
         classify_place(dyadic, 4)
 
 
+def test_stationary_segment_rejects_nonprime(dyadic):
+    with pytest.raises(ValueError):
+        stationary_segment(dyadic, 4)
+
+
 def test_stationary_segment_dyadic(dyadic):
     seg = stationary_segment(dyadic, 2)
     assert seg.atom is None
