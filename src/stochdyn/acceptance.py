@@ -140,22 +140,27 @@ def _c05_backward_height_decay(ctx):
     return ok, "; ".join(rows)
 
 
+def _random_measure(rng, num_max: int, den_end: int, weight_end: int):
+    """A measure on 1 to 3 distinct points num/den, num in [-num_max,
+    num_max] and den in [1, den_end), with raw weights in [1, weight_end)
+    scaled to sum 1; the draws come in that order: k, each point's num
+    then den, then the weights."""
+    k = int(rng.integers(1, 4))
+    pts = set()
+    while len(pts) < k:
+        num = int(rng.integers(-num_max, num_max + 1))
+        den = int(rng.integers(1, den_end))
+        pts.add(point_from_rational(Fraction(num, den)))
+    raw = [int(rng.integers(1, weight_end)) for _ in range(k)]
+    tot = sum(raw)
+    return make_measure(sorted(pts), [Fraction(r, tot) for r in raw])
+
+
 def _c06_product_formula(ctx):
     rng = np.random.default_rng(SEED)
     failures = 0
     for _ in range(100):
-        pair = []
-        for _ in range(2):
-            k = int(rng.integers(1, 4))
-            pts = set()
-            while len(pts) < k:
-                num = int(rng.integers(-30, 31))
-                den = int(rng.integers(1, 12))
-                pts.add(point_from_rational(Fraction(num, den)))
-            raw = [int(rng.integers(1, 6)) for _ in range(k)]
-            tot = sum(raw)
-            pair.append(make_measure(sorted(pts),
-                                     [Fraction(r, tot) for r in raw]))
+        pair = [_random_measure(rng, 30, 12, 6) for _ in range(2)]
         if product_formula_sum(pair[0], pair[1]) != 0.0:
             failures += 1
     return failures == 0, f"{100 - failures}/100 pairs summed to exactly 0"
@@ -165,18 +170,7 @@ def _c07_height_linearity(ctx):
     rng = np.random.default_rng(SEED + 1)
     failures = 0
     for _ in range(100):
-        measures = []
-        for _ in range(2):
-            k = int(rng.integers(1, 4))
-            pts = set()
-            while len(pts) < k:
-                pts.add(point_from_rational(
-                    Fraction(int(rng.integers(-40, 41)),
-                             int(rng.integers(1, 15)))))
-            raw = [int(rng.integers(1, 7)) for _ in range(k)]
-            tot = sum(raw)
-            measures.append(make_measure(sorted(pts),
-                                         [Fraction(r, tot) for r in raw]))
+        measures = [_random_measure(rng, 40, 15, 7) for _ in range(2)]
         t = Fraction(int(rng.integers(1, 10)), 10)
         combined = measure_height_exact(mix([(t, measures[0]),
                                              (1 - t, measures[1])]))
@@ -193,14 +187,7 @@ def _c08_pairing_lower_bounds(ctx):
     worst_fin, worst_arch = math.inf, math.inf
     ok = True
     for i in range(1000):
-        k = int(rng.integers(1, 4))
-        pts = set()
-        while len(pts) < k:
-            pts.add(point_from_rational(
-                Fraction(int(rng.integers(-20, 21)), int(rng.integers(1, 9)))))
-        raw = [int(rng.integers(1, 5)) for _ in range(k)]
-        tot = sum(raw)
-        measure = make_measure(sorted(pts), [Fraction(r, tot) for r in raw])
+        measure = _random_measure(rng, 20, 9, 5)
         place = places[i % len(places)]
         d = standard_energy_defect(measure, place)
         if place.p is None:

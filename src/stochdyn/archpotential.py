@@ -147,18 +147,6 @@ def canonical_sample(system: StochasticSystem, n: int, samples: int,
     return OrbitSampleBatch(log_r, theta, n, seed, samples)
 
 
-def reference_radial_cdf(system: StochasticSystem) -> Optional[StationaryLaw]:
-    """Stationary law of log|w| under the backward radial walk, or None
-    for systems with a non-monomial map.
-
-    For monomial-shaped systems the radial step is the affine contraction
-    L -> +-(L - log|a|)/d of their IFS, and the preimage choice does not
-    affect the radius.
-    """
-    ifs = affine_ifs(system)
-    return None if ifs is None else stationary_law(ifs)
-
-
 # ---------------------------------------------------------------------------
 # equidistribution diagnostics
 
@@ -211,7 +199,10 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
     cfg = cfg or GreenConfig()
     batch = backward_sample(system, alpha, n, samples, seed)
 
-    law = reference_radial_cdf(system)
+    # a monomial-shaped system's radial step is the affine contraction of
+    # its IFS, and the preimage choice does not affect the radius
+    ifs = affine_ifs(system)
+    law = None if ifs is None else stationary_law(ifs)
     if law is not None:
         ks_rad = ks_to_law(batch.log_abs, law, n)
         refname = "atom" if law.atom is not None else "stationary-cdf"
@@ -307,7 +298,7 @@ def write_radial_cdf_csv(batch: OrbitSampleBatch,
                          reference: Optional[StationaryLaw], fileobj) -> None:
     """Rows (r, empirical CDF, reference CDF) at the sorted sample radii.
 
-    The reference column uses the stationary radial law (as from
-    reference_radial_cdf) when there is one and is left blank otherwise.
+    The reference column uses the stationary radial law (the `law` of
+    equidist_test_arch) when there is one and is left blank otherwise.
     """
     write_cdf_csv(batch.log_abs, reference, "r", fileobj, math.exp)

@@ -201,8 +201,8 @@ def cmd_height(cfg: SystemConfig, args, out) -> int:
 def cmd_stoch_height(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
-    est = stoch_height(system, alpha, args.tol if args.tol else cfg.tol,
-                       seed=args.seed)
+    tol = args.tol if args.tol is not None else cfg.tol
+    est = stoch_height(system, alpha, tol, seed=args.seed)
     payload = {
         "alpha": _format_point(alpha),
         "value": est.value,

@@ -11,16 +11,21 @@ from one exact factorization over Q of the fiber form (see fiber); the
 ramification index and the exceptional candidates are read from the same
 kind of factorization.
 
-Exceptional points are decided through a depth-3 ramification test: a
-point z passes when every length-3 word is totally ramified at z.  One
-direction is elementary.  If z has finite grand orbit, that orbit is
-backward invariant under every map of the system, and a finite backward
-invariant set for a single map of degree >= 2 consists of points where
-the map is totally ramified, with images staying inside the set.
-Chaining three steps gives e_z(word) = deg(word) for every length-3
-word.  The converse is the substantive direction: passing the depth-3
-test forces z into the (at most two-point) exceptional set, and depth 2
-does not suffice, as the pair {1/z^2, z^2 + 1} at infinity shows.
+Exceptional points are decided from the forward closure of the point: z
+is exceptional exactly when every map of the system is totally ramified
+at every point that forward orbits of z reach.  If z has finite grand
+orbit, that orbit is backward invariant under every map of the system,
+and a finite backward invariant set for a single map of degree >= 2
+consists of points where the map is totally ramified; the closure stays
+inside the orbit.  Conversely, by Riemann-Hurwitz a map of degree d >= 2
+is totally ramified at at most two points, and two such points have
+distinct images (their common fiber would hold 2d preimages), so each map
+permutes a closure on which it is totally ramified, every point of the
+closure is the whole fiber of its image, and the closure is the grand
+orbit.  Such a closure has at most two points, so the walk stops at a
+third.  The weighted depth-3 ratio sigma3 equals 1 at the same points and
+serves as the oracle of the tests; depth 2 would not suffice, as the pair
+{1/z^2, z^2 + 1} at infinity shows.
 """
 
 from __future__ import annotations
@@ -358,7 +363,8 @@ def sigma3(system: StochasticSystem, point: ProjPointQ,
            word_cap: int = WORD_CAP_DEFAULT) -> Fraction:
     """Weighted depth-3 ramification ratio, exact in (0, 1].
 
-    Equals 1 precisely when the point passes is_exceptional_system.
+    Equals 1 precisely when the point passes is_exceptional_system; the
+    tests use it as that test's depth-3 oracle.
     """
     cache = {}
     acc = Fraction(0)
@@ -369,13 +375,20 @@ def sigma3(system: StochasticSystem, point: ProjPointQ,
     return acc
 
 
-def is_exceptional_system(system: StochasticSystem, point: ProjPointQ,
-                          word_cap: int = WORD_CAP_DEFAULT) -> bool:
-    """Depth-3 decision: every length-3 word totally ramified at the point."""
-    cache = {}
-    for w in words(system, 3, word_cap):
-        if _word_ram_cached(system, w.indices, point, cache) != w.degree:
-            return False
+def is_exceptional_system(system: StochasticSystem, point: ProjPointQ) -> bool:
+    """Every map totally ramified on the forward closure of the point."""
+    closure, todo = {point}, [point]
+    while todo:
+        cur = todo.pop()
+        for phi in system.maps:
+            if ramification_index(phi, cur) != phi.d:
+                return False
+            image = eval_map(phi, cur)
+            if image not in closure:
+                if len(closure) == 2:  # no map is totally ramified at 3 points
+                    return False
+                closure.add(image)
+                todo.append(image)
     return True
 
 
@@ -422,8 +435,7 @@ class ExceptionalReport:
     unresolved_factors: tuple
 
 
-def exceptional_report(system: StochasticSystem,
-                       word_cap: int = WORD_CAP_DEFAULT) -> ExceptionalReport:
+def exceptional_report(system: StochasticSystem) -> ExceptionalReport:
     phi = system.maps[0]
     d = phi.d
     w = wronskian(phi)
@@ -437,16 +449,11 @@ def exceptional_report(system: StochasticSystem,
             candidates.append(normalize_point(-factor[0], factor[1]))
         else:
             unresolved.append((factor, mult))
-    confirmed = [
-        p for p in candidates
-        if ramification_index(phi, p) == d
-        and is_exceptional_system(system, p, word_cap)
-    ]
+    confirmed = [p for p in candidates if is_exceptional_system(system, p)]
     confirmed.sort(key=lambda p: (p.is_infinity, None if p.is_infinity else p.as_fraction()))
     return ExceptionalReport(tuple(confirmed), tuple(unresolved))
 
 
-def exceptional_set(system: StochasticSystem,
-                    word_cap: int = WORD_CAP_DEFAULT) -> list:
+def exceptional_set(system: StochasticSystem) -> list:
     """Rational exceptional points of the system, at most two of them."""
-    return list(exceptional_report(system, word_cap).confirmed)
+    return list(exceptional_report(system).confirmed)

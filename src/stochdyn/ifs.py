@@ -21,9 +21,9 @@ CDF fixed-point equation
 determines.  Shifts at a prime stay exact rationals, so fixed points and
 atoms there are exact.
 
-The module also holds the empirical CDFs and Kolmogorov-Smirnov distances
-that score samples against these laws (hand rolled; scipy is only used as
-an oracle in the test suite) and the CDF CSV writer.
+The module also holds the Kolmogorov-Smirnov distances that score samples
+against these laws (hand rolled; scipy is only used as an oracle in the
+test suite) and the CDF CSV writer.
 """
 
 from __future__ import annotations
@@ -139,29 +139,11 @@ def stationary_law(ifs: AffineIFS) -> StationaryLaw:
 
 
 # ---------------------------------------------------------------------------
-# empirical CDFs and Kolmogorov-Smirnov distances
-
-@dataclass(frozen=True)
-class EmpiricalCDF:
-    values: np.ndarray  # sorted ascending
-
-    @classmethod
-    def from_samples(cls, xs: np.ndarray) -> "EmpiricalCDF":
-        return cls(np.sort(np.asarray(xs, dtype=float)))
-
-    @property
-    def n(self) -> int:
-        return len(self.values)
-
-    def eval(self, x) -> np.ndarray:
-        return np.searchsorted(self.values, x, side="right") / self.n
-
-    def eval_left(self, x) -> np.ndarray:
-        return np.searchsorted(self.values, x, side="left") / self.n
-
+# Kolmogorov-Smirnov distances
 
 def ks_one_sample(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
-    """sup |F_emp - F| for a continuous reference CDF."""
+    """sup |F_emp - F| for a continuous nondecreasing reference CDF, where
+    the sup is reached at a sample, from one side or the other."""
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
     ref = np.asarray(cdf(xs), dtype=float)
@@ -170,28 +152,16 @@ def ks_one_sample(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) 
     return float(max(np.max(ref - lo), np.max(hi - ref)))
 
 
-def ks_vs_grid_cdf(samples: np.ndarray, grid: np.ndarray, ref: np.ndarray) -> float:
-    """sup |F_emp - F_ref| against a piecewise-linear CDF given on a grid.
-
-    Candidates include both the sample points and the grid nodes, and the
-    empirical CDF is evaluated from both sides, so step-like references
-    are handled without assuming continuity of the empirical part.
-    """
-    emp = EmpiricalCDF.from_samples(samples)
-    cand = np.concatenate([emp.values, grid])
-    fr = np.interp(cand, grid, ref, left=float(ref[0]), right=float(ref[-1]))
-    d1 = np.max(np.abs(emp.eval(cand) - fr))
-    d2 = np.max(np.abs(emp.eval_left(cand) - fr))
-    return float(max(d1, d2))
-
-
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
-    fa = EmpiricalCDF.from_samples(a)
-    fb = EmpiricalCDF.from_samples(b)
-    cand = np.concatenate([fa.values, fb.values])
-    d1 = np.max(np.abs(fa.eval(cand) - fb.eval(cand)))
-    d2 = np.max(np.abs(fa.eval_left(cand) - fb.eval_left(cand)))
-    return float(max(d1, d2))
+    """sup |F_a - F_b|: both empirical CDFs are right-continuous steps
+    that jump only at samples, so the sup is reached at a sample, and each
+    left limit there is the value at the previous candidate."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    cand = np.concatenate([a, b])
+    fa = np.searchsorted(a, cand, side="right") / len(a)
+    fb = np.searchsorted(b, cand, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))
 
 
 def ks_to_law(xs: np.ndarray, law: StationaryLaw, n: int) -> float:
@@ -203,7 +173,7 @@ def ks_to_law(xs: np.ndarray, law: StationaryLaw, n: int) -> float:
     """
     if law.atom is not None:
         return float(np.mean(np.abs(xs - float(law.atom)) > 1.0 / max(n, 1)))
-    return ks_vs_grid_cdf(xs, law.grid, law.cdf)
+    return ks_one_sample(xs, law.cdf_at)
 
 
 def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
@@ -211,12 +181,12 @@ def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
     """Rows (label(x), empirical CDF, reference CDF) at the sorted samples;
     the reference column is blank without a law.  The lines are those of
     csv.writer, written a block of rows at a time (no cell needs quoting)."""
-    emp = EmpiricalCDF.from_samples(xs)
-    ref = None if law is None else law.cdf_at(emp.values)
-    n = emp.n
+    xs = np.sort(np.asarray(xs, dtype=float))
+    ref = None if law is None else law.cdf_at(xs)
+    n = len(xs)
     csv.writer(fileobj).writerow([column, "empirical_cdf", "reference_cdf"])
     for lo in range(0, n, CSV_BLOCK):
-        vals = emp.values[lo:lo + CSV_BLOCK].tolist()
+        vals = xs[lo:lo + CSV_BLOCK].tolist()
         ranks = range(lo + 1, lo + 1 + len(vals))
         # one f-string per line: a list of formatted reference cells per
         # block would add about 0.5 MB to the writer's peak memory

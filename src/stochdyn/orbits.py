@@ -466,8 +466,8 @@ def _fiber_step(system, log_r, theta, codes, exact, idx, j):
 def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
                     samples: int, seed: int) -> OrbitSampleBatch:
     """i.i.d. draws from the level-n measure, by backward_walk from alpha."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if n < 0 or samples < 1:
+        raise ValueError("need n >= 0 and samples >= 1")
     rng = np.random.default_rng(seed)
     log_r0, theta0 = _exact_log_polar(alpha)
     log_r, theta = backward_walk(system, np.full(samples, log_r0),

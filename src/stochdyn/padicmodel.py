@@ -1,4 +1,4 @@
-"""Non-archimedean side: reduction types and valuation dynamics.
+"""Non-archimedean side: valuation dynamics of monomial-shaped systems.
 
 At a finite place p the only systems with computable canonical measures
 here are the monomial-shaped ones, a z^d or a z^(-d).  Their action on
@@ -9,9 +9,9 @@ mixed.  Its stationary law is the canonical measure seen through the
 valuation coordinate; for the system {z^2 (1/2), 2 z^2 (1/2)} at p = 2 it
 is uniform on v in [-1, 0].
 
-Good-reduction places keep all mass at the Gauss point v = 0.  Places of
-bad reduction whose maps are not monomial-shaped are reported
-UnsupportedStructure rather than approximated.
+A system with a map that is not monomial-shaped is reported
+UnsupportedStructure at every prime, good or bad, rather than
+approximated.
 
 Shifts, fixed points and atoms are exact rationals.  The walk itself
 runs in float64, which is exact while every degree is a power of 2 and
@@ -19,8 +19,6 @@ the valuations need at most 53 significant bits.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,44 +40,15 @@ class UnsupportedStructure(StochdynError):
     """No computable valuation dynamics for this system at this place."""
 
 
-@dataclass(frozen=True)
-class GoodReduction:
-    pass
-
-
-@dataclass(frozen=True)
-class MonomialLike:
-    ifs: AffineIFS
-
-
-@dataclass(frozen=True)
-class Unsupported:
-    pass
-
-
-def _require_prime(p: int) -> None:
-    if p < 2 or not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
-
-
 def _valuation_ifs(system: StochasticSystem, p: int) -> AffineIFS:
     """The affine IFS of the valuation coordinate at the prime p."""
-    _require_prime(p)
+    if p < 2 or not sympy.isprime(p):
+        raise ValueError(f"{p} is not prime")
     ifs = affine_ifs(system, p)
     if ifs is None:
         raise UnsupportedStructure(
             f"system has a non-monomial map; no valuation dynamics at p={p}")
     return ifs
-
-
-def classify_place(system: StochasticSystem, p: int):
-    """GoodReduction if p divides no resultant; else MonomialLike when
-    every map is monomial-shaped; else Unsupported."""
-    _require_prime(p)
-    if all(phi.res % p != 0 for phi in system.maps):
-        return GoodReduction()
-    ifs = affine_ifs(system, p)
-    return Unsupported() if ifs is None else MonomialLike(ifs)
 
 
 def stationary_segment(system: StochasticSystem, p: int) -> StationaryLaw:

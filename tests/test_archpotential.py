@@ -16,7 +16,6 @@ from stochdyn.archpotential import (
     gS_eval_many,
     pullback_invariance_residual,
     radii,
-    reference_radial_cdf,
     rho_self_energy,
     write_radial_cdf_csv,
 )
@@ -24,11 +23,12 @@ from stochdyn.dynsys import ExceptionalStart, make_map, make_system
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.heights import l1_height_control_total
 from stochdyn.ifs import (
-    EmpiricalCDF,
+    StationaryLaw,
     affine_ifs,
     ks_one_sample,
+    ks_to_law,
     ks_two_sample,
-    ks_vs_grid_cdf,
+    stationary_law,
 )
 from stochdyn.stochheight import tail_budget
 
@@ -40,6 +40,11 @@ HALF = Fraction(1, 2)
 @pytest.fixture(scope="module")
 def two_z2():
     return make_system([make_map([0, 0, 2], [1])], [ONE])
+
+
+def radial_law(system):
+    """The stationary law of log|w| that equidist_test_arch scores against."""
+    return stationary_law(affine_ifs(system))
 
 
 def test_auto_depth_resolution(dyadic, single_z2):
@@ -107,8 +112,7 @@ def test_canonical_sample_dyadic_radial_law(dyadic):
     batch = canonical_sample(dyadic, 25, 20000, 5)
     assert np.all(batch.log_abs <= 1e-12)
     assert np.all(batch.log_abs >= -LOG2 - 1e-12)
-    law = reference_radial_cdf(dyadic)
-    assert ks_vs_grid_cdf(batch.log_abs, law.grid, law.cdf) <= 0.02
+    assert ks_to_law(batch.log_abs, radial_law(dyadic), 25) <= 0.02
 
 
 def test_canonical_sample_general_path(mixed):
@@ -118,27 +122,26 @@ def test_canonical_sample_general_path(mixed):
 
 
 def test_reference_cdf_closed_form(dyadic):
-    law = reference_radial_cdf(dyadic)
+    law = radial_law(dyadic)
     exact = np.clip(1.0 + law.grid / LOG2, 0.0, 1.0)
     assert np.max(np.abs(law.cdf - exact)) <= 1e-9
 
 
 def test_reference_cdf_none_for_nonmonomial(mixed):
-    assert reference_radial_cdf(mixed) is None
     assert affine_ifs(mixed) is None
 
 
 def test_radial_atom_detection(dyadic, single_z2, two_z2):
-    assert reference_radial_cdf(single_z2).atom == pytest.approx(0.0, abs=1e-12)
-    assert reference_radial_cdf(two_z2).atom == pytest.approx(-LOG2, abs=1e-12)
-    assert reference_radial_cdf(dyadic).atom is None
+    assert radial_law(single_z2).atom == pytest.approx(0.0, abs=1e-12)
+    assert radial_law(two_z2).atom == pytest.approx(-LOG2, abs=1e-12)
+    assert radial_law(dyadic).atom is None
 
 
 def test_radial_law_huge_coefficient():
     # log|3^700| = 769.03... is far beyond float range as 3^700 itself
     system = make_system([make_map([0, 0, 3**700], [1]),
                           make_map([0, 0, 1], [1])], [HALF, HALF])
-    law = reference_radial_cdf(system)
+    law = radial_law(system)
     shift = 700 * math.log(3.0)
     # the law lives on [-log|a|, 0], between the two fixed points
     assert law.grid[0] <= -shift and law.grid[-1] >= 0.0
@@ -159,7 +162,7 @@ def test_ks_grid_cdf_matches_scipy_for_continuous():
     xs = rng.uniform(0.0, 1.0, 300)
     grid = np.linspace(-0.5, 1.5, 20001)
     f = np.clip(grid, 0.0, 1.0)
-    ours = ks_vs_grid_cdf(xs, grid, f)
+    ours = ks_to_law(xs, StationaryLaw(grid=grid, cdf=f), 300)
     ref = scipy.stats.kstest(xs, "uniform").statistic
     assert ours == pytest.approx(ref, abs=1e-4)
 
@@ -171,12 +174,6 @@ def test_ks_two_sample_matches_scipy():
     ours = ks_two_sample(a, b)
     ref = scipy.stats.ks_2samp(a, b, method="asymp").statistic
     assert ours == pytest.approx(ref, abs=1e-12)
-
-
-def test_empirical_cdf_sides():
-    cdf = EmpiricalCDF.from_samples(np.array([1.0, 1.0, 2.0, 4.0]))
-    assert cdf.eval(1.0) == 0.5 and cdf.eval_left(1.0) == 0.0
-    assert cdf.eval(3.0) == 0.75 and cdf.eval(5.0) == 1.0
 
 
 def test_equidist_dyadic(dyadic):
@@ -242,7 +239,7 @@ def test_radii_oracles(dyadic, single_z2, two_z2):
 def test_radial_cdf_csv(dyadic):
     batch = canonical_sample(dyadic, 10, 50, 2)
     buf = io.StringIO()
-    write_radial_cdf_csv(batch, reference_radial_cdf(dyadic), buf)
+    write_radial_cdf_csv(batch, radial_law(dyadic), buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "r,empirical_cdf,reference_cdf"
     assert len(lines) == 51

@@ -19,14 +19,15 @@ from stochdyn.cli import (
     main,
     parse_alpha,
 )
+from stochdyn.dynsys import WordCapExceeded
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.orbits import NodeBudgetExceeded
 
 REPO_CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "example.json"
 GENERAL_CONFIG = (pathlib.Path(__file__).parent.parent / "perfbench"
                   / "general.json")
-TREE_SCRIPT = (pathlib.Path(__file__).parent.parent / "scripts"
-               / "backward_tree_stats.py")
+SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
+TREE_SCRIPT = SCRIPTS / "backward_tree_stats.py"
 
 EXAMPLE = {
     "maps": [
@@ -51,6 +52,14 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def run_script(monkeypatch, script, *argv):
+    """Runs a script of scripts/ as __main__; returns its exit code."""
+    monkeypatch.setattr(sys, "argv", [str(script), *argv])
+    with pytest.raises(SystemExit) as stop:
+        runpy.run_path(str(script), run_name="__main__")
+    return stop.value.code
 
 
 def test_parse_alpha():
@@ -127,15 +136,35 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
                              example_config, "0", "--samples", "10")
     assert code == 4 and "ExceptionalStart" in err and out == ""
 
-    # 101 maps give 101^3 > 10^6 length-3 words for the exceptional test
+    # bad depths and tolerances are rejected, not answered
+    code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                             example_config, "1", "--depth", "-1")
+    assert code == 3 and "ValueError" in err and out == ""
+    code, out, err = run_cli(capsys, "equidist", "--config", example_config,
+                             "1", "--depth", "-2")
+    assert code == 3 and "ValueError" in err and out == ""
+    code, out, err = run_cli(capsys, "stoch-height", "--config",
+                             example_config, "1", "--tol", "0")
+    assert code == 3 and "ValueError" in err and out == ""
+
+    # 101 maps: 101^3 length-3 words, which the exceptional test does not
+    # enumerate
     many = tmp_path / "many.json"
     many.write_text(json.dumps({"maps": [
         {"num_coeffs": [0, 0, 1], "den_coeffs": [1], "prob": "1/101"}] * 101}))
-    code, _, err = run_cli(capsys, "validate", "--config", str(many))
-    assert code == 3 and "WordCapExceeded" in err
+    code, out, _ = run_cli(capsys, "validate", "--config", str(many))
+    assert code == 0
+    assert json.loads(out)["exceptional_set"] == ["0", "inf"]
+    for argv in (("orbit-sample", "1", "--samples", "5", "--depth", "2"),
+                 ("equidist", "1", "--samples", "50", "--depth", "5"),
+                 ("equidist", "1", "--samples", "50", "--depth", "5",
+                  "--place", "2")):
+        code, _, err = run_cli(capsys, argv[0], "--config", str(many),
+                               *argv[1:])
+        assert code == 0, err
 
     # no CLI input reaches these budgets cheaply; check the mapping itself
-    for exc in (NodeBudgetExceeded, ConvergenceFailure):
+    for exc in (NodeBudgetExceeded, ConvergenceFailure, WordCapExceeded):
         def fail(*args, exc=exc, **kwargs):
             raise exc("budget exhausted")
         monkeypatch.setattr(stochdyn.cli, "stoch_height", fail)
@@ -357,15 +386,34 @@ def test_huge_numeric_points(capsys, monkeypatch):
     rows = list(csv.reader(out.splitlines()))
     assert len(rows) == 6
     assert all(math.isfinite(float(cell)) for row in rows[1:] for cell in row)
-    monkeypatch.setattr(sys, "argv", [str(TREE_SCRIPT), "--config",
-                                      str(GENERAL_CONFIG), str(10**30),
-                                      "--depth", "3"])
-    with pytest.raises(SystemExit) as stop:
-        runpy.run_path(str(TREE_SCRIPT), run_name="__main__")
-    assert stop.value.code == 0
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config",
+                      str(GENERAL_CONFIG), str(10**30), "--depth", "3") == 0
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:5]]
     assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
     assert all(math.isfinite(float(r[4])) for r in rows)
+
+
+def test_equidist_report_script_matches_cli(capsys, tmp_path, monkeypatch):
+    # the script's CDF CSVs are the bytes of `equidist --out` at each place
+    assert run_script(monkeypatch, SCRIPTS / "equidist_report.py", "--config",
+                      str(REPO_CONFIG), "1", "--depths", "5", "--primes", "2",
+                      "--samples", "2000", "--out-dir", str(tmp_path)) == 0
+    for place, name in (("arch", "radial_depth5.csv"),
+                        ("2", "val2_depth5.csv")):
+        out = tmp_path / f"cli_{place}.csv"
+        code, _, _ = run_cli(capsys, "equidist", "--config", str(REPO_CONFIG),
+                             "1", "--place", place, "--depth", "5",
+                             "--samples", "2000", "--out", str(out))
+        assert code == 0
+        assert (tmp_path / name).read_bytes() == out.read_bytes()
+
+
+def test_height_convergence_script(capsys, monkeypatch):
+    assert run_script(monkeypatch, SCRIPTS / "height_convergence.py",
+                      "--config", str(REPO_CONFIG), "--", "1", "3/2") == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == f"distortion budget sum: {math.log(2) / 2:.6f}"
+    assert [line.split()[0] for line in lines[2:]] == ["1", "3/2"]
 
 
 def test_out_of_float_range_exit(capsys, example_config, monkeypatch):

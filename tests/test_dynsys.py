@@ -234,11 +234,12 @@ def test_eval_consistency_int_vs_float(phi, p):
     assert abs(ga - gc) <= 1e-6 * max(1.0, abs(ga))
 
 
-@settings(max_examples=40, deadline=None)
-@given(points())
-def test_sigma3_one_iff_exceptional(p):
-    sys2 = dyadic_system()
-    assert (sigma3(sys2, p) == 1) == is_exceptional_system(sys2, p)
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_maps(), min_size=1, max_size=3), points())
+def test_sigma3_one_iff_exceptional(maps, p):
+    # the forward-closure test against the depth-3 oracle
+    system = make_system(maps, [Fraction(1, len(maps))] * len(maps))
+    assert (sigma3(system, p) == 1) == is_exceptional_system(system, p)
 
 
 def full_horner(fcoeffs, gcoeffs, x, y):

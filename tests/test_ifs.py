@@ -4,15 +4,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import assume, given, strategies as st
 
 from stochdyn.dynsys import eval_map, make_map, make_system
 from stochdyn.exactnum import (
     log_abs_fraction,
+    normalize_point,
     padic_valuation,
     point_from_rational,
 )
-from stochdyn.ifs import affine_ifs
+from stochdyn.ifs import StationaryLaw, affine_ifs, ks_to_law, stationary_law
+from stochdyn.orbits import backward_sample
+from stochdyn.padicmodel import sample_backward_valuations
 
 nonzero = st.fractions(min_value=-10**6, max_value=10**6,
                        max_denominator=10**6).filter(lambda q: q != 0)
@@ -43,3 +46,47 @@ def test_step_undoes_each_map(maps, z, p):
         scale = max(1.0, abs(x), abs(at_inf.shifts[i]))
         assert back == pytest.approx(log_abs_fraction(z), rel=0,
                                      abs=1e-12 * scale)
+
+
+def test_affine_ifs_dyadic_at_two(dyadic):
+    ifs = affine_ifs(dyadic, 2)
+    assert ifs.shifts == (0, 1) and ifs.degrees == (2, 2)
+    assert ifs.inverted == (False, False)
+
+
+def ks_vs_grid_cdf(samples, grid, ref):
+    """sup |F_emp - F_ref| against a piecewise-linear CDF on a grid, over
+    the samples and the grid nodes, with the empirical CDF taken from both
+    sides: the grid-law KS that ks_to_law replaced, kept as its oracle."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    cand = np.concatenate([xs, grid])
+    fr = np.interp(cand, grid, ref, left=float(ref[0]), right=float(ref[-1]))
+    return float(max(
+        np.max(np.abs(np.searchsorted(xs, cand, side=side) / len(xs) - fr))
+        for side in ("right", "left")))
+
+
+@pytest.mark.parametrize("p", [None, 2])
+@pytest.mark.parametrize("seed", [1, 11, 23])
+def test_ks_to_law_matches_grid_oracle(dyadic, p, seed):
+    # a continuous nondecreasing reference: the sup sits at a sample, so
+    # the grid nodes never change the value
+    one = normalize_point(1, 1)
+    if p is None:
+        xs = backward_sample(dyadic, one, 30, 20000, seed).log_abs
+    else:
+        xs = sample_backward_valuations(dyadic, p, one, 30, 20000, seed)
+    law = stationary_law(affine_ifs(dyadic, p))
+    assert ks_to_law(xs, law, 30) == ks_vs_grid_cdf(xs, law.grid, law.cdf)
+
+
+@given(st.lists(st.integers(0, 5), min_size=2, max_size=40),
+       st.floats(-5, 5), st.floats(0.1, 10),
+       st.lists(st.floats(-20, 20), min_size=1, max_size=60))
+def test_ks_to_law_matches_grid_oracle_on_any_law(steps, lo, width, xs):
+    assume(sum(steps) > 0)
+    grid = np.linspace(lo, lo + width, len(steps) + 1)
+    cdf = np.concatenate([[0.0], np.cumsum(steps) / sum(steps)])
+    xs = np.array(xs)
+    law = StationaryLaw(grid=grid, cdf=cdf)
+    assert ks_to_law(xs, law, 30) == ks_vs_grid_cdf(xs, grid, cdf)

@@ -8,11 +8,7 @@ import pytest
 from stochdyn.dynsys import ExceptionalStart, make_map, make_system
 from stochdyn.exactnum import normalize_point
 from stochdyn.padicmodel import (
-    GoodReduction,
-    MonomialLike,
-    Unsupported,
     UnsupportedStructure,
-    classify_place,
     equidist_test_padic,
     stationary_segment,
     write_valuation_cdf_csv,
@@ -27,33 +23,6 @@ def shifted_quads():
     # z^2 + 1 alongside z^2: good reduction everywhere, not monomial
     return make_system([make_map([1, 0, 1], [1]), make_map([0, 0, 1], [1])],
                        [HALF, HALF])
-
-
-def test_classify_dyadic(dyadic):
-    assert isinstance(classify_place(dyadic, 3), GoodReduction)
-    cls = classify_place(dyadic, 2)
-    assert isinstance(cls, MonomialLike)
-    assert cls.ifs.shifts == (0, 1) and cls.ifs.degrees == (2, 2)
-    assert cls.ifs.inverted == (False, False)
-
-
-def test_classify_good_reduction_nonmonomial(shifted_quads):
-    # both resultants are 1, so every place has good reduction
-    assert isinstance(classify_place(shifted_quads, 2), GoodReduction)
-    assert isinstance(classify_place(shifted_quads, 5), GoodReduction)
-
-
-def test_classify_unsupported():
-    # (z^2 + 1)/2 has resultant 4; at p = 2 it is bad and not monomial
-    system = make_system([make_map([1, 0, 1], [2])], [ONE])
-    assert system.maps[0].res % 2 == 0
-    assert isinstance(classify_place(system, 2), Unsupported)
-    assert isinstance(classify_place(system, 3), GoodReduction)
-
-
-def test_classify_rejects_nonprime(dyadic):
-    with pytest.raises(ValueError):
-        classify_place(dyadic, 4)
 
 
 def test_stationary_segment_rejects_nonprime(dyadic):
@@ -95,8 +64,10 @@ def _equidistributes_at_two(system):
 
 
 def test_stationary_segment_unsupported(shifted_quads):
-    with pytest.raises(UnsupportedStructure):
-        stationary_segment(shifted_quads, 2)
+    # both resultants are 1: good reduction does not help a non-monomial map
+    for p in (2, 5):
+        with pytest.raises(UnsupportedStructure):
+            stationary_segment(shifted_quads, p)
     # mixed exponent signs and mixed degrees have a law too
     mixed_sign = make_system([make_map([0, 0, 2], [1]), make_map([1], [0, 0, 1])],
                              [HALF, HALF])
