@@ -19,7 +19,7 @@ from fractions import Fraction
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from stochdyn.cli import build_system, load_config, parse_alpha
+from stochdyn.cli import build_system, exit_code_of, load_config, parse_alpha
 from stochdyn.orbits import (
     backward_tree,
     sup_mass_certificate,
@@ -30,11 +30,11 @@ from stochdyn.orbits import (
 
 def _mean_log_abs(level):
     total = 0.0
-    for z, w in zip(level.points, level.weights):
+    for z, w in zip(level.points, level.numerators):
         r = abs(z)
         if r == 0 or math.isinf(r):
             continue
-        total += float(w) * math.log(r)
+        total += w / level.denominator * math.log(r)
     return total
 
 
@@ -53,7 +53,7 @@ def main():
     print(f"{'level':>6} {'atoms':>7} {'sup mass':>12} {'sum w^2':>12} "
           f"{'mean log|z|':>12}")
     for k, level in enumerate(tree.levels):
-        sup = max(level.weights)
+        sup = Fraction(max(level.numerators), level.denominator)
         wd = well_distributed_stat(tree, k)
         print(f"{k:>6} {len(level.points):>7} {str(sup):>12} "
               f"{float(wd):>12.3e} {_mean_log_abs(level):>12.6f}")
@@ -70,4 +70,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code_of(main))

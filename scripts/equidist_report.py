@@ -18,7 +18,13 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from stochdyn.archpotential import equidist_test_arch, write_radial_cdf_csv
-from stochdyn.cli import build_system, green_config, load_config, parse_alpha
+from stochdyn.cli import (
+    build_system,
+    exit_code_of,
+    green_config,
+    load_config,
+    parse_alpha,
+)
 from stochdyn.padicmodel import equidist_test_padic, write_valuation_cdf_csv
 
 
@@ -70,4 +76,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code_of(main))

@@ -16,7 +16,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from stochdyn.cli import build_system, load_config, parse_alpha
+from stochdyn.cli import build_system, exit_code_of, load_config, parse_alpha
 from stochdyn.heights import l1_height_control_total, weil_height
 from stochdyn.stochheight import stoch_height
 
@@ -54,4 +54,4 @@ def main():
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    sys.exit(exit_code_of(main))

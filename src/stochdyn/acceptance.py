@@ -132,7 +132,8 @@ def _c05_backward_height_decay(ctx):
         if not np.all((q >= -1.0 - 1e-9) & (q <= 1e-9)):
             raise ValueError(f"level-{n} atom exponents leave [-1, 0]: {q}")
         heights = LOG2 * ((1.0 + q) ** 2 + q**2) / 2.0
-        value = float(np.dot(heights, np.array([float(w) for w in level.weights])))
+        weights = np.array([w / level.denominator for w in level.numerators])
+        value = float(np.dot(heights, weights))
         bound = LOG2 / 2.0 * 2.0 ** -n + 1e-3
         if value > bound:
             ok = False

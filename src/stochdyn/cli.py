@@ -21,7 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -362,23 +362,33 @@ _COMMANDS = {
 }
 
 
-def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+def exit_code_of(run: Callable[[], int]) -> int:
+    """run()'s return value, or the exit code of the error it raised: a
+    stochdyn error, ValueError or OverflowError is printed to stderr as
+    `error: <type>: <message>`.  The CLI and the scripts share it."""
     try:
-        cfg = load_config(args.config)
-        if args.seed is None:
-            args.seed = cfg.seed
-        if args.command == "equidist" and args.place != "arch":
-            try:
-                int(args.place)
-            except ValueError:
-                raise ConfigParseError(
-                    f"--place must be 'arch' or a prime, got {args.place!r}")
-        return _COMMANDS[args.command](cfg, args, sys.stdout)
+        return run()
     except (StochdynError, ValueError, OverflowError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return getattr(exc, "exit_code", 3)
+
+
+def _run(args) -> int:
+    cfg = load_config(args.config)
+    if args.seed is None:
+        args.seed = cfg.seed
+    if args.command == "equidist" and args.place != "arch":
+        try:
+            int(args.place)
+        except ValueError:
+            raise ConfigParseError(
+                f"--place must be 'arch' or a prime, got {args.place!r}")
+    return _COMMANDS[args.command](cfg, args, sys.stdout)
+
+
+def main(argv=None) -> int:
+    args = _build_parser().parse_args(argv)
+    return exit_code_of(lambda: _run(args))
 
 
 if __name__ == "__main__":

@@ -2,18 +2,24 @@
 
 The level-n measure pulls the start point back through every length-n word,
 weighting each preimage by (word probability) * multiplicity / degree.  The
-tree keeps weights as exact rationals; support points carry a complex
+tree keeps its weights exact and fraction-free: with L the lcm over the
+maps of den(p_i) * deg(phi_i), every level-k weight is a Python int over
+the one denominator L^k, a child's numerator is its parent's times
+p_i * m * L / deg(phi_i), and the statistics read the numerators, building
+one Fraction per returned value.  Support points carry a complex
 embedding always, plus an exact projective identity whenever the preimage
 is rational.  Fibers of rational points are exact (dynsys.fiber), so no
 rational preimage loses its identity.  Fibers of numeric points come from
 one batched kernel, numeric_fiber, which takes points as (log|z|, arg z)
 and solves every point's fiber under one map with a single stacked
 companion-matrix eigenvalue call; the tree calls it once per level and
-map, the walker once per step and map.  Merging of numerically
-coincident support points is refused when the two carry distinct exact
-identities, and any merge involving a point without an exact identity is
-counted as tolerance-driven so callers can see when output atoms rest on
-a numeric coincidence.
+map, the walker once per step and map.  One batched clusterer,
+cluster_fibers, groups the roots of all of a call's fibers at once into
+(point, multiplicity) pairs.  Merging of numerically coincident support
+points is relative at every scale and is refused when the two carry
+distinct exact identities, and any merge involving a point without an
+exact identity is counted as tolerance-driven so callers can see when
+output atoms rest on a numeric coincidence.
 """
 
 from __future__ import annotations
@@ -49,20 +55,6 @@ class NodeBudgetExceeded(StochdynError):
 # preimages
 
 
-def _cluster_roots(roots, tol):
-    """Union nearby numeric roots into (representative, count) groups."""
-    roots = list(roots)
-    groups = []
-    for r in roots:
-        for g in groups:
-            if abs(r - g[0]) <= tol * max(1.0, abs(r), abs(g[0])):
-                g[1] += 1
-                break
-        else:
-            groups.append([r, 1])
-    return [(g[0], g[1]) for g in groups]
-
-
 def _wrap(theta):
     """Angles mod 2 pi in [0, 2 pi): np.mod rounds a tiny negative angle
     up to 2 pi itself, which is the angle 0."""
@@ -77,11 +69,6 @@ def _log_polar(z):
     with np.errstate(divide="ignore"):
         log_r = np.where(inf, math.inf, np.log(np.abs(z)))
     return log_r, _wrap(np.where(inf, 0.0, np.angle(z)))
-
-
-def _complex(log_r, theta):
-    """Complex numbers of finite or zero (log|z|, arg z)."""
-    return np.exp(log_r) * np.exp(1j * theta)
 
 
 def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
@@ -140,22 +127,52 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     return log_w, np.where(np.isinf(log_w), 0.0, arg_w)
 
 
-def _clustered(log_w, arg_w, tol):
-    """(complex, mult) pairs of one numeric fiber: infinity first, then the
-    finite roots clustered within tol."""
+_INFINITY = complex(math.inf, 0.0)
+
+
+def cluster_fibers(log_w, arg_w, tol) -> list:
+    """The distinct preimages of each row of numeric_fiber's output, as
+    lists of (complex, mult) pairs: infinity first, then the finite roots
+    in row order, each one joining the first earlier representative g
+    with |r - g| <= tol * max(1, |r|, |g|) and else becoming one.
+
+    All rows are clustered at once; only the greedy rule itself steps
+    over the d columns."""
     inf = np.isposinf(log_w)
-    out = [(complex(math.inf, 0.0), int(inf.sum()))] if inf.any() else []
-    return out + _cluster_roots(_complex(log_w[~inf], arg_w[~inf]), tol)
+    with np.errstate(invalid="ignore"):
+        z = np.exp(log_w) * np.exp(1j * arg_w)
+    z[inf] = 0.0
+    mag = np.hypot(z.real, z.imag)
+    diff = z[:, :, None] - z[:, None, :]
+    close = (np.hypot(diff.real, diff.imag)
+             <= tol * np.maximum(1.0, np.maximum(mag[:, :, None],
+                                                 mag[:, None, :])))
+    close &= ~inf[:, :, None] & ~inf[:, None, :]
+    d = log_w.shape[1]
+    rep = ~inf
+    group = np.broadcast_to(np.arange(d), log_w.shape).copy()
+    for j in range(1, d):
+        joins = close[:, j, :j] & rep[:, :j]
+        hit = joins.any(axis=1)
+        group[hit, j] = joins[hit].argmax(axis=1)
+        rep[hit, j] = False
+    mult = ((group[:, :, None] == np.arange(d)) & ~inf[:, :, None]).sum(axis=1)
+    out = []
+    for ni, zs, ms, rs in zip(inf.sum(axis=1).tolist(), z.tolist(),
+                              mult.tolist(), rep.tolist()):
+        row = [(_INFINITY, ni)] if ni else []
+        out.append(row + [(w, m) for w, m, r in zip(zs, ms, rs) if r])
+    return out
 
 
 def preimages(phi: RationalMapQ, z: Union[ProjPointQ, complex]):
     """Preimages of z with multiplicities, as (complex, mult) pairs: the
-    exact fiber of a rational point, else numeric_fiber on a batch of one
-    with its roots clustered."""
+    exact fiber of a rational point, else numeric_fiber and cluster_fibers
+    on a batch of one."""
     if isinstance(z, ProjPointQ):
         return [(w, m) for w, _, m in fiber(phi, z)]
     log_w, arg_w = numeric_fiber(phi, *_log_polar([complex(z)]))
-    return _clustered(log_w[0], arg_w[0], DEFAULT_CLUSTER_TOL)
+    return cluster_fibers(log_w, arg_w, DEFAULT_CLUSTER_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -166,10 +183,16 @@ def preimages(phi: RationalMapQ, z: Union[ProjPointQ, complex]):
 class TreeLevel:
     points: list  # complex embeddings
     exact_points: list  # ProjPointQ or None, parallel to points
-    weights: list  # Fraction, sums to 1
+    numerators: list  # int: weight k is numerators[k] / denominator
+    denominator: int  # L^level, L from _edge_units
     mult: list  # total preimage multiplicity received
     edges: list  # per node: list of (parent_idx, map_idx, mult)
     tolerance_merges: int
+
+    @property
+    def weights(self) -> list:
+        """The weights as Fractions (read-only; for tests)."""
+        return [Fraction(n, self.denominator) for n in self.numerators]
 
 
 @dataclass
@@ -183,107 +206,158 @@ class MeasureTree:
         return len(self.levels) - 1
 
 
+def _edge_units(system: StochasticSystem) -> tuple:
+    """(L, units): L is the lcm of den(p_i) * deg(phi_i) over the maps, and
+    an edge of multiplicity m under map i carries units[i] * m / L of its
+    parent's weight, which is p_i * m / deg(phi_i)."""
+    lcm = math.lcm(*(p.denominator * phi.d for phi, p in system))
+    return lcm, [p.numerator * (lcm // (p.denominator * phi.d))
+                 for phi, p in system]
+
+
+_INF_KEY = ("inf",)
+_ZERO_KEY = ("zero",)
+_LOG2 = math.log(2.0)
+
+
+def _scaled(*parts):
+    """(parts * 2^-e, e), with 2^e just above the largest |part|: exact
+    unless a far smaller part underflows."""
+    e = math.frexp(max(map(abs, parts)))[1]
+    return [math.ldexp(x, -e) for x in parts], e
+
+
 class _LevelBuilder:
+    """One level of the tree, built edge by edge.  A preimage joins the node
+    of its exact identity, else the earliest node it is _close to whose
+    exact identity does not differ from its own, else it opens a node.
+
+    Nodes are filed under cells of (log|z|, arg z) three times as wide as
+    the largest gap _close accepts, -log(1 - tol) in log|z| and asin(tol)
+    in angle, so the 2 x 2 block of cells nearest a point holds every node
+    _close to it; infinity and 0 have a cell each."""
+
     def __init__(self, tol):
+        if not 0.0 < tol < 1.0:
+            raise ValueError(f"cluster tolerance {tol} is not in (0, 1)")
         self.tol = tol
+        self.log_cell = -3.0 * math.log1p(-tol)
+        self.arg_cells = max(1, int(2.0 * math.pi / (3.0 * math.asin(tol))))
         self.points = []
         self.exact = []
-        self.weights = []
+        self.numerators = []
         self.mult = []
         self.edges = []
         self.by_exact = {}
-        self.buckets = defaultdict(list)
+        self.cells = defaultdict(list)
         self.tolerance_merges = 0
 
-    def _key(self, z):
+    def _cells(self, z):
+        """The cell of z, and the block of cells nearest z: its own and the
+        next one toward its nearer edge, in each coordinate."""
         if not (math.isfinite(z.real) and math.isfinite(z.imag)):
-            return ("inf",)
-        return (round(z.real * 1e8), round(z.imag * 1e8))
+            return _INF_KEY, (_INF_KEY,)
+        if z == 0:
+            return _ZERO_KEY, (_ZERO_KEY,)
+        # scaled first, so that neither a huge nor a subnormal |z| loses
+        # its logarithm
+        (re, im), e = _scaled(z.real, z.imag)
+        x = (math.log(math.hypot(re, im)) + e * _LOG2) / self.log_cell
+        y = math.atan2(im, re) / (2.0 * math.pi) * self.arg_cells
+        r, a = math.floor(x), math.floor(y)
+        r2 = r + 1 if x - r >= 0.5 else r - 1
+        a2 = a + 1 if y - a >= 0.5 else a - 1
+        n = self.arg_cells
+        a, a2 = a % n, a2 % n
+        return (r, a), ((r, a), (r, a2), (r2, a), (r2, a2))
 
     def _close(self, z1, z2):
-        if self._key(z1) == ("inf",) or self._key(z2) == ("inf",):
-            return self._key(z1) == self._key(z2)
         # relative at every scale: an absolute floor would merge distinct
-        # tiny preimages, even of opposite signs
-        return abs(z1 - z2) <= self.tol * max(abs(z1), abs(z2))
+        # tiny preimages, even of opposite signs; both points are scaled by
+        # one power of 2, so no difference or product under- or overflows
+        (a, b, c, d), _ = _scaled(z1.real, z1.imag, z2.real, z2.imag)
+        s1, s2 = complex(a, b), complex(c, d)
+        return abs(s1 - s2) <= self.tol * max(abs(s1), abs(s2))
 
-    def _find_mergeable(self, z, exact):
-        if exact is not None and exact in self.by_exact:
-            return self.by_exact[exact], False
-        kx = self._key(z)
-        if kx == ("inf",):
-            neighborhoods = [kx]
-        else:
-            neighborhoods = [
-                (kx[0] + dx, kx[1] + dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)
-            ]
-        for key in neighborhoods:
-            for j in self.buckets.get(key, ()):
-                if not self._close(z, self.points[j]):
-                    continue
-                other = self.exact[j]
-                if exact is not None and other is not None and exact != other:
-                    continue  # distinct exact identities: refuse the merge
-                if exact is not None and other is None:
-                    # promote the numeric node to the exact identity
-                    self.exact[j] = exact
-                    self.by_exact[exact] = j
-                return j, exact is None or other is None
-        return None, False
-
-    def add(self, z, exact, weight, mult, edge):
-        idx, tolerance_driven = self._find_mergeable(z, exact)
+    def add(self, z, exact, numerator, mult, edge):
+        idx = self.by_exact.get(exact) if exact is not None else None
+        if idx is None:
+            cell, block = self._cells(z)
+            idx = self._find_mergeable(z, exact, block)
         if idx is None:
             idx = len(self.points)
             self.points.append(z)
             self.exact.append(exact)
-            self.weights.append(Fraction(0))
+            self.numerators.append(0)
             self.mult.append(0)
             self.edges.append([])
-            self.buckets[self._key(z)].append(idx)
+            self.cells[cell].append(idx)
             if exact is not None:
                 self.by_exact[exact] = idx
-        elif tolerance_driven:
-            self.tolerance_merges += 1
-        self.weights[idx] += weight
+        self.numerators[idx] += numerator
         self.mult[idx] += mult
         self.edges[idx].append(edge)
 
-    def build(self) -> TreeLevel:
-        assert sum(self.weights) == 1
-        return TreeLevel(self.points, self.exact, self.weights, self.mult,
-                         self.edges, self.tolerance_merges)
+    def _find_mergeable(self, z, exact, block):
+        """The earliest node z may join by tolerance, or None."""
+        # every node in the cell of infinity or of 0 is z itself
+        equal = block[0] is _INF_KEY or block[0] is _ZERO_KEY
+        found = None
+        for cell in block:
+            for j in self.cells.get(cell, ()):
+                if found is not None and j >= found:
+                    break
+                if exact is not None and self.exact[j] is not None:
+                    continue  # distinct exact identities: refuse the merge
+                if equal or self._close(z, self.points[j]):
+                    found = j
+        if found is not None:
+            if exact is not None:
+                # promote the numeric node to the exact identity
+                self.exact[found] = exact
+                self.by_exact[exact] = found
+            self.tolerance_merges += 1
+        return found
+
+    def build(self, denominator) -> TreeLevel:
+        assert sum(self.numerators) == denominator
+        return TreeLevel(self.points, self.exact, self.numerators,
+                         denominator, self.mult, self.edges,
+                         self.tolerance_merges)
 
 
 def backward_tree(system: StochasticSystem, alpha: ProjPointQ, n: int,
                   node_budget: int = DEFAULT_NODE_BUDGET,
                   cluster_tol: float = DEFAULT_CLUSTER_TOL) -> MeasureTree:
-    """Exact level measures down to depth n."""
-    root = TreeLevel([alpha.as_complex()], [alpha], [Fraction(1)], [1], [[]], 0)
+    """Exact level measures down to depth n, each weight an integer over
+    the level's denominator."""
+    lcm, units = _edge_units(system)
+    root = TreeLevel([alpha.as_complex()], [alpha], [1], 1, [1], [[]], 0)
     levels = [root]
     total_nodes = 1
     for _ in range(n):
         cur = levels[-1]
         nxt = _LevelBuilder(cluster_tol)
-        # one kernel call per map over all of the level's numeric nodes;
-        # row[k] is node k's row in its output
-        numeric = [k for k, e in enumerate(cur.exact_points) if e is None]
-        row = {k: r for r, k in enumerate(numeric)}
+        # one kernel call per map over all of the level's numeric nodes,
+        # taken in node order
+        numeric = [z for z, e in zip(cur.points, cur.exact_points)
+                   if e is None]
         if numeric:
-            log_r, theta = _log_polar([cur.points[k] for k in numeric])
-            solved = [numeric_fiber(phi, log_r, theta) for phi in system.maps]
-        for pidx, (exact, w) in enumerate(zip(cur.exact_points, cur.weights)):
-            for midx, (phi, prob) in enumerate(system):
+            log_r, theta = _log_polar(numeric)
+            solved = [iter(cluster_fibers(*numeric_fiber(phi, log_r, theta),
+                                          cluster_tol))
+                      for phi in system.maps]
+        for pidx, (exact, num) in enumerate(zip(cur.exact_points,
+                                                cur.numerators)):
+            for midx, phi in enumerate(system.maps):
                 if exact is None:
-                    log_w, arg_w = solved[midx]
-                    pre = [(wpt, None, m) for wpt, m in _clustered(
-                        log_w[row[pidx]], arg_w[row[pidx]], cluster_tol)]
+                    pre = [(w, None, m) for w, m in next(solved[midx])]
                 else:
                     pre = fiber(phi, exact)
+                unit = num * units[midx]
                 for wpt, wexact, m in pre:
-                    nxt.add(wpt, wexact, w * prob * Fraction(m, phi.d), m,
-                            (pidx, midx, m))
-        level = nxt.build()
+                    nxt.add(wpt, wexact, unit * m, m, (pidx, midx, m))
+        level = nxt.build(cur.denominator * lcm)
         total_nodes += len(level.points)
         if total_nodes > node_budget:
             raise NodeBudgetExceeded(
@@ -296,7 +370,8 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ, n: int,
 def well_distributed_stat(tree: MeasureTree, k: int) -> Fraction:
     """Exact sum of squared atom weights at level k."""
     level = tree.levels[k]
-    return sum((w * w for w in level.weights), Fraction(0))
+    return Fraction(sum(w * w for w in level.numerators),
+                    level.denominator**2)
 
 
 def sup_mass_decay(tree: MeasureTree):
@@ -304,8 +379,8 @@ def sup_mass_decay(tree: MeasureTree):
     if tree.depth < 3:
         raise ValueError("need depth >= 3")
     return [
-        (k, max(tree.levels[3 * k].weights))
-        for k in range(tree.depth // 3 + 1)
+        (k, Fraction(max(level.numerators), level.denominator))
+        for k, level in enumerate(tree.levels[::3])
     ]
 
 
@@ -314,25 +389,17 @@ def sup_mass_certificate(tree: MeasureTree) -> Fraction:
 
     For each node at a level 3k, sum nu * mult / deg over all 3-step
     incoming paths; the maximum over nodes and windows bounds every
-    observed ratio.
+    observed ratio.  The sums are kept as integers over L^3.
     """
-    system = tree.system
-    best = Fraction(0)
+    lcm, units = _edge_units(tree.system)
+    best = 0
     for k3 in range(3, tree.depth + 1, 3):
-        coef = {i: Fraction(1) for i in range(len(tree.levels[k3 - 3].points))}
+        coef = [1] * len(tree.levels[k3 - 3].points)
         for lev in range(k3 - 2, k3 + 1):
-            nxt = defaultdict(Fraction)
-            for node_idx, edges in enumerate(tree.levels[lev].edges):
-                for pidx, midx, m in edges:
-                    if pidx in coef:
-                        nxt[node_idx] += (
-                            coef[pidx]
-                            * system.probs[midx]
-                            * Fraction(m, system.maps[midx].d)
-                        )
-            coef = nxt
-        best = max(best, max(coef.values()))
-    return best
+            coef = [sum(coef[p] * units[i] * m for p, i, m in edges)
+                    for edges in tree.levels[lev].edges]
+        best = max(best, *coef)
+    return Fraction(best, lcm**3)
 
 
 def pushforward(phi: RationalMapQ, measure: DiscreteMeasure) -> DiscreteMeasure:

@@ -60,9 +60,10 @@ def stationary_segment(system: StochasticSystem, p: int) -> StationaryLaw:
 def sample_backward_valuations(system: StochasticSystem, p: int,
                                alpha: ProjPointQ, n: int, samples: int,
                                seed: int) -> np.ndarray:
-    """Level-n backward valuation samples from alpha, with all guards."""
-    if n < 1 or samples < 1:
-        raise ValueError("need n >= 1 and samples >= 1")
+    """Level-n backward valuation samples from alpha, with all guards;
+    level 0 is the atom at v_p(alpha)."""
+    if n < 0 or samples < 1:
+        raise ValueError("need n >= 0 and samples >= 1")
     alpha = normalize_point(alpha.a, alpha.b)
     if is_exceptional_system(system, alpha):
         raise ExceptionalStart(f"{alpha} is exceptional for this system")

@@ -10,6 +10,7 @@ import pytest
 import stochdyn.archpotential
 import stochdyn.cli
 import stochdyn.ifs
+import stochdyn.orbits
 import stochdyn.padicmodel
 from stochdyn.cli import (
     ConfigParseError,
@@ -391,6 +392,41 @@ def test_huge_numeric_points(capsys, monkeypatch):
     rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:5]]
     assert [int(r[0]) for r in rows] == [0, 1, 2, 3]
     assert all(math.isfinite(float(r[4])) for r in rows)
+
+
+# numeric_fiber's residual bound |r|^(k+1) overflows for roots near 1e302
+@pytest.mark.filterwarnings("ignore:overflow encountered in power")
+def test_tree_script_points_near_float_max(capsys, tmp_path, monkeypatch):
+    # z^2/10^300 pulls 10^305 back to +-10^302.5, whose merge cells are
+    # taken from log|z|, not from z * 1e8, which overflows
+    cfg = _big_config(tmp_path, "near_max.json",
+                      [([0, 0, 1], [10**300]), ([1, 0, 1], [0, 1])])
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config", cfg,
+                      str(10**305), "--depth", "2") == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    assert [r[:3] for r in rows[:2]] == [["0", "1", "1"], ["1", "4", "1/4"]]
+    assert rows[2][0] == "2"
+
+
+def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
+    # the scripts end as the CLI does: `error: <type>: ...` on stderr and
+    # the error's exit code, never a traceback
+    missing = str(tmp_path / "missing.json")
+    for script in (TREE_SCRIPT, SCRIPTS / "equidist_report.py",
+                   SCRIPTS / "height_convergence.py"):
+        assert run_script(monkeypatch, script, "--config", missing, "1") == 2
+        assert capsys.readouterr().err.startswith("error: ConfigParseError")
+    # the start 10^400 has no complex embedding
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
+                      str(10**400), "--depth", "1") == 3
+    assert capsys.readouterr().err.startswith("error: OverflowError")
+
+    def fail(*args, **kwargs):
+        raise NodeBudgetExceeded("budget exhausted")
+    monkeypatch.setattr(stochdyn.orbits, "backward_tree", fail)
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
+                      "1") == 3
+    assert capsys.readouterr().err.startswith("error: NodeBudgetExceeded")
 
 
 def test_equidist_report_script_matches_cli(capsys, tmp_path, monkeypatch):

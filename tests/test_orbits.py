@@ -1,19 +1,27 @@
+import cmath
 import io
 import math
+from collections import defaultdict
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 
-from stochdyn.dynsys import make_map, make_system
+from stochdyn.dynsys import fiber, make_map, make_system
 from stochdyn.exactnum import INFINITY, ProjPointQ
 from stochdyn.heights import dirac, make_measure
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
+    DEFAULT_CLUSTER_TOL,
     NodeBudgetExceeded,
+    _LevelBuilder,
+    _log_polar,
     backward_sample,
     backward_tree,
     backward_walk,
+    cluster_fibers,
     numeric_fiber,
     preimages,
     pushforward,
@@ -22,6 +30,8 @@ from stochdyn.orbits import (
     well_distributed_stat,
     write_samples_csv,
 )
+
+from strategies import points, small_maps
 
 ONE = ProjPointQ(1, 1)
 Z2 = make_map([0, 0, 1], [1])
@@ -313,6 +323,32 @@ def test_tree_keeps_tiny_points_apart(general):
     assert sum(level.weights) == 1
 
 
+@settings(max_examples=300, deadline=None)
+@given(st.floats(-745.0, 709.0), st.floats(0.0, 6.3), st.floats(-1.5, 1.5),
+       st.floats(-1.5, 1.5))
+@example(-711.0, 1.0, 0.5, 0.5)  # subnormal parts
+@example(702.0, 3.0, -0.9, 0.0)  # |z| near 1e305
+@example(math.log(1e3), 0.0, 0.0, 100.0)  # 1e-6 apart at |z| = 1e3
+def test_merge_cells_hold_every_close_pair(log_r, theta, dx, dy):
+    # a point about a tolerance from z, relative to |z|, at every scale
+    builder = _LevelBuilder(DEFAULT_CLUSTER_TOL)
+    z = cmath.rect(math.exp(log_r), theta)
+    w = z + abs(z) * DEFAULT_CLUSTER_TOL * complex(dx, dy)
+    if builder._close(z, w):
+        (z_cell, z_block), (w_cell, w_block) = map(builder._cells, (z, w))
+        assert w_cell in z_block and z_cell in w_block
+
+
+def test_tree_merges_relative_at_every_scale():
+    for z in (1e3, 3e302 - 1e290j, 1e-310 + 1e-311j):
+        builder = _LevelBuilder(DEFAULT_CLUSTER_TOL)
+        builder.add(complex(z), None, 1, 1, (0, 0, 1))
+        builder.add(complex(z) * (1 + 5e-9j), None, 2, 1, (0, 1, 1))
+        builder.add(-complex(z), None, 1, 1, (0, 1, 1))
+        level = builder.build(4)
+        assert level.numerators == [3, 1] and level.tolerance_merges == 1
+
+
 def test_csv_export(dyadic):
     batch = backward_sample(dyadic, ONE, 3, 10, seed=0)
     buf = io.StringIO()
@@ -322,3 +358,209 @@ def test_csv_export(dyadic):
     assert len(lines) == 11
     first = lines[1].split(",")
     assert int(first[0]) == 0 and int(first[4]) == 3
+
+
+# ---------------------------------------------------------------------------
+# oracles: the per-edge Fraction tree and the per-fiber root clustering that
+# backward_tree and cluster_fibers replace
+
+
+def _cluster_roots(roots, tol):
+    """Union nearby numeric roots into (representative, count) groups."""
+    groups = []
+    for r in roots:
+        for g in groups:
+            if abs(r - g[0]) <= tol * max(1.0, abs(r), abs(g[0])):
+                g[1] += 1
+                break
+        else:
+            groups.append([r, 1])
+    return [(g[0], g[1]) for g in groups]
+
+
+def _clustered(log_w, arg_w, tol):
+    """(complex, mult) pairs of one numeric fiber: infinity first, then the
+    finite roots clustered within tol."""
+    inf = np.isposinf(log_w)
+    out = [(complex(math.inf, 0.0), int(inf.sum()))] if inf.any() else []
+    finite = np.exp(log_w[~inf]) * np.exp(1j * arg_w[~inf])
+    return out + _cluster_roots(list(finite), tol)
+
+
+class _FractionLevelBuilder:
+    """The per-edge Fraction level builder, except that a point scans every
+    node for the earliest one within tol: its absolute 1e-8 buckets missed
+    pairs within the relative tolerance above |z| = 1 (and overflowed above
+    about 1.8e300), which _LevelBuilder's cells fix."""
+
+    def __init__(self, tol):
+        self.tol = tol
+        self.points, self.exact, self.weights = [], [], []
+        self.mult, self.edges = [], []
+        self.by_exact = {}
+        self.tolerance_merges = 0
+
+    def _close(self, z1, z2):
+        if cmath.isinf(z1) or cmath.isinf(z2):
+            return cmath.isinf(z1) and cmath.isinf(z2)
+        return abs(z1 - z2) <= self.tol * max(abs(z1), abs(z2))
+
+    def _find_mergeable(self, z, exact):
+        if exact is not None and exact in self.by_exact:
+            return self.by_exact[exact], False
+        for j, (w, other) in enumerate(zip(self.points, self.exact)):
+            if exact is not None and other is not None:
+                continue
+            if self._close(z, w):
+                if exact is not None:
+                    self.exact[j] = exact
+                    self.by_exact[exact] = j
+                return j, True
+        return None, False
+
+    def add(self, z, exact, weight, mult, edge):
+        idx, tolerance_driven = self._find_mergeable(z, exact)
+        if idx is None:
+            idx = len(self.points)
+            self.points.append(z)
+            self.exact.append(exact)
+            self.weights.append(Fraction(0))
+            self.mult.append(0)
+            self.edges.append([])
+            if exact is not None:
+                self.by_exact[exact] = idx
+        elif tolerance_driven:
+            self.tolerance_merges += 1
+        self.weights[idx] += weight
+        self.mult[idx] += mult
+        self.edges[idx].append(edge)
+
+
+def fraction_tree(system, alpha, n, tol=DEFAULT_CLUSTER_TOL):
+    """Levels as (points, exact, weights, mult, edges, tolerance_merges),
+    one Fraction per edge and one clustering per node and map."""
+    levels = [([alpha.as_complex()], [alpha], [Fraction(1)], [1], [[]], 0)]
+    for _ in range(n):
+        points, exacts, weights = levels[-1][:3]
+        nxt = _FractionLevelBuilder(tol)
+        for pidx, (z, exact, w) in enumerate(zip(points, exacts, weights)):
+            for midx, (phi, prob) in enumerate(system):
+                if exact is None:
+                    log_w, arg_w = numeric_fiber(phi, *_log_polar([z]))
+                    pre = [(wpt, None, m)
+                           for wpt, m in _clustered(log_w[0], arg_w[0], tol)]
+                else:
+                    pre = fiber(phi, exact)
+                for wpt, wexact, m in pre:
+                    nxt.add(wpt, wexact, w * prob * Fraction(m, phi.d), m,
+                            (pidx, midx, m))
+        assert sum(nxt.weights) == 1
+        levels.append((nxt.points, nxt.exact, nxt.weights, nxt.mult,
+                       nxt.edges, nxt.tolerance_merges))
+    return levels
+
+
+def fraction_certificate(system, levels):
+    best = Fraction(0)
+    for k3 in range(3, len(levels), 3):
+        coef = {i: Fraction(1) for i in range(len(levels[k3 - 3][0]))}
+        for lev in range(k3 - 2, k3 + 1):
+            nxt = defaultdict(Fraction)
+            for node_idx, edges in enumerate(levels[lev][4]):
+                for pidx, midx, m in edges:
+                    if pidx in coef:
+                        nxt[node_idx] += (coef[pidx] * system.probs[midx]
+                                          * Fraction(m, system.maps[midx].d))
+            coef = nxt
+        best = max(best, max(coef.values()))
+    return best
+
+
+_PROBS = {1: [(Fraction(1),)],
+          2: [(Fraction(1, 3), Fraction(2, 3)), (Fraction(1, 5), Fraction(4, 5))],
+          3: [(Fraction(1, 3), Fraction(1, 5), Fraction(7, 15))]}
+
+
+@st.composite
+def tree_cases(draw):
+    maps = draw(st.lists(small_maps().filter(lambda phi: phi.d <= 3),
+                         min_size=1, max_size=3))
+    probs = draw(st.sampled_from(_PROBS[len(maps)]))
+    depth = draw(st.integers(0, 4))
+    assume(sum(phi.d for phi in maps) ** depth <= 1500)
+    return make_system(maps, list(probs)), draw(points()), depth
+
+
+@settings(max_examples=60, deadline=None)
+@given(tree_cases())
+def test_tree_matches_fraction_oracle(case):
+    system, alpha, depth = case
+    tree = backward_tree(system, alpha, depth)
+    oracle = fraction_tree(system, alpha, depth)
+    assert tree.depth == depth
+    for level, (points, exacts, weights, mult, edges, merges) in zip(
+            tree.levels, oracle):
+        assert level.points == points
+        assert level.exact_points == exacts
+        assert level.weights == weights
+        assert sum(level.numerators) == level.denominator
+        assert level.mult == mult
+        assert level.edges == edges
+        assert level.tolerance_merges == merges
+    for k, (_, _, weights, *_) in enumerate(oracle):
+        assert well_distributed_stat(tree, k) == sum(w * w for w in weights)
+    if depth >= 3:
+        assert sup_mass_decay(tree) == [(k, max(oracle[3 * k][2]))
+                                        for k in range(depth // 3 + 1)]
+    assert sup_mass_certificate(tree) == fraction_certificate(system, oracle)
+
+
+def _fiber_rows():
+    """numeric_fiber rows with exact and forced near-double roots and with
+    roots at infinity and 0."""
+    quartic = make_map([4, 0, -4, 0, 1], [1])  # (z^2 - 2)^2
+    pole = make_map([1, 0, 1], [0, 1])  # (z^2 + 1)/z: 0 and inf over inf
+    cubic = make_map([0, 0, 0, 1], [1, 0, 1])  # z^3/(z^2 + 1): inf over inf
+    yield numeric_fiber(quartic, [-math.inf, 0.0, -30.0], [0.0, 1.0, 2.0])
+    yield numeric_fiber(Z2, [-math.inf, math.inf, -1e-9], [0.0, 0.0, 3.0])
+    yield numeric_fiber(pole, [math.inf, 0.0], [0.0, 0.5])
+    yield numeric_fiber(cubic, [math.inf, 5.0, -5.0], [0.0, 0.3, 4.0])
+
+
+def test_cluster_fibers_matches_per_row_clustering():
+    for tol in (DEFAULT_CLUSTER_TOL, 1e-6):
+        for log_w, arg_w in _fiber_rows():
+            got = cluster_fibers(log_w, arg_w, tol)
+            assert got == [_clustered(r, t, tol)
+                           for r, t in zip(log_w, arg_w)]
+    # the eigenvalues of the double roots +-sqrt 2 of (z^2 - 2)^2 over 0
+    # split by about 3e-8 relative, so 1e-6 joins them and 1e-8 does not
+    log_w, arg_w = numeric_fiber(make_map([4, 0, -4, 0, 1], [1]),
+                                 [-math.inf], [0.0])
+    (row,) = cluster_fibers(log_w, arg_w, 1e-6)
+    assert [m for _, m in row] == [2, 2]
+    assert sorted(w.real for w, _ in row) == pytest.approx(
+        [-math.sqrt(2.0), math.sqrt(2.0)])
+    assert len(cluster_fibers(log_w, arg_w, DEFAULT_CLUSTER_TOL)[0]) == 4
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 6.28),
+                          st.integers(0, 9), st.floats(-3e-8, 3e-8)),
+                min_size=2, max_size=6),
+       st.sampled_from([1e-8, 1e-3]))
+def test_cluster_fibers_greedy_rule(roots, tol):
+    # roots that are near copies of earlier ones (about a tolerance apart),
+    # zeros and infinities, in two orders
+    log_w, arg_w = [], []
+    for k, (r, t, pick, shift) in enumerate(roots):
+        if pick >= 8:
+            r, t = (math.inf if pick == 9 else -math.inf), 0.0
+        elif k and pick < 5 and math.isfinite(log_w[pick % k]):
+            r, t = log_w[pick % k] + shift, arg_w[pick % k] - shift
+        log_w.append(r)
+        arg_w.append(t)
+    log_w = np.array([log_w, log_w[::-1]])
+    arg_w = np.array([arg_w, arg_w[::-1]])
+    got = cluster_fibers(log_w, arg_w, tol)
+    assert got == [_clustered(r, t, tol) for r, t in zip(log_w, arg_w)]

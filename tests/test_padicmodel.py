@@ -112,7 +112,16 @@ def test_equidist_guards(dyadic, shifted_quads):
     with pytest.raises(UnsupportedStructure):
         equidist_test_padic(bad, 2, normalize_point(3, 1), 10, 10, 0)
     with pytest.raises(ValueError):
-        equidist_test_padic(dyadic, 2, normalize_point(1, 1), 0, 10, 0)
+        equidist_test_padic(dyadic, 2, normalize_point(1, 1), -1, 10, 0)
+
+
+def test_depth_zero_is_the_start_atom(dyadic):
+    # level 0 is v_p(alpha) itself, as orbits.backward_sample's is alpha
+    for alpha, v in ((normalize_point(12, 1), 2.0), (normalize_point(3, 2), -1.0)):
+        ks, vals, _ = equidist_test_padic(dyadic, 2, alpha, 0, 10, 0)
+        assert vals.tolist() == [v] * 10
+    ks, _, _ = equidist_test_padic(dyadic, 2, normalize_point(1, 1), 0, 10, 0)
+    assert ks == 1.0  # the atom at 0 against the uniform law on [-1, 0]
 
 
 def test_equidist_deterministic(dyadic):
