@@ -21,9 +21,9 @@ CDF fixed-point equation
 determines.  Shifts at a prime stay exact rationals, so fixed points and
 atoms there are exact.
 
-The module also holds the Kolmogorov-Smirnov distances that score samples
-against these laws (hand rolled; scipy is only used as an oracle in the
-test suite) and the CDF CSV writer.
+The module also holds the map sampler of every walk, the Kolmogorov-Smirnov
+distances that score samples against these laws (hand rolled; scipy is only
+an oracle in the test suite) and the CDF CSV writer.
 """
 
 from __future__ import annotations
@@ -66,7 +66,17 @@ class AffineIFS:
         """One backward step of each x[k] through map idx[k], in float64."""
         s, d, inv = self.arrays
         s = s[idx]
-        return np.where(inv[idx], s - x, x - s) / d[idx]
+        return (np.where(inv[idx], s - x, x - s) if any(self.inverted)
+                else x - s) / d[idx]
+
+
+def map_sampler(probs) -> Callable:
+    """draw(rng, shape): i.i.d. indices i with probability probs[i].  It is
+    Generator.choice(len(probs), size=shape, p=probs) without the checks
+    choice repeats per call: the same draws, and rng left in the same state."""
+    cdf = np.array(probs, dtype=float).cumsum()
+    cdf /= cdf[-1]
+    return lambda rng, shape: cdf.searchsorted(rng.random(shape), "right")
 
 
 def affine_ifs(system: StochasticSystem, p: Optional[int] = None

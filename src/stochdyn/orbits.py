@@ -41,7 +41,7 @@ from .exactnum import (
     log_abs_fraction,
 )
 from .heights import DiscreteMeasure, make_measure
-from .ifs import CSV_BLOCK, affine_ifs
+from .ifs import CSV_BLOCK, affine_ifs, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -457,8 +457,8 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     returns the end points as (log_r, theta), theta in [0, 2 pi).
 
     Each step makes one draw for all points: a map index by probability
-    through rng.choice, then u from rng.random, and a point whose map has
-    degree d takes preimage number floor(u d) of its fiber, in which a
+    through ifs.map_sampler, then u from rng.random, and a point whose map
+    has degree d takes preimage number floor(u d) of its fiber, in which a
     preimage of multiplicity m appears m times, so it is drawn with chance
     m/d.  Magnitudes are tracked as logs, so deep walks neither underflow
     nor overflow.  Systems whose maps are all of monomial shape step the
@@ -469,26 +469,32 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     numeric points are solved by numeric_fiber, once per map and step.
     """
     count = len(log_r)
-    probs = np.array([float(p) for p in system.probs])
+    draw = map_sampler(system.probs)
     ifs = affine_ifs(system)
     if ifs is not None:
         arg_a = np.array([0.0 if phi.monomial_profile.coeff > 0 else math.pi
                           for phi in system.maps])
         _, degs, inverted = ifs.arrays
         sign = np.where(inverted, -1.0, 1.0)
+        # sign and shift are exact no-ops, -0 too, for positive uninverted maps
+        turn = bool(np.any(inverted) or np.any(arg_a))
     else:
         degs = np.array([float(phi.d) for phi in system.maps])
         # code c >= 0: the path is still at the exact point exact[c]
         exact = [] if start is None else [start]
         codes = np.full(count, -1 if start is None else 0)
     for _ in range(steps):
-        idx = rng.choice(len(degs), size=count, p=probs)
+        idx = draw(rng, count)
         d = degs[idx]
         j = np.floor(rng.random(count) * d)
         if ifs is not None:
             log_r = ifs.step(log_r, idx)
-            theta = sign[idx] * (theta - arg_a[idx]) / d + 2.0 * np.pi * j / d
-            theta = np.mod(theta, 2.0 * np.pi)
+            if turn:
+                theta = sign[idx] * (theta - arg_a[idx])
+            theta = theta / d + 2.0 * np.pi * j / d
+            # np.mod keeps angles in (0, 2 pi) and turns -0 into +0
+            out = np.flatnonzero((theta <= 0.0) | (theta >= 2.0 * np.pi))
+            theta[out] = np.mod(theta[out], 2.0 * np.pi)
         else:
             log_r, theta, codes = _fiber_step(system, log_r, theta, codes,
                                               exact, idx, j.astype(int))

@@ -29,6 +29,7 @@ from .ifs import (
     StationaryLaw,
     affine_ifs,
     ks_to_law,
+    map_sampler,
     stationary_law,
     write_cdf_csv,
 )
@@ -72,8 +73,9 @@ def sample_backward_valuations(system: StochasticSystem, p: int,
     ifs = _valuation_ifs(system, p)
     v = np.full(samples, float(padic_valuation(alpha.as_fraction(), p)))
     rng = np.random.default_rng(seed)
+    draw = map_sampler(ifs.probs)
     for _ in range(n):
-        v = ifs.step(v, rng.choice(len(ifs.probs), size=samples, p=ifs.probs))
+        v = ifs.step(v, draw(rng, samples))
     return v
 
 

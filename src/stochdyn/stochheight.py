@@ -36,6 +36,7 @@ from .dynsys import (
 )
 from .exactnum import LOG2, ConvergenceFailure, ProjPointQ, padic_valuation
 from .heights import l1_height_control_total, weil_height
+from .ifs import map_sampler
 
 _BATCH = 1 << 14  # lifts advanced together; bounds the kernel's working set
 
@@ -130,16 +131,24 @@ def _apply(phi, lifts: Lifts, floor: float):
     infinity Phi is evaluated scaled by 2^-k (RationalMapQ.hom_eval_float),
     so its term gains k log 2."""
     fx, gy, k = phi.hom_eval_float(*lifts.coords[:2])
-    m = np.maximum(np.abs(fx), np.abs(gy))
-    if np.any(m < math.ldexp(floor, -k)):
+    m = np.abs(fx)
+    np.maximum(m, np.abs(gy), out=m)
+    # fmin skips NaN lifts, as m < floor does, and initial covers no lifts
+    if np.fmin.reduce(m, initial=math.inf) < math.ldexp(floor, -k):
         raise ConvergenceFailure(
             "homogeneous coordinates collapsed below precision floor")
-    term = np.log(m) + k * LOG2
-    # numpy divides a complex by a real as a product with its reciprocal,
-    # so c * (1 / m) is c / m bit for bit on complex lifts, at a third of
-    # the cost; on real lifts the two differ in the last bit
-    inv = 1.0 / m
-    coords = [c * inv if np.iscomplexobj(c) else c / m for c in (fx, gy)]
+    term = np.log(m) + k * LOG2 if k else np.log(m)
+    # numpy divides a complex by a real as a product with its reciprocal
+    # cast to complex, so c * (1 / m) is c / m bit for bit on complex lifts,
+    # at a third of the cost; on real lifts the two differ in the last bit.
+    # Forms of degree >= 2 come back as fresh arrays, scaled here in place.
+    if np.iscomplexobj(fx) and np.iscomplexobj(gy):
+        inv = (1.0 / m).astype(complex)
+        fx *= inv
+        gy *= inv
+    else:
+        fx, gy = fx / m, gy / m
+    coords = [fx, gy]
     for j, (p, modulus, powers) in enumerate(lifts.places):
         f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
         f, g = f % modulus, g % modulus
@@ -156,10 +165,12 @@ def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
     """E sum_{k<=depth} sum_v log|Phi(u_{k-1})|_v / deg gamma_k per lift,
     over all words, walked depth first from shared prefixes.  Siblings merge
     into one batch while it stays under _BATCH lifts, so a single point runs
-    breadth first and many points run one word at a time."""
+    breadth first and many points run one word at a time.  Every lift of an
+    unmerged batch has the same word, so its weight and degree are scalars
+    until a merge spreads them into arrays."""
     npts = len(lifts)
     total = np.zeros(npts)
-    stack = [(lifts, np.arange(npts), np.ones(npts), np.ones(npts), 0)]
+    stack = [(lifts, np.arange(npts), 1.0, 1.0, 0)]
     while stack:
         cur, point, w, deg, k = stack.pop()
         if k == depth:
@@ -168,12 +179,14 @@ def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
         for phi, prob in system:
             nxt, term = _apply(phi, cur, floor)
             cw, cdeg = w * float(prob), deg * phi.d
-            contrib = cw * term / cdeg  # unmerged batches are in point order
-            total += contrib if len(point) == npts else np.bincount(
-                point, contrib, npts)
+            term *= cw
+            term /= cdeg  # unmerged batches are in point order
+            total += term if len(point) == npts else np.bincount(
+                point, term, npts)
             children.append((nxt, point, cw, cdeg, k + 1))
         if len(point) * len(children) <= _BATCH:
             parts, points, ws, degs, _ = zip(*children)
+            ws, degs = (np.broadcast_arrays(point, *v)[1:] for v in (ws, degs))
             children = [(Lifts.concat(parts), np.concatenate(points),
                          np.concatenate(ws), np.concatenate(degs), k + 1)]
         stack.extend(children)
@@ -184,11 +197,10 @@ def word_source(system: StochasticSystem, depth: int,
                 rng: np.random.Generator):
     """Rows lo..hi-1 of a samples x depth matrix of i.i.d. map indices, as
     a function (lo, hi) -> rows that draws them from rng when called.
-    rng.choice takes one uniform per entry in row-major order, so rows
+    ifs.map_sampler takes one uniform per entry in row-major order, so rows
     drawn chunk after chunk equal one draw of the whole matrix."""
-    probs = np.array([float(p) for p in system.probs])
-    return lambda lo, hi: rng.choice(len(system.maps), size=(hi - lo, depth),
-                                     p=probs)
+    draw = map_sampler(system.probs)
+    return lambda lo, hi: draw(rng, (hi - lo, depth))
 
 
 def escape_sum_mc(system: StochasticSystem, lifts: Lifts, samples: int,

@@ -34,3 +34,11 @@ def general():
     return make_system(
         [make_map([-1, 0, 1], [1]), make_map([1, 0, 0, 1], [0, 2])],
         [Fraction(1, 2), Fraction(1, 2)])
+
+
+@pytest.fixture(scope="session")
+def signed():
+    """{-z^2 (1/2), 1/(2z^2) (1/2)}: monomial shaped, with a negative
+    coefficient and an inverted map."""
+    return make_system([make_map([0, 0, -1], [1]), make_map([1], [0, 0, 2])],
+                       [Fraction(1, 2), Fraction(1, 2)])

@@ -229,6 +229,25 @@ def test_equidist_byte_identical(capsys, example_config):
     assert record["ks_radial"] <= 0.05
 
 
+def test_repeated_commands_identical(capsys, tmp_path):
+    # state left behind by one call, such as a cached sampler, would show
+    # as a second run that differs from the first
+    orbit, padic = str(tmp_path / "orbit.csv"), str(tmp_path / "p2.csv")
+    commands = [("radii",), ("orbit-sample", "1", "--out", orbit),
+                ("equidist", "1", "--place", "2", "--out", padic)]
+
+    def run_all():
+        outs = []
+        for name, *rest in commands:
+            code, out, _ = run_cli(capsys, name, "--config", str(REPO_CONFIG),
+                                   *rest)
+            assert code == 0
+            outs.append(out)
+        return outs + [pathlib.Path(p).read_bytes() for p in (orbit, padic)]
+
+    assert run_all() == run_all()
+
+
 def test_orbit_sample_csv(capsys, tmp_path, example_config):
     out_csv = tmp_path / "orbit.csv"
     code, out, _ = run_cli(capsys, "orbit-sample", "--config", example_config,

@@ -13,7 +13,13 @@ from stochdyn.exactnum import (
     padic_valuation,
     point_from_rational,
 )
-from stochdyn.ifs import StationaryLaw, affine_ifs, ks_to_law, stationary_law
+from stochdyn.ifs import (
+    StationaryLaw,
+    affine_ifs,
+    ks_to_law,
+    map_sampler,
+    stationary_law,
+)
 from stochdyn.orbits import backward_sample
 from stochdyn.padicmodel import sample_backward_valuations
 
@@ -46,6 +52,55 @@ def test_step_undoes_each_map(maps, z, p):
         scale = max(1.0, abs(x), abs(at_inf.shifts[i]))
         assert back == pytest.approx(log_abs_fraction(z), rel=0,
                                      abs=1e-12 * scale)
+
+
+def full_step(ifs, x, idx):
+    """AffineIFS.step with np.where on every call, kept as its oracle."""
+    s, d, inv = ifs.arrays
+    s = s[idx]
+    return np.where(inv[idx], s - x, x - s) / d[idx]
+
+
+def test_step_matches_full_rule(dyadic, signed):
+    rng = np.random.default_rng(4)
+    x = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324],
+                        rng.normal(size=500) * 1e3])
+    for system in (dyadic, signed):
+        for p in (None, 2, 3):
+            ifs = affine_ifs(system, p)
+            for i in range(len(system.maps)):
+                idx = np.full(len(x), i)
+                assert ifs.step(x, idx).tobytes() == full_step(ifs, x,
+                                                               idx).tobytes()
+            idx = rng.integers(0, len(system.maps), len(x))
+            assert ifs.step(x, idx).tobytes() == full_step(ifs, x,
+                                                           idx).tobytes()
+
+
+@pytest.mark.parametrize("p", [(1 / 2, 1 / 2), (1 / 3, 2 / 3),
+                               (1 / 10, 2 / 10, 3 / 10, 4 / 10)])
+@pytest.mark.parametrize("shape", [(1000,), (40, 25)])
+def test_map_sampler_is_choice(p, shape):
+    draw = map_sampler(p)
+    got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
+    for _ in range(3):
+        got = draw(got_rng, shape if len(shape) > 1 else shape[0])
+        want = want_rng.choice(len(p), size=shape, p=p)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert np.array_equal(got, want)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+    # a uniform on a boundary of the cumulative sums takes the next index
+    class Edges:
+        def random(self, shape):
+            return np.concatenate([[0.0], np.cumsum(p)[:-1]])
+
+    assert draw(Edges(), None).tolist() == list(range(len(p)))
+    # Fractions, as a system holds them, give the same draws as floats
+    fractions = [Fraction(x).limit_denominator(10) for x in p]
+    assert np.array_equal(map_sampler(fractions)(np.random.default_rng(1),
+                                                 shape),
+                          np.random.default_rng(1).choice(len(p), size=shape,
+                                                          p=p))
 
 
 def test_affine_ifs_dyadic_at_two(dyadic):

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stochdyn.dynsys import fiber, make_map, make_system
 from stochdyn.exactnum import INFINITY, ProjPointQ
 from stochdyn.heights import dirac, make_measure
+from stochdyn.ifs import affine_ifs
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
     DEFAULT_CLUSTER_TOL,
@@ -306,6 +307,55 @@ def test_walker_angles_in_range(dyadic, mixed):
                       canonical_sample(system, 6, 2000, 4)):
             assert np.all((batch.angle >= 0.0) & (batch.angle < 2.0 * np.pi))
             assert batch.angle.min() < 1.0 and batch.angle.max() > 5.0
+
+
+def choice_walk(system, log_r, theta, steps, rng):
+    """The monomial branch of backward_walk without its skipped no-ops,
+    kept as its oracle: rng.choice draws the maps, every step applies the
+    sign and the shift by arg a and takes np.mod of every angle, and the
+    radius steps through AffineIFS.step's np.where."""
+    probs = np.array([float(p) for p in system.probs])
+    shifts, degs, inverted = affine_ifs(system).arrays
+    arg_a = np.array([0.0 if phi.monomial_profile.coeff > 0 else math.pi
+                      for phi in system.maps])
+    sign = np.where(inverted, -1.0, 1.0)
+    for _ in range(steps):
+        idx = rng.choice(len(degs), size=len(log_r), p=probs)
+        d = degs[idx]
+        j = np.floor(rng.random(len(log_r)) * d)
+        s = shifts[idx]
+        log_r = np.where(inverted[idx], s - log_r, log_r - s) / d
+        theta = sign[idx] * (theta - arg_a[idx]) / d + 2.0 * np.pi * j / d
+        theta = np.mod(theta, 2.0 * np.pi)
+    return log_r, theta
+
+
+@pytest.mark.parametrize("steps", [1, 12])
+def test_ifs_walk_matches_choice_walk(dyadic, signed, steps):
+    # bytes, so signs of zeros count; starts at 0, -0, pi and infinities,
+    # then uniform angles as canonical_sample draws them.  The last two
+    # systems have only a negative coefficient, or only an inverted map.
+    half = [Fraction(1, 2)] * 2
+    negative = make_system([make_map([0, 0, -1], [1]), TWO_Z2], half)
+    inverted = make_system([Z2, make_map([1], [0, 0, 2])], half)
+    rng = np.random.default_rng(17)
+    log_r0 = np.concatenate([[0.0, -0.0, 0.0, math.inf, -math.inf, 3.5],
+                             rng.normal(size=2000)])
+    theta0 = np.concatenate([[0.0, -0.0, math.pi, 0.0, math.pi, 1e-300],
+                             rng.uniform(0.0, 2.0 * np.pi, 2000)])
+    for system in (dyadic, signed, negative, inverted):
+        for start in ((log_r0, theta0), (np.zeros(3000), np.full(3000, np.pi))):
+            kept = [a.copy() for a in start]
+            got_rng, want_rng = (np.random.default_rng(5) for _ in range(2))
+            got = backward_walk(system, *start, None, steps, got_rng)
+            want = choice_walk(system, *start, steps, want_rng)
+            for g, w in zip(got, want):
+                assert g.tobytes() == w.tobytes()
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(start, kept))
+            if system is signed and start[0] is not log_r0:
+                # -z^2 sends the angle pi to exactly 0 when j = 0
+                assert np.any(want[1] == 0.0)
 
 
 def test_tree_keeps_tiny_points_apart(general):

@@ -16,11 +16,12 @@ from stochdyn.dynsys import (
     stochastic_degree,
     words,
 )
-from stochdyn.exactnum import INFINITY, ProjPointQ
+from stochdyn.exactnum import LOG2, INFINITY, ConvergenceFailure, ProjPointQ
 from stochdyn.heights import l1_height_control_total, weil_height
 from stochdyn.stochheight import (
     Lifts,
     _apply,
+    _point_lifts,
     escape_sum_exact,
     escape_sum_mc,
     scaling_residual,
@@ -288,6 +289,116 @@ def test_renormalization_is_division(dyadic, general):
             assert nxt.coords[0].dtype == fx.dtype
             assert np.array_equal(bits(nxt.coords[0]), bits(fx / m))
             assert np.array_equal(bits(nxt.coords[1]), bits(gy / m))
+
+
+def full_apply(phi, lifts, floor):
+    """_apply with array-wide temporaries and tests, kept as its oracle."""
+    fx, gy, k = phi.hom_eval_float(*lifts.coords[:2])
+    m = np.maximum(np.abs(fx), np.abs(gy))
+    if np.any(m < math.ldexp(floor, -k)):
+        raise ConvergenceFailure("collapsed")
+    term = np.log(m) + k * LOG2
+    inv = 1.0 / m
+    coords = [c * inv if np.iscomplexobj(c) else c / m for c in (fx, gy)]
+    for j, (p, modulus, powers) in enumerate(lifts.places):
+        f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
+        f, g = f % modulus, g % modulus
+        e = np.zeros(len(f), dtype=int)
+        for q in powers[1:]:
+            e += (f % q == 0) & (g % q == 0)
+        term = term - e * math.log(p)
+        coords += [f // powers[e], g // powers[e]]
+    return Lifts(tuple(coords), lifts.places), term
+
+
+def full_escape_sum_exact(system, lifts, depth, floor=0.0):
+    """escape_sum_exact with a weight and a degree per lift in every batch,
+    kept as its oracle."""
+    npts = len(lifts)
+    total = np.zeros(npts)
+    stack = [(lifts, np.arange(npts), np.ones(npts), np.ones(npts), 0)]
+    while stack:
+        cur, point, w, deg, k = stack.pop()
+        if k == depth:
+            continue
+        children = []
+        for phi, prob in system:
+            nxt, term = full_apply(phi, cur, floor)
+            cw, cdeg = w * float(prob), deg * phi.d
+            contrib = cw * term / cdeg
+            total += contrib if len(point) == npts else np.bincount(
+                point, contrib, npts)
+            children.append((nxt, point, cw, cdeg, k + 1))
+        if len(point) * len(children) <= 1 << 14:
+            parts, points, ws, degs, _ = zip(*children)
+            children = [(Lifts.concat(parts), np.concatenate(points),
+                         np.concatenate(ws), np.concatenate(degs), k + 1)]
+        stack.extend(children)
+    return total
+
+
+def complex_lifts(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=n) * np.exp(rng.normal(size=n) * 3.0) \
+        + 1j * rng.normal(size=n)
+    z[:3] = (0.0, 1.0, -1.0)
+    scale = np.maximum(np.abs(z), 1.0)
+    return Lifts((z / scale, 1.0 / scale + 0j))
+
+
+def test_escape_step_matches_full_rule(dyadic, signed, general):
+    # 8193 complex lifts never merge; 40 lifts and a rational point with its
+    # bad primes do, the point with p-adic places too
+    for system in (dyadic, signed, general):
+        for lifts, depth in ((complex_lifts(8193, 1), 3),
+                             (complex_lifts(40, 2), 7),
+                             (_point_lifts(system, [ProjPointQ(3, 2)], 9), 9)):
+            for phi in system.maps:
+                got, want = _apply(phi, lifts, 0.0), full_apply(phi, lifts,
+                                                                0.0)
+                assert got[1].tobytes() == want[1].tobytes()
+                for g, w in zip(got[0].coords, want[0].coords):
+                    assert g.dtype == w.dtype
+                    assert (g.tolist() == w.tolist() if g.dtype == object
+                            else g.tobytes() == w.tobytes())
+            got = escape_sum_exact(system, lifts, depth, 1e-12)
+            want = full_escape_sum_exact(system, lifts, depth, 1e-12)
+            assert got.tobytes() == want.tobytes()
+        assert _point_lifts(system, [ONE], 1).places  # a bad prime
+    # past 2^960 the forms are scaled by 2^-k and the term gains k log 2
+    huge = make_system([make_map([0, 0, 1], [1]),
+                        make_map([0, 0, 2**1000 + 1], [1])],
+                       [Fraction(1, 2), Fraction(1, 2)])
+    assert huge.maps[1].float_forms[2] > 0
+    lifts = complex_lifts(300, 3)
+    assert (escape_sum_exact(huge, lifts, 4).tobytes()
+            == full_escape_sum_exact(huge, lifts, 4).tobytes())
+
+
+def test_apply_collapse_checks(dyadic):
+    phi, floor = dyadic.maps[0], 1e-12
+    # (0, 0) collapses; a NaN lift beside it must not hide it
+    for x in ([1.0, 0.0, math.nan], [math.nan, 0.0, 1.0]):
+        lifts = Lifts((np.array(x, dtype=complex),
+                       np.array([0.0, 0.0, 1.0], dtype=complex)))
+        with pytest.raises(ConvergenceFailure):
+            _apply(phi, lifts, floor)
+    # NaN alone is not a collapse, as the comparison m < floor has it
+    nan = Lifts((np.array([math.nan, 1.0], dtype=complex),
+                 np.array([1.0, 0.0], dtype=complex)))
+    assert np.isnan(_apply(phi, nan, floor)[1][0])
+    # escape_sum_mc hands a map that no path of a chunk drew an empty batch
+    empty = Lifts((np.empty(0, dtype=complex), np.empty(0, dtype=complex)))
+    nxt, term = _apply(phi, empty, floor)
+    assert len(nxt) == 0 and len(term) == 0
+    lifts = complex_lifts(50, 3)
+    mean, stderr = escape_sum_mc(dyadic, lifts, 4,
+                                 lambda lo, hi: np.zeros((hi - lo, 6), int),
+                                 floor)
+    z2 = make_system([dyadic.maps[0]], [Fraction(1)])
+    assert mean == pytest.approx(escape_sum_exact(z2, lifts, 6, floor),
+                                 rel=1e-12, abs=1e-15)
+    assert np.all(stderr == 0.0)
 
 
 @pytest.mark.parametrize("probs", [(Fraction(1, 2), Fraction(1, 2)),
