@@ -17,7 +17,7 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from stochdyn.archpotential import equidist_test_arch, write_radial_cdf_csv
+from stochdyn.archpotential import equidist, write_equidist_csv
 from stochdyn.cli import (
     build_system,
     exit_code_of,
@@ -25,7 +25,7 @@ from stochdyn.cli import (
     load_config,
     parse_alpha,
 )
-from stochdyn.padicmodel import equidist_test_padic, write_valuation_cdf_csv
+from stochdyn.heights import ARCH, PlaceQ
 
 
 def main():
@@ -46,30 +46,27 @@ def main():
     seed = args.seed if args.seed is not None else cfg.seed
     gcfg = green_config(cfg, None)
 
+    places = [ARCH] + [PlaceQ(p) for p in args.primes]
     header = f"{'depth':>6} {'ks_radial':>10} {'ks_angular':>11} {'residual':>10}"
     for p in args.primes:
         header += f" {'ks@' + str(p):>8}"
     print(header)
     for depth in args.depths:
-        res = equidist_test_arch(system, alpha, depth, samples, seed, gcfg)
-        row = (f"{depth:>6} {res.ks_radial:>10.4f} {res.ks_angular:>11.4f} "
-               f"{res.potential_residual:>10.4f}")
-        valuations = {}
-        for p in args.primes:
-            ks, vals, law = equidist_test_padic(system, p, alpha, depth,
-                                                samples, seed)
-            valuations[p] = (vals, law)
-            row += f" {ks:>8.4f}"
+        results = [equidist(system, place, alpha, depth, samples, seed, gcfg)
+                   for place in places]
+        arch = results[0].scores
+        row = (f"{depth:>6} {arch['ks_radial']:>10.4f} "
+               f"{arch['ks_angular']:>11.4f} {arch['potential_residual']:>10.4f}")
+        for res in results[1:]:
+            row += f" {res.scores['ks']:>8.4f}"
         print(row)
         if args.out_dir:
             os.makedirs(args.out_dir, exist_ok=True)
-            path = os.path.join(args.out_dir, f"radial_depth{depth}.csv")
-            with open(path, "w") as fh:
-                write_radial_cdf_csv(res.batch, res.law, fh)
-            for p, (vals, ref) in valuations.items():
-                path = os.path.join(args.out_dir, f"val{p}_depth{depth}.csv")
+            for res in results:
+                name = "radial" if res.place.is_arch else f"val{res.place.p}"
+                path = os.path.join(args.out_dir, f"{name}_depth{depth}.csv")
                 with open(path, "w") as fh:
-                    write_valuation_cdf_csv(vals, ref, fh)
+                    write_equidist_csv(res, fh)
     if args.out_dir:
         print(f"CDF CSVs written to {args.out_dir}")
     return 0

@@ -35,20 +35,19 @@ from typing import Callable, Optional
 import numpy as np
 
 from .dynsys import (
+    eval_map,
     is_exceptional_system,
     make_map,
     make_system,
-    word_ramification,
-    words,
+    ramification_index,
 )
 from .exactnum import INFINITY, normalize_point
 from .heights import (
     ARCH,
-    dirac,
+    PlaceQ,
     make_measure,
     measure_height_exact,
     mix,
-    prime_place,
     product_formula_sum,
     standard_energy_defect,
 )
@@ -101,8 +100,8 @@ def _c02_angular_uniformity(ctx):
 
 
 def _c03_dyadic_segment_law(ctx):
-    vals = sample_backward_valuations(ctx["system"], 2, normalize_point(1, 1),
-                                      30, 100000, SEED)
+    vals = sample_backward_valuations(ctx["system"], PlaceQ(2),
+                                      normalize_point(1, 1), 30, 100000, SEED)
     ks = ks_one_sample(vals, lambda v: np.clip(v + 1.0, 0.0, 1.0))
     return ks <= 0.02, f"ks_valuation={ks:.4f} (<=0.02) vs uniform[-1,0]"
 
@@ -184,7 +183,7 @@ def _c07_height_linearity(ctx):
 
 def _c08_pairing_lower_bounds(ctx):
     rng = np.random.default_rng(SEED + 2)
-    places = [ARCH, prime_place(2), prime_place(3), prime_place(5)]
+    places = [ARCH, PlaceQ(2), PlaceQ(3), PlaceQ(5)]
     worst_fin, worst_arch = math.inf, math.inf
     ok = True
     for i in range(1000):
@@ -215,7 +214,10 @@ def _c09_exceptional_points(ctx):
     shift_sq = make_map([1, 0, 1], [1])
     pair = make_system([inv_sq, shift_sq], [Fraction(1, 2), Fraction(1, 2)])
     not_exc = not is_exceptional_system(pair, INFINITY)
-    rams = [word_ramification(pair, w.indices, INFINITY) for w in words(pair, 2)]
+    # ramification of the depth-2 words f then g at infinity
+    rams = [ramification_index(f, INFINITY)
+            * ramification_index(g, eval_map(f, INFINITY))
+            for f in (inv_sq, shift_sq) for g in (inv_sq, shift_sq)]
     fully_ramified = all(r == 4 for r in rams)
     ok = ok and not_exc and fully_ramified
     return ok, (f"E_S={{{', '.join(str(p) for p in exc)}}}, "

@@ -1,4 +1,4 @@
-"""Archimedean Green's function, potentials, and equidistribution checks.
+"""Archimedean Green's function and potentials; equidistribution at every place.
 
 The dynamical Green's function of a stochastic system is computed as a
 renormalized escape rate.  Write gamma_k for the random composition of
@@ -38,6 +38,7 @@ import numpy as np
 
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, normalize_point
+from .heights import PlaceQ
 from .ifs import (
     StationaryLaw,
     affine_ifs,
@@ -48,6 +49,7 @@ from .ifs import (
     write_cdf_csv,
 )
 from .orbits import OrbitSampleBatch, backward_sample, backward_walk
+from .padicmodel import sample_backward_valuations
 from .stochheight import (
     Lifts,
     escape_sum_exact,
@@ -162,37 +164,41 @@ def _residual_probes() -> np.ndarray:
     return np.array(pts)
 
 
-@dataclass(frozen=True)
-class ArchEquidistResult:
-    ks_radial: float
-    ks_angular: float
-    potential_residual: float
-    reference: str  # "atom", "stationary-cdf", or "sampled"
-    batch: OrbitSampleBatch = field(repr=False, compare=False)
-    law: Optional[StationaryLaw] = field(repr=False, compare=False)
+@dataclass(frozen=True, eq=False)
+class EquidistResult:
+    """What equidist scored at one place: the JSON fields (ks_radial,
+    ks_angular, potential_residual and reference at infinity; ks at a
+    prime), the scored values (log|z| at infinity, v_p(z) at p) and the
+    stationary law they were scored against (None when sampled)."""
 
-    def as_dict(self) -> dict:
-        return {
-            "ks_radial": self.ks_radial,
-            "ks_angular": self.ks_angular,
-            "potential_residual": self.potential_residual,
-            "reference": self.reference,
-        }
+    place: PlaceQ
+    scores: dict
+    values: np.ndarray = field(repr=False)
+    law: Optional[StationaryLaw] = field(repr=False)
 
 
-def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
-                       samples: int, seed: int,
-                       cfg: Optional[GreenConfig] = None) -> ArchEquidistResult:
+def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
+             n: int, samples: int, seed: int,
+             cfg: Optional[GreenConfig] = None) -> EquidistResult:
     """Compare the level-n backward measure from alpha with the canonical
-    measure: KS distance in radius and angle plus a logarithmic-potential
-    residual over a fixed probe set.  The result keeps the backward batch
-    and the stationary radial law (None when sampled) it scored.
+    measure at the place.
 
-    Monomial-shaped systems are scored against the closed-form stationary
-    radial law; others fall back to a 4x-size canonically sampled
-    reference, whose KS statistic carries roughly double the noise floor
-    (callers should double their thresholds on that path).
+    At a prime p the backward valuations (`padicmodel`) are scored against
+    the stationary law of the IFS at p by `ifs.ks_to_law`.  At infinity the
+    score is the KS distance in radius and angle plus a
+    logarithmic-potential residual over a fixed probe set, with g_S to the
+    accuracy cfg sets.  Monomial-shaped systems are scored there against
+    the closed-form stationary radial law; others fall back to a 4x-size
+    canonically sampled reference, whose KS statistic carries roughly
+    double the noise floor (callers should double their thresholds on that
+    path).
     """
+    if not place.is_arch:
+        vals = sample_backward_valuations(system, place, alpha, n, samples,
+                                          seed)
+        law = stationary_law(affine_ifs(system, place))
+        return EquidistResult(place, {"ks": ks_to_law(vals, law, n)}, vals,
+                              law)
     alpha = normalize_point(alpha.a, alpha.b)
     if is_exceptional_system(system, alpha):
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
@@ -223,7 +229,9 @@ def equidist_test_arch(system: StochasticSystem, alpha: ProjPointQ, n: int,
     g = gS_eval_many(system, probes, cfg)
     pot = g + np.maximum(np.log(np.maximum(np.abs(probes), 1e-300)), 0.0)
     residual = float(np.max(np.abs(emp - pot)))
-    return ArchEquidistResult(ks_rad, ks_ang, residual, refname, batch, law)
+    scores = {"ks_radial": ks_rad, "ks_angular": ks_ang,
+              "potential_residual": residual, "reference": refname}
+    return EquidistResult(place, scores, batch.log_abs, law)
 
 
 def pullback_invariance_residual(system: StochasticSystem, n: int,
@@ -294,11 +302,11 @@ def radii(system: StochasticSystem, cfg: Optional[GreenConfig] = None,
 # ---------------------------------------------------------------------------
 # CSV emission
 
-def write_radial_cdf_csv(batch: OrbitSampleBatch,
-                         reference: Optional[StationaryLaw], fileobj) -> None:
-    """Rows (r, empirical CDF, reference CDF) at the sorted sample radii.
-
-    The reference column uses the stationary radial law (the `law` of
-    equidist_test_arch) when there is one and is left blank otherwise.
-    """
-    write_cdf_csv(batch.log_abs, reference, "r", fileobj, math.exp)
+def write_equidist_csv(result: EquidistResult, fileobj) -> None:
+    """Rows (r, empirical CDF, reference CDF) at the sorted sample radii at
+    infinity, (v, ...) at the sorted valuations at a prime; the reference
+    column is blank when the result has no stationary law."""
+    if result.place.is_arch:
+        write_cdf_csv(result.values, result.law, "r", fileobj, math.exp)
+    else:
+        write_cdf_csv(result.values, result.law, "v", fileobj)

@@ -28,11 +28,11 @@ import numpy as np
 from . import __version__
 from .archpotential import (
     GreenConfig,
-    equidist_test_arch,
+    equidist,
     gS_eval,
     radii,
     rho_self_energy,
-    write_radial_cdf_csv,
+    write_equidist_csv,
 )
 from .dynsys import (
     ExceptionalStart,
@@ -51,9 +51,8 @@ from .exactnum import (
     log_abs_fraction,
     parse_point,
 )
-from .heights import l1_height_control_total, weil_height
+from .heights import PlaceQ, l1_height_control_total, weil_height
 from .orbits import backward_sample, write_samples_csv
-from .padicmodel import equidist_test_padic, write_valuation_cdf_csv
 from .stochheight import stoch_height, tail_budget
 
 
@@ -245,26 +244,14 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
     alpha = parse_alpha(args.alpha)
     depth = args.depth if args.depth is not None else cfg.depth
     samples = args.samples if args.samples is not None else cfg.samples
-    if args.place == "arch":
-        res = equidist_test_arch(system, alpha, depth, samples, args.seed,
-                                 green_config(cfg, None))
-        payload = {"place": "arch", "alpha": _format_point(alpha),
-                   "depth": depth, "samples": samples}
-        payload.update(res.as_dict())
-        if args.out:
-            with open(args.out, "w") as fh:
-                write_radial_cdf_csv(res.batch, res.law, fh)
-            payload["csv"] = args.out
-    else:
-        p = int(args.place)
-        ks, vals, law = equidist_test_padic(system, p, alpha, depth,
-                                            samples, args.seed)
-        payload = {"place": p, "alpha": _format_point(alpha), "depth": depth,
-                   "samples": samples, "ks": ks}
-        if args.out:
-            with open(args.out, "w") as fh:
-                write_valuation_cdf_csv(vals, law, fh)
-            payload["csv"] = args.out
+    res = equidist(system, args.place, alpha, depth, samples, args.seed,
+                   green_config(cfg, None))
+    payload = {"place": res.place.as_json(), "alpha": _format_point(alpha),
+               "depth": depth, "samples": samples, **res.scores}
+    if args.out:
+        with open(args.out, "w") as fh:
+            write_equidist_csv(res, fh)
+        payload["csv"] = args.out
     _emit(payload, cfg, args.seed, out)
     return 0
 
@@ -377,12 +364,13 @@ def _run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is None:
         args.seed = cfg.seed
-    if args.command == "equidist" and args.place != "arch":
+    if args.command == "equidist":
         try:
-            int(args.place)
+            p = None if args.place == "arch" else int(args.place)
         except ValueError:
             raise ConfigParseError(
                 f"--place must be 'arch' or a prime, got {args.place!r}")
+        args.place = PlaceQ(p)  # ValueError unless p is None or a prime
     return _COMMANDS[args.command](cfg, args, sys.stdout)
 
 

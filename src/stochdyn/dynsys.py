@@ -3,8 +3,7 @@
 A map is stored as a pair of homogeneous integer forms (F, G) of common
 degree d >= 2 with nonzero resultant.  A stochastic system is a finite
 list of such maps together with strictly positive rational weights that
-sum to one.  Words are finite compositions drawn from the system; their
-weights and their degrees multiply.
+sum to one.
 
 The fiber of a rational point, its preimages with multiplicities, comes
 from one exact factorization over Q of the fiber form (see fiber); the
@@ -23,14 +22,11 @@ distinct images (their common fiber would hold 2d preimages), so each map
 permutes a closure on which it is totally ramified, every point of the
 closure is the whole fiber of its image, and the closure is the grand
 orbit.  Such a closure has at most two points, so the walk stops at a
-third.  The weighted depth-3 ratio sigma3 equals 1 at the same points and
-serves as the oracle of the tests; depth 2 would not suffice, as the pair
-{1/z^2, z^2 + 1} at infinity shows.
+third.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -313,66 +309,12 @@ def make_system(maps: Sequence, probs: Sequence) -> StochasticSystem:
     return StochasticSystem(maps, probs)
 
 
-class Word(NamedTuple):
-    indices: tuple
-    weight: Fraction
-    degree: int
-
-
-def words(system: StochasticSystem, n: int, word_cap: int = WORD_CAP_DEFAULT):
-    """Yield all length-n words with their weights and degrees."""
-    total = len(system.maps) ** n
-    if total > word_cap:
-        raise WordCapExceeded(f"{total} words of length {n} exceeds cap {word_cap}")
-    for idx in itertools.product(range(len(system.maps)), repeat=n):
-        weight = Fraction(1)
-        degree = 1
-        for i in idx:
-            weight *= system.probs[i]
-            degree *= system.maps[i].d
-        yield Word(idx, weight, degree)
-
-
-def word_ramification(system: StochasticSystem, indices, point: ProjPointQ) -> int:
-    """e_P of the composition given by indices (applied left to right)."""
-    return _word_ram_cached(system, indices, point, {})
-
-
-def _word_ram_cached(system, indices, point, cache):
-    # cache: (map index, point) -> (ramification index, image), across words
-    e = 1
-    cur = point
-    for i in indices:
-        if (i, cur) not in cache:
-            phi = system.maps[i]
-            cache[i, cur] = (ramification_index(phi, cur), eval_map(phi, cur))
-        step, cur = cache[i, cur]
-        e *= step
-    return e
-
-
 def stochastic_degree(system: StochasticSystem) -> Fraction:
     """Probability-harmonic mean of the map degrees, exact and >= 2."""
     inv = sum(p / phi.d for phi, p in system)
     delta = 1 / inv
     assert delta >= 2
     return delta
-
-
-def sigma3(system: StochasticSystem, point: ProjPointQ,
-           word_cap: int = WORD_CAP_DEFAULT) -> Fraction:
-    """Weighted depth-3 ramification ratio, exact in (0, 1].
-
-    Equals 1 precisely when the point passes is_exceptional_system; the
-    tests use it as that test's depth-3 oracle.
-    """
-    cache = {}
-    acc = Fraction(0)
-    for w in words(system, 3, word_cap):
-        e = _word_ram_cached(system, w.indices, point, cache)
-        acc += w.weight * Fraction(e, w.degree)
-    assert 0 < acc <= 1
-    return acc
 
 
 def is_exceptional_system(system: StochasticSystem, point: ProjPointQ) -> bool:

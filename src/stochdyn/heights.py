@@ -20,6 +20,8 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
+import sympy
+
 from .dynsys import RationalMapQ, StochasticSystem, _form_mul, bad_primes
 from .exactnum import (
     LOG2,
@@ -51,25 +53,22 @@ class PlaceQ:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None:
-            import sympy
-
-            if not sympy.isprime(self.p):
-                raise ValueError(f"{self.p} is not prime")
+        if self.p is not None and not sympy.isprime(self.p):
+            raise ValueError(f"{self.p} is not prime")
 
     @property
     def is_arch(self) -> bool:
         return self.p is None
+
+    def as_json(self):
+        """The place in a JSON record: "arch", or the int p."""
+        return "arch" if self.is_arch else self.p
 
     def __str__(self) -> str:
         return "Arch" if self.is_arch else f"p={self.p}"
 
 
 ARCH = PlaceQ(None)
-
-
-def prime_place(p: int) -> PlaceQ:
-    return PlaceQ(p)
 
 
 # ---------------------------------------------------------------------------
@@ -345,7 +344,7 @@ def l1_height_control_total(system: StochasticSystem) -> L1HeightControl:
     primes = set()
     for phi in system.maps:
         primes |= bad_primes(phi)
-    places = [ARCH] + [prime_place(p) for p in sorted(primes)]
+    places = [ARCH] + [PlaceQ(p) for p in sorted(primes)]
     entries = []
     for phi, w in system:
         for place in places:

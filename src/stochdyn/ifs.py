@@ -38,6 +38,7 @@ import numpy as np
 
 from .dynsys import StochasticSystem
 from .exactnum import log_abs_fraction, padic_valuation
+from .heights import ARCH, PlaceQ
 
 _ATOM_TOL = 1e-9  # fixed points this close count as one atom
 _GRID_SIZE = 4096
@@ -79,17 +80,18 @@ def map_sampler(probs) -> Callable:
     return lambda rng, shape: cdf.searchsorted(rng.random(shape), "right")
 
 
-def affine_ifs(system: StochasticSystem, p: Optional[int] = None
+def affine_ifs(system: StochasticSystem, place: PlaceQ = ARCH
                ) -> Optional[AffineIFS]:
-    """The IFS at infinity (p None) or at the prime p; None if some map is
-    not of the form a z^d or a z^(-d)."""
+    """The IFS at the place; None if some map is not of the form a z^d or
+    a z^(-d)."""
     profiles = [phi.monomial_profile for phi in system.maps]
     if any(pr is None for pr in profiles):
         return None
-    if p is None:
+    if place.is_arch:
         shifts = [log_abs_fraction(pr.coeff) for pr in profiles]
     else:
-        shifts = [Fraction(padic_valuation(pr.coeff, p)) for pr in profiles]
+        shifts = [Fraction(padic_valuation(pr.coeff, place.p))
+                  for pr in profiles]
     return AffineIFS(tuple(shifts), tuple(phi.d for phi in system.maps),
                      tuple(pr.inverted for pr in profiles),
                      np.array([float(q) for q in system.probs]))

@@ -5,9 +5,10 @@ here are the monomial-shaped ones, a z^d or a z^(-d).  Their action on
 the valuation coordinate v = v_p(z) is the affine IFS of `ifs` at p,
 v -> d v + v_p(a) (sign flipped for inverted maps), so backward orbits of
 valuations walk backward through it; degrees and exponent signs may be
-mixed.  Its stationary law is the canonical measure seen through the
-valuation coordinate; for the system {z^2 (1/2), 2 z^2 (1/2)} at p = 2 it
-is uniform on v in [-1, 0].
+mixed.  The walk's stationary law, which `archpotential.equidist` scores
+it against, is the canonical measure seen through the valuation
+coordinate; for the system {z^2 (1/2), 2 z^2 (1/2)} at p = 2 it is
+uniform on v in [-1, 0].
 
 A system with a map that is not monomial-shaped is reported
 UnsupportedStructure at every prime, good or bad, rather than
@@ -24,45 +25,19 @@ import numpy as np
 
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, StochdynError, normalize_point, padic_valuation
-from .ifs import (
-    AffineIFS,
-    StationaryLaw,
-    affine_ifs,
-    ks_to_law,
-    map_sampler,
-    stationary_law,
-    write_cdf_csv,
-)
-
-import sympy
+from .heights import PlaceQ
+from .ifs import affine_ifs, map_sampler
 
 
 class UnsupportedStructure(StochdynError):
     """No computable valuation dynamics for this system at this place."""
 
 
-def _valuation_ifs(system: StochasticSystem, p: int) -> AffineIFS:
-    """The affine IFS of the valuation coordinate at the prime p."""
-    if p < 2 or not sympy.isprime(p):
-        raise ValueError(f"{p} is not prime")
-    ifs = affine_ifs(system, p)
-    if ifs is None:
-        raise UnsupportedStructure(
-            f"system has a non-monomial map; no valuation dynamics at p={p}")
-    return ifs
-
-
-def stationary_segment(system: StochasticSystem, p: int) -> StationaryLaw:
-    """Stationary law of the backward valuation walk at p: an exact atom
-    when every map fixes the same valuation, else a grid CDF."""
-    return stationary_law(_valuation_ifs(system, p))
-
-
-def sample_backward_valuations(system: StochasticSystem, p: int,
+def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
                                alpha: ProjPointQ, n: int, samples: int,
                                seed: int) -> np.ndarray:
-    """Level-n backward valuation samples from alpha, with all guards;
-    level 0 is the atom at v_p(alpha)."""
+    """Level-n backward valuation samples at the prime place from alpha,
+    with all guards; level 0 is the atom at v_p(alpha)."""
     if n < 0 or samples < 1:
         raise ValueError("need n >= 0 and samples >= 1")
     alpha = normalize_point(alpha.a, alpha.b)
@@ -70,25 +45,13 @@ def sample_backward_valuations(system: StochasticSystem, p: int,
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
     if alpha.a == 0 or alpha.b == 0:
         raise ValueError("start must have finite nonzero valuation")
-    ifs = _valuation_ifs(system, p)
-    v = np.full(samples, float(padic_valuation(alpha.as_fraction(), p)))
+    ifs = affine_ifs(system, place)
+    if ifs is None:
+        raise UnsupportedStructure(
+            f"system has a non-monomial map; no valuation dynamics at {place}")
+    v = np.full(samples, float(padic_valuation(alpha.as_fraction(), place.p)))
     rng = np.random.default_rng(seed)
     draw = map_sampler(ifs.probs)
     for _ in range(n):
         v = ifs.step(v, draw(rng, samples))
     return v
-
-
-def equidist_test_padic(system: StochasticSystem, p: int, alpha: ProjPointQ,
-                        n: int, samples: int, seed: int):
-    """(ks, vals, law): the level-n backward valuations vals from alpha,
-    the stationary law at p and their distance ks (`ifs.ks_to_law`)."""
-    vals = sample_backward_valuations(system, p, alpha, n, samples, seed)
-    law = stationary_segment(system, p)
-    return ks_to_law(vals, law, n), vals, law
-
-
-def write_valuation_cdf_csv(vals: np.ndarray, reference: StationaryLaw,
-                            fileobj) -> None:
-    """Rows (v, empirical CDF, reference CDF) at the sorted sample values."""
-    write_cdf_csv(vals, reference, "v", fileobj)

@@ -8,20 +8,20 @@ import scipy.stats
 
 from stochdyn import archpotential
 from stochdyn.archpotential import (
-    ArchEquidistResult,
+    EquidistResult,
     GreenConfig,
     canonical_sample,
-    equidist_test_arch,
+    equidist,
     gS_eval,
     gS_eval_many,
     pullback_invariance_residual,
     radii,
     rho_self_energy,
-    write_radial_cdf_csv,
+    write_equidist_csv,
 )
 from stochdyn.dynsys import ExceptionalStart, make_map, make_system
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
-from stochdyn.heights import l1_height_control_total
+from stochdyn.heights import ARCH, l1_height_control_total
 from stochdyn.ifs import (
     StationaryLaw,
     affine_ifs,
@@ -43,7 +43,7 @@ def two_z2():
 
 
 def radial_law(system):
-    """The stationary law of log|w| that equidist_test_arch scores against."""
+    """The stationary law of log|w| that equidist scores against."""
     return stationary_law(affine_ifs(system))
 
 
@@ -177,33 +177,33 @@ def test_ks_two_sample_matches_scipy():
 
 
 def test_equidist_dyadic(dyadic):
-    res = equidist_test_arch(dyadic, normalize_point(3, 1), 30, 20000, 7)
-    assert res.reference == "stationary-cdf"
-    assert res.ks_radial <= 0.02
-    assert res.ks_angular <= 0.02
-    assert res.potential_residual <= 0.02
-    assert set(res.as_dict()) == {
-        "ks_radial", "ks_angular", "potential_residual", "reference"}
+    scores = equidist(dyadic, ARCH, normalize_point(3, 1), 30, 20000, 7).scores
+    assert scores["reference"] == "stationary-cdf"
+    assert scores["ks_radial"] <= 0.02
+    assert scores["ks_angular"] <= 0.02
+    assert scores["potential_residual"] <= 0.02
 
 
 def test_equidist_atom_reference(single_z2):
-    res = equidist_test_arch(single_z2, normalize_point(3, 1), 20, 2000, 1)
-    assert res.reference == "atom"
-    assert res.ks_radial == 0.0  # radii collapse onto r = 1 exactly
-    assert res.ks_angular <= 0.05
+    scores = equidist(single_z2, ARCH, normalize_point(3, 1), 20, 2000,
+                      1).scores
+    assert scores["reference"] == "atom"
+    assert scores["ks_radial"] == 0.0  # radii collapse onto r = 1 exactly
+    assert scores["ks_angular"] <= 0.05
 
 
 def test_equidist_exceptional_start(dyadic):
     with pytest.raises(ExceptionalStart):
-        equidist_test_arch(dyadic, normalize_point(0, 1), 5, 10, 0)
+        equidist(dyadic, ARCH, normalize_point(0, 1), 5, 10, 0)
     with pytest.raises(ExceptionalStart):
-        equidist_test_arch(dyadic, INFINITY, 5, 10, 0)
+        equidist(dyadic, ARCH, INFINITY, 5, 10, 0)
 
 
 def test_equidist_sampled_reference(mixed):
-    res = equidist_test_arch(mixed, normalize_point(4, 1), 6, 300, 13)
-    assert res.reference == "sampled"
-    assert 0.0 <= res.ks_radial <= 0.25  # doubled-noise path, loose sanity bound
+    scores = equidist(mixed, ARCH, normalize_point(4, 1), 6, 300, 13).scores
+    assert scores["reference"] == "sampled"
+    # doubled-noise path, loose sanity bound
+    assert 0.0 <= scores["ks_radial"] <= 0.25
 
 
 def test_pullback_invariance(dyadic, single_z2):
@@ -239,7 +239,8 @@ def test_radii_oracles(dyadic, single_z2, two_z2):
 def test_radial_cdf_csv(dyadic):
     batch = canonical_sample(dyadic, 10, 50, 2)
     buf = io.StringIO()
-    write_radial_cdf_csv(batch, radial_law(dyadic), buf)
+    res = EquidistResult(ARCH, {}, batch.log_abs, radial_law(dyadic))
+    write_equidist_csv(res, buf)
     lines = buf.getvalue().strip().splitlines()
     assert lines[0] == "r,empirical_cdf,reference_cdf"
     assert len(lines) == 51

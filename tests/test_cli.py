@@ -1,4 +1,5 @@
 import csv
+import importlib
 import json
 import math
 import pathlib
@@ -14,7 +15,6 @@ import stochdyn.orbits
 import stochdyn.padicmodel
 from stochdyn.cli import (
     ConfigParseError,
-    SystemConfig,
     build_system,
     load_config,
     main,
@@ -24,10 +24,10 @@ from stochdyn.dynsys import WordCapExceeded
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.orbits import NodeBudgetExceeded
 
-REPO_CONFIG = pathlib.Path(__file__).parent.parent / "configs" / "example.json"
-GENERAL_CONFIG = (pathlib.Path(__file__).parent.parent / "perfbench"
-                  / "general.json")
-SCRIPTS = pathlib.Path(__file__).parent.parent / "scripts"
+ROOT = pathlib.Path(__file__).parent.parent
+REPO_CONFIG = ROOT / "configs" / "example.json"
+GENERAL_CONFIG = ROOT / "perfbench" / "general.json"
+SCRIPTS = ROOT / "scripts"
 TREE_SCRIPT = SCRIPTS / "backward_tree_stats.py"
 
 EXAMPLE = {
@@ -128,10 +128,6 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
     code, _, err = run_cli(capsys, "equidist", "--config", example_config,
                            "0", "--samples", "10", "--depth", "3")
     assert code == 4 and "ExceptionalStart" in err
-
-    code, _, _ = run_cli(capsys, "equidist", "--config", example_config,
-                         "1", "--place", "xyz")
-    assert code == 2
 
     code, out, err = run_cli(capsys, "orbit-sample", "--config",
                              example_config, "0", "--samples", "10")
@@ -274,22 +270,27 @@ def test_orbit_sample_stdout(capsys, example_config):
     assert len(out.strip().splitlines()) == 6
 
 
-def test_equidist_csv_outputs(capsys, tmp_path, example_config):
-    arch_csv = tmp_path / "arch.csv"
+@pytest.mark.parametrize("place, json_place, scores, column", [
+    ("arch", "arch", {"ks_radial", "ks_angular", "potential_residual",
+                      "reference"}, "r"),
+    ("2", 2, {"ks"}, "v"),
+], ids=["arch", "2"])
+def test_equidist_record_shape(capsys, tmp_path, example_config, place,
+                               json_place, scores, column):
+    # one record shape at every place: the run's fields plus that place's
+    # scores, and one CSV writer labelled by the place's coordinate
+    path = tmp_path / "cdf.csv"
     code, out, _ = run_cli(capsys, "equidist", "--config", example_config,
-                           "1", "--samples", "500", "--depth", "10",
-                           "--out", str(arch_csv))
-    assert code == 0
-    assert arch_csv.read_text().startswith("r,empirical_cdf,reference_cdf")
-
-    p_csv = tmp_path / "p2.csv"
-    code, out, _ = run_cli(capsys, "equidist", "--config", example_config,
-                           "1", "--place", "2", "--samples", "500",
-                           "--depth", "10", "--out", str(p_csv))
+                           "1", "--place", place, "--samples", "500",
+                           "--depth", "10", "--out", str(path))
     assert code == 0
     record = json.loads(out)
-    assert record["ks"] <= 0.2
-    assert p_csv.read_text().startswith("v,empirical_cdf,reference_cdf")
+    assert set(record) == {"config_sha256", "seed", "version", "place",
+                           "alpha", "depth", "samples", "csv"} | scores
+    assert record["place"] == json_place
+    assert type(record["place"]) is type(json_place)
+    assert path.read_text().startswith(f"{column},empirical_cdf,reference_cdf")
+    assert all(record[k] <= 0.2 for k in scores - {"reference"})
 
 
 def test_equidist_out_draws_once(capsys, tmp_path, example_config,
@@ -319,10 +320,8 @@ def test_equidist_padic_out_draws_once(capsys, tmp_path, example_config,
         calls.append(args)
         return draw(*args, **kwargs)
 
-    monkeypatch.setattr(stochdyn.padicmodel, "sample_backward_valuations",
+    monkeypatch.setattr(stochdyn.archpotential, "sample_backward_valuations",
                         counted)
-    monkeypatch.setattr(stochdyn.cli, "sample_backward_valuations", counted,
-                        raising=False)
     path = tmp_path / "val2.csv"
     code, out, _ = run_cli(capsys, "equidist", "--config", example_config,
                            "1", "--place", "2", "--samples", "200",
@@ -344,7 +343,6 @@ def test_equidist_out_builds_law_once(capsys, tmp_path, example_config,
         return build(*args, **kwargs)
 
     monkeypatch.setattr(stochdyn.archpotential, "stationary_law", counted)
-    monkeypatch.setattr(stochdyn.padicmodel, "stationary_law", counted)
     code, _, _ = run_cli(capsys, "equidist", "--config", example_config,
                          "1", "--place", place, "--samples", "200",
                          "--depth", "8", "--out", str(tmp_path / "cdf.csv"))
@@ -489,13 +487,34 @@ def test_out_of_float_range_exit(capsys, example_config, monkeypatch):
     assert code == 3 and "OverflowError" in err and out == ""
 
 
-def test_unsupported_place_exit(capsys, tmp_path):
-    cfg = tmp_path / "bad2.json"
-    cfg.write_text(json.dumps({"maps": [
-        {"num_coeffs": [1, 0, 1], "den_coeffs": [2], "prob": "1"}]}))
-    code, _, err = run_cli(capsys, "equidist", "--config", str(cfg), "3",
-                           "--place", "2", "--samples", "10", "--depth", "3")
-    assert code == 3 and "UnsupportedStructure" in err
+def test_unsupported_place_exit(capsys, monkeypatch, example_config):
+    # a malformed --place exits 2; a non-prime, or a prime without valuation
+    # dynamics, exits 3, and is rejected before the start point is examined
+    general = str(GENERAL_CONFIG)
+    for config, alpha, place, want_code, want_err in (
+            (example_config, "1", "x", 2, "ConfigParseError"),
+            (example_config, "1", "4", 3, "ValueError: 4 is not prime"),
+            (example_config, "1", "1", 3, "ValueError: 1 is not prime"),
+            (example_config, "1", "-2", 3, "ValueError: -2 is not prime"),
+            (general, "3", "2", 3, "UnsupportedStructure"),
+            (example_config, "0", "2", 4, "ExceptionalStart"),
+            (example_config, "0", "4", 3, "ValueError: 4 is not prime")):
+        code, out, err = run_cli(capsys, "equidist", "--config", config,
+                                 alpha, "--place", place, "--samples", "10",
+                                 "--depth", "3")
+        assert (code, out) == (want_code, "")
+        assert err.startswith(f"error: {want_err}")
+    assert run_script(monkeypatch, SCRIPTS / "equidist_report.py", "--config",
+                      str(REPO_CONFIG), "1", "--primes", "4") == 3
+    assert capsys.readouterr().err == "error: ValueError: 4 is not prime\n"
+
+
+def test_traced_layers_import():
+    # perfbench --trace imports stochdyn.<layer> for every name in LAYERS
+    layers = runpy.run_path(str(ROOT / "perfbench" / "tracing.py"))["LAYERS"]
+    assert layers
+    for layer in layers:
+        importlib.import_module(f"stochdyn.{layer}")
 
 
 def test_suite_requires_reference_system(capsys, tmp_path):

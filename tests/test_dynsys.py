@@ -20,13 +20,12 @@ from stochdyn.dynsys import (
     make_map,
     make_system,
     ramification_index,
-    sigma3,
     stochastic_degree,
-    word_ramification,
-    words,
     wronskian,
 )
 from stochdyn.exactnum import INFINITY, ProjPointQ, normalize_point
+
+from oracles import sigma3, word_ramification, words
 
 Z2 = make_map([0, 0, 1], [1])
 TWO_Z2 = make_map([0, 0, 2], [1])

@@ -20,6 +20,7 @@ from stochdyn.heights import (
     ARCH,
     InfinitePoint,
     NotIrreducible,
+    PlaceQ,
     _bezout_cofactors,
     cphi_bound,
     dirac,
@@ -30,7 +31,6 @@ from stochdyn.heights import (
     measure_height,
     measure_height_exact,
     mix,
-    prime_place,
     product_formula_sum,
     standard_energy_defect,
     weil_height,
@@ -54,8 +54,8 @@ def test_weil_height_examples():
 def test_local_height_examples():
     p = ProjPointQ(3, 2)
     assert local_height(p, ARCH) == pytest.approx(math.log(1.5))
-    assert local_height(p, prime_place(2)) == pytest.approx(LOG2)
-    assert local_height(p, prime_place(5)) == 0.0
+    assert local_height(p, PlaceQ(2)) == pytest.approx(LOG2)
+    assert local_height(p, PlaceQ(5)) == 0.0
     with pytest.raises(InfinitePoint):
         local_height(INFINITY, ARCH)
 
@@ -64,7 +64,7 @@ def test_local_height_examples():
 @given(points(allow_infinity=False))
 def test_height_is_sum_of_local_heights(p):
     finite = sum(
-        local_height(p, prime_place(q)) for q in factor_integer(p.b)
+        local_height(p, PlaceQ(q)) for q in factor_integer(p.b)
     ) if p.b != 1 else 0.0
     total = local_height(p, ARCH) + finite
     assert total == pytest.approx(weil_height(p), abs=1e-12)
@@ -147,7 +147,7 @@ def test_measure_height_linear_exact(m1, m2, k):
 def test_energy_pairing_examples():
     d1, d3 = dirac(ProjPointQ(1, 1)), dirac(ProjPointQ(3, 1))
     assert energy_pairing_discrete(d1, d3, ARCH) == pytest.approx(-LOG2)
-    assert energy_pairing_discrete(d1, d3, prime_place(2)) == pytest.approx(LOG2)
+    assert energy_pairing_discrete(d1, d3, PlaceQ(2)) == pytest.approx(LOG2)
     d0 = dirac(ProjPointQ(0, 1))
     assert energy_pairing_discrete(d0, d0, ARCH) == 0.0
     with pytest.raises(InfinitePoint):
@@ -157,7 +157,7 @@ def test_energy_pairing_examples():
 @settings(max_examples=60)
 @given(finite_measures(), finite_measures())
 def test_energy_pairing_symmetric(m1, m2):
-    for place in (ARCH, prime_place(2), prime_place(3)):
+    for place in (ARCH, PlaceQ(2), PlaceQ(3)):
         assert energy_pairing_discrete(m1, m2, place) == pytest.approx(
             energy_pairing_discrete(m2, m1, place), abs=1e-10
         )
@@ -180,7 +180,7 @@ def test_standard_energy_defect_examples():
         [ProjPointQ(1, 1), ProjPointQ(-1, 1)], [Fraction(1, 2), Fraction(1, 2)]
     )
     assert standard_energy_defect(m, ARCH) == pytest.approx(-LOG2 / 2)
-    assert standard_energy_defect(m, prime_place(2)) == pytest.approx(LOG2 / 2)
+    assert standard_energy_defect(m, PlaceQ(2)) == pytest.approx(LOG2 / 2)
 
 
 @settings(max_examples=100)
@@ -188,7 +188,7 @@ def test_standard_energy_defect_examples():
 def test_standard_energy_defect_bounds(m):
     assert standard_energy_defect(m, ARCH) >= -LOG2 - 1e-9
     for p in (2, 3, 5):
-        assert standard_energy_defect(m, prime_place(p)) >= -1e-9
+        assert standard_energy_defect(m, PlaceQ(p)) >= -1e-9
 
 
 def _grid_sup_arch(phi):
@@ -216,7 +216,7 @@ def _sample_sup_padic(phi, p):
 
 
 def test_cphi_z2_vanishes():
-    for place in (ARCH, prime_place(2), prime_place(7)):
+    for place in (ARCH, PlaceQ(2), PlaceQ(7)):
         assert cphi_bound(Z2, place).certified_upper == 0.0
     assert _grid_sup_arch(Z2) == pytest.approx(0.0, abs=1e-12)
 
@@ -225,10 +225,10 @@ def test_cphi_two_z2_closed_form():
     arch = cphi_bound(TWO_Z2, ARCH)
     assert arch.certified_upper == pytest.approx(LOG2 / 2)
     assert _grid_sup_arch(TWO_Z2) == pytest.approx(LOG2 / 2)
-    p2 = cphi_bound(TWO_Z2, prime_place(2))
+    p2 = cphi_bound(TWO_Z2, PlaceQ(2))
     assert p2.certified_upper == pytest.approx(LOG2 / 2)
     assert _sample_sup_padic(TWO_Z2, 2) == pytest.approx(LOG2 / 2)
-    assert cphi_bound(TWO_Z2, prime_place(3)).certified_upper == 0.0
+    assert cphi_bound(TWO_Z2, PlaceQ(3)).certified_upper == 0.0
 
 
 def test_cphi_z2_plus_1_arch():
@@ -253,7 +253,7 @@ def test_cphi_invariant_fuzz(phi):
     # the certified bound sits above sampled values of |g_v|
     assert cphi_bound(phi, ARCH).certified_upper >= _grid_sup_arch(phi) - 1e-12
     for p in (2, 3):
-        b = cphi_bound(phi, prime_place(p))
+        b = cphi_bound(phi, PlaceQ(p))
         assert b.certified_upper >= _sample_sup_padic(phi, p) - 1e-12
 
 

@@ -20,6 +20,7 @@ from stochdyn.ifs import (
     map_sampler,
     stationary_law,
 )
+from stochdyn.heights import ARCH, PlaceQ
 from stochdyn.orbits import backward_sample
 from stochdyn.padicmodel import sample_backward_valuations
 
@@ -41,7 +42,7 @@ def monomial_maps(draw):
        st.sampled_from([2, 3, 5, 7]))
 def test_step_undoes_each_map(maps, z, p):
     system = make_system(maps, [Fraction(1, len(maps))] * len(maps))
-    at_inf, at_p = affine_ifs(system), affine_ifs(system, p)
+    at_inf, at_p = affine_ifs(system), affine_ifs(system, PlaceQ(p))
     for i, phi in enumerate(maps):
         w = eval_map(phi, point_from_rational(z)).as_fraction()
         idx = np.array([i])
@@ -66,8 +67,8 @@ def test_step_matches_full_rule(dyadic, signed):
     x = np.concatenate([[0.0, -0.0, 1.0, -1.0, np.inf, -np.inf, 5e-324],
                         rng.normal(size=500) * 1e3])
     for system in (dyadic, signed):
-        for p in (None, 2, 3):
-            ifs = affine_ifs(system, p)
+        for place in (ARCH, PlaceQ(2), PlaceQ(3)):
+            ifs = affine_ifs(system, place)
             for i in range(len(system.maps)):
                 idx = np.full(len(x), i)
                 assert ifs.step(x, idx).tobytes() == full_step(ifs, x,
@@ -104,7 +105,7 @@ def test_map_sampler_is_choice(p, shape):
 
 
 def test_affine_ifs_dyadic_at_two(dyadic):
-    ifs = affine_ifs(dyadic, 2)
+    ifs = affine_ifs(dyadic, PlaceQ(2))
     assert ifs.shifts == (0, 1) and ifs.degrees == (2, 2)
     assert ifs.inverted == (False, False)
 
@@ -127,11 +128,12 @@ def test_ks_to_law_matches_grid_oracle(dyadic, p, seed):
     # a continuous nondecreasing reference: the sup sits at a sample, so
     # the grid nodes never change the value
     one = normalize_point(1, 1)
-    if p is None:
+    place = ARCH if p is None else PlaceQ(p)
+    if place.is_arch:
         xs = backward_sample(dyadic, one, 30, 20000, seed).log_abs
     else:
-        xs = sample_backward_valuations(dyadic, p, one, 30, 20000, seed)
-    law = stationary_law(affine_ifs(dyadic, p))
+        xs = sample_backward_valuations(dyadic, place, one, 30, 20000, seed)
+    law = stationary_law(affine_ifs(dyadic, place))
     assert ks_to_law(xs, law, 30) == ks_vs_grid_cdf(xs, law.grid, law.cdf)
 
 

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import words
 from strategies import small_maps
 
 from stochdyn.dynsys import (
@@ -14,7 +15,6 @@ from stochdyn.dynsys import (
     make_map,
     make_system,
     stochastic_degree,
-    words,
 )
 from stochdyn.exactnum import LOG2, INFINITY, ConvergenceFailure, ProjPointQ
 from stochdyn.heights import l1_height_control_total, weil_height
