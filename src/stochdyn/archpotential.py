@@ -193,6 +193,8 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
     double the noise floor (callers should double their thresholds on that
     path).
     """
+    if n < 0 or samples < 1:
+        raise ValueError("need n >= 0 and samples >= 1")
     if not place.is_arch:
         vals = sample_backward_valuations(system, place, alpha, n, samples,
                                           seed)

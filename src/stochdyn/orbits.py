@@ -488,7 +488,7 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
         d = degs[idx]
         j = np.floor(rng.random(count) * d)
         if ifs is not None:
-            log_r = ifs.step(log_r, idx)
+            log_r = ifs.step(log_r, idx, d)
             if turn:
                 theta = sign[idx] * (theta - arg_a[idx])
             theta = theta / d + 2.0 * np.pi * j / d
@@ -550,12 +550,16 @@ def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
 
 def write_samples_csv(batch: OrbitSampleBatch, fileobj):
     """CSV export with columns index, re, im, log_abs, depth: the lines of
-    csv.writer, written a block of rows at a time (no cell needs quoting)."""
+    csv.writer (no cell needs quoting), written a block of rows at a time,
+    each block one %-format of a repeated row template over its cells."""
     csv.writer(fileobj).writerow(["index", "re", "im", "log_abs", "depth"])
+    row = f"%d,%r,%r,%r,{batch.depth}\r\n"
     for lo in range(0, batch.samples, CSV_BLOCK):
         log_abs = batch.log_abs[lo:lo + CSV_BLOCK]
         pts = _points(log_abs, batch.angle[lo:lo + CSV_BLOCK])
-        rows = zip(range(lo, lo + len(log_abs)), pts.real.tolist(),
-                   pts.imag.tolist(), log_abs.tolist())
-        fileobj.write("".join(f"{i},{re!r},{im!r},{la!r},{batch.depth}\r\n"
-                              for i, re, im, la in rows))
+        cells = [None] * (4 * len(log_abs))
+        cells[0::4] = range(lo, lo + len(log_abs))
+        cells[1::4] = pts.real.tolist()
+        cells[2::4] = pts.imag.tolist()
+        cells[3::4] = log_abs.tolist()
+        fileobj.write(row * len(log_abs) % tuple(cells))

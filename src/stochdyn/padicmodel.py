@@ -38,6 +38,8 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
                                seed: int) -> np.ndarray:
     """Level-n backward valuation samples at the prime place from alpha,
     with all guards; level 0 is the atom at v_p(alpha)."""
+    if place.is_arch:
+        raise ValueError("the valuation walk needs a prime place")
     if n < 0 or samples < 1:
         raise ValueError("need n >= 0 and samples >= 1")
     alpha = normalize_point(alpha.a, alpha.b)
@@ -52,6 +54,8 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
     v = np.full(samples, float(padic_valuation(alpha.as_fraction(), place.p)))
     rng = np.random.default_rng(seed)
     draw = map_sampler(ifs.probs)
+    degs = ifs.arrays[1]
     for _ in range(n):
-        v = ifs.step(v, draw(rng, samples))
+        idx = draw(rng, samples)
+        v = ifs.step(v, idx, degs[idx])
     return v

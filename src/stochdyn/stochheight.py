@@ -126,8 +126,10 @@ def _point_lifts(system: StochasticSystem, points, depth: int) -> Lifts:
     return Lifts(tuple(coords), tuple(places))
 
 
-def _apply(phi, lifts: Lifts, floor: float):
-    """(Phi(u) renormalized at every place, sum_v log|Phi(u)|_v).  At
+def _images(phi, lifts: Lifts, floor: float) -> tuple:
+    """Phi(u) at every place before renormalizing, and the step's term
+    sum_v log|Phi(u)|_v: (F, G, m, [(f, g, e) per place], term), with m the
+    max-norm of (F, G) and p^e the power of p dividing both of f and g.  At
     infinity Phi is evaluated scaled by 2^-k (RationalMapQ.hom_eval_float),
     so its term gains k log 2."""
     fx, gy, k = phi.hom_eval_float(*lifts.coords[:2])
@@ -138,6 +140,27 @@ def _apply(phi, lifts: Lifts, floor: float):
         raise ConvergenceFailure(
             "homogeneous coordinates collapsed below precision floor")
     term = np.log(m) + k * LOG2 if k else np.log(m)
+    ints = []
+    for j, (p, modulus, powers) in enumerate(lifts.places):
+        f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
+        f, g = f % modulus, g % modulus
+        e = np.zeros(len(f), dtype=int)
+        for q in powers[1:]:
+            e += (f % q == 0) & (g % q == 0)
+        term = term - e * math.log(p)
+        ints.append((f, g, e))
+    return fx, gy, m, ints, term
+
+
+def _term(phi, lifts: Lifts, floor: float) -> np.ndarray:
+    """The term of _apply alone, for the last step of an escape sum, whose
+    renormalized lifts nothing reads."""
+    return _images(phi, lifts, floor)[-1]
+
+
+def _apply(phi, lifts: Lifts, floor: float):
+    """(Phi(u) renormalized at every place, sum_v log|Phi(u)|_v)."""
+    fx, gy, m, ints, term = _images(phi, lifts, floor)
     # numpy divides a complex by a real as a product with its reciprocal
     # cast to complex, so c * (1 / m) is c / m bit for bit on complex lifts,
     # at a third of the cost; on real lifts the two differ in the last bit.
@@ -149,13 +172,7 @@ def _apply(phi, lifts: Lifts, floor: float):
     else:
         fx, gy = fx / m, gy / m
     coords = [fx, gy]
-    for j, (p, modulus, powers) in enumerate(lifts.places):
-        f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
-        f, g = f % modulus, g % modulus
-        e = np.zeros(len(f), dtype=int)
-        for q in powers[1:]:
-            e += (f % q == 0) & (g % q == 0)
-        term = term - e * math.log(p)
+    for (f, g, e), (_, _, powers) in zip(ints, lifts.places):
         coords += [f // powers[e], g // powers[e]]
     return Lifts(tuple(coords), lifts.places), term
 
@@ -175,16 +192,21 @@ def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
         cur, point, w, deg, k = stack.pop()
         if k == depth:
             continue
+        last = k + 1 == depth  # leaves: only their terms are read
         children = []
         for phi, prob in system:
-            nxt, term = _apply(phi, cur, floor)
+            if last:
+                term = _term(phi, cur, floor)
+            else:
+                nxt, term = _apply(phi, cur, floor)
             cw, cdeg = w * float(prob), deg * phi.d
             term *= cw
             term /= cdeg  # unmerged batches are in point order
             total += term if len(point) == npts else np.bincount(
                 point, term, npts)
-            children.append((nxt, point, cw, cdeg, k + 1))
-        if len(point) * len(children) <= _BATCH:
+            if not last:
+                children.append((nxt, point, cw, cdeg, k + 1))
+        if children and len(point) * len(children) <= _BATCH:
             parts, points, ws, degs, _ = zip(*children)
             ws, degs = (np.broadcast_arrays(point, *v)[1:] for v in (ws, degs))
             children = [(Lifts.concat(parts), np.concatenate(points),
@@ -221,14 +243,19 @@ def escape_sum_mc(system: StochasticSystem, lifts: Lifts, samples: int,
         vals, deg = np.zeros(len(cur)), np.ones(len(cur))
         for k in range(rows.shape[1]):
             idx = np.repeat(rows[:, k], npts)
-            coords = [np.empty_like(c) for c in cur.coords]
+            last = k + 1 == rows.shape[1]  # only its terms are read
+            coords = [] if last else [np.empty_like(c) for c in cur.coords]
             term = np.empty(len(cur))
             for i, phi in enumerate(system.maps):
                 sel = idx == i
+                if last:
+                    term[sel] = _term(phi, cur.take(sel), floor)
+                    continue
                 nxt, term[sel] = _apply(phi, cur.take(sel), floor)
                 for c, part in zip(coords, nxt.coords):
                     c[sel] = part
-            cur = Lifts(tuple(coords), cur.places)
+            if not last:
+                cur = Lifts(tuple(coords), cur.places)
             deg = deg * degs[idx]
             vals += term / deg
         vals = vals.reshape(len(rows), npts)

@@ -140,6 +140,12 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
     code, out, err = run_cli(capsys, "equidist", "--config", example_config,
                              "1", "--depth", "-2")
     assert code == 3 and "ValueError" in err and out == ""
+    # the depth is checked before the start point at every place
+    for place in ("arch", "2"):
+        code, out, err = run_cli(capsys, "equidist", "--config",
+                                 example_config, "0", "--depth", "-2",
+                                 "--place", place)
+        assert code == 3 and "ValueError" in err and out == ""
     code, out, err = run_cli(capsys, "stoch-height", "--config",
                              example_config, "1", "--tol", "0")
     assert code == 3 and "ValueError" in err and out == ""

@@ -90,12 +90,23 @@ def test_resultant_degree_mismatch():
         resultant([1, 0], [0, 1], 2)
 
 
+@pytest.fixture(scope="module")
+def sympy_resultant():
+    """sympy.resultant after one call: the first call warms sympy's
+    polynomial code, which alone takes longer than hypothesis's deadline."""
+    import sympy
+
+    x = sympy.symbols("x")
+    sympy.resultant(x**2 + 1, 2 * x**2 - x, x)
+    return sympy.resultant
+
+
 @settings(max_examples=200)
 @given(
     st.lists(st.integers(-9, 9), min_size=3, max_size=3),
     st.lists(st.integers(-9, 9), min_size=3, max_size=3),
 )
-def test_resultant_matches_sympy(f, g):
+def test_resultant_matches_sympy(sympy_resultant, f, g):
     import sympy
 
     x, y = sympy.symbols("x y")
@@ -105,7 +116,7 @@ def test_resultant_matches_sympy(f, g):
         return
     hom = resultant(f, g, 2)
     if f[0] != 0 and g[0] != 0:
-        expect = sympy.resultant(F.subs(y, 1), G.subs(y, 1), x)
+        expect = sympy_resultant(F.subs(y, 1), G.subs(y, 1), x)
         assert hom == expect
     elif f[0] == 0 and g[0] == 0:
         # both forms vanish at [1:0], so the homogeneous resultant is 0

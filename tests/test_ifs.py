@@ -45,11 +45,11 @@ def test_step_undoes_each_map(maps, z, p):
     at_inf, at_p = affine_ifs(system), affine_ifs(system, PlaceQ(p))
     for i, phi in enumerate(maps):
         w = eval_map(phi, point_from_rational(z)).as_fraction()
-        idx = np.array([i])
-        back = at_p.step(np.array([float(padic_valuation(w, p))]), idx)[0]
+        idx, d = np.array([i]), np.array([float(phi.d)])
+        back = at_p.step(np.array([float(padic_valuation(w, p))]), idx, d)[0]
         assert back == padic_valuation(z, p)
         x = log_abs_fraction(w)
-        back = at_inf.step(np.array([x]), idx)[0]
+        back = at_inf.step(np.array([x]), idx, d)[0]
         scale = max(1.0, abs(x), abs(at_inf.shifts[i]))
         assert back == pytest.approx(log_abs_fraction(z), rel=0,
                                      abs=1e-12 * scale)
@@ -71,37 +71,52 @@ def test_step_matches_full_rule(dyadic, signed):
             ifs = affine_ifs(system, place)
             for i in range(len(system.maps)):
                 idx = np.full(len(x), i)
-                assert ifs.step(x, idx).tobytes() == full_step(ifs, x,
-                                                               idx).tobytes()
+                got = ifs.step(x, idx, ifs.arrays[1][idx])
+                assert got.tobytes() == full_step(ifs, x, idx).tobytes()
             idx = rng.integers(0, len(system.maps), len(x))
-            assert ifs.step(x, idx).tobytes() == full_step(ifs, x,
-                                                           idx).tobytes()
+            got = ifs.step(x, idx, ifs.arrays[1][idx])
+            assert got.tobytes() == full_step(ifs, x, idx).tobytes()
 
 
-@pytest.mark.parametrize("p", [(1 / 2, 1 / 2), (1 / 3, 2 / 3),
-                               (1 / 10, 2 / 10, 3 / 10, 4 / 10)])
+def spread(m, zero):
+    """m probabilities proportional to 1, ..., m, except that map `zero`
+    has none, so two cut points of the sampler coincide."""
+    weights = [0 if i == zero else i + 1 for i in range(m)]
+    return tuple(Fraction(w, sum(weights)) for w in weights)
+
+
+# 2 to 16 maps draw by comparisons, 17 and 64 by searchsorted
+@pytest.mark.parametrize("p", [
+    (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)),
+    (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)),
+    spread(2, 0), spread(3, 1), spread(16, 5), spread(16, 0),
+    spread(17, 8), spread(64, 40)])
 @pytest.mark.parametrize("shape", [(1000,), (40, 25)])
 def test_map_sampler_is_choice(p, shape):
-    draw = map_sampler(p)
+    floats = [float(q) for q in p]
+    draw = map_sampler(floats)
     got_rng, want_rng = np.random.default_rng(7), np.random.default_rng(7)
     for _ in range(3):
         got = draw(got_rng, shape if len(shape) > 1 else shape[0])
-        want = want_rng.choice(len(p), size=shape, p=p)
+        want = want_rng.choice(len(p), size=shape, p=floats)
         assert got.dtype == want.dtype and got.shape == want.shape
         assert np.array_equal(got, want)
     assert got_rng.bit_generator.state == want_rng.bit_generator.state
-    # a uniform on a boundary of the cumulative sums takes the next index
+    # a uniform on the cut point where map i starts takes map i, or the
+    # next map with a chance when map i has none
+    cdf = np.cumsum(floats)
+    cdf /= cdf[-1]
+
     class Edges:
         def random(self, shape):
-            return np.concatenate([[0.0], np.cumsum(p)[:-1]])
+            return np.concatenate([[0.0], cdf[:-1]])
 
-    assert draw(Edges(), None).tolist() == list(range(len(p)))
+    assert draw(Edges(), None).tolist() == [
+        min(j for j in range(i, len(p)) if p[j] > 0) for i in range(len(p))]
     # Fractions, as a system holds them, give the same draws as floats
-    fractions = [Fraction(x).limit_denominator(10) for x in p]
-    assert np.array_equal(map_sampler(fractions)(np.random.default_rng(1),
-                                                 shape),
+    assert np.array_equal(map_sampler(p)(np.random.default_rng(1), shape),
                           np.random.default_rng(1).choice(len(p), size=shape,
-                                                          p=p))
+                                                          p=floats))
 
 
 def test_affine_ifs_dyadic_at_two(dyadic):

@@ -7,7 +7,7 @@ import pytest
 from stochdyn.archpotential import EquidistResult, equidist, write_equidist_csv
 from stochdyn.dynsys import ExceptionalStart, make_map, make_system
 from stochdyn.exactnum import normalize_point
-from stochdyn.heights import PlaceQ
+from stochdyn.heights import ARCH, PlaceQ
 from stochdyn.ifs import affine_ifs, stationary_law
 from stochdyn.padicmodel import (UnsupportedStructure,
                                  sample_backward_valuations)
@@ -123,6 +123,16 @@ def test_equidist_guards(dyadic, shifted_quads):
         equidist(bad, PlaceQ(2), normalize_point(3, 1), 10, 10, 0)
     with pytest.raises(ValueError):
         equidist(dyadic, PlaceQ(2), normalize_point(1, 1), -1, 10, 0)
+    # the valuation walk has no archimedean place to walk
+    with pytest.raises(ValueError, match="needs a prime place"):
+        sample_backward_valuations(dyadic, ARCH, normalize_point(3, 1), 5,
+                                   10, 0)
+    # depth and sample count are checked before the start point, at both
+    # places, so a bad depth from an exceptional start is a ValueError
+    for place in (ARCH, PlaceQ(2)):
+        for n, samples in ((-2, 10), (5, 0)):
+            with pytest.raises(ValueError, match="need n >= 0"):
+                equidist(dyadic, place, normalize_point(0, 1), n, samples, 0)
 
 
 def test_depth_zero_is_the_start_atom(dyadic):

@@ -18,10 +18,12 @@ from stochdyn.dynsys import (
 )
 from stochdyn.exactnum import LOG2, INFINITY, ConvergenceFailure, ProjPointQ
 from stochdyn.heights import l1_height_control_total, weil_height
+from stochdyn import stochheight
 from stochdyn.stochheight import (
     Lifts,
     _apply,
     _point_lifts,
+    _term,
     escape_sum_exact,
     escape_sum_mc,
     scaling_residual,
@@ -348,15 +350,19 @@ def complex_lifts(n, seed):
 
 def test_escape_step_matches_full_rule(dyadic, signed, general):
     # 8193 complex lifts never merge; 40 lifts and a rational point with its
-    # bad primes do, the point with p-adic places too
+    # bad primes do, the point with p-adic places too; at depth 1 every
+    # node is a leaf, whose term alone is computed
     for system in (dyadic, signed, general):
         for lifts, depth in ((complex_lifts(8193, 1), 3),
                              (complex_lifts(40, 2), 7),
-                             (_point_lifts(system, [ProjPointQ(3, 2)], 9), 9)):
+                             (_point_lifts(system, [ProjPointQ(3, 2)], 9), 9),
+                             (complex_lifts(40, 2), 1),
+                             (_point_lifts(system, [ProjPointQ(3, 2)], 1), 1)):
             for phi in system.maps:
                 got, want = _apply(phi, lifts, 0.0), full_apply(phi, lifts,
                                                                 0.0)
                 assert got[1].tobytes() == want[1].tobytes()
+                assert _term(phi, lifts, 0.0).tobytes() == want[1].tobytes()
                 for g, w in zip(got[0].coords, want[0].coords):
                     assert g.dtype == w.dtype
                     assert (g.tolist() == w.tolist() if g.dtype == object
@@ -373,6 +379,47 @@ def test_escape_step_matches_full_rule(dyadic, signed, general):
     lifts = complex_lifts(300, 3)
     assert (escape_sum_exact(huge, lifts, 4).tobytes()
             == full_escape_sum_exact(huge, lifts, 4).tobytes())
+
+
+def test_mc_last_step_matches_full_rule(dyadic, general, monkeypatch):
+    # escape_sum_mc takes only the term at its last column; with the full
+    # step there instead, every bit of the mean and the error is the same
+    for system in (dyadic, general):
+        for lifts in (complex_lifts(300, 4),
+                      _point_lifts(system, [ProjPointQ(3, 2)], 5)):
+            for depth in (1, 5):
+                def run():
+                    words = word_source(system, depth,
+                                        np.random.default_rng(depth))
+                    return escape_sum_mc(system, lifts, 64, words, 1e-12)
+                got = run()
+                with monkeypatch.context() as patch:
+                    patch.setattr(stochheight, "_term",
+                                  lambda phi, lifts, floor:
+                                  full_apply(phi, lifts, floor)[1])
+                    want = run()
+                assert all(g.tobytes() == w.tobytes()
+                           for g, w in zip(got, want))
+
+
+def test_collapse_at_the_last_step_is_caught():
+    # (10^4 z^2 - 2 10^4)/(10^4 z^2 - 20001) sends z0 to about sqrt 2,
+    # where both forms nearly vanish: the lift of z0 keeps max-norm 1.7
+    # after one step, that of its image only 0.5, under a floor of 1
+    phi = make_map([-20000, 0, 10000], [-20001, 0, 10000])
+    system = make_system([phi], [Fraction(1)])
+    z0 = math.sqrt((2 - 2.0001 * math.sqrt(2)) / (1 - math.sqrt(2)))
+    lifts = Lifts((np.array([1.0 + 0j]), np.array([1.0 / z0 + 0j])))
+
+    def words(depth):
+        return lambda lo, hi: np.zeros((hi - lo, depth), int)
+
+    escape_sum_exact(system, lifts, 1, 1.0)
+    escape_sum_mc(system, lifts, 2, words(1), 1.0)
+    with pytest.raises(ConvergenceFailure):
+        escape_sum_exact(system, lifts, 2, 1.0)
+    with pytest.raises(ConvergenceFailure):
+        escape_sum_mc(system, lifts, 2, words(2), 1.0)
 
 
 def test_apply_collapse_checks(dyadic):
