@@ -46,10 +46,6 @@ _CDF_ITERS = 64
 # rows per write of the CSV writers; whole-array tolist() would hold every
 # cell of a 100k-row file as a Python object at once
 CSV_BLOCK = 8192
-# most maps map_sampler draws from by comparisons: on a 2-vCPU VM (numpy
-# 2.4), 100k draws took 0.10 ms against searchsorted's 1.0 ms at 2 maps,
-# 1.4 against 3.0 ms at 16, but 6.2 against 4.5 ms at 64
-_COMPARE_MAPS = 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -83,12 +79,11 @@ def map_sampler(probs) -> Callable:
     choice repeats per call: the same draws, and rng left in the same state.
 
     A draw is the number of cut points cdf[:-1] at or below its uniform,
-    which is searchsorted(cdf, u, "right"); up to _COMPARE_MAPS maps one
-    comparison per cut point is cheaper than the binary search."""
+    which is searchsorted(cdf, u, "right").  One comparison per cut point
+    beats the binary search up to some 32 maps; at 64 maps 100k draws take
+    6.2 ms against its 4.5 ms (2-vCPU VM, numpy 2.4)."""
     cdf = np.array(probs, dtype=float).cumsum()
     cdf /= cdf[-1]
-    if len(cdf) > _COMPARE_MAPS:
-        return lambda rng, shape: cdf.searchsorted(rng.random(shape), "right")
     cuts = cdf[:-1].tolist()
 
     def draw(rng, shape):

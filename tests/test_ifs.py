@@ -85,7 +85,6 @@ def spread(m, zero):
     return tuple(Fraction(w, sum(weights)) for w in weights)
 
 
-# 2 to 16 maps draw by comparisons, 17 and 64 by searchsorted
 @pytest.mark.parametrize("p", [
     (Fraction(1, 2), Fraction(1, 2)), (Fraction(1, 3), Fraction(2, 3)),
     (Fraction(1, 10), Fraction(2, 10), Fraction(3, 10), Fraction(4, 10)),
