@@ -30,11 +30,10 @@ from stochdyn.orbits import (
 
 def _mean_log_abs(level):
     total = 0.0
-    for z, w in zip(level.points, level.numerators):
-        r = abs(z)
-        if r == 0 or math.isinf(r):
+    for (log_r, _), w in zip(level.points, level.numerators):
+        if math.isinf(log_r):
             continue
-        total += w / level.denominator * math.log(r)
+        total += w / level.denominator * log_r
     return total
 
 

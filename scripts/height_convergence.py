@@ -32,7 +32,7 @@ def main():
 
     cfg = load_config(args.config)
     system = build_system(cfg)
-    budget = l1_height_control_total(system).total
+    budget = l1_height_control_total(system)
     print(f"distortion budget sum: {budget:.6f}")
     print(f"{'point':>8} {'h':>10} " +
           " ".join(f"{'h_S@' + format(t, '.0e'):>12}" for t in args.tols) +

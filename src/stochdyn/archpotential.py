@@ -31,6 +31,7 @@ multiplicity/degree at each step.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Optional, Sequence, Union
 
@@ -154,6 +155,7 @@ def canonical_sample(system: StochasticSystem, n: int, samples: int,
 
 _RESIDUAL_RADII = (0.1, 0.3, 1.5, 3.0)
 _RESIDUAL_ANGLES = 8
+_LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
 def _residual_probes() -> np.ndarray:
@@ -206,6 +208,9 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
     cfg = cfg or GreenConfig()
     batch = backward_sample(system, alpha, n, samples, seed)
+    # the CDF CSV labels and the probe distances take |z| as a float
+    if np.any(batch.log_abs > _LOG_FLOAT_MAX):
+        raise OverflowError("a sample's |z| is above the float range")
 
     # a monomial-shaped system's radial step is the affine contraction of
     # its IFS, and the preimage choice does not affect the radius

@@ -181,7 +181,7 @@ def cmd_validate(cfg: SystemConfig, args, out) -> int:
         "maps": maps_out,
         "probs": [str(p) for p in system.probs],
         "stochastic_degree": float(stochastic_degree(system)),
-        "distortion_budget": l1_height_control_total(system).total,
+        "distortion_budget": l1_height_control_total(system),
         "exceptional_set": [_format_point(p) for p in report.confirmed],
         "exceptional_unresolved": bool(report.unresolved_factors),
     }

@@ -47,9 +47,6 @@ from .exactnum import (
     resultant,
 )
 
-WORD_CAP_DEFAULT = 10**6
-
-
 class DegenerateMap(StochdynError):
     """The numerator/denominator pair does not define a rational map."""
 
@@ -60,10 +57,6 @@ class DegreeTooLow(StochdynError):
 
 class CommonFactor(StochdynError):
     """Numerator and denominator share a nonconstant polynomial factor."""
-
-
-class WordCapExceeded(StochdynError):
-    """A word enumeration would produce more words than the configured cap."""
 
 
 class ExceptionalStart(StochdynError):
@@ -276,11 +269,11 @@ def ramification_index(phi: RationalMapQ, point: ProjPointQ) -> int:
     return e
 
 
-def bad_primes(phi: RationalMapQ, trial_bound: int = 10**6) -> set:
+def bad_primes(phi: RationalMapQ) -> set:
     """Primes dividing Res(F, G); empty means good reduction everywhere."""
     if abs(phi.res) == 1:
         return set()
-    return set(factor_integer(phi.res, trial_bound))
+    return set(factor_integer(phi.res))
 
 
 @dataclass(frozen=True)

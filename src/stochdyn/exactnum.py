@@ -227,6 +227,22 @@ def _polish_roots(coeffs_desc, roots):
     return r
 
 
+def lift_residual(desc, r):
+    """|p(r)| / max(1, |r|)^k for p(x) = sum_i desc[i] x^(k - i), by
+    Horner's rule on the max-norm lift (r / m, 1 / m), m = max(1, |r|), of
+    each root r, whose parts are at most 1 in modulus, so that no power of
+    a huge root overflows.  The desc[i] may be arrays broadcasting against
+    r."""
+    r = np.asarray(r)
+    m = np.maximum(1.0, np.abs(r))
+    x, y = r / m, 1.0 / m
+    acc, ypow = desc[0], 1.0
+    for c in desc[1:]:
+        ypow = ypow * y
+        acc = acc * x + c * ypow
+    return np.abs(acc)
+
+
 def scaled_roots(factor) -> tuple:
     """(ys, s): the complex roots of an irreducible integer polynomial of
     degree >= 2 are 2^s y for y in ys.
@@ -246,14 +262,14 @@ def scaled_roots(factor) -> tuple:
         s = max(-(-(b + 1) // (deg - j)) for j, b in bits)
     monic = [Fraction(c, lead << (s * (deg - j))) for j, c in enumerate(factor)]
     desc = [float(c) for c in reversed(monic)]
-    refined = list(_polish_roots(desc, np.roots(desc)))
+    refined = _polish_roots(desc, np.roots(desc))
     scale = max(1.0, max(abs(c) for c in desc))
-    for r in refined:
-        resid = abs(np.polyval(np.array(desc), r))
-        if resid > math.sqrt(_ROOT_PRECISION) * scale * max(1.0, abs(r)) ** deg:
-            raise ConvergenceFailure(
-                f"root residual {resid:.3g} too large for factor of degree {deg}"
-            )
+    # |p(r)| <= sqrt(_ROOT_PRECISION) scale max(1, |r|)^deg, in lift form
+    resid = float(np.max(lift_residual(desc, refined)))
+    if resid > math.sqrt(_ROOT_PRECISION) * scale:
+        raise ConvergenceFailure(
+            f"root residual {resid:.3g} too large for factor of degree {deg}"
+        )
     return [complex(r) for r in refined], s
 
 
@@ -298,10 +314,15 @@ def log_abs_fraction(q: Rational) -> float:
     return int_log(abs(q.numerator)) - int_log(q.denominator)
 
 
-def factor_integer(n: int, trial_bound: int = 10**6):
-    """Factor |n| into primes, {p: exponent}. Budgeted trial division plus
-    a primality check on the remainder; raises FactorizationTooLarge with
-    the partial result when the cofactor stays composite."""
+# trial divisors of factor_integer stop here
+TRIAL_BOUND = 10**6
+
+
+def factor_integer(n: int):
+    """Factor |n| into primes, {p: exponent}. Trial division up to
+    TRIAL_BOUND plus a primality check on the remainder; raises
+    FactorizationTooLarge with the partial result when the cofactor stays
+    composite."""
     import sympy
 
     if n == 0:
@@ -315,7 +336,7 @@ def factor_integer(n: int, trial_bound: int = 10**6):
     f = 7
     wheel = (4, 2, 4, 2, 4, 6, 2, 6)
     i = 0
-    while f * f <= n and f <= trial_bound:
+    while f * f <= n and f <= TRIAL_BOUND:
         while n % f == 0:
             out[f] = out.get(f, 0) + 1
             n //= f
@@ -326,7 +347,7 @@ def factor_integer(n: int, trial_bound: int = 10**6):
             out[n] = out.get(n, 0) + 1
         else:
             raise FactorizationTooLarge(
-                f"composite cofactor {n} above trial bound {trial_bound}",
+                f"composite cofactor {n} above trial bound {TRIAL_BOUND}",
                 partial_primes=set(out),
                 cofactor=n,
             )
@@ -347,16 +368,16 @@ class LogCombination:
                     self.coeffs[p] = c
 
     @classmethod
-    def of_log_abs(cls, q: Rational, trial_bound: int = 10**6) -> "LogCombination":
+    def of_log_abs(cls, q: Rational) -> "LogCombination":
         """log|q| as an exact prime-log combination (requires factoring q)."""
         q = Fraction(q)
         if q == 0:
             raise ValueError("log of zero")
         coeffs = {}
-        for p, e in factor_integer(q.numerator or 1, trial_bound).items():
+        for p, e in factor_integer(q.numerator or 1).items():
             if p != 1:
                 coeffs[p] = coeffs.get(p, 0) + e
-        for p, e in factor_integer(q.denominator, trial_bound).items():
+        for p, e in factor_integer(q.denominator).items():
             if p != 1:
                 coeffs[p] = coeffs.get(p, 0) - e
         return cls(coeffs)

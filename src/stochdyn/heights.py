@@ -246,12 +246,6 @@ def standard_energy_defect(measure: DiscreteMeasure, place: PlaceQ) -> float:
 # per-map potential bounds
 
 
-@dataclass(frozen=True)
-class CphiBound:
-    place: PlaceQ
-    certified_upper: float
-
-
 @lru_cache(maxsize=256)
 def _bezout_cofactors(phi: RationalMapQ):
     """Integer forms (A, B, C, D) of degree d-1 with
@@ -294,7 +288,7 @@ def _bezout_cofactors(phi: RationalMapQ):
     return a, b, c, e
 
 
-def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> CphiBound:
+def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> float:
     """Certified upper bound for sup |g_v|.
 
     Monomial-like maps get the exact closed form at every place.  Otherwise
@@ -309,7 +303,7 @@ def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> CphiBound:
             exact = int_log(max(abs(a), c)) / phi.d
         else:
             exact = abs(padic_valuation(prof.coeff, place.p)) * math.log(place.p) / phi.d
-        return CphiBound(place, exact)
+        return exact
     a, b, c, e = _bezout_cofactors(phi)
     if place.is_arch:
         l1f = sum(abs(x) for x in phi.fcoeffs)
@@ -322,32 +316,22 @@ def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> CphiBound:
             math.log(max(l1f, l1g)) / phi.d,
             (math.log(k2) - int_log(abs(phi.res))) / phi.d,
         )
-        return CphiBound(place, certified)
+        return certified
     p = place.p
     vres = padic_valuation(phi.res, p)
     m = min(
         padic_valuation(x, p) for x in (*a, *b, *c, *e) if x != 0
     )
     certified = max(0.0, (vres - m) * math.log(p) / phi.d)
-    return CphiBound(place, certified)
+    return certified
 
 
-@dataclass(frozen=True)
-class L1HeightControl:
-    total: float
-    entries: tuple  # (weight: Fraction, CphiBound) pairs
-
-
-def l1_height_control_total(system: StochasticSystem) -> L1HeightControl:
+def l1_height_control_total(system: StochasticSystem) -> float:
     """Weighted certified bound sum over the archimedean place and every
     bad prime of the system; finite by construction."""
     primes = set()
     for phi in system.maps:
         primes |= bad_primes(phi)
     places = [ARCH] + [PlaceQ(p) for p in sorted(primes)]
-    entries = []
-    for phi, w in system:
-        for place in places:
-            entries.append((w, cphi_bound(phi, place)))
-    total = math.fsum(float(w) * b.certified_upper for w, b in entries)
-    return L1HeightControl(total, tuple(entries))
+    return math.fsum(float(w) * cphi_bound(phi, place)
+                     for phi, w in system for place in places)

@@ -6,20 +6,19 @@ tree keeps its weights exact and fraction-free: with L the lcm over the
 maps of den(p_i) * deg(phi_i), every level-k weight is a Python int over
 the one denominator L^k, a child's numerator is its parent's times
 p_i * m * L / deg(phi_i), and the statistics read the numerators, building
-one Fraction per returned value.  Support points carry a complex
-embedding always, plus an exact projective identity whenever the preimage
+one Fraction per returned value.  Every point, in the tree and in the
+walker, is a pair (log|z|, arg z), which holds moduli far outside float
+range; tree nodes add an exact projective identity whenever the preimage
 is rational.  Fibers of rational points are exact (dynsys.fiber), so no
 rational preimage loses its identity.  Fibers of numeric points come from
-one batched kernel, numeric_fiber, which takes points as (log|z|, arg z)
-and solves every point's fiber under one map with a single stacked
-companion-matrix eigenvalue call; the tree calls it once per level and
-map, the walker once per step and map.  One batched clusterer,
-cluster_fibers, groups the roots of all of a call's fibers at once into
-(point, multiplicity) pairs.  Merging of numerically coincident support
-points is relative at every scale and is refused when the two carry
-distinct exact identities, and any merge involving a point without an
-exact identity is counted as tolerance-driven so callers can see when
-output atoms rest on a numeric coincidence.
+one batched kernel, numeric_fiber, which solves every point's fiber under
+one map with a single stacked companion-matrix eigenvalue call; the tree
+calls it once per level and map, the walker once per step and map.  The
+tree merges numerically coincident points by one rule, relative at every
+scale, and refuses a merge when the two carry distinct exact identities;
+any merge involving a point without an exact identity is counted as
+tolerance-driven so callers can see when output atoms rest on a numeric
+coincidence.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ import math
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
@@ -38,9 +37,9 @@ from .exactnum import (
     ConvergenceFailure,
     ProjPointQ,
     StochdynError,
+    lift_residual,
     log_abs_fraction,
 )
-from .heights import DiscreteMeasure, make_measure
 from .ifs import CSV_BLOCK, affine_ifs, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -60,15 +59,6 @@ def _wrap(theta):
     up to 2 pi itself, which is the angle 0."""
     theta = np.mod(theta, 2.0 * np.pi)
     return np.where(theta >= 2.0 * np.pi, 0.0, theta)
-
-
-def _log_polar(z):
-    """(log|z|, arg z) arrays of complex numbers, infinity as (+inf, 0)."""
-    z = np.asarray(z, dtype=complex)
-    inf = np.isinf(z)
-    with np.errstate(divide="ignore"):
-        log_r = np.where(inf, math.inf, np.log(np.abs(z)))
-    return log_r, _wrap(np.where(inf, 0.0, np.angle(z)))
 
 
 def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
@@ -110,11 +100,11 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
         comp[:, 0, :] = -body[:, 1:] / body[:, :1]
         comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
         r = np.linalg.eigvals(comp)
-        resid = body[:, :1]
-        for c in body[:, 1:].T:
-            resid = resid * r + c[:, None]
-        bound = 1e-6 * scale[rows, None] * np.maximum(1.0, np.abs(r))**(k + 1)
-        if np.any(np.abs(resid) > bound):
+        # |H(r)| <= 1e-6 scale max(1, |r|)^(k+1), divided through by the
+        # powers of max(1, |r|), so neither side overflows
+        resid = lift_residual(body.T[:, :, None], r)
+        resid /= np.maximum(1.0, np.abs(r))
+        if np.any(resid > 1e-6 * scale[rows, None]):
             raise ConvergenceFailure(f"fiber roots of {phi} did not converge")
         roots[rows, :m] = math.inf
         roots[rows, m:] = r
@@ -127,52 +117,31 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     return log_w, np.where(np.isinf(log_w), 0.0, arg_w)
 
 
-_INFINITY = complex(math.inf, 0.0)
+def _exact_log_polar(point: ProjPointQ):
+    if point.is_infinity:
+        return math.inf, 0.0
+    if point.a == 0:
+        return -math.inf, 0.0
+    q = point.as_fraction()
+    return log_abs_fraction(q), 0.0 if q > 0 else math.pi
 
 
-def cluster_fibers(log_w, arg_w, tol) -> list:
-    """The distinct preimages of each row of numeric_fiber's output, as
-    lists of (complex, mult) pairs: infinity first, then the finite roots
-    in row order, each one joining the first earlier representative g
-    with |r - g| <= tol * max(1, |r|, |g|) and else becoming one.
-
-    All rows are clustered at once; only the greedy rule itself steps
-    over the d columns."""
-    inf = np.isposinf(log_w)
-    with np.errstate(invalid="ignore"):
-        z = np.exp(log_w) * np.exp(1j * arg_w)
-    z[inf] = 0.0
-    mag = np.hypot(z.real, z.imag)
-    diff = z[:, :, None] - z[:, None, :]
-    close = (np.hypot(diff.real, diff.imag)
-             <= tol * np.maximum(1.0, np.maximum(mag[:, :, None],
-                                                 mag[:, None, :])))
-    close &= ~inf[:, :, None] & ~inf[:, None, :]
-    d = log_w.shape[1]
-    rep = ~inf
-    group = np.broadcast_to(np.arange(d), log_w.shape).copy()
-    for j in range(1, d):
-        joins = close[:, j, :j] & rep[:, :j]
-        hit = joins.any(axis=1)
-        group[hit, j] = joins[hit].argmax(axis=1)
-        rep[hit, j] = False
-    mult = ((group[:, :, None] == np.arange(d)) & ~inf[:, :, None]).sum(axis=1)
+def _exact_fiber(phi: RationalMapQ, point: ProjPointQ) -> list:
+    """The fiber of a rational point (dynsys.fiber) in log-polar form:
+    (log|w|, arg w, exact point or None, multiplicity) per preimage.  The
+    rational preimages come from their exact points; the others, which are
+    finite, from their complex values."""
     out = []
-    for ni, zs, ms, rs in zip(inf.sum(axis=1).tolist(), z.tolist(),
-                              mult.tolist(), rep.tolist()):
-        row = [(_INFINITY, ni)] if ni else []
-        out.append(row + [(w, m) for w, m, r in zip(zs, ms, rs) if r])
+    for w, pt, m in fiber(phi, point):
+        if pt is None:
+            z = np.array([w])
+            with np.errstate(divide="ignore"):
+                r = float(np.log(np.abs(z))[0])
+            t = float(_wrap(np.angle(z))[0])
+        else:
+            r, t = _exact_log_polar(pt)
+        out.append((r, t, pt, m))
     return out
-
-
-def preimages(phi: RationalMapQ, z: Union[ProjPointQ, complex]):
-    """Preimages of z with multiplicities, as (complex, mult) pairs: the
-    exact fiber of a rational point, else numeric_fiber and cluster_fibers
-    on a batch of one."""
-    if isinstance(z, ProjPointQ):
-        return [(w, m) for w, _, m in fiber(phi, z)]
-    log_w, arg_w = numeric_fiber(phi, *_log_polar([complex(z)]))
-    return cluster_fibers(log_w, arg_w, DEFAULT_CLUSTER_TOL)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -181,11 +150,10 @@ def preimages(phi: RationalMapQ, z: Union[ProjPointQ, complex]):
 
 @dataclass
 class TreeLevel:
-    points: list  # complex embeddings
+    points: list  # (log|z|, arg z); infinity is (+inf, 0) and 0 is (-inf, 0)
     exact_points: list  # ProjPointQ or None, parallel to points
     numerators: list  # int: weight k is numerators[k] / denominator
     denominator: int  # L^level, L from _edge_units
-    mult: list  # total preimage multiplicity received
     edges: list  # per node: list of (parent_idx, map_idx, mult)
     tolerance_merges: int
 
@@ -217,14 +185,6 @@ def _edge_units(system: StochasticSystem) -> tuple:
 
 _INF_KEY = ("inf",)
 _ZERO_KEY = ("zero",)
-_LOG2 = math.log(2.0)
-
-
-def _scaled(*parts):
-    """(parts * 2^-e, e), with 2^e just above the largest |part|: exact
-    unless a far smaller part underflows."""
-    e = math.frexp(max(map(abs, parts)))[1]
-    return [math.ldexp(x, -e) for x in parts], e
 
 
 class _LevelBuilder:
@@ -237,33 +197,28 @@ class _LevelBuilder:
     in angle, so the 2 x 2 block of cells nearest a point holds every node
     _close to it; infinity and 0 have a cell each."""
 
-    def __init__(self, tol):
-        if not 0.0 < tol < 1.0:
-            raise ValueError(f"cluster tolerance {tol} is not in (0, 1)")
-        self.tol = tol
-        self.log_cell = -3.0 * math.log1p(-tol)
-        self.arg_cells = max(1, int(2.0 * math.pi / (3.0 * math.asin(tol))))
+    def __init__(self):
+        self.tol = DEFAULT_CLUSTER_TOL
+        self.log_cell = -3.0 * math.log1p(-self.tol)
+        self.arg_cells = int(2.0 * math.pi / (3.0 * math.asin(self.tol)))
         self.points = []
         self.exact = []
         self.numerators = []
-        self.mult = []
         self.edges = []
         self.by_exact = {}
         self.cells = defaultdict(list)
         self.tolerance_merges = 0
 
-    def _cells(self, z):
-        """The cell of z, and the block of cells nearest z: its own and the
-        next one toward its nearer edge, in each coordinate."""
-        if not (math.isfinite(z.real) and math.isfinite(z.imag)):
+    def _cells(self, point):
+        """The cell of a point, and the block of cells nearest it: its own
+        and the next one toward its nearer edge, in each coordinate."""
+        log_r, theta = point
+        if log_r == math.inf:
             return _INF_KEY, (_INF_KEY,)
-        if z == 0:
+        if log_r == -math.inf:
             return _ZERO_KEY, (_ZERO_KEY,)
-        # scaled first, so that neither a huge nor a subnormal |z| loses
-        # its logarithm
-        (re, im), e = _scaled(z.real, z.imag)
-        x = (math.log(math.hypot(re, im)) + e * _LOG2) / self.log_cell
-        y = math.atan2(im, re) / (2.0 * math.pi) * self.arg_cells
+        x = log_r / self.log_cell
+        y = theta / (2.0 * math.pi) * self.arg_cells
         r, a = math.floor(x), math.floor(y)
         r2 = r + 1 if x - r >= 0.5 else r - 1
         a2 = a + 1 if y - a >= 0.5 else a - 1
@@ -271,36 +226,37 @@ class _LevelBuilder:
         a, a2 = a % n, a2 % n
         return (r, a), ((r, a), (r, a2), (r2, a), (r2, a2))
 
-    def _close(self, z1, z2):
-        # relative at every scale: an absolute floor would merge distinct
-        # tiny preimages, even of opposite signs; both points are scaled by
-        # one power of 2, so no difference or product under- or overflows
-        (a, b, c, d), _ = _scaled(z1.real, z1.imag, z2.real, z2.imag)
-        s1, s2 = complex(a, b), complex(c, d)
-        return abs(s1 - s2) <= self.tol * max(abs(s1), abs(s2))
+    def _close(self, p1, p2):
+        """|z1 - z2| <= tol max(|z1|, |z2|), relative at every scale (an
+        absolute floor would merge distinct tiny preimages, even of opposite
+        signs).  Divided by the larger modulus, with rho <= 1 the ratio of
+        the moduli and delta the angle between the points, the left side is
+        the hypotenuse of 1 - rho and 2 sqrt(rho) sin(delta / 2)."""
+        gap = -abs(p1[0] - p2[0])
+        s = math.sin((p1[1] - p2[1]) / 2.0)
+        return math.hypot(math.expm1(gap),
+                          2.0 * math.exp(gap / 2.0) * s) <= self.tol
 
-    def add(self, z, exact, numerator, mult, edge):
+    def add(self, point, exact, numerator, edge):
         idx = self.by_exact.get(exact) if exact is not None else None
         if idx is None:
-            cell, block = self._cells(z)
-            idx = self._find_mergeable(z, exact, block)
+            cell, block = self._cells(point)
+            idx = self._find_mergeable(point, exact, block)
         if idx is None:
             idx = len(self.points)
-            self.points.append(z)
+            self.points.append(point)
             self.exact.append(exact)
             self.numerators.append(0)
-            self.mult.append(0)
             self.edges.append([])
             self.cells[cell].append(idx)
             if exact is not None:
                 self.by_exact[exact] = idx
         self.numerators[idx] += numerator
-        self.mult[idx] += mult
         self.edges[idx].append(edge)
 
-    def _find_mergeable(self, z, exact, block):
-        """The earliest node z may join by tolerance, or None."""
-        # every node in the cell of infinity or of 0 is z itself
+    def _find_mergeable(self, point, exact, block):
+        """The earliest node the point may join by tolerance, or None."""
+        # every node in the cell of infinity or of 0 is the point itself
         equal = block[0] is _INF_KEY or block[0] is _ZERO_KEY
         found = None
         for cell in block:
@@ -309,7 +265,7 @@ class _LevelBuilder:
                     break
                 if exact is not None and self.exact[j] is not None:
                     continue  # distinct exact identities: refuse the merge
-                if equal or self._close(z, self.points[j]):
+                if equal or self._close(point, self.points[j]):
                     found = j
         if found is not None:
             if exact is not None:
@@ -322,46 +278,47 @@ class _LevelBuilder:
     def build(self, denominator) -> TreeLevel:
         assert sum(self.numerators) == denominator
         return TreeLevel(self.points, self.exact, self.numerators,
-                         denominator, self.mult, self.edges,
-                         self.tolerance_merges)
+                         denominator, self.edges, self.tolerance_merges)
 
 
-def backward_tree(system: StochasticSystem, alpha: ProjPointQ, n: int,
-                  node_budget: int = DEFAULT_NODE_BUDGET,
-                  cluster_tol: float = DEFAULT_CLUSTER_TOL) -> MeasureTree:
+def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
+                  n: int) -> MeasureTree:
     """Exact level measures down to depth n, each weight an integer over
-    the level's denominator."""
+    the level's denominator, with at most DEFAULT_NODE_BUDGET nodes in
+    all."""
     lcm, units = _edge_units(system)
-    root = TreeLevel([alpha.as_complex()], [alpha], [1], 1, [1], [[]], 0)
+    root = TreeLevel([_exact_log_polar(alpha)], [alpha], [1], 1, [[]], 0)
     levels = [root]
     total_nodes = 1
     for _ in range(n):
         cur = levels[-1]
-        nxt = _LevelBuilder(cluster_tol)
+        nxt = _LevelBuilder()
         # one kernel call per map over all of the level's numeric nodes,
-        # taken in node order
-        numeric = [z for z, e in zip(cur.points, cur.exact_points)
+        # taken in node order; each root is its own edge of multiplicity 1
+        numeric = [p for p, e in zip(cur.points, cur.exact_points)
                    if e is None]
         if numeric:
-            log_r, theta = _log_polar(numeric)
-            solved = [iter(cluster_fibers(*numeric_fiber(phi, log_r, theta),
-                                          cluster_tol))
-                      for phi in system.maps]
+            log_r, theta = np.array(numeric).T
+            solved = []
+            for phi in system.maps:
+                log_w, arg_w = numeric_fiber(phi, log_r, theta)
+                solved.append(zip(log_w.tolist(), arg_w.tolist()))
         for pidx, (exact, num) in enumerate(zip(cur.exact_points,
                                                 cur.numerators)):
             for midx, phi in enumerate(system.maps):
                 if exact is None:
-                    pre = [(w, None, m) for w, m in next(solved[midx])]
+                    pre = [(p, None, 1) for p in zip(*next(solved[midx]))]
                 else:
-                    pre = fiber(phi, exact)
+                    pre = [((r, t), pt, m)
+                           for r, t, pt, m in _exact_fiber(phi, exact)]
                 unit = num * units[midx]
-                for wpt, wexact, m in pre:
-                    nxt.add(wpt, wexact, unit * m, m, (pidx, midx, m))
+                for point, wexact, m in pre:
+                    nxt.add(point, wexact, unit * m, (pidx, midx, m))
         level = nxt.build(cur.denominator * lcm)
         total_nodes += len(level.points)
-        if total_nodes > node_budget:
+        if total_nodes > DEFAULT_NODE_BUDGET:
             raise NodeBudgetExceeded(
-                f"{total_nodes} nodes exceeds budget {node_budget}"
+                f"{total_nodes} nodes exceeds budget {DEFAULT_NODE_BUDGET}"
             )
         levels.append(level)
     return MeasureTree(system, alpha, levels)
@@ -402,18 +359,6 @@ def sup_mass_certificate(tree: MeasureTree) -> Fraction:
     return Fraction(best, lcm**3)
 
 
-def pushforward(phi: RationalMapQ, measure: DiscreteMeasure) -> DiscreteMeasure:
-    """Exact image measure, merging collisions."""
-    from .dynsys import eval_map
-
-    acc = {}
-    for p, w in measure:
-        img = eval_map(phi, p)
-        acc[img] = acc.get(img, Fraction(0)) + w
-    pts = sorted(acc, key=lambda q: (q.is_infinity, q.a, q.b))
-    return make_measure(pts, [acc[p] for p in pts])
-
-
 # ---------------------------------------------------------------------------
 # path sampling
 
@@ -439,15 +384,6 @@ def _points(log_abs, angle):
         z = np.exp(log_abs) * np.exp(1j * angle)
     z[np.isposinf(log_abs)] = complex(math.inf, 0.0)
     return z
-
-
-def _exact_log_polar(point: ProjPointQ):
-    if point.is_infinity:
-        return math.inf, 0.0
-    if point.a == 0:
-        return -math.inf, 0.0
-    q = point.as_fraction()
-    return log_abs_fraction(q), 0.0 if q > 0 else math.pi
 
 
 def backward_walk(system: StochasticSystem, log_r: np.ndarray,
@@ -515,15 +451,11 @@ def _fiber_step(system, log_r, theta, codes, exact, idx, j):
     for key in np.flatnonzero(np.bincount(keys)):
         c, i = divmod(int(key), nmaps)
         entries = []
-        for w, pt, m in fiber(system.maps[i], exact[c]):
-            if pt is None:
-                r, t = (float(x[0]) for x in _log_polar([w]))
-                entries += [(r, t, -1)] * m
-                continue
-            if pt not in code_of:
+        for r, t, pt, m in _exact_fiber(system.maps[i], exact[c]):
+            if pt is not None and pt not in code_of:
                 code_of[pt] = len(exact)
                 exact.append(pt)
-            entries += [(*_exact_log_polar(pt), code_of[pt])] * m
+            entries += [(r, t, -1 if pt is None else code_of[pt])] * m
         r, t, cd = (np.array(col) for col in zip(*entries))
         sel = members[keys == key]
         new_r[sel], new_t[sel], new_c[sel] = r[j[sel]], t[j[sel]], cd[j[sel]]

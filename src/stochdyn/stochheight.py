@@ -26,19 +26,23 @@ from typing import Optional
 
 import numpy as np
 
-from .dynsys import (
-    StochasticSystem,
-    WORD_CAP_DEFAULT,
-    WordCapExceeded,
-    bad_primes,
-    eval_map,
-    stochastic_degree,
+from .dynsys import StochasticSystem, bad_primes, eval_map, stochastic_degree
+from .exactnum import (
+    LOG2,
+    ConvergenceFailure,
+    ProjPointQ,
+    StochdynError,
+    padic_valuation,
 )
-from .exactnum import LOG2, ConvergenceFailure, ProjPointQ, padic_valuation
 from .heights import l1_height_control_total, weil_height
 from .ifs import map_sampler
 
 _BATCH = 1 << 14  # lifts advanced together; bounds the kernel's working set
+WORD_CAP_DEFAULT = 10**6  # most words an exact estimate enumerates
+
+
+class WordCapExceeded(StochdynError):
+    """An exact estimate would enumerate more than WORD_CAP_DEFAULT words."""
 
 
 @dataclass(frozen=True)
@@ -84,7 +88,7 @@ class TailBudget:
 @lru_cache(maxsize=64)
 def tail_budget(system: StochasticSystem) -> TailBudget:
     """The system's tail budget; the potential bound is computed once."""
-    return TailBudget(l1_height_control_total(system).total,
+    return TailBudget(l1_height_control_total(system),
                       float(stochastic_degree(system)))
 
 
@@ -272,12 +276,12 @@ def _height(alpha: ProjPointQ, escape: float) -> float:
     return max(0.0, weil_height(alpha) + float(escape))
 
 
-def stoch_height_exact(system: StochasticSystem, alpha: ProjPointQ, n: int,
-                       word_cap: int = WORD_CAP_DEFAULT) -> StochHeightEstimate:
+def stoch_height_exact(system: StochasticSystem, alpha: ProjPointQ,
+                       n: int) -> StochHeightEstimate:
     """Exact average over all length-n words."""
-    if len(system.maps) ** n > word_cap:
+    if len(system.maps) ** n > WORD_CAP_DEFAULT:
         raise WordCapExceeded(f"{len(system.maps) ** n} words of length {n} "
-                              f"exceeds cap {word_cap}")
+                              f"exceeds cap {WORD_CAP_DEFAULT}")
     escape = escape_sum_exact(system, _point_lifts(system, [alpha], n), n)
     return StochHeightEstimate(_height(alpha, escape[0]), 0.0, n,
                                "exact", 0, tail_budget(system).bound(n))
@@ -297,13 +301,12 @@ def stoch_height_mc(system: StochasticSystem, alpha: ProjPointQ, n: int,
 
 
 def stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
-                 word_cap: int = WORD_CAP_DEFAULT,
                  seed: int = 0) -> StochHeightEstimate:
     """Estimate to tolerance: depth from the geometric tail, then exact
     enumeration when the word cap allows it, Monte Carlo otherwise."""
     n = tail_budget(system).depth(tol)
-    if len(system.maps) ** n <= word_cap:
-        return stoch_height_exact(system, alpha, n, word_cap)
+    if len(system.maps) ** n <= WORD_CAP_DEFAULT:
+        return stoch_height_exact(system, alpha, n)
     pilot = stoch_height_mc(system, alpha, n, 256, seed ^ 0x9E3779B9)
     sigma = pilot.stderr * math.sqrt(256.0)
     need = min(10**6, max(256, math.ceil((sigma / tol) ** 2) + 1))
@@ -311,14 +314,14 @@ def stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
 
 
 def scaling_residual(system: StochasticSystem, alpha: ProjPointQ,
-                     tol: float, **kwargs) -> float:
+                     tol: float) -> float:
     """|h_S(alpha) - E h_S(phi(alpha))/deg phi|, zero up to estimate error."""
     tol_each = tol / (2 * len(system.maps))
-    h0 = stoch_height(system, alpha, tol_each, **kwargs).value
+    h0 = stoch_height(system, alpha, tol_each).value
     terms = []
     for phi, p in system:
         img = eval_map(phi, alpha)
-        h_img = stoch_height(system, img, tol_each, **kwargs).value
+        h_img = stoch_height(system, img, tol_each).value
         terms.append(float(p) * h_img / phi.d)
     return abs(h0 - math.fsum(terms))
 

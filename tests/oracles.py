@@ -8,14 +8,9 @@ import itertools
 from fractions import Fraction
 from typing import NamedTuple
 
-from stochdyn.dynsys import (
-    WORD_CAP_DEFAULT,
-    StochasticSystem,
-    WordCapExceeded,
-    eval_map,
-    ramification_index,
-)
+from stochdyn.dynsys import StochasticSystem, eval_map, ramification_index
 from stochdyn.exactnum import ProjPointQ
+from stochdyn.stochheight import WORD_CAP_DEFAULT, WordCapExceeded
 
 
 class Word(NamedTuple):

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import importlib
 import json
@@ -5,6 +6,7 @@ import math
 import pathlib
 import runpy
 import sys
+import warnings
 
 import pytest
 
@@ -20,9 +22,9 @@ from stochdyn.cli import (
     main,
     parse_alpha,
 )
-from stochdyn.dynsys import WordCapExceeded
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.orbits import NodeBudgetExceeded
+from stochdyn.stochheight import WordCapExceeded
 
 ROOT = pathlib.Path(__file__).parent.parent
 REPO_CONFIG = ROOT / "configs" / "example.json"
@@ -61,6 +63,15 @@ def run_script(monkeypatch, script, *argv):
     with pytest.raises(SystemExit) as stop:
         runpy.run_path(str(script), run_name="__main__")
     return stop.value.code
+
+
+@contextlib.contextmanager
+def warnings_as_errors():
+    """Turns every warning, numpy's floating-point ones too, into an
+    error, so that a command that would print one fails instead."""
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        yield
 
 
 def test_parse_alpha():
@@ -417,16 +428,18 @@ def test_huge_numeric_points(capsys, monkeypatch):
     assert all(math.isfinite(float(r[4])) for r in rows)
 
 
-# numeric_fiber's residual bound |r|^(k+1) overflows for roots near 1e302
-@pytest.mark.filterwarnings("ignore:overflow encountered in power")
 def test_tree_script_points_near_float_max(capsys, tmp_path, monkeypatch):
     # z^2/10^300 pulls 10^305 back to +-10^302.5, whose merge cells are
-    # taken from log|z|, not from z * 1e8, which overflows
+    # taken from log|z|, not from z * 1e8, which overflows; so does no
+    # residual bound of the roots of their fibers
     cfg = _big_config(tmp_path, "near_max.json",
                       [([0, 0, 1], [10**300]), ([1, 0, 1], [0, 1])])
-    assert run_script(monkeypatch, TREE_SCRIPT, "--config", cfg,
-                      str(10**305), "--depth", "2") == 0
-    rows = [line.split() for line in capsys.readouterr().out.splitlines()[1:]]
+    with warnings_as_errors():
+        assert run_script(monkeypatch, TREE_SCRIPT, "--config", cfg,
+                          str(10**305), "--depth", "2") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    rows = [line.split() for line in out.splitlines()[1:]]
     assert [r[:3] for r in rows[:2]] == [["0", "1", "1"], ["1", "4", "1/4"]]
     assert rows[2][0] == "2"
 
@@ -439,10 +452,14 @@ def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
                    SCRIPTS / "height_convergence.py"):
         assert run_script(monkeypatch, script, "--config", missing, "1") == 2
         assert capsys.readouterr().err.startswith("error: ConfigParseError")
-    # the start 10^400 has no complex embedding
+    # the tree keeps points as (log|z|, arg z), so the start 10^400 needs
+    # no complex embedding: level 1 holds +-10^200 and +-(5 10^399)^(1/2)
     assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
-                      str(10**400), "--depth", "1") == 3
-    assert capsys.readouterr().err.startswith("error: OverflowError")
+                      str(10**400), "--depth", "1") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[2].split() == ["1", "4", "1/4", "2.500e-01",
+                                           "460.343732"]
 
     def fail(*args, **kwargs):
         raise NodeBudgetExceeded("budget exhausted")
@@ -450,6 +467,78 @@ def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
     assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
                       "1") == 3
     assert capsys.readouterr().err.startswith("error: NodeBudgetExceeded")
+
+
+def test_huge_starts_leave_stderr_empty(capsys, monkeypatch):
+    # fiber roots near 10^100 and 10^200 have residual bounds far above
+    # float range; they are checked in a form that does not overflow
+    general = str(GENERAL_CONFIG)
+    for argv in (("--config", str(REPO_CONFIG), str(10**200), "--depth", "1"),
+                 ("--config", str(REPO_CONFIG), str(10**400), "--depth", "3")):
+        with warnings_as_errors():
+            assert run_script(monkeypatch, TREE_SCRIPT, *argv) == 0
+        assert capsys.readouterr().err == ""
+    for start, depth in ((10**200, "1"), (10**400, "2")):
+        with warnings_as_errors():
+            code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                                     general, str(start), "--depth", depth,
+                                     "--samples", "4")
+        assert (code, err) == (0, "")
+        assert len(out.splitlines()) == 5
+
+
+# the tables of the two backward_tree operations of perfbench's `exact`
+# workload, as the complex-valued tree printed them
+FROZEN_TREE_TABLES = {
+    ("configs/example.json", "1", "7"): """\
+ level   atoms     sup mass      sum w^2  mean log|z|
+     0       1            1    1.000e+00     0.000000
+     1       4          1/4    2.500e-01    -0.173287
+     2      16         1/16    6.250e-02    -0.259930
+     3      64         1/64    1.562e-02    -0.303252
+     4     256        1/256    3.906e-03    -0.324913
+     5    1024       1/1024    9.766e-04    -0.335743
+     6    4096       1/4096    2.441e-04    -0.341158
+     7   16384      1/16384    6.104e-05    -0.343866
+
+sup-mass per 3 levels: 3k=0: 1, 3k=3: 1/64, 3k=6: 1/4096
+certified 3-level contraction ratio: 1/64 (= 0.0156)
+sup mass decays geometrically along triples of levels
+""",
+    ("perfbench/general.json", "3", "5"): """\
+ level   atoms     sup mass      sum w^2  mean log|z|
+     0       1            1    1.000e+00     1.098612
+     1       5          1/4    2.083e-01     0.346574
+     2      25         1/16    4.340e-02     0.143320
+     3     125         1/64    9.042e-03     0.064983
+     4     625        1/256    1.884e-03     0.043810
+     5    3125       1/1024    3.925e-04     0.035650
+
+sup-mass per 3 levels: 3k=0: 1, 3k=3: 1/64
+certified 3-level contraction ratio: 1/64 (= 0.0156)
+sup mass decays geometrically along triples of levels
+""",
+}
+
+
+def test_tree_script_tables_frozen(capsys, monkeypatch):
+    for (config, alpha, depth), table in FROZEN_TREE_TABLES.items():
+        assert run_script(monkeypatch, TREE_SCRIPT, "--config",
+                          str(ROOT / config), alpha, "--depth", depth) == 0
+        assert capsys.readouterr().out == table
+
+
+def test_equidist_above_float_range(capsys, tmp_path, example_config):
+    # a sample with |z| above 1.8e308 has no CDF label and no probe
+    # distance: exit 3 before any output, the CSV file never created
+    out_csv = tmp_path / "cdf.csv"
+    for extra in (("--out", str(out_csv)), ()):
+        code, out, err = run_cli(capsys, "equidist", "--config",
+                                 example_config, str(10**400), "--depth", "0",
+                                 "--samples", "10", *extra)
+        assert (code, out) == (3, "")
+        assert err.startswith("error: OverflowError")
+    assert not out_csv.exists()
 
 
 def test_equidist_report_script_matches_cli(capsys, tmp_path, monkeypatch):

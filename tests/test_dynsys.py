@@ -10,7 +10,6 @@ from stochdyn.dynsys import (
     DegenerateMap,
     DegreeTooLow,
     MonomialProfile,
-    WordCapExceeded,
     bad_primes,
     eval_map,
     exceptional_report,
@@ -24,6 +23,7 @@ from stochdyn.dynsys import (
     wronskian,
 )
 from stochdyn.exactnum import INFINITY, ProjPointQ, normalize_point
+from stochdyn.stochheight import WordCapExceeded
 
 from oracles import sigma3, word_ramification, words
 
@@ -215,6 +215,25 @@ def test_fiber_keeps_rational_preimages(phi, a, b):
     x = normalize_point(a, b)
     found = {e: m for _, e, m in fiber(phi, eval_map(phi, x)) if e is not None}
     assert found.get(x) == ramification_index(phi, x)
+
+
+def test_fiber_examples():
+    # 4 pulls back under z^2 to -2 and 2, exactly; 1 under 2z^2 to the
+    # irrational +-sqrt(1/2), numeric only; 0 to the double point 0
+    pre = fiber(Z2, ProjPointQ(4, 1))
+    assert [(w, e, m) for w, e, m in pre] == [
+        (-2.0, ProjPointQ(-2, 1), 1), (2.0, ProjPointQ(2, 1), 1)]
+    pre = fiber(TWO_Z2, ProjPointQ(1, 1))
+    assert [w for w, _, _ in pre] == pytest.approx([-2.0**-0.5, 2.0**-0.5])
+    assert [(e, m) for _, e, m in pre] == [(None, 1), (None, 1)]
+    assert fiber(Z2, ProjPointQ(0, 1)) == ((0j, ProjPointQ(0, 1), 2),)
+
+
+def test_fiber_at_infinity():
+    # 1/z^2 pulls infinity back to 0, and z^2 to itself, twice each
+    assert fiber(INV_Z2, INFINITY) == ((0j, ProjPointQ(0, 1), 2),)
+    ((w, e, m),) = fiber(Z2, INFINITY)
+    assert w.real == float("inf") and e == INFINITY and m == 2
 
 
 def test_fiber_of_large_denominator():

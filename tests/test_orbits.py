@@ -9,23 +9,21 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stochdyn.dynsys import fiber, make_map, make_system
+from stochdyn import orbits
+from stochdyn.dynsys import make_map, make_system
 from stochdyn.exactnum import INFINITY, ProjPointQ
-from stochdyn.heights import dirac, make_measure
 from stochdyn.ifs import affine_ifs
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
     DEFAULT_CLUSTER_TOL,
     NodeBudgetExceeded,
+    _exact_fiber,
+    _exact_log_polar,
     _LevelBuilder,
-    _log_polar,
     backward_sample,
     backward_tree,
     backward_walk,
-    cluster_fibers,
     numeric_fiber,
-    preimages,
-    pushforward,
     sup_mass_certificate,
     sup_mass_decay,
     well_distributed_stat,
@@ -41,30 +39,22 @@ INV_Z2 = make_map([1], [0, 0, 1])
 SQRT_HALF = 2.0 ** -0.5
 
 
-def test_preimages_examples():
-    got = sorted(preimages(Z2, ProjPointQ(4, 1)), key=lambda t: t[0].real)
-    assert [(round(w.real, 9), m) for w, m in got] == [(-2.0, 1), (2.0, 1)]
-    got = sorted(preimages(TWO_Z2, ONE), key=lambda t: t[0].real)
-    assert len(got) == 2
-    assert got[0][0] == pytest.approx(-SQRT_HALF)
-    assert got[1][0] == pytest.approx(SQRT_HALF)
-    assert preimages(Z2, ProjPointQ(0, 1)) == [(0j, 2)]
-
-
-def test_preimages_at_infinity():
-    # 1/z^2 pulls infinity back to 0 with multiplicity 2
-    got = preimages(INV_Z2, INFINITY)
-    assert got == [(0j, 2)]
-    got = preimages(Z2, INFINITY)
-    assert len(got) == 1 and math.isinf(got[0][0].real) and got[0][1] == 2
+def _complex(point):
+    """The complex number of a tree point (log|z|, arg z)."""
+    log_r, theta = point
+    if log_r == math.inf:
+        return complex(math.inf, 0.0)
+    return cmath.rect(math.exp(log_r), theta)
 
 
 def test_preimages_numeric_input():
-    got = sorted(preimages(Z2, complex(4.0)), key=lambda t: t[0].real)
-    assert got[0][0] == pytest.approx(-2.0)
-    assert got[1][0] == pytest.approx(2.0)
-    got = preimages(Z2, complex(0.0))
-    assert len(got) == 1 and got[0][1] == 2
+    # numeric 4 pulls back under z^2 to +-2, and numeric 0 to 0 twice
+    log_w, arg_w = numeric_fiber(Z2, [math.log(4.0)], [0.0])
+    w = sorted(cmath.rect(math.exp(r), t).real
+               for r, t in zip(log_w[0], arg_w[0]))
+    assert w == pytest.approx([-2.0, 2.0], rel=1e-12)
+    assert numeric_fiber(Z2, [-math.inf], [0.0])[0].tolist() == [
+        [-math.inf] * 2]
 
 
 def test_numeric_fiber_log_polar():
@@ -116,7 +106,7 @@ def test_backward_tree_dyadic_level_one(dyadic):
     tree = backward_tree(dyadic, ONE, 1)
     level = tree.levels[1]
     assert sorted(level.weights) == [Fraction(1, 4)] * 4
-    mags = sorted(abs(z) for z in level.points)
+    mags = sorted(math.exp(log_r) for log_r, _ in level.points)
     assert mags[:2] == pytest.approx([SQRT_HALF, SQRT_HALF])
     assert mags[2:] == pytest.approx([1.0, 1.0])
     exacts = {e for e in level.exact_points if e is not None}
@@ -127,7 +117,8 @@ def test_backward_tree_z2_roots_of_unity(single_z2):
     tree = backward_tree(single_z2, ONE, 2)
     level = tree.levels[2]
     assert sorted(level.weights) == [Fraction(1, 4)] * 4
-    got = sorted(level.points, key=lambda z: (round(z.real, 6), round(z.imag, 6)))
+    got = sorted(map(_complex, level.points),
+                 key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     want = [-1, -1j, 1j, 1]
     for g, w in zip(got, want):
         assert g == pytest.approx(w)
@@ -148,23 +139,24 @@ def test_tree_mass_conservation(dyadic):
 def test_tree_avoids_exceptional_set(dyadic):
     tree = backward_tree(dyadic, ONE, 5)
     for level in tree.levels:
-        for z, e in zip(level.points, level.exact_points):
-            assert abs(z) > 0.1
-            assert math.isfinite(z.real)
+        for (log_r, _), e in zip(level.points, level.exact_points):
+            assert math.log(0.1) < log_r < math.inf
             assert e != ProjPointQ(0, 1) and e != INFINITY
 
 
 def test_tree_exact_numeric_agreement(dyadic):
     tree = backward_tree(dyadic, ONE, 4)
     for level in tree.levels:
-        for z, e in zip(level.points, level.exact_points):
+        for p, e in zip(level.points, level.exact_points):
             if e is not None and not e.is_infinity:
+                z = _complex(p)
                 assert abs(z - complex(e.as_fraction())) <= 1e-10 * max(1.0, abs(z))
 
 
-def test_node_budget(dyadic):
+def test_node_budget(dyadic, monkeypatch):
+    monkeypatch.setattr(orbits, "DEFAULT_NODE_BUDGET", 10)
     with pytest.raises(NodeBudgetExceeded):
-        backward_tree(dyadic, ONE, 5, node_budget=10)
+        backward_tree(dyadic, ONE, 5)
 
 
 def test_well_distributed_stat(dyadic, single_z2):
@@ -202,18 +194,6 @@ def test_sup_mass_decay_needs_depth(dyadic):
         sup_mass_decay(backward_tree(dyadic, ONE, 2))
 
 
-def test_pushforward_examples():
-    two = ProjPointQ(2, 1)
-    minus_two = ProjPointQ(-2, 1)
-    m = make_measure([two, minus_two], [Fraction(1, 2), Fraction(1, 2)])
-    assert pushforward(Z2, m) == dirac(ProjPointQ(4, 1))
-    assert pushforward(TWO_Z2, dirac(ONE)) == dirac(two)
-    pm = make_measure(
-        [ProjPointQ(1, 1), ProjPointQ(-1, 1)], [Fraction(1, 2), Fraction(1, 2)]
-    )
-    assert pushforward(Z2, pm) == dirac(ONE)
-
-
 def test_sampler_z2_unit_circle(single_z2):
     batch = backward_sample(single_z2, ONE, 6, 500, seed=2)
     assert np.all(batch.log_abs == 0.0)
@@ -223,7 +203,7 @@ def test_sampler_z2_unit_circle(single_z2):
 
 
 def _atom_freqs(batch, level):
-    pts = np.array(level.points, dtype=complex)
+    pts = np.array([_complex(p) for p in level.points])
     d = np.abs(batch.points[:, None] - pts[None, :])
     nearest = np.argmin(d, axis=1)
     return np.bincount(nearest, minlength=len(pts)) / batch.samples
@@ -363,8 +343,9 @@ def test_tree_keeps_tiny_points_apart(general):
     # each has a preimage near +-5e-16 or +-3.5e-16, four distinct points
     # that an absolute tolerance below |z| = 1 merged into one atom
     level = backward_tree(general, ProjPointQ(10**30, 1), 3).levels[2]
-    tiny = sorted((z.real, w) for z, w in zip(level.points, level.weights)
-                  if abs(z) < 1e-10)
+    tiny = sorted((_complex(p).real, w)
+                  for p, w in zip(level.points, level.weights)
+                  if p[0] < math.log(1e-10))
     half_root2 = 2.5 * math.sqrt(2.0)
     assert [x * 1e16 for x, _ in tiny] == pytest.approx(
         [-5.0, -half_root2, half_root2, 5.0], rel=1e-9)
@@ -373,28 +354,36 @@ def test_tree_keeps_tiny_points_apart(general):
     assert sum(level.weights) == 1
 
 
+def _perturbed(point, eps):
+    """The point z (1 + eps), in log-polar form."""
+    c = 1.0 + eps
+    return (point[0] + math.log(abs(c)),
+            (point[1] + cmath.phase(c)) % (2.0 * math.pi))
+
+
 @settings(max_examples=300, deadline=None)
-@given(st.floats(-745.0, 709.0), st.floats(0.0, 6.3), st.floats(-1.5, 1.5),
-       st.floats(-1.5, 1.5))
-@example(-711.0, 1.0, 0.5, 0.5)  # subnormal parts
-@example(702.0, 3.0, -0.9, 0.0)  # |z| near 1e305
+@given(st.floats(-1e4, 1e4), st.floats(0.0, 6.283185307179586),
+       st.floats(-1.5, 1.5), st.floats(-1.5, 1.5))
+@example(-711.0, 1.0, 0.5, 0.5)  # |z| below the subnormals
+@example(1e4, 3.0, -0.9, 0.0)  # |z| far above float range
+@example(0.0, 6.283185307179586, 0.0, 1.0)  # across the angle 0
 @example(math.log(1e3), 0.0, 0.0, 100.0)  # 1e-6 apart at |z| = 1e3
 def test_merge_cells_hold_every_close_pair(log_r, theta, dx, dy):
     # a point about a tolerance from z, relative to |z|, at every scale
-    builder = _LevelBuilder(DEFAULT_CLUSTER_TOL)
-    z = cmath.rect(math.exp(log_r), theta)
-    w = z + abs(z) * DEFAULT_CLUSTER_TOL * complex(dx, dy)
+    builder = _LevelBuilder()
+    z = (log_r, theta % (2.0 * math.pi))
+    w = _perturbed(z, DEFAULT_CLUSTER_TOL * complex(dx, dy))
     if builder._close(z, w):
         (z_cell, z_block), (w_cell, w_block) = map(builder._cells, (z, w))
         assert w_cell in z_block and z_cell in w_block
 
 
 def test_tree_merges_relative_at_every_scale():
-    for z in (1e3, 3e302 - 1e290j, 1e-310 + 1e-311j):
-        builder = _LevelBuilder(DEFAULT_CLUSTER_TOL)
-        builder.add(complex(z), None, 1, 1, (0, 0, 1))
-        builder.add(complex(z) * (1 + 5e-9j), None, 2, 1, (0, 1, 1))
-        builder.add(-complex(z), None, 1, 1, (0, 1, 1))
+    for z in ((math.log(1e3), 0.0), (1e4, 1.0), (-1e4, 6.0)):
+        builder = _LevelBuilder()
+        builder.add(z, None, 1, (0, 0, 1))
+        builder.add(_perturbed(z, 5e-9j), None, 2, (0, 1, 1))
+        builder.add(_perturbed(z, -2.0), None, 1, (0, 1, 1))
         level = builder.build(4)
         assert level.numerators == [3, 1] and level.tolerance_merges == 1
 
@@ -411,30 +400,18 @@ def test_csv_export(dyadic):
 
 
 # ---------------------------------------------------------------------------
-# oracles: the per-edge Fraction tree and the per-fiber root clustering that
-# backward_tree and cluster_fibers replace
+# oracles: the per-edge Fraction tree and the brute-force merge scan that
+# backward_tree and _LevelBuilder replace
 
 
-def _cluster_roots(roots, tol):
-    """Union nearby numeric roots into (representative, count) groups."""
-    groups = []
-    for r in roots:
-        for g in groups:
-            if abs(r - g[0]) <= tol * max(1.0, abs(r), abs(g[0])):
-                g[1] += 1
-                break
-        else:
-            groups.append([r, 1])
-    return [(g[0], g[1]) for g in groups]
-
-
-def _clustered(log_w, arg_w, tol):
-    """(complex, mult) pairs of one numeric fiber: infinity first, then the
-    finite roots clustered within tol."""
-    inf = np.isposinf(log_w)
-    out = [(complex(math.inf, 0.0), int(inf.sum()))] if inf.any() else []
-    finite = np.exp(log_w[~inf]) * np.exp(1j * arg_w[~inf])
-    return out + _cluster_roots(list(finite), tol)
+def _oracle_close(p1, p2, tol):
+    """|z1 - z2| <= tol max(|z1|, |z2|) on complex numbers scaled by the
+    larger modulus; infinity and 0 are close only to themselves."""
+    if math.isinf(p1[0]) or math.isinf(p2[0]):
+        return p1[0] == p2[0]
+    top = max(p1[0], p2[0])
+    z1, z2 = (cmath.rect(math.exp(r - top), t) for r, t in (p1, p2))
+    return abs(z1 - z2) <= tol * max(abs(z1), abs(z2))
 
 
 class _FractionLevelBuilder:
@@ -446,14 +423,9 @@ class _FractionLevelBuilder:
     def __init__(self, tol):
         self.tol = tol
         self.points, self.exact, self.weights = [], [], []
-        self.mult, self.edges = [], []
+        self.edges = []
         self.by_exact = {}
         self.tolerance_merges = 0
-
-    def _close(self, z1, z2):
-        if cmath.isinf(z1) or cmath.isinf(z2):
-            return cmath.isinf(z1) and cmath.isinf(z2)
-        return abs(z1 - z2) <= self.tol * max(abs(z1), abs(z2))
 
     def _find_mergeable(self, z, exact):
         if exact is not None and exact in self.by_exact:
@@ -461,52 +433,53 @@ class _FractionLevelBuilder:
         for j, (w, other) in enumerate(zip(self.points, self.exact)):
             if exact is not None and other is not None:
                 continue
-            if self._close(z, w):
+            if _oracle_close(z, w, self.tol):
                 if exact is not None:
                     self.exact[j] = exact
                     self.by_exact[exact] = j
                 return j, True
         return None, False
 
-    def add(self, z, exact, weight, mult, edge):
+    def add(self, z, exact, weight, edge):
         idx, tolerance_driven = self._find_mergeable(z, exact)
         if idx is None:
             idx = len(self.points)
             self.points.append(z)
             self.exact.append(exact)
             self.weights.append(Fraction(0))
-            self.mult.append(0)
             self.edges.append([])
             if exact is not None:
                 self.by_exact[exact] = idx
         elif tolerance_driven:
             self.tolerance_merges += 1
         self.weights[idx] += weight
-        self.mult[idx] += mult
         self.edges[idx].append(edge)
 
 
 def fraction_tree(system, alpha, n, tol=DEFAULT_CLUSTER_TOL):
-    """Levels as (points, exact, weights, mult, edges, tolerance_merges),
-    one Fraction per edge and one clustering per node and map."""
-    levels = [([alpha.as_complex()], [alpha], [Fraction(1)], [1], [[]], 0)]
+    """Levels as (points, exact, weights, edges, tolerance_merges), one
+    Fraction per edge, one numeric_fiber call per numeric node and map, and
+    each of its raw roots an edge of multiplicity 1."""
+    levels = [([_exact_log_polar(alpha)], [alpha], [Fraction(1)], [[]], 0)]
     for _ in range(n):
         points, exacts, weights = levels[-1][:3]
         nxt = _FractionLevelBuilder(tol)
         for pidx, (z, exact, w) in enumerate(zip(points, exacts, weights)):
             for midx, (phi, prob) in enumerate(system):
                 if exact is None:
-                    log_w, arg_w = numeric_fiber(phi, *_log_polar([z]))
-                    pre = [(wpt, None, m)
-                           for wpt, m in _clustered(log_w[0], arg_w[0], tol)]
+                    log_w, arg_w = numeric_fiber(phi, [z[0]], [z[1]])
+                    pre = [((r, t), None, 1)
+                           for r, t in zip(log_w[0].tolist(),
+                                           arg_w[0].tolist())]
                 else:
-                    pre = fiber(phi, exact)
+                    pre = [((r, t), pt, m)
+                           for r, t, pt, m in _exact_fiber(phi, exact)]
                 for wpt, wexact, m in pre:
-                    nxt.add(wpt, wexact, w * prob * Fraction(m, phi.d), m,
+                    nxt.add(wpt, wexact, w * prob * Fraction(m, phi.d),
                             (pidx, midx, m))
         assert sum(nxt.weights) == 1
-        levels.append((nxt.points, nxt.exact, nxt.weights, nxt.mult,
-                       nxt.edges, nxt.tolerance_merges))
+        levels.append((nxt.points, nxt.exact, nxt.weights, nxt.edges,
+                       nxt.tolerance_merges))
     return levels
 
 
@@ -516,7 +489,7 @@ def fraction_certificate(system, levels):
         coef = {i: Fraction(1) for i in range(len(levels[k3 - 3][0]))}
         for lev in range(k3 - 2, k3 + 1):
             nxt = defaultdict(Fraction)
-            for node_idx, edges in enumerate(levels[lev][4]):
+            for node_idx, edges in enumerate(levels[lev][3]):
                 for pidx, midx, m in edges:
                     if pidx in coef:
                         nxt[node_idx] += (coef[pidx] * system.probs[midx]
@@ -548,13 +521,12 @@ def test_tree_matches_fraction_oracle(case):
     tree = backward_tree(system, alpha, depth)
     oracle = fraction_tree(system, alpha, depth)
     assert tree.depth == depth
-    for level, (points, exacts, weights, mult, edges, merges) in zip(
+    for level, (points, exacts, weights, edges, merges) in zip(
             tree.levels, oracle):
         assert level.points == points
         assert level.exact_points == exacts
         assert level.weights == weights
         assert sum(level.numerators) == level.denominator
-        assert level.mult == mult
         assert level.edges == edges
         assert level.tolerance_merges == merges
     for k, (_, _, weights, *_) in enumerate(oracle):
@@ -577,21 +549,49 @@ def _fiber_rows():
     yield numeric_fiber(cubic, [math.inf, 5.0, -5.0], [0.0, 0.3, 4.0])
 
 
-def test_cluster_fibers_matches_per_row_clustering():
+def _greedy_nodes(points, tol):
+    """(point, count) per node of a brute-force scan: each point joins the
+    earliest node within tol of it, else opens one."""
+    nodes = []
+    for p in points:
+        for node in nodes:
+            if _oracle_close(p, node[0], tol):
+                node[1] += 1
+                break
+        else:
+            nodes.append([p, 1])
+    return [tuple(node) for node in nodes]
+
+
+def _built_nodes(points):
+    """(point, count) per node of _LevelBuilder fed the points in order."""
+    builder = _LevelBuilder()
+    for p in points:
+        builder.add(p, None, 1, (0, 0, 1))
+    level = builder.build(len(points))
+    return list(zip(level.points, level.numerators))
+
+
+def test_level_builder_merges_fiber_rows():
     for tol in (DEFAULT_CLUSTER_TOL, 1e-6):
-        for log_w, arg_w in _fiber_rows():
-            got = cluster_fibers(log_w, arg_w, tol)
-            assert got == [_clustered(r, t, tol)
-                           for r, t in zip(log_w, arg_w)]
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orbits, "DEFAULT_CLUSTER_TOL", tol)
+            for log_w, arg_w in _fiber_rows():
+                for r, t in zip(log_w.tolist(), arg_w.tolist()):
+                    points = list(zip(r, t))
+                    assert _built_nodes(points) == _greedy_nodes(points, tol)
     # the eigenvalues of the double roots +-sqrt 2 of (z^2 - 2)^2 over 0
     # split by about 3e-8 relative, so 1e-6 joins them and 1e-8 does not
     log_w, arg_w = numeric_fiber(make_map([4, 0, -4, 0, 1], [1]),
                                  [-math.inf], [0.0])
-    (row,) = cluster_fibers(log_w, arg_w, 1e-6)
-    assert [m for _, m in row] == [2, 2]
-    assert sorted(w.real for w, _ in row) == pytest.approx(
+    points = list(zip(log_w[0].tolist(), arg_w[0].tolist()))
+    assert len(_built_nodes(points)) == 4
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "DEFAULT_CLUSTER_TOL", 1e-6)
+        nodes = _built_nodes(points)
+    assert [m for _, m in nodes] == [2, 2]
+    assert sorted(_complex(p).real for p, _ in nodes) == pytest.approx(
         [-math.sqrt(2.0), math.sqrt(2.0)])
-    assert len(cluster_fibers(log_w, arg_w, DEFAULT_CLUSTER_TOL)[0]) == 4
 
 
 @settings(max_examples=200, deadline=None)
@@ -599,18 +599,18 @@ def test_cluster_fibers_matches_per_row_clustering():
                           st.integers(0, 9), st.floats(-3e-8, 3e-8)),
                 min_size=2, max_size=6),
        st.sampled_from([1e-8, 1e-3]))
-def test_cluster_fibers_greedy_rule(roots, tol):
-    # roots that are near copies of earlier ones (about a tolerance apart),
-    # zeros and infinities, in two orders
-    log_w, arg_w = [], []
+def test_level_builder_greedy_rule(roots, tol):
+    # points that are near copies of earlier ones (about a tolerance
+    # apart), zeros and infinities, in two orders
+    points = []
     for k, (r, t, pick, shift) in enumerate(roots):
         if pick >= 8:
             r, t = (math.inf if pick == 9 else -math.inf), 0.0
-        elif k and pick < 5 and math.isfinite(log_w[pick % k]):
-            r, t = log_w[pick % k] + shift, arg_w[pick % k] - shift
-        log_w.append(r)
-        arg_w.append(t)
-    log_w = np.array([log_w, log_w[::-1]])
-    arg_w = np.array([arg_w, arg_w[::-1]])
-    got = cluster_fibers(log_w, arg_w, tol)
-    assert got == [_clustered(r, t, tol) for r, t in zip(log_w, arg_w)]
+        elif k and pick < 5 and math.isfinite(points[pick % k][0]):
+            r0, t0 = points[pick % k]
+            r, t = r0 + shift, (t0 - shift) % (2.0 * math.pi)
+        points.append((r, t))
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "DEFAULT_CLUSTER_TOL", tol)
+        for order in (points, points[::-1]):
+            assert _built_nodes(order) == _greedy_nodes(order, tol)

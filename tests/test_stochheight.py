@@ -9,18 +9,13 @@ from hypothesis import strategies as st
 from oracles import words
 from strategies import small_maps
 
-from stochdyn.dynsys import (
-    WordCapExceeded,
-    eval_map,
-    make_map,
-    make_system,
-    stochastic_degree,
-)
+from stochdyn.dynsys import eval_map, make_map, make_system, stochastic_degree
 from stochdyn.exactnum import LOG2, INFINITY, ConvergenceFailure, ProjPointQ
 from stochdyn.heights import l1_height_control_total, weil_height
 from stochdyn import stochheight
 from stochdyn.stochheight import (
     Lifts,
+    WordCapExceeded,
     _apply,
     _point_lifts,
     _term,
@@ -102,9 +97,10 @@ def test_exact_matches_word_enumeration(dyadic):
         assert est.value == pytest.approx(brute, rel=1e-12)
 
 
-def test_exact_word_cap(dyadic):
+def test_exact_word_cap(dyadic, monkeypatch):
+    monkeypatch.setattr(stochheight, "WORD_CAP_DEFAULT", 100)
     with pytest.raises(WordCapExceeded):
-        stoch_height_exact(dyadic, ONE, 10, word_cap=100)
+        stoch_height_exact(dyadic, ONE, 10)
 
 
 def test_stoch_height_three_halves_is_log3(dyadic):
@@ -173,8 +169,9 @@ def test_stoch_height_dyadic_two(dyadic):
     assert abs(est.value - 1.5 * LOG2) <= 1e-3
 
 
-def test_stoch_height_mc_fallback(dyadic):
-    est = stoch_height(dyadic, ONE, 1e-3, word_cap=100, seed=3)
+def test_stoch_height_mc_fallback(dyadic, monkeypatch):
+    monkeypatch.setattr(stochheight, "WORD_CAP_DEFAULT", 100)
+    est = stoch_height(dyadic, ONE, 1e-3, seed=3)
     assert est.mode == "mc"
     assert est.tail_bound <= 1e-3
     assert abs(est.value - LOG2 / 2) <= 1e-3 + 4 * est.stderr
@@ -203,7 +200,7 @@ def test_weil_comparison_trivial(single_z2):
 
 def test_monotone_refinement(dyadic):
     for system in (dyadic, mixed_system()):
-        c = l1_height_control_total(system).total
+        c = l1_height_control_total(system)
         delta = float(stochastic_degree(system))
         for alpha in (ONE, TWO, ProjPointQ(1, 2)):
             prev = stoch_height_exact(system, alpha, 1).value
