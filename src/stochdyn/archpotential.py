@@ -68,26 +68,25 @@ class GreenConfig:
     """Accuracy knobs for Green's function evaluation.
 
     depth None means the smallest depth whose TailBudget tail is at most
-    tol; an explicit depth must meet the same bound.  samples is the Monte
-    Carlo word count used when full word enumeration would be too large.
-    Homogeneous coordinates that collapse below the fixed floor
-    _COLLAPSE_FLOOR raise ConvergenceFailure.
+    tol; an explicit depth must meet the same bound.  Past _ENUM_CAP words
+    the escape sums average _MC_WORDS random words instead.  Homogeneous
+    coordinates that collapse below the fixed floor _COLLAPSE_FLOOR raise
+    ConvergenceFailure.
     """
 
     depth: Optional[int] = None
-    samples: int = 1024
     tol: float = 1e-3
 
     def __post_init__(self):
         if self.tol <= 0:
             raise ValueError("tol must be positive")
-        if self.samples < 1:
-            raise ValueError("samples must be positive")
         if self.depth is not None and self.depth < 1:
             raise ValueError("depth must be at least 1")
 
 
 _ENUM_CAP = 1 << 15  # enumerate words exactly up to this many leaves
+_MC_WORDS = 1024  # random words of an escape sum past _ENUM_CAP
+_ENERGY_DRAWS = 8192  # canonical draws of rho_self_energy
 _COLLAPSE_FLOOR = 1e-12  # homogeneous coordinates below this have collapsed
 
 
@@ -116,7 +115,7 @@ def _anchored_green(system: StochasticSystem, coords: tuple,
         vals = escape_sum_exact(system, lifts, depth, _COLLAPSE_FLOOR)
     else:
         words = word_source(system, depth, np.random.default_rng(0))
-        vals = escape_sum_mc(system, lifts, cfg.samples, words,
+        vals = escape_sum_mc(system, lifts, _MC_WORDS, words,
                              _COLLAPSE_FLOOR)[0]
     return vals[:-1] - vals[-1]
 
@@ -274,14 +273,13 @@ def rho_self_energy(system: StochasticSystem,
                     cfg: Optional[GreenConfig] = None) -> float:
     """(rho, rho) = -E_{w ~ rho}[p(w)] estimated by canonical sampling.
 
-    Uses at least 8192 draws regardless of cfg.samples: the radii depend
-    on this number through exp(energy/2), so its Monte Carlo error has to
-    sit well inside a one-percent radius budget.
+    Uses _ENERGY_DRAWS draws: the radii depend on this number through
+    exp(energy/2), so its Monte Carlo error has to sit well inside a
+    one-percent radius budget.
     """
     cfg = cfg or GreenConfig()
     depth = tail_budget(system).depth(cfg.tol, cfg.depth)
-    draws = max(cfg.samples, 8192)
-    batch = canonical_sample(system, depth + 10, draws, _RADII_SEED)
+    batch = canonical_sample(system, depth + 10, _ENERGY_DRAWS, _RADII_SEED)
     g = gS_eval_many(system, batch.points, cfg)
     p = g + np.maximum(batch.log_abs, 0.0)
     return float(-np.mean(p))

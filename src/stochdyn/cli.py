@@ -161,8 +161,7 @@ def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
 
 def green_config(cfg: SystemConfig, depth: Optional[int]) -> GreenConfig:
     """The Green's-function accuracy every command derives from a config."""
-    return GreenConfig(depth=depth, samples=max(cfg.samples // 64, 256),
-                       tol=cfg.tol)
+    return GreenConfig(depth=depth, tol=cfg.tol)
 
 
 def cmd_validate(cfg: SystemConfig, args, out) -> int:

@@ -5,10 +5,10 @@ degree d >= 2 with nonzero resultant.  A stochastic system is a finite
 list of such maps together with strictly positive rational weights that
 sum to one.
 
-The fiber of a rational point, its preimages with multiplicities, comes
-from one exact factorization over Q of the fiber form (see fiber); the
-ramification index and the exceptional candidates are read from the same
-kind of factorization.
+The fiber of a rational point, its preimages with multiplicities in
+log-polar form (log|w|, arg w), comes from one exact factorization over Q
+of the fiber form (see fiber); the ramification index and the exceptional
+candidates are read from the same kind of factorization.
 
 Exceptional points are decided from the forward closure of the point: z
 is exceptional exactly when every map of the system is totally ramified
@@ -33,18 +33,22 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from typing import NamedTuple, Optional, Sequence
 
+import numpy as np
+
 from .exactnum import (
     _INT_LOG_CUTOFF_BITS,
     INFINITY,
+    LOG2,
     ProjPointQ,
     StochdynError,
-    complex_roots,
     factor_integer,
     factor_poly,
     normalize_point,
     point_from_rational,
     poly_trim,
     resultant,
+    scaled_roots,
+    wrap_angle,
 )
 
 class DegenerateMap(StochdynError):
@@ -237,22 +241,39 @@ def _fiber_form(phi: RationalMapQ, point: ProjPointQ) -> tuple:
 # point) pairs, and an exact tree of depth 5-7 for at most 26
 @lru_cache(maxsize=64)
 def fiber(phi: RationalMapQ, point: ProjPointQ) -> tuple:
-    """Preimages of a rational point with multiplicities: (complex,
-    exact point or None, multiplicity) triples, infinity first, then the
+    """Preimages of a rational point with multiplicities, in log-polar
+    form: (log|w|, arg w, exact point or None, multiplicity) per preimage,
+    arg w in [0, 2 pi).  Infinity, (+inf, 0), comes first, then the
     rational preimages in increasing order, then the others by (re, im).
 
     The linear factors over Q of the fiber form are the rational
-    preimages, which keep their exact identity; only its nonlinear
-    irreducible factors are solved numerically.
+    preimages, which keep their exact identity and take their log-polar
+    form from it (ProjPointQ.log_polar).  Only the nonlinear irreducible
+    factors are solved numerically: a root 2^s y of scaled_roots is
+    log|y| + s log 2 and arg y, and is ordered by the exact values of its
+    parts, so no root is formed outside float range.
     """
     inf_mult, finite = _fiber_form(phi, point)
-    out = [(complex(math.inf, 0.0), INFINITY, inf_mult)] if inf_mult else []
+    out = [(math.inf, 0.0, INFINITY, inf_mult)] if inf_mult else []
     factors = factor_poly(finite)
-    rational = sorted((Fraction(-f[0], f[1]), m) for f, m in factors if len(f) == 2)
-    out += [(complex(q), point_from_rational(q), m) for q, m in rational]
-    nonlinear = [(f, m) for f, m in factors if len(f) > 2]
-    out += [(w, None, m) for w, m in complex_roots(nonlinear)]
-    assert sum(m for _, _, m in out) == phi.d
+    for q, m in sorted((Fraction(-f[0], f[1]), m)
+                       for f, m in factors if len(f) == 2):
+        pt = point_from_rational(q)
+        out.append((*pt.log_polar(), pt, m))
+    numeric = []
+    for f, m in factors:
+        if len(f) > 2:
+            ys, s = scaled_roots(f)
+            y = np.array(ys)
+            with np.errstate(divide="ignore"):
+                log_w = np.log(np.abs(y)) + s * LOG2
+            arg_w = wrap_angle(np.angle(y))
+            numeric += [((Fraction(z.real) * 2**s, Fraction(z.imag) * 2**s),
+                         (r, t, None, m))
+                        for z, r, t in zip(ys, log_w.tolist(), arg_w.tolist())]
+    numeric.sort(key=lambda entry: entry[0])
+    out += [entry for _, entry in numeric]
+    assert sum(entry[-1] for entry in out) == phi.d
     return tuple(out)
 
 

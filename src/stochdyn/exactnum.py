@@ -1,8 +1,8 @@
 """Exact arithmetic primitives.
 
 Projective points over Q, integer resultants, p-adic valuations, exact
-factorization of rational polynomials over Q (sympy) with numeric roots
-for the nonlinear factors only, logs of huge integers, and exact
+factorization of rational polynomials over Q (sympy) with scaled numeric
+roots for the nonlinear factors only, logs of huge integers, and exact
 rational-coefficient combinations of logs of primes (the currency of
 product-formula identities).  StochdynError is the base of every error
 the package raises.
@@ -76,10 +76,15 @@ class ProjPointQ(NamedTuple):
             raise ZeroDivisionError("point at infinity has no affine value")
         return Fraction(self.a, self.b)
 
-    def as_complex(self) -> complex:
+    def log_polar(self) -> tuple:
+        """(log|z|, arg z), exact up to the rounding of log|z|, for any
+        coordinate size: infinity is (+inf, 0) and 0 is (-inf, 0)."""
         if self.b == 0:
-            return complex(math.inf, 0.0)
-        return complex(Fraction(self.a, self.b))
+            return math.inf, 0.0
+        if self.a == 0:
+            return -math.inf, 0.0
+        return (log_abs_fraction(self.as_fraction()),
+                0.0 if self.a > 0 else math.pi)
 
     def __str__(self) -> str:
         return f"[{self.a}:{self.b}]"
@@ -183,7 +188,7 @@ def resultant(fcoeffs: Sequence[int], gcoeffs: Sequence[int], d: int) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exact factorization over Q (ascending coefficients) and complex roots
+# exact factorization over Q (ascending coefficients) and numeric roots
 
 
 def poly_trim(coeffs) -> tuple:
@@ -273,21 +278,11 @@ def scaled_roots(factor) -> tuple:
     return [complex(r) for r in refined], s
 
 
-def complex_roots(factors) -> list:
-    """Roots of irreducible factors (as from factor_poly) with their
-    multiplicities, [(root, multiplicity)] sorted by (re, im).  Linear
-    factors give their rational root, correctly rounded; only nonlinear ones
-    are solved numerically (scaled_roots)."""
-    out = []
-    for factor, mult in factors:
-        if len(factor) == 2:
-            out.append((complex(Fraction(-factor[0], factor[1])), mult))
-            continue
-        ys, s = scaled_roots(factor)
-        out += [(complex(math.ldexp(y.real, s), math.ldexp(y.imag, s)), mult)
-                for y in ys]
-    out.sort(key=lambda t: (t[0].real, t[0].imag))
-    return out
+def wrap_angle(theta):
+    """Angles mod 2 pi in [0, 2 pi): np.mod rounds a tiny negative angle
+    up to 2 pi itself, which is the angle 0."""
+    theta = np.mod(theta, 2.0 * np.pi)
+    return np.where(theta >= 2.0 * np.pi, 0.0, theta)
 
 
 # ---------------------------------------------------------------------------

@@ -24,6 +24,7 @@ import sympy
 
 from .dynsys import RationalMapQ, StochasticSystem, _form_mul, bad_primes
 from .exactnum import (
+    _bareiss_det,
     LOG2,
     LogCombination,
     ProjPointQ,
@@ -253,27 +254,17 @@ def _bezout_cofactors(phi: RationalMapQ):
     d = phi.d
     n = 2 * d
     rows = sylvester_rows(phi.fcoeffs, phi.gcoeffs, d)
-    # u . rows = target, so solve rows^T u = target
-    def solve(target):
-        m = [[Fraction(rows[r][c]) for r in range(n)] for c in range(n)]
-        rhs = [Fraction(t) for t in target]
-        for col in range(n):
-            piv = next(r for r in range(col, n) if m[r][col] != 0)
-            m[col], m[piv] = m[piv], m[col]
-            rhs[col], rhs[piv] = rhs[piv], rhs[col]
-            inv = 1 / m[col][col]
-            m[col] = [x * inv for x in m[col]]
-            rhs[col] *= inv
-            for r in range(n):
-                if r != col and m[r][col] != 0:
-                    f = m[r][col]
-                    m[r] = [x - f * y for x, y in zip(m[r], m[col])]
-                    rhs[r] -= f * rhs[col]
-        assert all(x.denominator == 1 for x in rhs)
-        return [int(x) for x in rhs]
 
-    ux = solve([phi.res] + [0] * (n - 1))
-    uy = solve([0] * (n - 1) + [phi.res])
+    # u . rows = Res e_k, and det rows = Res, so by Cramer's rule u_i is
+    # the (i, k) cofactor of rows
+    def solve(k):
+        return [(-1) ** (i + k) * _bareiss_det(
+                    [row[:k] + row[k + 1:] for j, row in enumerate(rows)
+                     if j != i])
+                for i in range(n)]
+
+    ux = solve(0)
+    uy = solve(n - 1)
     a, b = tuple(ux[:d]), tuple(ux[d:])
     c, e = tuple(uy[:d]), tuple(uy[d:])
 

@@ -9,11 +9,12 @@ p_i * m * L / deg(phi_i), and the statistics read the numerators, building
 one Fraction per returned value.  Every point, in the tree and in the
 walker, is a pair (log|z|, arg z), which holds moduli far outside float
 range; tree nodes add an exact projective identity whenever the preimage
-is rational.  Fibers of rational points are exact (dynsys.fiber), so no
-rational preimage loses its identity.  Fibers of numeric points come from
-one batched kernel, numeric_fiber, which solves every point's fiber under
-one map with a single stacked companion-matrix eigenvalue call; the tree
-calls it once per level and map, the walker once per step and map.  The
+is rational.  Fibers of rational points are exact and come in the same
+form (dynsys.fiber), so no rational preimage loses its identity.  Fibers
+of numeric points come from one batched kernel, numeric_fiber, which
+solves every point's fiber under one map with a single stacked
+companion-matrix eigenvalue call; the tree calls it once per level and
+map, the walker once per step and map.  The
 tree merges numerically coincident points by one rule, relative at every
 scale, and refuses a merge when the two carry distinct exact identities;
 any merge involving a point without an exact identity is counted as
@@ -25,6 +26,7 @@ from __future__ import annotations
 
 import csv
 import math
+import sys
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
@@ -38,12 +40,15 @@ from .exactnum import (
     ProjPointQ,
     StochdynError,
     lift_residual,
-    log_abs_fraction,
+    wrap_angle,
 )
 from .ifs import CSV_BLOCK, affine_ifs, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
+# past this |log|z||, a max-norm lift coordinate is below the smallest
+# normal float
+_LOG_TINY = -math.log(sys.float_info.min)
 
 
 class NodeBudgetExceeded(StochdynError):
@@ -52,13 +57,6 @@ class NodeBudgetExceeded(StochdynError):
 
 # ---------------------------------------------------------------------------
 # preimages
-
-
-def _wrap(theta):
-    """Angles mod 2 pi in [0, 2 pi): np.mod rounds a tiny negative angle
-    up to 2 pi itself, which is the angle 0."""
-    theta = np.mod(theta, 2.0 * np.pi)
-    return np.where(theta >= 2.0 * np.pi, 0.0, theta)
 
 
 def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
@@ -75,9 +73,14 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     (Edelman-Murakami, Math. Comp. 1995), all points in one stacked
     np.linalg.eigvals call.  An exact zero end coefficient gives an exact
     zero eigenvalue, so infinity is a preimage exactly when t = 0 is.
+    A finite point with |log r| above _LOG_TINY raises OverflowError: its
+    lift would underflow, and the point pass for infinity or for 0.
     """
     log_r = np.asarray(log_r, dtype=float)
     theta = np.asarray(theta, dtype=float)
+    if np.any(np.isfinite(log_r) & (np.abs(log_r) > _LOG_TINY)):
+        raise OverflowError(f"a point with |log|z|| above {_LOG_TINY:.1f} "
+                            "has a max-norm lift below float range")
     fc, gc, _ = phi.float_forms
     d = phi.d
     u = np.exp(np.minimum(log_r, 0.0) + 1j * theta)
@@ -113,35 +116,8 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     # in the t chart, log|w| = -log|t| and arg w = -arg t
     sign = np.where(w_chart, 1.0, -1.0)[:, None]
     log_w = sign * log_w
-    arg_w = _wrap(sign * np.angle(roots))
+    arg_w = wrap_angle(sign * np.angle(roots))
     return log_w, np.where(np.isinf(log_w), 0.0, arg_w)
-
-
-def _exact_log_polar(point: ProjPointQ):
-    if point.is_infinity:
-        return math.inf, 0.0
-    if point.a == 0:
-        return -math.inf, 0.0
-    q = point.as_fraction()
-    return log_abs_fraction(q), 0.0 if q > 0 else math.pi
-
-
-def _exact_fiber(phi: RationalMapQ, point: ProjPointQ) -> list:
-    """The fiber of a rational point (dynsys.fiber) in log-polar form:
-    (log|w|, arg w, exact point or None, multiplicity) per preimage.  The
-    rational preimages come from their exact points; the others, which are
-    finite, from their complex values."""
-    out = []
-    for w, pt, m in fiber(phi, point):
-        if pt is None:
-            z = np.array([w])
-            with np.errstate(divide="ignore"):
-                r = float(np.log(np.abs(z))[0])
-            t = float(_wrap(np.angle(z))[0])
-        else:
-            r, t = _exact_log_polar(pt)
-        out.append((r, t, pt, m))
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -287,7 +263,7 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
     the level's denominator, with at most DEFAULT_NODE_BUDGET nodes in
     all."""
     lcm, units = _edge_units(system)
-    root = TreeLevel([_exact_log_polar(alpha)], [alpha], [1], 1, [[]], 0)
+    root = TreeLevel([alpha.log_polar()], [alpha], [1], 1, [[]], 0)
     levels = [root]
     total_nodes = 1
     for _ in range(n):
@@ -310,7 +286,7 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
                     pre = [(p, None, 1) for p in zip(*next(solved[midx]))]
                 else:
                     pre = [((r, t), pt, m)
-                           for r, t, pt, m in _exact_fiber(phi, exact)]
+                           for r, t, pt, m in fiber(phi, exact)]
                 unit = num * units[midx]
                 for point, wexact, m in pre:
                     nxt.add(point, wexact, unit * m, (pidx, midx, m))
@@ -377,12 +353,18 @@ class OrbitSampleBatch:
 
 
 def _points(log_abs, angle):
-    """Complex numbers of (log|z|, arg z) arrays, with log|z| = +inf as
-    complex(inf, 0.0), which the product e^{log|z|} e^{i arg z} would give
-    as (inf, nan)."""
+    """Complex numbers of (log|z|, arg z) arrays.  A point above float
+    range, infinity (log|z| = +inf) among them, has signed infinite
+    coordinates, or 0.0 where the cosine or sine of its angle is exactly 0,
+    where the product e^{log|z|} e^{i arg z} would give nan."""
+    with np.errstate(over="ignore"):
+        r = np.exp(log_abs)
+    u = np.exp(1j * angle)
     with np.errstate(invalid="ignore"):
-        z = np.exp(log_abs) * np.exp(1j * angle)
-    z[np.isposinf(log_abs)] = complex(math.inf, 0.0)
+        z = r * u
+    big = np.isinf(r)
+    for part, c in ((z.real, u.real[big]), (z.imag, u.imag[big])):
+        part[big] = np.where(c == 0.0, 0.0, np.copysign(math.inf, c))
     return z
 
 
@@ -451,7 +433,7 @@ def _fiber_step(system, log_r, theta, codes, exact, idx, j):
     for key in np.flatnonzero(np.bincount(keys)):
         c, i = divmod(int(key), nmaps)
         entries = []
-        for r, t, pt, m in _exact_fiber(system.maps[i], exact[c]):
+        for r, t, pt, m in fiber(system.maps[i], exact[c]):
             if pt is not None and pt not in code_of:
                 code_of[pt] = len(exact)
                 exact.append(pt)
@@ -474,7 +456,7 @@ def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
     if n < 0 or samples < 1:
         raise ValueError("need n >= 0 and samples >= 1")
     rng = np.random.default_rng(seed)
-    log_r0, theta0 = _exact_log_polar(alpha)
+    log_r0, theta0 = alpha.log_polar()
     log_r, theta = backward_walk(system, np.full(samples, log_r0),
                                  np.full(samples, theta0), alpha, n, rng)
     return OrbitSampleBatch(log_r, theta, n, seed, samples)

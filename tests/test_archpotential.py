@@ -94,6 +94,30 @@ def test_green_depth_refinement(dyadic):
         assert np.max(diff) <= tail_budget(dyadic).bound(n) + 1e-12
 
 
+def test_green_monte_carlo_branch(dyadic, monkeypatch):
+    # At 0 every escape-sum term of the dyadic pair is 0, and at infinity
+    # term k is B_k (log 2) / 2^k with B_k the fair coin "map k is 2z^2".
+    # So the Monte Carlo g(0) is -(log 2) sum_{k<=n} B_k / 2^(k+1) averaged
+    # over _MC_WORDS words: its mean is within the tail bound of
+    # g(0) = -(log 2)/2, and its standard deviation per word is below
+    # sigma = (log 2) / (2 sqrt 3), the deviation of the infinite sum.
+    counts = []
+    mc = archpotential.escape_sum_mc
+
+    def counted(system, lifts, samples, *args):
+        counts.append(samples)
+        return mc(system, lifts, samples, *args)
+    monkeypatch.setattr(archpotential, "_ENUM_CAP", 1)
+    monkeypatch.setattr(archpotential, "escape_sum_mc", counted)
+    cfg = GreenConfig()
+    n = tail_budget(dyadic).depth(cfg.tol)
+    got = gS_eval(dyadic, 0.0, cfg)
+    assert counts == [archpotential._MC_WORDS]
+    sigma = LOG2 / (2.0 * math.sqrt(3.0))
+    slack = tail_budget(dyadic).bound(n) + 4.0 * sigma / math.sqrt(counts[0])
+    assert abs(got + LOG2 / 2) <= slack
+
+
 def test_precision_floor_guard(single_z2, monkeypatch):
     monkeypatch.setattr(archpotential, "_COLLAPSE_FLOOR", 2.0)
     with pytest.raises(ConvergenceFailure):

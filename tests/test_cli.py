@@ -460,6 +460,21 @@ def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
     assert err == ""
     assert out.splitlines()[2].split() == ["1", "4", "1/4", "2.500e-01",
                                            "460.343732"]
+    # 10^800 pulls back to +-10^400 and +-(5 10^799)^(1/2), so level 1 has
+    # mean log|z| (x0/2 + (x0 - log 2)/2)/2 with x0 = 800 log 10; their
+    # fibers would need lifts below float range, so level 2 exits 3
+    x0 = 800 * math.log(10)
+    mean = (x0 / 2 + (x0 - math.log(2)) / 2) / 2
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
+                      str(10**800), "--depth", "1") == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert out.splitlines()[2].split() == ["1", "4", "1/4", "2.500e-01",
+                                           f"{mean:.6f}"]
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
+                      str(10**800), "--depth", "2") == 3
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: OverflowError")
 
     def fail(*args, **kwargs):
         raise NodeBudgetExceeded("budget exhausted")
@@ -485,6 +500,17 @@ def test_huge_starts_leave_stderr_empty(capsys, monkeypatch):
                                      "--samples", "4")
         assert (code, err) == (0, "")
         assert len(out.splitlines()) == 5
+    # a sample above float range is written with infinite coordinates, and
+    # with 0.0 where the sine of its angle is exactly 0, never with nan
+    with warnings_as_errors():
+        code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                                 str(REPO_CONFIG), str(10**400), "--depth",
+                                 "0", "--samples", "2")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out.splitlines()))[1:]
+    assert [row[1:3] for row in rows] == [["inf", "0.0"]] * 2
+    assert [float(row[3]) for row in rows] == [
+        pytest.approx(400 * math.log(10))] * 2
 
 
 # the tables of the two backward_tree operations of perfbench's `exact`

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -199,12 +200,16 @@ def test_ramification_bounds(phi, p):
 @settings(max_examples=60, deadline=None)
 @given(small_maps(), points())
 def test_fiber_multiplicities_sum_to_degree(phi, q):
-    # preimage of q under phi, counted with multiplicity, has size deg(phi)
+    # preimage of q under phi, counted with multiplicity, has size deg(phi);
+    # exact preimages carry their own log-polar form
     pre = fiber(phi, q)
-    assert sum(m for _, _, m in pre) == phi.d
-    exact = [e for _, e, _ in pre if e is not None]
+    assert sum(m for *_, m in pre) == phi.d
+    exact = [e for _, _, e, _ in pre if e is not None]
     assert all(eval_map(phi, e) == q for e in exact)
     assert len(set(exact)) == len(exact)
+    for r, t, e, _ in pre:
+        assert 0.0 <= t < 2.0 * math.pi
+        assert e is None or (r, t) == e.log_polar()
 
 
 @settings(max_examples=100, deadline=None)
@@ -213,34 +218,57 @@ def test_fiber_keeps_rational_preimages(phi, a, b):
     # every rational x is an exact preimage of phi(x), whatever its height,
     # with multiplicity e_x(phi)
     x = normalize_point(a, b)
-    found = {e: m for _, e, m in fiber(phi, eval_map(phi, x)) if e is not None}
+    found = {e: m for _, _, e, m in fiber(phi, eval_map(phi, x))
+             if e is not None}
     assert found.get(x) == ramification_index(phi, x)
 
 
 def test_fiber_examples():
     # 4 pulls back under z^2 to -2 and 2, exactly; 1 under 2z^2 to the
     # irrational +-sqrt(1/2), numeric only; 0 to the double point 0
-    pre = fiber(Z2, ProjPointQ(4, 1))
-    assert [(w, e, m) for w, e, m in pre] == [
-        (-2.0, ProjPointQ(-2, 1), 1), (2.0, ProjPointQ(2, 1), 1)]
+    log2 = math.log(2.0)
+    assert fiber(Z2, ProjPointQ(4, 1)) == (
+        (log2, math.pi, ProjPointQ(-2, 1), 1),
+        (log2, 0.0, ProjPointQ(2, 1), 1))
     pre = fiber(TWO_Z2, ProjPointQ(1, 1))
-    assert [w for w, _, _ in pre] == pytest.approx([-2.0**-0.5, 2.0**-0.5])
-    assert [(e, m) for _, e, m in pre] == [(None, 1), (None, 1)]
-    assert fiber(Z2, ProjPointQ(0, 1)) == ((0j, ProjPointQ(0, 1), 2),)
+    assert [(r, t) for r, t, _, _ in pre] == [
+        (pytest.approx(-log2 / 2), pytest.approx(math.pi)),
+        (pytest.approx(-log2 / 2), pytest.approx(0.0, abs=1e-15))]
+    assert [(e, m) for _, _, e, m in pre] == [(None, 1), (None, 1)]
+    assert fiber(Z2, ProjPointQ(0, 1)) == (
+        (-math.inf, 0.0, ProjPointQ(0, 1), 2),)
 
 
 def test_fiber_at_infinity():
     # 1/z^2 pulls infinity back to 0, and z^2 to itself, twice each
-    assert fiber(INV_Z2, INFINITY) == ((0j, ProjPointQ(0, 1), 2),)
-    ((w, e, m),) = fiber(Z2, INFINITY)
-    assert w.real == float("inf") and e == INFINITY and m == 2
+    assert fiber(INV_Z2, INFINITY) == ((-math.inf, 0.0, ProjPointQ(0, 1), 2),)
+    assert fiber(Z2, INFINITY) == ((math.inf, 0.0, INFINITY, 2),)
 
 
 def test_fiber_of_large_denominator():
     # the root-rounding that fibers once relied on lost (10^7 + 1)/10^7
     x = normalize_point(10**7 + 1, 10**7)
     pre = fiber(Z2, eval_map(Z2, x))
-    assert [e for _, e, _ in pre] == [normalize_point(-(10**7 + 1), 10**7), x]
+    assert [e for _, _, e, _ in pre] == [normalize_point(-(10**7 + 1), 10**7), x]
+
+
+def test_fiber_above_float_range():
+    # 10^800 pulls back under z^2 to the exact +-10^400 and under 2z^2 to
+    # +-(5 10^799)^(1/2), none of which is a float; the numeric roots keep
+    # the (re, im) order
+    x0 = 800 * math.log(10.0)
+    assert list(fiber(Z2, ProjPointQ(10**800, 1))) == [
+        (pytest.approx(x0 / 2, rel=1e-15), math.pi, ProjPointQ(-10**400, 1), 1),
+        (pytest.approx(x0 / 2, rel=1e-15), 0.0, ProjPointQ(10**400, 1), 1)]
+    assert list(fiber(TWO_Z2, ProjPointQ(10**800, 1))) == [
+        (pytest.approx((x0 - math.log(2.0)) / 2, rel=1e-15),
+         pytest.approx(math.pi), None, 1),
+        (pytest.approx((x0 - math.log(2.0)) / 2, rel=1e-15),
+         pytest.approx(0.0, abs=1e-15), None, 1)]
+    # z^2 + 1 pulls -10^800 - 1 back to +-i 10^400: im is the second key
+    pre = fiber(Z2_PLUS_1, ProjPointQ(-10**800, 1))
+    assert [t for _, t, _, _ in pre] == pytest.approx(
+        [3 * math.pi / 2, math.pi / 2])
 
 
 @settings(max_examples=40, deadline=None)

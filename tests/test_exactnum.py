@@ -1,3 +1,4 @@
+import cmath
 import math
 from fractions import Fraction
 
@@ -6,12 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from stochdyn.dynsys import fiber, make_map
 from stochdyn.exactnum import (
     DegreeMismatch,
     LogCombination,
     ProjPointQ,
     ZeroPoint,
-    complex_roots,
     factor_integer,
     factor_poly,
     int_log,
@@ -22,6 +23,15 @@ from stochdyn.exactnum import (
     poly_trim,
     resultant,
 )
+
+ZERO = ProjPointQ(0, 1)
+
+
+def _roots(f):
+    """The fiber of 0 under f(z)/1, whose fiber form is f: the roots of an
+    ascending integer polynomial f of degree >= 2 as (log|w|, arg w, exact
+    point or None, multiplicity)."""
+    return fiber(make_map(f, [1]), ZERO)
 
 
 def test_normalize_point_examples():
@@ -145,33 +155,38 @@ def test_factor_poly_multiplicities():
 
 def test_poly_roots_multiplicities():
     # x^2 (x - 1), ascending
-    roots = complex_roots(factor_poly((0, 0, -1, 1)))
-    assert len(roots) == 2
-    (r0, m0), (r1, m1) = roots
-    assert m0 == 2 and abs(r0) < 1e-10
-    assert m1 == 1 and abs(r1 - 1) < 1e-10
+    assert _roots((0, 0, -1, 1)) == (
+        (-math.inf, 0.0, ZERO, 2), (0.0, 0.0, ProjPointQ(1, 1), 1))
 
 
 def test_poly_roots_quadratic():
-    roots = complex_roots(factor_poly((-2, 0, 1)))  # x^2 - 2
-    vals = sorted(r.real for r, _ in roots)
-    assert abs(vals[0] + math.sqrt(2)) < 1e-12
-    assert abs(vals[1] - math.sqrt(2)) < 1e-12
+    roots = _roots((-2, 0, 1))  # x^2 - 2
+    assert [(e, m) for _, _, e, m in roots] == [(None, 1), (None, 1)]
+    assert [r for r, _, _, _ in roots] == pytest.approx(
+        [math.log(2) / 2] * 2, rel=1e-12)
+    assert [t for _, t, _, _ in roots] == pytest.approx([math.pi, 0.0],
+                                                         abs=1e-12)
 
 
-@settings(max_examples=100)
-@given(st.lists(st.integers(-8, 8), min_size=2, max_size=6))
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(-8, 8), min_size=3, max_size=6))
 def test_poly_roots_are_roots(coeffs):
     f = poly_trim(tuple(coeffs))
     deg = len(f) - 1
-    if deg < 1:
+    if deg < 2:
         return
-    roots = complex_roots(factor_poly(f))
-    assert sum(m for _, m in roots) == deg
+    roots = _roots(f)
+    assert sum(m for *_, m in roots) == deg
     desc = [float(c) for c in reversed(f)]
     scale = max(abs(c) for c in desc)
-    for r, _ in roots:
-        assert abs(np.polyval(desc, r)) < 1e-7 * scale * max(1.0, abs(r)) ** deg
+    for r, t, e, _ in roots:
+        if e is not None:
+            q = e.as_fraction()
+            assert sum(c * q**i for i, c in enumerate(f)) == 0
+            assert (r, t) == e.log_polar()
+            continue
+        w = cmath.rect(math.exp(r), t)
+        assert abs(np.polyval(desc, w)) < 1e-7 * scale * max(1.0, abs(w)) ** deg
 
 
 def test_rational_roots():
@@ -180,7 +195,8 @@ def test_rational_roots():
     f = (3, -11, 8, 4)
     roots = [(Fraction(-g[0], g[1]), m) for g, m in factor_poly(f)]
     assert sorted(roots) == [(Fraction(-3), 1), (Fraction(1, 2), 2)]
-    assert complex_roots(factor_poly(f)) == [(-3 + 0j, 1), (0.5 + 0j, 2)]
+    assert _roots(f) == ((math.log(3), math.pi, ProjPointQ(-3, 1), 1),
+                         (-math.log(2), 0.0, ProjPointQ(1, 2), 2))
 
 
 def test_int_log_huge():

@@ -10,15 +10,13 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from stochdyn import orbits
-from stochdyn.dynsys import make_map, make_system
+from stochdyn.dynsys import fiber, make_map, make_system
 from stochdyn.exactnum import INFINITY, ProjPointQ
 from stochdyn.ifs import affine_ifs
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
     DEFAULT_CLUSTER_TOL,
     NodeBudgetExceeded,
-    _exact_fiber,
-    _exact_log_polar,
     _LevelBuilder,
     backward_sample,
     backward_tree,
@@ -71,6 +69,16 @@ def test_numeric_fiber_log_polar():
     log_w, arg_w = numeric_fiber(make_map([1, 0, 1], [0, 1]), inf, [0.0])
     assert sorted(log_w[0]) == [-math.inf, math.inf]
     assert arg_w.tolist() == [[0.0, 0.0]]
+
+
+def test_numeric_fiber_refuses_underflowing_lifts():
+    # e^-709 is below the smallest normal float, so the lift of |z| = e^709
+    # would pass for infinity and that of |z| = e^-709 for 0
+    for log_r in (709.0, -709.0):
+        with pytest.raises(OverflowError):
+            numeric_fiber(Z2, [0.0, log_r], [0.0, 1.0])
+    log_w, _ = numeric_fiber(Z2, [708.0, -708.0], [0.0, 0.0])
+    assert np.allclose(log_w, [[354.0] * 2, [-354.0] * 2], rtol=1e-12)
 
 
 def test_numeric_fiber_matches_roots_loop(general):
@@ -460,7 +468,7 @@ def fraction_tree(system, alpha, n, tol=DEFAULT_CLUSTER_TOL):
     """Levels as (points, exact, weights, edges, tolerance_merges), one
     Fraction per edge, one numeric_fiber call per numeric node and map, and
     each of its raw roots an edge of multiplicity 1."""
-    levels = [([_exact_log_polar(alpha)], [alpha], [Fraction(1)], [[]], 0)]
+    levels = [([alpha.log_polar()], [alpha], [Fraction(1)], [[]], 0)]
     for _ in range(n):
         points, exacts, weights = levels[-1][:3]
         nxt = _FractionLevelBuilder(tol)
@@ -473,7 +481,7 @@ def fraction_tree(system, alpha, n, tol=DEFAULT_CLUSTER_TOL):
                                            arg_w[0].tolist())]
                 else:
                     pre = [((r, t), pt, m)
-                           for r, t, pt, m in _exact_fiber(phi, exact)]
+                           for r, t, pt, m in fiber(phi, exact)]
                 for wpt, wexact, m in pre:
                     nxt.add(wpt, wexact, w * prob * Fraction(m, phi.d),
                             (pidx, midx, m))
