@@ -12,7 +12,6 @@ Usage:
 """
 
 import argparse
-import math
 import os
 import sys
 from fractions import Fraction
@@ -29,10 +28,10 @@ from stochdyn.orbits import (
 
 
 def _mean_log_abs(level):
+    """The weighted mean of log|z| over the level: inf or -inf when
+    infinity or 0 carries mass, nan when both do."""
     total = 0.0
     for (log_r, _), w in zip(level.points, level.numerators):
-        if math.isinf(log_r):
-            continue
         total += w / level.denominator * log_r
     return total
 

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -156,7 +155,10 @@ def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
         "version": __version__,
     }
     record.update(payload)
-    out.write(json.dumps(record, sort_keys=True, indent=2) + "\n")
+    # a non-finite value raises ValueError (exit 3) rather than printing
+    # NaN or Infinity, which are not JSON
+    out.write(json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
+              + "\n")
 
 
 def green_config(cfg: SystemConfig, depth: Optional[int]) -> GreenConfig:
@@ -265,7 +267,8 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
     payload = {
         "alpha": _format_point(alpha),
         "green": val,
-        "potential": math.inf if alpha.is_infinity else val + logplus,
+        # g_S + log+|z| is +inf at infinity: JSON null
+        "potential": None if alpha.is_infinity else val + logplus,
         "depth": tail_budget(system).depth(gcfg.tol, gcfg.depth),
         "tol": gcfg.tol,
     }

@@ -19,7 +19,10 @@ tree merges numerically coincident points by one rule, relative at every
 scale, and refuses a merge when the two carry distinct exact identities;
 any merge involving a point without an exact identity is counted as
 tolerance-driven so callers can see when output atoms rest on a numeric
-coincidence.
+coincidence.  Each level is built from arrays of all of its edges: a
+numeric edge that no other edge can meet under the merge rule opens its
+own node at once, and only the other edges take the rule one by one, so
+the levels are those of the edge-by-edge rule.
 """
 
 from __future__ import annotations
@@ -133,11 +136,6 @@ class TreeLevel:
     edges: list  # per node: list of (parent_idx, map_idx, mult)
     tolerance_merges: int
 
-    @property
-    def weights(self) -> list:
-        """The weights as Fractions (read-only; for tests)."""
-        return [Fraction(n, self.denominator) for n in self.numerators]
-
 
 @dataclass
 class MeasureTree:
@@ -161,26 +159,38 @@ def _edge_units(system: StochasticSystem) -> tuple:
 
 _INF_KEY = ("inf",)
 _ZERO_KEY = ("zero",)
+# cell rows past this are clipped in the array keys, which keeps the keys in
+# int64 and can only add contacts
+_ROW_CLIP = float(2**34)
 
 
 class _LevelBuilder:
-    """One level of the tree, built edge by edge.  A preimage joins the node
-    of its exact identity, else the earliest node it is _close to whose
-    exact identity does not differ from its own, else it opens a node.
+    """One level of the tree, built from all of its edges at once.  An edge
+    joins the node of its exact identity, else the earliest node it is
+    _close to whose exact identity does not differ from its own, else it
+    opens a node; nodes are numbered in the order the edges open them.
 
     Nodes are filed under cells of (log|z|, arg z) three times as wide as
     the largest gap _close accepts, -log(1 - tol) in log|z| and asin(tol)
     in angle, so the 2 x 2 block of cells nearest a point holds every node
-    _close to it; infinity and 0 have a cell each."""
+    _close to it; infinity and 0 have a cell each.  build takes every
+    edge's cell and block from arrays, by the floating-point operations of
+    _cells.  A numeric edge whose block holds no other edge's cell, and
+    whose cell is in no other edge's block, can neither join a node nor be
+    joined: it opens its own node with no scan.  Every other edge (exact,
+    at 0 or infinity, or in contact) goes through add, the scalar rule, in
+    edge order; the nodes it meets are only those of such edges."""
 
     def __init__(self):
         self.tol = DEFAULT_CLUSTER_TOL
         self.log_cell = -3.0 * math.log1p(-self.tol)
         self.arg_cells = int(2.0 * math.pi / (3.0 * math.asin(self.tol)))
+        # the nodes of the scalar rule, with the edge that opened each
         self.points = []
         self.exact = []
         self.numerators = []
         self.edges = []
+        self.openers = []
         self.by_exact = {}
         self.cells = defaultdict(list)
         self.tolerance_merges = 0
@@ -213,7 +223,31 @@ class _LevelBuilder:
         return math.hypot(math.expm1(gap),
                           2.0 * math.exp(gap / 2.0) * s) <= self.tol
 
-    def add(self, point, exact, numerator, edge):
+    def _in_contact(self, log_r, theta):
+        """Per finite point, whether another point's cell is in its block
+        or its cell is in another point's block.  A cell (r, a) is the key
+        r * arg_cells + a, with r clipped to +-_ROW_CLIP: clipped points
+        share rows, so no contact is lost."""
+        n = self.arg_cells
+        x = np.clip(log_r / self.log_cell, -_ROW_CLIP, _ROW_CLIP)
+        y = theta / (2.0 * math.pi) * n
+        r, a = np.floor(x), np.floor(y)
+        r2 = np.where(x - r >= 0.5, r + 1, r - 1).astype(np.int64) * n
+        a2 = np.where(y - a >= 0.5, a + 1, a - 1).astype(np.int64) % n
+        r, a = r.astype(np.int64) * n, a.astype(np.int64) % n
+        keys, at, counts = np.unique(r + a, return_inverse=True,
+                                     return_counts=True)
+        contact = counts[at] > 1
+        in_block = np.zeros(len(keys), dtype=bool)
+        for other in (r + a2, r2 + a, r2 + a2):
+            pos = np.minimum(np.searchsorted(keys, other), len(keys) - 1)
+            hit = keys[pos] == other
+            contact |= hit
+            in_block[pos[hit]] = True
+        return contact | in_block[at]
+
+    def add(self, opener, point, exact, numerator, edge):
+        """The scalar rule for edge number opener."""
         idx = self.by_exact.get(exact) if exact is not None else None
         if idx is None:
             cell, block = self._cells(point)
@@ -224,6 +258,7 @@ class _LevelBuilder:
             self.exact.append(exact)
             self.numerators.append(0)
             self.edges.append([])
+            self.openers.append(opener)
             self.cells[cell].append(idx)
             if exact is not None:
                 self.by_exact[exact] = idx
@@ -251,10 +286,76 @@ class _LevelBuilder:
             self.tolerance_merges += 1
         return found
 
-    def build(self, denominator) -> TreeLevel:
-        assert sum(self.numerators) == denominator
-        return TreeLevel(self.points, self.exact, self.numerators,
-                         denominator, self.edges, self.tolerance_merges)
+    def build(self, log_r, theta, exact, numerators, edges,
+              denominator) -> TreeLevel:
+        """The level of the given edges, in order: their points as arrays
+        of log|z| and arg z, and per edge its exact identity or None, its
+        numerator and its (parent_idx, map_idx, mult)."""
+        points = list(zip(log_r.tolist(), theta.tolist()))
+        scalar = np.ones(len(points), dtype=bool)
+        finite = np.flatnonzero(np.isfinite(log_r))
+        if len(finite):
+            scalar[finite] = self._in_contact(log_r[finite], theta[finite])
+        scalar[[k for k, e in enumerate(exact) if e is not None]] = True
+        for k in np.flatnonzero(scalar).tolist():
+            self.add(k, points[k], exact[k], numerators[k], edges[k])
+        opens = ~scalar
+        opens[self.openers] = True
+        order = np.flatnonzero(opens)
+        node_exact = [None] * len(order)
+        node_nums = [numerators[k] for k in order.tolist()]
+        node_edges = [[edges[k]] for k in order.tolist()]
+        for j, at in enumerate(np.searchsorted(order, self.openers).tolist()):
+            node_exact[at] = self.exact[j]
+            node_nums[at] = self.numerators[j]
+            node_edges[at] = self.edges[j]
+        assert sum(node_nums) == denominator
+        return TreeLevel([points[k] for k in order.tolist()], node_exact,
+                         node_nums, denominator, node_edges,
+                         self.tolerance_merges)
+
+
+def _level_edges(system: StochasticSystem, units: list,
+                 level: TreeLevel) -> tuple:
+    """The edges below a level, by parent, then map, then preimage, as
+    _LevelBuilder.build takes them.  Numeric parents take one numeric_fiber
+    call per map, each raw root an edge of multiplicity 1; exact parents
+    take dynsys.fiber."""
+    maps = system.maps
+    degs = [phi.d for phi in maps]
+    width = sum(degs)
+    numeric = [k for k, e in enumerate(level.exact_points) if e is None]
+    if numeric:
+        log_r, theta = np.array([level.points[k] for k in numeric]).T
+        solved = [numeric_fiber(phi, log_r, theta) for phi in maps]
+    rows = {k: [(r, t, pt, m, i) for i, phi in enumerate(maps)
+                for r, t, pt, m in fiber(phi, e)]
+            for k, e in enumerate(level.exact_points) if e is not None}
+    sizes = np.full(len(level.points), width)
+    for k, row in rows.items():
+        sizes[k] = len(row)
+    starts = np.cumsum(sizes) - sizes
+    total = int(sizes.sum())
+    log_w, arg_w = np.empty(total), np.empty(total)
+    map_idx, mult = np.empty(total, dtype=np.int64), np.ones(total, np.int64)
+    exact = [None] * total
+    if numeric:
+        at = starts[numeric][:, None] + np.arange(width)
+        log_w[at] = np.hstack([w for w, _ in solved])
+        arg_w[at] = np.hstack([t for _, t in solved])
+        map_idx[at] = np.repeat(np.arange(len(maps)), degs)
+    for k, row in rows.items():
+        for j, (r, t, pt, m, i) in enumerate(row, int(starts[k])):
+            log_w[j], arg_w[j], exact[j], mult[j], map_idx[j] = r, t, pt, m, i
+    parent = np.repeat(np.arange(len(sizes)), sizes).tolist()
+    map_idx, mult = map_idx.tolist(), mult.tolist()
+    # an edge carries its parent's numerator times units[map] times mult
+    unit = [num * u for num in level.numerators for u in units]
+    nmaps = len(maps)
+    numerators = [unit[p * nmaps + i] * m
+                  for p, i, m in zip(parent, map_idx, mult)]
+    return (log_w, arg_w, exact, numerators,
+            list(zip(parent, map_idx, mult)))
 
 
 def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
@@ -268,29 +369,8 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
     total_nodes = 1
     for _ in range(n):
         cur = levels[-1]
-        nxt = _LevelBuilder()
-        # one kernel call per map over all of the level's numeric nodes,
-        # taken in node order; each root is its own edge of multiplicity 1
-        numeric = [p for p, e in zip(cur.points, cur.exact_points)
-                   if e is None]
-        if numeric:
-            log_r, theta = np.array(numeric).T
-            solved = []
-            for phi in system.maps:
-                log_w, arg_w = numeric_fiber(phi, log_r, theta)
-                solved.append(zip(log_w.tolist(), arg_w.tolist()))
-        for pidx, (exact, num) in enumerate(zip(cur.exact_points,
-                                                cur.numerators)):
-            for midx, phi in enumerate(system.maps):
-                if exact is None:
-                    pre = [(p, None, 1) for p in zip(*next(solved[midx]))]
-                else:
-                    pre = [((r, t), pt, m)
-                           for r, t, pt, m in fiber(phi, exact)]
-                unit = num * units[midx]
-                for point, wexact, m in pre:
-                    nxt.add(point, wexact, unit * m, (pidx, midx, m))
-        level = nxt.build(cur.denominator * lcm)
+        level = _LevelBuilder().build(*_level_edges(system, units, cur),
+                                      cur.denominator * lcm)
         total_nodes += len(level.points)
         if total_nodes > DEFAULT_NODE_BUDGET:
             raise NodeBudgetExceeded(

@@ -10,7 +10,10 @@ by place after every map telescopes it into bounded local terms
 
 At infinity u is a max-norm float (or complex) vector.  At a prime p it is
 a p-unit integer vector, and min(v_p F(u), v_p G(u)) <= v_p(Res), so n steps
-need u only modulo p^(n V + 1), V the largest v_p(Res); good primes give 0.
+need u only modulo p^(n V + 1), V the largest v_p(Res), and step k only
+modulo p^((n - k) V + 1); good primes give 0.  Residues step as int64 once
+the shrinking modulus keeps every form value below 2^62, as Python ints
+before.
 The same kernel serves the Green's function (archpotential), with complex
 lifts and infinity as its only place.  The truncation tail decays
 geometrically (TailBudget), and estimates report it and the sampling
@@ -96,21 +99,41 @@ def tail_budget(system: StochasticSystem) -> TailBudget:
 class Lifts:
     """Normalized lifts of a batch of points: coords holds (x, y) at infinity
     (max-norm 1), then (x, y) at each place (p, p^N, [1, p, ..., p^V]) of
-    places as p-unit vectors of Python ints mod p^N in object arrays."""
+    places as p-unit residues mod p^N, the current modulus, which _apply
+    divides by p^V.  int64_caps holds per place the largest modulus at which
+    residues step as int64 (see _int64_cap); above it they are Python ints
+    in object arrays."""
 
     coords: tuple
     places: tuple = ()
+    int64_caps: tuple = ()
 
     def __len__(self) -> int:
         return len(self.coords[0])
 
     def take(self, ix) -> "Lifts":
-        return Lifts(tuple(c[ix] for c in self.coords), self.places)
+        return Lifts(tuple(c[ix] for c in self.coords), self.places,
+                     self.int64_caps)
 
     @staticmethod
     def concat(parts) -> "Lifts":
         coords = zip(*(part.coords for part in parts))
-        return Lifts(tuple(np.concatenate(c) for c in coords), parts[0].places)
+        return Lifts(tuple(np.concatenate(c) for c in coords), parts[0].places,
+                     parts[0].int64_caps)
+
+
+def _int64_cap(system: StochasticSystem, p: int) -> int:
+    """The largest power M of p with sum |c| M^d < 2^62 for each form of
+    every map, or 0 if p fails: on residues below M every value that
+    dynsys._eval_forms forms, partial sums of Horner's rule and powers of y
+    included, stays below 2^62 in absolute value, so int64 is exact.  One
+    cap for all maps gives every map's images of a batch one dtype."""
+    bounds = [(max(sum(map(abs, phi.fcoeffs)), sum(map(abs, phi.gcoeffs))),
+               phi.d) for phi in system.maps]
+    cap, m = 0, p
+    while all(s * m**d < 1 << 62 for s, d in bounds):
+        cap, m = m, m * p
+    return cap
 
 
 def _point_lifts(system: StochasticSystem, points, depth: int) -> Lifts:
@@ -119,7 +142,7 @@ def _point_lifts(system: StochasticSystem, points, depth: int) -> Lifts:
     tops = [max(abs(pt.a), abs(pt.b)) for pt in points]
     coords = [np.array([pt.a / t for pt, t in zip(points, tops)]),
               np.array([pt.b / t for pt, t in zip(points, tops)])]
-    places = []
+    places, caps = [], []
     for p in sorted(set().union(*map(bad_primes, system.maps))):
         v = max(padic_valuation(phi.res, p) for phi in system.maps)
         modulus = p ** (depth * v + 1)
@@ -127,7 +150,8 @@ def _point_lifts(system: StochasticSystem, points, depth: int) -> Lifts:
                    np.array([pt.b % modulus for pt in points], dtype=object)]
         places.append((p, modulus,
                        np.array([p**j for j in range(v + 1)], dtype=object)))
-    return Lifts(tuple(coords), tuple(places))
+        caps.append(_int64_cap(system, p))
+    return Lifts(tuple(coords), tuple(places), tuple(caps))
 
 
 def _images(phi, lifts: Lifts, floor: float) -> tuple:
@@ -146,7 +170,11 @@ def _images(phi, lifts: Lifts, floor: float) -> tuple:
     term = np.log(m) + k * LOG2 if k else np.log(m)
     ints = []
     for j, (p, modulus, powers) in enumerate(lifts.places):
-        f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
+        x, y = lifts.coords[2 + 2 * j:4 + 2 * j]
+        if modulus <= lifts.int64_caps[j]:
+            # residues of an earlier step may still exceed the modulus
+            x, y = ((c % modulus).astype(np.int64, copy=False) for c in (x, y))
+        f, g = phi.hom_eval_int(x, y)
         f, g = f % modulus, g % modulus
         e = np.zeros(len(f), dtype=int)
         for q in powers[1:]:
@@ -175,10 +203,14 @@ def _apply(phi, lifts: Lifts, floor: float):
         gy *= inv
     else:
         fx, gy = fx / m, gy / m
-    coords = [fx, gy]
-    for (f, g, e), (_, _, powers) in zip(ints, lifts.places):
-        coords += [f // powers[e], g // powers[e]]
-    return Lifts(tuple(coords), lifts.places), term
+    coords, places = [fx, gy], []
+    for (f, g, e), (p, modulus, powers) in zip(ints, lifts.places):
+        div = powers[e] if f.dtype == object else powers.astype(np.int64)[e]
+        coords += [f // div, g // div]
+        # p^e with e <= V divides the residues: the next step reads them
+        # modulo p^N / p^V
+        places.append((p, modulus // powers[-1], powers))
+    return Lifts(tuple(coords), tuple(places), lifts.int64_caps), term
 
 
 def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
@@ -248,7 +280,7 @@ def escape_sum_mc(system: StochasticSystem, lifts: Lifts, samples: int,
         for k in range(rows.shape[1]):
             idx = np.repeat(rows[:, k], npts)
             last = k + 1 == rows.shape[1]  # only its terms are read
-            coords = [] if last else [np.empty_like(c) for c in cur.coords]
+            coords = None
             term = np.empty(len(cur))
             for i, phi in enumerate(system.maps):
                 sel = idx == i
@@ -256,10 +288,13 @@ def escape_sum_mc(system: StochasticSystem, lifts: Lifts, samples: int,
                     term[sel] = _term(phi, cur.take(sel), floor)
                     continue
                 nxt, term[sel] = _apply(phi, cur.take(sel), floor)
+                if coords is None:  # every map's images share their dtypes
+                    coords = [np.empty(len(cur), part.dtype)
+                              for part in nxt.coords]
                 for c, part in zip(coords, nxt.coords):
                     c[sel] = part
             if not last:
-                cur = Lifts(tuple(coords), cur.places)
+                cur = Lifts(tuple(coords), nxt.places, nxt.int64_caps)
             deg = deg * degs[idx]
             vals += term / deg
         vals = vals.reshape(len(rows), npts)

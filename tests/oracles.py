@@ -1,4 +1,5 @@
-"""Oracles of the tests: word enumeration and per-word ramification.
+"""Oracles of the tests: word enumeration, per-word ramification and the
+weights of a backward-tree level as Fractions.
 
 The weighted depth-3 ramification ratio sigma3 equals 1 exactly where
 `dynsys.is_exceptional_system` holds; depth 2 would not suffice, as the
@@ -60,3 +61,9 @@ def sigma3(system: StochasticSystem, point: ProjPointQ,
         acc += w.weight * Fraction(e, w.degree)
     assert 0 < acc <= 1
     return acc
+
+
+def level_weights(level) -> list:
+    """The weights of an orbits.TreeLevel as Fractions, numerator over the
+    level's denominator."""
+    return [Fraction(n, level.denominator) for n in level.numerators]

@@ -223,6 +223,39 @@ def test_green_eval_command(capsys, example_config):
     assert record["depth"] == 10
 
 
+def _strict_json(text):
+    """json.loads that refuses NaN, Infinity and -Infinity, which are not
+    JSON."""
+    def refuse(name):
+        raise ValueError(f"non-JSON constant {name}")
+    return json.loads(text, parse_constant=refuse)
+
+
+def test_json_records_are_strict(capsys, tmp_path, example_config,
+                                 monkeypatch):
+    # every command that prints a JSON record prints plain numbers, or null
+    # for the potential at infinity, which is +inf
+    csv_path = str(tmp_path / "orbit.csv")
+    for argv in (("validate",), ("height", "3/2"), ("stoch-height", "1"),
+                 ("orbit-sample", "1", "--samples", "20", "--out", csv_path),
+                 ("equidist", "1", "--samples", "200", "--depth", "10"),
+                 ("equidist", "1", "--samples", "200", "--depth", "10",
+                  "--place", "2"),
+                 ("green-eval", "0"), ("green-eval", "inf"), ("radii",)):
+        code, out, err = run_cli(capsys, argv[0], "--config", example_config,
+                                 *argv[1:])
+        assert code == 0, err
+        record = _strict_json(out)
+        if argv == ("green-eval", "inf"):
+            assert record["potential"] is None
+            assert math.isfinite(record["green"])
+    # a non-finite value exits 3 before anything is printed
+    monkeypatch.setattr(stochdyn.cli, "weil_height", lambda alpha: math.nan)
+    code, out, err = run_cli(capsys, "height", "--config", example_config,
+                             "3/2")
+    assert (code, out) == (3, "") and err.startswith("error: ValueError")
+
+
 def test_radii_command(capsys, example_config):
     code, out, _ = run_cli(capsys, "radii", "--config", example_config)
     assert code == 0
@@ -552,6 +585,20 @@ def test_tree_script_tables_frozen(capsys, monkeypatch):
         assert run_script(monkeypatch, TREE_SCRIPT, "--config",
                           str(ROOT / config), alpha, "--depth", depth) == 0
         assert capsys.readouterr().out == table
+
+
+def test_tree_script_mean_at_zero_and_infinity(capsys, monkeypatch):
+    # a level with mass at infinity or at 0 has an infinite mean log|z|,
+    # and nan when both carry mass: from infinity, level 1 holds infinity
+    # with mass 5/6 and 0 with 1/6
+    general = str(GENERAL_CONFIG)
+    for alpha, means in (("inf", ["inf", "nan"]), ("0", ["-inf"])):
+        assert run_script(monkeypatch, TREE_SCRIPT, "--config", general,
+                          alpha, "--depth", "3") == 0
+        rows = [line.split()
+                for line in capsys.readouterr().out.splitlines()[1:5]]
+        assert [r[4] for r in rows[:len(means)]] == means
+    assert rows[1][4] == "0.000000"  # from 0, level 1 lies on |z| = 1
 
 
 def test_equidist_above_float_range(capsys, tmp_path, example_config):

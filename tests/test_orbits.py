@@ -28,6 +28,7 @@ from stochdyn.orbits import (
     write_samples_csv,
 )
 
+from oracles import level_weights
 from strategies import points, small_maps
 
 ONE = ProjPointQ(1, 1)
@@ -106,14 +107,14 @@ def test_numeric_fiber_matches_roots_loop(general):
 def test_backward_tree_depth_zero(dyadic):
     tree = backward_tree(dyadic, ONE, 0)
     assert tree.depth == 0
-    assert tree.levels[0].weights == [Fraction(1)]
+    assert level_weights(tree.levels[0]) == [Fraction(1)]
     assert tree.levels[0].exact_points == [ONE]
 
 
 def test_backward_tree_dyadic_level_one(dyadic):
     tree = backward_tree(dyadic, ONE, 1)
     level = tree.levels[1]
-    assert sorted(level.weights) == [Fraction(1, 4)] * 4
+    assert sorted(level_weights(level)) == [Fraction(1, 4)] * 4
     mags = sorted(math.exp(log_r) for log_r, _ in level.points)
     assert mags[:2] == pytest.approx([SQRT_HALF, SQRT_HALF])
     assert mags[2:] == pytest.approx([1.0, 1.0])
@@ -124,7 +125,7 @@ def test_backward_tree_dyadic_level_one(dyadic):
 def test_backward_tree_z2_roots_of_unity(single_z2):
     tree = backward_tree(single_z2, ONE, 2)
     level = tree.levels[2]
-    assert sorted(level.weights) == [Fraction(1, 4)] * 4
+    assert sorted(level_weights(level)) == [Fraction(1, 4)] * 4
     got = sorted(map(_complex, level.points),
                  key=lambda z: (round(z.real, 6), round(z.imag, 6)))
     want = [-1, -1j, 1j, 1]
@@ -140,8 +141,8 @@ def test_tree_mass_conservation(dyadic):
     for system in (dyadic, mixed):
         tree = backward_tree(system, ONE, 3)
         for level in tree.levels:
-            assert sum(level.weights) == 1
-            assert all(w > 0 for w in level.weights)
+            assert sum(level_weights(level)) == 1
+            assert all(w > 0 for w in level_weights(level))
 
 
 def test_tree_avoids_exceptional_set(dyadic):
@@ -223,7 +224,7 @@ def test_sampler_unbiased_vs_tree(dyadic):
         batch = backward_sample(dyadic, ONE, depth, 20000, seed=0)
         freqs = _atom_freqs(batch, tree.levels[depth])
         slack = 4.0 / math.sqrt(batch.samples)
-        for f, w in zip(freqs, tree.levels[depth].weights):
+        for f, w in zip(freqs, level_weights(tree.levels[depth])):
             assert abs(f - float(w)) <= slack
 
 
@@ -249,7 +250,7 @@ def test_sampler_general_path_multiplicity():
     batch = backward_sample(system, ONE, 1, 4000, seed=5)
     freqs = _atom_freqs(batch, tree.levels[1])
     slack = 4.0 / math.sqrt(batch.samples)
-    weights = [float(w) for w in tree.levels[1].weights]
+    weights = [float(w) for w in level_weights(tree.levels[1])]
     assert 0.5 in weights
     for f, w in zip(freqs, weights):
         assert abs(f - w) <= slack
@@ -269,7 +270,7 @@ def test_sampler_numeric_phase_vs_tree(general):
     batch = backward_sample(general, ProjPointQ(3, 1), 2, 20000, seed=8)
     freqs = _atom_freqs(batch, tree.levels[2])
     slack = 4.0 / math.sqrt(batch.samples)
-    for f, w in zip(freqs, tree.levels[2].weights):
+    for f, w in zip(freqs, level_weights(tree.levels[2])):
         assert abs(f - float(w)) <= slack
 
 
@@ -352,14 +353,14 @@ def test_tree_keeps_tiny_points_apart(general):
     # that an absolute tolerance below |z| = 1 merged into one atom
     level = backward_tree(general, ProjPointQ(10**30, 1), 3).levels[2]
     tiny = sorted((_complex(p).real, w)
-                  for p, w in zip(level.points, level.weights)
+                  for p, w in zip(level.points, level_weights(level))
                   if p[0] < math.log(1e-10))
     half_root2 = 2.5 * math.sqrt(2.0)
     assert [x * 1e16 for x, _ in tiny] == pytest.approx(
         [-5.0, -half_root2, half_root2, 5.0], rel=1e-9)
     assert [w for _, w in tiny] == [Fraction(1, 24), Fraction(1, 36),
                                     Fraction(1, 36), Fraction(1, 24)]
-    assert sum(level.weights) == 1
+    assert sum(level_weights(level)) == 1
 
 
 def _perturbed(point, eps):
@@ -386,13 +387,19 @@ def test_merge_cells_hold_every_close_pair(log_r, theta, dx, dy):
         assert w_cell in z_block and z_cell in w_block
 
 
+def _numeric_level(points, numerators):
+    """_LevelBuilder.build on numeric edges of parent 0 under map 0 with
+    these points and numerators, in order."""
+    log_r, theta = np.array(points, dtype=float).T
+    k = len(points)
+    return _LevelBuilder().build(log_r, theta, [None] * k, numerators,
+                                 [(0, 0, 1)] * k, sum(numerators))
+
+
 def test_tree_merges_relative_at_every_scale():
     for z in ((math.log(1e3), 0.0), (1e4, 1.0), (-1e4, 6.0)):
-        builder = _LevelBuilder()
-        builder.add(z, None, 1, (0, 0, 1))
-        builder.add(_perturbed(z, 5e-9j), None, 2, (0, 1, 1))
-        builder.add(_perturbed(z, -2.0), None, 1, (0, 1, 1))
-        level = builder.build(4)
+        level = _numeric_level([z, _perturbed(z, 5e-9j),
+                                _perturbed(z, -2.0)], [1, 2, 1])
         assert level.numerators == [3, 1] and level.tolerance_merges == 1
 
 
@@ -533,7 +540,7 @@ def test_tree_matches_fraction_oracle(case):
             tree.levels, oracle):
         assert level.points == points
         assert level.exact_points == exacts
-        assert level.weights == weights
+        assert level_weights(level) == weights
         assert sum(level.numerators) == level.denominator
         assert level.edges == edges
         assert level.tolerance_merges == merges
@@ -572,11 +579,8 @@ def _greedy_nodes(points, tol):
 
 
 def _built_nodes(points):
-    """(point, count) per node of _LevelBuilder fed the points in order."""
-    builder = _LevelBuilder()
-    for p in points:
-        builder.add(p, None, 1, (0, 0, 1))
-    level = builder.build(len(points))
+    """(point, count) per node of _LevelBuilder given the points in order."""
+    level = _numeric_level(points, [1] * len(points))
     return list(zip(level.points, level.numerators))
 
 
@@ -622,3 +626,55 @@ def test_level_builder_greedy_rule(roots, tol):
         patch.setattr(orbits, "DEFAULT_CLUSTER_TOL", tol)
         for order in (points, points[::-1]):
             assert _built_nodes(order) == _greedy_nodes(order, tol)
+
+
+def test_contact_in_either_direction():
+    # in log|z| cell units: 0.9 has the block rows {0, 1} and 1.6 the rows
+    # {1, 2}, so the cell of 1.6 is in the block of 0.9 but not the other
+    # way; both take the scalar rule.  2.6 meets neither
+    builder = _LevelBuilder()
+    for x, want in (((0.9, 1.6), [True, True]), ((0.9, 2.6), [False, False]),
+                    ((0.9, 0.95), [True, True])):
+        log_r = np.array(x) * builder.log_cell
+        assert builder._in_contact(log_r, np.full(2, 1.0)).tolist() == want
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.integers(0, 11), st.floats(-3.0, 3.0),
+                          st.floats(0.0, 6.28), st.floats(-2.0, 2.0)),
+                min_size=1, max_size=60),
+       st.sampled_from([1e-8, 1e-3]))
+def test_level_build_matches_scalar_rule(draws, tol):
+    # build takes whole arrays; the scalar rule, add edge by edge over every
+    # edge, must give the same level: clusters about a tolerance wide, lone
+    # points, 0, infinity and exact identities, some shared
+    exacts = [ProjPointQ(k, 1) for k in range(3)]
+    points, exact = [], []
+    for k, (kind, r, t, shift) in enumerate(draws):
+        pt = None
+        if kind == 0:
+            r, t = math.inf, 0.0
+        elif kind == 1:
+            r, t = -math.inf, 0.0
+        elif kind < 7 and k and math.isfinite(points[kind % k][0]):
+            r0, t0 = points[kind % k]
+            r, t = r0 + shift * tol, (t0 - shift * tol) % (2.0 * math.pi)
+        if kind >= 9:
+            pt = exacts[kind - 9]
+        points.append((r, t))
+        exact.append(pt)
+    nums = list(range(1, len(points) + 1))
+    edges = [(k, k % 2, 1) for k in range(len(points))]
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(orbits, "DEFAULT_CLUSTER_TOL", tol)
+        log_r, theta = np.array(points).T
+        got = _LevelBuilder().build(log_r, theta, exact, nums, edges,
+                                    sum(nums))
+        scalar = _LevelBuilder()
+        for k, args in enumerate(zip(points, exact, nums, edges)):
+            scalar.add(k, *args)
+    assert got.points == scalar.points
+    assert got.exact_points == scalar.exact
+    assert got.numerators == scalar.numerators
+    assert got.edges == scalar.edges
+    assert got.tolerance_merges == scalar.tolerance_merges
