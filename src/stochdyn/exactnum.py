@@ -390,9 +390,6 @@ class LogCombination:
         t = Fraction(t)
         return LogCombination({p: c * t for p, c in self.coeffs.items()})
 
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def evaluate(self) -> float:
         return math.fsum(float(c) * math.log(p) for p, c in sorted(self.coeffs.items()))
 

@@ -25,26 +25,18 @@ import sympy
 from .dynsys import RationalMapQ, StochasticSystem, _form_mul, bad_primes
 from .exactnum import (
     _bareiss_det,
-    LOG2,
     LogCombination,
     ProjPointQ,
     StochdynError,
-    factor_poly,
     int_log,
     log_abs_fraction,
     padic_valuation,
-    poly_trim,
-    scaled_roots,
     sylvester_rows,
 )
 
 
 class InfinitePoint(StochdynError):
     """Operation not defined for the point at infinity."""
-
-
-class NotIrreducible(StochdynError):
-    """Polynomial has a nontrivial factorization over Q."""
 
 
 @dataclass(frozen=True)
@@ -92,28 +84,6 @@ def local_height(point: ProjPointQ, place: PlaceQ) -> float:
     return v * math.log(place.p)
 
 
-def weil_height_minpoly(coeffs: Sequence) -> float:
-    """Height of any root of an irreducible integer polynomial (ascending).
-
-    (1/deg)(log|lead| + sum of log+ over complex roots), the Mahler-measure
-    form of the height.  The root of a linear polynomial is exact; the
-    roots 2^s y of a nonlinear one enter as log|y| + s log 2.
-    """
-    f = poly_trim(tuple(int(c) for c in coeffs))
-    deg = len(f) - 1
-    if deg < 1:
-        raise ValueError("need degree >= 1")
-    factors = factor_poly(f)
-    if len(factors) != 1 or factors[0][1] != 1:
-        raise NotIrreducible(f"{f} factors over Q")
-    if deg == 1:
-        tail = max(0.0, log_abs_fraction(Fraction(-f[0], f[1]))) if f[0] else 0.0
-    else:
-        ys, s = scaled_roots(f)
-        tail = math.fsum(max(0.0, math.log(abs(y)) + s * LOG2) for y in ys)
-    return (int_log(abs(f[-1])) + tail) / deg
-
-
 # ---------------------------------------------------------------------------
 # discrete measures
 
@@ -148,10 +118,6 @@ def make_measure(support: Sequence, weights: Sequence) -> DiscreteMeasure:
     return DiscreteMeasure(support, weights)
 
 
-def dirac(point: ProjPointQ) -> DiscreteMeasure:
-    return make_measure([point], [Fraction(1)])
-
-
 def mix(components) -> DiscreteMeasure:
     """Convex combination [(t_k, measure_k)], merging shared support points."""
     acc = {}
@@ -163,12 +129,9 @@ def mix(components) -> DiscreteMeasure:
     return make_measure(pts, [acc[p] for p in pts])
 
 
-def measure_height(measure: DiscreteMeasure) -> float:
-    return math.fsum(float(w) * weil_height(p) for p, w in measure)
-
-
 def measure_height_exact(measure: DiscreteMeasure) -> LogCombination:
-    """Same sum, as an exact rational combination of prime logs."""
+    """The measure's height sum_p w_p h(p), as an exact rational
+    combination of prime logs."""
     acc = LogCombination()
     for p, w in measure:
         acc = acc + LogCombination.of_log_abs(max(abs(p.a), abs(p.b))).scaled(w)

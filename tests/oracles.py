@@ -1,16 +1,30 @@
-"""Oracles of the tests: word enumeration, per-word ramification and the
-weights of a backward-tree level as Fractions.
+"""Oracles of the tests: word enumeration, per-word ramification, the
+weights of a backward-tree level as Fractions, Dirac measures, float
+heights of roots of minimal polynomials and of discrete measures, and the
+zero test of an exact log combination.
 
 The weighted depth-3 ramification ratio sigma3 equals 1 exactly where
 `dynsys.is_exceptional_system` holds; depth 2 would not suffice, as the
 pair {1/z^2, z^2 + 1} at infinity shows."""
 
 import itertools
+import math
 from fractions import Fraction
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from stochdyn.dynsys import StochasticSystem, eval_map, ramification_index
-from stochdyn.exactnum import ProjPointQ
+from stochdyn.exactnum import (
+    LOG2,
+    LogCombination,
+    ProjPointQ,
+    StochdynError,
+    factor_poly,
+    int_log,
+    log_abs_fraction,
+    poly_trim,
+    scaled_roots,
+)
+from stochdyn.heights import DiscreteMeasure, make_measure, weil_height
 from stochdyn.stochheight import WORD_CAP_DEFAULT, WordCapExceeded
 
 
@@ -67,3 +81,42 @@ def level_weights(level) -> list:
     """The weights of an orbits.TreeLevel as Fractions, numerator over the
     level's denominator."""
     return [Fraction(n, level.denominator) for n in level.numerators]
+
+
+class NotIrreducible(StochdynError):
+    """Polynomial has a nontrivial factorization over Q."""
+
+
+def weil_height_minpoly(coeffs: Sequence) -> float:
+    """Height of any root of an irreducible integer polynomial (ascending).
+
+    (1/deg)(log|lead| + sum of log+ over complex roots), the Mahler-measure
+    form of the height.  The root of a linear polynomial is exact; the
+    roots 2^s y of a nonlinear one enter as log|y| + s log 2.
+    """
+    f = poly_trim(tuple(int(c) for c in coeffs))
+    deg = len(f) - 1
+    if deg < 1:
+        raise ValueError("need degree >= 1")
+    factors = factor_poly(f)
+    if len(factors) != 1 or factors[0][1] != 1:
+        raise NotIrreducible(f"{f} factors over Q")
+    if deg == 1:
+        tail = max(0.0, log_abs_fraction(Fraction(-f[0], f[1]))) if f[0] else 0.0
+    else:
+        ys, s = scaled_roots(f)
+        tail = math.fsum(max(0.0, math.log(abs(y)) + s * LOG2) for y in ys)
+    return (int_log(abs(f[-1])) + tail) / deg
+
+
+def dirac(point: ProjPointQ) -> DiscreteMeasure:
+    return make_measure([point], [Fraction(1)])
+
+
+def measure_height(measure: DiscreteMeasure) -> float:
+    """sum_p w_p h(p) in floats; heights.measure_height_exact is exact."""
+    return math.fsum(float(w) * weil_height(p) for p, w in measure)
+
+
+def is_zero(combination: LogCombination) -> bool:
+    return not combination.coeffs

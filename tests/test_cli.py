@@ -546,6 +546,23 @@ def test_huge_starts_leave_stderr_empty(capsys, monkeypatch):
         pytest.approx(400 * math.log(10))] * 2
 
 
+def test_orbit_sample_keeps_small_roots(capsys, tmp_path):
+    # from 10^60, the second step's fibers under (z^3 + 1)/(2z) hold roots
+    # near 1/(2z), far below 1; they were lost to 0 and written as
+    # 0.0,0.0,-inf, and the record's mean log|z| then failed as -inf (exit 3)
+    out_csv = tmp_path / "samples.csv"
+    with warnings_as_errors():
+        code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                                 str(GENERAL_CONFIG), str(10**60), "--depth",
+                                 "2", "--samples", "200", "--out",
+                                 str(out_csv))
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(out_csv.read_text().splitlines()))[1:]
+    assert len(rows) == 200
+    assert all(math.isfinite(float(row[3])) for row in rows)
+    assert math.isfinite(json.loads(out)["mean_log_abs"])
+
+
 # the tables of the two backward_tree operations of perfbench's `exact`
 # workload, as the complex-valued tree printed them
 FROZEN_TREE_TABLES = {

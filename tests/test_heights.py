@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import NotIrreducible, dirac, measure_height, weil_height_minpoly
 from strategies import finite_measures, points, small_maps
 
 from stochdyn.dynsys import make_map, make_system
@@ -19,22 +20,18 @@ from stochdyn.exactnum import (
 from stochdyn.heights import (
     ARCH,
     InfinitePoint,
-    NotIrreducible,
     PlaceQ,
     _bezout_cofactors,
     cphi_bound,
-    dirac,
     energy_pairing_discrete,
     l1_height_control_total,
     local_height,
     make_measure,
-    measure_height,
     measure_height_exact,
     mix,
     product_formula_sum,
     standard_energy_defect,
     weil_height,
-    weil_height_minpoly,
 )
 
 LOG2 = math.log(2)

@@ -1,9 +1,12 @@
 import cmath
 import io
+import itertools
 import math
+import sys
 from collections import defaultdict
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
@@ -11,7 +14,7 @@ from hypothesis import strategies as st
 
 from stochdyn import orbits
 from stochdyn.dynsys import fiber, make_map, make_system
-from stochdyn.exactnum import INFINITY, ProjPointQ
+from stochdyn.exactnum import INFINITY, ConvergenceFailure, ProjPointQ
 from stochdyn.ifs import affine_ifs
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
@@ -102,6 +105,139 @@ def test_numeric_fiber_matches_roots_loop(general):
                 nearest = min(want, key=lambda x: abs(x - r))
                 assert abs(nearest - r) <= 1e-9 * max(1.0, abs(r))
                 want.remove(nearest)
+
+
+def test_numeric_fiber_keeps_roots_far_from_one():
+    # the small root of (z^3 + 1)/(2z) over e^L e^{0.3i} is about
+    # 1/(2 e^L); the companion eigenvalues lost it to 0 from L = 50 on
+    cubic = make_map([1, 0, 0, 1], [0, 2])
+    for big in (50.0, 300.0, 700.0):
+        log_w, _ = numeric_fiber(cubic, [big], [0.3])
+        assert min(log_w[0]) == pytest.approx(-(big + math.log(2.0)),
+                                              rel=1e-12)
+    # over 10^302.5, (z^2 + 1)/z has roots near 10^302.5 and 10^-302.5,
+    # and z^2/10^300 over 10^305 the roots +-10^302.5 (once both infinity;
+    # the lift's coefficient e^-702.3 F(1, 0) = 7e-317 is subnormal and
+    # holds 24 bits, so the roots keep about 8 digits)
+    big = 302.5 * math.log(10.0)
+    log_w, _ = numeric_fiber(make_map([1, 0, 1], [0, 1]), [big], [0.0])
+    assert sorted(log_w[0]) == pytest.approx([-big, big], rel=1e-12)
+    log_w, arg_w = numeric_fiber(make_map([0, 0, 1], [10**300]),
+                                 [305.0 * math.log(10.0)], [0.0])
+    assert log_w[0] == pytest.approx([big, big], abs=1e-7)
+    assert sorted(arg_w[0]) == pytest.approx([0.0, math.pi], abs=1e-12)
+
+
+def test_numeric_fiber_refuses_lost_roots():
+    # degree 4 takes the companion eigenvalues, which find the root near
+    # 1/(2z) of (w^4 + 1)/(2w) = z at |z| = e^50 but lose it to 0 at
+    # e^100: that fails the backward-error test instead of passing as 0
+    quartic = make_map([1, 0, 0, 0, 1], [0, 2])
+    log_w, _ = numeric_fiber(quartic, [50.0], [0.3])
+    assert min(log_w[0]) == pytest.approx(-(50.0 + math.log(2.0)), rel=1e-9)
+    with pytest.raises(ConvergenceFailure):
+        numeric_fiber(quartic, [100.0], [0.3])
+
+
+_COEFF = st.one_of(st.just(0j), st.builds(
+    lambda re, im, e: complex(math.ldexp(re, e), math.ldexp(im, e)),
+    st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
+    st.integers(-220, 180)))
+
+
+def _closed_form(body) -> list:
+    """The roots of one row of descending coefficients by
+    orbits._chart_roots, as mpmath numbers (no float range limit)."""
+    log_x, arg_x = orbits._chart_roots(np.array([body], dtype=complex), "p")
+    return [mpmath.exp(mpmath.mpf(r)) * mpmath.expj(t) if r > -math.inf
+            else mpmath.mpc(0) for r, t in zip(log_x[0], arg_x[0])]
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(1, 3).flatmap(
+    lambda k: st.lists(_COEFF, min_size=k + 1, max_size=k + 1)))
+def test_closed_form_roots(body):
+    # coefficients 2^-220 to 2^200 in modulus and exact zeros: the roots
+    # reproduce the monic coefficients, each elementary symmetric function
+    # e_i to 1e-10 of e_i of the moduli; and where Newton's method at 60
+    # digits, started from each root, reaches roots 1e-3 apart relative to
+    # their size, each root is within 1e-9 of its own, relative to its size.
+    # np.linalg.eigvals is no reference here: with the coefficients
+    # (0.875, 2.7e16, 0, 8.6e9) i its roots near +-5.6e-4 i are 1e-9 off
+    assume(body[0] != 0)
+    k = len(body) - 1
+    with mpmath.workdps(60):
+        roots = _closed_form(body)
+        coeffs = [mpmath.mpc(c) for c in body]
+        for i in range(1, k + 1):
+            subsets = list(itertools.combinations(roots, i))
+            e = mpmath.fsum(mpmath.fprod(s) for s in subsets)
+            scale = mpmath.fsum(mpmath.fprod(abs(x) for x in s)
+                                for s in subsets)
+            gap = abs(coeffs[i] / coeffs[0] - (-1) ** i * e)
+            assert gap <= 1e-10 * scale
+        polished = []
+        for x in roots:
+            for _ in range(50):
+                f, df = mpmath.polyval(coeffs, x, derivative=True)
+                if f == 0 or df == 0:
+                    break
+                x = x - f / df
+            polished.append(x)
+        assume(all(abs(x - y) > 1e-3 * max(abs(x), abs(y))
+                   for x, y in itertools.combinations(polished, 2)))
+        for x, y in zip(roots, polished):
+            assert abs(x - y) <= 1e-9 * abs(y)
+
+
+# the exact ones come out exact: no rounding reaches a repeated root
+_EXACT_PATTERNS = [(1, 1, -2), (0, 0, 0), (1, 1, 1), (0, 0, -2), (3, 3, 3),
+                   (-1, -1), (0, 0), (5,), (0,)]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(_EXACT_PATTERNS + [(0, 1, 1), (1j, 1j, -2),
+                                          (2, 2, -1j), (1 + 1j,) * 3]),
+       st.integers(-200, 200), st.sampled_from([1, 3, -2j, 1 + 1j]),
+       st.integers(-200, 200))
+def test_closed_form_multiple_roots(pattern, s, lead, t):
+    # double and triple roots scaled by 2^s, with exact coefficients, such
+    # as (z - 1)^2 (z + 2) and z^3: simple roots to 1e-9 relative (0
+    # exactly), and so are the repeated roots of _EXACT_PATTERNS.  Others
+    # move by about eps^(1/m) under the rounding of the deflated
+    # coefficients, as the companion eigenvalues do too: a root of
+    # multiplicity m may be 4 eps^(1/m) off, relative to its size.
+    roots = [complex(r) * 2.0**s for r in pattern]
+    body = [complex(lead) * 2.0**t]
+    for r in roots:
+        body = [x - r * y for x, y in zip(body + [0j], [0j] + body)]
+    want = [(w, 1e-9 if pattern in _EXACT_PATTERNS or pattern.count(r) == 1
+             else 4.0 * sys.float_info.epsilon ** (1.0 / pattern.count(r)))
+            for r, w in zip(pattern, roots)]
+    got = _closed_form(body)
+    assert any(all(abs(g - w) <= tol * abs(w) for g, (w, tol) in zip(got, p))
+               for p in itertools.permutations(want))
+
+
+@settings(max_examples=150, deadline=None)
+@given(small_maps())
+def test_numeric_fiber_at_zero_and_infinity(phi):
+    # rows at 0 and infinity against the exact fibers, multiplicities
+    # included: a simple root to 1e-9, a repeated one to 1e-6
+    log_w, arg_w = numeric_fiber(phi, [-math.inf, math.inf], [0.0, 0.0])
+    for row, point in enumerate((ProjPointQ(0, 1), INFINITY)):
+        want = [(r, t, m) for r, t, _, m in fiber(phi, point)]
+        got = sorted(zip(log_w[row].tolist(), arg_w[row].tolist()))
+        assert len(got) == sum(m for *_, m in want)
+        for r, t, m in want:
+            tol = 1e-9 if m == 1 else 1e-6
+            near = [k for k, (gr, gt) in enumerate(got)
+                    if (gr == r if math.isinf(r) else
+                        abs(cmath.rect(math.exp(gr - r), gt)
+                            - cmath.exp(1j * t)) <= tol)]
+            assert len(near) >= m
+            for k in near[:m][::-1]:
+                got.pop(k)
 
 
 def test_backward_tree_depth_zero(dyadic):
