@@ -38,16 +38,17 @@ import numpy as np
 from .exactnum import (
     _INT_LOG_CUTOFF_BITS,
     INFINITY,
-    LOG2,
     ProjPointQ,
     StochdynError,
     factor_integer,
     factor_poly,
+    int_pairs,
     normalize_point,
+    pair_log_polar,
     point_from_rational,
+    poly_roots,
     poly_trim,
     resultant,
-    scaled_roots,
     wrap_angle,
 )
 
@@ -249,9 +250,10 @@ def fiber(phi: RationalMapQ, point: ProjPointQ) -> tuple:
     The linear factors over Q of the fiber form are the rational
     preimages, which keep their exact identity and take their log-polar
     form from it (ProjPointQ.log_polar).  Only the nonlinear irreducible
-    factors are solved numerically: a root 2^s y of scaled_roots is
-    log|y| + s log 2 and arg y, and is ordered by the exact values of its
-    parts, so no root is formed outside float range.
+    factors are solved numerically, by exactnum.poly_roots on the
+    mantissa/exponent pairs of their integer coefficients (int_pairs), so
+    that no coefficient or root is formed as a float outside float range;
+    a root is ordered by the exact values of its parts.
     """
     inf_mult, finite = _fiber_form(phi, point)
     out = [(math.inf, 0.0, INFINITY, inf_mult)] if inf_mult else []
@@ -263,14 +265,15 @@ def fiber(phi: RationalMapQ, point: ProjPointQ) -> tuple:
     numeric = []
     for f, m in factors:
         if len(f) > 2:
-            ys, s = scaled_roots(f)
-            y = np.array(ys)
-            with np.errstate(divide="ignore"):
-                log_w = np.log(np.abs(y)) + s * LOG2
-            arg_w = wrap_angle(np.angle(y))
-            numeric += [((Fraction(z.real) * 2**s, Fraction(z.imag) * 2**s),
-                         (r, t, None, m))
-                        for z, r, t in zip(ys, log_w.tolist(), arg_w.tolist())]
+            cm, cg = int_pairs(f[::-1])
+            xm, xg = poly_roots([cm], np.array([cg]),
+                                f"a fiber factor of degree {len(f) - 1}")
+            log_w, arg_w = pair_log_polar(xm[0], xg[0])
+            numeric += [((Fraction(x.real) * Fraction(2)**g,
+                          Fraction(x.imag) * Fraction(2)**g), (r, t, None, m))
+                        for x, g, r, t in zip(xm[0].tolist(), xg[0].tolist(),
+                                              log_w.tolist(),
+                                              wrap_angle(arg_w).tolist())]
     numeric.sort(key=lambda entry: entry[0])
     out += [entry for _, entry in numeric]
     assert sum(entry[-1] for entry in out) == phi.d

@@ -1,11 +1,12 @@
 """Exact arithmetic primitives.
 
 Projective points over Q, integer resultants, p-adic valuations, exact
-factorization of rational polynomials over Q (sympy) with scaled numeric
-roots for the nonlinear factors only, logs of huge integers, and exact
-rational-coefficient combinations of logs of primes (the currency of
-product-formula identities).  StochdynError is the base of every error
-the package raises.
+factorization of rational polynomials over Q (sympy), the one numeric
+root solver (poly_roots, on mantissa/exponent pairs, so that neither
+coefficients nor roots need to lie in float range), logs of huge
+integers, and exact rational-coefficient combinations of logs of primes
+(the currency of product-formula identities).  StochdynError is the base
+of every error the package raises.
 
 Conventions:
   * univariate integer polynomials ("IntPoly") are coefficient tuples in
@@ -189,6 +190,7 @@ def resultant(fcoeffs: Sequence[int], gcoeffs: Sequence[int], d: int) -> int:
 
 # ---------------------------------------------------------------------------
 # exact factorization over Q (ascending coefficients) and numeric roots
+# of mantissa/exponent pairs
 
 
 def poly_trim(coeffs) -> tuple:
@@ -213,69 +215,179 @@ def factor_poly(coeffs) -> list:
                   for f, m in factors)
 
 
-# relative Newton step at which polishing stops; its square root bounds the
-# accepted root residual
-_ROOT_PRECISION = 1e-12
+# sentinel exponent of a zero coefficient, below every float's
+_NO_EXP = -(2**40)
+_OMEGA = np.exp(2j * np.pi / 3.0)
 
 
-def _polish_roots(coeffs_desc, roots):
-    poly = np.array(coeffs_desc, dtype=float)
-    dpoly = np.polyder(poly)
-    r = np.array(roots, dtype=complex)
-    for _ in range(60):
-        val = np.polyval(poly, r)
-        dval = np.polyval(dpoly, r)
-        step = np.where(dval != 0, val / np.where(dval != 0, dval, 1.0), 0.0)
-        r = r - step
-        if np.all(np.abs(step) <= _ROOT_PRECISION * (1.0 + np.abs(r))):
+def _split(c):
+    """(m, g) with c = m 2^g and 1/2 <= |m| < 1, or m = g = 0 where c is
+    0, for complex c; m is exact."""
+    _, g = np.frexp(np.abs(c))
+    g = g.astype(np.int64)
+    m = np.empty_like(c)
+    m.real = np.ldexp(c.real, -g)
+    m.imag = np.ldexp(c.imag, -g)
+    return m, g
+
+
+def _balance(monic):
+    """(e, b, a) for x^k + sum_i a_i x^(k - i), each a_i a pair (m, g) of
+    the complex number m 2^g: e is the integer for which the monic
+    coefficients b_i = a_i 2^(-i e) of the polynomial in y = x / 2^e are
+    all below 1 in modulus and one of them at least 1/8 (e = 0 for x^k),
+    as LAPACK's gebal balances a companion matrix by powers of 2; a is
+    monic with each m scaled into [1/2, 1).  Only b_i below float range
+    round, to numbers too small to move the roots of largest modulus."""
+    a = []
+    for m, g in monic:
+        m, shift = _split(m)
+        a.append((m, g + shift))
+    e = np.max([np.where(m != 0, -(-g // i), _NO_EXP)
+                for i, (m, g) in enumerate(a, 1)], axis=0)
+    e = np.where(e == _NO_EXP, 0, e)
+    return e, [_shrink(m, g - i * e) for i, (m, g) in enumerate(a, 1)], a
+
+
+def _shrink(m, g):
+    """m 2^g, where g <= 0 wherever m is nonzero (a zero m stays 0)."""
+    return m * np.ldexp(1.0, np.minimum(g, 0))
+
+
+def _safe_div(x, y):
+    """x / y, and 0 where y is 0."""
+    zero = y == 0
+    return np.where(zero, 0.0, x / np.where(zero, 1.0, y))
+
+
+def _larger(x, y):
+    """x + y or x - y, whichever has the larger modulus."""
+    return np.where((x * y.conj()).real >= 0.0, x + y, x - y)
+
+
+def _newton(b, r, steps):
+    """r after at most `steps` Newton steps on x^k + sum_i b_i x^(k - i),
+    each step kept only where it lowers |p(r)|."""
+    def horner(top, coeffs, x):
+        for c in coeffs:
+            top = top * x + c
+        return top
+
+    k = len(b)
+    db = [(k - i) * c for i, c in enumerate(b[:-1], 1)]
+    f = horner(1.0, b, r)
+    for _ in range(steps):
+        r_new = r - _safe_div(f, horner(float(k), db, r))
+        f_new = horner(1.0, b, r_new)
+        better = np.abs(f_new) < np.abs(f)
+        if not better.any():
             break
+        r, f = np.where(better, r_new, r), np.where(better, f_new, f)
     return r
 
 
-def lift_residual(desc, r):
-    """|p(r)| / max(1, |r|)^k for p(x) = sum_i desc[i] x^(k - i), by
-    Horner's rule on the max-norm lift (r / m, 1 / m), m = max(1, |r|), of
-    each root r, whose parts are at most 1 in modulus, so that no power of
-    a huge root overflows.  The desc[i] may be arrays broadcasting against
-    r."""
-    r = np.asarray(r)
-    m = np.maximum(1.0, np.abs(r))
-    x, y = r / m, 1.0 / m
-    acc, ypow = desc[0], 1.0
-    for c in desc[1:]:
-        ypow = ypow * y
-        acc = acc * x + c * ypow
-    return np.abs(acc)
+def _quadratic(a1, a2) -> list:
+    """The roots of x^2 + a1 x + a2 as pairs (m, g) of m 2^g, by the stable
+    rule (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
+    1.8): q = -(b + s)/2 with s = sqrt(b^2 - 4c) signed so that |b + s| is
+    the larger, then c / q, in the balanced form of _balance.  The second
+    root divides the unbalanced a2, so it stays exact when it lies far
+    below the first."""
+    e, (b1, b2), (_, (m2, g2)) = _balance([a1, a2])
+    q = -0.5 * _larger(b1, np.sqrt(b1 * b1 - 4.0 * b2))
+    return [(q, e), (_safe_div(m2, q), g2 - e)]
 
 
-def scaled_roots(factor) -> tuple:
-    """(ys, s): the complex roots of an irreducible integer polynomial of
-    degree >= 2 are 2^s y for y in ys.
+def _cubic(a1, a2, a3) -> list:
+    """The roots of x^3 + a1 x^2 + a2 x + a3 as pairs (m, g) of m 2^g: the
+    one of largest modulus by Cardano's formula in the balanced form of
+    _balance, polished by three steps of _newton; then the other two as
+    the roots of x^2 - S x + P, with P = -a3 / r and S = (a2 - P) / r by
+    Vieta's relations (dividing from the constant term, which is stable
+    after the largest root)."""
+    e, (b1, b2, b3), (_, (m2, g2), (m3, g3)) = _balance([a1, a2, a3])
+    shift = b1 / 3.0
+    p = b2 - shift * b1
+    q = b3 - shift * b2 + 2.0 * shift * shift * shift
+    c = -_larger(0.5 * q, np.sqrt(0.25 * q * q + p * p * p / 27.0))
+    u = np.cbrt(np.abs(c)) * np.exp(1j * np.angle(c) / 3.0)
+    v = _safe_div(-p, 3.0 * u)
+    y = np.stack([u * _OMEGA**j + v * _OMEGA**-j for j in range(3)]) - shift
+    r = np.take_along_axis(y, np.argmax(np.abs(y), axis=0)[None], 0)[0]
+    r = _newton([b1, b2, b3], r, 3)
+    pm, pg = _safe_div(-m3, r), g3 - e
+    # a2 - P over the larger exponent of the two
+    top = np.maximum(np.where(m2 != 0, g2, _NO_EXP),
+                     np.where(pm != 0, pg, _NO_EXP))
+    top = np.where(top == _NO_EXP, 0, top)
+    diff = _shrink(m2, g2 - top) - _shrink(pm, pg - top)
+    return [(r, e)] + _quadratic((_safe_div(-diff, r), top - e), (pm, pg))
 
-    The roots y of the monic polynomial in y = x / 2^s are found
-    numerically.  s > 0 only when a monic coefficient passes 2^960, as in
-    int_log; s then brings every monic coefficient to at most 1, so every
-    |y| < 2 (Fujiwara's bound) and no float overflows.
-    """
-    deg = len(factor) - 1
-    lead = factor[-1]
-    # |c / lead| < 2^(b + 1) for each nonzero coefficient c of x^j
-    bits = [(j, abs(c).bit_length() - abs(lead).bit_length())
-            for j, c in enumerate(factor[:-1]) if c]
-    s = 0
-    if max(b for _, b in bits) >= _INT_LOG_CUTOFF_BITS:
-        s = max(-(-(b + 1) // (deg - j)) for j, b in bits)
-    monic = [Fraction(c, lead << (s * (deg - j))) for j, c in enumerate(factor)]
-    desc = [float(c) for c in reversed(monic)]
-    refined = _polish_roots(desc, np.roots(desc))
-    scale = max(1.0, max(abs(c) for c in desc))
-    # |p(r)| <= sqrt(_ROOT_PRECISION) scale max(1, |r|)^deg, in lift form
-    resid = float(np.max(lift_residual(desc, refined)))
-    if resid > math.sqrt(_ROOT_PRECISION) * scale:
-        raise ConvergenceFailure(
-            f"root residual {resid:.3g} too large for factor of degree {deg}"
-        )
-    return [complex(r) for r in refined], s
+
+def poly_roots(cm, cg, name) -> tuple:
+    """(m, g), arrays of shape (rows, k): the roots x = m 2^g of each row
+    of descending coefficients c_i = cm_i 2^cg_i of a polynomial of degree
+    k with a nonzero leading one.  cm holds finite float or complex
+    mantissas of any size, cg int exponents broadcasting against them, so
+    coefficients and roots alike may lie far outside float range.
+
+    Degrees 1 to 3 are solved in closed form on mantissas and exponents
+    (_quadratic, _cubic), so no root, however far from 1, is lost to
+    overflow or underflow; higher degrees take the eigenvalues of the
+    companion matrices (Edelman-Murakami, Math. Comp. 1995) of the
+    balanced monic polynomials of _balance in one stacked
+    np.linalg.eigvals call, those below 1e-4 there polished by _newton,
+    so that they lose only roots below float range in that balanced form.
+    Every root must pass the backward-error test
+    |p(x)| <= 1e-6 sum_i |c_i| |x|^(k - i), else ConvergenceFailure names
+    `name`, formatted only then: a root lost to 0 or to infinity fails
+    it."""
+    cm, shift = _split(np.asarray(cm, dtype=complex))
+    cg = cg + shift
+    k = cm.shape[1] - 1
+    monic = [(cm[:, i] / cm[:, 0], cg[:, i] - cg[:, 0])
+             for i in range(1, k + 1)]
+    if k <= 3:
+        roots = ([(-monic[0][0], monic[0][1])] if k == 1 else
+                 (_quadratic if k == 2 else _cubic)(*monic))
+        xm = np.stack([m for m, _ in roots], axis=1)
+        xg = np.stack([g for _, g in roots], axis=1)
+    else:
+        e, b, _ = _balance(monic)
+        comp = np.zeros((len(cm), k, k), dtype=complex)
+        comp[:, 0, :] = -np.stack(b, axis=1)
+        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+        # the eigenvalues are good to about 1e-16 absolute, the largest near
+        # 1, so Newton's method takes the small ones to full precision
+        y = np.linalg.eigvals(comp)
+        polished = _newton([c[:, None] for c in b], y, 8)
+        xm, xg = _split(np.where(np.abs(y) < 1e-4, polished, y))
+        xg = xg + e[:, None]
+    # the terms c_i x^(k - i) of p(x) as mantissas times 2^exps, scaled by
+    # 2^-(the largest exponent of a nonzero term of the root)
+    deg = np.arange(k, -1, -1)[:, None, None]
+    exps = (np.where(cm != 0, cg, _NO_EXP).T[..., None]
+            + np.where(xm != 0, xg, _NO_EXP) * deg)
+    exps -= exps.max(axis=0)
+    terms = cm.T[..., None] * xm**deg * np.ldexp(1.0, exps)
+    if np.any(np.abs(terms.sum(axis=0))
+              > 1e-6 * np.abs(terms).sum(axis=0)):
+        raise ConvergenceFailure(f"roots of {name} did not converge")
+    return xm, xg
+
+
+def int_pairs(coeffs) -> tuple:
+    """(cm, cg) of poly_roots for integers c: c >> g, cut to the 53 bits a
+    float holds, and g, so that no huge c is formed as a float."""
+    cg = [max(0, abs(c).bit_length() - 53) for c in coeffs]
+    return [float(c >> g) for c, g in zip(coeffs, cg)], cg
+
+
+def pair_log_polar(m, g) -> tuple:
+    """(log|x|, arg x) of the roots x = m 2^g of poly_roots, with log|x| =
+    -inf where x is 0."""
+    with np.errstate(divide="ignore"):
+        return np.log(np.abs(m)) + g * LOG2, np.angle(m)
 
 
 def wrap_angle(theta):

@@ -12,15 +12,14 @@ range; tree nodes add an exact projective identity whenever the preimage
 is rational.  Fibers of rational points are exact and come in the same
 form (dynsys.fiber), so no rational preimage loses its identity.  Fibers
 of numeric points come from one batched kernel, numeric_fiber, which
-solves every point's fiber under one map at once: fiber forms of degree
-at most 3 in closed form on mantissas and exponents, so that no root is
-lost to underflow or overflow, higher degrees by one stacked
-companion-matrix eigenvalue call; the tree calls it once per level and
-map, the walker once per step and map.  The tree merges numerically
-coincident points by one rule, relative at every scale, and refuses a
-merge when the two carry distinct exact identities; any merge involving a
-point without an exact identity is counted as tolerance-driven so callers
-can see when output atoms rest on a numeric coincidence.  Each level is built from arrays of all of its edges: a
+solves every point's fiber under one map at once through
+exactnum.poly_roots, the root solver that exact fibers use too; the tree
+calls it once per level and map, the walker once per step and map.  The
+tree merges numerically coincident points by one rule, relative at every
+scale, and refuses a merge when the two carry distinct exact identities;
+any merge involving a point without an exact identity is counted as
+tolerance-driven so callers can see when output atoms rest on a numeric
+coincidence.  Each level is built from arrays of all of its edges: a
 numeric edge that no other edge can meet under the merge rule opens its
 own node at once, and only the other edges take the rule one by one, so
 the levels are those of the edge-by-edge rule.
@@ -39,12 +38,8 @@ from typing import Optional
 import numpy as np
 
 from .dynsys import RationalMapQ, StochasticSystem, fiber
-from .exactnum import (
-    ConvergenceFailure,
-    ProjPointQ,
-    StochdynError,
-    wrap_angle,
-)
+from .exactnum import (ProjPointQ, StochdynError, pair_log_polar, poly_roots,
+                       wrap_angle)
 from .ifs import CSV_BLOCK, affine_ifs, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
@@ -52,7 +47,6 @@ DEFAULT_CLUSTER_TOL = 1e-8
 # past this |log|z||, a max-norm lift coordinate is below the smallest
 # normal float
 _LOG_TINY = -math.log(sys.float_info.min)
-_LN2 = math.log(2.0)
 
 
 class NodeBudgetExceeded(StochdynError):
@@ -73,13 +67,12 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     (e^{i theta}, e^{-log r}) when log r > 0, (e^{log r + i theta}, 1)
     otherwise and (1, 0) at infinity.  The fiber form H = v F - u G of
     each lift is solved in the chart of its larger end coefficient, w or
-    t = 1/w, by _chart_roots, all points at once: in closed form on
-    mantissas and exponents up to chart degree 3, through the companion
-    eigenvalues above it, every root checked by a backward-error test
-    (ConvergenceFailure otherwise).  An exact zero end coefficient gives
-    an exact zero root, so infinity is a preimage exactly when t = 0 is.  A finite point with |log r| above _LOG_TINY
-    raises OverflowError: its lift would underflow, and the point pass for
-    infinity or for 0.
+    t = 1/w, by exactnum.poly_roots, all points at once, with exponent 0
+    for the float coefficients (ConvergenceFailure where a root fails its
+    backward-error test).  An exact zero end coefficient gives an exact
+    zero root, so infinity is a preimage exactly when t = 0 is.  A finite
+    point with |log r| above _LOG_TINY raises OverflowError: its lift
+    would underflow, and the point pass for infinity or for 0.
     """
     log_r = np.asarray(log_r, dtype=float)
     theta = np.asarray(theta, dtype=float)
@@ -103,152 +96,13 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     lead = np.argmax(nonzero, axis=1)
     for m in np.flatnonzero(np.bincount(lead)):
         rows = lead == m
-        log_w[rows, m:], arg_w[rows, m:] = _chart_roots(poly[rows, m:], phi)
+        xm, xg = poly_roots(poly[rows, m:], 0, phi)
+        log_w[rows, m:], arg_w[rows, m:] = pair_log_polar(xm, xg)
     # in the t chart, log|w| = -log|t| and arg w = -arg t
     sign = np.where(w_chart, 1.0, -1.0)[:, None]
     log_w = sign * log_w
     arg_w = wrap_angle(sign * arg_w)
     return log_w, np.where(np.isinf(log_w), 0.0, arg_w)
-
-
-# sentinel exponent of a zero coefficient, below every float's
-_NO_EXP = -(2**40)
-_OMEGA = np.exp(2j * np.pi / 3.0)
-
-
-def _split(c):
-    """(m, g) with c = m 2^g and 1/2 <= |m| < 1, or m = g = 0 where c is
-    0, for complex c; m is exact."""
-    _, g = np.frexp(np.abs(c))
-    g = g.astype(np.int64)
-    m = np.empty_like(c)
-    m.real = np.ldexp(c.real, -g)
-    m.imag = np.ldexp(c.imag, -g)
-    return m, g
-
-
-def _balance(monic):
-    """(e, b, a) for x^k + sum_i a_i x^(k - i), each a_i a pair (m, g) of
-    the complex number m 2^g: e is the integer for which the monic
-    coefficients b_i = a_i 2^(-i e) of the polynomial in y = x / 2^e are
-    all below 1 in modulus and one of them at least 1/8 (e = 0 for x^k),
-    as LAPACK's gebal balances a companion matrix by powers of 2; a is
-    monic with each m scaled into [1/2, 1).  Only b_i below float range
-    round, to numbers too small to move the roots of largest modulus."""
-    a = []
-    for m, g in monic:
-        m, shift = _split(m)
-        a.append((m, g + shift))
-    e = np.max([np.where(m != 0, -(-g // i), _NO_EXP)
-                for i, (m, g) in enumerate(a, 1)], axis=0)
-    e = np.where(e == _NO_EXP, 0, e)
-    return e, [_shrink(m, g - i * e) for i, (m, g) in enumerate(a, 1)], a
-
-
-def _shrink(m, g):
-    """m 2^g, where g <= 0 wherever m is nonzero (a zero m stays 0)."""
-    return m * np.ldexp(1.0, np.minimum(g, 0))
-
-
-def _safe_div(x, y):
-    """x / y, and 0 where y is 0."""
-    zero = y == 0
-    return np.where(zero, 0.0, x / np.where(zero, 1.0, y))
-
-
-def _larger(x, y):
-    """x + y or x - y, whichever has the larger modulus."""
-    return np.where((x * y.conj()).real >= 0.0, x + y, x - y)
-
-
-def _quadratic(a1, a2) -> list:
-    """The roots of x^2 + a1 x + a2 as pairs (m, g) of m 2^g, by the stable
-    rule (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    1.8): q = -(b + s)/2 with s = sqrt(b^2 - 4c) signed so that |b + s| is
-    the larger, then c / q, in the balanced form of _balance.  The second
-    root divides the unbalanced a2, so it stays exact when it lies far
-    below the first."""
-    e, (b1, b2), (_, (m2, g2)) = _balance([a1, a2])
-    q = -0.5 * _larger(b1, np.sqrt(b1 * b1 - 4.0 * b2))
-    return [(q, e), (_safe_div(m2, q), g2 - e)]
-
-
-def _cubic(a1, a2, a3) -> list:
-    """The roots of x^3 + a1 x^2 + a2 x + a3 as pairs (m, g) of m 2^g: the
-    one of largest modulus by Cardano's formula in the balanced form of
-    _balance, polished by at most three Newton steps, each kept only if
-    it lowers |p|; then the other two as the roots of x^2 - S x + P, with
-    P = -a3 / r and S = (a2 - P) / r by Vieta's relations (dividing from
-    the constant term, which is stable after the largest root)."""
-    e, (b1, b2, b3), (_, (m2, g2), (m3, g3)) = _balance([a1, a2, a3])
-    shift = b1 / 3.0
-    p = b2 - shift * b1
-    q = b3 - shift * b2 + 2.0 * shift * shift * shift
-    c = -_larger(0.5 * q, np.sqrt(0.25 * q * q + p * p * p / 27.0))
-    u = np.cbrt(np.abs(c)) * np.exp(1j * np.angle(c) / 3.0)
-    v = _safe_div(-p, 3.0 * u)
-    y = np.stack([u * _OMEGA**j + v * _OMEGA**-j for j in range(3)]) - shift
-    r = np.take_along_axis(y, np.argmax(np.abs(y), axis=0)[None], 0)[0]
-    f = ((r + b1) * r + b2) * r + b3
-    for _ in range(3):
-        r_new = r - _safe_div(f, (3.0 * r + 2.0 * b1) * r + b2)
-        f_new = ((r_new + b1) * r_new + b2) * r_new + b3
-        better = np.abs(f_new) < np.abs(f)
-        if not better.any():
-            break
-        r, f = np.where(better, r_new, r), np.where(better, f_new, f)
-    pm, pg = _safe_div(-m3, r), g3 - e
-    # a2 - P over the larger exponent of the two
-    top = np.maximum(np.where(m2 != 0, g2, _NO_EXP),
-                     np.where(pm != 0, pg, _NO_EXP))
-    top = np.where(top == _NO_EXP, 0, top)
-    diff = _shrink(m2, g2 - top) - _shrink(pm, pg - top)
-    return [(r, e)] + _quadratic((_safe_div(-diff, r), top - e), (pm, pg))
-
-
-def _chart_roots(body, phi) -> tuple:
-    """(log|x|, arg x) arrays of shape (rows, k) of the roots x of each
-    row of body, the descending coefficients of a polynomial of degree k
-    with a nonzero leading one.  Degrees 1 to 3 are solved in closed form
-    on mantissas and exponents (_quadratic, _cubic), so no root, however
-    far from 1, is lost to overflow or underflow; higher degrees take the
-    eigenvalues of the companion matrices (Edelman-Murakami, Math. Comp.
-    1995) in one stacked np.linalg.eigvals call.  Every root must pass
-    the backward-error test |p(x)| <= 1e-6 sum_i |c_i| |x|^(k - i), else
-    ConvergenceFailure names phi: a root lost to 0 or to infinity fails
-    it."""
-    k = body.shape[1] - 1
-    cm, cg = _split(body)
-    if k <= 3:
-        monic = [(cm[:, i] / cm[:, 0], cg[:, i] - cg[:, 0])
-                 for i in range(1, k + 1)]
-        if k == 1:
-            roots = [(-monic[0][0], monic[0][1])]
-        else:
-            roots = (_quadratic if k == 2 else _cubic)(*monic)
-        xm = np.stack([m for m, _ in roots], axis=1)
-        xg = np.stack([g for _, g in roots], axis=1)
-    else:
-        comp = np.zeros((len(body), k, k), dtype=complex)
-        comp[:, 0, :] = -body[:, 1:] / body[:, :1]
-        comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
-        xm, xg = _split(np.linalg.eigvals(comp))
-    # the terms c_i x^(k - i) of p(x) as mantissas times 2^exps, scaled by
-    # 2^-(the largest exponent of a nonzero term of the root)
-    powers = [np.ones_like(xm)]
-    for _ in range(k):
-        powers.append(powers[-1] * xm)
-    exps = (np.where(cm != 0, cg, _NO_EXP).T[..., None]
-            + np.where(xm != 0, xg, _NO_EXP)
-            * np.arange(k, -1, -1)[:, None, None])
-    exps -= exps.max(axis=0)
-    terms = cm.T[..., None] * np.stack(powers[::-1]) * np.ldexp(1.0, exps)
-    if np.any(np.abs(terms.sum(axis=0))
-              > 1e-6 * np.abs(terms).sum(axis=0)):
-        raise ConvergenceFailure(f"fiber roots of {phi} did not converge")
-    with np.errstate(divide="ignore"):
-        log_x = np.log(np.abs(xm)) + xg * _LN2
-    return log_x, np.angle(xm)
 
 
 # ---------------------------------------------------------------------------

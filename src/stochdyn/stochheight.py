@@ -77,8 +77,8 @@ class TailBudget:
     def depth(self, tol: float, depth: Optional[int] = None) -> int:
         """Smallest depth whose tail is at most tol.  An explicit depth is
         honored only if it meets the same bound."""
-        if tol <= 0:
-            raise ValueError("tol must be positive")
+        if not tol > 0:  # nan too
+            raise ValueError(f"tol must be positive, got {tol}")
         n = depth or 1
         while self.bound(n) > tol:
             if depth is not None:

@@ -12,9 +12,10 @@ import math
 from fractions import Fraction
 from typing import NamedTuple, Sequence
 
+import mpmath
+
 from stochdyn.dynsys import StochasticSystem, eval_map, ramification_index
 from stochdyn.exactnum import (
-    LOG2,
     LogCombination,
     ProjPointQ,
     StochdynError,
@@ -22,7 +23,6 @@ from stochdyn.exactnum import (
     int_log,
     log_abs_fraction,
     poly_trim,
-    scaled_roots,
 )
 from stochdyn.heights import DiscreteMeasure, make_measure, weil_height
 from stochdyn.stochheight import WORD_CAP_DEFAULT, WordCapExceeded
@@ -91,8 +91,9 @@ def weil_height_minpoly(coeffs: Sequence) -> float:
     """Height of any root of an irreducible integer polynomial (ascending).
 
     (1/deg)(log|lead| + sum of log+ over complex roots), the Mahler-measure
-    form of the height.  The root of a linear polynomial is exact; the
-    roots 2^s y of a nonlinear one enter as log|y| + s log 2.
+    form of the height.  The root of a linear polynomial is exact; those
+    of a nonlinear one come from mpmath.polyroots at 50 digits, apart
+    from the package's own root solver.
     """
     f = poly_trim(tuple(int(c) for c in coeffs))
     deg = len(f) - 1
@@ -104,8 +105,10 @@ def weil_height_minpoly(coeffs: Sequence) -> float:
     if deg == 1:
         tail = max(0.0, log_abs_fraction(Fraction(-f[0], f[1]))) if f[0] else 0.0
     else:
-        ys, s = scaled_roots(f)
-        tail = math.fsum(max(0.0, math.log(abs(y)) + s * LOG2) for y in ys)
+        with mpmath.workdps(50):
+            roots = mpmath.polyroots(f[::-1], maxsteps=200, extraprec=200)
+            tail = float(mpmath.fsum(max(0, mpmath.log(abs(y)))
+                                     for y in roots))
     return (int_log(abs(f[-1])) + tail) / deg
 
 

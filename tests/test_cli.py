@@ -4,6 +4,7 @@ import importlib
 import json
 import math
 import pathlib
+import re
 import runpy
 import sys
 import warnings
@@ -157,9 +158,12 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
                                  example_config, "0", "--depth", "-2",
                                  "--place", place)
         assert code == 3 and "ValueError" in err and out == ""
-    code, out, err = run_cli(capsys, "stoch-height", "--config",
-                             example_config, "1", "--tol", "0")
-    assert code == 3 and "ValueError" in err and out == ""
+    # nan passes a tol <= 0 test; it once printed depth 1 and exited 0
+    for tol in ("0", "-1e-3", "nan"):
+        code, out, err = run_cli(capsys, "stoch-height", "--config",
+                                 example_config, "1", f"--tol={tol}")
+        assert (code, out) == (3, "")
+        assert err.startswith("error: ValueError: tol must be positive")
 
     # 101 maps: 101^3 length-3 words, which the exceptional test does not
     # enumerate
@@ -413,16 +417,23 @@ def _finite(record, *keys):
 
 
 def test_orbit_sample_huge_start(capsys):
-    # the fiber forms of 3^700 have coefficients far above 1e308
+    # the fiber forms of 3^700 have coefficients far above 1e308; the
+    # fiber of z^3 - 2 3^700 z + 1 under (z^3 + 1)/(2z) holds a root near
+    # 1/(2 3^700), once written as log_abs = -inf
     code, out, _ = run_cli(capsys, "orbit-sample", "--config",
-                           str(GENERAL_CONFIG), str(3**700), "--samples", "5",
-                           "--depth", "1")
+                           str(GENERAL_CONFIG), str(3**700), "--samples",
+                           "20", "--depth", "1")
     assert code == 0
     rows = list(csv.reader(out.splitlines()))
-    assert rows[0][0] == "index" and len(rows) == 6
+    assert rows[0][0] == "index" and len(rows) == 21
     for row in rows[1:]:
         for cell in row:
             float(cell)
+    log_abs = [float(row[3]) for row in rows[1:]]
+    assert all(math.isfinite(x) for x in log_abs)
+    small = [x for x in log_abs if x < 0.0]
+    assert small and small == [pytest.approx(
+        -(700 * math.log(3.0) + math.log(2.0)), rel=1e-9)] * len(small)
 
 
 def test_huge_coefficients_at_infinity(capsys, tmp_path):
@@ -700,6 +711,17 @@ def test_traced_layers_import():
     assert layers
     for layer in layers:
         importlib.import_module(f"stochdyn.{layer}")
+
+
+def test_readme_layout_lists_every_module():
+    # the README's library-layout table names each module of the package
+    # once, and no other
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## library layout", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `stochdyn\.(\w+)` \|", table, re.MULTILINE)
+    modules = {path.stem for path in (ROOT / "src" / "stochdyn").glob("*.py")
+               if path.stem != "__init__"}
+    assert sorted(listed) == sorted(modules)
 
 
 def test_suite_requires_reference_system(capsys, tmp_path):

@@ -23,7 +23,12 @@ from stochdyn.dynsys import (
     stochastic_degree,
     wronskian,
 )
-from stochdyn.exactnum import INFINITY, ProjPointQ, normalize_point
+from stochdyn.exactnum import (
+    INFINITY,
+    ConvergenceFailure,
+    ProjPointQ,
+    normalize_point,
+)
 from stochdyn.stochheight import WordCapExceeded
 
 from oracles import sigma3, word_ramification, words
@@ -269,6 +274,36 @@ def test_fiber_above_float_range():
     pre = fiber(Z2_PLUS_1, ProjPointQ(-10**800, 1))
     assert [t for _, t, _, _ in pre] == pytest.approx(
         [3 * math.pi / 2, math.pi / 2])
+
+
+def test_fiber_keeps_roots_far_below_float_range():
+    # 3^700 pulls back under (z^3 + 1)/(2z) to the roots of the
+    # irreducible z^3 - 2 3^700 z + 1: about +-(2 3^700)^(1/2) and
+    # 1/(2 3^700), which a float-scaled monic polynomial lost to 0
+    cubic = make_map([1, 0, 0, 1], [0, 2])
+    pre = fiber(cubic, ProjPointQ(3**700, 1))
+    big = (700 * math.log(3.0) + math.log(2.0))
+    assert [(r, e, m) for r, _, e, m in pre] == [
+        (pytest.approx(big / 2, rel=1e-12), None, 1),
+        (pytest.approx(-big, rel=1e-12), None, 1),
+        (pytest.approx(big / 2, rel=1e-12), None, 1)]
+    assert [t for _, t, _, _ in pre] == pytest.approx([math.pi, 0.0, 0.0],
+                                                      abs=1e-12)
+    # a quartic takes the polished companion eigenvalues, which keep the
+    # root near 1/(2z) while it stays in float range in the balanced form
+    quartic = make_map([1, 0, 0, 0, 1], [0, 2])
+    pre = fiber(quartic, ProjPointQ(10**44, 1))
+    assert min(r for r, _, _, _ in pre) == pytest.approx(
+        -(44 * math.log(10.0) + math.log(2.0)), rel=1e-9)
+    # at 3^700 it lies below float range there (an open defect): a loss
+    # must raise, and the error name the factor's degree, not its
+    # 335-digit coefficient
+    try:
+        pre = fiber(quartic, ProjPointQ(3**700, 1))
+    except ConvergenceFailure as err:
+        assert "degree 4" in str(err) and len(str(err)) < 100
+    else:
+        assert min(r for r, _, _, _ in pre) == pytest.approx(-big, rel=1e-9)
 
 
 @settings(max_examples=40, deadline=None)

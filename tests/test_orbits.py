@@ -14,7 +14,12 @@ from hypothesis import strategies as st
 
 from stochdyn import orbits
 from stochdyn.dynsys import fiber, make_map, make_system
-from stochdyn.exactnum import INFINITY, ConvergenceFailure, ProjPointQ
+from stochdyn.exactnum import (
+    INFINITY,
+    ConvergenceFailure,
+    ProjPointQ,
+    poly_roots,
+)
 from stochdyn.ifs import affine_ifs
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
@@ -86,7 +91,9 @@ def test_numeric_fiber_refuses_underflowing_lifts():
 
 
 def test_numeric_fiber_matches_roots_loop(general):
-    # reference: np.roots of each point's fiber polynomial, one at a time
+    # reference: numpy's np.roots of each point's fiber polynomial, one at
+    # a time: companion eigenvalues, apart from exactnum.poly_roots, and
+    # accurate for these points within e^3 of the unit circle
     rng = np.random.default_rng(4)
     log_r = rng.uniform(-3.0, 3.0, 50)
     theta = rng.uniform(0.0, 2.0 * np.pi, 50)
@@ -129,46 +136,52 @@ def test_numeric_fiber_keeps_roots_far_from_one():
 
 
 def test_numeric_fiber_refuses_lost_roots():
-    # degree 4 takes the companion eigenvalues, which find the root near
-    # 1/(2z) of (w^4 + 1)/(2w) = z at |z| = e^50 but lose it to 0 at
-    # e^100: that fails the backward-error test instead of passing as 0
+    # degree 4 takes the polished companion eigenvalues, which find the
+    # root near 1/(2z) of (w^4 + 1)/(2w) = z at |z| = e^50 and e^100 but
+    # lose it to 0 at e^700, where it lies below float range in the
+    # balanced form: that fails the backward-error test instead of
+    # passing as 0
     quartic = make_map([1, 0, 0, 0, 1], [0, 2])
-    log_w, _ = numeric_fiber(quartic, [50.0], [0.3])
-    assert min(log_w[0]) == pytest.approx(-(50.0 + math.log(2.0)), rel=1e-9)
+    for log_r in (50.0, 100.0):
+        log_w, _ = numeric_fiber(quartic, [log_r], [0.3])
+        assert min(log_w[0]) == pytest.approx(-(log_r + math.log(2.0)),
+                                              rel=1e-9)
     with pytest.raises(ConvergenceFailure):
-        numeric_fiber(quartic, [100.0], [0.3])
+        numeric_fiber(quartic, [700.0], [0.3])
 
 
-_COEFF = st.one_of(st.just(0j), st.builds(
-    lambda re, im, e: complex(math.ldexp(re, e), math.ldexp(im, e)),
-    st.integers(-2**20, 2**20), st.integers(-2**20, 2**20),
-    st.integers(-220, 180)))
+# a coefficient as the pair (mantissa, exponent) of mantissa 2^exponent
+_COEFF = st.one_of(st.just((0j, 0)), st.tuples(
+    st.builds(complex, st.integers(-2**20, 2**20),
+              st.integers(-2**20, 2**20)),
+    st.integers(-1500, 1500)))
 
 
 def _closed_form(body) -> list:
-    """The roots of one row of descending coefficients by
-    orbits._chart_roots, as mpmath numbers (no float range limit)."""
-    log_x, arg_x = orbits._chart_roots(np.array([body], dtype=complex), "p")
-    return [mpmath.exp(mpmath.mpf(r)) * mpmath.expj(t) if r > -math.inf
-            else mpmath.mpc(0) for r, t in zip(log_x[0], arg_x[0])]
+    """The roots of one row of descending coefficient pairs by
+    exactnum.poly_roots, as mpmath numbers (no float range limit)."""
+    cm, cg = zip(*body)
+    xm, xg = poly_roots([cm], np.array([cg]), "p")
+    return [mpmath.mpc(m) * mpmath.ldexp(1, g)
+            for m, g in zip(xm[0].tolist(), xg[0].tolist())]
 
 
 @settings(max_examples=300, deadline=None)
 @given(st.integers(1, 3).flatmap(
     lambda k: st.lists(_COEFF, min_size=k + 1, max_size=k + 1)))
 def test_closed_form_roots(body):
-    # coefficients 2^-220 to 2^200 in modulus and exact zeros: the roots
+    # coefficients 2^-1500 to 2^1520 in modulus and exact zeros: the roots
     # reproduce the monic coefficients, each elementary symmetric function
     # e_i to 1e-10 of e_i of the moduli; and where Newton's method at 60
     # digits, started from each root, reaches roots 1e-3 apart relative to
     # their size, each root is within 1e-9 of its own, relative to its size.
     # np.linalg.eigvals is no reference here: with the coefficients
     # (0.875, 2.7e16, 0, 8.6e9) i its roots near +-5.6e-4 i are 1e-9 off
-    assume(body[0] != 0)
+    assume(body[0][0] != 0)
     k = len(body) - 1
     with mpmath.workdps(60):
         roots = _closed_form(body)
-        coeffs = [mpmath.mpc(c) for c in body]
+        coeffs = [mpmath.mpc(m) * mpmath.ldexp(1, g) for m, g in body]
         for i in range(1, k + 1):
             subsets = list(itertools.combinations(roots, i))
             e = mpmath.fsum(mpmath.fprod(s) for s in subsets)
@@ -214,7 +227,7 @@ def test_closed_form_multiple_roots(pattern, s, lead, t):
     want = [(w, 1e-9 if pattern in _EXACT_PATTERNS or pattern.count(r) == 1
              else 4.0 * sys.float_info.epsilon ** (1.0 / pattern.count(r)))
             for r, w in zip(pattern, roots)]
-    got = _closed_form(body)
+    got = _closed_form([(c, 0) for c in body])
     assert any(all(abs(g - w) <= tol * abs(w) for g, (w, tol) in zip(got, p))
                for p in itertools.permutations(want))
 
