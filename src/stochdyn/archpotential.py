@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -51,13 +51,7 @@ from .ifs import (
 )
 from .orbits import OrbitSampleBatch, backward_sample, backward_walk
 from .padicmodel import sample_backward_valuations
-from .stochheight import (
-    Lifts,
-    escape_sum_exact,
-    escape_sum_mc,
-    tail_budget,
-    word_source,
-)
+from .stochheight import EscapeEstimate, Lifts, escape_sum, tail_budget
 
 
 _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed knob
@@ -69,9 +63,9 @@ class GreenConfig:
 
     depth None means the smallest depth whose TailBudget tail is at most
     tol; an explicit depth must meet the same bound.  Past _ENUM_CAP words
-    the escape sums average _MC_WORDS random words instead.  Homogeneous
-    coordinates that collapse below the fixed floor _COLLAPSE_FLOOR raise
-    ConvergenceFailure.
+    per point stochheight.escape_sum samples the tails, with seed 0.
+    Homogeneous coordinates that collapse below the fixed floor
+    _COLLAPSE_FLOOR raise ConvergenceFailure.
     """
 
     depth: Optional[int] = None
@@ -84,8 +78,7 @@ class GreenConfig:
             raise ValueError("depth must be at least 1")
 
 
-_ENUM_CAP = 1 << 15  # enumerate words exactly up to this many leaves
-_MC_WORDS = 1024  # random words of an escape sum past _ENUM_CAP
+_ENUM_CAP = 1 << 15  # enumerate words exactly up to this many per point
 _ENERGY_DRAWS = 8192  # canonical draws of rho_self_energy
 _COLLAPSE_FLOOR = 1e-12  # homogeneous coordinates below this have collapsed
 
@@ -102,35 +95,35 @@ def _hom_arrays(zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
 def gS_eval_many(system: StochasticSystem, zs: Sequence[complex],
                  cfg: Optional[GreenConfig] = None) -> np.ndarray:
     """Green's function at each point, anchored so g(infinity) = 0."""
-    return _anchored_green(system, _hom_arrays(list(zs) + [math.inf]), cfg)
+    return _anchored_green(system, _hom_arrays(list(zs) + [math.inf]),
+                           cfg).value
 
 
 def _anchored_green(system: StochasticSystem, coords: tuple,
-                    cfg: Optional[GreenConfig]) -> np.ndarray:
-    # coords: max-norm lifts whose last entry is infinity, (1, 0)
+                    cfg: Optional[GreenConfig]) -> EscapeEstimate:
+    # coords: max-norm lifts whose last entry is infinity, (1, 0); the
+    # sampled tails of the two escape sums are independent
     cfg = cfg or GreenConfig()
-    depth = tail_budget(system).depth(cfg.tol, cfg.depth)
-    lifts = Lifts(coords)
-    if len(system.maps) ** depth <= _ENUM_CAP:
-        vals = escape_sum_exact(system, lifts, depth, _COLLAPSE_FLOOR)
-    else:
-        words = word_source(system, depth, np.random.default_rng(0))
-        vals = escape_sum_mc(system, lifts, _MC_WORDS, words,
-                             _COLLAPSE_FLOOR)[0]
-    return vals[:-1] - vals[-1]
+    est = escape_sum(system, lambda n: Lifts(coords), cfg.tol, _ENUM_CAP, 0,
+                     _COLLAPSE_FLOOR, cfg.depth)
+    return replace(est, value=est.value[:-1] - est.value[-1],
+                   stderr=np.hypot(est.stderr[:-1], est.stderr[-1]))
 
 
 def gS_eval(system: StochasticSystem, z: Union[complex, ProjPointQ],
-            cfg: Optional[GreenConfig] = None) -> float:
+            cfg: Optional[GreenConfig] = None) -> EscapeEstimate:
     """Green's function at a complex number, or at a rational point through
-    its lift (a, b)/max(|a|, |b|) taken by int true division, as
-    stochheight._point_lifts does, so a and b may lie past float range."""
+    its lift (a, b)/max(|a|, |b|) by int true division, as _point_lifts
+    does, so a and b may lie past float range: floats with a stderr."""
     if not isinstance(z, ProjPointQ):
-        return float(gS_eval_many(system, [z], cfg)[0])
-    top = max(abs(z.a), abs(z.b))
-    coords = (np.array([z.a / top, 1.0], dtype=complex),
-              np.array([z.b / top, 0.0], dtype=complex))
-    return float(_anchored_green(system, coords, cfg)[0])
+        coords = _hom_arrays([z, math.inf])
+    else:
+        top = max(abs(z.a), abs(z.b))
+        coords = (np.array([z.a / top, 1.0], dtype=complex),
+                  np.array([z.b / top, 0.0], dtype=complex))
+    est = _anchored_green(system, coords, cfg)
+    return replace(est, value=float(est.value[0]),
+                   stderr=float(est.stderr[0]))
 
 
 def canonical_sample(system: StochasticSystem, n: int, samples: int,

@@ -18,7 +18,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
@@ -52,7 +52,7 @@ from .exactnum import (
 )
 from .heights import PlaceQ, l1_height_control_total, weil_height
 from .orbits import backward_sample, write_samples_csv
-from .stochheight import stoch_height, tail_budget
+from .stochheight import stoch_height
 
 
 class ConfigParseError(StochdynError):
@@ -203,15 +203,7 @@ def cmd_stoch_height(cfg: SystemConfig, args, out) -> int:
     alpha = parse_alpha(args.alpha)
     tol = args.tol if args.tol is not None else cfg.tol
     est = stoch_height(system, alpha, tol, seed=args.seed)
-    payload = {
-        "alpha": _format_point(alpha),
-        "value": est.value,
-        "stderr": est.stderr,
-        "tail_bound": est.tail_bound,
-        "depth": est.depth,
-        "mode": est.mode,
-        "samples": est.samples,
-    }
+    payload = {"alpha": _format_point(alpha), "mode": est.mode, **asdict(est)}
     _emit(payload, cfg, args.seed, out)
     return 0
 
@@ -261,15 +253,16 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
     gcfg = green_config(cfg, args.depth)
-    val = gS_eval(system, alpha, gcfg)
+    est = gS_eval(system, alpha, gcfg)
     logplus = (0.0 if alpha.is_infinity or alpha.a == 0
                else max(log_abs_fraction(alpha.as_fraction()), 0.0))
     payload = {
         "alpha": _format_point(alpha),
-        "green": val,
+        "green": est.value,
         # g_S + log+|z| is +inf at infinity: JSON null
-        "potential": None if alpha.is_infinity else val + logplus,
-        "depth": tail_budget(system).depth(gcfg.tol, gcfg.depth),
+        "potential": None if alpha.is_infinity else est.value + logplus,
+        "depth": est.depth,
+        "stderr": est.stderr,
         "tol": gcfg.tol,
     }
     _emit(payload, cfg, args.seed, out)

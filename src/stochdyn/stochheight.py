@@ -1,4 +1,4 @@
-"""Stochastic heights by per-place escape sums, Monte Carlo estimates, checks.
+"""Stochastic heights by per-place escape sums, exact or with sampled tails.
 
 The stochastic height of a point is the limit of E h(word(alpha))/deg(word)
 over random words of growing length.  Renormalizing a lift of alpha place
@@ -14,18 +14,19 @@ need u only modulo p^(n V + 1), V the largest v_p(Res), and step k only
 modulo p^((n - k) V + 1); good primes give 0.  Residues step as int64 once
 the shrinking modulus keeps every form value below 2^62, as Python ints
 before.
-The same kernel serves the Green's function (archpotential), with complex
-lifts and infinity as its only place.  The truncation tail decays
-geometrically (TailBudget), and estimates report it and the sampling
-standard error separately: the two shrink at different rates.
+The same estimator, escape_sum, serves the Green's function
+(archpotential), with complex lifts and infinity as its only place: every
+word within the caller's cap, or an exact prefix whose leaves walk on along
+random words of their own.  The truncation tail decays geometrically
+(TailBudget); estimates report it and the standard error separately.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import Optional
+from typing import Callable, NamedTuple, Optional
 
 import numpy as np
 
@@ -37,30 +38,36 @@ from .exactnum import (
     StochdynError,
     padic_valuation,
 )
-from .heights import l1_height_control_total, weil_height
+from .heights import PlaceQ, l1_height_control_total, weil_height
 from .ifs import map_sampler
 
 _BATCH = 1 << 14  # lifts advanced together; bounds the kernel's working set
-WORD_CAP_DEFAULT = 10**6  # most words an exact estimate enumerates
+WORD_CAP_DEFAULT = 10**6  # most words a stochastic height enumerates
+_PREFIX_WORDS = 1 << 13  # most words per start point of an exact prefix
+_TAIL_PATHS = 1 << 17  # most sampled tail paths per start point
 
 
 class WordCapExceeded(StochdynError):
     """An exact estimate would enumerate more than WORD_CAP_DEFAULT words."""
 
 
-@dataclass(frozen=True)
-class StochHeightEstimate:
-    value: float
-    stderr: float
+@dataclass(frozen=True, eq=False)
+class EscapeEstimate:
+    """Escape sums and standard errors per lift (floats for one point):
+    prefix_depth of the depth levels enumerated, `samples` tail paths per
+    start point, and whether every standard error met its target."""
+
+    value: np.ndarray
+    stderr: np.ndarray
     depth: int
-    mode: str  # "exact" or "mc"
+    prefix_depth: int
     samples: int
     tail_bound: float
+    tol_met: bool = True
 
-    def __post_init__(self):
-        assert self.stderr >= 0.0
-        assert self.mode in ("exact", "mc")
-        assert self.mode != "exact" or self.stderr == 0.0
+    @property
+    def mode(self) -> str:
+        return "exact" if self.prefix_depth == self.depth else "exact-prefix"
 
 
 @dataclass(frozen=True)
@@ -95,31 +102,34 @@ def tail_budget(system: StochasticSystem) -> TailBudget:
                       float(stochastic_degree(system)))
 
 
+class LiftPlace(NamedTuple):
+    """A bad prime of lifts: residues modulo modulus, divided by p^V after
+    every step, as int64 once modulus <= int64_cap, Python ints before."""
+
+    place: PlaceQ
+    modulus: int
+    powers: np.ndarray
+    int64_cap: int
+
+
 @dataclass(frozen=True)
 class Lifts:
     """Normalized lifts of a batch of points: coords holds (x, y) at infinity
-    (max-norm 1), then (x, y) at each place (p, p^N, [1, p, ..., p^V]) of
-    places as p-unit residues mod p^N, the current modulus, which _apply
-    divides by p^V.  int64_caps holds per place the largest modulus at which
-    residues step as int64 (see _int64_cap); above it they are Python ints
-    in object arrays."""
+    (max-norm 1), then (x, y) as p-unit residues at each of places."""
 
     coords: tuple
-    places: tuple = ()
-    int64_caps: tuple = ()
+    places: tuple = ()  # LiftPlace per bad prime
 
     def __len__(self) -> int:
         return len(self.coords[0])
 
     def take(self, ix) -> "Lifts":
-        return Lifts(tuple(c[ix] for c in self.coords), self.places,
-                     self.int64_caps)
+        return Lifts(tuple(c[ix] for c in self.coords), self.places)
 
     @staticmethod
     def concat(parts) -> "Lifts":
         coords = zip(*(part.coords for part in parts))
-        return Lifts(tuple(np.concatenate(c) for c in coords), parts[0].places,
-                     parts[0].int64_caps)
+        return Lifts(tuple(np.concatenate(c) for c in coords), parts[0].places)
 
 
 def _int64_cap(system: StochasticSystem, p: int) -> int:
@@ -142,16 +152,17 @@ def _point_lifts(system: StochasticSystem, points, depth: int) -> Lifts:
     tops = [max(abs(pt.a), abs(pt.b)) for pt in points]
     coords = [np.array([pt.a / t for pt, t in zip(points, tops)]),
               np.array([pt.b / t for pt, t in zip(points, tops)])]
-    places, caps = [], []
+    places = []
     for p in sorted(set().union(*map(bad_primes, system.maps))):
         v = max(padic_valuation(phi.res, p) for phi in system.maps)
         modulus = p ** (depth * v + 1)
         coords += [np.array([pt.a % modulus for pt in points], dtype=object),
                    np.array([pt.b % modulus for pt in points], dtype=object)]
-        places.append((p, modulus,
-                       np.array([p**j for j in range(v + 1)], dtype=object)))
-        caps.append(_int64_cap(system, p))
-    return Lifts(tuple(coords), tuple(places), tuple(caps))
+        places.append(LiftPlace(
+            PlaceQ(p), modulus,
+            np.array([p**j for j in range(v + 1)], dtype=object),
+            _int64_cap(system, p)))
+    return Lifts(tuple(coords), tuple(places))
 
 
 def _images(phi, lifts: Lifts, floor: float) -> tuple:
@@ -169,9 +180,9 @@ def _images(phi, lifts: Lifts, floor: float) -> tuple:
             "homogeneous coordinates collapsed below precision floor")
     term = np.log(m) + k * LOG2 if k else np.log(m)
     ints = []
-    for j, (p, modulus, powers) in enumerate(lifts.places):
+    for j, (place, modulus, powers, int64_cap) in enumerate(lifts.places):
         x, y = lifts.coords[2 + 2 * j:4 + 2 * j]
-        if modulus <= lifts.int64_caps[j]:
+        if modulus <= int64_cap:
             # residues of an earlier step may still exceed the modulus
             x, y = ((c % modulus).astype(np.int64, copy=False) for c in (x, y))
         f, g = phi.hom_eval_int(x, y)
@@ -179,7 +190,7 @@ def _images(phi, lifts: Lifts, floor: float) -> tuple:
         e = np.zeros(len(f), dtype=int)
         for q in powers[1:]:
             e += (f % q == 0) & (g % q == 0)
-        term = term - e * math.log(p)
+        term = term - e * math.log(place.p)
         ints.append((f, g, e))
     return fx, gy, m, ints, term
 
@@ -204,29 +215,36 @@ def _apply(phi, lifts: Lifts, floor: float):
     else:
         fx, gy = fx / m, gy / m
     coords, places = [fx, gy], []
-    for (f, g, e), (p, modulus, powers) in zip(ints, lifts.places):
+    for (f, g, e), (place, modulus, powers, cap) in zip(ints, lifts.places):
         div = powers[e] if f.dtype == object else powers.astype(np.int64)[e]
         coords += [f // div, g // div]
-        # p^e with e <= V divides the residues: the next step reads them
-        # modulo p^N / p^V
-        places.append((p, modulus // powers[-1], powers))
-    return Lifts(tuple(coords), tuple(places), lifts.int64_caps), term
+        # p^e (e <= V) divides them: the next step reads them modulo p^N / p^V
+        places.append(LiftPlace(place, modulus // powers[-1], powers, cap))
+    return Lifts(tuple(coords), tuple(places)), term
 
 
-def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
-                     floor: float = 0.0) -> np.ndarray:
-    """E sum_{k<=depth} sum_v log|Phi(u_{k-1})|_v / deg gamma_k per lift,
-    over all words, walked depth first from shared prefixes.  Siblings merge
-    into one batch while it stays under _BATCH lifts, so a single point runs
-    breadth first and many points run one word at a time.  Every lift of an
-    unmerged batch has the same word, so its weight and degree are scalars
-    until a merge spreads them into arrays."""
+def escape_walk(system: StochasticSystem, lifts: Lifts, depth: int,
+                prefix: int, floor: float = 0.0, paths: int = 0,
+                rng: Optional[np.random.Generator] = None) -> tuple:
+    """(mean, variance of the mean) per lift of the escape sum
+    E sum_{k<=depth} sum_v log|Phi(u_{k-1})|_v / deg gamma_k: the words of
+    the first prefix levels walked depth first from shared prefixes (all
+    words when prefix == depth), then _sampled_tail from each leaf.
+    Siblings merge into one batch while it stays under _BATCH lifts, so a
+    single point runs breadth first and many points one word at a time; an
+    unmerged batch shares one word, so its weight and degree are scalars."""
     npts = len(lifts)
-    total = np.zeros(npts)
+    total, var = np.zeros(npts), np.zeros(npts)
     stack = [(lifts, np.arange(npts), 1.0, 1.0, 0)]
     while stack:
         cur, point, w, deg, k = stack.pop()
-        if k == depth:
+        if k == prefix:
+            if k < depth:
+                mean, v = _sampled_tail(system, cur, depth - k, paths, rng,
+                                        floor)
+                scale = np.broadcast_to(w / deg, len(point))
+                total += np.bincount(point, scale * mean, npts)
+                var += np.bincount(point, scale**2 * v, npts)
             continue
         last = k + 1 == depth  # leaves: only their terms are read
         children = []
@@ -248,104 +266,100 @@ def escape_sum_exact(system: StochasticSystem, lifts: Lifts, depth: int,
             children = [(Lifts.concat(parts), np.concatenate(points),
                          np.concatenate(ws), np.concatenate(degs), k + 1)]
         stack.extend(children)
-    return total
+    return total, var
 
 
-def word_source(system: StochasticSystem, depth: int,
-                rng: np.random.Generator):
-    """Rows lo..hi-1 of a samples x depth matrix of i.i.d. map indices, as
-    a function (lo, hi) -> rows that draws them from rng when called.
-    ifs.map_sampler takes one uniform per entry in row-major order, so rows
-    drawn chunk after chunk equal one draw of the whole matrix."""
+def _sampled_tail(system: StochasticSystem, lifts: Lifts, steps: int,
+                  paths: int, rng: np.random.Generator, floor: float) -> tuple:
+    """(mean, variance of the mean) per lift of its escape sum over `steps`
+    steps along `paths` random words of its own, in chunks of at most
+    _BATCH paths, path-major (column j is lift lo + j % n, path j // n)."""
     draw = map_sampler(system.probs)
-    return lambda lo, hi: draw(rng, (hi - lo, depth))
-
-
-def escape_sum_mc(system: StochasticSystem, lifts: Lifts, samples: int,
-                  words, floor: float = 0.0) -> tuple:
-    """(sample mean, standard error) per lift of the escape sum along
-    `samples` words, one row of map indices per path, which words(lo, hi)
-    gives for paths lo..hi-1 (see word_source; a caller holding a word
-    matrix passes its slices).  Paths run in chunks of at most _BATCH lifts
-    whose means and squared deviations merge (Chan-Golub-LeVeque); a
-    chunk's words are asked for when it runs, so no word matrix is held."""
-    npts = len(lifts)
     degs = np.array([float(phi.d) for phi in system.maps])
-    chunk = max(1, _BATCH // npts)
-    mean, m2 = np.zeros(npts), np.zeros(npts)
-    for start in range(0, samples, chunk):
-        rows = words(start, min(start + chunk, samples))
-        cur = lifts.take(np.tile(np.arange(npts), len(rows)))
+    per = max(1, _BATCH // paths)
+    means, variances = [], []
+    for lo in range(0, len(lifts), per):
+        n = min(per, len(lifts) - lo)
+        cur = lifts.take(np.tile(np.arange(lo, lo + n), paths))
         vals, deg = np.zeros(len(cur)), np.ones(len(cur))
-        for k in range(rows.shape[1]):
-            idx = np.repeat(rows[:, k], npts)
-            last = k + 1 == rows.shape[1]  # only its terms are read
-            coords = None
-            term = np.empty(len(cur))
+        for k, idx in enumerate(draw(rng, (steps, len(cur)))):
+            coords, term = None, np.empty(len(cur))
             for i, phi in enumerate(system.maps):
                 sel = idx == i
-                if last:
+                if k + 1 == steps:  # only the last step's terms are read
                     term[sel] = _term(phi, cur.take(sel), floor)
                     continue
                 nxt, term[sel] = _apply(phi, cur.take(sel), floor)
-                if coords is None:  # every map's images share their dtypes
-                    coords = [np.empty(len(cur), part.dtype)
-                              for part in nxt.coords]
+                # every map's images share their dtypes
+                coords = coords or [np.empty(len(cur), part.dtype)
+                                    for part in nxt.coords]
                 for c, part in zip(coords, nxt.coords):
                     c[sel] = part
-            if not last:
-                cur = Lifts(tuple(coords), nxt.places, nxt.int64_caps)
+            cur = Lifts(tuple(coords), nxt.places) if coords else cur
             deg = deg * degs[idx]
             vals += term / deg
-        vals = vals.reshape(len(rows), npts)
-        delta, seen = vals.mean(axis=0) - mean, start + len(rows)
-        m2 += ((vals - vals.mean(axis=0)) ** 2).sum(axis=0) \
-            + delta**2 * (start * len(rows) / seen)
-        mean += delta * (len(rows) / seen)
-    return mean, np.sqrt(m2 / max(samples - 1, 1)) / math.sqrt(samples)
+        vals = vals.reshape(paths, n)
+        means.append(vals.mean(axis=0))
+        variances.append(vals.var(axis=0, ddof=1) / paths)
+    return np.concatenate(means), np.concatenate(variances)
 
 
-def _height(alpha: ProjPointQ, escape: float) -> float:
+def escape_sum(system: StochasticSystem, lifts_at: Callable[[int], Lifts],
+               tol: float, cap: int, seed: int, floor: float = 0.0,
+               depth: Optional[int] = None) -> EscapeEstimate:
+    """Escape sums of the lifts lifts_at(n) to within tol: all m^n words if
+    they are at most cap, n the depth for tol (or the explicit depth).
+    Otherwise n is the depth for tol/2; the first L levels are enumerated,
+    m^L <= _PREFIX_WORDS, and each leaf walks on along s random words of
+    its own, so the variance is sum_leaf (w/D)^2 var_leaf / s.  A pilot
+    with s = 2 sizes s for a standard error of tol - tail_bound(n), within
+    _TAIL_PATHS paths per start point."""
+    budget, m = tail_budget(system), len(system.maps)
+    n = prefix = budget.depth(tol, depth)
+    s = 0
+    if m**n > cap:
+        n = depth or budget.depth(tol / 2)
+        prefix, s = 0, 2
+        while prefix + 1 < n and m ** (prefix + 1) <= _PREFIX_WORDS:
+            prefix += 1
+    lifts, rng = lifts_at(n), np.random.default_rng(seed)
+    value, var = escape_walk(system, lifts, n, prefix, floor, s, rng)
+    target = tol - budget.bound(n)
+    # s paths per leaf give the variance var * 2 / s
+    need = 2.0 * float(var.max()) / target**2 if target > 0 else math.inf
+    most = _TAIL_PATHS // m**prefix
+    if s and need > s and most > s:
+        s = most if not need < most else math.ceil(need)
+        value, var = escape_walk(system, lifts, n, prefix, floor, s, rng)
+    stderr = np.sqrt(var)
+    return EscapeEstimate(value, stderr, n, prefix, s * m**prefix,
+                          budget.bound(n), bool(np.all(stderr <= target)))
+
+
+def _stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
+                  seed: int, depth: Optional[int] = None) -> EscapeEstimate:
+    est = escape_sum(system, lambda n: _point_lifts(system, [alpha], n), tol,
+                     WORD_CAP_DEFAULT, seed, depth=depth)
     # the heights averaged are >= 0, but logs that cancel exactly (log 6 -
     # log 2 - log 3 when a word sends 1 to infinity) can leave -1e-16
-    return max(0.0, weil_height(alpha) + float(escape))
+    return replace(est, value=max(0.0, weil_height(alpha) + est.value[0]),
+                   stderr=float(est.stderr[0]))
 
 
 def stoch_height_exact(system: StochasticSystem, alpha: ProjPointQ,
-                       n: int) -> StochHeightEstimate:
-    """Exact average over all length-n words."""
+                       n: int) -> EscapeEstimate:
+    """Exact average over all length-n words (escape_sum, tol = inf)."""
     if len(system.maps) ** n > WORD_CAP_DEFAULT:
         raise WordCapExceeded(f"{len(system.maps) ** n} words of length {n} "
                               f"exceeds cap {WORD_CAP_DEFAULT}")
-    escape = escape_sum_exact(system, _point_lifts(system, [alpha], n), n)
-    return StochHeightEstimate(_height(alpha, escape[0]), 0.0, n,
-                               "exact", 0, tail_budget(system).bound(n))
-
-
-def stoch_height_mc(system: StochasticSystem, alpha: ProjPointQ, n: int,
-                    samples: int, seed: int) -> StochHeightEstimate:
-    """Monte Carlo average of h(word(alpha))/deg over i.i.d. words."""
-    if samples < 1:
-        raise ValueError("need at least one sample")
-    words = word_source(system, n, np.random.default_rng(seed))
-    mean, stderr = escape_sum_mc(system, _point_lifts(system, [alpha], n),
-                                 samples, words)
-    return StochHeightEstimate(_height(alpha, mean[0]),
-                               float(stderr[0]), n, "mc", samples,
-                               tail_budget(system).bound(n))
+    return _stoch_height(system, alpha, math.inf, 0, n)
 
 
 def stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
-                 seed: int = 0) -> StochHeightEstimate:
-    """Estimate to tolerance: depth from the geometric tail, then exact
-    enumeration when the word cap allows it, Monte Carlo otherwise."""
-    n = tail_budget(system).depth(tol)
-    if len(system.maps) ** n <= WORD_CAP_DEFAULT:
-        return stoch_height_exact(system, alpha, n)
-    pilot = stoch_height_mc(system, alpha, n, 256, seed ^ 0x9E3779B9)
-    sigma = pilot.stderr * math.sqrt(256.0)
-    need = min(10**6, max(256, math.ceil((sigma / tol) ** 2) + 1))
-    return stoch_height_mc(system, alpha, n, need, seed)
+                 seed: int = 0) -> EscapeEstimate:
+    """Estimate to tolerance by escape_sum: every word up to
+    WORD_CAP_DEFAULT of them, an exact prefix with sampled tails past it."""
+    return _stoch_height(system, alpha, tol, seed)
 
 
 def scaling_residual(system: StochasticSystem, alpha: ProjPointQ,

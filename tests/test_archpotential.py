@@ -57,9 +57,9 @@ def test_auto_depth_resolution(dyadic, single_z2):
 
 
 def test_green_dyadic_values(dyadic):
-    assert gS_eval(dyadic, 0.0) == pytest.approx(-LOG2 / 2, abs=1e-3)
+    assert gS_eval(dyadic, 0.0).value == pytest.approx(-LOG2 / 2, abs=1e-3)
     for z in (1.0, 2.0, 10.0, math.inf):
-        assert abs(gS_eval(dyadic, z)) <= 1e-9
+        assert abs(gS_eval(dyadic, z).value) <= 1e-9
     vals = gS_eval_many(dyadic, [0.0, 1.0, math.inf])
     assert vals[0] == pytest.approx(-LOG2 / 2, abs=1e-3)
     assert abs(vals[1]) <= 1e-9 and vals[2] == 0.0
@@ -74,7 +74,7 @@ def test_green_two_z2_closed_form(two_z2):
     # Julia set of 2z^2 is the circle |z| = 1/2, so g = log max(|z|, 1/2) - log+|z|
     for z in (0.1, 0.5, 0.75, 2.0):
         want = math.log(max(z, 0.5)) - max(math.log(z), 0.0)
-        assert gS_eval(two_z2, z) == pytest.approx(want, abs=2e-3)
+        assert gS_eval(two_z2, z).value == pytest.approx(want, abs=2e-3)
 
 
 def test_green_bounded_by_distortion(dyadic, two_z2):
@@ -97,25 +97,19 @@ def test_green_depth_refinement(dyadic):
 def test_green_monte_carlo_branch(dyadic, monkeypatch):
     # At 0 every escape-sum term of the dyadic pair is 0, and at infinity
     # term k is B_k (log 2) / 2^k with B_k the fair coin "map k is 2z^2".
-    # So the Monte Carlo g(0) is -(log 2) sum_{k<=n} B_k / 2^(k+1) averaged
-    # over _MC_WORDS words: its mean is within the tail bound of
-    # g(0) = -(log 2)/2, and its standard deviation per word is below
-    # sigma = (log 2) / (2 sqrt 3), the deviation of the infinite sum.
-    counts = []
-    mc = archpotential.escape_sum_mc
-
-    def counted(system, lifts, samples, *args):
-        counts.append(samples)
-        return mc(system, lifts, samples, *args)
+    # Past the word cap g(0) = -(log 2) sum_{k<=n} B_k / 2^(k+1) takes an
+    # exact prefix and sampled tails at the depth for tol/2: its mean is
+    # within the tail bound of g(0) = -(log 2)/2, and its error within four
+    # of the standard errors it reports.
     monkeypatch.setattr(archpotential, "_ENUM_CAP", 1)
-    monkeypatch.setattr(archpotential, "escape_sum_mc", counted)
     cfg = GreenConfig()
-    n = tail_budget(dyadic).depth(cfg.tol)
-    got = gS_eval(dyadic, 0.0, cfg)
-    assert counts == [archpotential._MC_WORDS]
-    sigma = LOG2 / (2.0 * math.sqrt(3.0))
-    slack = tail_budget(dyadic).bound(n) + 4.0 * sigma / math.sqrt(counts[0])
-    assert abs(got + LOG2 / 2) <= slack
+    budget = tail_budget(dyadic)
+    est = gS_eval(dyadic, 0.0, cfg)
+    assert est.mode == "exact-prefix"
+    assert est.depth == budget.depth(cfg.tol / 2)
+    assert est.prefix_depth < est.depth
+    assert 0.0 < est.stderr <= cfg.tol - est.tail_bound and est.tol_met
+    assert abs(est.value + LOG2 / 2) <= est.tail_bound + 4.0 * est.stderr
 
 
 def test_precision_floor_guard(single_z2, monkeypatch):

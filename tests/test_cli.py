@@ -7,6 +7,7 @@ import pathlib
 import re
 import runpy
 import sys
+import time
 import warnings
 
 import pytest
@@ -225,6 +226,75 @@ def test_green_eval_command(capsys, example_config):
     record = json.loads(out)
     assert record["green"] == pytest.approx(-math.log(2) / 2, abs=1e-3)
     assert record["depth"] == 10
+
+
+# (command, config, alpha, extra args, field, value, depth) of records that
+# enumerate every word: their numbers keep every bit
+ENUMERATED_RECORDS = (
+    ("stoch-height", REPO_CONFIG, "1", (), "value", 0.34623513950821483, 10),
+    ("stoch-height", GENERAL_CONFIG, "3/2", (), "value", 0.9691808514673695,
+     8),
+    ("stoch-height", GENERAL_CONFIG, "3/2", ("--tol", "1e-4"), "value",
+     0.9692041944221342, 11),
+    ("green-eval", REPO_CONFIG, "0", (), "green", -0.34623513950821483, 10),
+    ("green-eval", GENERAL_CONFIG, "0", (), "green", 0.032235607957921145, 8),
+)
+
+
+def test_enumerated_records_are_pinned(capsys):
+    for command, config, alpha, extra, field, value, depth in \
+            ENUMERATED_RECORDS:
+        code, out, err = run_cli(capsys, command, "--config", str(config),
+                                 alpha, *extra)
+        assert code == 0, err
+        record = json.loads(out)
+        assert (record[field], record["depth"]) == (value, depth)
+        assert record["stderr"] == 0.0
+        if command == "stoch-height":
+            assert record["mode"] == "exact" and record["tol_met"]
+            assert (record["prefix_depth"], record["samples"]) == (depth, 0)
+
+
+def test_stoch_height_exact_prefix(capsys):
+    # past the word cap: an exact 13-level prefix and sampled tails to the
+    # depth for tol/2, whose standard error meets tol - tail_bound
+    code, out, _ = run_cli(capsys, "stoch-height", "--config",
+                           str(REPO_CONFIG), "1", "--tol", "1e-6", "--seed",
+                           "5")
+    assert code == 0
+    record = json.loads(out)
+    assert record["mode"] == "exact-prefix" and record["tol_met"]
+    assert (record["depth"], record["prefix_depth"]) == (21, 13)
+    assert record["stderr"] <= 1e-6 - record["tail_bound"]
+    assert abs(record["value"] - math.log(2) / 2) \
+        <= record["tail_bound"] + 4 * record["stderr"]
+
+
+def test_stoch_height_unreachable_tol(capsys):
+    # the path budget cannot reach tol 1e-12: the record says so and the
+    # command still succeeds, within seconds
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "stoch-height", "--config",
+                           str(REPO_CONFIG), "1", "--tol", "1e-12")
+    assert time.perf_counter() - start < 5.0
+    assert code == 0
+    record = json.loads(out)
+    assert record["mode"] == "exact-prefix" and record["tol_met"] is False
+    assert record["tail_bound"] <= 5e-13 < record["stderr"]
+    assert abs(record["value"] - math.log(2) / 2) \
+        <= record["tail_bound"] + 4 * record["stderr"]
+
+
+def test_green_eval_prints_stderr(capsys):
+    # depth 16 is past the word cap; g(0) = -(log 2)/2 on the example
+    code, out, _ = run_cli(capsys, "green-eval", "--config", str(REPO_CONFIG),
+                           "0", "--depth", "16")
+    assert code == 0
+    record = json.loads(out)
+    assert record["depth"] == 16 and 0.0 < record["stderr"] <= record["tol"]
+    tail = math.log(2) / 2**16  # the example's tail bound at depth 16
+    assert abs(record["green"] + math.log(2) / 2) \
+        <= tail + 4 * record["stderr"]
 
 
 def _strict_json(text):

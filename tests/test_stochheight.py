@@ -18,16 +18,15 @@ from stochdyn.stochheight import (
     WordCapExceeded,
     _apply,
     _point_lifts,
+    _sampled_tail,
     _term,
-    escape_sum_exact,
-    escape_sum_mc,
+    escape_sum,
+    escape_walk,
     scaling_residual,
     stoch_height,
     stoch_height_exact,
-    stoch_height_mc,
     tail_budget,
     weil_comparison_residual,
-    word_source,
 )
 
 LOG2 = math.log(2)
@@ -53,6 +52,18 @@ def dp_oracle(system, alpha, n):
     return math.fsum(
         float(w / deg) * weil_height(pt) for (pt, deg), w in dist.items()
     )
+
+
+def escape_sum_exact(system, lifts, depth, floor=0.0):
+    """The escape sums of the lifts over all words of the given length."""
+    return escape_walk(system, lifts, depth, depth, floor)[0]
+
+
+def sampled(system, alpha, depth, seed, tol=1.0):
+    """escape_sum of alpha at an explicit depth, with a word cap of 0 so
+    that it always takes the exact prefix and samples the tails."""
+    return escape_sum(system, lambda n: _point_lifts(system, [alpha], n),
+                      tol, 0, seed, depth=depth)
 
 
 def mixed_system():
@@ -105,11 +116,13 @@ def test_exact_word_cap(dyadic, monkeypatch):
 
 def test_stoch_height_three_halves_is_log3(dyadic):
     # the 3-power numerator always dominates, so every word gives log 3;
-    # tol 1e-6 needs depth 20, past the word cap, and coordinates of 2^20
-    # digits that the escape sums never build
+    # tol 1e-6 needs depth 20, past the word cap, so the sampled tails run
+    # to the depth for tol/2, 21, over coordinates of 2^21 digits that the
+    # escape sums never build
     est = stoch_height(dyadic, ProjPointQ(3, 2), 1e-6)
-    assert est.mode == "mc" and est.depth == 20
-    assert est.tail_bound <= 1e-6
+    assert est.mode == "exact-prefix" and est.depth == 21
+    assert est.prefix_depth == 13 and est.samples == 2 << 13
+    assert est.tail_bound <= 1e-6 and est.stderr == 0.0 and est.tol_met
     assert est.value == pytest.approx(math.log(3), abs=1e-12)
 
 
@@ -120,23 +133,29 @@ def test_tail_bound_formula(dyadic):
     assert tail_budget(dyadic).depth(LOG2 * 0.5**7) == 7
 
 
-def test_mc_single_map_zero_variance(single_z2):
-    est = stoch_height_mc(single_z2, TWO, 5, 64, seed=1)
-    assert est.value == pytest.approx(LOG2, abs=1e-14)
-    assert est.stderr == 0.0
+def test_mc_single_map_zero_variance(single_z2, monkeypatch):
+    # with no exact prefix every level is sampled, and every path is equal
+    monkeypatch.setattr(stochheight, "_PREFIX_WORDS", 0)
+    est = sampled(single_z2, TWO, 5, 1)
+    assert est.prefix_depth == 0 and est.mode == "exact-prefix"
+    assert weil_height(TWO) + est.value[0] == pytest.approx(LOG2, abs=1e-14)
+    assert est.stderr[0] == 0.0
 
 
-def test_mc_within_four_stderr_of_exact(dyadic):
-    exact = stoch_height_exact(dyadic, ONE, 12).value
-    mc = stoch_height_mc(dyadic, ONE, 12, 10**4, seed=0)
-    assert abs(mc.value - exact) <= 4 * mc.stderr
+def test_mc_within_four_stderr_of_exact(dyadic, monkeypatch):
+    # 64 leaves of a 6-level prefix, each walked 6 more steps
+    monkeypatch.setattr(stochheight, "_PREFIX_WORDS", 1 << 6)
+    exact = escape_sum_exact(dyadic, _point_lifts(dyadic, [ONE], 12), 12)
+    mc = sampled(dyadic, ONE, 12, 0, tol=1e-3)
+    assert mc.prefix_depth == 6 and mc.stderr[0] > 0.0
+    assert abs(mc.value[0] - exact[0]) <= 4 * mc.stderr[0]
 
 
 def test_mc_deterministic(dyadic):
-    a = stoch_height_mc(dyadic, ONE, 8, 500, seed=7)
-    b = stoch_height_mc(dyadic, ONE, 8, 500, seed=7)
+    a = sampled(dyadic, ONE, 8, 7)
+    b = sampled(dyadic, ONE, 8, 7)
     assert (a.value, a.stderr) == (b.value, b.stderr)
-    c = stoch_height_mc(dyadic, ONE, 8, 500, seed=8)
+    c = sampled(dyadic, ONE, 8, 8)
     assert a.value != c.value
 
 
@@ -144,8 +163,8 @@ def test_mc_consistency_rate(dyadic):
     exact = stoch_height_exact(dyadic, ONE, 5).value
     misses = 0
     for seed in range(40):
-        mc = stoch_height_mc(dyadic, ONE, 5, 300, seed=seed)
-        if abs(mc.value - exact) > 4 * mc.stderr:
+        mc = sampled(dyadic, ONE, 5, seed)
+        if abs(weil_height(ONE) + mc.value[0] - exact) > 4 * mc.stderr[0]:
             misses += 1
     assert misses <= 1
 
@@ -172,8 +191,9 @@ def test_stoch_height_dyadic_two(dyadic):
 def test_stoch_height_mc_fallback(dyadic, monkeypatch):
     monkeypatch.setattr(stochheight, "WORD_CAP_DEFAULT", 100)
     est = stoch_height(dyadic, ONE, 1e-3, seed=3)
-    assert est.mode == "mc"
-    assert est.tail_bound <= 1e-3
+    assert est.mode == "exact-prefix" and est.tol_met
+    assert est.depth == tail_budget(dyadic).depth(5e-4)
+    assert est.tail_bound <= 1e-3 and est.stderr <= 1e-3 - est.tail_bound
     assert abs(est.value - LOG2 / 2) <= 1e-3 + 4 * est.stderr
 
 
@@ -241,9 +261,10 @@ def test_int64_residues_match_object_path(phi1, phi2, depth, alphas):
     lifts = _point_lifts(system, alphas, depth)
     # an odd place whose residues step as int64 at least at the last step,
     # where the modulus is p^(V + 1)
-    assume(any(p > 2 and cap >= p * powers[-1] for (p, _, powers), cap
-               in zip(lifts.places, lifts.int64_caps)))
-    wide = Lifts(lifts.coords, lifts.places, (0,) * len(lifts.places))
+    assume(any(pl.place.p > 2 and pl.int64_cap >= pl.place.p * pl.powers[-1]
+               for pl in lifts.places))
+    wide = Lifts(lifts.coords,
+                 tuple(pl._replace(int64_cap=0) for pl in lifts.places))
     assert escape_sum_exact(system, lifts, depth).tobytes() \
         == escape_sum_exact(system, wide, depth).tobytes()
     rng = np.random.default_rng(depth)
@@ -261,20 +282,24 @@ def test_int64_residues_match_object_path(phi1, phi2, depth, alphas):
             assert g.tolist() == w.tolist()
 
 
-def test_mc_matches_dp_oracle_words():
+def test_mc_matches_dp_oracle_words(monkeypatch):
     # with every path of a one-map system equal, the sample mean is the
-    # word average itself
+    # word average itself, with or without an exact prefix
     phi = make_map([3, 0, 5], [0, 9])
     system = make_system([phi], [Fraction(1)])
-    for alpha in (ONE, ProjPointQ(-7, 3), ProjPointQ(2, 15)):
-        mc = stoch_height_mc(system, alpha, 6, 4, seed=0)
-        assert mc.value == pytest.approx(dp_oracle(system, alpha, 6),
-                                         rel=1e-12)
+    for words in (1 << 13, 0):
+        monkeypatch.setattr(stochheight, "_PREFIX_WORDS", words)
+        for alpha in (ONE, ProjPointQ(-7, 3), ProjPointQ(2, 15)):
+            mc = sampled(system, alpha, 6, 0, tol=100.0)
+            assert mc.prefix_depth == (5 if words else 0)
+            assert weil_height(alpha) + mc.value[0] == pytest.approx(
+                dp_oracle(system, alpha, 6), rel=1e-12)
 
 
-def test_kernel_batching_is_invisible(dyadic):
-    # 6000 lifts: the exact walk never merges siblings, and Monte Carlo
-    # fits two paths per chunk, so seven paths run in four merged chunks
+def test_kernel_batching_is_invisible(dyadic, monkeypatch):
+    # 6000 lifts: the exact walk never merges siblings, and the sampled
+    # tails fit 2340 lifts of 7 paths per chunk, so they run in three
+    # chunks; each lift's mean and variance are those of its own paths
     rng = np.random.default_rng(3)
     z = rng.normal(size=6000) + 1j * rng.normal(size=6000)
     scale = np.maximum(np.abs(z), 1.0)
@@ -284,14 +309,29 @@ def test_kernel_batching_is_invisible(dyadic):
         single = escape_sum_exact(dyadic, lifts.take([i]), 6)
         assert exact[i] == pytest.approx(single[0], rel=1e-12, abs=1e-15)
 
-    words = rng.integers(0, 2, size=(7, 9))
-    mean, stderr = escape_sum_mc(dyadic, lifts, 7, lambda lo, hi: words[lo:hi])
-    paths = np.array([escape_sum_mc(dyadic, lifts, 1,
-                                    lambda lo, hi: words[s + lo:s + hi])[0]
-                      for s in range(7)])
-    assert mean == pytest.approx(paths.mean(axis=0), rel=1e-12, abs=1e-15)
-    want = paths.std(axis=0, ddof=1) / math.sqrt(7)
-    assert stderr == pytest.approx(want, rel=1e-9, abs=1e-15)
+    drawn, sampler = [], stochheight.map_sampler
+
+    def recorded(probs):
+        draw = sampler(probs)
+        return lambda rng, shape: drawn.append(draw(rng, shape)) or drawn[-1]
+    monkeypatch.setattr(stochheight, "map_sampler", recorded)
+    mean, var = _sampled_tail(dyadic, lifts, 9, 7, rng, 0.0)
+    per = (1 << 14) // 7
+    assert [w.shape for w in drawn] == [(9, 7 * n) for n in (per, per, 1320)]
+    for i in (0, 17, 2339, 2340, 5999):
+        chunk, j = divmod(i, per)
+        n = drawn[chunk].shape[1] // 7
+        vals = []
+        for path in range(7):
+            cur, val, deg = lifts.take([i]), 0.0, 1
+            for k in drawn[chunk][:, j + path * n]:
+                cur, term = full_apply(dyadic.maps[k], cur, 0.0)
+                deg *= dyadic.maps[k].d
+                val += term[0] / deg
+            vals.append(val)
+        assert mean[i] == pytest.approx(np.mean(vals), rel=1e-12, abs=1e-15)
+        assert var[i] == pytest.approx(np.var(vals, ddof=1) / 7, rel=1e-9,
+                                       abs=1e-30)
 
 
 def bits(a):
@@ -329,7 +369,8 @@ def full_apply(phi, lifts, floor):
     term = np.log(m) + k * LOG2
     inv = 1.0 / m
     coords = [c * inv if np.iscomplexobj(c) else c / m for c in (fx, gy)]
-    for j, (p, modulus, powers) in enumerate(lifts.places):
+    for j, place in enumerate(lifts.places):
+        p, modulus, powers = place.place.p, place.modulus, place.powers
         f, g = phi.hom_eval_int(*lifts.coords[2 + 2 * j:4 + 2 * j])
         f, g = f % modulus, g % modulus
         e = np.zeros(len(f), dtype=int)
@@ -411,16 +452,15 @@ def test_escape_step_matches_full_rule(dyadic, signed, general):
 
 
 def test_mc_last_step_matches_full_rule(dyadic, general, monkeypatch):
-    # escape_sum_mc takes only the term at its last column; with the full
-    # step there instead, every bit of the mean and the error is the same
+    # a sampled tail takes only the term at its last step; with the full
+    # step there instead, every bit of the mean and the variance is the same
     for system in (dyadic, general):
         for lifts in (complex_lifts(300, 4),
                       _point_lifts(system, [ProjPointQ(3, 2)], 5)):
             for depth in (1, 5):
                 def run():
-                    words = word_source(system, depth,
-                                        np.random.default_rng(depth))
-                    return escape_sum_mc(system, lifts, 64, words, 1e-12)
+                    return _sampled_tail(system, lifts, depth, 64,
+                                         np.random.default_rng(depth), 1e-12)
                 got = run()
                 with monkeypatch.context() as patch:
                     patch.setattr(stochheight, "_term",
@@ -440,18 +480,16 @@ def test_collapse_at_the_last_step_is_caught():
     z0 = math.sqrt((2 - 2.0001 * math.sqrt(2)) / (1 - math.sqrt(2)))
     lifts = Lifts((np.array([1.0 + 0j]), np.array([1.0 / z0 + 0j])))
 
-    def words(depth):
-        return lambda lo, hi: np.zeros((hi - lo, depth), int)
-
+    rng = np.random.default_rng(0)
     escape_sum_exact(system, lifts, 1, 1.0)
-    escape_sum_mc(system, lifts, 2, words(1), 1.0)
+    _sampled_tail(system, lifts, 1, 2, rng, 1.0)
     with pytest.raises(ConvergenceFailure):
         escape_sum_exact(system, lifts, 2, 1.0)
     with pytest.raises(ConvergenceFailure):
-        escape_sum_mc(system, lifts, 2, words(2), 1.0)
+        _sampled_tail(system, lifts, 2, 2, rng, 1.0)
 
 
-def test_apply_collapse_checks(dyadic):
+def test_apply_collapse_checks(dyadic, monkeypatch):
     phi, floor = dyadic.maps[0], 1e-12
     # (0, 0) collapses; a NaN lift beside it must not hide it
     for x in ([1.0, 0.0, math.nan], [math.nan, 0.0, 1.0]):
@@ -463,38 +501,36 @@ def test_apply_collapse_checks(dyadic):
     nan = Lifts((np.array([math.nan, 1.0], dtype=complex),
                  np.array([1.0, 0.0], dtype=complex)))
     assert np.isnan(_apply(phi, nan, floor)[1][0])
-    # escape_sum_mc hands a map that no path of a chunk drew an empty batch
+    # a sampled tail hands a map that no path of a step drew an empty batch
     empty = Lifts((np.empty(0, dtype=complex), np.empty(0, dtype=complex)))
     nxt, term = _apply(phi, empty, floor)
     assert len(nxt) == 0 and len(term) == 0
     lifts = complex_lifts(50, 3)
-    mean, stderr = escape_sum_mc(dyadic, lifts, 4,
-                                 lambda lo, hi: np.zeros((hi - lo, 6), int),
-                                 floor)
+    monkeypatch.setattr(stochheight, "map_sampler",
+                        lambda probs: lambda rng, shape: np.zeros(shape, int))
+    mean, var = _sampled_tail(dyadic, lifts, 6, 4, None, floor)
     z2 = make_system([dyadic.maps[0]], [Fraction(1)])
     assert mean == pytest.approx(escape_sum_exact(z2, lifts, 6, floor),
                                  rel=1e-12, abs=1e-15)
-    assert np.all(stderr == 0.0)
+    assert np.all(var == 0.0)
 
 
-@pytest.mark.parametrize("probs", [(Fraction(1, 2), Fraction(1, 2)),
-                                   (Fraction(3, 10), Fraction(7, 10))])
-def test_word_source_in_chunks_equal_one_draw(probs):
-    system = make_system([make_map([0, 0, 1], [1]), make_map([0, 0, 2], [1])],
-                         probs)
-    words = word_source(system, 7, np.random.default_rng(9))
-    chunks = np.concatenate([words(lo, min(lo + 3, 20))
-                             for lo in range(0, 20, 3)])
-    whole = np.random.default_rng(9).choice(2, size=(20, 7),
-                                            p=[float(p) for p in probs])
-    assert np.array_equal(chunks, whole)
-    # the kernel asks for its chunks in order, so its bits do not depend
-    # on whether the words are drawn up front or chunk by chunk
-    z = np.exp(1j * np.linspace(0.0, 6.0, 5000)) * np.linspace(0.1, 3.0, 5000)
-    scale = np.maximum(np.abs(z), 1.0)
-    lifts = Lifts((z / scale, 1.0 / scale + 0j))
-    drawn = escape_sum_mc(system, lifts, 20,
-                          word_source(system, 7, np.random.default_rng(9)))
-    held = escape_sum_mc(system, lifts, 20, lambda lo, hi: whole[lo:hi])
-    for a, b in zip(drawn, held):
-        assert np.array_equal(bits(a), bits(b))
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(small_maps(), small_maps(),
+       st.sampled_from([ONE, TWO, ProjPointQ(-7, 3), ProjPointQ(5, 9)]))
+def test_exact_prefix_matches_enumeration(phi1, phi2, alpha):
+    # past the word cap the estimate runs to the depth for tol/2 and meets
+    # the full enumeration to the depth for tol within the tail bound of
+    # the latter and four standard errors; 64 leaves of a short prefix
+    # carry the sampled variance
+    system = make_system([phi1, phi2], [Fraction(1, 3), Fraction(2, 3)])
+    tol = 1e-2
+    exact = stoch_height(system, alpha, tol)
+    assert exact.mode == "exact"
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(stochheight, "WORD_CAP_DEFAULT", 0)
+        patch.setattr(stochheight, "_PREFIX_WORDS", 1 << 6)
+        est = stoch_height(system, alpha, tol, seed=11)
+    assert est.mode == "exact-prefix" and est.prefix_depth <= 6
+    assert est.depth == tail_budget(system).depth(tol / 2)
+    assert abs(est.value - exact.value) <= exact.tail_bound + 4 * est.stderr
