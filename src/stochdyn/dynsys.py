@@ -7,8 +7,10 @@ sum to one.
 
 The fiber of a rational point, its preimages with multiplicities in
 log-polar form (log|w|, arg w), comes from one exact factorization over Q
-of the fiber form (see fiber); the ramification index and the exceptional
-candidates are read from the same kind of factorization.
+of the fiber form (see fiber).  The ramification index at a point is its
+multiplicity in the fiber form of its image, by exact division, and the
+exceptional candidates are the rational roots of multiplicity >= d - 1 of
+the Wronskian.
 
 Exceptional points are decided from the forward closure of the point: z
 is exceptional exactly when every map of the system is totally ramified
@@ -49,6 +51,7 @@ from .exactnum import (
     poly_roots,
     poly_trim,
     resultant,
+    root_multiplicity,
     wrap_angle,
 )
 
@@ -282,13 +285,13 @@ def fiber(phi: RationalMapQ, point: ProjPointQ) -> tuple:
 
 def ramification_index(phi: RationalMapQ, point: ProjPointQ) -> int:
     """Local ramification index e_P(phi), between 1 and deg(phi): the
-    multiplicity of P in the fiber form of phi(P), read from its exact
-    factorization (the linear factor b z - a of P = [a : b])."""
+    multiplicity of P = [a : b] in the fiber form of phi(P), by exact
+    repeated division by b z - a."""
     inf_mult, finite = _fiber_form(phi, eval_map(phi, point))
     if point.is_infinity:
         e = inf_mult
     else:
-        e = dict(factor_poly(finite)).get((-point.a, point.b), 0)
+        e = root_multiplicity(finite, point.a, point.b)
     assert 1 <= e <= phi.d
     return e
 
@@ -401,9 +404,9 @@ def exceptional_report(system: StochasticSystem) -> ExceptionalReport:
     inf_mult = next(i for i, c in enumerate(w) if c != 0)
     candidates = [INFINITY] if inf_mult >= d - 1 else []
     unresolved = []
-    for factor, mult in factor_poly(w[::-1]):
-        if mult < d - 1:
-            continue
+    # only the factors of multiplicity >= d - 1 are split: of a form of
+    # degree 2d - 2 they have degree at most 2, so none needs sympy
+    for factor, mult in factor_poly(w[::-1], min_mult=d - 1):
         if len(factor) == 2:
             candidates.append(normalize_point(-factor[0], factor[1]))
         else:

@@ -1,12 +1,18 @@
 """Exact arithmetic primitives.
 
 Projective points over Q, integer resultants, p-adic valuations, exact
-factorization of rational polynomials over Q (sympy), the one numeric
-root solver (poly_roots, on mantissa/exponent pairs, so that neither
+factorization of rational polynomials over Q (square-free parts by Yun's
+algorithm, rational roots by p-adic lifting), primality (Miller-Rabin,
+and strong Baillie-PSW above its proven range), the one numeric root
+solver (poly_roots, on mantissa/exponent pairs, so that neither
 coefficients nor roots need to lie in float range), logs of huge
 integers, and exact rational-coefficient combinations of logs of primes
 (the currency of product-formula identities).  StochdynError is the base
 of every error the package raises.
+
+sympy is imported for one job only, inside factor_poly: splitting a
+square-free part of degree >= 4 that has no rational root.  Only fibers
+of maps of degree >= 4 can need it.
 
 Conventions:
   * univariate integer polynomials ("IntPoly") are coefficient tuples in
@@ -19,6 +25,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from itertools import zip_longest
 from typing import NamedTuple, Sequence, Union
 
 import numpy as np
@@ -200,19 +207,209 @@ def poly_trim(coeffs) -> tuple:
     return tuple(c)
 
 
-def factor_poly(coeffs) -> list:
-    """Irreducible factors over Q of a nonzero rational polynomial, with
+def factor_poly(coeffs, min_mult=1) -> list:
+    """Irreducible factors over Q of a rational polynomial, with
     multiplicities: [(factor, multiplicity)], each factor a primitive integer
     tuple (ascending) with positive leading coefficient, sorted.  A linear
-    factor (-a, b) is the rational root a/b; constants have no factors."""
-    import sympy
+    factor (-a, b) is the rational root a/b; constants have no factors.
+    Only the factors of multiplicity >= min_mult are returned, and only
+    their square-free parts are split.
 
+    The square-free parts come from Yun's algorithm over Z (_squarefree),
+    their rational roots from p-adic lifting (rational_roots).  A part is
+    then irreducible unless what is left after its linear factors has
+    degree >= 4; only such a rest is split by sympy, imported here."""
     c = [Fraction(x) for x in poly_trim(coeffs)]
     den = math.lcm(*(x.denominator for x in c))
-    desc = [int(x * den) for x in reversed(c)]
-    _, factors = sympy.Poly(desc, sympy.Symbol("x")).factor_list()
-    return sorted((tuple(int(a) for a in reversed(f.all_coeffs())), m)
-                  for f, m in factors)
+    f = [x.numerator * (den // x.denominator) for x in c]
+    if len(f) < 2:
+        return []
+    out = []
+    for part, m in _squarefree(_primitive(f)):
+        if m < min_mult:
+            continue
+        linear, rest = rational_roots(part)
+        out += [(q, m) for q in linear]
+        if len(rest) > 4:
+            import sympy
+
+            _, split = sympy.Poly(rest[::-1], sympy.Symbol("x")).factor_list()
+            out += [(tuple(int(a) for a in reversed(q.all_coeffs())), m)
+                    for q, _ in split]
+        elif len(rest) > 1:
+            out.append((tuple(rest), m))
+    return sorted(out)
+
+
+def root_multiplicity(coeffs, a: int, b: int) -> int:
+    """The multiplicity of a/b (b != 0, gcd(a, b) = 1) as a root of a
+    nonzero integer polynomial (ascending), by exact repeated division by
+    b x - a."""
+    e = 0
+    q = _quo(coeffs, (-a, b))
+    while q is not None:
+        e += 1
+        q = _quo(q, (-a, b))
+    return e
+
+
+def rational_roots(f) -> tuple:
+    """(linear, rest) for a square-free integer polynomial f (ascending,
+    degree >= 1): the sorted linear factors (-a, b) of its rational roots
+    a/b, and f / prod (b x - a).
+
+    p-adic lifting (Loos, SIAM J. Comput. 1983) at p = _lucky_prime(f),
+    where every root of f mod p is simple: each root mod p lifts by
+    Newton's method until p^k exceeds 2 (|c| + max |f_i|), c the leading
+    coefficient, twice the Cauchy bound on |c a / b|.  As b divides c,
+    c a / b is then the symmetric residue of c r mod p^k, and the
+    candidate is kept if b x - a divides f exactly.  No integer is
+    factored and no float formed."""
+    c = f[-1]
+    p = _lucky_prime(f)
+    df = _deriv(f)
+    bound = 2 * (abs(c) + max(abs(x) for x in f[:-1]))
+    linear, rest = [], f
+    for r in range(p):
+        if _eval_mod(f, r, p):
+            continue
+        z, m = r, p
+        while m <= bound:
+            m *= m
+            z = (z - _eval_mod(f, z, m) * pow(_eval_mod(df, z, m), -1, m)) % m
+        top = c * z % m
+        if top > m // 2:
+            top -= m
+        g = math.gcd(top, c)
+        a, b = top // g, c // g
+        if b < 0:
+            a, b = -a, -b
+        q = _quo(rest, (-a, b))
+        if q is not None:
+            linear.append((-a, b))
+            rest = q
+    return sorted(linear), rest
+
+
+def _lucky_prime(f) -> int:
+    """The first odd prime p that does not divide the leading coefficient
+    of the square-free integer polynomial f and at which f stays
+    square-free mod p, that is, gcd(f, f') = 1 over F_p.  Every p dividing
+    neither the leading coefficient nor the discriminant qualifies, so the
+    search ends."""
+    p = 1
+    while True:
+        p += 2
+        if f[-1] % p == 0 or not isprime(p):
+            continue
+        a = [x % p for x in f]
+        b = list(poly_trim(x % p for x in _deriv(f)))
+        while b:
+            inv = pow(b[-1], -1, p)
+            while len(a) >= len(b):
+                x, shift = a[-1] * inv % p, len(a) - len(b)
+                for j in range(len(b) - 1):
+                    a[shift + j] = (a[shift + j] - x * b[j]) % p
+                a = list(poly_trim(a[:-1]))
+            a, b = b, a
+        if len(a) == 1:
+            return p
+
+
+def _eval_mod(f, x: int, m: int) -> int:
+    """f(x) mod m, f ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = (acc * x + c) % m
+    return acc
+
+
+def _primitive(f) -> list:
+    """An integer polynomial over its content, leading coefficient > 0."""
+    g = math.gcd(*f)
+    if f[-1] < 0:
+        g = -g
+    return [x // g for x in f]
+
+
+def _deriv(f) -> list:
+    return [i * x for i, x in enumerate(f)][1:]
+
+
+def _quo(f, g):
+    """f / g for integer polynomials, g primitive, or None if g does not
+    divide f: as a quotient over Q has integer coefficients (Gauss's
+    lemma), a division step that leaves a remainder proves it."""
+    f = list(f)
+    m = len(g) - 1
+    q = [0] * (len(f) - m)
+    for i in range(len(q) - 1, -1, -1):
+        x, r = divmod(f[i + m], g[m])
+        if r:
+            return None
+        q[i] = x
+        if x:
+            for j in range(m):
+                f[i + j] -= x * g[j]
+    return None if any(f[:m]) else q
+
+
+def _gcd(f, g) -> list:
+    """The primitive gcd, leading coefficient > 0, of two integer
+    polynomials, f nonzero, by the heuristic gcd of Char, Geddes and Gonnet
+    (EUROSAM 1984).  The primitive part h of the symmetric xi-adic digits
+    of gcd(f(xi), g(xi)) is the gcd as soon as it divides f and g, for any
+    xi > 2 min(|f|, |g|) + 2 (max norms): the gcd is then h k with k(xi)
+    dividing the content of the digits, at most xi / 2, while a k of degree
+    >= 1 has |k(xi)| > xi / 2, its roots lying within the Cauchy bound
+    1 + min(|f|, |g|).  gcd(f(xi), g(xi)) / gcd(f, g)(xi) divides the
+    resultant of the cofactors, whatever xi, so raising xi ends the
+    search."""
+    if not g:
+        return _primitive(f)
+    xi = 2 * min(max(map(abs, f)), max(map(abs, g))) + 3
+    while True:
+        n, digits = math.gcd(_eval(f, xi), _eval(g, xi)), []
+        while n:
+            r = n % xi
+            if r > xi // 2:
+                r -= xi
+            digits.append(r)
+            n = (n - r) // xi
+        h = _primitive(digits)
+        if _quo(f, h) is not None and _quo(g, h) is not None:
+            return h
+        xi = 2 * xi * math.isqrt(xi) + 1
+
+
+def _eval(f, x: int) -> int:
+    """f(x), f ascending."""
+    acc = 0
+    for c in reversed(f):
+        acc = acc * x + c
+    return acc
+
+
+def _squarefree(f) -> list:
+    """Yun's square-free decomposition of a primitive integer polynomial f
+    of degree >= 1 with positive leading coefficient: [(part, i)], f =
+    prod part^i, each part primitive, square-free, of degree >= 1 and with
+    positive leading coefficient, the parts pairwise coprime."""
+    df = _deriv(f)
+    g = _gcd(f, df)
+    if len(g) == 1:
+        return [(f, 1)]
+    b, c = _quo(f, g), _quo(df, g)
+    parts, i = [], 1
+    while len(b) > 1:
+        d = list(poly_trim(x - y for x, y in
+                           zip_longest(c, _deriv(b), fillvalue=0)))
+        a = _gcd(b, d)
+        if len(a) > 1:
+            parts.append((a, i))
+        b, c = _quo(b, a), _quo(d, a)
+        i += 1
+    return parts
 
 
 # sentinel exponent of a zero coefficient, below every float's
@@ -425,13 +622,97 @@ def log_abs_fraction(q: Rational) -> float:
 TRIAL_BOUND = 10**6
 
 
+# the first 13 primes, and the bound below which they decide primality as
+# Miller-Rabin bases (Sorenson-Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
+def isprime(n: int) -> bool:
+    """Whether the integer n is prime: exact below _MR_BOUND (Miller-Rabin
+    with the bases _MR_BASES), and at and above it the strong
+    Baillie-PSW test (Baillie-Wagstaff, Math. Comp. 1980), which has no
+    known counterexample; sympy.isprime runs the same test."""
+    if n < 2:
+        return False
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas(n)
+
+
+def _strong_probable_prime(n: int, a: int, d: int, s: int) -> bool:
+    """The Miller-Rabin test of odd n to base a, n - 1 = d 2^s, d odd."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    """The Jacobi symbol (a / n) for odd n > 0."""
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas(n: int) -> bool:
+    """The strong Lucas probable-prime test of odd n > 41 not divisible by
+    a base, with Selfridge's parameters: the first D of 5, -7, 9, -11, ...
+    with (D / n) = -1, P = 1, Q = (1 - D) / 4 (Baillie-Wagstaff 1980)."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D / n) = -1
+    D = 5
+    while (j := _jacobi(D, n)) != -1:
+        if j == 0:
+            return False  # |D| < n shares a factor with n
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    # U_k, V_k, Q^k mod n from k = 1 along the bits of d: k -> 2k, then
+    # k -> k + 1 with halving mod n (n is odd)
+    u, v, qk = 1, 1, Q % n
+    for bit in bin(d)[3:]:
+        u, v, qk = u * v % n, (v * v - 2 * qk) % n, qk * qk % n
+        if bit == "1":
+            u, v = (u + v) % n, (D * u + v) % n
+            u = (u + n if u & 1 else u) >> 1
+            v = (v + n if v & 1 else v) >> 1
+            qk = qk * Q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qk = (v * v - 2 * qk) % n, qk * qk % n
+        if v == 0:
+            return True
+    return False
+
+
 def factor_integer(n: int):
     """Factor |n| into primes, {p: exponent}. Trial division up to
     TRIAL_BOUND plus a primality check on the remainder; raises
     FactorizationTooLarge with the partial result when the cofactor stays
     composite."""
-    import sympy
-
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -450,7 +731,7 @@ def factor_integer(n: int):
         f += wheel[i]
         i = (i + 1) % len(wheel)
     if n > 1:
-        if f * f > n or sympy.isprime(n):
+        if f * f > n or isprime(n):
             out[n] = out.get(n, 0) + 1
         else:
             raise FactorizationTooLarge(

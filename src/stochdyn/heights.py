@@ -20,8 +20,6 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Optional, Sequence
 
-import sympy
-
 from .dynsys import RationalMapQ, StochasticSystem, _form_mul, bad_primes
 from .exactnum import (
     _bareiss_det,
@@ -29,6 +27,7 @@ from .exactnum import (
     ProjPointQ,
     StochdynError,
     int_log,
+    isprime,
     log_abs_fraction,
     padic_valuation,
     sylvester_rows,
@@ -46,7 +45,7 @@ class PlaceQ:
     p: Optional[int] = None
 
     def __post_init__(self):
-        if self.p is not None and not sympy.isprime(self.p):
+        if self.p is not None and not isprime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @property

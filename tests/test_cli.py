@@ -3,9 +3,11 @@ import csv
 import importlib
 import json
 import math
+import os
 import pathlib
 import re
 import runpy
+import subprocess
 import sys
 import time
 import warnings
@@ -773,6 +775,51 @@ def test_unsupported_place_exit(capsys, monkeypatch, example_config):
     assert run_script(monkeypatch, SCRIPTS / "equidist_report.py", "--config",
                       str(REPO_CONFIG), "1", "--primes", "4") == 3
     assert capsys.readouterr().err == "error: ValueError: 4 is not prime\n"
+
+
+# every CLI command on both committed configs, and the tree script, in one
+# fresh process; prints the exit codes and the sympy modules loaded
+_NO_SYMPY_RUN = """
+import contextlib, io, runpy, sys
+out = sys.argv[1]
+from stochdyn.cli import main
+codes = []
+for config, alpha in (("configs/example.json", "1"),
+                      ("perfbench/general.json", "3")):
+    for argv in (["validate"], ["stoch-height", alpha],
+                 ["orbit-sample", alpha, "--out", out + "/orbit.csv"],
+                 ["equidist", alpha, "--out", out + "/arch.csv"],
+                 ["equidist", alpha, "--place", "2", "--out", out + "/p.csv"],
+                 ["green-eval", "0"], ["radii"], ["suite"]):
+        argv[1:1] = ["--config", config]
+        if argv[0] in ("orbit-sample", "equidist"):
+            argv += ["--samples", "100", "--depth", "8"]
+        with contextlib.redirect_stdout(io.StringIO()), \\
+                contextlib.redirect_stderr(io.StringIO()):
+            codes.append(main(argv))
+    sys.argv = ["scripts/backward_tree_stats.py", "--config", config, alpha,
+                "--depth", "4"]
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            runpy.run_path(sys.argv[0], run_name="__main__")
+        except SystemExit as stop:
+            codes.append(stop.code)
+print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
+"""
+
+
+def test_cli_paths_do_not_import_sympy(tmp_path):
+    # sympy is imported only to split a square-free factor of degree >= 4
+    # with no rational root, which no command on either config needs
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_RUN, str(tmp_path)],
+                          cwd=ROOT, env=env, capture_output=True, text=True,
+                          timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    # suite exits 1 on the example (criterion 05) and 3 on general, which
+    # also has no valuation dynamics at 2
+    codes = [0] * 7 + [1, 0] + [0] * 4 + [3, 0, 0, 3, 0]
+    assert proc.stdout == f"{codes} []\n"
 
 
 def test_traced_layers_import():

@@ -27,6 +27,7 @@ from stochdyn.exactnum import (
     INFINITY,
     ConvergenceFailure,
     ProjPointQ,
+    factor_poly,
     normalize_point,
 )
 from stochdyn.stochheight import WordCapExceeded
@@ -200,6 +201,20 @@ from strategies import points, small_maps  # noqa: E402
 def test_ramification_bounds(phi, p):
     e = ramification_index(phi, p)
     assert 1 <= e <= phi.d
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_maps(), points())
+def test_ramification_index_matches_factorization(phi, p):
+    # e_P by exact division equals the multiplicity of P's factor in the
+    # factorization of the fiber form v F - u G of phi(P) = [u : v]
+    u, v = eval_map(phi, p)
+    h = [v * f - u * g for f, g in zip(phi.fcoeffs, phi.gcoeffs)]
+    if p.is_infinity:
+        want = next(i for i, c in enumerate(h) if c)
+    else:
+        want = dict(factor_poly(h[::-1])).get((-p.a, p.b), 0)
+    assert ramification_index(phi, p) == want
 
 
 @settings(max_examples=60, deadline=None)

@@ -13,9 +13,12 @@ from stochdyn.exactnum import (
     LogCombination,
     ProjPointQ,
     ZeroPoint,
+    _MR_BOUND,
+    _strong_lucas,
     factor_integer,
     factor_poly,
     int_log,
+    isprime,
     log_abs_fraction,
     normalize_point,
     padic_valuation,
@@ -145,6 +148,31 @@ def test_resultant_antisymmetry(f):
     assert resultant(f, g, d) == (-1) ** (d * d) * resultant(g, f, d)
 
 
+def _mul(*polys):
+    """The product of ascending integer polynomials."""
+    out = [1]
+    for g in polys:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, x in enumerate(out):
+            for j, y in enumerate(g):
+                prod[i + j] += x * y
+        out = prod
+    return out
+
+
+def _sympy_factors(coeffs):
+    """sympy's factor_list in factor_poly's form: primitive ascending
+    integer tuples with positive leading coefficient, sorted."""
+    import sympy
+
+    c = [Fraction(x) for x in poly_trim(coeffs)]
+    den = math.lcm(*(x.denominator for x in c))
+    desc = [int(x * den) for x in reversed(c)]
+    _, factors = sympy.Poly(desc, sympy.Symbol("x")).factor_list()
+    return sorted((tuple(int(a) for a in reversed(q.all_coeffs())), m)
+                  for q, m in factors)
+
+
 def test_factor_poly_multiplicities():
     # x^2 (x - 1)^3, ascending coefficients
     # = x^5 - 3x^4 + 3x^3 - x^2
@@ -153,6 +181,101 @@ def test_factor_poly_multiplicities():
     # content and rational coefficients do not change the factors
     assert factor_poly([Fraction(c, 7) for c in f]) == factor_poly(f)
     assert factor_poly((6,)) == []
+    assert factor_poly((0, 0)) == []
+    # square-free parts of degree 2 with no rational root are irreducible
+    x2p1, x2p2, x2p3 = (1, 0, 1), (2, 0, 1), (3, 0, 1)
+    assert factor_poly(_mul(x2p1, x2p2, x2p2, x2p2)) == [
+        (x2p1, 1), (x2p2, 3)]
+    # a square-free part of degree >= 4 with no rational root is split by
+    # sympy: (x^2+1)(x^2+2) and x^4+1
+    assert factor_poly(_mul(x2p1, x2p2, x2p3, x2p3, x2p3)) == [
+        (x2p1, 1), (x2p2, 1), (x2p3, 3)]
+    assert factor_poly(_mul((1, 0, 0, 0, 1), (-1, 2))) == [
+        ((-1, 2), 1), ((1, 0, 0, 0, 1), 1)]
+    # min_mult drops the factors of lower multiplicity
+    g = _mul((0, 1), (0, 1), (0, 1), (-1, 2), (-1, 2), (1, 0, 0, 0, 1))
+    assert factor_poly(g, min_mult=2) == [((-1, 2), 2), ((0, 1), 3)]
+    # coefficients near 10^300, repeated
+    big = 10**300
+    h = _mul((-3, big), (big + 7, 1), (big + 7, 1), (1, big, 5))
+    assert factor_poly(h) == [((-3, big), 1), ((1, big, 5), 1),
+                              ((big + 7, 1), 2)]
+
+
+_COEFF = st.one_of(st.integers(-9, 9), st.integers(-10**300, 10**300))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.tuples(st.lists(_COEFF, min_size=2, max_size=4),
+                          st.integers(1, 3)), max_size=3),
+       st.integers(0, 3), st.integers(1, 6))
+def test_factor_poly_matches_sympy(factors, k, content):
+    # products of random factors with repeats, x^k and a content, with
+    # small coefficients or ones near 10^300, factor as sympy factors them
+    polys = [(0, 1)] * k
+    for g, m in factors:
+        if poly_trim(g):
+            polys += [g] * m
+    f = [content * c for c in _mul(*polys)]
+    want = _sympy_factors(f)
+    assert factor_poly(f) == want
+    assert factor_poly(f, min_mult=2) == [e for e in want if e[1] >= 2]
+
+
+# n < 10^5 that pass the strong Lucas test with Selfridge's parameters but
+# are composite (OEIS A217255)
+_STRONG_LUCAS_PSEUDOPRIMES = (5459, 5777, 10877, 16109, 18971, 22499,
+                              24569, 25199, 40309, 58519, 75077, 97439)
+
+
+def test_isprime_fixed_cases():
+    import sympy
+
+    assert [n for n in range(-3, 60) if isprime(n)] == list(
+        sympy.primerange(60))
+    # strong pseudoprimes to bases 2, 3, 5, 7 and to bases 2 up to 23
+    assert not isprime(3215031751)
+    assert not isprime(3825123056546413051)
+    # the least strong pseudoprime to all 13 bases, where the strong
+    # Baillie-PSW test takes over
+    assert not isprime(_MR_BOUND) and _MR_BOUND == 1287836182261 * 2575672364521
+    # Carmichael numbers, the last two of Chernick's form (6k + 1)(12k + 1)
+    # (18k + 1) with no factor below 43, the last above _MR_BOUND
+    chernick = [(6 * k + 1) * (12 * k + 1) * (18 * k + 1)
+                for k in (35, 100000131)]
+    assert chernick[1] > _MR_BOUND
+    assert not any(isprime(n) for n in [561, 1105, 1729, 41041, 825265,
+                                        321197185, 5394826801] + chernick)
+    assert isprime(2**89 - 1) and isprime(2**127 - 1)
+    assert not isprime(2**101 - 1)
+    # a product of two 40-digit primes
+    p, q = 10**39 + 12397, 3 * 10**39 + 37
+    assert isprime(p) and isprime(q) and not isprime(p * q)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the Lucas half of Baillie-PSW on its own: below 10^5 it passes the
+    # odd n coprime to the Miller-Rabin bases exactly when n is prime or
+    # one of the known strong Lucas pseudoprimes
+    import sympy
+
+    passed = [n for n in range(43, 10**5, 2)
+              if math.gcd(n, math.prod(range(3, 42, 2))) == 1
+              and _strong_lucas(n) and not sympy.isprime(n)]
+    assert tuple(passed) == _STRONG_LUCAS_PSEUDOPRIMES
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(st.integers(-10, 2**64),
+                 st.integers(_MR_BOUND - 10**22, _MR_BOUND + 10**22),
+                 st.integers(2**100, 2**200)))
+def test_isprime_matches_sympy(n):
+    import sympy
+
+    assert isprime(n) == sympy.isprime(n)
+    # and the primes next to n, which random draws rarely are
+    q = sympy.nextprime(n)
+    assert isprime(q) and not isprime(q * sympy.nextprime(q))
 
 
 def test_poly_roots_multiplicities():
