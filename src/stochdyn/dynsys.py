@@ -252,11 +252,12 @@ def fiber(phi: RationalMapQ, point: ProjPointQ) -> tuple:
 
     The linear factors over Q of the fiber form are the rational
     preimages, which keep their exact identity and take their log-polar
-    form from it (ProjPointQ.log_polar).  Only the nonlinear irreducible
-    factors are solved numerically, by exactnum.poly_roots on the
-    mantissa/exponent pairs of their integer coefficients (int_pairs), so
-    that no coefficient or root is formed as a float outside float range;
-    a root is ordered by the exact values of its parts.
+    form from it (ProjPointQ.log_polar).  Only the square-free nonlinear
+    rests of exactnum.factor_poly, of any degree, are solved numerically,
+    by exactnum.poly_roots on the mantissa/exponent pairs of their integer
+    coefficients (int_pairs), so that no coefficient or root is formed as
+    a float outside float range; a root is ordered by the exact values of
+    its parts.
     """
     inf_mult, finite = _fiber_form(phi, point)
     out = [(math.inf, 0.0, INFINITY, inf_mult)] if inf_mult else []
@@ -388,9 +389,11 @@ class ExceptionalReport:
     """Confirmed exceptional points plus any unresolved candidate factors.
 
     unresolved_factors lists (primitive ascending integer coefficients,
-    multiplicity) for the irreducible Wronskian factors of degree >= 2 and
-    high enough multiplicity: their roots are candidates over a number
-    field, not over Q, and are reported, not decided.
+    multiplicity) for the nonlinear factors of the Wronskian of
+    multiplicity >= d - 1 from exactnum.factor_poly: of a form of degree
+    2d - 2 they are quadratics with no rational root, so irreducible, and
+    their roots are candidates over a number field, not over Q, reported,
+    not decided.
     """
 
     confirmed: tuple
@@ -398,15 +401,19 @@ class ExceptionalReport:
 
 
 def exceptional_report(system: StochasticSystem) -> ExceptionalReport:
+    """The candidates of the first map, the rational roots of multiplicity
+    >= d - 1 of its Wronskian (infinity among them), decided by
+    is_exceptional_system; its factors of multiplicity >= d - 1 with no
+    rational root are reported unresolved."""
     phi = system.maps[0]
     d = phi.d
     w = wronskian(phi)
     inf_mult = next(i for i, c in enumerate(w) if c != 0)
     candidates = [INFINITY] if inf_mult >= d - 1 else []
     unresolved = []
-    # only the factors of multiplicity >= d - 1 are split: of a form of
-    # degree 2d - 2 they have degree at most 2, so none needs sympy
-    for factor, mult in factor_poly(w[::-1], min_mult=d - 1):
+    for factor, mult in factor_poly(w[::-1]):
+        if mult < d - 1:
+            continue
         if len(factor) == 2:
             candidates.append(normalize_point(-factor[0], factor[1]))
         else:

@@ -1,18 +1,15 @@
 """Exact arithmetic primitives.
 
 Projective points over Q, integer resultants, p-adic valuations, exact
-factorization of rational polynomials over Q (square-free parts by Yun's
-algorithm, rational roots by p-adic lifting), primality (Miller-Rabin,
-and strong Baillie-PSW above its proven range), the one numeric root
-solver (poly_roots, on mantissa/exponent pairs, so that neither
-coefficients nor roots need to lie in float range), logs of huge
-integers, and exact rational-coefficient combinations of logs of primes
-(the currency of product-formula identities).  StochdynError is the base
-of every error the package raises.
-
-sympy is imported for one job only, inside factor_poly: splitting a
-square-free part of degree >= 4 that has no rational root.  Only fibers
-of maps of degree >= 4 can need it.
+factorization of rational polynomials over Q into rational linear factors
+and square-free rests (square-free parts by Yun's algorithm, rational
+roots by p-adic lifting), primality (Miller-Rabin, and strong Baillie-PSW
+above its proven range), the one numeric root solver (poly_roots, on
+mantissa/exponent pairs, so that neither coefficients nor roots need to
+lie in float range), logs of huge integers, and exact rational-coefficient
+combinations of logs of primes (the currency of product-formula
+identities).  StochdynError is the base of every error the package
+raises.  Nothing here needs more than the standard library and numpy.
 
 Conventions:
   * univariate integer polynomials ("IntPoly") are coefficient tuples in
@@ -207,18 +204,19 @@ def poly_trim(coeffs) -> tuple:
     return tuple(c)
 
 
-def factor_poly(coeffs, min_mult=1) -> list:
-    """Irreducible factors over Q of a rational polynomial, with
-    multiplicities: [(factor, multiplicity)], each factor a primitive integer
-    tuple (ascending) with positive leading coefficient, sorted.  A linear
-    factor (-a, b) is the rational root a/b; constants have no factors.
-    Only the factors of multiplicity >= min_mult are returned, and only
-    their square-free parts are split.
+def factor_poly(coeffs) -> list:
+    """The rational linear factors and the square-free rests of a rational
+    polynomial over Q, with multiplicities: [(factor, multiplicity)], each
+    factor a primitive integer tuple (ascending) with positive leading
+    coefficient, sorted.  A linear factor (-a, b) is the rational root a/b;
+    a nonlinear factor is the product of all the irreducible factors of
+    degree >= 2 of one multiplicity, so it is square-free and has no
+    rational root, and no two nonlinear factors share a multiplicity.
+    Constants have no factors.
 
     The square-free parts come from Yun's algorithm over Z (_squarefree),
-    their rational roots from p-adic lifting (rational_roots).  A part is
-    then irreducible unless what is left after its linear factors has
-    degree >= 4; only such a rest is split by sympy, imported here."""
+    their rational linear factors from p-adic lifting (rational_roots), and
+    the rest of each part is what is left after them."""
     c = [Fraction(x) for x in poly_trim(coeffs)]
     den = math.lcm(*(x.denominator for x in c))
     f = [x.numerator * (den // x.denominator) for x in c]
@@ -226,17 +224,9 @@ def factor_poly(coeffs, min_mult=1) -> list:
         return []
     out = []
     for part, m in _squarefree(_primitive(f)):
-        if m < min_mult:
-            continue
         linear, rest = rational_roots(part)
         out += [(q, m) for q in linear]
-        if len(rest) > 4:
-            import sympy
-
-            _, split = sympy.Poly(rest[::-1], sympy.Symbol("x")).factor_list()
-            out += [(tuple(int(a) for a in reversed(q.all_coeffs())), m)
-                    for q, _ in split]
-        elif len(rest) > 1:
+        if len(rest) > 1:
             out.append((tuple(rest), m))
     return sorted(out)
 
@@ -258,21 +248,29 @@ def rational_roots(f) -> tuple:
     degree >= 1): the sorted linear factors (-a, b) of its rational roots
     a/b, and f / prod (b x - a).
 
-    p-adic lifting (Loos, SIAM J. Comput. 1983) at p = _lucky_prime(f),
-    where every root of f mod p is simple: each root mod p lifts by
-    Newton's method until p^k exceeds 2 (|c| + max |f_i|), c the leading
-    coefficient, twice the Cauchy bound on |c a / b|.  As b divides c,
-    c a / b is then the symmetric residue of c r mod p^k, and the
-    candidate is kept if b x - a divides f exactly.  No integer is
-    factored and no float formed."""
+    p-adic lifting (Loos, SIAM J. Comput. 1983) at the first odd prime p
+    that does not divide the leading coefficient c and at which f'(r) is
+    nonzero mod p for every root r of f mod p.  A rational root a/b has b
+    dividing c, so it reduces to one of those simple roots, which Newton's
+    method lifts uniquely until p^k exceeds 2 (|c| + max |f_i|), twice the
+    Cauchy bound on |c a / b|.  As b divides c, c a / b is then the
+    symmetric residue of c r mod p^k, and the candidate is kept if b x - a
+    divides f exactly.  Every p dividing neither c nor the discriminant of
+    f qualifies, so the search for p ends.  No integer is factored and no
+    float formed."""
     c = f[-1]
-    p = _lucky_prime(f)
     df = _deriv(f)
+    p = 1
+    while True:
+        p += 2
+        if c % p == 0 or not isprime(p):
+            continue
+        roots = [r for r in range(p) if _eval_mod(f, r, p) == 0]
+        if all(_eval_mod(df, r, p) for r in roots):
+            break
     bound = 2 * (abs(c) + max(abs(x) for x in f[:-1]))
     linear, rest = [], f
-    for r in range(p):
-        if _eval_mod(f, r, p):
-            continue
+    for r in roots:
         z, m = r, p
         while m <= bound:
             m *= m
@@ -289,31 +287,6 @@ def rational_roots(f) -> tuple:
             linear.append((-a, b))
             rest = q
     return sorted(linear), rest
-
-
-def _lucky_prime(f) -> int:
-    """The first odd prime p that does not divide the leading coefficient
-    of the square-free integer polynomial f and at which f stays
-    square-free mod p, that is, gcd(f, f') = 1 over F_p.  Every p dividing
-    neither the leading coefficient nor the discriminant qualifies, so the
-    search ends."""
-    p = 1
-    while True:
-        p += 2
-        if f[-1] % p == 0 or not isprime(p):
-            continue
-        a = [x % p for x in f]
-        b = list(poly_trim(x % p for x in _deriv(f)))
-        while b:
-            inv = pow(b[-1], -1, p)
-            while len(a) >= len(b):
-                x, shift = a[-1] * inv % p, len(a) - len(b)
-                for j in range(len(b) - 1):
-                    a[shift + j] = (a[shift + j] - x * b[j]) % p
-                a = list(poly_trim(a[:-1]))
-            a, b = b, a
-        if len(a) == 1:
-            return p
 
 
 def _eval_mod(f, x: int, m: int) -> int:

@@ -242,21 +242,12 @@ def _bezout_cofactors(phi: RationalMapQ):
 
 
 def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> float:
-    """Certified upper bound for sup |g_v|.
-
-    Monomial-like maps get the exact closed form at every place.  Otherwise
-    the upper side comes from coefficient norms and the lower side from the
-    Bezout cofactor identity divided by the resultant.
+    """Certified upper bound for sup |g_v|: the upper side from coefficient
+    norms, the lower side from the Bezout cofactor identity divided by the
+    resultant.  For a z^(+-d), a = A/B in lowest terms, this is the exact
+    sup: log max(|A|, |B|) / d at infinity, where the lower side is
+    -log min(|A|, |B|) / d <= 0, and |v_p(a)| log p / d at p.
     """
-    prof = phi.monomial_profile
-    if prof is not None:
-        a = prof.coeff.numerator
-        c = prof.coeff.denominator
-        if place.is_arch:
-            exact = int_log(max(abs(a), c)) / phi.d
-        else:
-            exact = abs(padic_valuation(prof.coeff, place.p)) * math.log(place.p) / phi.d
-        return exact
     a, b, c, e = _bezout_cofactors(phi)
     if place.is_arch:
         l1f = sum(abs(x) for x in phi.fcoeffs)
@@ -265,18 +256,16 @@ def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> float:
             sum(abs(x) for x in a) + sum(abs(x) for x in b),
             sum(abs(x) for x in c) + sum(abs(x) for x in e),
         )
-        certified = max(
-            math.log(max(l1f, l1g)) / phi.d,
+        return max(
+            int_log(max(l1f, l1g)) / phi.d,
             (math.log(k2) - int_log(abs(phi.res))) / phi.d,
         )
-        return certified
     p = place.p
     vres = padic_valuation(phi.res, p)
     m = min(
         padic_valuation(x, p) for x in (*a, *b, *c, *e) if x != 0
     )
-    certified = max(0.0, (vres - m) * math.log(p) / phi.d)
-    return certified
+    return max(0.0, (vres - m) * math.log(p) / phi.d)
 
 
 def l1_height_control_total(system: StochasticSystem) -> float:

@@ -1,7 +1,9 @@
 """Oracles of the tests: word enumeration, per-word ramification, the
 weights of a backward-tree level as Fractions, Dirac measures, float
-heights of roots of minimal polynomials and of discrete measures, and the
-zero test of an exact log combination.
+heights of roots of minimal polynomials and of discrete measures, the
+zero test of an exact log combination, and, apart from the package's own
+exact and numeric layers, sympy's factorization over Q and mpmath's roots
+of integer polynomials.
 
 The weighted depth-3 ramification ratio sigma3 equals 1 exactly where
 `dynsys.is_exceptional_system` holds; depth 2 would not suffice, as the
@@ -13,13 +15,13 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath
+import sympy
 
 from stochdyn.dynsys import StochasticSystem, eval_map, ramification_index
 from stochdyn.exactnum import (
     LogCombination,
     ProjPointQ,
     StochdynError,
-    factor_poly,
     int_log,
     log_abs_fraction,
     poly_trim,
@@ -83,6 +85,39 @@ def level_weights(level) -> list:
     return [Fraction(n, level.denominator) for n in level.numerators]
 
 
+def sympy_factors(coeffs) -> list:
+    """sympy's factor_list over Q of a rational polynomial (ascending) as
+    [(factor, multiplicity)], each factor a primitive integer tuple
+    (ascending) with positive leading coefficient, sorted."""
+    c = [Fraction(x) for x in poly_trim(coeffs)]
+    den = math.lcm(*(x.denominator for x in c))
+    desc = [int(x * den) for x in reversed(c)]
+    _, factors = sympy.Poly(desc, sympy.Symbol("x")).factor_list()
+    return sorted((tuple(int(a) for a in reversed(q.all_coeffs())), m)
+                  for q, m in factors)
+
+
+def mpmath_roots(f) -> list:
+    """(log|w|, arg w) of the complex roots w of an ascending integer
+    polynomial f, with multiplicity, by mpmath.polyroots at 60 digits,
+    each then polished by Newton's method at 100 digits, so that a root
+    far smaller than the others keeps its own relative accuracy."""
+    desc = [int(c) for c in reversed(poly_trim(f))]
+    with mpmath.workdps(60):
+        roots = mpmath.polyroots(desc, maxsteps=500, extraprec=1000)
+    out = []
+    with mpmath.workdps(100):
+        for w in roots:
+            w = mpmath.mpc(w)
+            for _ in range(20):
+                y, dy = mpmath.polyval(desc, w, derivative=True)
+                if y == 0 or dy == 0:
+                    break
+                w -= y / dy
+            out.append((float(mpmath.log(abs(w))), float(mpmath.arg(w))))
+    return out
+
+
 class NotIrreducible(StochdynError):
     """Polynomial has a nontrivial factorization over Q."""
 
@@ -91,15 +126,16 @@ def weil_height_minpoly(coeffs: Sequence) -> float:
     """Height of any root of an irreducible integer polynomial (ascending).
 
     (1/deg)(log|lead| + sum of log+ over complex roots), the Mahler-measure
-    form of the height.  The root of a linear polynomial is exact; those
-    of a nonlinear one come from mpmath.polyroots at 50 digits, apart
-    from the package's own root solver.
+    form of the height.  Irreducibility is sympy's; the root of a linear
+    polynomial is exact, and those of a nonlinear one come from
+    mpmath.polyroots at 50 digits, apart from the package's own root
+    solver.
     """
     f = poly_trim(tuple(int(c) for c in coeffs))
     deg = len(f) - 1
     if deg < 1:
         raise ValueError("need degree >= 1")
-    factors = factor_poly(f)
+    factors = sympy_factors(f)
     if len(factors) != 1 or factors[0][1] != 1:
         raise NotIrreducible(f"{f} factors over Q")
     if deg == 1:

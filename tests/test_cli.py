@@ -1,3 +1,4 @@
+import ast
 import contextlib
 import csv
 import importlib
@@ -777,23 +778,28 @@ def test_unsupported_place_exit(capsys, monkeypatch, example_config):
     assert capsys.readouterr().err == "error: ValueError: 4 is not prime\n"
 
 
-# every CLI command on both committed configs, and the tree script, in one
-# fresh process; prints the exit codes and the sympy modules loaded
+# every CLI command on both committed configs, validate and orbit-sample on
+# a degree-4 config, and the tree script on all three, in one fresh
+# process; prints the exit codes and the sympy modules loaded
 _NO_SYMPY_RUN = """
 import contextlib, io, runpy, sys
-out = sys.argv[1]
+out, quartic = sys.argv[1:]
 from stochdyn.cli import main
+everything = (["validate"], ["stoch-height"], ["orbit-sample"], ["equidist"],
+              ["equidist", "--place", "2"], ["green-eval", "0"], ["radii"],
+              ["suite"])
 codes = []
-for config, alpha in (("configs/example.json", "1"),
-                      ("perfbench/general.json", "3")):
-    for argv in (["validate"], ["stoch-height", alpha],
-                 ["orbit-sample", alpha, "--out", out + "/orbit.csv"],
-                 ["equidist", alpha, "--out", out + "/arch.csv"],
-                 ["equidist", alpha, "--place", "2", "--out", out + "/p.csv"],
-                 ["green-eval", "0"], ["radii"], ["suite"]):
-        argv[1:1] = ["--config", config]
+for config, alpha, commands in (
+        ("configs/example.json", "1", everything),
+        ("perfbench/general.json", "3", everything),
+        (quartic, "0", (["validate"], ["orbit-sample"]))):
+    for argv in commands:
+        argv = [argv[0], "--config", config] + argv[1:]
+        if argv[0] in ("stoch-height", "orbit-sample", "equidist"):
+            argv.insert(3, alpha)
         if argv[0] in ("orbit-sample", "equidist"):
-            argv += ["--samples", "100", "--depth", "8"]
+            argv += ["--samples", "100", "--depth", "8",
+                     "--out", f"{out}/{len(codes)}.csv"]
         with contextlib.redirect_stdout(io.StringIO()), \\
                 contextlib.redirect_stderr(io.StringIO()):
             codes.append(main(argv))
@@ -809,17 +815,42 @@ print(codes, sorted(m for m in sys.modules if m.split(".")[0] == "sympy"))
 
 
 def test_cli_paths_do_not_import_sympy(tmp_path):
-    # sympy is imported only to split a square-free factor of degree >= 4
-    # with no rational root, which no command on either config needs
+    # no command or script loads sympy, not even where the fibers of
+    # degree-4 maps have square-free rests of degree 4:
+    # (z^2 + 1)(z^2 + 2) and (z^4 + 1)/(2z) over 0
+    quartic = tmp_path / "quartic.json"
+    quartic.write_text(json.dumps({"maps": [
+        {"num_coeffs": [2, 0, 3, 0, 1], "den_coeffs": [1], "prob": "1/2"},
+        {"num_coeffs": [1, 0, 0, 0, 1], "den_coeffs": [0, 2], "prob": "1/2"},
+    ]}))
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_RUN, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", _NO_SYMPY_RUN, str(tmp_path),
+                           str(quartic)],
                           cwd=ROOT, env=env, capture_output=True, text=True,
                           timeout=300)
     assert proc.returncode == 0, proc.stderr
     # suite exits 1 on the example (criterion 05) and 3 on general, which
     # also has no valuation dynamics at 2
-    codes = [0] * 7 + [1, 0] + [0] * 4 + [3, 0, 0, 3, 0]
+    codes = [0] * 7 + [1, 0] + [0] * 4 + [3, 0, 0, 3, 0] + [0, 0, 0]
     assert proc.stdout == f"{codes} []\n"
+
+
+_ALLOWED_IMPORTS = set(sys.stdlib_module_names) | {"numpy", "stochdyn"}
+
+
+def test_package_imports_only_stdlib_and_numpy():
+    # numpy is the one runtime dependency: every import in the package's
+    # modules, at any depth, is of the standard library, numpy or stochdyn
+    found = set()
+    for path in (ROOT / "src" / "stochdyn").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Import):
+                found |= {(path.name, a.name) for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                found.add((path.name, node.module))
+    assert found
+    assert [(name, module) for name, module in sorted(found)
+            if module.split(".")[0] not in _ALLOWED_IMPORTS] == []
 
 
 def test_traced_layers_import():

@@ -10,6 +10,7 @@ from stochdyn.dynsys import (
     CommonFactor,
     DegenerateMap,
     DegreeTooLow,
+    ExceptionalReport,
     MonomialProfile,
     bad_primes,
     eval_map,
@@ -32,7 +33,7 @@ from stochdyn.exactnum import (
 )
 from stochdyn.stochheight import WordCapExceeded
 
-from oracles import sigma3, word_ramification, words
+from oracles import mpmath_roots, sigma3, word_ramification, words
 
 Z2 = make_map([0, 0, 1], [1])
 TWO_Z2 = make_map([0, 0, 2], [1])
@@ -174,6 +175,11 @@ def test_exceptional_report_irrational_candidates():
     report = exceptional_report(system)
     assert report.confirmed == ()
     assert report.unresolved_factors == (((2, 0, 1), 1),)
+    # z^3 + 3z is critical at +-i with multiplicity 1 < d - 1 = 2: not a
+    # candidate, while infinity, of multiplicity 2, is exceptional
+    report = exceptional_report(make_system([make_map([0, 3, 0, 1], [1])],
+                                            [1]))
+    assert report == ExceptionalReport((INFINITY,), ())
 
 
 def test_exceptional_set_single_map():
@@ -319,6 +325,38 @@ def test_fiber_keeps_roots_far_below_float_range():
         assert "degree 4" in str(err) and len(str(err)) < 100
     else:
         assert min(r for r, _, _, _ in pre) == pytest.approx(-big, rel=1e-9)
+
+
+Z4 = make_map([0, 0, 0, 0, 1], [1])
+
+
+@pytest.mark.parametrize("phi, point, exact", [
+    (Z4, 4, []),
+    (Z4, 10**40, [-10**10, 10**10]),
+    (make_map([2, 0, 3, 0, 1], [1]), 0, []),  # (z^2 + 1)(z^2 + 2)
+    (make_map([0] * 6 + [1], [1]), 64, [-2, 2]),
+    (make_map([1, 0, 0, 0, 1], [0, 2]), 10**44, []),
+], ids=["z4-at-4", "z4-at-1e40", "quartic-product-at-0", "z6-at-64",
+        "quartic-over-2z-at-1e44"])
+def test_fiber_of_degree_at_least_4(phi, point, exact):
+    # the rational preimages stay exact, and every preimage lies within
+    # 1e-12 of mpmath's root in (log|w|, arg w), the rests of degree 4
+    # included
+    q = ProjPointQ(point, 1)
+    pre = fiber(phi, q)
+    assert [e for _, _, e, _ in pre if e is not None] == [
+        ProjPointQ(a, 1) for a in exact]
+    assert all(m == 1 for *_, m in pre)
+    h = [f - point * g for f, g in zip(phi.fcoeffs, phi.gcoeffs)]
+    want = mpmath_roots(h[::-1])
+    assert len(pre) == len(want) == phi.d
+    for r, t, e, _ in pre:
+        assert e is None or (r, t) == e.log_polar()
+        near = [k for k, (wr, wt) in enumerate(want)
+                if abs(r - wr) <= 1e-12
+                and abs(math.remainder(t - wt, 2.0 * math.pi)) <= 1e-12]
+        assert near, (r, t)
+        want.pop(near[0])
 
 
 @settings(max_examples=40, deadline=None)

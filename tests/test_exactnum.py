@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stochdyn.dynsys import fiber, make_map
@@ -27,7 +27,7 @@ from stochdyn.exactnum import (
     resultant,
 )
 
-from oracles import is_zero
+from oracles import is_zero, sympy_factors
 
 ZERO = ProjPointQ(0, 1)
 
@@ -160,17 +160,16 @@ def _mul(*polys):
     return out
 
 
-def _sympy_factors(coeffs):
-    """sympy's factor_list in factor_poly's form: primitive ascending
-    integer tuples with positive leading coefficient, sorted."""
-    import sympy
-
-    c = [Fraction(x) for x in poly_trim(coeffs)]
-    den = math.lcm(*(x.denominator for x in c))
-    desc = [int(x * den) for x in reversed(c)]
-    _, factors = sympy.Poly(desc, sympy.Symbol("x")).factor_list()
-    return sorted((tuple(int(a) for a in reversed(q.all_coeffs())), m)
-                  for q, m in factors)
+def _rests(factors) -> list:
+    """factor_poly's form of a factorization over Q into irreducibles: the
+    linear factors as they are, and the nonlinear ones of each
+    multiplicity multiplied into one primitive rest."""
+    rests = {}
+    for g, m in factors:
+        if len(g) > 2:
+            rests[m] = _mul(rests.get(m, [1]), g)
+    return sorted([e for e in factors if len(e[0]) == 2]
+                  + [(tuple(r), m) for m, r in rests.items()])
 
 
 def test_factor_poly_multiplicities():
@@ -182,19 +181,19 @@ def test_factor_poly_multiplicities():
     assert factor_poly([Fraction(c, 7) for c in f]) == factor_poly(f)
     assert factor_poly((6,)) == []
     assert factor_poly((0, 0)) == []
-    # square-free parts of degree 2 with no rational root are irreducible
+    # the nonlinear factors of one multiplicity come as one square-free
+    # rest with no rational root: (x^2+1)(x^2+2) once, x^2+3 three times
     x2p1, x2p2, x2p3 = (1, 0, 1), (2, 0, 1), (3, 0, 1)
     assert factor_poly(_mul(x2p1, x2p2, x2p2, x2p2)) == [
         (x2p1, 1), (x2p2, 3)]
-    # a square-free part of degree >= 4 with no rational root is split by
-    # sympy: (x^2+1)(x^2+2) and x^4+1
     assert factor_poly(_mul(x2p1, x2p2, x2p3, x2p3, x2p3)) == [
-        (x2p1, 1), (x2p2, 1), (x2p3, 3)]
+        (tuple(_mul(x2p1, x2p2)), 1), (x2p3, 3)]
     assert factor_poly(_mul((1, 0, 0, 0, 1), (-1, 2))) == [
         ((-1, 2), 1), ((1, 0, 0, 0, 1), 1)]
-    # min_mult drops the factors of lower multiplicity
+    # the callers keep the multiplicities they need
     g = _mul((0, 1), (0, 1), (0, 1), (-1, 2), (-1, 2), (1, 0, 0, 0, 1))
-    assert factor_poly(g, min_mult=2) == [((-1, 2), 2), ((0, 1), 3)]
+    assert [e for e in factor_poly(g) if e[1] >= 2] == [
+        ((-1, 2), 2), ((0, 1), 3)]
     # coefficients near 10^300, repeated
     big = 10**300
     h = _mul((-3, big), (big + 7, 1), (big + 7, 1), (1, big, 5))
@@ -209,17 +208,26 @@ _COEFF = st.one_of(st.integers(-9, 9), st.integers(-10**300, 10**300))
 @given(st.lists(st.tuples(st.lists(_COEFF, min_size=2, max_size=4),
                           st.integers(1, 3)), max_size=3),
        st.integers(0, 3), st.integers(1, 6))
+# rational roots that collide mod 5, 7 and 11, where 3 divides the leading
+# coefficient: (x-1)(x-4)(x-7)(x-106)(3x-2)
+@example([((-1, 1), 1), ((-4, 1), 1), ((-7, 1), 1), ((-106, 1), 1),
+          ((-2, 3), 1)], 0, 1)
+# x^2 - 3 is x^2 mod 3, a double root with no rational root over it
+@example([((-1, 1), 1), ((-3, 0, 1), 1), ((1, 2), 1)], 1, 1)
+# the leading coefficient 3 5 7 11 13 = 15015, and 1/15015 meets 4 mod 17
+# and mod 19, and so does a root of x^2 + 1 mod 17
+@example([((-1, 15015), 2), ((-4, 1), 1), ((1, 0, 1), 1)], 0, 2)
 def test_factor_poly_matches_sympy(factors, k, content):
     # products of random factors with repeats, x^k and a content, with
-    # small coefficients or ones near 10^300, factor as sympy factors them
+    # small coefficients or ones near 10^300: the linear factors are
+    # sympy's, and each rest is the product of sympy's nonlinear factors
+    # of its multiplicity
     polys = [(0, 1)] * k
     for g, m in factors:
         if poly_trim(g):
             polys += [g] * m
     f = [content * c for c in _mul(*polys)]
-    want = _sympy_factors(f)
-    assert factor_poly(f) == want
-    assert factor_poly(f, min_mult=2) == [e for e in want if e[1] >= 2]
+    assert factor_poly(f) == _rests(sympy_factors(f))
 
 
 # n < 10^5 that pass the strong Lucas test with Selfridge's parameters but

@@ -9,11 +9,12 @@ from hypothesis import strategies as st
 from oracles import NotIrreducible, dirac, measure_height, weil_height_minpoly
 from strategies import finite_measures, points, small_maps
 
-from stochdyn.dynsys import make_map, make_system
+from stochdyn.dynsys import MonomialProfile, make_map, make_system
 from stochdyn.exactnum import (
     INFINITY,
     ProjPointQ,
     factor_integer,
+    int_log,
     normalize_point,
     padic_valuation,
 )
@@ -231,6 +232,27 @@ def test_cphi_z2_plus_1_arch():
     # certified bound from coefficient norms is tight here
     assert cphi_bound(Z2_PLUS_1, ARCH) == pytest.approx(LOG2 / 2)
     assert _grid_sup_arch(Z2_PLUS_1) == pytest.approx(LOG2 / 2, abs=1e-6)
+
+
+_BIG = st.integers(1, 10**400)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(st.integers(1, 30), _BIG), st.booleans(),
+       st.one_of(st.integers(1, 30), _BIG), st.integers(2, 4), st.booleans())
+def test_cphi_monomial_closed_form(A, negative, B, d, inverted):
+    # a z^(+-d), a = A/B: the Bezout bound is the exact sup, bit for bit,
+    # log max(|A|, |B|) / d at infinity and |v_p(a)| log p / d at p
+    A = -A if negative else A
+    phi = (make_map([A], [0] * d + [B]) if inverted
+           else make_map([0] * d + [A], [B]))
+    a = Fraction(A, B)
+    assert phi.monomial_profile == MonomialProfile(a, inverted)
+    assert cphi_bound(phi, ARCH) == int_log(
+        max(abs(a.numerator), a.denominator)) / d
+    for p in (2, 3, 5, 7):
+        assert cphi_bound(phi, PlaceQ(p)) == (
+            abs(padic_valuation(a, p)) * math.log(p) / d)
 
 
 def test_bezout_cofactors_z2_plus_1():
