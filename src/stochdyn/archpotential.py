@@ -17,10 +17,11 @@ additive constant; we pin the constant by anchoring at infinity,
 
 which forces g_S(infinity) = 0.  The escape sum is the stochastic-height
 kernel of stochheight with complex lifts and infinity as its only place,
-sharing its tail budget.  The anchoring matters: for systems with
-unbalanced leading coefficients the raw escape sum carries a constant
-drift (for {z^2 (1/2), 2 z^2 (1/2)} it is (log 2)/2) that would otherwise
-pollute every value.
+and its depth comes from green_budget, which bounds the anchored
+difference by the width of each step's interval at infinity.  The
+anchoring matters: for systems with unbalanced leading coefficients the
+raw escape sum carries a constant drift (for {z^2 (1/2), 2 z^2 (1/2)} it
+is (log 2)/2) that would otherwise pollute every value.
 
 The potential of the canonical measure is p(z) = g_S(z) + log+|z|, and
 the canonical measure itself is sampled by pulling the uniform unit
@@ -51,7 +52,7 @@ from .ifs import (
 )
 from .orbits import OrbitSampleBatch, backward_sample, backward_walk
 from .padicmodel import sample_backward_valuations
-from .stochheight import EscapeEstimate, Lifts, escape_sum, tail_budget
+from .stochheight import EscapeEstimate, Lifts, escape_sum, green_budget
 
 
 _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed knob
@@ -61,7 +62,7 @@ _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed kno
 class GreenConfig:
     """Accuracy knobs for Green's function evaluation.
 
-    depth None means the smallest depth whose TailBudget tail is at most
+    depth None means the smallest depth whose green_budget tail is at most
     tol; an explicit depth must meet the same bound.  Past _ENUM_CAP words
     per point stochheight.escape_sum samples the tails, with seed 0.
     Homogeneous coordinates that collapse below the fixed floor
@@ -104,8 +105,8 @@ def _anchored_green(system: StochasticSystem, coords: tuple,
     # coords: max-norm lifts whose last entry is infinity, (1, 0); the
     # sampled tails of the two escape sums are independent
     cfg = cfg or GreenConfig()
-    est = escape_sum(system, lambda n: Lifts(coords), cfg.tol, _ENUM_CAP, 0,
-                     _COLLAPSE_FLOOR, cfg.depth)
+    est = escape_sum(system, lambda n: Lifts(coords), green_budget(system),
+                     cfg.tol, _ENUM_CAP, 0, _COLLAPSE_FLOOR, cfg.depth)
     return replace(est, value=est.value[:-1] - est.value[-1],
                    stderr=np.hypot(est.stderr[:-1], est.stderr[-1]))
 
@@ -271,7 +272,7 @@ def rho_self_energy(system: StochasticSystem,
     one-percent radius budget.
     """
     cfg = cfg or GreenConfig()
-    depth = tail_budget(system).depth(cfg.tol, cfg.depth)
+    depth = green_budget(system).depth(cfg.tol, cfg.depth)
     batch = canonical_sample(system, depth + 10, _ENERGY_DRAWS, _RADII_SEED)
     g = gS_eval_many(system, batch.points, cfg)
     p = g + np.maximum(batch.log_abs, 0.0)

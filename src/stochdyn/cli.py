@@ -256,13 +256,15 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
     est = gS_eval(system, alpha, gcfg)
     logplus = (0.0 if alpha.is_infinity or alpha.a == 0
                else max(log_abs_fraction(alpha.as_fraction()), 0.0))
+    fields = asdict(est)
+    green = fields.pop("value")
     payload = {
         "alpha": _format_point(alpha),
-        "green": est.value,
+        "green": green,
         # g_S + log+|z| is +inf at infinity: JSON null
-        "potential": None if alpha.is_infinity else est.value + logplus,
-        "depth": est.depth,
-        "stderr": est.stderr,
+        "potential": None if alpha.is_infinity else green + logplus,
+        "mode": est.mode,
+        **fields,
         "tol": gcfg.tol,
     }
     _emit(payload, cfg, args.seed, out)

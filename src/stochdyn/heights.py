@@ -241,25 +241,31 @@ def _bezout_cofactors(phi: RationalMapQ):
     return a, b, c, e
 
 
+def arch_sides(phi: RationalMapQ) -> tuple:
+    """(upper, lower) with -d lower <= log max(|F(u)|, |G(u)|) <= d upper for
+    every max-norm lift u: the top from coefficient norms, the bottom from
+    A F + B G = Res X^(2d-1) and its Y twin (_bezout_cofactors)."""
+    a, b, c, e = _bezout_cofactors(phi)
+    l1f = sum(abs(x) for x in phi.fcoeffs)
+    l1g = sum(abs(x) for x in phi.gcoeffs)
+    k2 = max(
+        sum(abs(x) for x in a) + sum(abs(x) for x in b),
+        sum(abs(x) for x in c) + sum(abs(x) for x in e),
+    )
+    return (int_log(max(l1f, l1g)) / phi.d,
+            (math.log(k2) - int_log(abs(phi.res))) / phi.d)
+
+
 def cphi_bound(phi: RationalMapQ, place: PlaceQ) -> float:
-    """Certified upper bound for sup |g_v|: the upper side from coefficient
-    norms, the lower side from the Bezout cofactor identity divided by the
-    resultant.  For a z^(+-d), a = A/B in lowest terms, this is the exact
+    """Certified upper bound for sup |g_v|: the larger of arch_sides at
+    infinity, the Bezout cofactor identity divided by the resultant at p.
+    For a z^(+-d), a = A/B in lowest terms, this is the exact
     sup: log max(|A|, |B|) / d at infinity, where the lower side is
     -log min(|A|, |B|) / d <= 0, and |v_p(a)| log p / d at p.
     """
-    a, b, c, e = _bezout_cofactors(phi)
     if place.is_arch:
-        l1f = sum(abs(x) for x in phi.fcoeffs)
-        l1g = sum(abs(x) for x in phi.gcoeffs)
-        k2 = max(
-            sum(abs(x) for x in a) + sum(abs(x) for x in b),
-            sum(abs(x) for x in c) + sum(abs(x) for x in e),
-        )
-        return max(
-            int_log(max(l1f, l1g)) / phi.d,
-            (math.log(k2) - int_log(abs(phi.res))) / phi.d,
-        )
+        return max(arch_sides(phi))
+    a, b, c, e = _bezout_cofactors(phi)
     p = place.p
     vres = padic_valuation(phi.res, p)
     m = min(

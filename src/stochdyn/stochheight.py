@@ -18,7 +18,8 @@ The same estimator, escape_sum, serves the Green's function
 (archpotential), with complex lifts and infinity as its only place: every
 word within the caller's cap, or an exact prefix whose leaves walk on along
 random words of their own.  The truncation tail decays geometrically
-(TailBudget); estimates report it and the standard error separately.
+(tail_budget over every place for heights, green_budget at infinity for
+the Green's function); estimates report it and the standard error apart.
 """
 
 from __future__ import annotations
@@ -38,7 +39,7 @@ from .exactnum import (
     StochdynError,
     padic_valuation,
 )
-from .heights import PlaceQ, l1_height_control_total, weil_height
+from .heights import PlaceQ, arch_sides, l1_height_control_total, weil_height
 from .ifs import map_sampler
 
 _BATCH = 1 << 14  # lifts advanced together; bounds the kernel's working set
@@ -72,8 +73,8 @@ class EscapeEstimate:
 
 @dataclass(frozen=True)
 class TailBudget:
-    """Truncation tail sum_{k >= n} c / delta^k of an escape sum, with c the
-    integrated per-map potential bound and delta the stochastic degree."""
+    """Truncation tail sum_{k >= n} c / delta^k of an escape sum: c / delta^k
+    bounds step k + 1 in expectation, delta the stochastic degree."""
 
     c: float
     delta: float
@@ -97,8 +98,20 @@ class TailBudget:
 
 @lru_cache(maxsize=64)
 def tail_budget(system: StochasticSystem) -> TailBudget:
-    """The system's tail budget; the potential bound is computed once."""
+    """The heights' tail budget, over every place; computed once."""
     return TailBudget(l1_height_control_total(system),
+                      float(stochastic_degree(system)))
+
+
+@lru_cache(maxsize=64)
+def green_budget(system: StochasticSystem) -> TailBudget:
+    """The tail budget of g_S = T(z) - T(infinity), with c the width
+    W = sum nu_phi (upper_phi + lower_phi) of heights.arch_sides.  Step k's
+    terms of T(z) and T(infinity) follow the same law on words and both lie
+    in [-lower_phi, upper_phi] / D_(k-1), so their difference is at most
+    W / delta^(k-1) in expectation."""
+    return TailBudget(math.fsum(float(w) * sum(arch_sides(phi))
+                                for phi, w in system),
                       float(stochastic_degree(system)))
 
 
@@ -305,16 +318,17 @@ def _sampled_tail(system: StochasticSystem, lifts: Lifts, steps: int,
 
 
 def escape_sum(system: StochasticSystem, lifts_at: Callable[[int], Lifts],
-               tol: float, cap: int, seed: int, floor: float = 0.0,
+               budget: TailBudget, tol: float, cap: int, seed: int,
+               floor: float = 0.0,
                depth: Optional[int] = None) -> EscapeEstimate:
     """Escape sums of the lifts lifts_at(n) to within tol: all m^n words if
-    they are at most cap, n the depth for tol (or the explicit depth).
+    they are at most cap, n budget.depth(tol) (or the explicit depth).
     Otherwise n is the depth for tol/2; the first L levels are enumerated,
     m^L <= _PREFIX_WORDS, and each leaf walks on along s random words of
     its own, so the variance is sum_leaf (w/D)^2 var_leaf / s.  A pilot
     with s = 2 sizes s for a standard error of tol - tail_bound(n), within
     _TAIL_PATHS paths per start point."""
-    budget, m = tail_budget(system), len(system.maps)
+    m = len(system.maps)
     n = prefix = budget.depth(tol, depth)
     s = 0
     if m**n > cap:
@@ -338,8 +352,9 @@ def escape_sum(system: StochasticSystem, lifts_at: Callable[[int], Lifts],
 
 def _stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
                   seed: int, depth: Optional[int] = None) -> EscapeEstimate:
-    est = escape_sum(system, lambda n: _point_lifts(system, [alpha], n), tol,
-                     WORD_CAP_DEFAULT, seed, depth=depth)
+    est = escape_sum(system, lambda n: _point_lifts(system, [alpha], n),
+                     tail_budget(system), tol, WORD_CAP_DEFAULT, seed,
+                     depth=depth)
     # the heights averaged are >= 0, but logs that cancel exactly (log 6 -
     # log 2 - log 3 when a word sends 1 to infinity) can leave -1e-16
     return replace(est, value=max(0.0, weil_height(alpha) + est.value[0]),

@@ -20,7 +20,12 @@ from stochdyn.archpotential import (
     write_equidist_csv,
 )
 from stochdyn.dynsys import ExceptionalStart, make_map, make_system
-from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
+from stochdyn.exactnum import (
+    INFINITY,
+    ConvergenceFailure,
+    StochdynError,
+    normalize_point,
+)
 from stochdyn.heights import ARCH, cphi_bound
 from stochdyn.ifs import (
     StationaryLaw,
@@ -30,7 +35,7 @@ from stochdyn.ifs import (
     ks_two_sample,
     stationary_law,
 )
-from stochdyn.stochheight import tail_budget
+from stochdyn.stochheight import green_budget, tail_budget
 
 LOG2 = math.log(2.0)
 ONE = Fraction(1)
@@ -49,6 +54,7 @@ def radial_law(system):
 
 def test_auto_depth_resolution(dyadic, single_z2):
     assert tail_budget(dyadic).depth(1e-3) == 10
+    assert green_budget(dyadic).depth(1e-3) == 9
     assert tail_budget(single_z2).depth(1e-3) == 1
     # explicit depth is honored when its tail fits the tolerance
     assert tail_budget(dyadic).depth(10.0, 4) == 4
@@ -85,13 +91,72 @@ def test_green_bounded_by_distortion(dyadic, two_z2):
         assert np.max(np.abs(gS_eval_many(system, zs))) <= bound + 1e-9
 
 
+def random_systems(count, seed):
+    """Two-map systems of degree 2 or 3 with integer coefficients in
+    [-4, 4] and random weights; maps make_map refuses are redrawn."""
+    rng = np.random.default_rng(seed)
+    systems = []
+    while len(systems) < count:
+        try:
+            maps = [make_map(*([int(c) for c in rng.integers(-4, 5, size)]
+                               for size in rng.integers(3, 5, 2)))
+                    for _ in range(2)]
+        except StochdynError:
+            continue
+        w = Fraction(int(rng.integers(1, 4)), 4)
+        systems.append(make_system(maps, [w, 1 - w]))
+    return systems
+
+
+def random_points(rng, count):
+    return list(rng.normal(size=count) * 2 + 1j * rng.normal(size=count))
+
+
+def test_green_bounded_by_green_budget(dyadic):
+    # every step's anchored difference is at most W / delta^(k-1), so
+    # |g_S| <= bound(0) = W delta / (delta - 1), with equality at 0 on the
+    # example: g(0) = -(log 2)/2
+    assert green_budget(dyadic).bound(0) == pytest.approx(LOG2 / 2,
+                                                          rel=1e-15)
+    rng = np.random.default_rng(41)
+    for system in random_systems(12, 41):
+        zs = random_points(rng, 6) + [0.0, math.inf]
+        g = gS_eval_many(system, zs)
+        assert np.max(np.abs(g)) <= green_budget(system).bound(0) + 1e-9
+
+
+def test_green_truncation_within_green_budget():
+    # steps n+1..13 move g by at most bound(n) - bound(13)
+    rng = np.random.default_rng(43)
+    for system in random_systems(8, 43):
+        budget = green_budget(system)
+        zs = random_points(rng, 4) + [0.0]
+        ref = gS_eval_many(system, zs, GreenConfig(depth=13, tol=10.0))
+        for n in (2, 4, 6):
+            g = gS_eval_many(system, zs, GreenConfig(depth=n, tol=10.0))
+            assert np.max(np.abs(g - ref)) \
+                <= budget.bound(n) - budget.bound(13) + 1e-9
+
+
+def test_green_budget_is_tight_on_example(dyadic):
+    # g_n(0) = -(log 2)/2 + (log 2)/2^(n+1) = -(log 2)/2 + bound(n) exactly;
+    # compared on g_n itself, since g_n + (log 2)/2 cancels 2^-n of its bits
+    budget = green_budget(dyadic)
+    for n in range(1, 13):
+        g = gS_eval(dyadic, 0.0, GreenConfig(depth=n, tol=10.0)).value
+        assert g == pytest.approx(-LOG2 / 2 + budget.bound(n), rel=1e-15)
+
+
 def test_green_depth_refinement(dyadic):
+    # step n+1 moves g by at most W / delta^n = bound(n) - bound(n + 1),
+    # which it reaches at 0
+    budget = green_budget(dyadic)
     zs = [0.0, 0.3, 0.8j]
     for n in (3, 5, 7):
         lo = GreenConfig(depth=n, tol=10.0)
         hi = GreenConfig(depth=n + 1, tol=10.0)
         diff = np.abs(gS_eval_many(dyadic, zs, hi) - gS_eval_many(dyadic, zs, lo))
-        assert np.max(diff) <= tail_budget(dyadic).bound(n) + 1e-12
+        assert np.max(diff) <= budget.bound(n) - budget.bound(n + 1) + 1e-12
 
 
 def test_green_monte_carlo_branch(dyadic, monkeypatch):
@@ -103,7 +168,7 @@ def test_green_monte_carlo_branch(dyadic, monkeypatch):
     # of the standard errors it reports.
     monkeypatch.setattr(archpotential, "_ENUM_CAP", 1)
     cfg = GreenConfig()
-    budget = tail_budget(dyadic)
+    budget = green_budget(dyadic)
     est = gS_eval(dyadic, 0.0, cfg)
     assert est.mode == "exact-prefix"
     assert est.depth == budget.depth(cfg.tol / 2)

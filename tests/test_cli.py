@@ -228,7 +228,12 @@ def test_green_eval_command(capsys, example_config):
     assert code == 0
     record = json.loads(out)
     assert record["green"] == pytest.approx(-math.log(2) / 2, abs=1e-3)
-    assert record["depth"] == 10
+    # the record names the bound that chose its depth: green_budget's tail
+    # (log 2)/2^10 at depth 9, all 2^9 words enumerated
+    assert record["tail_bound"] <= record["tol"] and record["depth"] == 9
+    assert record["tail_bound"] == pytest.approx(math.log(2) / 2**10)
+    assert (record["mode"], record["prefix_depth"], record["samples"],
+            record["tol_met"]) == ("exact", 9, 0, True)
 
 
 # (command, config, alpha, extra args, field, value, depth) of records that
@@ -239,7 +244,7 @@ ENUMERATED_RECORDS = (
      8),
     ("stoch-height", GENERAL_CONFIG, "3/2", ("--tol", "1e-4"), "value",
      0.9692041944221342, 11),
-    ("green-eval", REPO_CONFIG, "0", (), "green", -0.34623513950821483, 10),
+    ("green-eval", REPO_CONFIG, "0", (), "green", -0.34589668873645707, 9),
     ("green-eval", GENERAL_CONFIG, "0", (), "green", 0.032235607957921145, 8),
 )
 
@@ -253,9 +258,8 @@ def test_enumerated_records_are_pinned(capsys):
         record = json.loads(out)
         assert (record[field], record["depth"]) == (value, depth)
         assert record["stderr"] == 0.0
-        if command == "stoch-height":
-            assert record["mode"] == "exact" and record["tol_met"]
-            assert (record["prefix_depth"], record["samples"]) == (depth, 0)
+        assert record["mode"] == "exact" and record["tol_met"]
+        assert (record["prefix_depth"], record["samples"]) == (depth, 0)
 
 
 def test_stoch_height_exact_prefix(capsys):
@@ -295,7 +299,8 @@ def test_green_eval_prints_stderr(capsys):
     assert code == 0
     record = json.loads(out)
     assert record["depth"] == 16 and 0.0 < record["stderr"] <= record["tol"]
-    tail = math.log(2) / 2**16  # the example's tail bound at depth 16
+    tail = math.log(2) / 2**17  # the example's Green tail bound at depth 16
+    assert record["tail_bound"] == pytest.approx(tail)
     assert abs(record["green"] + math.log(2) / 2) \
         <= tail + 4 * record["stderr"]
 

@@ -11,7 +11,7 @@ from strategies import points, small_maps
 
 from stochdyn.dynsys import eval_map, make_map, make_system, stochastic_degree
 from stochdyn.exactnum import LOG2, INFINITY, ConvergenceFailure, ProjPointQ
-from stochdyn.heights import l1_height_control_total, weil_height
+from stochdyn.heights import arch_sides, l1_height_control_total, weil_height
 from stochdyn import stochheight
 from stochdyn.stochheight import (
     Lifts,
@@ -63,7 +63,7 @@ def sampled(system, alpha, depth, seed, tol=1.0):
     """escape_sum of alpha at an explicit depth, with a word cap of 0 so
     that it always takes the exact prefix and samples the tails."""
     return escape_sum(system, lambda n: _point_lifts(system, [alpha], n),
-                      tol, 0, seed, depth=depth)
+                      tail_budget(system), tol, 0, seed, depth=depth)
 
 
 def mixed_system():
@@ -228,6 +228,25 @@ def test_monotone_refinement(dyadic):
                 cur = stoch_height_exact(system, alpha, n).value
                 assert abs(cur - prev) <= c * delta ** (2 - n) + 1e-12
                 prev = cur
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_maps(), st.integers(0, 2**32 - 1))
+def test_arch_term_within_sides(phi, seed):
+    # log max(|F(u)|, |G(u)|) of a max-norm lift u lies in
+    # [-d lower, d upper]: the top from the coefficient norms, the bottom
+    # from the Bezout identity; 0, the unit circle and infinity included
+    upper, lower = arch_sides(phi)
+    rng = np.random.default_rng(seed)
+    n = 256
+    z = (rng.normal(size=n) + 1j * rng.normal(size=n)) \
+        * np.exp(rng.uniform(-6, 6, n))
+    z[:4] = [0.0, 1.0, -1.0, 1j]
+    top = np.maximum(np.abs(z), 1.0)
+    lifts = Lifts((np.append(z / top, 1.0), np.append(1.0 / top, 0.0) + 0j))
+    term = _term(phi, lifts, 0.0)
+    assert np.all(term <= phi.d * upper + 1e-9)
+    assert np.all(term >= -phi.d * lower - 1e-9)
 
 
 @settings(max_examples=25, deadline=None)
