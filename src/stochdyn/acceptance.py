@@ -95,7 +95,7 @@ def _c01_radial_law(ctx):
 
 
 def _c02_angular_uniformity(ctx):
-    ks = ks_one_sample(ctx["batch"].angle, lambda t: t / (2.0 * np.pi))
+    ks = ks_one_sample(ctx.pop("batch").angle, lambda t: t / (2.0 * np.pi))
     return ks <= 0.02, f"ks_angular={ks:.4f} (<=0.02)"
 
 
@@ -270,7 +270,7 @@ def _c12_weil_comparison(ctx):
 
 
 def _c13_well_distributed(ctx):
-    tree = ctx["tree"]
+    tree = ctx.pop("tree")
     stats = [well_distributed_stat(tree, k) for k in range(7)]
     monotone = all(stats[i + 1] <= stats[i] for i in range(6))
     geo = all(stats[3 * k] <= Fraction(1, 4) ** k * stats[0] for k in (1, 2))

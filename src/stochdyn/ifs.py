@@ -43,9 +43,11 @@ from .heights import ARCH, PlaceQ
 _ATOM_TOL = 1e-9  # fixed points this close count as one atom
 _GRID_SIZE = 4096
 _CDF_ITERS = 64
-# rows per write of the CSV writers; whole-array tolist() would hold every
-# cell of a 100k-row file as a Python object at once
-CSV_BLOCK = 8192
+# rows per block of every loop over a sample-sized array (KS distances, CSV
+# writers, numeric fibers, the residual potential), so that its temporaries
+# stay a fixed size whatever the sample count; the CSV writers' tolist()
+# would otherwise hold every cell of a 100k-row file as a Python object
+ROW_BLOCK = 8192
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,25 +175,36 @@ def stationary_law(ifs: AffineIFS) -> StationaryLaw:
 
 def ks_one_sample(samples: np.ndarray, cdf: Callable[[np.ndarray], np.ndarray]) -> float:
     """sup |F_emp - F| for a continuous nondecreasing reference CDF, where
-    the sup is reached at a sample, from one side or the other."""
+    the sup is reached at a sample, from one side or the other.  cdf is
+    taken elementwise, ROW_BLOCK sorted samples at a time, and the sup is
+    the max of the blocks' maxima."""
     xs = np.sort(np.asarray(samples, dtype=float))
     n = len(xs)
-    ref = np.asarray(cdf(xs), dtype=float)
-    lo = np.arange(n) / n
-    hi = np.arange(1, n + 1) / n
-    return float(max(np.max(ref - lo), np.max(hi - ref)))
+    tops = []
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
+        ref = np.asarray(cdf(xs[lo:hi]), dtype=float)
+        tops.append(np.max(ref - np.arange(lo, hi) / n))
+        tops.append(np.max(np.arange(lo + 1, hi + 1) / n - ref))
+    return float(np.max(tops))
 
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> float:
     """sup |F_a - F_b|: both empirical CDFs are right-continuous steps
     that jump only at samples, so the sup is reached at a sample, and each
-    left limit there is the value at the previous candidate."""
+    left limit there is the value at the previous candidate.  The
+    candidates are taken ROW_BLOCK at a time, a's then b's, and the sup is
+    the max of the blocks' maxima."""
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
-    cand = np.concatenate([a, b])
-    fa = np.searchsorted(a, cand, side="right") / len(a)
-    fb = np.searchsorted(b, cand, side="right") / len(b)
-    return float(np.max(np.abs(fa - fb)))
+    tops = []
+    for cand in (a, b):
+        for lo in range(0, len(cand), ROW_BLOCK):
+            block = cand[lo:lo + ROW_BLOCK]
+            fa = np.searchsorted(a, block, side="right") / len(a)
+            fb = np.searchsorted(b, block, side="right") / len(b)
+            tops.append(np.max(np.abs(fa - fb)))
+    return float(np.max(tops))
 
 
 def ks_to_law(xs: np.ndarray, law: StationaryLaw, n: int) -> float:
@@ -210,22 +223,22 @@ def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
                   fileobj, label: Callable[[float], float] = float) -> None:
     """Rows (label(x), empirical CDF, reference CDF) at the sorted samples;
     the reference column is blank without a law.  The lines are those of
-    csv.writer (no cell needs quoting), written a block of rows at a time,
-    each block one %-format of a repeated row template over its cells."""
+    csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
+    each block one %-format of a repeated row template over its cells, with
+    the reference CDF taken per block."""
     xs = np.sort(np.asarray(xs, dtype=float))
-    ref = None if law is None else law.cdf_at(xs)
     n = len(xs)
     csv.writer(fileobj).writerow([column, "empirical_cdf", "reference_cdf"])
-    if ref is None:
+    if law is None:
         row, width = "%.12g,%.12g,\r\n", 2
     else:
         row, width = "%.12g,%.12g,%.12g\r\n", 3
-    for lo in range(0, n, CSV_BLOCK):
-        hi = min(lo + CSV_BLOCK, n)
+    for lo in range(0, n, ROW_BLOCK):
+        hi = min(lo + ROW_BLOCK, n)
         cells = [None] * (width * (hi - lo))
         cells[0::width] = map(label, xs[lo:hi].tolist())
         # ranks below 2^53 convert exactly, so each quotient is Python's i / n
         cells[1::width] = (np.arange(lo + 1, hi + 1) / n).tolist()
-        if ref is not None:
-            cells[2::width] = ref[lo:hi].tolist()
+        if law is not None:
+            cells[2::width] = law.cdf_at(xs[lo:hi]).tolist()
         fileobj.write(row * (hi - lo) % tuple(cells))

@@ -12,9 +12,10 @@ range; tree nodes add an exact projective identity whenever the preimage
 is rational.  Fibers of rational points are exact and come in the same
 form (dynsys.fiber), so no rational preimage loses its identity.  Fibers
 of numeric points come from one batched kernel, numeric_fiber, which
-solves every point's fiber under one map at once through
-exactnum.poly_roots, the root solver that exact fibers use too; the tree
-calls it once per level and map, the walker once per step and map.  The
+solves the points' fibers under one map through exactnum.poly_roots, the
+root solver that exact fibers use too, ifs.ROW_BLOCK points at a time, so
+its working set is bounded whatever the point count; the tree calls it
+once per level and map, the walker once per step and map.  The
 tree merges numerically coincident points by one rule, relative at every
 scale, and refuses a merge when the two carry distinct exact identities;
 any merge involving a point without an exact identity is counted as
@@ -40,7 +41,7 @@ import numpy as np
 from .dynsys import RationalMapQ, StochasticSystem, fiber
 from .exactnum import (ProjPointQ, StochdynError, pair_log_polar, poly_roots,
                        wrap_angle)
-from .ifs import CSV_BLOCK, affine_ifs, map_sampler
+from .ifs import ROW_BLOCK, affine_ifs, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -67,18 +68,33 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     (e^{i theta}, e^{-log r}) when log r > 0, (e^{log r + i theta}, 1)
     otherwise and (1, 0) at infinity.  The fiber form H = v F - u G of
     each lift is solved in the chart of its larger end coefficient, w or
-    t = 1/w, by exactnum.poly_roots, all points at once, with exponent 0
-    for the float coefficients (ConvergenceFailure where a root fails its
-    backward-error test).  An exact zero end coefficient gives an exact
-    zero root, so infinity is a preimage exactly when t = 0 is.  A finite
-    point with |log r| above _LOG_TINY raises OverflowError: its lift
-    would underflow, and the point pass for infinity or for 0.
+    t = 1/w, by exactnum.poly_roots, with exponent 0 for the float
+    coefficients (ConvergenceFailure where a root fails its backward-error
+    test).  An exact zero end coefficient gives an exact zero root, so
+    infinity is a preimage exactly when t = 0 is.  A finite point with
+    |log r| above _LOG_TINY raises OverflowError: its lift would
+    underflow, and the point pass for infinity or for 0.
+
+    The points are solved ROW_BLOCK at a time into the output arrays, each
+    block by the operations a call on it alone would take, so the
+    transient arrays stay a fixed size whatever the point count.
     """
     log_r = np.asarray(log_r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(np.isfinite(log_r) & (np.abs(log_r) > _LOG_TINY)):
         raise OverflowError(f"a point with |log|z|| above {_LOG_TINY:.1f} "
                             "has a max-norm lift below float range")
+    log_w = np.full((len(log_r), phi.d), math.inf)
+    arg_w = np.zeros((len(log_r), phi.d))
+    for lo in range(0, len(log_r), ROW_BLOCK):
+        rows = slice(lo, lo + ROW_BLOCK)
+        _fiber_rows(phi, log_r[rows], theta[rows], log_w[rows], arg_w[rows])
+    return log_w, arg_w
+
+
+def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w) -> None:
+    """numeric_fiber on one block of points, each row by itself, written
+    into the block's output rows log_w (+inf on entry) and arg_w (0)."""
     fc, gc, _ = phi.float_forms
     d = phi.d
     u = np.exp(np.minimum(log_r, 0.0) + 1j * theta)
@@ -89,8 +105,6 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     poly = np.where(w_chart[:, None], h, h[:, ::-1])  # descending in the chart
     nonzero = poly != 0
     assert np.all(nonzero.any(axis=1))
-    log_w = np.full((len(h), d), math.inf)
-    arg_w = np.zeros((len(h), d))
     # a leading zero in the chart means both ends of H vanish, so 0 and
     # infinity are both preimages; it counts as a root at the chart's infinity
     lead = np.argmax(nonzero, axis=1)
@@ -100,9 +114,8 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
         log_w[rows, m:], arg_w[rows, m:] = pair_log_polar(xm, xg)
     # in the t chart, log|w| = -log|t| and arg w = -arg t
     sign = np.where(w_chart, 1.0, -1.0)[:, None]
-    log_w = sign * log_w
-    arg_w = wrap_angle(sign * arg_w)
-    return log_w, np.where(np.isinf(log_w), 0.0, arg_w)
+    log_w *= sign
+    arg_w[...] = np.where(np.isinf(log_w), 0.0, wrap_angle(sign * arg_w))
 
 
 # ---------------------------------------------------------------------------
@@ -345,6 +358,8 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
     """Exact level measures down to depth n, each weight an integer over
     the level's denominator, with at most DEFAULT_NODE_BUDGET nodes in
     all."""
+    if n < 0:
+        raise ValueError("need n >= 0")
     lcm, units = _edge_units(system)
     root = TreeLevel([alpha.log_polar()], [alpha], [1], 1, [[]], 0)
     levels = [root]
@@ -446,7 +461,8 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     systems take fibers: start, when given, is the common start as an
     exact point, and while a path stays rational its fibers are the cached
     exact ones of dynsys.fiber, taken once per (map, point) in a step;
-    numeric points are solved by numeric_fiber, once per map and step.
+    numeric points are solved by numeric_fiber, one call per map and step,
+    which works through them ifs.ROW_BLOCK at a time.
     """
     count = len(log_r)
     draw = map_sampler(system.probs)
@@ -526,13 +542,13 @@ def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
 
 def write_samples_csv(batch: OrbitSampleBatch, fileobj):
     """CSV export with columns index, re, im, log_abs, depth: the lines of
-    csv.writer (no cell needs quoting), written a block of rows at a time,
+    csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
     each block one %-format of a repeated row template over its cells."""
     csv.writer(fileobj).writerow(["index", "re", "im", "log_abs", "depth"])
     row = f"%d,%r,%r,%r,{batch.depth}\r\n"
-    for lo in range(0, batch.samples, CSV_BLOCK):
-        log_abs = batch.log_abs[lo:lo + CSV_BLOCK]
-        pts = _points(log_abs, batch.angle[lo:lo + CSV_BLOCK])
+    for lo in range(0, batch.samples, ROW_BLOCK):
+        log_abs = batch.log_abs[lo:lo + ROW_BLOCK]
+        pts = _points(log_abs, batch.angle[lo:lo + ROW_BLOCK])
         cells = [None] * (4 * len(log_abs))
         cells[0::4] = range(lo, lo + len(log_abs))
         cells[1::4] = pts.real.tolist()

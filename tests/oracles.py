@@ -1,9 +1,10 @@
 """Oracles of the tests: word enumeration, per-word ramification, the
 weights of a backward-tree level as Fractions, Dirac measures, float
 heights of roots of minimal polynomials and of discrete measures, the
-zero test of an exact log combination, and, apart from the package's own
-exact and numeric layers, sympy's factorization over Q and mpmath's roots
-of integer polynomials.
+zero test of an exact log combination, the Kolmogorov-Smirnov distances
+over whole arrays at once, and, apart from the package's own exact and
+numeric layers, sympy's factorization over Q and mpmath's roots of
+integer polynomials.
 
 The weighted depth-3 ramification ratio sigma3 equals 1 exactly where
 `dynsys.is_exceptional_system` holds; depth 2 would not suffice, as the
@@ -15,6 +16,7 @@ from fractions import Fraction
 from typing import NamedTuple, Sequence
 
 import mpmath
+import numpy as np
 import sympy
 
 from stochdyn.dynsys import StochasticSystem, eval_map, ramification_index
@@ -159,3 +161,25 @@ def measure_height(measure: DiscreteMeasure) -> float:
 
 def is_zero(combination: LogCombination) -> bool:
     return not combination.coeffs
+
+
+def ks_one_sample_whole(samples, cdf) -> float:
+    """ifs.ks_one_sample with every gap formed at once: the reference CDF
+    at all sorted samples, then the two one-sided maxima."""
+    xs = np.sort(np.asarray(samples, dtype=float))
+    n = len(xs)
+    ref = np.asarray(cdf(xs), dtype=float)
+    lo = np.arange(n) / n
+    hi = np.arange(1, n + 1) / n
+    return float(max(np.max(ref - lo), np.max(hi - ref)))
+
+
+def ks_two_sample_whole(a, b) -> float:
+    """ifs.ks_two_sample with both empirical CDFs taken at every candidate
+    at once."""
+    a = np.sort(np.asarray(a, dtype=float))
+    b = np.sort(np.asarray(b, dtype=float))
+    cand = np.concatenate([a, b])
+    fa = np.searchsorted(a, cand, side="right") / len(a)
+    fb = np.searchsorted(b, cand, side="right") / len(b)
+    return float(np.max(np.abs(fa - fb)))

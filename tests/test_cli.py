@@ -574,6 +574,11 @@ def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
                    SCRIPTS / "height_convergence.py"):
         assert run_script(monkeypatch, script, "--config", missing, "1") == 2
         assert capsys.readouterr().err.startswith("error: ConfigParseError")
+    # a negative depth is rejected as the CLI rejects one, not answered
+    # with level 0
+    assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
+                      "1", "--depth", "-1") == 3
+    assert capsys.readouterr() == ("", "error: ValueError: need n >= 0\n")
     # the tree keeps points as (log|z|, arg z), so the start 10^400 needs
     # no complex embedding: level 1 holds +-10^200 and +-(5 10^399)^(1/2)
     assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),

@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from stochdyn.cli import build_system, load_config, main, parse_alpha
-from stochdyn.ifs import CSV_BLOCK, StationaryLaw, write_cdf_csv
+from stochdyn.ifs import ROW_BLOCK, StationaryLaw, write_cdf_csv
 from stochdyn.orbits import OrbitSampleBatch, backward_sample, write_samples_csv
 
 ROOT = pathlib.Path(__file__).parent.parent
@@ -58,7 +58,7 @@ def awkward_values(n, seed):
     return log_abs, angle
 
 
-@pytest.mark.parametrize("n", [1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1])
 def test_samples_csv_matches_row_writer(n):
     log_abs, angle = awkward_values(n, n)
     batch = OrbitSampleBatch(log_abs, angle, 7, 0, n)
@@ -75,7 +75,7 @@ def test_points_at_infinity():
     assert pts[0] == complex(math.inf, 0.0) and pts[1] == 0 and pts[2] == 1
 
 
-@pytest.mark.parametrize("n", [1, CSV_BLOCK, CSV_BLOCK + 1])
+@pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1])
 @pytest.mark.parametrize("label", [float, math.exp])
 def test_cdf_csv_matches_row_writer(n, label):
     xs, _ = awkward_values(n, n + 1)

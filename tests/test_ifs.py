@@ -1,5 +1,6 @@
 """The affine IFS against the maps it models."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -14,15 +15,20 @@ from stochdyn.exactnum import (
     point_from_rational,
 )
 from stochdyn.ifs import (
+    ROW_BLOCK,
     StationaryLaw,
     affine_ifs,
+    ks_one_sample,
     ks_to_law,
+    ks_two_sample,
     map_sampler,
     stationary_law,
 )
 from stochdyn.heights import ARCH, PlaceQ
 from stochdyn.orbits import backward_sample
 from stochdyn.padicmodel import sample_backward_valuations
+
+from oracles import ks_one_sample_whole, ks_two_sample_whole
 
 nonzero = st.fractions(min_value=-10**6, max_value=10**6,
                        max_denominator=10**6).filter(lambda q: q != 0)
@@ -161,3 +167,64 @@ def test_ks_to_law_matches_grid_oracle_on_any_law(steps, lo, width, xs):
     xs = np.array(xs)
     law = StationaryLaw(grid=grid, cdf=cdf)
     assert ks_to_law(xs, law, 30) == ks_vs_grid_cdf(xs, grid, cdf)
+
+
+_BLOCK_SIZES = [1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+
+
+def tied(rng, n, scale):
+    """n draws on the grid k / scale, so a sample count far above scale is
+    full of ties."""
+    return np.round(rng.uniform(0.0, 1.0, n) * scale) / scale
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_ks_one_sample_matches_whole_array(n):
+    # the blocked sup is the whole-array one to the bit: a continuous CDF
+    # at tied samples, and the step CDF of an atom some samples sit on
+    rng = np.random.default_rng(n)
+    xs = tied(rng, n, 64)
+    uniform = lambda t: np.clip(t, 0.0, 1.0)  # noqa: E731
+    assert ks_one_sample(xs, uniform) == ks_one_sample_whole(xs, uniform)
+    atom = StationaryLaw(atom=0.25)
+    xs[: n // 3] = 0.25
+    assert (ks_one_sample(xs, atom.cdf_at)
+            == ks_one_sample_whole(xs, atom.cdf_at))
+
+
+@pytest.mark.parametrize("n", _BLOCK_SIZES)
+def test_ks_two_sample_matches_whole_array(n):
+    # unequal sizes, ties within each sample and values the two share
+    rng = np.random.default_rng(n + 1)
+    for m in (n, n + 3, 2 * n + ROW_BLOCK):
+        a, b = tied(rng, n, 100), tied(rng, m, 100) + 0.01
+        assert ks_two_sample(a, b) == ks_two_sample_whole(a, b)
+        assert ks_two_sample(b, a) == ks_two_sample_whole(b, a)
+
+
+def traced_peak(fn, *args) -> int:
+    """Bytes fn(*args) holds at its peak beyond what is allocated before
+    it runs, by tracemalloc."""
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+# per-block allowance of the KS loops: eight float or index arrays of
+# ROW_BLOCK entries (a block's gaps, ranks and quotients), plus 64 KiB for
+# the list of block maxima and numpy's bookkeeping
+_KS_BLOCK_BYTES = 8 * 8 * ROW_BLOCK + 64 * 1024
+
+
+def test_ks_memory_is_sorted_copies_plus_one_block():
+    # whole-array candidates, ranks and gaps took 32 to 40 bytes per sample
+    # on top of the sorted copies; blocked, only those copies grow with n
+    n = 200_000
+    rng = np.random.default_rng(3)
+    a, b = rng.normal(size=n), rng.normal(size=n)
+    assert traced_peak(ks_two_sample, a, b) <= 2 * 8 * n + _KS_BLOCK_BYTES
+    uniform = lambda t: np.clip(t, 0.0, 1.0)  # noqa: E731
+    assert traced_peak(ks_one_sample, a, uniform) <= 8 * n + _KS_BLOCK_BYTES

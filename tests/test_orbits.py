@@ -3,6 +3,7 @@ import io
 import itertools
 import math
 import sys
+import tracemalloc
 from collections import defaultdict
 from fractions import Fraction
 
@@ -20,7 +21,7 @@ from stochdyn.exactnum import (
     ProjPointQ,
     poly_roots,
 )
-from stochdyn.ifs import affine_ifs
+from stochdyn.ifs import ROW_BLOCK, affine_ifs
 from stochdyn.archpotential import canonical_sample
 from stochdyn.orbits import (
     DEFAULT_CLUSTER_TOL,
@@ -150,6 +151,51 @@ def test_numeric_fiber_refuses_lost_roots():
         numeric_fiber(quartic, [700.0], [0.3])
 
 
+def test_numeric_fiber_blocks_match_separate_calls(general):
+    # ROW_BLOCK + 1 rows, at scales from 0 to infinity, against one call
+    # per block: every row comes out to the bit, through the closed forms
+    # of degrees 2 and 3 and the stacked eigenvalues of degree 4
+    rng = np.random.default_rng(8)
+    n = ROW_BLOCK + 1
+    log_r = rng.uniform(-3.0, 3.0, n) * 10.0 ** rng.integers(-2, 3, n)
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    log_r[:3], log_r[-2:] = [-math.inf, math.inf, 0.0], [-math.inf, 300.0]
+    quartic = make_map([1, 0, 0, 0, 1], [0, 2])
+    for phi in (*general.maps, quartic):
+        got = numeric_fiber(phi, log_r, theta)
+        parts = [numeric_fiber(phi, log_r[rows], theta[rows])
+                 for rows in (slice(0, ROW_BLOCK), slice(ROW_BLOCK, n))]
+        for whole, head, tail in zip(got, *parts):
+            assert whole.shape == (n, phi.d)
+            assert np.array_equal(whole, np.vstack([head, tail]))
+    # a root that fails the backward-error test in the last block still
+    # raises
+    log_r = np.zeros(n)
+    log_r[-1] = 700.0
+    with pytest.raises(ConvergenceFailure):
+        numeric_fiber(quartic, log_r, np.full(n, 0.3))
+
+
+def test_numeric_walk_memory_per_sample(general):
+    # the traced peak of a numeric walk grows per added sample by at most
+    # 24 floats: 10 arrays the walk holds over a step (coordinates, map
+    # indices, degrees, draws and their ints, exact codes, the three new
+    # columns), and for the points under one map, at most all of them,
+    # their indices, coordinates, 2 d fiber columns and the column pick
+    # (2 d + 6 = 12 at the cubic), with 2 to spare for masks; the fiber's
+    # own temporaries stay a ROW_BLOCK-row constant
+    def peak(samples):
+        tracemalloc.start()
+        try:
+            canonical_sample(general, 2, samples, 5)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    small, large = 20_000, 60_000
+    assert peak(large) - peak(small) <= 24 * 8 * (large - small)
+
+
 # a coefficient as the pair (mantissa, exponent) of mantissa 2^exponent
 _COEFF = st.one_of(st.just((0j, 0)), st.tuples(
     st.builds(complex, st.integers(-2**20, 2**20),
@@ -258,6 +304,9 @@ def test_backward_tree_depth_zero(dyadic):
     assert tree.depth == 0
     assert level_weights(tree.levels[0]) == [Fraction(1)]
     assert tree.levels[0].exact_points == [ONE]
+    # a negative depth is refused, not answered with the root alone
+    with pytest.raises(ValueError, match="need n >= 0"):
+        backward_tree(dyadic, ONE, -1)
 
 
 def test_backward_tree_dyadic_level_one(dyadic):
