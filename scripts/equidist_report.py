@@ -18,13 +18,7 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from stochdyn.archpotential import equidist, write_equidist_csv
-from stochdyn.cli import (
-    build_system,
-    exit_code_of,
-    green_config,
-    load_config,
-    parse_alpha,
-)
+from stochdyn.cli import build_system, exit_code_of, load_config, parse_alpha
 from stochdyn.heights import ARCH, PlaceQ
 
 
@@ -44,7 +38,6 @@ def main():
     alpha = parse_alpha(args.alpha)
     samples = args.samples if args.samples is not None else cfg.samples
     seed = args.seed if args.seed is not None else cfg.seed
-    gcfg = green_config(cfg, None)
 
     places = [ARCH] + [PlaceQ(p) for p in args.primes]
     header = f"{'depth':>6} {'ks_radial':>10} {'ks_angular':>11} {'residual':>10}"
@@ -52,7 +45,7 @@ def main():
         header += f" {'ks@' + str(p):>8}"
     print(header)
     for depth in args.depths:
-        results = [equidist(system, place, alpha, depth, samples, seed, gcfg)
+        results = [equidist(system, place, alpha, depth, samples, seed, cfg.tol)
                    for place in places]
         arch = results[0].scores
         row = (f"{depth:>6} {arch['ks_radial']:>10.4f} "

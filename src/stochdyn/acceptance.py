@@ -56,7 +56,7 @@ from .exactnum import point_from_rational
 from .ifs import ks_one_sample
 from .orbits import backward_sample, backward_tree, well_distributed_stat
 from .padicmodel import sample_backward_valuations
-from .stochheight import stoch_height_exact, weil_comparison_residual
+from .stochheight import stoch_height, weil_comparison_residual
 
 LOG2 = math.log(2.0)
 SEED = 20260823
@@ -108,9 +108,9 @@ def _c03_dyadic_segment_law(ctx):
 
 def _c04_height_closed_forms(ctx):
     system = ctx["system"]
-    e1 = stoch_height_exact(system, normalize_point(1, 1), 12).value
+    e1 = stoch_height(system, normalize_point(1, 1), math.inf, depth=12).value
     w1 = (1.0 - 2.0 ** -12) * LOG2 / 2.0
-    e2 = stoch_height_exact(system, normalize_point(2, 1), 12).value
+    e2 = stoch_height(system, normalize_point(2, 1), math.inf, depth=12).value
     w2 = (1.5 - 2.0 ** -13) * LOG2
     r1 = abs(e1 - w1) / w1
     r2 = abs(e2 - w2) / w2
@@ -237,12 +237,12 @@ def _c10_green_spot_values(ctx):
 
 
 def _c11_radii(ctx):
-    r_in, r_out = radii(ctx["system"])
+    r_in, r_out, _ = radii(ctx["system"])
     want_in, want_out = 2.0 ** (-1 / 6), 2.0 ** (1 / 3)
     rel_in = abs(r_in / want_in - 1.0)
     rel_out = abs(r_out / want_out - 1.0)
     one = make_system([make_map([0, 0, 1], [1])], [Fraction(1)])
-    u_in, u_out = radii(one)
+    u_in, u_out, _ = radii(one)
     unit_err = max(abs(u_in - 1.0), abs(u_out - 1.0))
     ok = rel_in <= 0.01 and rel_out <= 0.01 and unit_err <= 1e-9
     return ok, (f"example ({r_in:.4f}, {r_out:.4f}) rel errs "

@@ -57,29 +57,6 @@ from .stochheight import EscapeEstimate, Lifts, escape_sum, green_budget
 
 
 _RADII_SEED = 0x5EED_4A11  # fixed so radii() is reproducible without a seed knob
-
-
-@dataclass(frozen=True)
-class GreenConfig:
-    """Accuracy knobs for Green's function evaluation.
-
-    depth None means the smallest depth whose green_budget tail is at most
-    tol; an explicit depth must meet the same bound.  Past _ENUM_CAP words
-    per point stochheight.escape_sum samples the tails, with seed 0.
-    Homogeneous coordinates that collapse below the fixed floor
-    _COLLAPSE_FLOOR raise ConvergenceFailure.
-    """
-
-    depth: Optional[int] = None
-    tol: float = 1e-3
-
-    def __post_init__(self):
-        if self.tol <= 0:
-            raise ValueError("tol must be positive")
-        if self.depth is not None and self.depth < 1:
-            raise ValueError("depth must be at least 1")
-
-
 _ENUM_CAP = 1 << 15  # enumerate words exactly up to this many per point
 _ENERGY_DRAWS = 8192  # canonical draws of rho_self_energy
 _COLLAPSE_FLOOR = 1e-12  # homogeneous coordinates below this have collapsed
@@ -95,35 +72,40 @@ def _hom_arrays(zs: Sequence[complex]) -> tuple[np.ndarray, np.ndarray]:
 
 
 def gS_eval_many(system: StochasticSystem, zs: Sequence[complex],
-                 cfg: Optional[GreenConfig] = None) -> np.ndarray:
-    """Green's function at each point, anchored so g(infinity) = 0."""
-    return _anchored_green(system, _hom_arrays(list(zs) + [math.inf]),
-                           cfg).value
+                 tol: float = 1e-3, depth: Optional[int] = None) -> np.ndarray:
+    """Green's function at each point, anchored so g(infinity) = 0, to
+    within tol (the anchored-difference tail of green_budget plus the
+    standard error), at the smallest depth for tol or the explicit depth,
+    which must meet the same bound."""
+    return _anchored_green(system, _hom_arrays(list(zs) + [math.inf]), tol,
+                           depth).value
 
 
-def _anchored_green(system: StochasticSystem, coords: tuple,
-                    cfg: Optional[GreenConfig]) -> EscapeEstimate:
-    # coords: max-norm lifts whose last entry is infinity, (1, 0); the
-    # sampled tails of the two escape sums are independent
-    cfg = cfg or GreenConfig()
+def _anchored_green(system: StochasticSystem, coords: tuple, tol: float,
+                    depth: Optional[int]) -> EscapeEstimate:
+    # coords: max-norm lifts whose last entry is infinity, (1, 0).  Past
+    # _ENUM_CAP words per point escape_sum samples the tails, with seed 0;
+    # the sampled tails of the two escape sums are independent.  Lifts
+    # below _COLLAPSE_FLOOR raise ConvergenceFailure.
     est = escape_sum(system, lambda n: Lifts(coords), green_budget(system),
-                     cfg.tol, _ENUM_CAP, 0, _COLLAPSE_FLOOR, cfg.depth)
+                     tol, _ENUM_CAP, 0, _COLLAPSE_FLOOR, depth)
     return replace(est, value=est.value[:-1] - est.value[-1],
                    stderr=np.hypot(est.stderr[:-1], est.stderr[-1]))
 
 
 def gS_eval(system: StochasticSystem, z: Union[complex, ProjPointQ],
-            cfg: Optional[GreenConfig] = None) -> EscapeEstimate:
+            tol: float = 1e-3, depth: Optional[int] = None) -> EscapeEstimate:
     """Green's function at a complex number, or at a rational point through
     its lift (a, b)/max(|a|, |b|) by int true division, as _point_lifts
-    does, so a and b may lie past float range: floats with a stderr."""
+    does, so a and b may lie past float range: floats with a stderr, to
+    the accuracy of gS_eval_many."""
     if not isinstance(z, ProjPointQ):
         coords = _hom_arrays([z, math.inf])
     else:
         top = max(abs(z.a), abs(z.b))
         coords = (np.array([z.a / top, 1.0], dtype=complex),
                   np.array([z.b / top, 0.0], dtype=complex))
-    est = _anchored_green(system, coords, cfg)
+    est = _anchored_green(system, coords, tol, depth)
     return replace(est, value=float(est.value[0]),
                    stderr=float(est.stderr[0]))
 
@@ -175,15 +157,15 @@ class EquidistResult:
 
 def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
              n: int, samples: int, seed: int,
-             cfg: Optional[GreenConfig] = None) -> EquidistResult:
+             tol: float = 1e-3) -> EquidistResult:
     """Compare the level-n backward measure from alpha with the canonical
     measure at the place.
 
     At a prime p the backward valuations (`padicmodel`) are scored against
     the stationary law of the IFS at p by `ifs.ks_to_law`.  At infinity the
     score is the KS distance in radius and angle plus a
-    logarithmic-potential residual over a fixed probe set, with g_S to the
-    accuracy cfg sets.  Monomial-shaped systems are scored there against
+    logarithmic-potential residual over a fixed probe set, with g_S to
+    within tol.  Monomial-shaped systems are scored there against
     the closed-form stationary radial law; others fall back to a 4x-size
     canonically sampled reference, whose KS statistic carries roughly
     double the noise floor (callers should double their thresholds on that
@@ -200,7 +182,6 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
     alpha = normalize_point(alpha.a, alpha.b)
     if is_exceptional_system(system, alpha):
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
-    cfg = cfg or GreenConfig()
     batch = backward_sample(system, alpha, n, samples, seed)
     # the CDF CSV labels and the probe distances take |z| as a float
     if np.any(batch.log_abs > _LOG_FLOAT_MAX):
@@ -222,7 +203,7 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
 
     probes = _residual_probes()
     emp = _log_potentials(batch.points, probes)
-    g = gS_eval_many(system, probes, cfg)
+    g = gS_eval_many(system, probes, tol)
     pot = g + np.maximum(np.log(np.maximum(np.abs(probes), 1e-300)), 0.0)
     residual = float(np.max(np.abs(emp - pot)))
     scores = {"ks_radial": ks_rad, "ks_angular": ks_ang,
@@ -274,39 +255,36 @@ def _radii_probes() -> list:
     return probes
 
 
-def rho_self_energy(system: StochasticSystem,
-                    cfg: Optional[GreenConfig] = None) -> float:
-    """(rho, rho) = -E_{w ~ rho}[p(w)] estimated by canonical sampling.
+def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
+    """(rho, rho) = -E_{w ~ rho}[p(w)] estimated by canonical sampling,
+    with g_S to within tol.
 
     Uses _ENERGY_DRAWS draws: the radii depend on this number through
     exp(energy/2), so its Monte Carlo error has to sit well inside a
     one-percent radius budget.
     """
-    cfg = cfg or GreenConfig()
-    depth = green_budget(system).depth(cfg.tol, cfg.depth)
+    depth = green_budget(system).depth(tol)
     batch = canonical_sample(system, depth + 10, _ENERGY_DRAWS, _RADII_SEED)
-    g = gS_eval_many(system, batch.points, cfg)
+    g = gS_eval_many(system, batch.points, tol)
     p = g + np.maximum(batch.log_abs, 0.0)
     return float(-np.mean(p))
 
 
-def radii(system: StochasticSystem, cfg: Optional[GreenConfig] = None,
-          energy: Optional[float] = None) -> tuple[float, float]:
-    """Inner and outer radii of the recentered Green's function.
+def radii(system: StochasticSystem,
+          tol: float = 1e-3) -> tuple[float, float, float]:
+    """Inner and outer radii of the recentered Green's function, and the
+    self-energy that recenters it, with g_S to within tol.
 
-    With gt = g_S + (rho, rho)/2, returns (exp(-sup gt), exp(-inf gt))
-    over a probe grid of 64 shells x 64 angles plus {0, infinity}.  The
-    shift recenters by half the self-energy of the canonical measure, so
-    a single map c z^d with |c| != 1 gets the symmetric pair of radii
-    around its Julia circle.  energy, when given, is rho_self_energy(system,
-    cfg) already computed by the caller.
+    With gt = g_S + (rho, rho)/2, returns (exp(-sup gt), exp(-inf gt),
+    (rho, rho)) over a probe grid of 64 shells x 64 angles plus {0,
+    infinity}.  The shift recenters by half the self-energy of the
+    canonical measure, so a single map c z^d with |c| != 1 gets the
+    symmetric pair of radii around its Julia circle.
     """
-    cfg = cfg or GreenConfig()
-    if energy is None:
-        energy = rho_self_energy(system, cfg)
-    g = gS_eval_many(system, _radii_probes(), cfg)
+    energy = rho_self_energy(system, tol)
+    g = gS_eval_many(system, _radii_probes(), tol)
     gt = g + 0.5 * energy
-    return float(np.exp(-np.max(gt))), float(np.exp(-np.min(gt)))
+    return float(np.exp(-np.max(gt))), float(np.exp(-np.min(gt))), energy
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Exit codes: 0 success, 2 unreadable or malformed input, 3 violated
 invariant (bad probabilities, degenerate maps, unsupported place, config
-mismatch), exhausted budget (word cap, tree nodes, numeric convergence)
+mismatch), exhausted budget (tree nodes, numeric convergence)
 or a value outside float range, 4 exceptional starting point.
 Every stochdyn error carries its code (StochdynError.exit_code); ValueError
 and OverflowError exit 3.
@@ -20,19 +20,12 @@ import json
 import sys
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Optional
+from typing import Callable
 
 import numpy as np
 
 from . import __version__
-from .archpotential import (
-    GreenConfig,
-    equidist,
-    gS_eval,
-    radii,
-    rho_self_energy,
-    write_equidist_csv,
-)
+from .archpotential import equidist, gS_eval, radii, write_equidist_csv
 from .dynsys import (
     ExceptionalStart,
     StochasticSystem,
@@ -161,11 +154,6 @@ def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
               + "\n")
 
 
-def green_config(cfg: SystemConfig, depth: Optional[int]) -> GreenConfig:
-    """The Green's-function accuracy every command derives from a config."""
-    return GreenConfig(depth=depth, tol=cfg.tol)
-
-
 def cmd_validate(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     report = exceptional_report(system)
@@ -238,7 +226,7 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
     depth = args.depth if args.depth is not None else cfg.depth
     samples = args.samples if args.samples is not None else cfg.samples
     res = equidist(system, args.place, alpha, depth, samples, args.seed,
-                   green_config(cfg, None))
+                   cfg.tol)
     payload = {"place": res.place.as_json(), "alpha": _format_point(alpha),
                "depth": depth, "samples": samples, **res.scores}
     if args.out:
@@ -252,8 +240,7 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
 def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
-    gcfg = green_config(cfg, args.depth)
-    est = gS_eval(system, alpha, gcfg)
+    est = gS_eval(system, alpha, cfg.tol, args.depth)
     logplus = (0.0 if alpha.is_infinity or alpha.a == 0
                else max(log_abs_fraction(alpha.as_fraction()), 0.0))
     fields = asdict(est)
@@ -265,7 +252,7 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
         "potential": None if alpha.is_infinity else green + logplus,
         "mode": est.mode,
         **fields,
-        "tol": gcfg.tol,
+        "tol": cfg.tol,
     }
     _emit(payload, cfg, args.seed, out)
     return 0
@@ -273,9 +260,7 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
 
 def cmd_radii(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
-    gcfg = green_config(cfg, None)
-    energy = rho_self_energy(system, gcfg)
-    r_in, r_out = radii(system, gcfg, energy)
+    r_in, r_out, energy = radii(system, cfg.tol)
     payload = {"r_in": r_in, "r_out": r_out, "self_energy": energy}
     _emit(payload, cfg, args.seed, out)
     return 0

@@ -36,7 +36,6 @@ from .exactnum import (
     LOG2,
     ConvergenceFailure,
     ProjPointQ,
-    StochdynError,
     padic_valuation,
 )
 from .heights import PlaceQ, arch_sides, l1_height_control_total, weil_height
@@ -46,10 +45,6 @@ _BATCH = 1 << 14  # lifts advanced together; bounds the kernel's working set
 WORD_CAP_DEFAULT = 10**6  # most words a stochastic height enumerates
 _PREFIX_WORDS = 1 << 13  # most words per start point of an exact prefix
 _TAIL_PATHS = 1 << 17  # most sampled tail paths per start point
-
-
-class WordCapExceeded(StochdynError):
-    """An exact estimate would enumerate more than WORD_CAP_DEFAULT words."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -84,9 +79,12 @@ class TailBudget:
 
     def depth(self, tol: float, depth: Optional[int] = None) -> int:
         """Smallest depth whose tail is at most tol.  An explicit depth is
-        honored only if it meets the same bound."""
+        honored only if it is at least 1 and meets the same bound.  Every
+        escape sum checks its tol and depth here."""
         if not tol > 0:  # nan too
             raise ValueError(f"tol must be positive, got {tol}")
+        if depth is not None and depth < 1:
+            raise ValueError("depth must be at least 1")
         n = depth or 1
         while self.bound(n) > tol:
             if depth is not None:
@@ -339,19 +337,26 @@ def escape_sum(system: StochasticSystem, lifts_at: Callable[[int], Lifts],
     lifts, rng = lifts_at(n), np.random.default_rng(seed)
     value, var = escape_walk(system, lifts, n, prefix, floor, s, rng)
     target = tol - budget.bound(n)
-    # s paths per leaf give the variance var * 2 / s
-    need = 2.0 * float(var.max()) / target**2 if target > 0 else math.inf
     most = _TAIL_PATHS // m**prefix
-    if s and need > s and most > s:
-        s = most if not need < most else math.ceil(need)
-        value, var = escape_walk(system, lifts, n, prefix, floor, s, rng)
+    if s and most > s:
+        # s paths per leaf give the variance var * 2 / s; target * target
+        # is inf, where target**2 would overflow, when tol is huge
+        need = (2.0 * float(var.max()) / (target * target) if target > 0
+                else math.inf)
+        if need > s:
+            s = most if not need < most else math.ceil(need)
+            value, var = escape_walk(system, lifts, n, prefix, floor, s, rng)
     stderr = np.sqrt(var)
     return EscapeEstimate(value, stderr, n, prefix, s * m**prefix,
                           budget.bound(n), bool(np.all(stderr <= target)))
 
 
-def _stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
-                  seed: int, depth: Optional[int] = None) -> EscapeEstimate:
+def stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
+                 seed: int = 0, depth: Optional[int] = None) -> EscapeEstimate:
+    """Estimate to tolerance by escape_sum: every word up to
+    WORD_CAP_DEFAULT of them, an exact prefix with sampled tails past it.
+    tol = inf with an explicit depth averages every word of that length
+    exactly while they fit the cap."""
     est = escape_sum(system, lambda n: _point_lifts(system, [alpha], n),
                      tail_budget(system), tol, WORD_CAP_DEFAULT, seed,
                      depth=depth)
@@ -359,22 +364,6 @@ def _stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
     # log 2 - log 3 when a word sends 1 to infinity) can leave -1e-16
     return replace(est, value=max(0.0, weil_height(alpha) + est.value[0]),
                    stderr=float(est.stderr[0]))
-
-
-def stoch_height_exact(system: StochasticSystem, alpha: ProjPointQ,
-                       n: int) -> EscapeEstimate:
-    """Exact average over all length-n words (escape_sum, tol = inf)."""
-    if len(system.maps) ** n > WORD_CAP_DEFAULT:
-        raise WordCapExceeded(f"{len(system.maps) ** n} words of length {n} "
-                              f"exceeds cap {WORD_CAP_DEFAULT}")
-    return _stoch_height(system, alpha, math.inf, 0, n)
-
-
-def stoch_height(system: StochasticSystem, alpha: ProjPointQ, tol: float,
-                 seed: int = 0) -> EscapeEstimate:
-    """Estimate to tolerance by escape_sum: every word up to
-    WORD_CAP_DEFAULT of them, an exact prefix with sampled tails past it."""
-    return _stoch_height(system, alpha, tol, seed)
 
 
 def scaling_residual(system: StochasticSystem, alpha: ProjPointQ,

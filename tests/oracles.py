@@ -29,7 +29,7 @@ from stochdyn.exactnum import (
     poly_trim,
 )
 from stochdyn.heights import DiscreteMeasure, make_measure, weil_height
-from stochdyn.stochheight import WORD_CAP_DEFAULT, WordCapExceeded
+from stochdyn.stochheight import WORD_CAP_DEFAULT
 
 
 class Word(NamedTuple):
@@ -39,10 +39,11 @@ class Word(NamedTuple):
 
 
 def words(system: StochasticSystem, n: int, word_cap: int = WORD_CAP_DEFAULT):
-    """Yield all length-n words with their weights and degrees."""
+    """Yield all length-n words with their weights and degrees; ValueError
+    past word_cap of them."""
     total = len(system.maps) ** n
     if total > word_cap:
-        raise WordCapExceeded(f"{total} words of length {n} exceeds cap {word_cap}")
+        raise ValueError(f"{total} words of length {n} exceeds cap {word_cap}")
     for idx in itertools.product(range(len(system.maps)), repeat=n):
         weight = Fraction(1)
         degree = 1

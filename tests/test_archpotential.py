@@ -9,7 +9,6 @@ import scipy.stats
 from stochdyn import archpotential
 from stochdyn.archpotential import (
     EquidistResult,
-    GreenConfig,
     canonical_sample,
     equidist,
     gS_eval,
@@ -131,9 +130,9 @@ def test_green_truncation_within_green_budget():
     for system in random_systems(8, 43):
         budget = green_budget(system)
         zs = random_points(rng, 4) + [0.0]
-        ref = gS_eval_many(system, zs, GreenConfig(depth=13, tol=10.0))
+        ref = gS_eval_many(system, zs, tol=10.0, depth=13)
         for n in (2, 4, 6):
-            g = gS_eval_many(system, zs, GreenConfig(depth=n, tol=10.0))
+            g = gS_eval_many(system, zs, tol=10.0, depth=n)
             assert np.max(np.abs(g - ref)) \
                 <= budget.bound(n) - budget.bound(13) + 1e-9
 
@@ -143,7 +142,7 @@ def test_green_budget_is_tight_on_example(dyadic):
     # compared on g_n itself, since g_n + (log 2)/2 cancels 2^-n of its bits
     budget = green_budget(dyadic)
     for n in range(1, 13):
-        g = gS_eval(dyadic, 0.0, GreenConfig(depth=n, tol=10.0)).value
+        g = gS_eval(dyadic, 0.0, tol=10.0, depth=n).value
         assert g == pytest.approx(-LOG2 / 2 + budget.bound(n), rel=1e-15)
 
 
@@ -153,9 +152,8 @@ def test_green_depth_refinement(dyadic):
     budget = green_budget(dyadic)
     zs = [0.0, 0.3, 0.8j]
     for n in (3, 5, 7):
-        lo = GreenConfig(depth=n, tol=10.0)
-        hi = GreenConfig(depth=n + 1, tol=10.0)
-        diff = np.abs(gS_eval_many(dyadic, zs, hi) - gS_eval_many(dyadic, zs, lo))
+        hi = gS_eval_many(dyadic, zs, tol=10.0, depth=n + 1)
+        diff = np.abs(hi - gS_eval_many(dyadic, zs, tol=10.0, depth=n))
         assert np.max(diff) <= budget.bound(n) - budget.bound(n + 1) + 1e-12
 
 
@@ -167,14 +165,38 @@ def test_green_monte_carlo_branch(dyadic, monkeypatch):
     # within the tail bound of g(0) = -(log 2)/2, and its error within four
     # of the standard errors it reports.
     monkeypatch.setattr(archpotential, "_ENUM_CAP", 1)
-    cfg = GreenConfig()
+    tol = 1e-3
     budget = green_budget(dyadic)
-    est = gS_eval(dyadic, 0.0, cfg)
+    est = gS_eval(dyadic, 0.0, tol)
     assert est.mode == "exact-prefix"
-    assert est.depth == budget.depth(cfg.tol / 2)
+    assert est.depth == budget.depth(tol / 2)
     assert est.prefix_depth < est.depth
-    assert 0.0 < est.stderr <= cfg.tol - est.tail_bound and est.tol_met
+    assert 0.0 < est.stderr <= tol - est.tail_bound and est.tol_met
     assert abs(est.value + LOG2 / 2) <= est.tail_bound + 4.0 * est.stderr
+
+
+def test_green_accuracy_is_checked_up_front(dyadic):
+    # TailBudget.depth refuses a depth below 1 before any walk starts
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            gS_eval_many(dyadic, [0.5], depth=depth)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            gS_eval_many(dyadic, [0.5], tol=tol)
+    # an explicit depth must meet the tail bound of tol
+    with pytest.raises(ValueError, match="leaves tail"):
+        gS_eval_many(dyadic, [0.5], tol=1e-3, depth=2)
+
+
+def test_green_huge_tol(dyadic):
+    # a tol past the square root of the float range sizes no tails, so it
+    # cannot overflow: depth 1 over both words, finite
+    g = gS_eval_many(dyadic, [0.5], tol=1e200)
+    assert np.all(np.isfinite(g))
+    assert gS_eval(dyadic, 0.5, tol=1e200).depth == 1
+    # 2^16 words at depth 16 pass the cap: sampled tails, still finite
+    est = gS_eval(dyadic, 0.5, tol=1e200, depth=16)
+    assert est.mode == "exact-prefix" and math.isfinite(est.value)
 
 
 def test_precision_floor_guard(single_z2, monkeypatch):
@@ -303,16 +325,18 @@ def test_rho_self_energy(dyadic, single_z2, two_z2):
 
 
 def test_radii_oracles(dyadic, single_z2, two_z2):
-    r_in, r_out = radii(single_z2)
+    r_in, r_out, energy = radii(single_z2)
+    assert energy == rho_self_energy(single_z2)
     assert r_in == pytest.approx(1.0, abs=1e-9)
     assert r_out == pytest.approx(1.0, abs=1e-9)
 
-    r_in, r_out = radii(dyadic)
+    r_in, r_out, energy = radii(dyadic)
+    assert energy == rho_self_energy(dyadic)
     assert r_in == pytest.approx(2.0 ** (-1 / 6), rel=0.01)
     assert r_out == pytest.approx(2.0 ** (1 / 3), rel=0.01)
     assert r_in <= r_out
 
-    r_in, r_out = radii(two_z2)
+    r_in, r_out, _ = radii(two_z2)
     assert r_in == pytest.approx(2.0 ** (-1 / 2), rel=0.01)
     assert r_out == pytest.approx(2.0 ** (1 / 2), rel=0.01)
 

@@ -29,7 +29,6 @@ from stochdyn.cli import (
 )
 from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
 from stochdyn.orbits import NodeBudgetExceeded
-from stochdyn.stochheight import WordCapExceeded
 
 ROOT = pathlib.Path(__file__).parent.parent
 REPO_CONFIG = ROOT / "configs" / "example.json"
@@ -168,6 +167,12 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
                                  example_config, "1", f"--tol={tol}")
         assert (code, out) == (3, "")
         assert err.startswith("error: ValueError: tol must be positive")
+    # a depth below 1 is refused before any walk, with one message
+    for depth in ("0", "-1"):
+        code, out, err = run_cli(capsys, "green-eval", "--config",
+                                 example_config, "1", f"--depth={depth}")
+        assert (code, out) == (3, "")
+        assert err == "error: ValueError: depth must be at least 1\n"
 
     # 101 maps: 101^3 length-3 words, which the exceptional test does not
     # enumerate
@@ -186,7 +191,7 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
         assert code == 0, err
 
     # no CLI input reaches these budgets cheaply; check the mapping itself
-    for exc in (NodeBudgetExceeded, ConvergenceFailure, WordCapExceeded):
+    for exc in (NodeBudgetExceeded, ConvergenceFailure):
         def fail(*args, exc=exc, **kwargs):
             raise exc("budget exhausted")
         monkeypatch.setattr(stochdyn.cli, "stoch_height", fail)
@@ -246,6 +251,8 @@ ENUMERATED_RECORDS = (
      0.9692041944221342, 11),
     ("green-eval", REPO_CONFIG, "0", (), "green", -0.34589668873645707, 9),
     ("green-eval", GENERAL_CONFIG, "0", (), "green", 0.032235607957921145, 8),
+    ("green-eval", REPO_CONFIG, "1/3", ("--depth", "12"), "green",
+     -0.3464889775870332, 12),
 )
 
 
@@ -260,6 +267,18 @@ def test_enumerated_records_are_pinned(capsys):
         assert record["stderr"] == 0.0
         assert record["mode"] == "exact" and record["tol_met"]
         assert (record["prefix_depth"], record["samples"]) == (depth, 0)
+
+
+def test_stoch_height_huge_tol(capsys):
+    # a finite tol too large to square sizes no tails: the record is the
+    # one of tol inf, depth 1
+    records = []
+    for tol in ("1e300", "inf"):
+        code, out, err = run_cli(capsys, "stoch-height", "--config",
+                                 str(REPO_CONFIG), "1", "--tol", tol)
+        assert code == 0, err
+        records.append(out)
+    assert records[0] == records[1] and json.loads(out)["depth"] == 1
 
 
 def test_stoch_height_exact_prefix(capsys):
@@ -344,6 +363,12 @@ def test_radii_command(capsys, example_config):
     record = json.loads(out)
     assert record["r_in"] == pytest.approx(2 ** (-1 / 6), rel=0.01)
     assert record["r_out"] == pytest.approx(2 ** (1 / 3), rel=0.01)
+    # the example config's record keeps every bit
+    code, out, err = run_cli(capsys, "radii", "--config", str(REPO_CONFIG))
+    assert code == 0, err
+    record = json.loads(out)
+    assert (record["r_in"], record["r_out"], record["self_energy"]) == (
+        0.8909257043236712, 1.2591066343733592, 0.23098847917093446)
 
 
 def test_equidist_byte_identical(capsys, example_config):
@@ -861,6 +886,32 @@ def test_package_imports_only_stdlib_and_numpy():
     assert found
     assert [(name, module) for name, module in sorted(found)
             if module.split(".")[0] not in _ALLOWED_IMPORTS] == []
+
+
+def _unused_imports(path):
+    """Names that a module imports (from __future__ aside) and never
+    reads."""
+    tree = ast.parse(path.read_text(), str(path))
+    imported = {}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            if getattr(node, "module", None) == "__future__":
+                continue
+            for alias in node.names:
+                name = alias.asname or alias.name.split(".")[0]
+                imported[name] = node.lineno
+    used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return sorted(f"{path.name}:{line} {name}"
+                  for name, line in imported.items() if name not in used)
+
+
+def test_no_unused_imports():
+    # with no linter at hand, an ast pass: every name imported by a module
+    # of the package or a script is read somewhere in it
+    paths = [*(ROOT / "src" / "stochdyn").glob("*.py"),
+             *SCRIPTS.glob("*.py")]
+    assert len(paths) > 3
+    assert [hit for path in paths for hit in _unused_imports(path)] == []
 
 
 def test_traced_layers_import():

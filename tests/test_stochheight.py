@@ -1,4 +1,5 @@
 import math
+from dataclasses import asdict
 from fractions import Fraction
 
 import numpy as np
@@ -15,7 +16,6 @@ from stochdyn.heights import arch_sides, l1_height_control_total, weil_height
 from stochdyn import stochheight
 from stochdyn.stochheight import (
     Lifts,
-    WordCapExceeded,
     _apply,
     _point_lifts,
     _sampled_tail,
@@ -24,7 +24,6 @@ from stochdyn.stochheight import (
     escape_walk,
     scaling_residual,
     stoch_height,
-    stoch_height_exact,
     tail_budget,
     weil_comparison_residual,
 )
@@ -66,6 +65,11 @@ def sampled(system, alpha, depth, seed, tol=1.0):
                       tail_budget(system), tol, 0, seed, depth=depth)
 
 
+def every_word(system, alpha, n):
+    """stoch_height over every word of length n: tol inf at depth n."""
+    return stoch_height(system, alpha, math.inf, depth=n)
+
+
 def mixed_system():
     return make_system(
         [make_map([0, 0, 2], [1]), make_map([0, 0, 0, 1], [1])],
@@ -75,7 +79,7 @@ def mixed_system():
 
 def test_exact_alpha_one_closed_form(dyadic):
     for n in range(1, 13):
-        est = stoch_height_exact(dyadic, ONE, n)
+        est = every_word(dyadic, ONE, n)
         want = (1 - 0.5**n) * LOG2 / 2
         assert est.value == pytest.approx(want, rel=1e-12)
         assert est.stderr == 0.0
@@ -84,14 +88,14 @@ def test_exact_alpha_one_closed_form(dyadic):
 
 def test_exact_alpha_two_closed_form(dyadic):
     for n in range(1, 13):
-        est = stoch_height_exact(dyadic, TWO, n)
+        est = every_word(dyadic, TWO, n)
         want = (1.5 - 0.5 ** (n + 1)) * LOG2
         assert est.value == pytest.approx(want, rel=1e-12)
 
 
 def test_exact_fixed_points(dyadic):
-    assert stoch_height_exact(dyadic, ZERO, 6).value == 0.0
-    assert stoch_height_exact(dyadic, INFINITY, 6).value == 0.0
+    assert every_word(dyadic, ZERO, 6).value == 0.0
+    assert every_word(dyadic, INFINITY, 6).value == 0.0
 
 
 def test_exact_matches_word_enumeration(dyadic):
@@ -104,14 +108,30 @@ def test_exact_matches_word_enumeration(dyadic):
             for i in w.indices:
                 pt = eval_map(system.maps[i], pt)
             brute += float(w.weight) * weil_height(pt) / w.degree
-        est = stoch_height_exact(system, alpha, n)
+        est = every_word(system, alpha, n)
         assert est.value == pytest.approx(brute, rel=1e-12)
 
 
-def test_exact_word_cap(dyadic, monkeypatch):
-    monkeypatch.setattr(stochheight, "WORD_CAP_DEFAULT", 100)
-    with pytest.raises(WordCapExceeded):
-        stoch_height_exact(dyadic, ONE, 10)
+def test_accuracy_is_checked_up_front(dyadic):
+    # TailBudget.depth refuses a depth below 1 before any walk starts, at
+    # a finite tol and at tol inf alike
+    for depth in (0, -1):
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            stoch_height(dyadic, TWO, 1e-3, depth=depth)
+        with pytest.raises(ValueError, match="depth must be at least 1"):
+            every_word(dyadic, ProjPointQ(3, 2), depth)
+    for tol in (0.0, -1.0, math.nan):
+        with pytest.raises(ValueError, match="tol must be positive"):
+            stoch_height(dyadic, ONE, tol)
+    with pytest.raises(ValueError, match="leaves tail"):
+        stoch_height(dyadic, ONE, 1e-3, depth=3)
+
+
+def test_huge_tol_matches_inf(dyadic):
+    # a finite tol past the square root of the float range gives the same
+    # depth-1 estimate as tol inf, without sizing any tails
+    huge, inf = (stoch_height(dyadic, ONE, tol) for tol in (1e300, math.inf))
+    assert asdict(huge) == asdict(inf) and huge.depth == 1
 
 
 def test_stoch_height_three_halves_is_log3(dyadic):
@@ -160,7 +180,7 @@ def test_mc_deterministic(dyadic):
 
 
 def test_mc_consistency_rate(dyadic):
-    exact = stoch_height_exact(dyadic, ONE, 5).value
+    exact = every_word(dyadic, ONE, 5).value
     misses = 0
     for seed in range(40):
         mc = sampled(dyadic, ONE, 5, seed)
@@ -223,9 +243,9 @@ def test_monotone_refinement(dyadic):
         c = l1_height_control_total(system)
         delta = float(stochastic_degree(system))
         for alpha in (ONE, TWO, ProjPointQ(1, 2)):
-            prev = stoch_height_exact(system, alpha, 1).value
+            prev = every_word(system, alpha, 1).value
             for n in range(2, 6):
-                cur = stoch_height_exact(system, alpha, n).value
+                cur = every_word(system, alpha, n).value
                 assert abs(cur - prev) <= c * delta ** (2 - n) + 1e-12
                 prev = cur
 
@@ -253,7 +273,7 @@ def test_arch_term_within_sides(phi, seed):
 @given(small_maps(), small_maps(), st.integers(1, 3))
 def test_exact_nonnegative(phi1, phi2, n):
     system = make_system([phi1, phi2], [Fraction(1, 2), Fraction(1, 2)])
-    est = stoch_height_exact(system, ONE, n)
+    est = every_word(system, ONE, n)
     assert est.value >= 0.0
 
 
@@ -265,7 +285,7 @@ def test_kernel_matches_dp_oracle(phi1, phi2, n, alpha):
     # coefficients in [-5, 5] give resultants with bad primes 2, 3, 5 and
     # more, so the p-adic terms of the kernel are exercised at odd primes
     system = make_system([phi1, phi2], [Fraction(1, 3), Fraction(2, 3)])
-    est = stoch_height_exact(system, alpha, n)
+    est = every_word(system, alpha, n)
     assert est.value == pytest.approx(dp_oracle(system, alpha, n),
                                       rel=1e-12, abs=1e-12)
 
