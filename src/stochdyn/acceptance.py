@@ -246,7 +246,7 @@ def _c11_radii(ctx):
     unit_err = max(abs(u_in - 1.0), abs(u_out - 1.0))
     ok = rel_in <= 0.01 and rel_out <= 0.01 and unit_err <= 1e-9
     return ok, (f"example ({r_in:.4f}, {r_out:.4f}) rel errs "
-                f"{rel_in:.4f}/{rel_out:.4f} (<=0.01); unit system err "
+                f"{rel_in:.1e}/{rel_out:.1e} (<=0.01); unit system err "
                 f"{unit_err:.1e}")
 
 

@@ -23,10 +23,22 @@ anchoring matters: for systems with unbalanced leading coefficients the
 raw escape sum carries a constant drift (for {z^2 (1/2), 2 z^2 (1/2)} it
 is (log 2)/2) that would otherwise pollute every value.
 
-The potential of the canonical measure is p(z) = g_S(z) + log+|z|, and
-the canonical measure itself is sampled by pulling the uniform unit
-circle backward n steps, choosing a preimage with probability
-multiplicity/degree at each step.
+The potential of the canonical measure rho is p(z) = g_S(z) + log+|z|,
+and rho itself is sampled by pulling the uniform unit circle backward n
+steps, choosing a preimage with probability multiplicity/degree at each
+step.
+
+A monomial-shaped system's rho is rotation invariant, and the law of its
+log-radius T is the stationary law of the system's affine IFS
+(`radial_law`).  Jensen's formula then reads p, and so g_S, off that law:
+
+    p(e^s) = E max(s, T),   p(0) = E T,   (rho, rho) = -E max(T, T'),
+
+with T' an independent copy of T.  Both sides are 1-Lipschitz in T, so
+the law's W1 bound eps = h / (2 (1 - kappa)) + kappa^64 (hi - lo) (see
+`ifs.stationary_law`) bounds every such g_S value, and 2 eps the
+self-energy.  `equidist` scores against that law and `radii` reads its
+Green's function and self-energy off it; other systems are sampled.
 """
 
 from __future__ import annotations
@@ -110,6 +122,17 @@ def gS_eval(system: StochasticSystem, z: Union[complex, ProjPointQ],
                    stderr=float(est.stderr[0]))
 
 
+def radial_law(system: StochasticSystem) -> Optional[StationaryLaw]:
+    """The law of log|w| under the canonical measure of a monomial-shaped
+    system: the stationary law of its affine IFS at infinity, within W1
+    distance law.error = h / (2 (1 - kappa)) + kappa^64 (hi - lo) of the
+    truth (h the grid step, kappa = sum nu_i / d_i), or 3x the fixed
+    points' spread for an atom.  None for any other system.  The one place
+    that decides which systems are read through their law."""
+    ifs = affine_ifs(system)
+    return None if ifs is None else stationary_law(ifs)
+
+
 def canonical_sample(system: StochasticSystem, n: int, samples: int,
                      seed: int) -> OrbitSampleBatch:
     """Draws from the depth-n approximation of the canonical measure.
@@ -189,11 +212,10 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
 
     # a monomial-shaped system's radial step is the affine contraction of
     # its IFS, and the preimage choice does not affect the radius
-    ifs = affine_ifs(system)
-    law = None if ifs is None else stationary_law(ifs)
+    law = radial_law(system)
     if law is not None:
         ks_rad = ks_to_law(batch.log_abs, law, n)
-        refname = "atom" if law.atom is not None else "stationary-cdf"
+        refname = law.kind
     else:
         ref_batch = canonical_sample(system, n, 4 * samples, seed + 1)
         ks_rad = ks_two_sample(batch.log_abs, ref_batch.log_abs)
@@ -246,43 +268,74 @@ _PROBE_SHELLS = 64
 _PROBE_ANGLES = 64
 
 
+def _probe_radii() -> np.ndarray:
+    # per call, not at import: numpy sets up state on its first call, and
+    # doing that at import raised every command's peak RSS (by ~0.07 MB)
+    return np.geomspace(1e-2, 1e2, _PROBE_SHELLS)
+
+
 def _radii_probes() -> list:
-    rs = np.geomspace(1e-2, 1e2, _PROBE_SHELLS)
     probes = [0.0 + 0.0j, math.inf]
-    for r in rs:
+    for r in _probe_radii():
         for k in range(_PROBE_ANGLES):
             probes.append(r * np.exp(2j * np.pi * k / _PROBE_ANGLES))
     return probes
 
 
-def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
-    """(rho, rho) = -E_{w ~ rho}[p(w)] estimated by canonical sampling,
-    with g_S to within tol.
-
-    Uses _ENERGY_DRAWS draws: the radii depend on this number through
-    exp(energy/2), so its Monte Carlo error has to sit well inside a
-    one-percent radius budget.
-    """
+def _sampled_potentials(system: StochasticSystem, tol: float) -> np.ndarray:
+    """p = g_S + log+|w| at _ENERGY_DRAWS canonical draws, with g_S to
+    within tol: the Monte Carlo route to (rho, rho) for systems without
+    an IFS law."""
     depth = green_budget(system).depth(tol)
     batch = canonical_sample(system, depth + 10, _ENERGY_DRAWS, _RADII_SEED)
     g = gS_eval_many(system, batch.points, tol)
-    p = g + np.maximum(batch.log_abs, 0.0)
-    return float(-np.mean(p))
+    return g + np.maximum(batch.log_abs, 0.0)
+
+
+def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
+    """(rho, rho) = -E_{w ~ rho}[p(w)].
+
+    With an IFS law (`radial_law`) it is -E max(T, T') = -(hi - int F^2)
+    by Jensen's formula, exact over the piecewise-linear CDF F, within
+    2 eps (eps = h / (2 (1 - kappa)) + kappa^64 (hi - lo)), and -t for an
+    atom t; tol is only checked, as every tol is.  Otherwise it is a mean
+    over _ENERGY_DRAWS canonical draws with g_S to within tol: the radii
+    depend on it through exp(energy/2), so its Monte Carlo error has to sit
+    well inside a one-percent radius budget.
+    """
+    law = radial_law(system)
+    if law is not None:
+        green_budget(system).depth(tol)  # refuses a tol that is not positive
+        return 0.0 - law.mean_max_pair()  # 0.0, not -0.0, for t = 0
+    return float(-np.mean(_sampled_potentials(system, tol)))
 
 
 def radii(system: StochasticSystem,
           tol: float = 1e-3) -> tuple[float, float, float]:
     """Inner and outer radii of the recentered Green's function, and the
-    self-energy that recenters it, with g_S to within tol.
+    self-energy that recenters it.
 
     With gt = g_S + (rho, rho)/2, returns (exp(-sup gt), exp(-inf gt),
-    (rho, rho)) over a probe grid of 64 shells x 64 angles plus {0,
-    infinity}.  The shift recenters by half the self-energy of the
-    canonical measure, so a single map c z^d with |c| != 1 gets the
-    symmetric pair of radii around its Julia circle.
+    (rho, rho)) over 64 shells |z| in [1e-2, 1e2] plus {0, infinity}.  The
+    shift recenters by half the self-energy of the canonical measure, so a
+    single map c z^d with |c| != 1 gets the symmetric pair of radii around
+    its Julia circle.
+
+    With an IFS law g_S is radial, so one angle per shell serves:
+    g(e^s) = E max(s, T) - s^+, g(0) = E T and g(infinity) = 0, each within
+    eps = h / (2 (1 - kappa)) + kappa^64 (hi - lo) of the truth and with
+    no walk and no escape sum, so the radii are within a relative
+    exp(2 eps) - 1 and the cost does not depend on tol.  Other systems
+    evaluate g_S to within tol by escape sums at 64 angles per shell.
     """
     energy = rho_self_energy(system, tol)
-    g = gS_eval_many(system, _radii_probes(), tol)
+    law = radial_law(system)
+    if law is not None:
+        s = np.log(_probe_radii())
+        g = np.concatenate([[law.mean(), 0.0],
+                            law.mean_max(s) - np.maximum(s, 0.0)])
+    else:
+        g = gS_eval_many(system, _radii_probes(), tol)
     gt = g + 0.5 * energy
     return float(np.exp(-np.max(gt))), float(np.exp(-np.min(gt))), energy
 

@@ -25,7 +25,13 @@ from typing import Callable
 import numpy as np
 
 from . import __version__
-from .archpotential import equidist, gS_eval, radii, write_equidist_csv
+from .archpotential import (
+    equidist,
+    gS_eval,
+    radial_law,
+    radii,
+    write_equidist_csv,
+)
 from .dynsys import (
     ExceptionalStart,
     StochasticSystem,
@@ -261,7 +267,10 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
 def cmd_radii(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     r_in, r_out, energy = radii(system, cfg.tol)
-    payload = {"r_in": r_in, "r_out": r_out, "self_energy": energy}
+    law = radial_law(system)
+    payload = {"r_in": r_in, "r_out": r_out, "self_energy": energy,
+               "reference": "sampled" if law is None else law.kind,
+               "grid_error": None if law is None else law.error}
     _emit(payload, cfg, args.seed, out)
     return 0
 

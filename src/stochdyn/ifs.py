@@ -117,17 +117,62 @@ def affine_ifs(system: StochasticSystem, place: PlaceQ = ARCH
 
 @dataclass(frozen=True, eq=False)
 class StationaryLaw:
-    """A single atom, or a CDF given on a uniform grid."""
+    """A single atom, or a CDF given on a uniform grid [lo, hi] and linear
+    between its nodes (0 below lo, 1 above hi); error bounds its W1
+    distance to the law it stands for."""
 
     atom: Union[float, Fraction, None] = None  # Fraction at a prime
     grid: Optional[np.ndarray] = None
     cdf: Optional[np.ndarray] = None
+    error: float = 0.0
+
+    @property
+    def kind(self) -> str:
+        """The law's name in records: "atom" or "stationary-cdf"."""
+        return "atom" if self.atom is not None else "stationary-cdf"
 
     def cdf_at(self, x) -> np.ndarray:
         x = np.asarray(x, dtype=float)
         if self.atom is not None:
             return (x >= float(self.atom)).astype(float)
         return np.interp(x, self.grid, self.cdf, left=0.0, right=1.0)
+
+    @cached_property
+    def _integrals(self) -> tuple:
+        # int_lo^x F at each node, and int_lo^hi F^2, both exact on the
+        # linear cells
+        a, b = self.cdf[:-1], self.cdf[1:]
+        h = np.diff(self.grid)
+        cum = np.concatenate([[0.0], np.cumsum(h * (a + b) / 2.0)])
+        return cum, float(np.sum(h * (a * a + a * b + b * b) / 3.0))
+
+    def mean(self) -> float:
+        """E T = hi - int_lo^hi F."""
+        if self.atom is not None:
+            return float(self.atom)
+        return float(self.grid[-1] - self._integrals[0][-1])
+
+    def mean_max(self, s) -> np.ndarray:
+        """E max(s, T) = max(s, hi) - int_min(s, hi)^hi F at each finite s
+        (F vanishes below lo)."""
+        s = np.asarray(s, dtype=float)
+        if self.atom is not None:
+            return np.maximum(s, float(self.atom))
+        grid, f = self.grid, self.cdf
+        cum = self._integrals[0]
+        x = np.clip(s, grid[0], grid[-1])
+        k = np.clip(np.searchsorted(grid, x, side="right") - 1, 0,
+                    len(grid) - 2)
+        dx = x - grid[k]
+        slope = (f[k + 1] - f[k]) / (grid[k + 1] - grid[k])
+        below = cum[k] + dx * f[k] + 0.5 * slope * dx * dx  # int_lo^x F
+        return np.maximum(s, grid[-1]) - (cum[-1] - below)
+
+    def mean_max_pair(self) -> float:
+        """E max(T, T') = hi - int_lo^hi F^2, T' an independent copy."""
+        if self.atom is not None:
+            return float(self.atom)
+        return float(self.grid[-1] - self._integrals[1])
 
 
 def stationary_law(ifs: AffineIFS) -> StationaryLaw:
@@ -137,11 +182,23 @@ def stationary_law(ifs: AffineIFS) -> StationaryLaw:
     then until every backward map sends it into itself; the CDF equation
     is iterated on it from F = 1{x >= 0}, the law of a start at x = 0,
     until the transient is below grid resolution.
+
+    The error is a W1 bound.  Each iteration's linear interpolation moves
+    the law at most h/2 (h the grid step), and one backward step contracts
+    W1 by kappa = sum_i nu_i / d_i <= 1/2, so after the 64 iterations
+
+        error = h / (2 (1 - kappa)) + kappa^64 (hi - lo).
+
+    An atom stands for fixed points spread over at most _ATOM_TOL; every
+    point of the true support lies within 3 spreads of the first one (a
+    step halves its distance to its map's fixed point at worst), which is
+    its error.
     """
     fps = [s / (d + 1) if inv else -s / (d - 1)
            for s, d, inv in zip(ifs.shifts, ifs.degrees, ifs.inverted)]
-    if max(fps) - min(fps) <= _ATOM_TOL:
-        return StationaryLaw(atom=fps[0])
+    spread = max(fps) - min(fps)
+    if spread <= _ATOM_TOL:
+        return StationaryLaw(atom=fps[0], error=3.0 * float(spread))
     anchors = [0.0] + [float(f) for f in fps]
     lo, hi = min(anchors) - 1.0, max(anchors) + 1.0
     m = len(ifs.shifts)
@@ -167,7 +224,10 @@ def stationary_law(ifs: AffineIFS) -> StationaryLaw:
                 q = np.interp(d * grid + s, grid, f, left=0.0, right=1.0)
                 nxt += prob * q
         f = nxt
-    return StationaryLaw(grid=grid, cdf=f)
+    kappa = float(np.sum(ifs.probs / ifs.arrays[1]))
+    step = (hi - lo) / (_GRID_SIZE - 1)
+    error = step / (2.0 * (1.0 - kappa)) + kappa ** _CDF_ITERS * (hi - lo)
+    return StationaryLaw(grid=grid, cdf=f, error=error)
 
 
 # ---------------------------------------------------------------------------

@@ -5,6 +5,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 import scipy.stats
+from hypothesis import given, settings, strategies as st
 
 from stochdyn import archpotential
 from stochdyn.archpotential import (
@@ -14,6 +15,7 @@ from stochdyn.archpotential import (
     gS_eval,
     gS_eval_many,
     pullback_invariance_residual,
+    radial_law,
     radii,
     rho_self_energy,
     write_equidist_csv,
@@ -32,7 +34,6 @@ from stochdyn.ifs import (
     ks_one_sample,
     ks_to_law,
     ks_two_sample,
-    stationary_law,
 )
 from stochdyn.stochheight import green_budget, tail_budget
 
@@ -44,11 +45,6 @@ HALF = Fraction(1, 2)
 @pytest.fixture(scope="module")
 def two_z2():
     return make_system([make_map([0, 0, 2], [1])], [ONE])
-
-
-def radial_law(system):
-    """The stationary law of log|w| that equidist scores against."""
-    return stationary_law(affine_ifs(system))
 
 
 def test_auto_depth_resolution(dyadic, single_z2):
@@ -183,6 +179,9 @@ def test_green_accuracy_is_checked_up_front(dyadic):
     for tol in (0.0, -1.0, math.nan):
         with pytest.raises(ValueError, match="tol must be positive"):
             gS_eval_many(dyadic, [0.5], tol=tol)
+        # the IFS law path uses no tol, but refuses a bad one all the same
+        with pytest.raises(ValueError, match="tol must be positive"):
+            radii(dyadic, tol)
     # an explicit depth must meet the tail bound of tol
     with pytest.raises(ValueError, match="leaves tail"):
         gS_eval_many(dyadic, [0.5], tol=1e-3, depth=2)
@@ -339,6 +338,87 @@ def test_radii_oracles(dyadic, single_z2, two_z2):
     r_in, r_out, _ = radii(two_z2)
     assert r_in == pytest.approx(2.0 ** (-1 / 2), rel=0.01)
     assert r_out == pytest.approx(2.0 ** (1 / 2), rel=0.01)
+
+
+def test_law_closed_forms(dyadic, single_z2, two_z2):
+    # Jensen's formula on the IFS law: g within eps = law.error, the
+    # self-energy within 2 eps, each radius within a relative exp(2 eps) - 1
+    eps = radial_law(dyadic).error
+    assert 0.0 < eps < 1e-3
+    r_in, r_out, energy = radii(dyadic)
+    assert abs(energy - LOG2 / 3) <= 2.0 * eps
+    assert abs(r_in / 2.0 ** (-1 / 6) - 1.0) <= math.expm1(2.0 * eps)
+    assert abs(r_out / 2.0 ** (1 / 3) - 1.0) <= math.expm1(2.0 * eps)
+    # atoms: (rho, rho) = -t, exactly up to the rounding of log|a|
+    four_z2 = make_system([make_map([0, 0, 4], [1])], [ONE])
+    assert rho_self_energy(two_z2) == pytest.approx(LOG2, rel=0, abs=1e-15)
+    assert rho_self_energy(four_z2) == pytest.approx(2 * LOG2, rel=0,
+                                                     abs=1e-15)
+    assert radii(single_z2) == (1.0, 1.0, 0.0)
+    assert radial_law(single_z2).error == 0.0
+
+
+@st.composite
+def monomial_systems(draw):
+    """1-3 maps a z^(+-d), a = +-p/q with p, q <= 5 and d in [2, 4]."""
+    maps = []
+    for _ in range(draw(st.integers(1, 3))):
+        a = Fraction(draw(st.integers(-5, 5).filter(bool)),
+                     draw(st.integers(1, 5)))
+        d = draw(st.integers(2, 4))
+        if draw(st.booleans()):
+            maps.append(make_map([a.numerator], [0] * d + [a.denominator]))
+        else:
+            maps.append(make_map([0] * d + [a.numerator], [a.denominator]))
+    return make_system(maps, [Fraction(1, len(maps))] * len(maps))
+
+
+def enumerated_depth(system, words):
+    """The largest depth at most 12 whose word count is at most words."""
+    n = 1
+    while n < 12 and len(system.maps) ** (n + 1) <= words:
+        n += 1
+    return n
+
+
+@settings(max_examples=15, deadline=None)
+@given(monomial_systems())
+def test_law_matches_escape_sums(system):
+    law = radial_law(system)
+    eps = law.error
+    # g at 8 shells x 4 angles against escape sums that enumerate every
+    # word, within eps + the Green tail bound at that depth (+ 1e-12 for
+    # the rounding of logs, as the tail bound can be tight)
+    budget = green_budget(system)
+    n = enumerated_depth(system, 1 << 15)
+    s = np.linspace(-3.0, 3.0, 8)
+    zs = (np.exp(s)[:, None] * np.exp(0.5j * np.pi * np.arange(4))).ravel()
+    want = np.repeat(law.mean_max(s) - np.maximum(s, 0.0), 4)
+    got = gS_eval_many(system, zs, 10.0, depth=n)
+    assert np.max(np.abs(got - want)) <= eps + budget.bound(n) + 1e-12
+    # (rho, rho) against the Monte Carlo estimator on the same system,
+    # within 2 eps + the Green bound + 4 standard errors of its mean; a
+    # zero-width budget (every |a| = 1) needs depth 1 at any tol
+    tol = max(budget.bound(enumerated_depth(system, 1 << 9)), 1e-12)
+    p = archpotential._sampled_potentials(system, tol)
+    stderr = np.std(p) / math.sqrt(len(p))
+    assert abs(rho_self_energy(system) + np.mean(p)) <= (
+        2.0 * eps + tol + 4.0 * stderr + 1e-12)
+
+
+def test_law_path_walks_nothing(monkeypatch, dyadic, signed, two_z2, mixed):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the law path sampled")
+
+    monkeypatch.setattr(archpotential, "canonical_sample", refuse)
+    monkeypatch.setattr(archpotential, "gS_eval_many", refuse)
+    for system in (dyadic, signed, two_z2):
+        assert math.isfinite(rho_self_energy(system))
+        assert all(map(math.isfinite, radii(system)))
+    with pytest.raises(AssertionError, match="sampled"):
+        radii(mixed)
+    with pytest.raises(AssertionError, match="sampled"):
+        rho_self_energy(mixed)
 
 
 def test_radial_cdf_csv(dyadic):

@@ -368,7 +368,26 @@ def test_radii_command(capsys, example_config):
     assert code == 0, err
     record = json.loads(out)
     assert (record["r_in"], record["r_out"], record["self_energy"]) == (
-        0.8909257043236712, 1.2591066343733592, 0.23098847917093446)
+        0.8908987874237851, 1.259921147876462, 0.23104890465057726)
+    assert record["reference"] == "stationary-cdf"
+    # read off the IFS law, g_S is within eps = grid_error everywhere and
+    # the self-energy within 2 eps, so each radius exp(-g - energy/2) is
+    # within a relative exp(2 eps) - 1 of its closed form
+    eps = record["grid_error"]
+    assert 0.0 < eps < 1e-3
+    assert abs(record["self_energy"] - math.log(2.0) / 3.0) <= 2.0 * eps
+    rel = math.expm1(2.0 * eps)
+    assert abs(record["r_in"] / 2 ** (-1 / 6) - 1.0) <= rel
+    assert abs(record["r_out"] / 2 ** (1 / 3) - 1.0) <= rel
+
+
+def test_radii_sampled_record(capsys):
+    # a system with a non-monomial map has no IFS law: sampled, no grid error
+    code, out, err = run_cli(capsys, "radii", "--config", str(GENERAL_CONFIG))
+    assert code == 0, err
+    record = _strict_json(out)
+    assert record["reference"] == "sampled"
+    assert record["grid_error"] is None
 
 
 def test_equidist_byte_identical(capsys, example_config):

@@ -169,6 +169,35 @@ def test_ks_to_law_matches_grid_oracle_on_any_law(steps, lo, width, xs):
     assert ks_to_law(xs, law, 30) == ks_vs_grid_cdf(xs, grid, cdf)
 
 
+def test_law_expectations_exact_on_linear_cdf():
+    # uniform on [0, 1] is linear on the cells of this grid: E T = 1/2,
+    # E max(s, T) = (1 + s^2)/2 on [0, 1], E max(T, T') = 2/3
+    grid = np.linspace(-0.5, 1.5, 9)
+    law = StationaryLaw(grid=grid, cdf=np.clip(grid, 0.0, 1.0))
+    assert law.mean() == pytest.approx(0.5, rel=0, abs=1e-15)
+    s = np.array([-3.0, -0.5, 0.0, 0.3, 0.6, 1.0, 1.5, 4.0])
+    want = np.where(s < 0, 0.5, np.where(s > 1, s, (1.0 + s * s) / 2.0))
+    assert np.max(np.abs(law.mean_max(s) - want)) <= 1e-15
+    assert law.mean_max_pair() == pytest.approx(2 / 3, rel=0, abs=1e-15)
+    atom = StationaryLaw(atom=-0.25)
+    assert (atom.mean(), atom.mean_max_pair()) == (-0.25, -0.25)
+    assert atom.mean_max(s).tolist() == np.maximum(s, -0.25).tolist()
+    assert (law.kind, atom.kind) == ("stationary-cdf", "atom")
+
+
+def test_grid_law_error_bounds_w1(dyadic):
+    # the dyadic law is uniform on [-log 2, 0]; the W1 distance of the
+    # grid law to it is int |F - F_exact| (fine trapezoid), at most error
+    law = stationary_law(affine_ifs(dyadic))
+    h = law.grid[1] - law.grid[0]
+    # kappa = 1/2: error = h + 2^-64 (hi - lo)
+    assert law.error == pytest.approx(h, rel=1e-9)
+    x = np.linspace(law.grid[0], law.grid[-1], 400001)
+    gap = np.abs(law.cdf_at(x) - np.clip(1.0 + x / np.log(2.0), 0.0, 1.0))
+    w1 = np.sum((gap[1:] + gap[:-1]) / 2.0) * (x[1] - x[0])
+    assert w1 <= law.error
+
+
 _BLOCK_SIZES = [1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
 
 
