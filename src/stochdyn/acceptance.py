@@ -237,13 +237,14 @@ def _c10_green_spot_values(ctx):
 
 
 def _c11_radii(ctx):
-    r_in, r_out, _ = radii(ctx["system"])
+    res = radii(ctx["system"])
+    r_in, r_out = res.r_in, res.r_out
     want_in, want_out = 2.0 ** (-1 / 6), 2.0 ** (1 / 3)
     rel_in = abs(r_in / want_in - 1.0)
     rel_out = abs(r_out / want_out - 1.0)
     one = make_system([make_map([0, 0, 1], [1])], [Fraction(1)])
-    u_in, u_out, _ = radii(one)
-    unit_err = max(abs(u_in - 1.0), abs(u_out - 1.0))
+    unit = radii(one)
+    unit_err = max(abs(unit.r_in - 1.0), abs(unit.r_out - 1.0))
     ok = rel_in <= 0.01 and rel_out <= 0.01 and unit_err <= 1e-9
     return ok, (f"example ({r_in:.4f}, {r_out:.4f}) rel errs "
                 f"{rel_in:.1e}/{rel_out:.1e} (<=0.01); unit system err "

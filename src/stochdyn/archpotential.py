@@ -292,6 +292,15 @@ def _sampled_potentials(system: StochasticSystem, tol: float) -> np.ndarray:
     return g + np.maximum(batch.log_abs, 0.0)
 
 
+def _self_energy(system: StochasticSystem, law: Optional[StationaryLaw],
+                 tol: float) -> float:
+    # the law is radial_law(system), passed so that radii builds it once
+    if law is not None:
+        green_budget(system).depth(tol)  # refuses a tol that is not positive
+        return 0.0 - law.mean_max_pair()  # 0.0, not -0.0, for t = 0
+    return float(-np.mean(_sampled_potentials(system, tol)))
+
+
 def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
     """(rho, rho) = -E_{w ~ rho}[p(w)].
 
@@ -303,23 +312,32 @@ def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
     depend on it through exp(energy/2), so its Monte Carlo error has to sit
     well inside a one-percent radius budget.
     """
-    law = radial_law(system)
-    if law is not None:
-        green_budget(system).depth(tol)  # refuses a tol that is not positive
-        return 0.0 - law.mean_max_pair()  # 0.0, not -0.0, for t = 0
-    return float(-np.mean(_sampled_potentials(system, tol)))
+    return _self_energy(system, radial_law(system), tol)
 
 
-def radii(system: StochasticSystem,
-          tol: float = 1e-3) -> tuple[float, float, float]:
-    """Inner and outer radii of the recentered Green's function, and the
-    self-energy that recenters it.
+@dataclass(frozen=True)
+class RadiiResult:
+    """The radii record: the radii, the self-energy that recenters them,
+    the reference they were read off ("atom", "stationary-cdf" or
+    "sampled") and that law's W1 bound eps (None when sampled)."""
 
-    With gt = g_S + (rho, rho)/2, returns (exp(-sup gt), exp(-inf gt),
-    (rho, rho)) over 64 shells |z| in [1e-2, 1e2] plus {0, infinity}.  The
-    shift recenters by half the self-energy of the canonical measure, so a
-    single map c z^d with |c| != 1 gets the symmetric pair of radii around
-    its Julia circle.
+    r_in: float
+    r_out: float
+    self_energy: float
+    reference: str
+    grid_error: Optional[float]
+
+
+def radii(system: StochasticSystem, tol: float = 1e-3) -> RadiiResult:
+    """Inner and outer radii of the recentered Green's function, with the
+    self-energy that recenters it and the reference both came from: the
+    whole record the `radii` command prints, from one `radial_law` build.
+
+    With gt = g_S + (rho, rho)/2, r_in = exp(-sup gt) and
+    r_out = exp(-inf gt) over 64 shells |z| in [1e-2, 1e2] plus
+    {0, infinity}.  The shift recenters by half the self-energy of the
+    canonical measure, so a single map c z^d with |c| != 1 gets the
+    symmetric pair of radii around its Julia circle.
 
     With an IFS law g_S is radial, so one angle per shell serves:
     g(e^s) = E max(s, T) - s^+, g(0) = E T and g(infinity) = 0, each within
@@ -328,8 +346,8 @@ def radii(system: StochasticSystem,
     exp(2 eps) - 1 and the cost does not depend on tol.  Other systems
     evaluate g_S to within tol by escape sums at 64 angles per shell.
     """
-    energy = rho_self_energy(system, tol)
     law = radial_law(system)
+    energy = _self_energy(system, law, tol)
     if law is not None:
         s = np.log(_probe_radii())
         g = np.concatenate([[law.mean(), 0.0],
@@ -337,7 +355,9 @@ def radii(system: StochasticSystem,
     else:
         g = gS_eval_many(system, _radii_probes(), tol)
     gt = g + 0.5 * energy
-    return float(np.exp(-np.max(gt))), float(np.exp(-np.min(gt))), energy
+    return RadiiResult(float(np.exp(-np.max(gt))), float(np.exp(-np.min(gt))),
+                       energy, "sampled" if law is None else law.kind,
+                       None if law is None else law.error)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from . import __version__
 from .archpotential import (
     equidist,
     gS_eval,
-    radial_law,
     radii,
     write_equidist_csv,
 )
@@ -43,7 +42,6 @@ from .dynsys import (
     stochastic_degree,
 )
 from .exactnum import (
-    FactorizationTooLarge,
     ProjPointQ,
     StochdynError,
     log_abs_fraction,
@@ -163,17 +161,10 @@ def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
 def cmd_validate(cfg: SystemConfig, args, out) -> int:
     system = build_system(cfg)
     report = exceptional_report(system)
-    maps_out = []
-    for phi in system.maps:
-        entry = {"map": str(phi), "degree": phi.d, "resultant": phi.res}
-        try:
-            entry["bad_primes"] = sorted(bad_primes(phi))
-        except FactorizationTooLarge as exc:
-            entry["bad_primes"] = sorted(exc.partial_primes)
-            entry["bad_primes_incomplete"] = True
-        maps_out.append(entry)
     payload = {
-        "maps": maps_out,
+        "maps": [{"map": str(phi), "degree": phi.d, "resultant": phi.res,
+                  "bad_primes": sorted(bad_primes(phi))}
+                 for phi in system.maps],
         "probs": [str(p) for p in system.probs],
         "stochastic_degree": float(stochastic_degree(system)),
         "distortion_budget": l1_height_control_total(system),
@@ -265,13 +256,7 @@ def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
 
 
 def cmd_radii(cfg: SystemConfig, args, out) -> int:
-    system = build_system(cfg)
-    r_in, r_out, energy = radii(system, cfg.tol)
-    law = radial_law(system)
-    payload = {"r_in": r_in, "r_out": r_out, "self_energy": energy,
-               "reference": "sampled" if law is None else law.kind,
-               "grid_error": None if law is None else law.error}
-    _emit(payload, cfg, args.seed, out)
+    _emit(asdict(radii(build_system(cfg), cfg.tol)), cfg, args.seed, out)
     return 0
 
 

@@ -54,16 +54,7 @@ class ConvergenceFailure(StochdynError):
 
 
 class FactorizationTooLarge(StochdynError):
-    """Integer factorization exceeded its budget.
-
-    Carries partial_primes (primes found so far) and cofactor (the
-    remaining composite part).
-    """
-
-    def __init__(self, message, partial_primes=frozenset(), cofactor=1):
-        super().__init__(message)
-        self.partial_primes = set(partial_primes)
-        self.cofactor = cofactor
+    """Integer factorization exceeded its budget."""
 
 
 class ProjPointQ(NamedTuple):
@@ -684,8 +675,7 @@ def _strong_lucas(n: int) -> bool:
 def factor_integer(n: int):
     """Factor |n| into primes, {p: exponent}. Trial division up to
     TRIAL_BOUND plus a primality check on the remainder; raises
-    FactorizationTooLarge with the partial result when the cofactor stays
-    composite."""
+    FactorizationTooLarge when the cofactor stays composite."""
     if n == 0:
         raise ValueError("cannot factor 0")
     n = abs(n)
@@ -708,10 +698,7 @@ def factor_integer(n: int):
             out[n] = out.get(n, 0) + 1
         else:
             raise FactorizationTooLarge(
-                f"composite cofactor {n} above trial bound {TRIAL_BOUND}",
-                partial_primes=set(out),
-                cofactor=n,
-            )
+                f"composite cofactor {n} above trial bound {TRIAL_BOUND}")
     return out
 
 

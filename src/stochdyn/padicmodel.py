@@ -45,8 +45,6 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
     alpha = normalize_point(alpha.a, alpha.b)
     if is_exceptional_system(system, alpha):
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
-    if alpha.a == 0 or alpha.b == 0:
-        raise ValueError("start must have finite nonzero valuation")
     ifs = affine_ifs(system, place)
     if ifs is None:
         raise UnsupportedStructure(

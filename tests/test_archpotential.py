@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from stochdyn import archpotential
 from stochdyn.archpotential import (
     EquidistResult,
+    RadiiResult,
     canonical_sample,
     equidist,
     gS_eval,
@@ -324,37 +325,39 @@ def test_rho_self_energy(dyadic, single_z2, two_z2):
 
 
 def test_radii_oracles(dyadic, single_z2, two_z2):
-    r_in, r_out, energy = radii(single_z2)
-    assert energy == rho_self_energy(single_z2)
-    assert r_in == pytest.approx(1.0, abs=1e-9)
-    assert r_out == pytest.approx(1.0, abs=1e-9)
+    res = radii(single_z2)
+    assert res.self_energy == rho_self_energy(single_z2)
+    assert res.r_in == pytest.approx(1.0, abs=1e-9)
+    assert res.r_out == pytest.approx(1.0, abs=1e-9)
 
-    r_in, r_out, energy = radii(dyadic)
-    assert energy == rho_self_energy(dyadic)
-    assert r_in == pytest.approx(2.0 ** (-1 / 6), rel=0.01)
-    assert r_out == pytest.approx(2.0 ** (1 / 3), rel=0.01)
-    assert r_in <= r_out
+    res = radii(dyadic)
+    assert res.self_energy == rho_self_energy(dyadic)
+    assert res.r_in == pytest.approx(2.0 ** (-1 / 6), rel=0.01)
+    assert res.r_out == pytest.approx(2.0 ** (1 / 3), rel=0.01)
+    assert res.r_in <= res.r_out
 
-    r_in, r_out, _ = radii(two_z2)
-    assert r_in == pytest.approx(2.0 ** (-1 / 2), rel=0.01)
-    assert r_out == pytest.approx(2.0 ** (1 / 2), rel=0.01)
+    res = radii(two_z2)
+    assert res.r_in == pytest.approx(2.0 ** (-1 / 2), rel=0.01)
+    assert res.r_out == pytest.approx(2.0 ** (1 / 2), rel=0.01)
 
 
 def test_law_closed_forms(dyadic, single_z2, two_z2):
     # Jensen's formula on the IFS law: g within eps = law.error, the
     # self-energy within 2 eps, each radius within a relative exp(2 eps) - 1
-    eps = radial_law(dyadic).error
+    res = radii(dyadic)
+    eps = res.grid_error
+    assert eps == radial_law(dyadic).error
     assert 0.0 < eps < 1e-3
-    r_in, r_out, energy = radii(dyadic)
-    assert abs(energy - LOG2 / 3) <= 2.0 * eps
-    assert abs(r_in / 2.0 ** (-1 / 6) - 1.0) <= math.expm1(2.0 * eps)
-    assert abs(r_out / 2.0 ** (1 / 3) - 1.0) <= math.expm1(2.0 * eps)
+    assert res.reference == "stationary-cdf"
+    assert abs(res.self_energy - LOG2 / 3) <= 2.0 * eps
+    assert abs(res.r_in / 2.0 ** (-1 / 6) - 1.0) <= math.expm1(2.0 * eps)
+    assert abs(res.r_out / 2.0 ** (1 / 3) - 1.0) <= math.expm1(2.0 * eps)
     # atoms: (rho, rho) = -t, exactly up to the rounding of log|a|
     four_z2 = make_system([make_map([0, 0, 4], [1])], [ONE])
     assert rho_self_energy(two_z2) == pytest.approx(LOG2, rel=0, abs=1e-15)
     assert rho_self_energy(four_z2) == pytest.approx(2 * LOG2, rel=0,
                                                      abs=1e-15)
-    assert radii(single_z2) == (1.0, 1.0, 0.0)
+    assert radii(single_z2) == RadiiResult(1.0, 1.0, 0.0, "atom", 0.0)
     assert radial_law(single_z2).error == 0.0
 
 
@@ -414,7 +417,8 @@ def test_law_path_walks_nothing(monkeypatch, dyadic, signed, two_z2, mixed):
     monkeypatch.setattr(archpotential, "gS_eval_many", refuse)
     for system in (dyadic, signed, two_z2):
         assert math.isfinite(rho_self_energy(system))
-        assert all(map(math.isfinite, radii(system)))
+        res = radii(system)
+        assert all(map(math.isfinite, (res.r_in, res.r_out, res.self_energy)))
     with pytest.raises(AssertionError, match="sampled"):
         radii(mixed)
     with pytest.raises(AssertionError, match="sampled"):

@@ -118,6 +118,19 @@ def test_validate_general_distortion_budget(capsys):
     assert '"distortion_budget": 0.40433585532663474,' in out
 
 
+def test_validate_refuses_unfactored_resultant(capsys, tmp_path):
+    # z^2 / (1000003 * 1000033): the resultant's composite cofactor is
+    # above the trial bound, so validate prints no partial record
+    path = tmp_path / "big_den.json"
+    path.write_text(json.dumps({"maps": [
+        {"num_coeffs": [0, 0, 1], "den_coeffs": [1000003 * 1000033],
+         "prob": "1"}]}))
+    code, out, err = run_cli(capsys, "validate", "--config", str(path))
+    assert (code, out) == (3, "")
+    assert err == ("error: FactorizationTooLarge: composite cofactor "
+                   "1000072001494007128009801 above trial bound 1000000\n")
+
+
 def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
     code, _, err = run_cli(capsys, "validate", "--config",
                            str(tmp_path / "missing.json"))
@@ -507,10 +520,20 @@ def test_equidist_padic_out_draws_once(capsys, tmp_path, example_config,
     assert len(path.read_text().splitlines()) == 201
 
 
-@pytest.mark.parametrize("place", ["arch", "2"])
-def test_equidist_out_builds_law_once(capsys, tmp_path, example_config,
-                                      monkeypatch, place):
-    # the CSV's reference column is the stationary law that was scored
+@pytest.mark.parametrize("argv, builds", [
+    (("radii",), 1),
+    (("equidist", "1", "--place", "arch"), 1),
+    (("equidist", "1", "--place", "2"), 1),
+    (("validate",), 0),
+    (("stoch-height", "1"), 0),
+    (("orbit-sample", "1"), 0),
+    (("green-eval", "0"), 0),
+], ids=["radii", "equidist-arch", "equidist-2", "validate", "stoch-height",
+        "orbit-sample", "green-eval"])
+def test_law_builds_per_command(capsys, tmp_path, monkeypatch, argv, builds):
+    # each command builds the stationary law at most once: radii reads its
+    # whole record off one law, and the equidist CSV's reference column is
+    # the law that was scored
     calls = []
     build = stochdyn.ifs.stationary_law
 
@@ -519,11 +542,13 @@ def test_equidist_out_builds_law_once(capsys, tmp_path, example_config,
         return build(*args, **kwargs)
 
     monkeypatch.setattr(stochdyn.archpotential, "stationary_law", counted)
-    code, _, _ = run_cli(capsys, "equidist", "--config", example_config,
-                         "1", "--place", place, "--samples", "200",
-                         "--depth", "8", "--out", str(tmp_path / "cdf.csv"))
-    assert code == 0
-    assert len(calls) == 1
+    if argv[0] in ("equidist", "orbit-sample"):
+        argv += ("--samples", "200", "--depth", "8",
+                 "--out", str(tmp_path / "out.csv"))
+    code, _, err = run_cli(capsys, argv[0], "--config", str(REPO_CONFIG),
+                           *argv[1:])
+    assert code == 0, err
+    assert len(calls) == builds
 
 
 def _big_config(tmp_path, name, maps):

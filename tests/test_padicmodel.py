@@ -135,6 +135,18 @@ def test_equidist_guards(dyadic, shifted_quads):
                 equidist(dyadic, place, normalize_point(0, 1), n, samples, 0)
 
 
+def test_zero_and_infinity_starts(general, dyadic, signed):
+    # 0 and infinity are exceptional for every monomial-shaped system, so a
+    # system without valuation dynamics is the only one that reaches the
+    # walk from there, and it is refused as at any other start
+    for alpha in (normalize_point(0, 1), normalize_point(1, 0)):
+        with pytest.raises(UnsupportedStructure):
+            equidist(general, PlaceQ(2), alpha, 5, 10, 0)
+        for system in (dyadic, signed):
+            with pytest.raises(ExceptionalStart):
+                equidist(system, PlaceQ(2), alpha, 5, 10, 0)
+
+
 def test_depth_zero_is_the_start_atom(dyadic):
     # level 0 is v_p(alpha) itself, as orbits.backward_sample's is alpha
     for alpha, v in ((normalize_point(12, 1), 2.0), (normalize_point(3, 2), -1.0)):
