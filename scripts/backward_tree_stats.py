@@ -31,7 +31,7 @@ def _mean_log_abs(level):
     """The weighted mean of log|z| over the level: inf or -inf when
     infinity or 0 carries mass, nan when both do."""
     total = 0.0
-    for (log_r, _), w in zip(level.points, level.numerators):
+    for log_r, w in zip(level.points[:, 0].tolist(), level.numerators):
         total += w / level.denominator * log_r
     return total
 

@@ -127,7 +127,7 @@ def _c05_backward_height_decay(ctx):
         level = tree.levels[n]
         # atoms zeta * 2^q, q in [-1, 0], have h_S = log 2 * E|q + U| with U
         # uniform on [0, 1] (archimedean plus 2-adic escape)
-        q = np.array([log_r for log_r, _ in level.points]) / LOG2
+        q = level.points[:, 0] / LOG2
         if not np.all((q >= -1.0 - 1e-9) & (q <= 1e-9)):
             raise ValueError(f"level-{n} atom exponents leave [-1, 0]: {q}")
         heights = LOG2 * ((1.0 + q) ** 2 + q**2) / 2.0

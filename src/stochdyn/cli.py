@@ -122,6 +122,7 @@ def load_config(path: str) -> SystemConfig:
     tol = data.get("tol", 1e-3)
     _require(isinstance(tol, (int, float)) and not isinstance(tol, bool),
              "tol must be a number")
+    _require(seed >= 0, "seed must be nonnegative", InvariantViolation)
     _require(depth >= 0, "depth must be nonnegative", InvariantViolation)
     _require(samples >= 1, "samples must be positive", InvariantViolation)
     _require(tol > 0, "tol must be positive", InvariantViolation)
@@ -340,6 +341,7 @@ def _run(args) -> int:
     cfg = load_config(args.config)
     if args.seed is None:
         args.seed = cfg.seed
+    _require(args.seed >= 0, "seed must be nonnegative", InvariantViolation)
     if args.command == "equidist":
         try:
             p = None if args.place == "arch" else int(args.place)

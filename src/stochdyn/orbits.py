@@ -20,7 +20,9 @@ tree merges numerically coincident points by one rule, relative at every
 scale, and refuses a merge when the two carry distinct exact identities;
 any merge involving a point without an exact identity is counted as
 tolerance-driven so callers can see when output atoms rest on a numeric
-coincidence.  Each level is built from arrays of all of its edges: a
+coincidence.  A level holds its nodes as arrays, point rows and
+(parent, map, mult) edge rows grouped by node, beside lists of numerators
+and exact identities.  It is built from arrays of all of its edges: a
 numeric edge that no other edge can meet under the merge rule opens its
 own node at once, and only the other edges take the rule one by one, so
 the levels are those of the edge-by-edge rule.
@@ -124,11 +126,12 @@ def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w) -> None:
 
 @dataclass
 class TreeLevel:
-    points: list  # (log|z|, arg z); infinity is (+inf, 0) and 0 is (-inf, 0)
-    exact_points: list  # ProjPointQ or None, parallel to points
+    points: np.ndarray  # (nodes, 2) rows (log|z|, arg z); inf, 0: (+-inf, 0)
+    exact_points: list  # ProjPointQ or None, per node
     numerators: list  # int: weight k is numerators[k] / denominator
     denominator: int  # L^level, L from _edge_units
-    edges: list  # per node: list of (parent_idx, map_idx, mult)
+    edges: np.ndarray  # (edges, 3) int64 rows (parent_idx, map_idx, mult)
+    indptr: np.ndarray  # node k's edges are rows indptr[k]:indptr[k + 1]
     tolerance_merges: int
 
 
@@ -152,10 +155,17 @@ def _edge_units(system: StochasticSystem) -> tuple:
                  for phi, p in system]
 
 
-_INF_KEY = ("inf",)
-_ZERO_KEY = ("zero",)
-# cell rows past this are clipped in the array keys, which keeps the keys in
-# int64 and can only add contacts
+def _edge_sums(values, units, edges, indptr) -> np.ndarray:
+    """Per node, the sum over its edge rows (p, i, m) of
+    values[p] * units[i] * m, in Python ints (an object array)."""
+    parent, map_idx, mult = edges.T
+    terms = (np.asarray(values, dtype=object)[parent]
+             * np.asarray(units, dtype=object)[map_idx] * mult.astype(object))
+    return np.add.reduceat(terms, indptr[:-1])
+
+
+# cell rows past this are clipped in the keys, which keeps them in int64 and
+# can only add candidates
 _ROW_CLIP = float(2**34)
 
 
@@ -168,13 +178,14 @@ class _LevelBuilder:
     Nodes are filed under cells of (log|z|, arg z) three times as wide as
     the largest gap _close accepts, -log(1 - tol) in log|z| and asin(tol)
     in angle, so the 2 x 2 block of cells nearest a point holds every node
-    _close to it; infinity and 0 have a cell each.  build takes every
-    edge's cell and block from arrays, by the floating-point operations of
-    _cells.  A numeric edge whose block holds no other edge's cell, and
-    whose cell is in no other edge's block, can neither join a node nor be
-    joined: it opens its own node with no scan.  Every other edge (exact,
-    at 0 or infinity, or in contact) goes through add, the scalar rule, in
-    edge order; the nodes it meets are only those of such edges."""
+    _close to it; infinity and 0 have a cell each.  _keys gives every edge
+    its cell and block at once.  A numeric edge whose block holds no other
+    edge's cell, and whose cell is in no other edge's block, can neither
+    join a node nor be joined: it opens its own node with no scan.  Every
+    other edge (exact, at 0 or infinity, or in contact) goes through add,
+    the scalar rule, in edge order; the nodes it meets are only those of
+    such edges.  add only names each edge's node, and build then gives all
+    nodes their points, numerators and edge rows in one step."""
 
     def __init__(self):
         self.tol = DEFAULT_CLUSTER_TOL
@@ -183,29 +194,29 @@ class _LevelBuilder:
         # the nodes of the scalar rule, with the edge that opened each
         self.points = []
         self.exact = []
-        self.numerators = []
-        self.edges = []
         self.openers = []
         self.by_exact = {}
         self.cells = defaultdict(list)
         self.tolerance_merges = 0
 
-    def _cells(self, point):
-        """The cell of a point, and the block of cells nearest it: its own
-        and the next one toward its nearer edge, in each coordinate."""
-        log_r, theta = point
-        if log_r == math.inf:
-            return _INF_KEY, (_INF_KEY,)
-        if log_r == -math.inf:
-            return _ZERO_KEY, (_ZERO_KEY,)
-        x = log_r / self.log_cell
-        y = theta / (2.0 * math.pi) * self.arg_cells
-        r, a = math.floor(x), math.floor(y)
-        r2 = r + 1 if x - r >= 0.5 else r - 1
-        a2 = a + 1 if y - a >= 0.5 else a - 1
+    def _keys(self, log_r, theta):
+        """Per point, its cell and the block of cells nearest it, its own
+        and the next one toward its nearer edge in each coordinate, as
+        int64 keys.  A cell (r, a) is the key r * arg_cells + a, with r
+        clipped to +-_ROW_CLIP: clipped points share rows, so no contact is
+        lost.  Infinity and 0 take the largest and the smallest key, which
+        is also their whole block."""
         n = self.arg_cells
-        a, a2 = a % n, a2 % n
-        return (r, a), ((r, a), (r, a2), (r2, a), (r2, a2))
+        x = np.clip(log_r / self.log_cell, -_ROW_CLIP, _ROW_CLIP)
+        y = theta / (2.0 * math.pi) * n
+        r, a = np.floor(x), np.floor(y)
+        r2 = np.where(x - r >= 0.5, r + 1, r - 1).astype(np.int64) * n
+        a2 = np.where(y - a >= 0.5, a + 1, a - 1).astype(np.int64) % n
+        r, a = r.astype(np.int64) * n, a.astype(np.int64) % n
+        block = np.stack((r + a, r + a2, r2 + a, r2 + a2), axis=1)
+        ends = np.isinf(log_r)
+        block[ends] = np.where(log_r[ends] > 0, 2**63 - 1, -2**63)[:, None]
+        return block[:, 0], block
 
     def _close(self, p1, p2):
         """|z1 - z2| <= tol max(|z1|, |z2|), relative at every scale (an
@@ -218,52 +229,41 @@ class _LevelBuilder:
         return math.hypot(math.expm1(gap),
                           2.0 * math.exp(gap / 2.0) * s) <= self.tol
 
-    def _in_contact(self, log_r, theta):
-        """Per finite point, whether another point's cell is in its block
-        or its cell is in another point's block.  A cell (r, a) is the key
-        r * arg_cells + a, with r clipped to +-_ROW_CLIP: clipped points
-        share rows, so no contact is lost."""
-        n = self.arg_cells
-        x = np.clip(log_r / self.log_cell, -_ROW_CLIP, _ROW_CLIP)
-        y = theta / (2.0 * math.pi) * n
-        r, a = np.floor(x), np.floor(y)
-        r2 = np.where(x - r >= 0.5, r + 1, r - 1).astype(np.int64) * n
-        a2 = np.where(y - a >= 0.5, a + 1, a - 1).astype(np.int64) % n
-        r, a = r.astype(np.int64) * n, a.astype(np.int64) % n
-        keys, at, counts = np.unique(r + a, return_inverse=True,
+    def _in_contact(self, cell, block):
+        """Per edge, whether another edge's cell is in its block or its
+        cell is in another edge's block; infinity and 0, whose block is
+        their own cell, always are."""
+        keys, at, counts = np.unique(cell, return_inverse=True,
                                      return_counts=True)
         contact = counts[at] > 1
         in_block = np.zeros(len(keys), dtype=bool)
-        for other in (r + a2, r2 + a, r2 + a2):
+        for other in block[:, 1:].T:
             pos = np.minimum(np.searchsorted(keys, other), len(keys) - 1)
             hit = keys[pos] == other
             contact |= hit
             in_block[pos[hit]] = True
         return contact | in_block[at]
 
-    def add(self, opener, point, exact, numerator, edge):
-        """The scalar rule for edge number opener."""
+    def add(self, opener, point, exact, cell, block) -> int:
+        """The scalar rule for edge number opener: the number of the scalar
+        node it joins."""
         idx = self.by_exact.get(exact) if exact is not None else None
         if idx is None:
-            cell, block = self._cells(point)
             idx = self._find_mergeable(point, exact, block)
         if idx is None:
             idx = len(self.points)
             self.points.append(point)
             self.exact.append(exact)
-            self.numerators.append(0)
-            self.edges.append([])
             self.openers.append(opener)
             self.cells[cell].append(idx)
             if exact is not None:
                 self.by_exact[exact] = idx
-        self.numerators[idx] += numerator
-        self.edges[idx].append(edge)
+        return idx
 
     def _find_mergeable(self, point, exact, block):
         """The earliest node the point may join by tolerance, or None."""
         # every node in the cell of infinity or of 0 is the point itself
-        equal = block[0] is _INF_KEY or block[0] is _ZERO_KEY
+        equal = math.isinf(point[0])
         found = None
         for cell in block:
             for j in self.cells.get(cell, ()):
@@ -281,76 +281,77 @@ class _LevelBuilder:
             self.tolerance_merges += 1
         return found
 
-    def build(self, log_r, theta, exact, numerators, edges,
-              denominator) -> TreeLevel:
+    def build(self, log_r, theta, exact, edges, numerators, units,
+              denominator, spent=0) -> TreeLevel:
         """The level of the given edges, in order: their points as arrays
-        of log|z| and arg z, and per edge its exact identity or None, its
-        numerator and its (parent_idx, map_idx, mult)."""
-        points = list(zip(log_r.tolist(), theta.tolist()))
-        scalar = np.ones(len(points), dtype=bool)
-        finite = np.flatnonzero(np.isfinite(log_r))
-        if len(finite):
-            scalar[finite] = self._in_contact(log_r[finite], theta[finite])
-        scalar[[k for k, e in enumerate(exact) if e is not None]] = True
-        for k in np.flatnonzero(scalar).tolist():
-            self.add(k, points[k], exact[k], numerators[k], edges[k])
+        of log|z| and arg z, the exact identities {edge: ProjPointQ} of
+        those that have one, and their int64 rows (parent_idx, map_idx,
+        mult); edge (p, i, m) carries numerators[p] * units[i] * m.  Once
+        the node count is known, before the level is assembled, it raises
+        NodeBudgetExceeded if that count and spent exceed the budget."""
+        cell, block = self._keys(log_r, theta)
+        scalar = self._in_contact(cell, block)
+        scalar[list(exact)] = True
+        at = np.flatnonzero(scalar)
+        joined = [self.add(*args) for args in zip(
+            at.tolist(), zip(log_r[at].tolist(), theta[at].tolist()),
+            map(exact.get, at.tolist()), cell[at].tolist(),
+            block[at].tolist())]
         opens = ~scalar
         opens[self.openers] = True
         order = np.flatnonzero(opens)
+        if spent + len(order) > DEFAULT_NODE_BUDGET:
+            raise NodeBudgetExceeded(f"{spent + len(order)} nodes exceeds "
+                                     f"budget {DEFAULT_NODE_BUDGET}")
+        node = np.cumsum(opens) - 1
+        first = node[np.array(self.openers, dtype=np.int64)]
+        node[at] = first[np.array(joined, dtype=np.int64)]
         node_exact = [None] * len(order)
-        node_nums = [numerators[k] for k in order.tolist()]
-        node_edges = [[edges[k]] for k in order.tolist()]
-        for j, at in enumerate(np.searchsorted(order, self.openers).tolist()):
-            node_exact[at] = self.exact[j]
-            node_nums[at] = self.numerators[j]
-            node_edges[at] = self.edges[j]
-        assert sum(node_nums) == denominator
-        return TreeLevel([points[k] for k in order.tolist()], node_exact,
-                         node_nums, denominator, node_edges,
+        for j, k in enumerate(first.tolist()):
+            node_exact[k] = self.exact[j]
+        by_node = np.argsort(node, kind="stable")
+        indptr = np.searchsorted(node[by_node], np.arange(len(order) + 1))
+        edges = edges[by_node]
+        nums = _edge_sums(numerators, units, edges, indptr).tolist()
+        assert sum(nums) == denominator
+        return TreeLevel(np.column_stack((log_r[order], theta[order])),
+                         node_exact, nums, denominator, edges, indptr,
                          self.tolerance_merges)
 
 
-def _level_edges(system: StochasticSystem, units: list,
-                 level: TreeLevel) -> tuple:
+def _level_edges(system: StochasticSystem, level: TreeLevel) -> tuple:
     """The edges below a level, by parent, then map, then preimage, as
     _LevelBuilder.build takes them.  Numeric parents take one numeric_fiber
     call per map, each raw root an edge of multiplicity 1; exact parents
     take dynsys.fiber."""
     maps = system.maps
     degs = [phi.d for phi in maps]
-    width = sum(degs)
-    numeric = [k for k, e in enumerate(level.exact_points) if e is None]
-    if numeric:
-        log_r, theta = np.array([level.points[k] for k in numeric]).T
-        solved = [numeric_fiber(phi, log_r, theta) for phi in maps]
     rows = {k: [(r, t, pt, m, i) for i, phi in enumerate(maps)
                 for r, t, pt, m in fiber(phi, e)]
             for k, e in enumerate(level.exact_points) if e is not None}
-    sizes = np.full(len(level.points), width)
-    for k, row in rows.items():
-        sizes[k] = len(row)
+    sizes = np.full(len(level.points), sum(degs))
+    sizes[list(rows)] = [len(row) for row in rows.values()]
+    numeric = np.ones(len(sizes), dtype=bool)
+    numeric[list(rows)] = False
     starts = np.cumsum(sizes) - sizes
     total = int(sizes.sum())
     log_w, arg_w = np.empty(total), np.empty(total)
-    map_idx, mult = np.empty(total, dtype=np.int64), np.ones(total, np.int64)
-    exact = [None] * total
-    if numeric:
-        at = starts[numeric][:, None] + np.arange(width)
+    edges = np.ones((total, 3), dtype=np.int64)
+    edges[:, 0] = np.repeat(np.arange(len(sizes)), sizes)
+    if numeric.any():
+        log_r, theta = level.points[numeric].T
+        solved = [numeric_fiber(phi, log_r, theta) for phi in maps]
+        at = starts[numeric][:, None] + np.arange(sum(degs))
         log_w[at] = np.hstack([w for w, _ in solved])
         arg_w[at] = np.hstack([t for _, t in solved])
-        map_idx[at] = np.repeat(np.arange(len(maps)), degs)
+        edges[at, 1] = np.repeat(np.arange(len(maps)), degs)
+    exact = {}
     for k, row in rows.items():
         for j, (r, t, pt, m, i) in enumerate(row, int(starts[k])):
-            log_w[j], arg_w[j], exact[j], mult[j], map_idx[j] = r, t, pt, m, i
-    parent = np.repeat(np.arange(len(sizes)), sizes).tolist()
-    map_idx, mult = map_idx.tolist(), mult.tolist()
-    # an edge carries its parent's numerator times units[map] times mult
-    unit = [num * u for num in level.numerators for u in units]
-    nmaps = len(maps)
-    numerators = [unit[p * nmaps + i] * m
-                  for p, i, m in zip(parent, map_idx, mult)]
-    return (log_w, arg_w, exact, numerators,
-            list(zip(parent, map_idx, mult)))
+            log_w[j], arg_w[j], edges[j, 1:] = r, t, (i, m)
+            if pt is not None:
+                exact[j] = pt
+    return log_w, arg_w, exact, edges
 
 
 def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
@@ -361,19 +362,15 @@ def backward_tree(system: StochasticSystem, alpha: ProjPointQ,
     if n < 0:
         raise ValueError("need n >= 0")
     lcm, units = _edge_units(system)
-    root = TreeLevel([alpha.log_polar()], [alpha], [1], 1, [[]], 0)
-    levels = [root]
+    levels = [TreeLevel(np.array([alpha.log_polar()]), [alpha], [1], 1,
+                        np.zeros((0, 3), np.int64), np.zeros(2, np.int64), 0)]
     total_nodes = 1
     for _ in range(n):
         cur = levels[-1]
-        level = _LevelBuilder().build(*_level_edges(system, units, cur),
-                                      cur.denominator * lcm)
-        total_nodes += len(level.points)
-        if total_nodes > DEFAULT_NODE_BUDGET:
-            raise NodeBudgetExceeded(
-                f"{total_nodes} nodes exceeds budget {DEFAULT_NODE_BUDGET}"
-            )
-        levels.append(level)
+        levels.append(_LevelBuilder().build(
+            *_level_edges(system, cur), cur.numerators, units,
+            cur.denominator * lcm, total_nodes))
+        total_nodes += len(levels[-1].points)
     return MeasureTree(system, alpha, levels)
 
 
@@ -404,11 +401,10 @@ def sup_mass_certificate(tree: MeasureTree) -> Fraction:
     lcm, units = _edge_units(tree.system)
     best = 0
     for k3 in range(3, tree.depth + 1, 3):
-        coef = [1] * len(tree.levels[k3 - 3].points)
-        for lev in range(k3 - 2, k3 + 1):
-            coef = [sum(coef[p] * units[i] * m for p, i, m in edges)
-                    for edges in tree.levels[lev].edges]
-        best = max(best, *coef)
+        coef = np.ones(len(tree.levels[k3 - 3].points), dtype=object)
+        for level in tree.levels[k3 - 2:k3 + 1]:
+            coef = _edge_sums(coef, units, level.edges, level.indptr)
+        best = max(best, coef.max())
     return Fraction(best, lcm**3)
 
 

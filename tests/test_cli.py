@@ -22,6 +22,7 @@ import stochdyn.orbits
 import stochdyn.padicmodel
 from stochdyn.cli import (
     ConfigParseError,
+    InvariantViolation,
     build_system,
     load_config,
     main,
@@ -211,6 +212,26 @@ def test_exit_codes(capsys, tmp_path, example_config, monkeypatch):
         code, _, err = run_cli(capsys, "stoch-height", "--config",
                                example_config, "1")
         assert code == 3 and exc.__name__ in err
+
+
+def test_negative_seed_refused(capsys, tmp_path, example_config):
+    # every command refuses a negative seed, from the config or from
+    # --seed, with one message and nothing printed, also where the record
+    # is exact and draws nothing
+    negative = tmp_path / "negative.json"
+    negative.write_text(json.dumps({**EXAMPLE, "seed": -1}))
+    with pytest.raises(InvariantViolation, match="seed must be nonnegative"):
+        load_config(str(negative))
+    alpha = {"height": ["1"], "stoch-height": ["1"], "orbit-sample": ["1"],
+             "equidist": ["1"], "green-eval": ["0"]}
+    for command in stochdyn.cli._COMMANDS:
+        for config, seed in ((example_config, ["--seed", "-1"]),
+                             (str(negative), [])):
+            argv = [command, "--config", config, *seed]
+            code, out, err = run_cli(capsys, *argv, *alpha.get(command, ()))
+            assert (code, out) == (3, ""), argv
+            assert err == ("error: InvariantViolation: "
+                           "seed must be nonnegative\n")
 
 
 def test_height_command(capsys, example_config):

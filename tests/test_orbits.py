@@ -362,8 +362,40 @@ def test_tree_exact_numeric_agreement(dyadic):
 
 def test_node_budget(dyadic, monkeypatch):
     monkeypatch.setattr(orbits, "DEFAULT_NODE_BUDGET", 10)
-    with pytest.raises(NodeBudgetExceeded):
+    # levels of 1, 4 and 16 nodes: the third takes the count past 10
+    with pytest.raises(NodeBudgetExceeded,
+                       match="^21 nodes exceeds budget 10$"):
         backward_tree(dyadic, ONE, 5)
+
+
+def test_tree_memory_per_node(dyadic):
+    """The depth-8 tree from 1 on the example holds at most 64 traced bytes
+    per node, plus 16 KiB of headers.  No two of its preimages meet, so
+    each of its 87,381 nodes but the root has exactly one edge, and a node
+    costs:
+    - 16 B of point row, two float64;
+    - 24 B of edge row, three int64;
+    - 8 B of indptr, one int64;
+    - 8 B of numerator pointer: L = 4 and every unit is 1, so every
+      numerator is 1, a cached small int;
+    - 8 B of exact_points pointer, to None or to one of the few exact
+      points.
+    The 16 KiB cover the nine levels' headers (the TreeLevel and its dict,
+    three arrays, two lists: about 1 KiB a level), each indptr's extra
+    entry and the exact points +-1 of each level.  The first build fills
+    the exact fiber caches, so the second one's traced growth is the tree.
+    """
+    backward_tree(dyadic, ONE, 8)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = backward_tree(dyadic, ONE, 8)
+        held = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    nodes = sum(len(level.points) for level in tree.levels)
+    assert nodes == 87_381
+    assert held <= 64 * nodes + 16 * 1024
 
 
 def test_well_distributed_stat(dyadic, single_z2):
@@ -581,17 +613,17 @@ def test_merge_cells_hold_every_close_pair(log_r, theta, dx, dy):
     z = (log_r, theta % (2.0 * math.pi))
     w = _perturbed(z, DEFAULT_CLUSTER_TOL * complex(dx, dy))
     if builder._close(z, w):
-        (z_cell, z_block), (w_cell, w_block) = map(builder._cells, (z, w))
-        assert w_cell in z_block and z_cell in w_block
+        cell, block = builder._keys(*np.array([z, w]).T)
+        assert cell[1] in block[0] and cell[0] in block[1]
 
 
 def _numeric_level(points, numerators):
-    """_LevelBuilder.build on numeric edges of parent 0 under map 0 with
-    these points and numerators, in order."""
+    """_LevelBuilder.build on numeric edges with these points, in order,
+    edge k of parent k, whose numerator is numerators[k], under map 0."""
     log_r, theta = np.array(points, dtype=float).T
-    k = len(points)
-    return _LevelBuilder().build(log_r, theta, [None] * k, numerators,
-                                 [(0, 0, 1)] * k, sum(numerators))
+    edges = np.array([(k, 0, 1) for k in range(len(points))], dtype=np.int64)
+    return _LevelBuilder().build(log_r, theta, {}, edges, numerators, [1],
+                                 sum(numerators))
 
 
 def test_tree_merges_relative_at_every_scale():
@@ -736,11 +768,13 @@ def test_tree_matches_fraction_oracle(case):
     assert tree.depth == depth
     for level, (points, exacts, weights, edges, merges) in zip(
             tree.levels, oracle):
-        assert level.points == points
+        assert list(map(tuple, level.points.tolist())) == points
         assert level.exact_points == exacts
         assert level_weights(level) == weights
         assert sum(level.numerators) == level.denominator
-        assert level.edges == edges
+        assert level.edges.tolist() == [list(e) for node in edges
+                                        for e in node]
+        assert np.diff(level.indptr).tolist() == list(map(len, edges))
         assert level.tolerance_merges == merges
     for k, (_, _, weights, *_) in enumerate(oracle):
         assert well_distributed_stat(tree, k) == sum(w * w for w in weights)
@@ -779,7 +813,7 @@ def _greedy_nodes(points, tol):
 def _built_nodes(points):
     """(point, count) per node of _LevelBuilder given the points in order."""
     level = _numeric_level(points, [1] * len(points))
-    return list(zip(level.points, level.numerators))
+    return list(zip(map(tuple, level.points.tolist()), level.numerators))
 
 
 def test_level_builder_merges_fiber_rows():
@@ -808,12 +842,16 @@ def test_level_builder_merges_fiber_rows():
 @given(st.lists(st.tuples(st.floats(-5.0, 5.0), st.floats(0.0, 6.28),
                           st.integers(0, 9), st.floats(-3e-8, 3e-8)),
                 min_size=2, max_size=6),
-       st.sampled_from([1e-8, 1e-3]))
-def test_level_builder_greedy_rule(roots, tol):
+       st.sampled_from([1e-8, 1e-3]), st.sampled_from([0, 1, -1]))
+def test_level_builder_greedy_rule(roots, tol, far):
     # points that are near copies of earlier ones (about a tolerance
-    # apart), zeros and infinities, in two orders
+    # apart), zeros and infinities, in two orders; with far = +-1 the
+    # points lie within 5 cells of the clip of the cell rows
+    log_cell = -3.0 * math.log1p(-tol)
     points = []
     for k, (r, t, pick, shift) in enumerate(roots):
+        if far:
+            r = far * orbits._ROW_CLIP * log_cell + r * log_cell
         if pick >= 8:
             r, t = (math.inf if pick == 9 else -math.inf), 0.0
         elif k and pick < 5 and math.isfinite(points[pick % k][0]):
@@ -834,22 +872,28 @@ def test_contact_in_either_direction():
     for x, want in (((0.9, 1.6), [True, True]), ((0.9, 2.6), [False, False]),
                     ((0.9, 0.95), [True, True])):
         log_r = np.array(x) * builder.log_cell
-        assert builder._in_contact(log_r, np.full(2, 1.0)).tolist() == want
+        keys = builder._keys(log_r, np.full(2, 1.0))
+        assert builder._in_contact(*keys).tolist() == want
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.tuples(st.integers(0, 11), st.floats(-3.0, 3.0),
-                          st.floats(0.0, 6.28), st.floats(-2.0, 2.0)),
+                          st.floats(0.0, 6.28), st.floats(-2.0, 2.0),
+                          st.sampled_from([0, 0, 1, -1, 2, -2])),
                 min_size=1, max_size=60),
        st.sampled_from([1e-8, 1e-3]))
 def test_level_build_matches_scalar_rule(draws, tol):
-    # build takes whole arrays; the scalar rule, add edge by edge over every
-    # edge, must give the same level: clusters about a tolerance wide, lone
-    # points, 0, infinity and exact identities, some shared
+    # build takes whole arrays; with every edge in contact, so that all go
+    # through add one by one, it must give the same level: clusters about
+    # a tolerance wide, lone points, 0, infinity and exact identities, some
+    # shared, and rows past the clip of the cell rows (far = +-2) or within
+    # a few cells of it (far = +-1)
     exacts = [ProjPointQ(k, 1) for k in range(3)]
-    points, exact = [], []
-    for k, (kind, r, t, shift) in enumerate(draws):
-        pt = None
+    log_cell = -3.0 * math.log1p(-tol)
+    clip = orbits._ROW_CLIP * log_cell
+    points, exact = [], {}
+    for k, (kind, r, t, shift, far) in enumerate(draws):
+        r = far * clip + r * (4.0 * log_cell if abs(far) == 1 else 1.0)
         if kind == 0:
             r, t = math.inf, 0.0
         elif kind == 1:
@@ -858,21 +902,25 @@ def test_level_build_matches_scalar_rule(draws, tol):
             r0, t0 = points[kind % k]
             r, t = r0 + shift * tol, (t0 - shift * tol) % (2.0 * math.pi)
         if kind >= 9:
-            pt = exacts[kind - 9]
+            exact[k] = exacts[kind - 9]
         points.append((r, t))
-        exact.append(pt)
     nums = list(range(1, len(points) + 1))
-    edges = [(k, k % 2, 1) for k in range(len(points))]
+    edges = np.array([(k, k % 2, 1) for k in range(len(points))])
+    log_r, theta = np.array(points).T
+    levels = []
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(orbits, "DEFAULT_CLUSTER_TOL", tol)
-        log_r, theta = np.array(points).T
-        got = _LevelBuilder().build(log_r, theta, exact, nums, edges,
-                                    sum(nums))
-        scalar = _LevelBuilder()
-        for k, args in enumerate(zip(points, exact, nums, edges)):
-            scalar.add(k, *args)
-    assert got.points == scalar.points
-    assert got.exact_points == scalar.exact
+        for all_scalar in (False, True):
+            if all_scalar:
+                patch.setattr(_LevelBuilder, "_in_contact",
+                              lambda self, cell, block: np.ones(len(cell),
+                                                                dtype=bool))
+            levels.append(_LevelBuilder().build(log_r, theta, exact, edges,
+                                                nums, [1, 1], sum(nums)))
+    got, scalar = levels
+    assert got.points.tobytes() == scalar.points.tobytes()
+    assert got.exact_points == scalar.exact_points
     assert got.numerators == scalar.numerators
-    assert got.edges == scalar.edges
+    assert got.edges.tolist() == scalar.edges.tolist()
+    assert got.indptr.tolist() == scalar.indptr.tolist()
     assert got.tolerance_merges == scalar.tolerance_merges
