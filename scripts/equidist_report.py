@@ -18,7 +18,8 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from stochdyn.archpotential import equidist, write_equidist_csv
-from stochdyn.cli import build_system, exit_code_of, load_config, parse_alpha
+from stochdyn.cli import (build_system, check_seed, exit_code_of, load_config,
+                          parse_alpha)
 from stochdyn.heights import ARCH, PlaceQ
 
 
@@ -37,7 +38,7 @@ def main():
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
     samples = args.samples if args.samples is not None else cfg.samples
-    seed = args.seed if args.seed is not None else cfg.seed
+    seed = check_seed(args.seed if args.seed is not None else cfg.seed)
 
     places = [ARCH] + [PlaceQ(p) for p in args.primes]
     header = f"{'depth':>6} {'ks_radial':>10} {'ks_angular':>11} {'residual':>10}"

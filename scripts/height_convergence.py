@@ -16,7 +16,8 @@ import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from stochdyn.cli import build_system, exit_code_of, load_config, parse_alpha
+from stochdyn.cli import (build_system, check_seed, exit_code_of, load_config,
+                          parse_alpha)
 from stochdyn.heights import l1_height_control_total, weil_height
 from stochdyn.stochheight import stoch_height
 
@@ -31,6 +32,7 @@ def main():
     args = ap.parse_args()
 
     cfg = load_config(args.config)
+    seed = check_seed(args.seed)
     system = build_system(cfg)
     budget = l1_height_control_total(system)
     print(f"distortion budget sum: {budget:.6f}")
@@ -43,7 +45,7 @@ def main():
         cells = []
         last = None
         for tol in args.tols:
-            est = stoch_height(system, alpha, tol, seed=args.seed)
+            est = stoch_height(system, alpha, tol, seed=seed)
             cells.append(f"{est.value:>12.6f}")
             last = est.value
         gap = last - h

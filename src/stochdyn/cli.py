@@ -337,11 +337,16 @@ def exit_code_of(run: Callable[[], int]) -> int:
         return getattr(exc, "exit_code", 3)
 
 
+def check_seed(seed: int) -> int:
+    """seed, or InvariantViolation when it is negative; the CLI and the
+    scripts share it."""
+    _require(seed >= 0, "seed must be nonnegative", InvariantViolation)
+    return seed
+
+
 def _run(args) -> int:
     cfg = load_config(args.config)
-    if args.seed is None:
-        args.seed = cfg.seed
-    _require(args.seed >= 0, "seed must be nonnegative", InvariantViolation)
+    args.seed = check_seed(cfg.seed if args.seed is None else args.seed)
     if args.command == "equidist":
         try:
             p = None if args.place == "arch" else int(args.place)

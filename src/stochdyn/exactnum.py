@@ -485,12 +485,15 @@ def _cubic(a1, a2, a3) -> list:
     return [(r, e)] + _quadratic((_safe_div(-diff, r), top - e), (pm, pg))
 
 
-def poly_roots(cm, cg, name) -> tuple:
+def poly_roots(cm, cg, name, pick=None) -> tuple:
     """(m, g), arrays of shape (rows, k): the roots x = m 2^g of each row
     of descending coefficients c_i = cm_i 2^cg_i of a polynomial of degree
     k with a nonzero leading one.  cm holds finite float or complex
     mantissas of any size, cg int exponents broadcasting against them, so
-    coefficients and roots alike may lie far outside float range.
+    coefficients and roots alike may lie far outside float range.  Given
+    pick, an int array of one column index per row, (m, g) have shape
+    (rows,) and hold root pick[r] of row r alone, bit for bit the entry
+    the call without pick returns there.
 
     Degrees 1 to 3 are solved in closed form on mantissas and exponents
     (_quadratic, _cubic), so no root, however far from 1, is lost to
@@ -499,10 +502,10 @@ def poly_roots(cm, cg, name) -> tuple:
     balanced monic polynomials of _balance in one stacked
     np.linalg.eigvals call, those below 1e-4 there polished by _newton,
     so that they lose only roots below float range in that balanced form.
-    Every root must pass the backward-error test
-    |p(x)| <= 1e-6 sum_i |c_i| |x|^(k - i), else ConvergenceFailure names
-    `name`, formatted only then: a root lost to 0 or to infinity fails
-    it."""
+    Every returned root, with pick the picked one only, must pass the
+    backward-error test |p(x)| <= 1e-6 sum_i |c_i| |x|^(k - i), else
+    ConvergenceFailure names `name`, formatted only then: a root lost to 0
+    or to infinity fails it."""
     cm, shift = _split(np.asarray(cm, dtype=complex))
     cg = cg + shift
     k = cm.shape[1] - 1
@@ -524,6 +527,9 @@ def poly_roots(cm, cg, name) -> tuple:
         polished = _newton([c[:, None] for c in b], y, 8)
         xm, xg = _split(np.where(np.abs(y) < 1e-4, polished, y))
         xg = xg + e[:, None]
+    if pick is not None:
+        rows = np.arange(len(xm))
+        xm, xg = xm[rows, pick, None], xg[rows, pick, None]
     # the terms c_i x^(k - i) of p(x) as mantissas times 2^exps, scaled by
     # 2^-(the largest exponent of a nonzero term of the root)
     deg = np.arange(k, -1, -1)[:, None, None]
@@ -534,7 +540,7 @@ def poly_roots(cm, cg, name) -> tuple:
     if np.any(np.abs(terms.sum(axis=0))
               > 1e-6 * np.abs(terms).sum(axis=0)):
         raise ConvergenceFailure(f"roots of {name} did not converge")
-    return xm, xg
+    return (xm, xg) if pick is None else (xm[:, 0], xg[:, 0])
 
 
 def int_pairs(coeffs) -> tuple:

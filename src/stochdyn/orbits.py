@@ -15,7 +15,8 @@ of numeric points come from one batched kernel, numeric_fiber, which
 solves the points' fibers under one map through exactnum.poly_roots, the
 root solver that exact fibers use too, ifs.ROW_BLOCK points at a time, so
 its working set is bounded whatever the point count; the tree calls it
-once per level and map, the walker once per step and map.  The
+once per level and map for every root, the walker once per step and map
+for the one root each point drew.  The
 tree merges numerically coincident points by one rule, relative at every
 scale, and refuses a merge when the two carry distinct exact identities;
 any merge involving a point without an exact identity is counted as
@@ -60,11 +61,13 @@ class NodeBudgetExceeded(StochdynError):
 # preimages
 
 
-def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
+def numeric_fiber(phi: RationalMapQ, log_r, theta, pick=None) -> tuple:
     """Fibers under phi of the numeric points (log|z|, arg z), as
     (log|w|, arg w) arrays of shape (points, d) with arg w in [0, 2 pi):
     row k lists each preimage of point k as often as its multiplicity,
-    infinity as log|w| = +inf and 0 as log|w| = -inf.
+    infinity as log|w| = +inf and 0 as log|w| = -inf.  Given pick, one
+    column index per point, the arrays have shape (points,) and hold
+    entry pick[k] of row k alone, bit for bit.
 
     No point is formed as a complex number.  Its max-norm lift is
     (e^{i theta}, e^{-log r}) when log r > 0, (e^{log r + i theta}, 1)
@@ -72,7 +75,8 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     each lift is solved in the chart of its larger end coefficient, w or
     t = 1/w, by exactnum.poly_roots, with exponent 0 for the float
     coefficients (ConvergenceFailure where a root fails its backward-error
-    test).  An exact zero end coefficient gives an exact zero root, so
+    test; with pick, only the picked roots are solved to the end and
+    tested).  An exact zero end coefficient gives an exact zero root, so
     infinity is a preimage exactly when t = 0 is.  A finite point with
     |log r| above _LOG_TINY raises OverflowError: its lift would
     underflow, and the point pass for infinity or for 0.
@@ -86,15 +90,16 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta) -> tuple:
     if np.any(np.isfinite(log_r) & (np.abs(log_r) > _LOG_TINY)):
         raise OverflowError(f"a point with |log|z|| above {_LOG_TINY:.1f} "
                             "has a max-norm lift below float range")
-    log_w = np.full((len(log_r), phi.d), math.inf)
-    arg_w = np.zeros((len(log_r), phi.d))
+    shape = (len(log_r), phi.d) if pick is None else (len(log_r),)
+    log_w, arg_w = np.full(shape, math.inf), np.zeros(shape)
     for lo in range(0, len(log_r), ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
-        _fiber_rows(phi, log_r[rows], theta[rows], log_w[rows], arg_w[rows])
+        _fiber_rows(phi, log_r[rows], theta[rows], log_w[rows], arg_w[rows],
+                    None if pick is None else pick[rows])
     return log_w, arg_w
 
 
-def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w) -> None:
+def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w, pick) -> None:
     """numeric_fiber on one block of points, each row by itself, written
     into the block's output rows log_w (+inf on entry) and arg_w (0)."""
     fc, gc, _ = phi.float_forms
@@ -112,10 +117,19 @@ def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w) -> None:
     lead = np.argmax(nonzero, axis=1)
     for m in np.flatnonzero(np.bincount(lead)):
         rows = lead == m
-        xm, xg = poly_roots(poly[rows, m:], 0, phi)
-        log_w[rows, m:], arg_w[rows, m:] = pair_log_polar(xm, xg)
+        if pick is None:
+            xm, xg = poly_roots(poly[rows, m:], 0, phi)
+            log_w[rows, m:], arg_w[rows, m:] = pair_log_polar(xm, xg)
+            continue
+        # a pick among the m roots at the chart's infinity keeps +inf
+        rows &= pick >= m
+        if rows.any():
+            xm, xg = poly_roots(poly[rows, m:], 0, phi, pick[rows] - m)
+            log_w[rows], arg_w[rows] = pair_log_polar(xm, xg)
     # in the t chart, log|w| = -log|t| and arg w = -arg t
-    sign = np.where(w_chart, 1.0, -1.0)[:, None]
+    sign = np.where(w_chart, 1.0, -1.0)
+    if pick is None:
+        sign = sign[:, None]
     log_w *= sign
     arg_w[...] = np.where(np.isinf(log_w), 0.0, wrap_angle(sign * arg_w))
 
@@ -458,7 +472,10 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     exact point, and while a path stays rational its fibers are the cached
     exact ones of dynsys.fiber, taken once per (map, point) in a step;
     numeric points are solved by numeric_fiber, one call per map and step,
-    which works through them ifs.ROW_BLOCK at a time.
+    which works through them ifs.ROW_BLOCK at a time and solves, tests and
+    converts only the drawn preimage of each: a step raises
+    ConvergenceFailure only when a drawn root fails its backward-error
+    test.
     """
     count = len(log_r)
     draw = map_sampler(system.probs)
@@ -488,8 +505,9 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
             out = np.flatnonzero((theta <= 0.0) | (theta >= 2.0 * np.pi))
             theta[out] = np.mod(theta[out], 2.0 * np.pi)
         else:
-            log_r, theta, codes = _fiber_step(system, log_r, theta, codes,
-                                              exact, idx, j.astype(int))
+            j = j.astype(int)  # frees the float draws
+            log_r, theta = _fiber_step(system, log_r, theta, codes, exact,
+                                       idx, j)
     return log_r, theta
 
 
@@ -497,9 +515,11 @@ def _fiber_step(system, log_r, theta, codes, exact, idx, j):
     """One step of the fiber walk: point k moves to entry j[k] of its fiber
     under map idx[k], which lists each preimage once per unit of
     multiplicity.  Points at exact[c] (codes c >= 0) take the exact fiber,
-    once per (map, point); new rational points are appended to exact."""
+    once per (map, point); new rational points are appended to exact, and
+    codes is rewritten in place (a numeric point stays numeric, at -1).
+    Numeric points take their entry alone from numeric_fiber's pick."""
     nmaps = len(system.maps)
-    new_r, new_t, new_c = log_r.copy(), theta.copy(), np.full(len(codes), -1)
+    new_r, new_t = np.empty_like(log_r), np.empty_like(theta)
     on_exact = codes >= 0
     members = np.flatnonzero(on_exact)
     keys = codes[members] * nmaps + idx[members]
@@ -514,14 +534,13 @@ def _fiber_step(system, log_r, theta, codes, exact, idx, j):
             entries += [(r, t, -1 if pt is None else code_of[pt])] * m
         r, t, cd = (np.array(col) for col in zip(*entries))
         sel = members[keys == key]
-        new_r[sel], new_t[sel], new_c[sel] = r[j[sel]], t[j[sel]], cd[j[sel]]
+        new_r[sel], new_t[sel], codes[sel] = r[j[sel]], t[j[sel]], cd[j[sel]]
     for i, phi in enumerate(system.maps):
         sel = np.flatnonzero(~on_exact & (idx == i))
         if len(sel):
-            r, t = numeric_fiber(phi, log_r[sel], theta[sel])
-            rows = np.arange(len(sel))
-            new_r[sel], new_t[sel] = r[rows, j[sel]], t[rows, j[sel]]
-    return new_r, new_t, new_c
+            new_r[sel], new_t[sel] = numeric_fiber(phi, log_r[sel],
+                                                   theta[sel], j[sel])
+    return new_r, new_t
 
 
 def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,

@@ -2,7 +2,8 @@
 weights of a backward-tree level as Fractions, Dirac measures, float
 heights of roots of minimal polynomials and of discrete measures, the
 zero test of an exact log combination, the Kolmogorov-Smirnov distances
-over whole arrays at once, and, apart from the package's own exact and
+over whole arrays at once, the walker step that solves every root of a
+numeric fiber, and, apart from the package's own exact and
 numeric layers, sympy's factorization over Q and mpmath's roots of
 integer polynomials.
 
@@ -19,7 +20,12 @@ import mpmath
 import numpy as np
 import sympy
 
-from stochdyn.dynsys import StochasticSystem, eval_map, ramification_index
+from stochdyn.dynsys import (
+    StochasticSystem,
+    eval_map,
+    fiber,
+    ramification_index,
+)
 from stochdyn.exactnum import (
     LogCombination,
     ProjPointQ,
@@ -29,6 +35,7 @@ from stochdyn.exactnum import (
     poly_trim,
 )
 from stochdyn.heights import DiscreteMeasure, make_measure, weil_height
+from stochdyn.orbits import numeric_fiber
 from stochdyn.stochheight import WORD_CAP_DEFAULT
 
 
@@ -184,3 +191,34 @@ def ks_two_sample_whole(a, b) -> float:
     fa = np.searchsorted(a, cand, side="right") / len(a)
     fb = np.searchsorted(b, cand, side="right") / len(b)
     return float(np.max(np.abs(fa - fb)))
+
+
+def all_roots_fiber_step(system, log_r, theta, codes, exact, idx, j):
+    """orbits._fiber_step with every preimage of each numeric point solved,
+    tested and converted by numeric_fiber without a pick, then entry j[k]
+    of row k kept: the walker step before numeric_fiber took a pick."""
+    nmaps = len(system.maps)
+    new_r, new_t, new_c = log_r.copy(), theta.copy(), np.full(len(codes), -1)
+    on_exact = codes >= 0
+    members = np.flatnonzero(on_exact)
+    keys = codes[members] * nmaps + idx[members]
+    code_of = {pt: c for c, pt in enumerate(exact)}
+    for key in np.flatnonzero(np.bincount(keys)):
+        c, i = divmod(int(key), nmaps)
+        entries = []
+        for r, t, pt, m in fiber(system.maps[i], exact[c]):
+            if pt is not None and pt not in code_of:
+                code_of[pt] = len(exact)
+                exact.append(pt)
+            entries += [(r, t, -1 if pt is None else code_of[pt])] * m
+        r, t, cd = (np.array(col) for col in zip(*entries))
+        sel = members[keys == key]
+        new_r[sel], new_t[sel], new_c[sel] = r[j[sel]], t[j[sel]], cd[j[sel]]
+    for i, phi in enumerate(system.maps):
+        sel = np.flatnonzero(~on_exact & (idx == i))
+        if len(sel):
+            r, t = numeric_fiber(phi, log_r[sel], theta[sel])
+            rows = np.arange(len(sel))
+            new_r[sel], new_t[sel] = r[rows, j[sel]], t[rows, j[sel]]
+    codes[:] = new_c
+    return new_r, new_t

@@ -664,6 +664,13 @@ def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
                    SCRIPTS / "height_convergence.py"):
         assert run_script(monkeypatch, script, "--config", missing, "1") == 2
         assert capsys.readouterr().err.startswith("error: ConfigParseError")
+    # a negative seed is refused before any output, as the CLI refuses it
+    for script in (SCRIPTS / "equidist_report.py",
+                   SCRIPTS / "height_convergence.py"):
+        assert run_script(monkeypatch, script, "--config", str(REPO_CONFIG),
+                          "1", "--seed", "-1") == 3
+        assert capsys.readouterr() == (
+            "", "error: InvariantViolation: seed must be nonnegative\n")
     # a negative depth is rejected as the CLI rejects one, not answered
     # with level 0
     assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),

@@ -37,8 +37,8 @@ from stochdyn.orbits import (
     write_samples_csv,
 )
 
-from oracles import level_weights
-from strategies import points, small_maps
+from oracles import all_roots_fiber_step, level_weights
+from strategies import points, small_maps, small_systems
 
 ONE = ProjPointQ(1, 1)
 Z2 = make_map([0, 0, 1], [1])
@@ -176,14 +176,106 @@ def test_numeric_fiber_blocks_match_separate_calls(general):
         numeric_fiber(quartic, log_r, np.full(n, 0.3))
 
 
+# maps with rows at 0 and infinity, a leading zero in the chart at
+# infinity, t-chart rows and degree 4
+_PICK_MAPS = (Z2, INV_Z2, make_map([1, 0, 1], [0, 1]),
+              make_map([0, 0, 0, 1], [1, 0, 1]),
+              make_map([4, 0, -4, 0, 1], [1]),
+              make_map([1, 0, 0, 0, 1], [0, 2]),
+              make_map([-1, 0, 1], [1]), make_map([1, 0, 0, 1], [0, 2]))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_PICK_MAPS) | small_maps(max_size=5),
+       st.integers(0, 2**32 - 1))
+def test_numeric_fiber_pick_is_its_column(phi, seed):
+    # entry pick[k] of row k, bit for bit, at 0, infinity, 1 and points
+    # from e^-30 to e^30 (both charts), each pick drawn per row
+    rng = np.random.default_rng(seed)
+    log_r = np.concatenate([[-math.inf, math.inf, 0.0],
+                            rng.uniform(-30.0, 30.0, 40)])
+    theta = np.concatenate([[0.0, 0.0, 0.0],
+                            rng.uniform(0.0, 2.0 * np.pi, 40)])
+    try:
+        log_w, arg_w = numeric_fiber(phi, log_r, theta)
+    except ConvergenceFailure:
+        assume(False)
+    rows = np.arange(len(log_r))
+    for pick in (rng.integers(0, phi.d, len(log_r)),
+                 *(np.full(len(log_r), j) for j in range(phi.d))):
+        got = numeric_fiber(phi, log_r, theta, pick)
+        assert got[0].shape == (len(log_r),)
+        assert got[0].tobytes() == log_w[rows, pick].tobytes()
+        assert got[1].tobytes() == arg_w[rows, pick].tobytes()
+
+
+def test_numeric_fiber_pick_tests_its_root_alone():
+    # at |z| = e^700 the quartic loses one root to 0 (see
+    # test_numeric_fiber_refuses_lost_roots): picking it raises, and
+    # picking any of the other three returns that root, of modulus
+    # (2 e^700)^(1/3)
+    quartic = make_map([1, 0, 0, 0, 1], [0, 2])
+    lost = []
+    for j in range(4):
+        try:
+            log_w, _ = numeric_fiber(quartic, [700.0], [0.3], np.array([j]))
+        except ConvergenceFailure:
+            lost.append(j)
+        else:
+            assert log_w[0] == pytest.approx((700.0 + math.log(2.0)) / 3.0)
+    assert len(lost) == 1
+
+
+def _walk_outcome(walk, *args):
+    """The bytes of a walk's (log|z|, arg z), or the type of the error it
+    raised."""
+    try:
+        batch = walk(*args)
+    except (ConvergenceFailure, OverflowError) as exc:
+        return type(exc)
+    return batch.log_abs.tobytes(), batch.angle.tobytes()
+
+
+def _assert_walks_match_all_roots_step(system, starts, depth, samples,
+                                       seed):
+    # backward_sample from each start and canonical_sample, with the walker
+    # step that solves every root as the oracle: the same bits, or the
+    # oracle raises where a root that no draw picked fails its test
+    walks = [(backward_sample, system, s, depth, samples, seed)
+             for s in starts]
+    walks.append((canonical_sample, system, depth, samples, seed))
+    for walk, *args in walks:
+        got = _walk_outcome(walk, *args)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(orbits, "_fiber_step", all_roots_fiber_step)
+            want = _walk_outcome(walk, *args)
+        assert got == want or want is ConvergenceFailure
+
+
+def test_general_walks_match_all_roots_step(general):
+    for seed in (0, 7):
+        _assert_walks_match_all_roots_step(
+            general, (ProjPointQ(0, 1), INFINITY, ProjPointQ(3, 1)), 12,
+            3000, seed)
+
+
+@settings(max_examples=60, deadline=None)
+@given(small_systems(), points(), st.integers(0, 2**32 - 1))
+def test_walks_match_all_roots_step(system, start, seed):
+    _assert_walks_match_all_roots_step(
+        system, (ProjPointQ(0, 1), INFINITY, start), 5, 200, seed)
+
+
 def test_numeric_walk_memory_per_sample(general):
     # the traced peak of a numeric walk grows per added sample by at most
-    # 24 floats: 10 arrays the walk holds over a step (coordinates, map
-    # indices, degrees, draws and their ints, exact codes, the three new
-    # columns), and for the points under one map, at most all of them,
-    # their indices, coordinates, 2 d fiber columns and the column pick
-    # (2 d + 6 = 12 at the cubic), with 2 to spare for masks; the fiber's
-    # own temporaries stay a ROW_BLOCK-row constant
+    # 16 floats: the start angles canonical_sample holds (1); 6 arrays the
+    # walk holds over a step (coordinates, map indices, degrees, the
+    # draws as ints, exact codes, rewritten in place); the two new
+    # coordinate columns (2); for the points under one map, at most all of
+    # them, their indices, coordinates, draws and the picked root's two
+    # columns (6, whatever d is), so 15, with 1 to spare for the masks
+    # (on_exact is 1/8); the fiber's own temporaries stay a ROW_BLOCK-row
+    # constant
     def peak(samples):
         tracemalloc.start()
         try:
@@ -193,7 +285,7 @@ def test_numeric_walk_memory_per_sample(general):
             tracemalloc.stop()
 
     small, large = 20_000, 60_000
-    assert peak(large) - peak(small) <= 24 * 8 * (large - small)
+    assert peak(large) - peak(small) <= 16 * 8 * (large - small)
 
 
 # a coefficient as the pair (mantissa, exponent) of mantissa 2^exponent
