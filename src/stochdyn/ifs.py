@@ -23,16 +23,23 @@ atoms there are exact.
 
 The module also holds the map sampler of every walk, the Kolmogorov-Smirnov
 distances that score samples against these laws (hand rolled; scipy is only
-an oracle in the test suite) and the CDF CSV writer.
+an oracle in the test suite), the CDF CSV writer, and `fork_map`, the one
+ordered map that hands the second half of a loop to a forked child: the
+acceptance battery's criteria and the blocks of both CSV writers go through
+it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import csv
+import gc
+import os
+import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Sequence, Union
 
 import numpy as np
 
@@ -48,6 +55,106 @@ _CDF_ITERS = 64
 # stay a fixed size whatever the sample count; the CSV writers' tolist()
 # would otherwise hold every cell of a 100k-row file as a Python object
 ROW_BLOCK = 8192
+_in_child = False  # set in a fork_map child, whose own fork_maps run serially
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
+    """Yield fn(item) for each item, in item order.
+
+    This process computes items[:split] while a forked child computes
+    items[split:], keeps the results and then pickles them back through a
+    pipe one at a time, so that the caller never holds the child's half at
+    once.  Whatever the child did not deliver (fn raised there, or the
+    child died) is computed again here after the child is reaped, so an
+    exception is raised where the serial loop raises it; the child's
+    stdout and stderr go to os.devnull.  Everything runs in this process
+    when there is no os.fork, this process may use one CPU only, split >=
+    len(items), the fork fails, or this is a fork_map child itself.
+
+    The child is forked rather than spawned, because a fresh interpreter
+    would cost as much as the half it takes over; fn and items reach it as
+    they are, unpickled.  It freezes the objects it inherits out of its
+    garbage collections and ends with os._exit, so it runs no finalizer of
+    an inherited object and flushes no inherited file buffer.  It is
+    killed, if still running, and reaped when the generator ends or is
+    closed.
+    """
+    pid = pipe = None
+    if (split < len(items) and not _in_child and hasattr(os, "fork")
+            and _cpus() > 1):
+        pid, pipe = _fork(fn, items[split:])
+    done = split if pid is not None else len(items)
+    try:
+        for item in items[:done]:
+            yield fn(item)
+        while done < len(items):
+            try:
+                result = pickle.load(pipe)
+            except (EOFError, pickle.UnpicklingError):
+                break  # the child stopped early
+            done += 1
+            yield result
+    finally:
+        if pid is not None:
+            # imported here: the signal module's enums add about 2.5 ms to
+            # the start of every command, most of which never fork
+            import signal
+
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for item in items[done:]:
+        yield fn(item)
+
+
+def _fork(fn: Callable, items: Sequence) -> tuple:
+    """(pid, read end of its pipe) of a child serving fn over items, or
+    (None, None) when the pipe or the fork fails."""
+    try:
+        rfd, wfd = os.pipe()
+    except OSError:
+        return None, None
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(rfd)
+        os.close(wfd)
+        return None, None
+    if pid == 0:
+        _serve(fn, items, rfd, wfd)
+    os.close(wfd)
+    return pid, os.fdopen(rfd, "rb")
+
+
+def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
+    """The child of fork_map: maps fn over items up to the first exception,
+    writes each result to wfd as one pickle, and exits.  Never returns."""
+    global _in_child
+    try:
+        _in_child = True
+        gc.freeze()
+        os.close(rfd)
+        null = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(null, 1)
+        os.dup2(null, 2)
+        results = []
+        # the parent computes a failing item again and raises there
+        with contextlib.suppress(Exception):
+            for item in items:
+                results.append(fn(item))
+        with os.fdopen(wfd, "wb") as pipe:
+            for result in results:
+                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
+    finally:
+        os._exit(0)
 
 
 @dataclass(frozen=True, eq=False)
@@ -285,7 +392,8 @@ def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
     the reference column is blank without a law.  The lines are those of
     csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
     each block one %-format of a repeated row template over its cells, with
-    the reference CDF taken per block."""
+    the reference CDF taken per block; a forked child formats the second
+    half of the blocks (fork_map)."""
     xs = np.sort(np.asarray(xs, dtype=float))
     n = len(xs)
     csv.writer(fileobj).writerow([column, "empirical_cdf", "reference_cdf"])
@@ -293,7 +401,8 @@ def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
         row, width = "%.12g,%.12g,\r\n", 2
     else:
         row, width = "%.12g,%.12g,%.12g\r\n", 3
-    for lo in range(0, n, ROW_BLOCK):
+
+    def block(lo):
         hi = min(lo + ROW_BLOCK, n)
         cells = [None] * (width * (hi - lo))
         cells[0::width] = map(label, xs[lo:hi].tolist())
@@ -301,4 +410,8 @@ def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
         cells[1::width] = (np.arange(lo + 1, hi + 1) / n).tolist()
         if law is not None:
             cells[2::width] = law.cdf_at(xs[lo:hi]).tolist()
-        fileobj.write(row * (hi - lo) % tuple(cells))
+        return row * (hi - lo) % tuple(cells)
+
+    starts = range(0, n, ROW_BLOCK)
+    for text in fork_map(block, starts, (len(starts) + 1) // 2):
+        fileobj.write(text)

@@ -44,7 +44,7 @@ import numpy as np
 from .dynsys import RationalMapQ, StochasticSystem, fiber
 from .exactnum import (ProjPointQ, StochdynError, pair_log_polar, poly_roots,
                        wrap_angle)
-from .ifs import ROW_BLOCK, affine_ifs, map_sampler
+from .ifs import ROW_BLOCK, affine_ifs, fork_map, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -558,10 +558,12 @@ def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
 def write_samples_csv(batch: OrbitSampleBatch, fileobj):
     """CSV export with columns index, re, im, log_abs, depth: the lines of
     csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
-    each block one %-format of a repeated row template over its cells."""
+    each block one %-format of a repeated row template over its cells; a
+    forked child formats the second half of the blocks (ifs.fork_map)."""
     csv.writer(fileobj).writerow(["index", "re", "im", "log_abs", "depth"])
     row = f"%d,%r,%r,%r,{batch.depth}\r\n"
-    for lo in range(0, batch.samples, ROW_BLOCK):
+
+    def block(lo):
         log_abs = batch.log_abs[lo:lo + ROW_BLOCK]
         pts = _points(log_abs, batch.angle[lo:lo + ROW_BLOCK])
         cells = [None] * (4 * len(log_abs))
@@ -569,4 +571,8 @@ def write_samples_csv(batch: OrbitSampleBatch, fileobj):
         cells[1::4] = pts.real.tolist()
         cells[2::4] = pts.imag.tolist()
         cells[3::4] = log_abs.tolist()
-        fileobj.write(row * len(log_abs) % tuple(cells))
+        return row * len(log_abs) % tuple(cells)
+
+    starts = range(0, batch.samples, ROW_BLOCK)
+    for text in fork_map(block, starts, (len(starts) + 1) // 2):
+        fileobj.write(text)

@@ -1,8 +1,38 @@
+import os
 from fractions import Fraction
 
 import pytest
 
 from stochdyn.dynsys import make_map, make_system
+
+
+@pytest.fixture(autouse=True)
+def no_child_left():
+    """Fails a test that leaves a child process behind, running or not
+    yet reaped."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process "
+                f"({'still running' if pid == 0 else f'pid {pid}'})")
+
+
+@pytest.fixture()
+def forks(monkeypatch):
+    """The test runs as if on two CPUs (so ifs.fork_map forks), and the
+    list counts its calls of os.fork, one entry each."""
+    calls = []
+    real_fork = os.fork
+
+    def counted():
+        calls.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "fork", counted)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    return calls
 
 
 @pytest.fixture(scope="session")

@@ -23,15 +23,22 @@ equal to "every value <= its bound".
 """
 
 import math
+import os
 import re
 import sys
 
 import pytest
 
-from stochdyn.acceptance import _CRITERIA, run_all
+from stochdyn.acceptance import (
+    _CRITERIA,
+    _c13_well_distributed,
+    reference_dyadic_system,
+    run_all,
+)
 
 LOG2 = math.log(2.0)
 _LEVEL = re.compile(r"n=(\d+): ([0-9.]+) vs bound ([0-9.]+)")
+_CLOCK = re.compile(r"run \d+\.\ds")
 
 
 @pytest.fixture(scope="module")
@@ -76,3 +83,18 @@ def test_battery_shape(battery):
         assert result.line.startswith(f"criterion-{result.index:02d} ")
         assert (" PASS " in result.line) or (" FAIL " in result.line)
         assert result.seconds >= 0.0
+
+
+def test_battery_forked_matches_one_cpu(forks, monkeypatch):
+    lines = [_CLOCK.sub("run <clock>", r.line) for r in run_all()]
+    assert forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert [_CLOCK.sub("run <clock>", r.line) for r in run_all()] == lines
+    assert forks == [1]
+
+
+def test_c13_builds_its_own_tree(battery):
+    # criterion 13 runs in the forked half of the battery, apart from
+    # criterion 5's tree
+    passed, detail = _c13_well_distributed({"system": reference_dyadic_system()})
+    assert (passed, detail) == (battery[13].passed, battery[13].detail)

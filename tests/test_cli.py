@@ -454,6 +454,21 @@ def test_repeated_commands_identical(capsys, tmp_path):
     assert run_all() == run_all()
 
 
+def test_forking_commands_leave_no_child(capsys, tmp_path, forks):
+    # the suite and a 100k-row CSV each fork once, and reap their child
+    out_csv = str(tmp_path / "orbit.csv")
+    code, _, _ = run_cli(capsys, "suite", "--config", str(REPO_CONFIG))
+    assert code == 1
+    code, _, _ = run_cli(capsys, "orbit-sample", "--config", str(REPO_CONFIG),
+                         "1", "--out", out_csv)
+    assert code == 0
+    assert forks == [1, 1]
+    with open(out_csv) as fh:
+        assert sum(1 for _ in fh) == 100001
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
 def test_orbit_sample_csv(capsys, tmp_path, example_config):
     out_csv = tmp_path / "orbit.csv"
     code, out, _ = run_cli(capsys, "orbit-sample", "--config", example_config,

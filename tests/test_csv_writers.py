@@ -3,6 +3,7 @@
 import csv
 import io
 import math
+import os
 import pathlib
 import warnings
 
@@ -58,11 +59,27 @@ def awkward_values(n, seed):
     return log_abs, angle
 
 
-@pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1])
-def test_samples_csv_matches_row_writer(n):
+ROWS = [1, ROW_BLOCK, ROW_BLOCK + 1, 3 * ROW_BLOCK + 5]
+
+
+def forked_and_one_cpu(monkeypatch, forks, writer, *args, **kwargs):
+    """What writer writes on two CPUs, after checking that it forked
+    exactly when it wrote more than one block, and that it writes the same
+    text on one CPU."""
+    text = written(writer, *args, **kwargs)
+    assert len(forks) == (text.count("\r\n") > ROW_BLOCK + 1)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert written(writer, *args, **kwargs) == text
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    forks.clear()
+    return text
+
+
+@pytest.mark.parametrize("n", ROWS)
+def test_samples_csv_matches_row_writer(n, monkeypatch, forks):
     log_abs, angle = awkward_values(n, n)
     batch = OrbitSampleBatch(log_abs, angle, 7, 0, n)
-    text = written(write_samples_csv, batch)
+    text = forked_and_one_cpu(monkeypatch, forks, write_samples_csv, batch)
     assert text == written(oracle_samples_csv, batch)
     assert text.count("\r\n") == n + 1
     assert "nan" not in text
@@ -75,15 +92,16 @@ def test_points_at_infinity():
     assert pts[0] == complex(math.inf, 0.0) and pts[1] == 0 and pts[2] == 1
 
 
-@pytest.mark.parametrize("n", [1, ROW_BLOCK, ROW_BLOCK + 1])
+@pytest.mark.parametrize("n", ROWS)
 @pytest.mark.parametrize("label", [float, math.exp])
-def test_cdf_csv_matches_row_writer(n, label):
+def test_cdf_csv_matches_row_writer(n, label, monkeypatch, forks):
     xs, _ = awkward_values(n, n + 1)
     xs[np.isinf(xs)] = -0.0  # samples are finite
     grid = np.linspace(-5.0, 5.0, 257)
     law = StationaryLaw(grid=grid, cdf=np.clip((grid + 5.0) / 10.0, 0, 1))
     for ref in (law, StationaryLaw(atom=0.5), None):
-        text = written(write_cdf_csv, xs, ref, "r", label=label)
+        text = forked_and_one_cpu(monkeypatch, forks, write_cdf_csv, xs, ref,
+                                  "r", label=label)
         assert text == written(oracle_cdf_csv, xs, ref, "r", label=label)
         assert text.count("\r\n") == n + 1
 

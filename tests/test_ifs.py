@@ -1,5 +1,7 @@
 """The affine IFS against the maps it models."""
 
+import os
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -18,6 +20,7 @@ from stochdyn.ifs import (
     ROW_BLOCK,
     StationaryLaw,
     affine_ifs,
+    fork_map,
     ks_one_sample,
     ks_to_law,
     ks_two_sample,
@@ -257,3 +260,93 @@ def test_ks_memory_is_sorted_copies_plus_one_block():
     assert traced_peak(ks_two_sample, a, b) <= 2 * 8 * n + _KS_BLOCK_BYTES
     uniform = lambda t: np.clip(t, 0.0, 1.0)  # noqa: E731
     assert traced_peak(ks_one_sample, a, uniform) <= 8 * n + _KS_BLOCK_BYTES
+
+
+# ---------------------------------------------------------------------------
+# fork_map
+
+_ITEMS = list(range(7))
+
+
+@pytest.mark.parametrize("split", range(len(_ITEMS) + 2))
+def test_fork_map_is_map(forks, split):
+    assert list(fork_map(str, _ITEMS, split)) == list(map(str, _ITEMS))
+    assert len(forks) == (split < len(_ITEMS))
+
+
+def test_fork_map_raises_child_exception_here(forks, capfd):
+    parent = os.getpid()
+
+    def pid_unless_four(item):
+        if item == 4:
+            raise ValueError(os.getpid())
+        return os.getpid()
+
+    got = []
+    with pytest.raises(ValueError) as raised:
+        for pid in fork_map(pid_unless_four, range(6), 2):
+            got.append(pid)
+    # items 2 and 3 come from the child, which stopped at 4; 4 is computed
+    # again here, and nothing reaches stdout or stderr
+    assert raised.value.args == (parent,)
+    assert got[:2] == [parent] * 2 and len(got) == 4 and parent not in got[2:]
+    assert forks == [1]
+    assert capfd.readouterr() == ("", "")
+
+
+@pytest.mark.parametrize("taken, busy", [(1, 60.0), (3, 0.0)])
+def test_fork_map_close_reaps_child(forks, taken, busy):
+    # closed while the child still computes (it is killed), or after it
+    # delivered a result
+    parent = os.getpid()
+
+    def pid(item):
+        if os.getpid() != parent:
+            time.sleep(busy)
+        return os.getpid()
+
+    t0 = time.monotonic()
+    gen = fork_map(pid, range(5), 2)
+    pids = [next(gen) for _ in range(taken)]
+    gen.close()
+    assert time.monotonic() - t0 < 30.0
+    assert forks == [1] and (pids[-1] == parent) == (taken <= 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_fork_map_one_cpu_never_forks(monkeypatch):
+    def no_fork():
+        raise AssertionError("forked on one CPU")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    monkeypatch.setattr(os, "fork", no_fork)
+    assert list(fork_map(str, _ITEMS, 3)) == list(map(str, _ITEMS))
+
+
+@pytest.mark.parametrize("fork", ["missing", "failing"])
+def test_fork_map_without_fork_runs_here(monkeypatch, fork):
+    def failing():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    if fork == "missing":
+        monkeypatch.delattr(os, "fork")
+    else:
+        monkeypatch.setattr(os, "fork", failing)
+    assert list(fork_map(str, _ITEMS, 3)) == list(map(str, _ITEMS))
+
+
+def test_fork_map_nested_in_child_runs_there(forks):
+    parent = os.getpid()
+
+    def nested(item):
+        return os.getpid(), list(fork_map(lambda _: os.getpid(), range(4), 2))
+
+    results = list(fork_map(nested, range(4), 2))
+    for pid, inner in results[:2]:  # here: the inner maps fork
+        assert pid == parent and inner[:2] == [parent] * 2
+        assert parent not in inner[2:]
+    for pid, inner in results[2:]:  # in the child: they run in the child
+        assert pid != parent and inner == [pid] * 4
+    assert len(forks) == 3
