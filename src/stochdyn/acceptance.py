@@ -7,7 +7,9 @@ pass flag plus a one-line detail string; `run_all` never raises, it
 converts criterion exceptions into failures.  It runs criteria 9 to 14 in
 a forked child while this process runs 1 to 8 (`ifs.fork_map`), so no
 criterion may depend on another across that split: the only hand-off,
-criterion 1's sample to criterion 2, stays within the first half.
+criterion 1's sample to criterion 2, stays within the first half.  The
+walks of criteria 1, 3 and 14 run in one piece in their halves, since no
+third process is started.
 
 Criterion 5 (geometric decay of the heights of backward-orbit measures)
 is implemented exactly as stated and measured honestly.  The measured

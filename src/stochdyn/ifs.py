@@ -23,10 +23,11 @@ atoms there are exact.
 
 The module also holds the map sampler of every walk, the Kolmogorov-Smirnov
 distances that score samples against these laws (hand rolled; scipy is only
-an oracle in the test suite), the CDF CSV writer, and `fork_map`, the one
-ordered map that hands the second half of a loop to a forked child: the
+an oracle in the test suite), the CDF CSV writer, `fork_map`, the one
+ordered map that hands the second half of a loop to a forked child (the
 acceptance battery's criteria and the blocks of both CSV writers go through
-it.
+it), and `split_walk`, which walks the second half of a seeded walk's rows
+in that child on exactly the random numbers those rows get in one process.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ _CDF_ITERS = 64
 # would otherwise hold every cell of a 100k-row file as a Python object
 ROW_BLOCK = 8192
 _in_child = False  # set in a fork_map child, whose own fork_maps run serially
+_child_running = False  # set while a fork_map of this process has a child
 
 
 def _cpus() -> int:
@@ -64,6 +66,14 @@ def _cpus() -> int:
         return len(os.sched_getaffinity(0))
     except AttributeError:  # no affinity call on this platform
         return os.cpu_count() or 1
+
+
+def _may_fork() -> bool:
+    """Whether a fork_map may fork now: os.fork exists, this process may
+    use more than one CPU, and it neither is a fork_map child nor has one
+    running, so that at most two processes ever compute."""
+    return (not _in_child and not _child_running and hasattr(os, "fork")
+            and _cpus() > 1)
 
 
 def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
@@ -77,7 +87,8 @@ def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
     exception is raised where the serial loop raises it; the child's
     stdout and stderr go to os.devnull.  Everything runs in this process
     when there is no os.fork, this process may use one CPU only, split >=
-    len(items), the fork fails, or this is a fork_map child itself.
+    len(items), the fork fails, this is a fork_map child itself, or
+    another fork_map of this process has its child running.
 
     The child is forked rather than spawned, because a fresh interpreter
     would cost as much as the half it takes over; fn and items reach it as
@@ -87,11 +98,13 @@ def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
     killed, if still running, and reaped when the generator ends or is
     closed.
     """
+    global _child_running
     pid = pipe = None
-    if (split < len(items) and not _in_child and hasattr(os, "fork")
-            and _cpus() > 1):
+    if split < len(items) and _may_fork():
         pid, pipe = _fork(fn, items[split:])
     done = split if pid is not None else len(items)
+    if pid is not None:
+        _child_running = True
     try:
         for item in items[:done]:
             yield fn(item)
@@ -111,6 +124,7 @@ def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            _child_running = False
     for item in items[done:]:
         yield fn(item)
 
@@ -155,6 +169,113 @@ def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
                 pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
     finally:
         os._exit(0)
+
+
+# A walk splits when its estimated work, rows x steps x its caller's cost per
+# row-step, is at least _SPLIT_FACTOR fork_map round trips, and each half
+# has at least _SPLIT_ROWS rows.  A round trip, fork_map of two items from a
+# process that imported stochdyn, took about 2.7 ms, plus about 2 ms per
+# 800 KB the child returns (2-vCPU VM, Python 3.11, numpy 2.4), so a split
+# saves at least one round trip; the callers' costs per row-step were
+# measured on the same VM.
+_ROUND_TRIP_S = 2.7e-3
+_RETURN_S_PER_BYTE = 2e-3 / 800e3
+_SPLIT_FACTOR = 4
+_SPLIT_ROWS = 1024
+
+
+def _skip(bitgen, k: int) -> None:
+    """Moves bitgen past its next k 64-bit outputs, into the state k draws
+    leave.  PCG64 and PCG64DXSM advance by outputs; Philox advances by
+    blocks of four and drops its buffer, so the buffered outputs and the
+    last block are drawn instead."""
+    state = bitgen.state
+    if "buffer_pos" not in state:
+        bitgen.advance(k)
+        return
+    size = len(state["buffer"])
+    buffered = size - state["buffer_pos"]
+    if k <= buffered:
+        bitgen.random_raw(k)
+        return
+    blocks, last = divmod(k - buffered - 1, size)
+    bitgen.advance(blocks)
+    bitgen.random_raw(last + 1)
+
+
+class RowDraws:
+    """The draws of rows [lo, hi) of a walk: random(n) returns the values
+    lo to hi of what rng.random(n) returns, and moves rng past all n of
+    them, skipping the other rows' values with bit_generator.advance.  A
+    walk that makes every draw through random(n), with n its row count,
+    thus sees on rows [lo, hi) the numbers those rows see in the whole
+    walk, and leaves rng in the whole walk's end state."""
+
+    def __init__(self, rng: np.random.Generator, lo: int, hi: int):
+        self.rng, self.lo, self.hi = rng, lo, hi
+
+    def random(self, n: int) -> np.ndarray:
+        bitgen = self.rng.bit_generator
+        _skip(bitgen, self.lo)
+        values = self.rng.random(self.hi - self.lo)
+        _skip(bitgen, n - self.hi)
+        return values
+
+
+def _splittable(rng) -> bool:
+    """Whether RowDraws reproduce rng's draws: its bit generator advances
+    and holds no buffered 32-bit value, which advance would drop."""
+    bitgen = rng.bit_generator
+    return hasattr(bitgen, "advance") and not bitgen.state["has_uint32"]
+
+
+def split_walk(walk: Callable, rows: list, steps: int, row_step_s: float,
+               rng: np.random.Generator) -> tuple:
+    """The arrays walk(rows, rng) returns: a seeded walk of `steps` steps,
+    each of whose rows starts at its entries of the start arrays in the
+    list rows and ends at its entries of the returned arrays, one per start
+    array.  walk owns the list and may empty it, so that a walk in one
+    piece frees its start arrays as it goes, and it makes every draw as
+    rng.random(count), count = len(rows[0]).
+
+    When the walk is large enough (the rule beside _SPLIT_FACTOR), fork_map
+    may fork and RowDraws reproduce rng's draws, a fork_map child walks
+    rows [h, count), h = count // 2, while this process walks rows [0, h),
+    each half as walk(its rows, RowDraws(rng, lo, hi)) from rng's start
+    state; the halves go into one output, allocated once this process's
+    half is done.  Every row sees the numbers it sees in the walk in one
+    piece, so the arrays are that walk's bit for bit, and rng ends in its
+    end state.  A split walk that raises is walked again in one piece here,
+    so it raises what that walk raises.  Any other walk runs in one piece
+    here.
+    """
+    count = len(rows[0])
+    h = count // 2
+    work = count * steps * row_step_s
+    trip = _ROUND_TRIP_S + _RETURN_S_PER_BYTE * sum(
+        a[h:].nbytes for a in rows)
+    if (h < _SPLIT_ROWS or work < _SPLIT_FACTOR * trip or not _may_fork()
+            or not _splittable(rng)):
+        return walk(rows, rng)
+    start = rng.bit_generator.state
+    out = []
+    spans = [(0, h), (h, count)]
+
+    def half(span):
+        lo, hi = span
+        rng.bit_generator.state = start
+        return walk([a[lo:hi] for a in rows], RowDraws(rng, lo, hi))
+
+    try:
+        for (lo, hi), part in zip(spans, fork_map(half, spans, 1)):
+            if not out:
+                out = [np.empty(count, p.dtype) for p in part]
+            for whole, piece in zip(out, part):
+                whole[lo:hi] = piece
+    except Exception:
+        rng.bit_generator.state = start
+        return walk(rows, rng)
+    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)

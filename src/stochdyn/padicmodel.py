@@ -16,7 +16,9 @@ approximated.
 
 Shifts, fixed points and atoms are exact rationals.  The walk itself
 runs in float64, which is exact while every degree is a power of 2 and
-the valuations need at most 53 significant bits.
+the valuations need at most 53 significant bits.  It goes through
+ifs.split_walk, so a large walk walks half its rows in a forked child on
+the numbers they get in one process.
 """
 
 from __future__ import annotations
@@ -26,7 +28,11 @@ import numpy as np
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, StochdynError, normalize_point, padic_valuation
 from .heights import PlaceQ
-from .ifs import affine_ifs, map_sampler
+from .ifs import affine_ifs, map_sampler, split_walk
+
+# the cost of one row-step of the valuation walk, by which ifs.split_walk
+# decides whether to split it: about 10 ns (2-vCPU VM, numpy 2.4)
+_ROW_STEP_S = 10e-9
 
 
 class UnsupportedStructure(StochdynError):
@@ -49,11 +55,16 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
     if ifs is None:
         raise UnsupportedStructure(
             f"system has a non-monomial map; no valuation dynamics at {place}")
-    v = np.full(samples, float(padic_valuation(alpha.as_fraction(), place.p)))
-    rng = np.random.default_rng(seed)
+    start = float(padic_valuation(alpha.as_fraction(), place.p))
     draw = map_sampler(ifs.probs)
     degs = ifs.arrays[1]
-    for _ in range(n):
-        idx = draw(rng, samples)
-        v = ifs.step(v, idx, degs[idx])
-    return v
+
+    def walk(rows, draws):
+        v = rows.pop()
+        for _ in range(n):
+            idx = draw(draws, samples)
+            v = ifs.step(v, idx, degs[idx])
+        return (v,)
+
+    return split_walk(walk, [np.full(samples, start)], n, _ROW_STEP_S,
+                      np.random.default_rng(seed))[0]

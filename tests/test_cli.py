@@ -455,14 +455,15 @@ def test_repeated_commands_identical(capsys, tmp_path):
 
 
 def test_forking_commands_leave_no_child(capsys, tmp_path, forks):
-    # the suite and a 100k-row CSV each fork once, and reap their child
+    # the suite forks once; a 100k-row orbit-sample twice, its walk and its
+    # CSV; each reaps its child
     out_csv = str(tmp_path / "orbit.csv")
     code, _, _ = run_cli(capsys, "suite", "--config", str(REPO_CONFIG))
     assert code == 1
     code, _, _ = run_cli(capsys, "orbit-sample", "--config", str(REPO_CONFIG),
                          "1", "--out", out_csv)
     assert code == 0
-    assert forks == [1, 1]
+    assert forks == [1, 1, 1]
     with open(out_csv) as fh:
         assert sum(1 for _ in fh) == 100001
     with pytest.raises(ChildProcessError):

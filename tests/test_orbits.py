@@ -268,14 +268,17 @@ def test_walks_match_all_roots_step(system, start, seed):
 
 def test_numeric_walk_memory_per_sample(general):
     # the traced peak of a numeric walk grows per added sample by at most
-    # 16 floats: the start angles canonical_sample holds (1); 6 arrays the
-    # walk holds over a step (coordinates, map indices, degrees, the
-    # draws as ints, exact codes, rewritten in place); the two new
-    # coordinate columns (2); for the points under one map, at most all of
-    # them, their indices, coordinates, draws and the picked root's two
-    # columns (6, whatever d is), so 15, with 1 to spare for the masks
-    # (on_exact is 1/8); the fiber's own temporaries stay a ROW_BLOCK-row
-    # constant
+    # 16 floats.  In one process (11.1 measured): the start angles
+    # canonical_sample holds (1); 5 arrays the walk holds over a step
+    # (coordinates, map indices, the draws as ints, exact codes, rewritten
+    # in place); the two new coordinate columns (2); for the points under
+    # one map, at most all of them, their indices, coordinates, draws and
+    # the picked root's two columns (6, whatever d is), so 14, with 2 to
+    # spare for the masks (on_exact is 1/8); the fiber's own temporaries
+    # stay a ROW_BLOCK-row constant.  Split over two CPUs (15.7 measured),
+    # this process holds both start arrays (2) and walks half the rows, and
+    # the fiber temporaries of its half grow from about 5,000 rows per map
+    # at 20,000 samples to a full ROW_BLOCK at 60,000 (about 9)
     def peak(samples):
         tracemalloc.start()
         try:

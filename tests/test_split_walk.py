@@ -1,0 +1,225 @@
+"""Split walks: ifs.RowDraws and ifs.split_walk, and the walkers that go
+through them, against the same walks in one process."""
+
+import os
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from stochdyn import ifs
+from stochdyn.archpotential import canonical_sample
+from stochdyn.dynsys import make_map, make_system
+from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
+from stochdyn.heights import PlaceQ
+from stochdyn.ifs import RowDraws, fork_map, split_walk
+from stochdyn.orbits import backward_sample, backward_walk
+from stochdyn.padicmodel import sample_backward_valuations
+
+
+def _state(rng) -> str:
+    # Philox states hold arrays, which compare elementwise
+    return repr(rng.bit_generator.state)
+
+
+@st.composite
+def _rows(draw):
+    count = draw(st.integers(1, 300))
+    lo = draw(st.integers(0, count - 1))
+    return count, lo, draw(st.integers(lo + 1, count))
+
+
+@settings(max_examples=150, deadline=None)
+@given(bitgen=st.sampled_from([np.random.PCG64, np.random.Philox]),
+       seed=st.integers(0, 2**32), ahead=st.integers(0, 9), rows=_rows(),
+       calls=st.integers(1, 4))
+def test_row_draws_are_the_rows_of_full_draws(bitgen, seed, ahead, rows,
+                                              calls):
+    # `ahead` draws first, so that Philox starts anywhere in its block of 4
+    count, lo, hi = rows
+    full, part = (np.random.Generator(bitgen(seed)) for _ in range(2))
+    full.random(ahead)
+    part.random(ahead)
+    draws = RowDraws(part, lo, hi)
+    for _ in range(calls):
+        got = draws.random(count)
+        assert got.tobytes() == full.random(count)[lo:hi].tobytes()
+    assert _state(part) == _state(full)
+
+
+_N = 4096
+
+
+def _walk(count):
+    """A walk of two steps over one start array of count rows, each step
+    one draw per row through draws.random."""
+    def walk(rows, draws):
+        x = rows.pop()
+        for _ in range(2):
+            x = x * 0.5 + draws.random(count)
+        return (x,)
+
+    return walk
+
+
+def _split(rng, row_step_s=1.0, count=_N):
+    return split_walk(_walk(count), [np.arange(count, dtype=float)], 2,
+                      row_step_s, rng)[0]
+
+
+def _one_piece(seed, count=_N):
+    rng = np.random.default_rng(seed)
+    x = np.arange(count, dtype=float)
+    for _ in range(2):
+        x = x * 0.5 + rng.random(count)
+    return x, _state(rng)
+
+
+def test_split_walk_is_the_walk_in_one_piece(forks):
+    rng = np.random.default_rng(3)
+    x, state = _one_piece(3)
+    assert _split(rng).tobytes() == x.tobytes() and _state(rng) == state
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.SFC64])
+def test_split_walk_without_advance_walks_in_one_piece(forks, bitgen):
+    spans = []
+
+    def walk(rows, draws):
+        spans.append((len(rows[0]), draws))
+        return _walk(_N)(rows, draws)
+
+    rng = np.random.Generator(bitgen(3))
+    split_walk(walk, [np.zeros(_N)], 2, 1.0, rng)
+    assert spans == [(_N, rng)] and forks == []
+
+
+def test_split_walk_rule(forks):
+    # the walk splits from _SPLIT_FACTOR round trips of work and
+    # _SPLIT_ROWS rows on each side
+    half = ifs._SPLIT_ROWS
+    trip = ifs._ROUND_TRIP_S + ifs._RETURN_S_PER_BYTE * 8 * half
+    at_bound = ifs._SPLIT_FACTOR * trip / (2 * half * 2)
+    for count, cost, splits in ((2 * half, 1.01 * at_bound, True),
+                                (2 * half, 0.99 * at_bound, False),
+                                (2 * half - 1, 1.0, False)):
+        forks.clear()
+        rng = np.random.default_rng(5)
+        x, state = _one_piece(5, count)
+        assert _split(rng, cost, count).tobytes() == x.tobytes()
+        assert _state(rng) == state and len(forks) == splits
+
+
+def test_split_walk_on_one_cpu_or_in_a_fork_map_half(forks, monkeypatch):
+    x, _ = _one_piece(3)
+    # in both halves of a running fork_map: here, and in its child
+    for got in fork_map(lambda _: _split(np.random.default_rng(3)), [0, 1],
+                        1):
+        assert got.tobytes() == x.tobytes()
+    assert forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert _split(np.random.default_rng(3)).tobytes() == x.tobytes()
+    assert forks == [1]
+
+
+@pytest.mark.parametrize("here_fails", [False, True])
+def test_split_walk_raises_the_one_piece_exception(forks, monkeypatch,
+                                                   here_fails):
+    # rows [h, N), the child's, fail at the first step; rows [0, h) pass,
+    # or fail at the second step, which the split walk meets first here
+    h = _N // 2
+
+    def walk(rows, draws):
+        index = rows.pop()
+        x = np.zeros(len(index))
+        for step in range(2):
+            x += draws.random(_N)
+            if step == 0 and np.any(index >= h):
+                raise ConvergenceFailure("roots of map 1 did not converge")
+            if step == 1 and here_fails and np.any(index < h):
+                raise ConvergenceFailure("roots of map 0 did not converge")
+        return (x,)
+
+    def failure():
+        rng = np.random.default_rng(7)
+        with pytest.raises(ConvergenceFailure) as raised:
+            split_walk(walk, [np.arange(_N, dtype=float)], 2, 1.0, rng)
+        return str(raised.value), _state(rng)
+
+    split = failure()
+    assert split[0] == "roots of map 1 did not converge" and forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert failure() == split and forks == [1]
+
+
+def _forked_and_one_cpu(monkeypatch, forks, sample):
+    """The bytes of sample() on two CPUs, after checking that it forked
+    once, and on one CPU."""
+    def arrays():
+        return [a.tobytes() for a in np.atleast_2d(sample())]
+
+    forked = arrays()
+    assert forks == [1]
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        assert arrays() == forked
+    assert forks == [1]
+
+
+def _batch(batch):
+    return np.stack((batch.log_abs, batch.angle))
+
+
+@pytest.mark.parametrize("name", ["dyadic", "signed"])
+def test_ifs_walks_split_as_in_one_process(monkeypatch, forks, request,
+                                           name):
+    system = request.getfixturevalue(name)
+    _forked_and_one_cpu(monkeypatch, forks, lambda: _batch(backward_sample(
+        system, normalize_point(3, 2), 40, 20_000, 9)))
+    forks.clear()
+    _forked_and_one_cpu(monkeypatch, forks, lambda: _batch(canonical_sample(
+        system, 40, 20_000, 9)))
+    forks.clear()
+    _forked_and_one_cpu(monkeypatch, forks,
+                        lambda: sample_backward_valuations(
+                            system, PlaceQ(2), normalize_point(3, 2), 50,
+                            30_000, 9))
+
+
+@pytest.mark.parametrize("start", [normalize_point(0, 1), INFINITY,
+                                   normalize_point(3, 2)])
+@pytest.mark.parametrize("name", ["general", "mixed"])
+def test_fiber_walks_split_as_in_one_process(monkeypatch, forks, request,
+                                             name, start):
+    system = request.getfixturevalue(name)
+    _forked_and_one_cpu(monkeypatch, forks, lambda: _batch(backward_sample(
+        system, start, 8, 2048, 4)))
+
+
+def test_canonical_fiber_walk_splits_as_in_one_process(monkeypatch, forks,
+                                                       general):
+    _forked_and_one_cpu(monkeypatch, forks, lambda: _batch(canonical_sample(
+        general, 8, 2048, 4)))
+
+
+def test_split_fiber_walk_raises_the_one_piece_failure(monkeypatch, forks):
+    # the small root of (w^4 + 1)/(2 w) = z is lost at |z| = e^700
+    # (test_numeric_fiber_refuses_lost_roots); both maps lose it, and the
+    # walk in one piece names the map it meets first
+    system = make_system([make_map([1, 0, 0, 0, 1], [0, 2]),
+                          make_map([1, 0, 0, 0, 1], [0, 3])],
+                         [Fraction(1, 2)] * 2)
+
+    def failure():
+        rng = np.random.default_rng(1)
+        with pytest.raises(ConvergenceFailure) as raised:
+            backward_walk(system, np.full(8192, 700.0), np.full(8192, 0.3),
+                          None, 2, rng)
+        return str(raised.value), _state(rng)
+
+    split = failure()
+    assert forks == [1]
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+    assert failure() == split
