@@ -5,7 +5,7 @@ Fourteen numbered checks cover the sampling laws at the archimedean and
 radii, exceptional points, and tree statistics.  Each check returns a
 pass flag plus a one-line detail string; `run_all` never raises, it
 converts criterion exceptions into failures.  It runs criteria 9 to 14 in
-a forked child while this process runs 1 to 8 (`ifs.fork_map`), so no
+a forked child while this process runs 1 to 8 (`forks.fork_map`), so no
 criterion may depend on another across that split: the only hand-off,
 criterion 1's sample to criterion 2, stays within the first half.  The
 walks of criteria 1, 3 and 14 run in one piece in their halves, since no
@@ -58,7 +58,8 @@ from .heights import (
 )
 from .archpotential import gS_eval_many, pullback_invariance_residual, radii
 from .exactnum import point_from_rational
-from .ifs import fork_map, ks_one_sample
+from .forks import fork_map
+from .ifs import ks_one_sample
 from .orbits import backward_sample, backward_tree, well_distributed_stat
 from .padicmodel import sample_backward_valuations
 from .stochheight import stoch_height, weil_comparison_residual

@@ -23,29 +23,23 @@ atoms there are exact.
 
 The module also holds the map sampler of every walk, the Kolmogorov-Smirnov
 distances that score samples against these laws (hand rolled; scipy is only
-an oracle in the test suite), the CDF CSV writer, `fork_map`, the one
-ordered map that hands the second half of a loop to a forked child (the
-acceptance battery's criteria and the blocks of both CSV writers go through
-it), and `split_walk`, which walks the second half of a seeded walk's rows
-in that child on exactly the random numbers those rows get in one process.
+an oracle in the test suite) and the CDF CSV writer, whose second half of
+blocks a forked child formats (forks.fork_map).
 """
 
 from __future__ import annotations
 
-import contextlib
 import csv
-import gc
-import os
-import pickle
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable, Iterator, Optional, Sequence, Union
+from typing import Callable, Optional, Union
 
 import numpy as np
 
 from .dynsys import StochasticSystem
 from .exactnum import log_abs_fraction, padic_valuation
+from .forks import fork_map
 from .heights import ARCH, PlaceQ
 
 _ATOM_TOL = 1e-9  # fixed points this close count as one atom
@@ -56,226 +50,6 @@ _CDF_ITERS = 64
 # stay a fixed size whatever the sample count; the CSV writers' tolist()
 # would otherwise hold every cell of a 100k-row file as a Python object
 ROW_BLOCK = 8192
-_in_child = False  # set in a fork_map child, whose own fork_maps run serially
-_child_running = False  # set while a fork_map of this process has a child
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
-
-
-def _may_fork() -> bool:
-    """Whether a fork_map may fork now: os.fork exists, this process may
-    use more than one CPU, and it neither is a fork_map child nor has one
-    running, so that at most two processes ever compute."""
-    return (not _in_child and not _child_running and hasattr(os, "fork")
-            and _cpus() > 1)
-
-
-def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
-    """Yield fn(item) for each item, in item order.
-
-    This process computes items[:split] while a forked child computes
-    items[split:], keeps the results and then pickles them back through a
-    pipe one at a time, so that the caller never holds the child's half at
-    once.  Whatever the child did not deliver (fn raised there, or the
-    child died) is computed again here after the child is reaped, so an
-    exception is raised where the serial loop raises it; the child's
-    stdout and stderr go to os.devnull.  Everything runs in this process
-    when there is no os.fork, this process may use one CPU only, split >=
-    len(items), the fork fails, this is a fork_map child itself, or
-    another fork_map of this process has its child running.
-
-    The child is forked rather than spawned, because a fresh interpreter
-    would cost as much as the half it takes over; fn and items reach it as
-    they are, unpickled.  It freezes the objects it inherits out of its
-    garbage collections and ends with os._exit, so it runs no finalizer of
-    an inherited object and flushes no inherited file buffer.  It is
-    killed, if still running, and reaped when the generator ends or is
-    closed.
-    """
-    global _child_running
-    pid = pipe = None
-    if split < len(items) and _may_fork():
-        pid, pipe = _fork(fn, items[split:])
-    done = split if pid is not None else len(items)
-    if pid is not None:
-        _child_running = True
-    try:
-        for item in items[:done]:
-            yield fn(item)
-        while done < len(items):
-            try:
-                result = pickle.load(pipe)
-            except (EOFError, pickle.UnpicklingError):
-                break  # the child stopped early
-            done += 1
-            yield result
-    finally:
-        if pid is not None:
-            # imported here: the signal module's enums add about 2.5 ms to
-            # the start of every command, most of which never fork
-            import signal
-
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-            _child_running = False
-    for item in items[done:]:
-        yield fn(item)
-
-
-def _fork(fn: Callable, items: Sequence) -> tuple:
-    """(pid, read end of its pipe) of a child serving fn over items, or
-    (None, None) when the pipe or the fork fails."""
-    try:
-        rfd, wfd = os.pipe()
-    except OSError:
-        return None, None
-    try:
-        pid = os.fork()
-    except OSError:
-        os.close(rfd)
-        os.close(wfd)
-        return None, None
-    if pid == 0:
-        _serve(fn, items, rfd, wfd)
-    os.close(wfd)
-    return pid, os.fdopen(rfd, "rb")
-
-
-def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
-    """The child of fork_map: maps fn over items up to the first exception,
-    writes each result to wfd as one pickle, and exits.  Never returns."""
-    global _in_child
-    try:
-        _in_child = True
-        gc.freeze()
-        os.close(rfd)
-        null = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(null, 1)
-        os.dup2(null, 2)
-        results = []
-        # the parent computes a failing item again and raises there
-        with contextlib.suppress(Exception):
-            for item in items:
-                results.append(fn(item))
-        with os.fdopen(wfd, "wb") as pipe:
-            for result in results:
-                pipe.write(pickle.dumps(result, pickle.HIGHEST_PROTOCOL))
-    finally:
-        os._exit(0)
-
-
-# A walk splits when its estimated work, rows x steps x its caller's cost per
-# row-step, is at least _SPLIT_FACTOR fork_map round trips, and each half
-# has at least _SPLIT_ROWS rows.  A round trip, fork_map of two items from a
-# process that imported stochdyn, took about 2.7 ms, plus about 2 ms per
-# 800 KB the child returns (2-vCPU VM, Python 3.11, numpy 2.4), so a split
-# saves at least one round trip; the callers' costs per row-step were
-# measured on the same VM.
-_ROUND_TRIP_S = 2.7e-3
-_RETURN_S_PER_BYTE = 2e-3 / 800e3
-_SPLIT_FACTOR = 4
-_SPLIT_ROWS = 1024
-
-
-def _skip(bitgen, k: int) -> None:
-    """Moves bitgen past its next k 64-bit outputs, into the state k draws
-    leave.  PCG64 and PCG64DXSM advance by outputs; Philox advances by
-    blocks of four and drops its buffer, so the buffered outputs and the
-    last block are drawn instead."""
-    state = bitgen.state
-    if "buffer_pos" not in state:
-        bitgen.advance(k)
-        return
-    size = len(state["buffer"])
-    buffered = size - state["buffer_pos"]
-    if k <= buffered:
-        bitgen.random_raw(k)
-        return
-    blocks, last = divmod(k - buffered - 1, size)
-    bitgen.advance(blocks)
-    bitgen.random_raw(last + 1)
-
-
-class RowDraws:
-    """The draws of rows [lo, hi) of a walk: random(n) returns the values
-    lo to hi of what rng.random(n) returns, and moves rng past all n of
-    them, skipping the other rows' values with bit_generator.advance.  A
-    walk that makes every draw through random(n), with n its row count,
-    thus sees on rows [lo, hi) the numbers those rows see in the whole
-    walk, and leaves rng in the whole walk's end state."""
-
-    def __init__(self, rng: np.random.Generator, lo: int, hi: int):
-        self.rng, self.lo, self.hi = rng, lo, hi
-
-    def random(self, n: int) -> np.ndarray:
-        bitgen = self.rng.bit_generator
-        _skip(bitgen, self.lo)
-        values = self.rng.random(self.hi - self.lo)
-        _skip(bitgen, n - self.hi)
-        return values
-
-
-def _splittable(rng) -> bool:
-    """Whether RowDraws reproduce rng's draws: its bit generator advances
-    and holds no buffered 32-bit value, which advance would drop."""
-    bitgen = rng.bit_generator
-    return hasattr(bitgen, "advance") and not bitgen.state["has_uint32"]
-
-
-def split_walk(walk: Callable, rows: list, steps: int, row_step_s: float,
-               rng: np.random.Generator) -> tuple:
-    """The arrays walk(rows, rng) returns: a seeded walk of `steps` steps,
-    each of whose rows starts at its entries of the start arrays in the
-    list rows and ends at its entries of the returned arrays, one per start
-    array.  walk owns the list and may empty it, so that a walk in one
-    piece frees its start arrays as it goes, and it makes every draw as
-    rng.random(count), count = len(rows[0]).
-
-    When the walk is large enough (the rule beside _SPLIT_FACTOR), fork_map
-    may fork and RowDraws reproduce rng's draws, a fork_map child walks
-    rows [h, count), h = count // 2, while this process walks rows [0, h),
-    each half as walk(its rows, RowDraws(rng, lo, hi)) from rng's start
-    state; the halves go into one output, allocated once this process's
-    half is done.  Every row sees the numbers it sees in the walk in one
-    piece, so the arrays are that walk's bit for bit, and rng ends in its
-    end state.  A split walk that raises is walked again in one piece here,
-    so it raises what that walk raises.  Any other walk runs in one piece
-    here.
-    """
-    count = len(rows[0])
-    h = count // 2
-    work = count * steps * row_step_s
-    trip = _ROUND_TRIP_S + _RETURN_S_PER_BYTE * sum(
-        a[h:].nbytes for a in rows)
-    if (h < _SPLIT_ROWS or work < _SPLIT_FACTOR * trip or not _may_fork()
-            or not _splittable(rng)):
-        return walk(rows, rng)
-    start = rng.bit_generator.state
-    out = []
-    spans = [(0, h), (h, count)]
-
-    def half(span):
-        lo, hi = span
-        rng.bit_generator.state = start
-        return walk([a[lo:hi] for a in rows], RowDraws(rng, lo, hi))
-
-    try:
-        for (lo, hi), part in zip(spans, fork_map(half, spans, 1)):
-            if not out:
-                out = [np.empty(count, p.dtype) for p in part]
-            for whole, piece in zip(out, part):
-                whole[lo:hi] = piece
-    except Exception:
-        rng.bit_generator.state = start
-        return walk(rows, rng)
-    return tuple(out)
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,7 +288,7 @@ def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
     csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
     each block one %-format of a repeated row template over its cells, with
     the reference CDF taken per block; a forked child formats the second
-    half of the blocks (fork_map)."""
+    half of the blocks (forks.fork_map)."""
     xs = np.sort(np.asarray(xs, dtype=float))
     n = len(xs)
     csv.writer(fileobj).writerow([column, "empirical_cdf", "reference_cdf"])

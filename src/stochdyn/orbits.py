@@ -44,18 +44,14 @@ import numpy as np
 from .dynsys import RationalMapQ, StochasticSystem, fiber
 from .exactnum import (ProjPointQ, StochdynError, pair_log_polar, poly_roots,
                        wrap_angle)
-from .ifs import ROW_BLOCK, affine_ifs, fork_map, map_sampler, split_walk
+from .forks import fork_map, split_walk
+from .ifs import ROW_BLOCK, affine_ifs, map_sampler
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
 # past this |log|z||, a max-norm lift coordinate is below the smallest
 # normal float
 _LOG_TINY = -math.log(sys.float_info.min)
-# the cost of one row-step of backward_walk, by which ifs.split_walk decides
-# whether to split a walk: about 17 ns through the IFS and 0.9 us through
-# numeric fibers (2-vCPU VM, numpy 2.4)
-_IFS_ROW_STEP_S = 17e-9
-_FIBER_ROW_STEP_S = 0.9e-6
 
 
 class NodeBudgetExceeded(StochdynError):
@@ -480,8 +476,9 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     which works through them ifs.ROW_BLOCK at a time and solves, tests and
     converts only the drawn preimage of each: a step raises
     ConvergenceFailure only when a drawn root fails its backward-error
-    test.  The rows go through ifs.split_walk, so a large walk walks its
-    second half of rows in a forked child, bit for bit as in one process.
+    test.  The rows go through forks.split_walk as an "ifs" or a "fiber"
+    walk, so a large walk walks its second half of rows in a forked child,
+    bit for bit as in one process.
     """
     count = len(log_r)
     draw = map_sampler(system.probs)
@@ -524,8 +521,8 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
 
     rows = [log_r, theta]
     del log_r, theta  # walk alone holds them
-    return split_walk(walk, rows, steps, _FIBER_ROW_STEP_S if ifs is None
-                      else _IFS_ROW_STEP_S, rng)
+    return split_walk(walk, rows, steps, "fiber" if ifs is None else "ifs",
+                      rng)
 
 
 def _fiber_step(system, log_r, theta, codes, exact, idx, j):
@@ -576,7 +573,7 @@ def write_samples_csv(batch: OrbitSampleBatch, fileobj):
     """CSV export with columns index, re, im, log_abs, depth: the lines of
     csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
     each block one %-format of a repeated row template over its cells; a
-    forked child formats the second half of the blocks (ifs.fork_map)."""
+    forked child formats the second half of the blocks (forks.fork_map)."""
     csv.writer(fileobj).writerow(["index", "re", "im", "log_abs", "depth"])
     row = f"%d,%r,%r,%r,{batch.depth}\r\n"
 

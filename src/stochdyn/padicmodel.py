@@ -17,8 +17,8 @@ approximated.
 Shifts, fixed points and atoms are exact rationals.  The walk itself
 runs in float64, which is exact while every degree is a power of 2 and
 the valuations need at most 53 significant bits.  It goes through
-ifs.split_walk, so a large walk walks half its rows in a forked child on
-the numbers they get in one process.
+forks.split_walk as a "valuation" walk, so a large walk walks half its
+rows in a forked child on the numbers they get in one process.
 """
 
 from __future__ import annotations
@@ -28,11 +28,8 @@ import numpy as np
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, StochdynError, normalize_point, padic_valuation
 from .heights import PlaceQ
-from .ifs import affine_ifs, map_sampler, split_walk
-
-# the cost of one row-step of the valuation walk, by which ifs.split_walk
-# decides whether to split it: about 10 ns (2-vCPU VM, numpy 2.4)
-_ROW_STEP_S = 10e-9
+from .forks import split_walk
+from .ifs import affine_ifs, map_sampler
 
 
 class UnsupportedStructure(StochdynError):
@@ -66,5 +63,5 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
             v = ifs.step(v, idx, degs[idx])
         return (v,)
 
-    return split_walk(walk, [np.full(samples, start)], n, _ROW_STEP_S,
+    return split_walk(walk, [np.full(samples, start)], n, "valuation",
                       np.random.default_rng(seed))[0]

@@ -454,18 +454,47 @@ def test_repeated_commands_identical(capsys, tmp_path):
     assert run_all() == run_all()
 
 
-def test_forking_commands_leave_no_child(capsys, tmp_path, forks):
-    # the suite forks once; a 100k-row orbit-sample twice, its walk and its
-    # CSV; each reaps its child
-    out_csv = str(tmp_path / "orbit.csv")
-    code, _, _ = run_cli(capsys, "suite", "--config", str(REPO_CONFIG))
-    assert code == 1
-    code, _, _ = run_cli(capsys, "orbit-sample", "--config", str(REPO_CONFIG),
-                         "1", "--out", out_csv)
-    assert code == 0
-    assert forks == [1, 1, 1]
-    with open(out_csv) as fh:
-        assert sum(1 for _ in fh) == 100001
+# os.fork calls of every command perfbench times, at the config's seed: a
+# 100k-row walk splits, and so does each 100k-row CSV; general's 1,000-row
+# sample walks are too small to split, the canonical walks of its equidist
+# and radii are not; the suite forks for its battery alone, whose walks run
+# in one piece
+_FORK_COUNTS = [
+    (REPO_CONFIG, ("validate",), 0),
+    (REPO_CONFIG, ("stoch-height", "1"), 0),
+    (REPO_CONFIG, ("orbit-sample", "1", "--out", "F"), 2),
+    (REPO_CONFIG, ("equidist", "1", "--place", "arch", "--out", "F"), 2),
+    (REPO_CONFIG, ("equidist", "1", "--place", "2", "--out", "F"), 2),
+    (REPO_CONFIG, ("green-eval", "0"), 0),
+    (REPO_CONFIG, ("radii",), 0),
+    (GENERAL_CONFIG, ("validate",), 0),
+    (GENERAL_CONFIG, ("stoch-height", "3/2"), 0),
+    (GENERAL_CONFIG, ("orbit-sample", "3", "--out", "F"), 0),
+    (GENERAL_CONFIG, ("equidist", "3"), 1),
+    (GENERAL_CONFIG, ("green-eval", "0"), 0),
+    (GENERAL_CONFIG, ("radii",), 1),
+    (REPO_CONFIG, ("suite",), 1),
+    (GENERAL_CONFIG, ("stoch-height", "3/2", "--tol", "1e-4"), 0),
+    (REPO_CONFIG, ("stoch-height", "3/2", "--tol", "1e-6"), 0),
+]
+
+
+@pytest.mark.parametrize(
+    "config, argv, count", _FORK_COUNTS,
+    ids=[f"{c.stem}-{'-'.join(a).replace('/', '_')}"
+         for c, a, _ in _FORK_COUNTS])
+def test_forking_commands_leave_no_child(capsys, tmp_path, forks, config,
+                                         argv, count):
+    # each command forks as often as the table says, writes every row of
+    # its CSV, and reaps its children
+    out_csv = tmp_path / "out.csv"
+    name, *rest = (str(out_csv) if a == "F" else a for a in argv)
+    code, out, _ = run_cli(capsys, name, "--config", str(config), *rest)
+    assert code == (1 if name == "suite" else 0)
+    assert len(forks) == count
+    if "F" in argv:
+        with open(out_csv) as fh:
+            assert sum(1 for _ in fh) == json.loads(out)["samples"] + 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

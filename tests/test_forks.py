@@ -1,0 +1,87 @@
+"""The fork layer: a fork_map child that dies, and the confinement of
+process code and of the split rule's prices to stochdyn.forks."""
+
+import ast
+import os
+import pathlib
+
+import pytest
+
+import stochdyn
+from stochdyn.forks import fork_map
+
+SRC = pathlib.Path(stochdyn.__file__).parent
+_PROCESS_MODULES = {"contextlib", "gc", "pickle", "signal"}
+_PROCESS_CALLS = {"fork", "pipe", "_exit"}
+
+
+@pytest.mark.parametrize("k", [2, 4, 5])
+def test_fork_map_child_dying_mid_map(forks, capfd, k):
+    # the child takes items 2 to 5 and dies at item k, having delivered
+    # none: every item is computed here, in order
+    parent = os.getpid()
+
+    def pid_or_die(item):
+        if os.getpid() != parent and item == k:
+            os._exit(1)
+        return item, os.getpid()
+
+    assert list(fork_map(pid_or_die, range(6), 2)) == [
+        (item, parent) for item in range(6)]
+    assert forks == [1]
+    assert capfd.readouterr() == ("", "")
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _modules():
+    """(name, syntax tree) of every module of stochdyn but forks."""
+    return [(path.stem, ast.parse(path.read_text()))
+            for path in sorted(SRC.glob("*.py")) if path.stem != "forks"]
+
+
+def _process_code(tree) -> list:
+    """The imports of _PROCESS_MODULES and the uses of os.fork, os.pipe and
+    os._exit in tree."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            found += [a.name for a in node.names
+                      if a.name.split(".")[0] in _PROCESS_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.level == 0:
+            root = (node.module or "").split(".")[0]
+            if root in _PROCESS_MODULES:
+                found.append(node.module)
+            elif root == "os":
+                found += [f"os.{a.name}" for a in node.names
+                          if a.name in _PROCESS_CALLS]
+        elif (isinstance(node, ast.Attribute) and node.attr in _PROCESS_CALLS
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            found.append(f"os.{node.attr}")
+    return found
+
+
+def _module_names(tree) -> list:
+    """The names tree defines at module level."""
+    names = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.append(node.name)
+        elif isinstance(node, ast.Assign):
+            names += [t.id for t in node.targets if isinstance(t, ast.Name)]
+        elif (isinstance(node, (ast.AnnAssign, ast.AugAssign))
+              and isinstance(node.target, ast.Name)):
+            names.append(node.target.id)
+    return names
+
+
+def test_process_code_only_in_forks():
+    found = {name: _process_code(tree) for name, tree in _modules()}
+    assert {name: uses for name, uses in found.items() if uses} == {}
+
+
+def test_split_prices_only_in_forks():
+    found = {name: [n for n in _module_names(tree)
+                    if "ROW_STEP" in n or "ROUND_TRIP" in n]
+             for name, tree in _modules()}
+    assert {name: names for name, names in found.items() if names} == {}

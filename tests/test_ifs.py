@@ -20,13 +20,13 @@ from stochdyn.ifs import (
     ROW_BLOCK,
     StationaryLaw,
     affine_ifs,
-    fork_map,
     ks_one_sample,
     ks_to_law,
     ks_two_sample,
     map_sampler,
     stationary_law,
 )
+from stochdyn.forks import fork_map
 from stochdyn.heights import ARCH, PlaceQ
 from stochdyn.orbits import backward_sample
 from stochdyn.padicmodel import sample_backward_valuations
