@@ -28,11 +28,11 @@ def main():
     ap.add_argument("points", nargs="+", help="points 'a/b' or 'inf'")
     ap.add_argument("--tols", type=float, nargs="+",
                     default=[1e-1, 1e-2, 1e-3])
-    ap.add_argument("--seed", type=int, default=0)
+    ap.add_argument("--seed", type=int, default=None)
     args = ap.parse_args()
 
     cfg = load_config(args.config)
-    seed = check_seed(args.seed)
+    seed = check_seed(args.seed if args.seed is not None else cfg.seed)
     system = build_system(cfg)
     budget = l1_height_control_total(system)
     print(f"distortion budget sum: {budget:.6f}")

@@ -97,10 +97,10 @@ def _c01_radial_law(ctx):
                             SEED)
     ks = ks_one_sample(batch.log_abs,
                        lambda u: np.clip(1.0 + u / LOG2, 0.0, 1.0))
-    elapsed = time.perf_counter() - t0
+    fast = time.perf_counter() - t0 < 60.0
     ctx["batch"] = batch
-    ok = ks <= 0.02 and elapsed < 60.0
-    return ok, f"ks_radial={ks:.4f} (<=0.02), run {elapsed:.1f}s (<60s)"
+    return ks <= 0.02 and fast, (f"ks_radial={ks:.4f} (<=0.02), "
+                                 f"run {'<' if fast else '>='}60s")
 
 
 def _c02_angular_uniformity(ctx):
@@ -236,12 +236,12 @@ def _c09_exceptional_points(ctx):
 def _c10_green_spot_values(ctx):
     t0 = time.perf_counter()
     vals = gS_eval_many(ctx["system"], [0.0, 1.0, 2.0, 10.0])
-    elapsed = time.perf_counter() - t0
+    fast = time.perf_counter() - t0 < 30.0
     err0 = abs(vals[0] + LOG2 / 2.0)
     errs = np.abs(vals[1:])
-    ok = err0 <= 1e-3 and np.max(errs) <= 1e-3 and elapsed < 30.0
+    ok = err0 <= 1e-3 and np.max(errs) <= 1e-3 and fast
     return ok, (f"|g(0)+log2/2|={err0:.2e}, max |g| on |z| in {{1,2,10}} = "
-                f"{np.max(errs):.2e} (<=1e-3), run {elapsed:.1f}s (<30s)")
+                f"{np.max(errs):.2e} (<=1e-3), run {'<' if fast else '>='}30s")
 
 
 def _c11_radii(ctx):

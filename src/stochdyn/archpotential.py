@@ -141,8 +141,8 @@ def canonical_sample(system: StochasticSystem, n: int, samples: int,
     step choosing a map by its probability and a preimage by
     multiplicity/degree.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
+    if n < 0 or samples < 1:
+        raise ValueError("need n >= 0 and samples >= 1")
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, samples)
     log_r, theta = backward_walk(system, np.zeros(samples), theta, None, n, rng)

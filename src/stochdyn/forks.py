@@ -19,24 +19,19 @@ from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
-_in_child = False  # set in a fork_map child, whose own fork_maps run serially
-_child_running = False  # set while a fork_map of this process has a child
-
-
-def _cpus() -> int:
-    """The number of CPUs this process may run on."""
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:  # no affinity call on this platform
-        return os.cpu_count() or 1
+_busy = False  # set while a fork_map of this process has a child, and in it
 
 
 def _may_fork() -> bool:
     """Whether a fork_map may fork now: os.fork exists, this process may
-    use more than one CPU, and it neither is a fork_map child nor has one
-    running, so that at most two processes ever compute."""
-    return (not _in_child and not _child_running and hasattr(os, "fork")
-            and _cpus() > 1)
+    use more than one CPU, and it neither has a fork_map child running nor
+    is one, so that at most two processes ever compute."""
+    if _busy or not hasattr(os, "fork"):
+        return False
+    try:
+        return len(os.sched_getaffinity(0)) > 1
+    except AttributeError:  # no affinity call on this platform
+        return (os.cpu_count() or 1) > 1
 
 
 def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
@@ -61,13 +56,15 @@ def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
     killed, if still running, and reaped when the generator ends or is
     closed.
     """
-    global _child_running
+    global _busy
     pid = pipe = None
     if split < len(items) and _may_fork():
-        pid, pipe = _fork(fn, items[split:])
+        _busy = True  # before the fork, so that the child inherits it
+        try:
+            pid, pipe = _fork(fn, items[split:])
+        finally:
+            _busy = pid is not None
     done = split if pid is not None else len(items)
-    if pid is not None:
-        _child_running = True
     try:
         for item in items[:done]:
             yield fn(item)
@@ -87,7 +84,7 @@ def fork_map(fn: Callable, items: Sequence, split: int) -> Iterator:
             pipe.close()
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
-            _child_running = False
+            _busy = False
     for item in items[done:]:
         yield fn(item)
 
@@ -114,9 +111,7 @@ def _fork(fn: Callable, items: Sequence) -> tuple:
 def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
     """The child of fork_map: maps fn over items up to the first exception,
     writes each result to wfd as one pickle, and exits.  Never returns."""
-    global _in_child
     try:
-        _in_child = True
         gc.freeze()
         os.close(rfd)
         null = os.open(os.devnull, os.O_WRONLY)
@@ -168,16 +163,6 @@ class RowDraws:
         return values
 
 
-def _splittable(rng) -> bool:
-    """Whether RowDraws reproduce rng's draws: its bit generator advances
-    by 64-bit outputs, which PCG64 and PCG64DXSM do and Philox, whose
-    output buffer advance drops, does not, and it holds no pending 32-bit
-    value, which advance would drop too."""
-    bitgen = rng.bit_generator
-    return (hasattr(bitgen, "advance") and "buffer_pos" not in bitgen.state
-            and not bitgen.state["has_uint32"])
-
-
 def split_walk(walk: Callable, rows: list, steps: int, kind: str,
                rng: np.random.Generator) -> tuple:
     """The arrays walk(rows, rng) returns: a seeded walk of `steps` steps
@@ -186,26 +171,27 @@ def split_walk(walk: Callable, rows: list, steps: int, kind: str,
     entries of the returned arrays, one per start array.  walk owns the
     list and may empty it, so that a walk in one piece frees its start
     arrays as it goes, and it makes every draw as rng.random(count),
-    count = len(rows[0]).
+    count = len(rows[0]).  rng is the PCG64 Generator of
+    np.random.default_rng that every seeded walk gets (backward_sample,
+    canonical_sample after its uniform angles, sample_backward_valuations),
+    which has drawn only doubles, so RowDraws reproduce its draws.
 
-    When the walk is large enough (the rule beside _SPLIT_FACTOR), fork_map
-    may fork and RowDraws reproduce rng's draws, a fork_map child walks
-    rows [h, count), h = count // 2, while this process walks rows [0, h),
-    each half as walk(its rows, RowDraws(rng, lo, hi)) from rng's start
-    state; the halves go into one output, allocated once this process's
-    half is done.  Every row sees the numbers it sees in the walk in one
-    piece, so the arrays are that walk's bit for bit, and rng ends in its
-    end state.  A split walk that raises is walked again in one piece here,
-    so it raises what that walk raises.  Any other walk runs in one piece
-    here.
+    When the walk is large enough (the rule beside _SPLIT_FACTOR) and
+    fork_map may fork, a fork_map child walks rows [h, count), h = count //
+    2, while this process walks rows [0, h), each half as walk(its rows,
+    RowDraws(rng, lo, hi)) from rng's start state; the halves go into one
+    output, allocated once this process's half is done.  Every row sees
+    the numbers it sees in the walk in one piece, so the arrays are that
+    walk's bit for bit, and rng ends in its end state.  A split walk that
+    raises is walked again in one piece here, so it raises what that walk
+    raises.  Any other walk runs in one piece here.
     """
     count = len(rows[0])
     h = count // 2
     work = count * steps * _ROW_STEP_S[kind]
     trip = _ROUND_TRIP_S + _RETURN_S_PER_BYTE * sum(
         a[h:].nbytes for a in rows)
-    if (h < _SPLIT_ROWS or work < _SPLIT_FACTOR * trip or not _may_fork()
-            or not _splittable(rng)):
+    if h < _SPLIT_ROWS or work < _SPLIT_FACTOR * trip or not _may_fork():
         return walk(rows, rng)
     start = rng.bit_generator.state
     out = []

@@ -224,6 +224,16 @@ def test_canonical_sample_general_path(mixed):
     assert len(batch.points) == 40
 
 
+def test_canonical_sample_refuses_negative_depth(dyadic):
+    # as backward_sample does; depth -1 used to walk no step and return a
+    # batch labelled depth -1
+    for call in (lambda: canonical_sample(dyadic, -1, 10, 0),
+                 lambda: canonical_sample(dyadic, 3, 0, 0),
+                 lambda: pullback_invariance_residual(dyadic, -1, 10, 0)):
+        with pytest.raises(ValueError, match="need n >= 0 and samples >= 1"):
+            call()
+
+
 def test_reference_cdf_closed_form(dyadic):
     law = radial_law(dyadic)
     exact = np.clip(1.0 + law.grid / LOG2, 0.0, 1.0)

@@ -11,6 +11,7 @@ import runpy
 import subprocess
 import sys
 import time
+import types
 import warnings
 
 import pytest
@@ -20,6 +21,7 @@ import stochdyn.cli
 import stochdyn.ifs
 import stochdyn.orbits
 import stochdyn.padicmodel
+import stochdyn.stochheight
 from stochdyn.cli import (
     ConfigParseError,
     InvariantViolation,
@@ -751,6 +753,24 @@ def test_scripts_keep_exit_codes(capsys, tmp_path, monkeypatch):
     assert run_script(monkeypatch, TREE_SCRIPT, "--config", str(REPO_CONFIG),
                       "1") == 3
     assert capsys.readouterr().err.startswith("error: NodeBudgetExceeded")
+
+
+def test_height_convergence_seeds_from_config(capsys, monkeypatch):
+    # the config's seed, as `stochdyn stoch-height` takes it, unless
+    # --seed overrides it
+    seeds = []
+
+    def record(system, alpha, tol, seed):
+        seeds.append(seed)
+        return types.SimpleNamespace(value=0.5)
+
+    monkeypatch.setattr(stochdyn.stochheight, "stoch_height", record)
+    script = SCRIPTS / "height_convergence.py"
+    for extra, seed in (((), 20260823), (("--seed", "5"), 5)):
+        seeds.clear()
+        assert run_script(monkeypatch, script, "--config", str(REPO_CONFIG),
+                          "--tols", "1e-6", *extra, "--", "2") == 0
+        assert seeds == [seed] and capsys.readouterr().err == ""
 
 
 def test_huge_starts_leave_stderr_empty(capsys, monkeypatch):

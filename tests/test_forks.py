@@ -1,5 +1,6 @@
-"""The fork layer: a fork_map child that dies, and the confinement of
-process code and of the split rule's prices to stochdyn.forks."""
+"""The fork layer: a fork_map child that dies, the flag that keeps at
+most two processes computing, and the confinement of process code and of
+the split rule's prices to stochdyn.forks."""
 
 import ast
 import os
@@ -8,6 +9,7 @@ import pathlib
 import pytest
 
 import stochdyn
+import stochdyn.forks
 from stochdyn.forks import fork_map
 
 SRC = pathlib.Path(stochdyn.__file__).parent
@@ -32,6 +34,31 @@ def test_fork_map_child_dying_mid_map(forks, capfd, k):
     assert capfd.readouterr() == ("", "")
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def _pid_and_busy(item):
+    return os.getpid(), stochdyn.forks._busy
+
+
+def test_busy_only_while_a_child_runs(forks, monkeypatch):
+    # set here while the child runs, and inherited by the child, whose
+    # items return it
+    parent = os.getpid()
+    results = list(fork_map(_pid_and_busy, range(4), 2))
+    assert [busy for _, busy in results] == [True] * 4
+    assert [pid == parent for pid, _ in results] == [True, True, False, False]
+    assert not stochdyn.forks._busy and forks == [1]
+    gen = fork_map(_pid_and_busy, range(4), 2)
+    assert next(gen) == (parent, True)
+    gen.close()
+    assert not stochdyn.forks._busy and forks == [1, 1]
+
+    def failing():
+        raise OSError("no more processes")
+
+    monkeypatch.setattr(os, "fork", failing)
+    assert list(fork_map(_pid_and_busy, range(4), 2)) == [(parent, False)] * 4
+    assert not stochdyn.forks._busy
 
 
 def _modules():

@@ -728,6 +728,23 @@ def test_tree_merges_relative_at_every_scale():
         assert level.numerators == [3, 1] and level.tolerance_merges == 1
 
 
+def test_tree_keeps_distinct_exact_points_apart():
+    # z^2 and ((10^9 + 1)^2 / 10^18) z^2 pull 1 back to +-1 and
+    # +-10^9/(10^9 + 1), a relative 1e-9 apart, within the merge tolerance;
+    # each carries its own exact identity, so none merges with another
+    big = 10**9
+    system = make_system([make_map([0, 0, 1], [1]),
+                          make_map([0, 0, (big + 1)**2], [big**2])],
+                         [Fraction(1, 2)] * 2)
+    level = backward_tree(system, ONE, 1).levels[1]
+    assert level.tolerance_merges == 0
+    assert set(level.exact_points) == {
+        ProjPointQ(1, 1), ProjPointQ(-1, 1), ProjPointQ(big, big + 1),
+        ProjPointQ(-big, big + 1)}
+    assert [Fraction(w, level.denominator) for w in level.numerators] == [
+        Fraction(1, 4)] * 4
+
+
 def test_csv_export(dyadic):
     batch = backward_sample(dyadic, ONE, 3, 10, seed=0)
     buf = io.StringIO()

@@ -89,23 +89,6 @@ def test_split_walk_is_the_walk_in_one_piece(forks, dear):
     assert forks == [1]
 
 
-# Philox has advance, but by blocks of four outputs, and it drops the
-# buffered rest of a block
-@pytest.mark.parametrize("bitgen", [np.random.MT19937, np.random.SFC64,
-                                    np.random.Philox])
-def test_split_walk_without_advance_walks_in_one_piece(forks, dear,
-                                                      bitgen):
-    spans = []
-
-    def walk(rows, draws):
-        spans.append((len(rows[0]), draws))
-        return _walk(_N)(rows, draws)
-
-    rng = np.random.Generator(bitgen(3))
-    split_walk(walk, [np.zeros(_N)], 2, "dear", rng)
-    assert spans == [(_N, rng)] and forks == []
-
-
 def test_split_walk_rule(forks, monkeypatch):
     # the walk splits from _SPLIT_FACTOR round trips of work and
     # _SPLIT_ROWS rows on each side
