@@ -46,13 +46,14 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field, replace
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
 
 from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
 from .exactnum import ProjPointQ, normalize_point
-from .heights import PlaceQ
+from .heights import ARCH, PlaceQ
 from .ifs import (
     ROW_BLOCK,
     StationaryLaw,
@@ -122,14 +123,16 @@ def gS_eval(system: StochasticSystem, z: Union[complex, ProjPointQ],
                    stderr=float(est.stderr[0]))
 
 
-def radial_law(system: StochasticSystem) -> Optional[StationaryLaw]:
-    """The law of log|w| under the canonical measure of a monomial-shaped
-    system: the stationary law of its affine IFS at infinity, within W1
-    distance law.error = h / (2 (1 - kappa)) + kappa^64 (hi - lo) of the
-    truth (h the grid step, kappa = sum nu_i / d_i), or 3x the fixed
-    points' spread for an atom.  None for any other system.  The one place
-    that decides which systems are read through their law."""
-    ifs = affine_ifs(system)
+@lru_cache(maxsize=64)
+def radial_law(system: StochasticSystem,
+               place: PlaceQ = ARCH) -> Optional[StationaryLaw]:
+    """The law of the place's coordinate (log|w| at infinity, v_p(w) at p)
+    under the canonical measure of a monomial-shaped system, None for any
+    other: the stationary law of its affine IFS at the place, within W1
+    distance law.error = h / (2 (1 - kappa)) + kappa^64 (hi - lo) (h the
+    grid step, kappa = sum nu_i / d_i), or 3x the fixed points' spread for
+    an atom.  The one law lookup, cached per (system, place)."""
+    ifs = affine_ifs(system, place)
     return None if ifs is None else stationary_law(ifs)
 
 
@@ -157,12 +160,14 @@ _RESIDUAL_ANGLES = 8
 _LOG_FLOAT_MAX = math.log(sys.float_info.max)
 
 
+def _rings(head, radii, angles: int) -> np.ndarray:
+    """head, then r e^(2 pi i k / angles) for k < angles, r by r."""
+    turns = np.exp(2j * np.pi * np.arange(angles) / angles)
+    return np.concatenate([head, (np.asarray(radii)[:, None] * turns).ravel()])
+
+
 def _residual_probes() -> np.ndarray:
-    pts = [0.0 + 0.0j]
-    for r in _RESIDUAL_RADII:
-        for k in range(_RESIDUAL_ANGLES):
-            pts.append(r * np.exp(2j * np.pi * k / _RESIDUAL_ANGLES))
-    return np.array(pts)
+    return _rings([0.0], _RESIDUAL_RADII, _RESIDUAL_ANGLES)
 
 
 @dataclass(frozen=True, eq=False)
@@ -199,7 +204,7 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
     if not place.is_arch:
         vals = sample_backward_valuations(system, place, alpha, n, samples,
                                           seed)
-        law = stationary_law(affine_ifs(system, place))
+        law = radial_law(system, place)
         return EquidistResult(place, {"ks": ks_to_law(vals, law, n)}, vals,
                               law)
     alpha = normalize_point(alpha.a, alpha.b)
@@ -274,12 +279,8 @@ def _probe_radii() -> np.ndarray:
     return np.geomspace(1e-2, 1e2, _PROBE_SHELLS)
 
 
-def _radii_probes() -> list:
-    probes = [0.0 + 0.0j, math.inf]
-    for r in _probe_radii():
-        for k in range(_PROBE_ANGLES):
-            probes.append(r * np.exp(2j * np.pi * k / _PROBE_ANGLES))
-    return probes
+def _radii_probes() -> np.ndarray:
+    return _rings([0.0, math.inf], _probe_radii(), _PROBE_ANGLES)
 
 
 def _sampled_potentials(system: StochasticSystem, tol: float) -> np.ndarray:
@@ -290,15 +291,6 @@ def _sampled_potentials(system: StochasticSystem, tol: float) -> np.ndarray:
     batch = canonical_sample(system, depth + 10, _ENERGY_DRAWS, _RADII_SEED)
     g = gS_eval_many(system, batch.points, tol)
     return g + np.maximum(batch.log_abs, 0.0)
-
-
-def _self_energy(system: StochasticSystem, law: Optional[StationaryLaw],
-                 tol: float) -> float:
-    # the law is radial_law(system), passed so that radii builds it once
-    if law is not None:
-        green_budget(system).depth(tol)  # refuses a tol that is not positive
-        return 0.0 - law.mean_max_pair()  # 0.0, not -0.0, for t = 0
-    return float(-np.mean(_sampled_potentials(system, tol)))
 
 
 def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
@@ -312,7 +304,11 @@ def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
     depend on it through exp(energy/2), so its Monte Carlo error has to sit
     well inside a one-percent radius budget.
     """
-    return _self_energy(system, radial_law(system), tol)
+    law = radial_law(system)
+    if law is not None:
+        green_budget(system).depth(tol)  # refuses a tol that is not positive
+        return 0.0 - law.mean_max_pair()  # 0.0, not -0.0, for t = 0
+    return float(-np.mean(_sampled_potentials(system, tol)))
 
 
 @dataclass(frozen=True)
@@ -331,7 +327,7 @@ class RadiiResult:
 def radii(system: StochasticSystem, tol: float = 1e-3) -> RadiiResult:
     """Inner and outer radii of the recentered Green's function, with the
     self-energy that recenters it and the reference both came from: the
-    whole record the `radii` command prints, from one `radial_law` build.
+    whole record the `radii` command prints, off the cached `radial_law`.
 
     With gt = g_S + (rho, rho)/2, r_in = exp(-sup gt) and
     r_out = exp(-inf gt) over 64 shells |z| in [1e-2, 1e2] plus
@@ -347,7 +343,7 @@ def radii(system: StochasticSystem, tol: float = 1e-3) -> RadiiResult:
     evaluate g_S to within tol by escape sums at 64 angles per shell.
     """
     law = radial_law(system)
-    energy = _self_energy(system, law, tol)
+    energy = rho_self_energy(system, tol)
     if law is not None:
         s = np.log(_probe_radii())
         g = np.concatenate([[law.mean(), 0.0],
@@ -367,7 +363,6 @@ def write_equidist_csv(result: EquidistResult, fileobj) -> None:
     """Rows (r, empirical CDF, reference CDF) at the sorted sample radii at
     infinity, (v, ...) at the sorted valuations at a prime; the reference
     column is blank when the result has no stationary law."""
-    if result.place.is_arch:
-        write_cdf_csv(result.values, result.law, "r", fileobj, math.exp)
-    else:
-        write_cdf_csv(result.values, result.law, "v", fileobj)
+    arch = result.place.is_arch
+    write_cdf_csv(result.values, result.law, "r" if arch else "v", fileobj,
+                  math.exp if arch else float)

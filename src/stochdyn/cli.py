@@ -205,12 +205,14 @@ def cmd_orbit_sample(cfg: SystemConfig, args, out) -> int:
     if args.out:
         with open(args.out, "w") as fh:
             write_samples_csv(batch, fh)
+        with np.errstate(invalid="ignore"):  # samples at both 0 and infinity
+            mean = float(np.mean(batch.log_abs))
         payload = {
             "alpha": _format_point(alpha),
             "depth": depth,
             "samples": samples,
             "csv": args.out,
-            "mean_log_abs": float(np.mean(batch.log_abs)),
+            "mean_log_abs": mean if np.isfinite(mean) else None,  # JSON null
         }
         _emit(payload, cfg, args.seed, out)
     else:

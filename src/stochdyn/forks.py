@@ -1,7 +1,7 @@
 """The second CPU: one ordered fork map, and the row split of seeded walks.
 
 fork_map hands the second half of a loop to a forked child and yields the
-results in item order (the acceptance battery, both CSV writers);
+results in item order (the acceptance battery, the CSV block writer);
 split_walk walks the second half of a seeded walk's rows in that child on
 the numbers they get in one process (the backward walker, the valuation
 walk), by one rule priced in one cost table keyed by walk kind.  Either

@@ -23,13 +23,13 @@ atoms there are exact.
 
 The module also holds the map sampler of every walk, the Kolmogorov-Smirnov
 distances that score samples against these laws (hand rolled; scipy is only
-an oracle in the test suite) and the CDF CSV writer, whose second half of
-blocks a forked child formats (forks.fork_map).
+an oracle in the test suite) and the one CSV block writer, behind the CDF
+CSV here and the sample CSV of orbits, whose second half of blocks a forked
+child formats (forks.fork_map).
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -47,7 +47,7 @@ _GRID_SIZE = 4096
 _CDF_ITERS = 64
 # rows per block of every loop over a sample-sized array (KS distances, CSV
 # writers, numeric fibers, the residual potential), so that its temporaries
-# stay a fixed size whatever the sample count; the CSV writers' tolist()
+# stay a fixed size whatever the sample count; the CSV writer's tolist()
 # would otherwise hold every cell of a 100k-row file as a Python object
 ROW_BLOCK = 8192
 
@@ -229,6 +229,7 @@ def stationary_law(ifs: AffineIFS) -> StationaryLaw:
     kappa = float(np.sum(ifs.probs / ifs.arrays[1]))
     step = (hi - lo) / (_GRID_SIZE - 1)
     error = step / (2.0 * (1.0 - kappa)) + kappa ** _CDF_ITERS * (hi - lo)
+    grid.flags.writeable = f.flags.writeable = False  # radial_law shares them
     return StationaryLaw(grid=grid, cdf=f, error=error)
 
 
@@ -281,32 +282,44 @@ def ks_to_law(xs: np.ndarray, law: StationaryLaw, n: int) -> float:
     return ks_one_sample(xs, law.cdf_at)
 
 
-def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
-                  fileobj, label: Callable[[float], float] = float) -> None:
-    """Rows (label(x), empirical CDF, reference CDF) at the sorted samples;
-    the reference column is blank without a law.  The lines are those of
-    csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
-    each block one %-format of a repeated row template over its cells, with
-    the reference CDF taken per block; a forked child formats the second
-    half of the blocks (forks.fork_map)."""
-    xs = np.sort(np.asarray(xs, dtype=float))
-    n = len(xs)
-    csv.writer(fileobj).writerow([column, "empirical_cdf", "reference_cdf"])
-    if law is None:
-        row, width = "%.12g,%.12g,\r\n", 2
-    else:
-        row, width = "%.12g,%.12g,%.12g\r\n", 3
+def write_csv_blocks(fileobj, header: str, row: str, n: int,
+                     columns: Callable[[int, int], list]) -> None:
+    """The one CSV block writer: the header line, then rows 0 to n - 1,
+    ROW_BLOCK at a time, each block one %-format of the row template
+    repeated over the cells columns(lo, hi) gives column by column for rows
+    [lo, hi): the lines of csv.writer when no cell needs quoting.  A forked
+    child formats the second half of the blocks (forks.fork_map)."""
+    fileobj.write(header + "\r\n")
 
     def block(lo):
         hi = min(lo + ROW_BLOCK, n)
-        cells = [None] * (width * (hi - lo))
-        cells[0::width] = map(label, xs[lo:hi].tolist())
-        # ranks below 2^53 convert exactly, so each quotient is Python's i / n
-        cells[1::width] = (np.arange(lo + 1, hi + 1) / n).tolist()
-        if law is not None:
-            cells[2::width] = law.cdf_at(xs[lo:hi]).tolist()
+        cols = columns(lo, hi)
+        cells = [None] * (len(cols) * (hi - lo))
+        for k, col in enumerate(cols):
+            cells[k::len(cols)] = col
         return row * (hi - lo) % tuple(cells)
 
     starts = range(0, n, ROW_BLOCK)
     for text in fork_map(block, starts, (len(starts) + 1) // 2):
         fileobj.write(text)
+
+
+def write_cdf_csv(xs: np.ndarray, law: Optional[StationaryLaw], column: str,
+                  fileobj, label: Callable[[float], float] = float) -> None:
+    """Rows (label(x), empirical CDF, reference CDF) at the sorted samples,
+    through write_csv_blocks; the reference column is blank without a law,
+    and the reference CDF is taken per block."""
+    xs = np.sort(np.asarray(xs, dtype=float))
+    n = len(xs)
+
+    def columns(lo, hi):
+        # ranks below 2^53 convert exactly, so each quotient is Python's i / n
+        cols = [map(label, xs[lo:hi].tolist()),
+                (np.arange(lo + 1, hi + 1) / n).tolist()]
+        if law is not None:
+            cols.append(law.cdf_at(xs[lo:hi]).tolist())
+        return cols
+
+    write_csv_blocks(fileobj, f"{column},empirical_cdf,reference_cdf",
+                     "%.12g,%.12g,\r\n" if law is None
+                     else "%.12g,%.12g,%.12g\r\n", n, columns)

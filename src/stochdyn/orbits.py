@@ -31,7 +31,6 @@ the levels are those of the edge-by-edge rule.
 
 from __future__ import annotations
 
-import csv
 import math
 import sys
 from collections import defaultdict
@@ -44,8 +43,8 @@ import numpy as np
 from .dynsys import RationalMapQ, StochasticSystem, fiber
 from .exactnum import (ProjPointQ, StochdynError, pair_log_polar, poly_roots,
                        wrap_angle)
-from .forks import fork_map, split_walk
-from .ifs import ROW_BLOCK, affine_ifs, map_sampler
+from .forks import split_walk
+from .ifs import ROW_BLOCK, affine_ifs, map_sampler, write_csv_blocks
 
 DEFAULT_NODE_BUDGET = 10**6
 DEFAULT_CLUSTER_TOL = 1e-8
@@ -570,23 +569,13 @@ def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
 
 
 def write_samples_csv(batch: OrbitSampleBatch, fileobj):
-    """CSV export with columns index, re, im, log_abs, depth: the lines of
-    csv.writer (no cell needs quoting), written ROW_BLOCK rows at a time,
-    each block one %-format of a repeated row template over its cells; a
-    forked child formats the second half of the blocks (forks.fork_map)."""
-    csv.writer(fileobj).writerow(["index", "re", "im", "log_abs", "depth"])
-    row = f"%d,%r,%r,%r,{batch.depth}\r\n"
+    """Sample CSV, columns index, re, im, log_abs, depth (write_csv_blocks)."""
 
-    def block(lo):
-        log_abs = batch.log_abs[lo:lo + ROW_BLOCK]
-        pts = _points(log_abs, batch.angle[lo:lo + ROW_BLOCK])
-        cells = [None] * (4 * len(log_abs))
-        cells[0::4] = range(lo, lo + len(log_abs))
-        cells[1::4] = pts.real.tolist()
-        cells[2::4] = pts.imag.tolist()
-        cells[3::4] = log_abs.tolist()
-        return row * len(log_abs) % tuple(cells)
+    def columns(lo, hi):
+        log_abs = batch.log_abs[lo:hi]
+        pts = _points(log_abs, batch.angle[lo:hi])
+        return [range(lo, hi), pts.real.tolist(), pts.imag.tolist(),
+                log_abs.tolist()]
 
-    starts = range(0, batch.samples, ROW_BLOCK)
-    for text in fork_map(block, starts, (len(starts) + 1) // 2):
-        fileobj.write(text)
+    write_csv_blocks(fileobj, "index,re,im,log_abs,depth",
+                     f"%d,%r,%r,%r,{batch.depth}\r\n", batch.samples, columns)

@@ -334,6 +334,26 @@ def test_rho_self_energy(dyadic, single_z2, two_z2):
     assert rho_self_energy(two_z2) == pytest.approx(LOG2, abs=0.01)
 
 
+def _loop_probes(radii, angles, head):
+    """The probe sets as the double loops that built them before."""
+    pts = list(head)
+    for r in radii:
+        for k in range(angles):
+            pts.append(r * np.exp(2j * np.pi * k / angles))
+    return np.array([complex(p) for p in pts])
+
+
+def test_probes_match_the_loops():
+    # the broadcast probes are the loop's to the bit, signs of zeros too
+    got = (archpotential._residual_probes(), archpotential._radii_probes())
+    want = (_loop_probes(archpotential._RESIDUAL_RADII,
+                         archpotential._RESIDUAL_ANGLES, [0j]),
+            _loop_probes(archpotential._probe_radii(),
+                         archpotential._PROBE_ANGLES, [0j, math.inf]))
+    for g, w in zip(got, want):
+        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+
+
 def test_radii_oracles(dyadic, single_z2, two_z2):
     res = radii(single_z2)
     assert res.self_energy == rho_self_energy(single_z2)

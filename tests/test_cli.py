@@ -527,6 +527,57 @@ def test_orbit_sample_stdout(capsys, example_config):
     assert len(out.strip().splitlines()) == 6
 
 
+@pytest.mark.parametrize("alpha", ["0", "inf"])
+def test_orbit_sample_out_at_zero_and_infinity(capsys, tmp_path, alpha):
+    # from 0 and from infinity some samples of general sit at 0 and some at
+    # infinity, so log|z| has no finite mean: the record says null, and no
+    # numpy warning reaches stderr
+    path = tmp_path / "orbit.csv"
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                                 str(GENERAL_CONFIG), alpha, "--depth", "2",
+                                 "--samples", "200", "--out", str(path))
+    assert code == 0 and err == "" and caught == []
+    assert json.loads(out)["mean_log_abs"] is None
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))
+    assert len(rows) == 201 and [r[0] for r in rows[1:]] == [
+        str(i) for i in range(200)]
+
+
+_SMALL = ("--samples", "200", "--depth", "6")
+_SMOKE = [("validate",), ("radii",), ("suite",)] + [
+    (cmd, alpha, *extra)
+    for cmd, extra in (("height", ()), ("stoch-height", ()),
+                       ("green-eval", ()), ("orbit-sample", _SMALL),
+                       ("orbit-sample", _SMALL + ("--out",)),
+                       ("equidist", _SMALL),
+                       ("equidist", _SMALL + ("--place", "2")))
+    for alpha in ("0", "1", "inf")]
+
+
+@pytest.mark.parametrize("config", [REPO_CONFIG, GENERAL_CONFIG],
+                         ids=["example", "general"])
+@pytest.mark.parametrize("argv", _SMOKE, ids=" ".join)
+def test_cli_smoke(capsys, tmp_path, config, argv):
+    # every command at small sizes ends in a documented exit code (suite's
+    # 1 is a failed criterion); a success prints nothing to stderr, and a
+    # failure prints its one error line, with no warning either way
+    if argv[-1] == "--out":
+        argv += (str(tmp_path / "out.csv"),)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, _, err = run_cli(capsys, argv[0], "--config", str(config),
+                               *argv[1:])
+    assert caught == []
+    assert code in {0, 2, 3, 4} | ({1} if argv[0] == "suite" else set())
+    if code in (0, 1):
+        assert err == ""
+    else:
+        assert re.fullmatch(r"error: \w+: [^\n]*\n", err), err
+
+
 @pytest.mark.parametrize("place, json_place, scores, column", [
     ("arch", "arch", {"ks_radial", "ks_angular", "potential_residual",
                       "reference"}, "r"),
@@ -599,9 +650,22 @@ def test_equidist_padic_out_draws_once(capsys, tmp_path, example_config,
 ], ids=["radii", "equidist-arch", "equidist-2", "validate", "stoch-height",
         "orbit-sample", "green-eval"])
 def test_law_builds_per_command(capsys, tmp_path, monkeypatch, argv, builds):
-    # each command builds the stationary law at most once: radii reads its
-    # whole record off one law, and the equidist CSV's reference column is
-    # the law that was scored
+    # from an empty law cache each command builds the stationary law at
+    # most once: radii reads its whole record off one law, and the equidist
+    # CSV's reference column is the law that was scored
+    calls = _count_law_builds(monkeypatch)
+    if argv[0] in ("equidist", "orbit-sample"):
+        argv += ("--samples", "200", "--depth", "8",
+                 "--out", str(tmp_path / "out.csv"))
+    code, _, err = run_cli(capsys, argv[0], "--config", str(REPO_CONFIG),
+                           *argv[1:])
+    assert code == 0, err
+    assert len(calls) == builds
+
+
+def _count_law_builds(monkeypatch) -> list:
+    """Empties the law cache; the list gets one entry per law built."""
+    stochdyn.archpotential.radial_law.cache_clear()
     calls = []
     build = stochdyn.ifs.stationary_law
 
@@ -610,13 +674,20 @@ def test_law_builds_per_command(capsys, tmp_path, monkeypatch, argv, builds):
         return build(*args, **kwargs)
 
     monkeypatch.setattr(stochdyn.archpotential, "stationary_law", counted)
-    if argv[0] in ("equidist", "orbit-sample"):
-        argv += ("--samples", "200", "--depth", "8",
-                 "--out", str(tmp_path / "out.csv"))
-    code, _, err = run_cli(capsys, argv[0], "--config", str(REPO_CONFIG),
-                           *argv[1:])
-    assert code == 0, err
-    assert len(calls) == builds
+    return calls
+
+
+def test_law_builds_per_process(capsys, monkeypatch):
+    # one law per (system, place): radii reuses the law equidist scored
+    # against at infinity
+    calls = _count_law_builds(monkeypatch)
+    small = ("--samples", "200", "--depth", "8")
+    for argv in (("equidist", "1", "--place", "arch", *small),
+                 ("equidist", "1", "--place", "2", *small), ("radii",)):
+        code, _, err = run_cli(capsys, argv[0], "--config", str(REPO_CONFIG),
+                               *argv[1:])
+        assert code == 0, err
+    assert len(calls) == 2
 
 
 def _big_config(tmp_path, name, maps):

@@ -1,6 +1,7 @@
 """The fork layer: a fork_map child that dies, the flag that keeps at
-most two processes computing, and the confinement of process code and of
-the split rule's prices to stochdyn.forks."""
+most two processes computing, the confinement of process code and of the
+split rule's prices to stochdyn.forks, and the one caller of fork_map per
+job (the CSV block writer, the battery) and of stationary_law."""
 
 import ast
 import os
@@ -112,3 +113,26 @@ def test_split_prices_only_in_forks():
                     if "ROW_STEP" in n or "ROUND_TRIP" in n]
              for name, tree in _modules()}
     assert {name: names for name, names in found.items() if names} == {}
+
+
+def _callers(name: str) -> set:
+    """(module, top-level function) of every call of name outside forks,
+    as name(...) or x.name(...)."""
+    found = set()
+    for module, tree in _modules():
+        for top in tree.body:
+            for node in ast.walk(top):
+                if isinstance(node, ast.Call) and name in (
+                        getattr(node.func, "id", None),
+                        getattr(node.func, "attr", None)):
+                    found.add((module, getattr(top, "name", None)))
+    return found
+
+
+def test_one_fork_map_caller_per_job():
+    assert _callers("fork_map") == {("ifs", "write_csv_blocks"),
+                                    ("acceptance", "run_all")}
+
+
+def test_one_law_lookup():
+    assert _callers("stationary_law") == {("archpotential", "radial_law")}
