@@ -12,6 +12,7 @@ Usage:
 """
 
 import argparse
+import math
 import os
 import sys
 
@@ -49,8 +50,11 @@ def main():
         results = [equidist(system, place, alpha, depth, samples, seed, cfg.tol)
                    for place in places]
         arch = results[0].scores
+        # a null residual is +inf: samples at infinity
+        residual = arch["potential_residual"]
         row = (f"{depth:>6} {arch['ks_radial']:>10.4f} "
-               f"{arch['ks_angular']:>11.4f} {arch['potential_residual']:>10.4f}")
+               f"{arch['ks_angular']:>11.4f} "
+               f"{math.inf if residual is None else residual:>10.4f}")
         for res in results[1:]:
             row += f" {res.scores['ks']:>8.4f}"
         print(row)

@@ -35,10 +35,10 @@ log-radius T is the stationary law of the system's affine IFS
     p(e^s) = E max(s, T),   p(0) = E T,   (rho, rho) = -E max(T, T'),
 
 with T' an independent copy of T.  Both sides are 1-Lipschitz in T, so
-the law's W1 bound eps = h / (2 (1 - kappa)) + kappa^64 (hi - lo) (see
-`ifs.stationary_law`) bounds every such g_S value, and 2 eps the
-self-energy.  `equidist` scores against that law and `radii` reads its
-Green's function and self-energy off it; other systems are sampled.
+the law's W1 bound law.error (`ifs.stationary_law`) bounds every such
+g_S value, and twice it the self-energy.  `equidist` scores against that
+law and `radii` reads its Green's function and self-energy off it; other
+systems are sampled.
 """
 
 from __future__ import annotations
@@ -129,9 +129,8 @@ def radial_law(system: StochasticSystem,
     """The law of the place's coordinate (log|w| at infinity, v_p(w) at p)
     under the canonical measure of a monomial-shaped system, None for any
     other: the stationary law of its affine IFS at the place, within W1
-    distance law.error = h / (2 (1 - kappa)) + kappa^64 (hi - lo) (h the
-    grid step, kappa = sum nu_i / d_i), or 3x the fixed points' spread for
-    an atom.  The one law lookup, cached per (system, place)."""
+    distance law.error (`ifs.stationary_law`).  The one law lookup, cached
+    per (system, place)."""
     ifs = affine_ifs(system, place)
     return None if ifs is None else stationary_law(ifs)
 
@@ -211,8 +210,8 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
     if is_exceptional_system(system, alpha):
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
     batch = backward_sample(system, alpha, n, samples, seed)
-    # the CDF CSV labels and the probe distances take |z| as a float
-    if np.any(batch.log_abs > _LOG_FLOAT_MAX):
+    # the CDF CSV labels and the probe distances take a finite |z| as a float
+    if np.any(np.isfinite(batch.log_abs) & (batch.log_abs > _LOG_FLOAT_MAX)):
         raise OverflowError("a sample's |z| is above the float range")
 
     # a monomial-shaped system's radial step is the affine contraction of
@@ -232,9 +231,10 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
     emp = _log_potentials(batch.points, probes)
     g = gS_eval_many(system, probes, tol)
     pot = g + np.maximum(np.log(np.maximum(np.abs(probes), 1e-300)), 0.0)
+    # with samples at infinity emp is +inf at every probe: JSON null
     residual = float(np.max(np.abs(emp - pot)))
-    scores = {"ks_radial": ks_rad, "ks_angular": ks_ang,
-              "potential_residual": residual, "reference": refname}
+    scores = {"ks_radial": ks_rad, "ks_angular": ks_ang, "reference": refname,
+              "potential_residual": residual if residual < math.inf else None}
     return EquidistResult(place, scores, batch.log_abs, law)
 
 
@@ -298,11 +298,10 @@ def rho_self_energy(system: StochasticSystem, tol: float = 1e-3) -> float:
 
     With an IFS law (`radial_law`) it is -E max(T, T') = -(hi - int F^2)
     by Jensen's formula, exact over the piecewise-linear CDF F, within
-    2 eps (eps = h / (2 (1 - kappa)) + kappa^64 (hi - lo)), and -t for an
-    atom t; tol is only checked, as every tol is.  Otherwise it is a mean
-    over _ENERGY_DRAWS canonical draws with g_S to within tol: the radii
-    depend on it through exp(energy/2), so its Monte Carlo error has to sit
-    well inside a one-percent radius budget.
+    2 law.error, and -t for an atom t; tol is only checked, as every tol
+    is.  Otherwise it is a mean over _ENERGY_DRAWS canonical draws with g_S
+    to within tol: the radii depend on it through exp(energy/2), so its
+    Monte Carlo error has to sit well inside a one-percent radius budget.
     """
     law = radial_law(system)
     if law is not None:
@@ -337,10 +336,10 @@ def radii(system: StochasticSystem, tol: float = 1e-3) -> RadiiResult:
 
     With an IFS law g_S is radial, so one angle per shell serves:
     g(e^s) = E max(s, T) - s^+, g(0) = E T and g(infinity) = 0, each within
-    eps = h / (2 (1 - kappa)) + kappa^64 (hi - lo) of the truth and with
-    no walk and no escape sum, so the radii are within a relative
-    exp(2 eps) - 1 and the cost does not depend on tol.  Other systems
-    evaluate g_S to within tol by escape sums at 64 angles per shell.
+    eps = law.error of the truth and with no walk and no escape sum, so the
+    radii are within a relative exp(2 eps) - 1 and the cost does not depend
+    on tol.  Other systems evaluate g_S to within tol by escape sums at 64
+    angles per shell.
     """
     law = radial_law(system)
     energy = rho_self_energy(system, tol)

@@ -41,13 +41,9 @@ from .dynsys import (
     make_system,
     stochastic_degree,
 )
-from .exactnum import (
-    ProjPointQ,
-    StochdynError,
-    log_abs_fraction,
-    parse_point,
-)
-from .heights import PlaceQ, l1_height_control_total, weil_height
+from .exactnum import ProjPointQ, StochdynError, parse_point
+from .heights import (ARCH, PlaceQ, l1_height_control_total, local_height,
+                      weil_height)
 from .orbits import backward_sample, write_samples_csv
 from .stochheight import stoch_height
 
@@ -146,7 +142,7 @@ def _format_point(p: ProjPointQ) -> str:
     return "inf" if p.is_infinity else str(Fraction(p.a, p.b))
 
 
-def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
+def _emit(payload: dict, cfg: SystemConfig, seed: int) -> None:
     record = {
         "config_sha256": cfg.sha256,
         "seed": seed,
@@ -155,14 +151,18 @@ def _emit(payload: dict, cfg: SystemConfig, seed: int, out) -> None:
     record.update(payload)
     # a non-finite value raises ValueError (exit 3) rather than printing
     # NaN or Infinity, which are not JSON
-    out.write(json.dumps(record, sort_keys=True, indent=2, allow_nan=False)
-              + "\n")
+    sys.stdout.write(json.dumps(record, sort_keys=True, indent=2,
+                                allow_nan=False) + "\n")
 
 
-def cmd_validate(cfg: SystemConfig, args, out) -> int:
+# each cmd_* returns its record's payload, which _run writes through _emit,
+# or the exit code of a command that wrote stdout itself
+
+
+def cmd_validate(cfg: SystemConfig, args, out):
     system = build_system(cfg)
     report = exceptional_report(system)
-    payload = {
+    return {
         "maps": [{"map": str(phi), "degree": phi.d, "resultant": phi.res,
                   "bad_primes": sorted(bad_primes(phi))}
                  for phi in system.maps],
@@ -172,29 +172,22 @@ def cmd_validate(cfg: SystemConfig, args, out) -> int:
         "exceptional_set": [_format_point(p) for p in report.confirmed],
         "exceptional_unresolved": bool(report.unresolved_factors),
     }
-    _emit(payload, cfg, args.seed, out)
-    return 0
 
 
-def cmd_height(cfg: SystemConfig, args, out) -> int:
+def cmd_height(cfg: SystemConfig, args, out):
     alpha = parse_alpha(args.alpha)
-    payload = {"alpha": _format_point(alpha),
-               "weil_height": weil_height(alpha)}
-    _emit(payload, cfg, args.seed, out)
-    return 0
+    return {"alpha": _format_point(alpha), "weil_height": weil_height(alpha)}
 
 
-def cmd_stoch_height(cfg: SystemConfig, args, out) -> int:
+def cmd_stoch_height(cfg: SystemConfig, args, out):
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
     tol = args.tol if args.tol is not None else cfg.tol
     est = stoch_height(system, alpha, tol, seed=args.seed)
-    payload = {"alpha": _format_point(alpha), "mode": est.mode, **asdict(est)}
-    _emit(payload, cfg, args.seed, out)
-    return 0
+    return {"alpha": _format_point(alpha), "mode": est.mode, **asdict(est)}
 
 
-def cmd_orbit_sample(cfg: SystemConfig, args, out) -> int:
+def cmd_orbit_sample(cfg: SystemConfig, args, out):
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
     depth = args.depth if args.depth is not None else cfg.depth
@@ -202,25 +195,23 @@ def cmd_orbit_sample(cfg: SystemConfig, args, out) -> int:
     if is_exceptional_system(system, alpha):
         raise ExceptionalStart(f"{alpha} is exceptional for this system")
     batch = backward_sample(system, alpha, depth, samples, args.seed)
-    if args.out:
-        with open(args.out, "w") as fh:
-            write_samples_csv(batch, fh)
-        with np.errstate(invalid="ignore"):  # samples at both 0 and infinity
-            mean = float(np.mean(batch.log_abs))
-        payload = {
-            "alpha": _format_point(alpha),
-            "depth": depth,
-            "samples": samples,
-            "csv": args.out,
-            "mean_log_abs": mean if np.isfinite(mean) else None,  # JSON null
-        }
-        _emit(payload, cfg, args.seed, out)
-    else:
+    if not args.out:
         write_samples_csv(batch, out)
-    return 0
+        return 0
+    with open(args.out, "w") as fh:
+        write_samples_csv(batch, fh)
+    with np.errstate(invalid="ignore"):  # samples at both 0 and infinity
+        mean = float(np.mean(batch.log_abs))
+    return {
+        "alpha": _format_point(alpha),
+        "depth": depth,
+        "samples": samples,
+        "csv": args.out,
+        "mean_log_abs": mean if np.isfinite(mean) else None,  # JSON null
+    }
 
 
-def cmd_equidist(cfg: SystemConfig, args, out) -> int:
+def cmd_equidist(cfg: SystemConfig, args, out):
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
     depth = args.depth if args.depth is not None else cfg.depth
@@ -233,37 +224,32 @@ def cmd_equidist(cfg: SystemConfig, args, out) -> int:
         with open(args.out, "w") as fh:
             write_equidist_csv(res, fh)
         payload["csv"] = args.out
-    _emit(payload, cfg, args.seed, out)
-    return 0
+    return payload
 
 
-def cmd_green_eval(cfg: SystemConfig, args, out) -> int:
+def cmd_green_eval(cfg: SystemConfig, args, out):
     system = build_system(cfg)
     alpha = parse_alpha(args.alpha)
     est = gS_eval(system, alpha, cfg.tol, args.depth)
-    logplus = (0.0 if alpha.is_infinity or alpha.a == 0
-               else max(log_abs_fraction(alpha.as_fraction()), 0.0))
     fields = asdict(est)
     green = fields.pop("value")
-    payload = {
+    return {
         "alpha": _format_point(alpha),
         "green": green,
         # g_S + log+|z| is +inf at infinity: JSON null
-        "potential": None if alpha.is_infinity else green + logplus,
+        "potential": (None if alpha.is_infinity
+                      else green + local_height(alpha, ARCH)),
         "mode": est.mode,
         **fields,
         "tol": cfg.tol,
     }
-    _emit(payload, cfg, args.seed, out)
-    return 0
 
 
-def cmd_radii(cfg: SystemConfig, args, out) -> int:
-    _emit(asdict(radii(build_system(cfg), cfg.tol)), cfg, args.seed, out)
-    return 0
+def cmd_radii(cfg: SystemConfig, args, out):
+    return asdict(radii(build_system(cfg), cfg.tol))
 
 
-def cmd_suite(cfg: SystemConfig, args, out) -> int:
+def cmd_suite(cfg: SystemConfig, args, out):
     from .acceptance import reference_dyadic_system, run_all
 
     system = build_system(cfg)
@@ -356,7 +342,11 @@ def _run(args) -> int:
             raise ConfigParseError(
                 f"--place must be 'arch' or a prime, got {args.place!r}")
         args.place = PlaceQ(p)  # ValueError unless p is None or a prime
-    return _COMMANDS[args.command](cfg, args, sys.stdout)
+    result = _COMMANDS[args.command](cfg, args, sys.stdout)
+    if isinstance(result, int):
+        return result
+    _emit(result, cfg, args.seed)
+    return 0
 
 
 def main(argv=None) -> int:

@@ -141,9 +141,13 @@ def measure_height_exact(measure: DiscreteMeasure) -> LogCombination:
 # energy pairings
 
 
-def _require_finite_support(measure: DiscreteMeasure):
-    if any(p.is_infinity for p in measure.support):
+def _pairs(gamma: DiscreteMeasure, delta: DiscreteMeasure) -> list:
+    """(s t, z - w) over the off-diagonal pairs of gamma x delta, whose
+    supports must be finite."""
+    if any(p.is_infinity for p in gamma.support + delta.support):
         raise InfinitePoint("measure has support at [1:0]")
+    return [(s * t, z.as_fraction() - w.as_fraction())
+            for z, s in gamma for w, t in delta if z != w]
 
 
 def _log_abs_at(q: Fraction, place: PlaceQ) -> float:
@@ -155,16 +159,8 @@ def _log_abs_at(q: Fraction, place: PlaceQ) -> float:
 def energy_pairing_discrete(gamma: DiscreteMeasure, delta: DiscreteMeasure,
                             place: PlaceQ) -> float:
     """-sum s_m t_n log|z_m - w_n|_v over off-diagonal pairs."""
-    _require_finite_support(gamma)
-    _require_finite_support(delta)
-    terms = []
-    for z, s in gamma:
-        for w, t in delta:
-            if z == w:
-                continue
-            q = z.as_fraction() - w.as_fraction()
-            terms.append(-float(s * t) * _log_abs_at(q, place))
-    return math.fsum(terms)
+    return math.fsum(-float(st) * _log_abs_at(q, place)
+                     for st, q in _pairs(gamma, delta))
 
 
 def product_formula_sum(gamma: DiscreteMeasure, delta: DiscreteMeasure) -> float:
@@ -175,19 +171,13 @@ def product_formula_sum(gamma: DiscreteMeasure, delta: DiscreteMeasure) -> float
     cancel by the product formula; the return value is exactly 0.0 unless
     something is wrong.
     """
-    _require_finite_support(gamma)
-    _require_finite_support(delta)
     total = LogCombination()
-    for z, s in gamma:
-        for w, t in delta:
-            if z == w:
-                continue
-            q = z.as_fraction() - w.as_fraction()
-            arch = LogCombination.of_log_abs(q)
-            finite = LogCombination(
-                {p: -padic_valuation(q, p) for p in arch.coeffs}
-            )
-            total = total + (arch + finite).scaled(-s * t)
+    for st, q in _pairs(gamma, delta):
+        arch = LogCombination.of_log_abs(q)
+        finite = LogCombination(
+            {p: -padic_valuation(q, p) for p in arch.coeffs}
+        )
+        total = total + (arch + finite).scaled(-st)
     return total.evaluate()
 
 
@@ -197,12 +187,10 @@ def standard_energy_defect(measure: DiscreteMeasure, place: PlaceQ) -> float:
     2 sum t_i log+|a_i|_v - sum_{i != j} t_i t_j log|a_i - a_j|_v.
     Nonnegative at finite places; at least -log 2 at the archimedean one.
     """
-    _require_finite_support(measure)
-    linear = math.fsum(
+    cross = energy_pairing_discrete(measure, measure, place)  # finite support
+    return math.fsum(
         2.0 * float(t) * local_height(p, place) for p, t in measure
-    )
-    cross = energy_pairing_discrete(measure, measure, place)
-    return linear + cross
+    ) + cross
 
 
 # ---------------------------------------------------------------------------

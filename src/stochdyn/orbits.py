@@ -508,9 +508,8 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
                 if turn:
                     theta = sign[idx] * (theta - arg_a[idx])
                 theta = theta / d + 2.0 * np.pi * j / d
-                # np.mod keeps angles in (0, 2 pi) and turns -0 into +0
                 out = np.flatnonzero((theta <= 0.0) | (theta >= 2.0 * np.pi))
-                theta[out] = np.mod(theta[out], 2.0 * np.pi)
+                theta[out] = wrap_angle(theta[out])  # -0 turns into +0
             else:
                 j = j.astype(int)  # frees the float draws
                 del d  # and the degrees, over the fiber step

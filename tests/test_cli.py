@@ -578,6 +578,58 @@ def test_cli_smoke(capsys, tmp_path, config, argv):
         assert re.fullmatch(r"error: \w+: [^\n]*\n", err), err
 
 
+_SCRIPT_SMOKE = [("backward_tree_stats.py", "--depth", "3"),
+                 ("equidist_report.py", "--depths", "2", "4", "--samples",
+                  "200"),
+                 ("height_convergence.py", "--tols", "1e-2")]
+
+
+@pytest.mark.parametrize("config", [REPO_CONFIG, GENERAL_CONFIG],
+                         ids=["example", "general"])
+@pytest.mark.parametrize("alpha", ["0", "1", "inf"])
+@pytest.mark.parametrize("argv", _SCRIPT_SMOKE, ids=lambda a: a[0])
+def test_script_smoke(capsys, monkeypatch, config, alpha, argv):
+    # the scripts end as the CLI commands do: a documented exit code, an
+    # empty stderr on success and one error line otherwise, and no warning
+    script, *extra = argv
+    if script == "equidist_report.py" and config == REPO_CONFIG:
+        extra += ["--primes", "2"]
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code = run_script(monkeypatch, SCRIPTS / script, "--config",
+                          str(config), alpha, *extra)
+    err = capsys.readouterr().err
+    assert caught == []
+    assert code in {0, 2, 3, 4}
+    if code == 0:
+        assert err == ""
+    else:
+        assert re.fullmatch(r"error: \w+: [^\n]*\n", err), err
+
+
+def test_equidist_with_mass_at_infinity(capsys, tmp_path):
+    # on general, infinity is not exceptional but keeps mass (5/6)^n at
+    # level n: the samples there have no finite potential, so the residual
+    # is null, and the radial score falls as that mass shrinks
+    path = tmp_path / "cdf.csv"
+    records = []
+    for sizes in (("--samples", "200", "--depth", "6", "--out", str(path)),
+                  ()):
+        with warnings_as_errors():
+            code, out, err = run_cli(capsys, "equidist", "--config",
+                                     str(GENERAL_CONFIG), "inf", *sizes)
+        assert (code, err) == (0, "")
+        records.append(json.loads(out))
+        assert records[-1]["potential_residual"] is None
+        assert math.isfinite(records[-1]["ks_radial"])
+        assert math.isfinite(records[-1]["ks_angular"])
+    assert records[1]["ks_radial"] < records[0]["ks_radial"]
+    with open(path, newline="") as fh:
+        rows = list(csv.reader(fh))[1:]
+    assert len(rows) == 200 and rows[-1][0] == "inf"
+    assert all(isinstance(float(c), float) for row in rows for c in row if c)
+
+
 @pytest.mark.parametrize("place, json_place, scores, column", [
     ("arch", "arch", {"ks_radial", "ks_angular", "potential_residual",
                       "reference"}, "r"),

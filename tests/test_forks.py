@@ -1,7 +1,8 @@
 """The fork layer: a fork_map child that dies, the flag that keeps at
 most two processes computing, the confinement of process code and of the
 split rule's prices to stochdyn.forks, and the one caller of fork_map per
-job (the CSV block writer, the battery) and of stationary_law."""
+job (the CSV block writer, the battery), of stationary_law, of np.mod (the
+angle wrap) and of the CLI's record writer."""
 
 import ast
 import os
@@ -136,3 +137,11 @@ def test_one_fork_map_caller_per_job():
 
 def test_one_law_lookup():
     assert _callers("stationary_law") == {("archpotential", "radial_law")}
+
+
+def test_one_angle_wrap():
+    assert _callers("mod") == {("exactnum", "wrap_angle")}
+
+
+def test_one_record_writer():
+    assert _callers("_emit") == {("cli", "_run")}

@@ -623,6 +623,18 @@ def test_walker_angles_in_range(dyadic, mixed):
             assert batch.angle.min() < 1.0 and batch.angle.max() > 5.0
 
 
+def test_ifs_walk_wraps_tiny_negative_angles():
+    # 1/z^2 sends the angle 1e-300 to -5e-301 when j = 0, which np.mod
+    # rounds up to 2 pi itself; the walk wraps it to 0
+    system = make_system([make_map([1], [0, 0, 1]), Z2],
+                         [Fraction(1, 2)] * 2)
+    n = 4000
+    _, theta = backward_walk(system, np.zeros(n), np.full(n, 1e-300), None, 1,
+                             np.random.default_rng(1))
+    assert np.all((theta >= 0.0) & (theta < 2.0 * np.pi))
+    assert np.sum(theta == 0.0) > n // 8
+
+
 def choice_walk(system, log_r, theta, steps, rng):
     """The monomial branch of backward_walk without its skipped no-ops,
     kept as its oracle: rng.choice draws the maps, every step applies the
