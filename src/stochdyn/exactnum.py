@@ -379,45 +379,42 @@ def _squarefree(f) -> list:
 # sentinel exponent of a zero coefficient, below every float's
 _NO_EXP = -(2**40)
 _OMEGA = np.exp(2j * np.pi / 3.0)
+# Cardano's three candidates are u w^j + v w^-j - shift, w = _OMEGA
+_OMEGA_PAIRS = [(_OMEGA**j, _OMEGA**-j) for j in range(3)]
 
 
 def _split(c):
     """(m, g) with c = m 2^g and 1/2 <= |m| < 1, or m = g = 0 where c is
     0, for complex c; m is exact."""
     _, g = np.frexp(np.abs(c))
-    g = g.astype(np.int64)
     m = np.empty_like(c)
-    m.real = np.ldexp(c.real, -g)
-    m.imag = np.ldexp(c.imag, -g)
-    return m, g
+    np.ldexp(c.real, -g, out=m.real)
+    np.ldexp(c.imag, -g, out=m.imag)
+    return m, g.astype(np.int64)
 
 
-def _balance(monic):
-    """(e, b, a) for x^k + sum_i a_i x^(k - i), each a_i a pair (m, g) of
-    the complex number m 2^g: e is the integer for which the monic
-    coefficients b_i = a_i 2^(-i e) of the polynomial in y = x / 2^e are
-    all below 1 in modulus and one of them at least 1/8 (e = 0 for x^k),
-    as LAPACK's gebal balances a companion matrix by powers of 2; a is
-    monic with each m scaled into [1/2, 1).  Only b_i below float range
-    round, to numbers too small to move the roots of largest modulus."""
-    a = []
-    for m, g in monic:
-        m, shift = _split(m)
-        a.append((m, g + shift))
-    e = np.max([np.where(m != 0, -(-g // i), _NO_EXP)
-                for i, (m, g) in enumerate(a, 1)], axis=0)
-    e = np.where(e == _NO_EXP, 0, e)
-    return e, [_shrink(m, g - i * e) for i, (m, g) in enumerate(a, 1)], a
+def _balance(am, ag):
+    """(e, b) for x^k + sum_i a_i x^(k - i), a_i = am[i - 1] 2^ag[i - 1]
+    ((k, rows) _split pairs): b_i = a_i 2^(-i e), the monic coefficients in
+    y = x / 2^e, are all below 1 in modulus and one at least 1/8 (e = 0 for
+    x^k), as LAPACK's gebal balances by powers of 2; only b_i below float
+    range round, too small to move the largest roots."""
+    i = np.arange(1, len(am) + 1)[:, None]
+    e = np.maximum.reduce(np.where(am != 0, -(-ag // i), _NO_EXP))
+    e[e == _NO_EXP] = 0
+    return e, _shrink(am, ag - i * e)
 
 
 def _shrink(m, g):
-    """m 2^g, where g <= 0 wherever m is nonzero (a zero m stays 0)."""
-    return m * np.ldexp(1.0, np.minimum(g, 0))
+    """m 2^g, g <= 0 where m is nonzero, by int32 (vectorized) ldexp."""
+    return m * np.ldexp(1.0, np.clip(g, -1100, 0).astype(np.int32))
 
 
 def _safe_div(x, y):
     """x / y, and 0 where y is 0."""
     zero = y == 0
+    if not zero.any():
+        return x / y
     return np.where(zero, 0.0, x / np.where(zero, 1.0, y))
 
 
@@ -427,62 +424,94 @@ def _larger(x, y):
 
 
 def _newton(b, r, steps):
-    """r after at most `steps` Newton steps on x^k + sum_i b_i x^(k - i),
-    each step kept only where it lowers |p(r)|."""
+    """r, updated in place, after at most `steps` Newton steps on x^k +
+    sum_i b_i x^(k - i), each step kept only where it lowers |p(r)|."""
     def horner(top, coeffs, x):
         for c in coeffs:
-            top = top * x + c
+            top = top * x
+            top += c
         return top
 
     k = len(b)
     db = [(k - i) * c for i, c in enumerate(b[:-1], 1)]
     f = horner(1.0, b, r)
+    size = np.abs(f)
     for _ in range(steps):
         r_new = r - _safe_div(f, horner(float(k), db, r))
         f_new = horner(1.0, b, r_new)
-        better = np.abs(f_new) < np.abs(f)
+        size_new = np.abs(f_new)
+        better = size_new < size
         if not better.any():
             break
-        r, f = np.where(better, r_new, r), np.where(better, f_new, f)
+        for x, x_new in ((r, r_new), (f, f_new), (size, size_new)):
+            np.copyto(x, x_new, where=better)
     return r
 
 
-def _quadratic(a1, a2) -> list:
-    """The roots of x^2 + a1 x + a2 as pairs (m, g) of m 2^g, by the stable
-    rule (Higham, Accuracy and Stability of Numerical Algorithms, 2002,
-    1.8): q = -(b + s)/2 with s = sqrt(b^2 - 4c) signed so that |b + s| is
-    the larger, then c / q, in the balanced form of _balance.  The second
-    root divides the unbalanced a2, so it stays exact when it lies far
-    below the first."""
-    e, (b1, b2), (_, (m2, g2)) = _balance([a1, a2])
+def _join(first, rest, later, pick):
+    """(m, g) of a closed form, (k, rows) or with pick (rows,), from the
+    pairs `first` (every row) and `rest` (the other roots of rows later)."""
+    if pick is None:
+        return tuple(np.vstack(pair) for pair in zip(first, rest))
+    for f, x in zip(first, rest):
+        f[later] = x
+    return first
+
+
+def _quadratic(am, ag, pick) -> tuple:
+    """The roots of x^2 + a1 x + a2 by the stable rule (Higham, Accuracy
+    and Stability of Numerical Algorithms, 2002, 1.8): q = -(b + s)/2,
+    |b + s| the larger of |b +- sqrt(b^2 - 4c)|, balanced, then c / q for
+    the rows that want it, with c unbalanced to stay exact far below q."""
+    e, (b1, b2) = _balance(am, ag)
     q = -0.5 * _larger(b1, np.sqrt(b1 * b1 - 4.0 * b2))
-    return [(q, e), (_safe_div(m2, q), g2 - e)]
+    later = slice(None) if pick is None else np.flatnonzero(pick)
+    return _join((q, e), (_safe_div(am[1, later], q[later]),
+                          ag[1, later] - e[later]), later, pick)
 
 
-def _cubic(a1, a2, a3) -> list:
-    """The roots of x^3 + a1 x^2 + a2 x + a3 as pairs (m, g) of m 2^g: the
-    one of largest modulus by Cardano's formula in the balanced form of
-    _balance, polished by three steps of _newton; then the other two as
-    the roots of x^2 - S x + P, with P = -a3 / r and S = (a2 - P) / r by
-    Vieta's relations (dividing from the constant term, which is stable
-    after the largest root)."""
-    e, (b1, b2, b3), (_, (m2, g2), (m3, g3)) = _balance([a1, a2, a3])
+def _cubic(am, ag, pick) -> tuple:
+    """The roots of x^3 + a1 x^2 + a2 x + a3: the largest, r, by _cardano
+    on the balanced cubic and three steps of _newton; then only for rows
+    that pick another (all without pick) the roots of x^2 - S x + P, P =
+    -a3 / r and S = (a2 - P) / r (Vieta, stable after the largest root)."""
+    e, b = _balance(am, ag)
+    r = _newton(b, _cardano(*b), 3)
+    del b  # the deflation needs the unbalanced pairs alone
+    later = slice(None) if pick is None else np.flatnonzero(pick)
+    r_l, e_l = r[later], e[later]
+    (m2, m3), (g2, g3) = am[1:, later], ag[1:, later]
+    pm, pg = _safe_div(-m3, r_l), g3 - e_l
+    # a2 - P over the larger exponent of the two
+    top = np.maximum(np.where(m2 != 0, g2, _NO_EXP),
+                     np.where(pm != 0, pg, _NO_EXP))
+    top[top == _NO_EXP] = 0
+    diff = _shrink(m2, g2 - top) - _shrink(pm, pg - top)
+    dm, dg = _split(np.stack([_safe_div(-diff, r_l), pm]))
+    dg += np.stack([top - e_l, pg])
+    rest = _quadratic(dm, dg, None if pick is None else pick[later] - 1)
+    return _join((r, e), rest, later, pick)
+
+
+def _cardano(b1, b2, b3):
+    """The largest of Cardano's three candidate roots of x^3 + b1 x^2 + b2
+    x + b3, by a running comparison (the first on ties)."""
     shift = b1 / 3.0
     p = b2 - shift * b1
     q = b3 - shift * b2 + 2.0 * shift * shift * shift
     c = -_larger(0.5 * q, np.sqrt(0.25 * q * q + p * p * p / 27.0))
     u = np.cbrt(np.abs(c)) * np.exp(1j * np.angle(c) / 3.0)
     v = _safe_div(-p, 3.0 * u)
-    y = np.stack([u * _OMEGA**j + v * _OMEGA**-j for j in range(3)]) - shift
-    r = np.take_along_axis(y, np.argmax(np.abs(y), axis=0)[None], 0)[0]
-    r = _newton([b1, b2, b3], r, 3)
-    pm, pg = _safe_div(-m3, r), g3 - e
-    # a2 - P over the larger exponent of the two
-    top = np.maximum(np.where(m2 != 0, g2, _NO_EXP),
-                     np.where(pm != 0, pg, _NO_EXP))
-    top = np.where(top == _NO_EXP, 0, top)
-    diff = _shrink(m2, g2 - top) - _shrink(pm, pg - top)
-    return [(r, e)] + _quadratic((_safe_div(-diff, r), top - e), (pm, pg))
+    del p, q, c  # only u, v and shift make the candidates
+    r, size = None, -1.0
+    for w, w_inv in _OMEGA_PAIRS:
+        y = u * w
+        y += v * w_inv
+        y -= shift
+        y_size = np.abs(y)
+        r = y if r is None else np.where(y_size > size, y, r)
+        size = np.maximum(size, y_size)
+    return r
 
 
 def poly_roots(cm, cg, name, pick=None) -> tuple:
@@ -495,52 +524,60 @@ def poly_roots(cm, cg, name, pick=None) -> tuple:
     (rows,) and hold root pick[r] of row r alone, bit for bit the entry
     the call without pick returns there.
 
-    Degrees 1 to 3 are solved in closed form on mantissas and exponents
-    (_quadratic, _cubic), so no root, however far from 1, is lost to
-    overflow or underflow; higher degrees take the eigenvalues of the
-    companion matrices (Edelman-Murakami, Math. Comp. 1995) of the
-    balanced monic polynomials of _balance in one stacked
-    np.linalg.eigvals call, those below 1e-4 there polished by _newton,
-    so that they lose only roots below float range in that balanced form.
-    Every returned root, with pick the picked one only, must pass the
-    backward-error test |p(x)| <= 1e-6 sum_i |c_i| |x|^(k - i), else
-    ConvergenceFailure names `name`, formatted only then: a root lost to 0
-    or to infinity fails it."""
-    cm, shift = _split(np.asarray(cm, dtype=complex))
-    cg = cg + shift
-    k = cm.shape[1] - 1
-    monic = [(cm[:, i] / cm[:, 0], cg[:, i] - cg[:, 0])
-             for i in range(1, k + 1)]
-    if k <= 3:
-        roots = ([(-monic[0][0], monic[0][1])] if k == 1 else
-                 (_quadratic if k == 2 else _cubic)(*monic))
-        xm = np.stack([m for m, _ in roots], axis=1)
-        xg = np.stack([g for _, g in roots], axis=1)
+    The coefficients and monic ratios c_i / c_0 are split once each into
+    (coefficient, row) arrays; degrees 1 to 3 are solved in closed form on
+    mantissas and exponents (_quadratic, _cubic, which deflates only the
+    rows that pick a deflated root), so no root is lost to overflow or
+    underflow.  Higher degrees take the eigenvalues of the companion
+    matrices (Edelman-Murakami, Math. Comp. 1995) of the balanced monic
+    polynomials in one np.linalg.eigvals call, those below 1e-4 there
+    polished by _newton, losing only roots below float range there.  Each
+    root returned must pass |p(x)| <= 1e-6 sum_i |c_i| |x|^(k - i), its
+    powers formed by products, or ConvergenceFailure names `name`: a root
+    lost to 0 or infinity fails.  A call holds a fixed number of row-sized
+    temporaries (counted in orbits.numeric_fiber)."""
+    cm, shift = _split(np.asarray(cm, dtype=complex).T)
+    cg = np.add(shift.T, cg, out=shift.T).T
+    k = len(cm) - 1
+    if k == 1:
+        xm, xg = -(cm[1:] / cm[0]), cg[1:] - cg[0]
+        xm, xg = (xm, xg) if pick is None else (xm[0], xg[0])
     else:
-        e, b, _ = _balance(monic)
-        comp = np.zeros((len(cm), k, k), dtype=complex)
-        comp[:, 0, :] = -np.stack(b, axis=1)
+        am, ag = _split(cm[1:] / cm[0])
+        ag += cg[1:] - cg[0]
+    if k in (2, 3):
+        xm, xg = (_quadratic if k == 2 else _cubic)(am, ag, pick)
+        del am, ag
+    elif k > 3:
+        e, b = _balance(am, ag)
+        comp = np.zeros((len(e), k, k), dtype=complex)
+        comp[:, 0, :] = -b.T
         comp[:, np.arange(1, k), np.arange(k - 1)] = 1.0
         # the eigenvalues are good to about 1e-16 absolute, the largest near
         # 1, so Newton's method takes the small ones to full precision
         y = np.linalg.eigvals(comp)
-        polished = _newton([c[:, None] for c in b], y, 8)
+        polished = _newton([c[:, None] for c in b], y.copy(), 8)
         xm, xg = _split(np.where(np.abs(y) < 1e-4, polished, y))
-        xg = xg + e[:, None]
-    if pick is not None:
-        rows = np.arange(len(xm))
-        xm, xg = xm[rows, pick, None], xg[rows, pick, None]
-    # the terms c_i x^(k - i) of p(x) as mantissas times 2^exps, scaled by
-    # 2^-(the largest exponent of a nonzero term of the root)
-    deg = np.arange(k, -1, -1)[:, None, None]
-    exps = (np.where(cm != 0, cg, _NO_EXP).T[..., None]
-            + np.where(xm != 0, xg, _NO_EXP) * deg)
-    exps -= exps.max(axis=0)
-    terms = cm.T[..., None] * xm**deg * np.ldexp(1.0, exps)
+        xm, xg = xm.T, (xg + e[:, None]).T
+        if pick is not None:
+            rows = np.arange(len(e))
+            xm, xg = xm[pick, rows], xg[pick, rows]
+    # the terms c_i x^(k - i) of p(x) as mantissas times 2^exps, x^j by
+    # products, scaled by 2^-(the largest exponent of a nonzero term)
+    xm2, xg2 = (xm, xg) if pick is None else (xm[None], xg[None])
+    exps = (np.where(cm != 0, cg, _NO_EXP)[:, None]
+            + np.where(xm2 != 0, xg2, _NO_EXP)
+            * np.arange(k, -1, -1)[:, None, None])
+    exps -= np.maximum.reduce(exps)
+    terms = np.ones((k + 1, *xm2.shape), dtype=complex)
+    for j in range(k - 1, -1, -1):
+        np.multiply(terms[j + 1], xm2, out=terms[j])
+    terms *= cm[:, None]
+    terms = _shrink(terms, exps)
     if np.any(np.abs(terms.sum(axis=0))
               > 1e-6 * np.abs(terms).sum(axis=0)):
         raise ConvergenceFailure(f"roots of {name} did not converge")
-    return (xm, xg) if pick is None else (xm[:, 0], xg[:, 0])
+    return (xm.T, xg.T) if pick is None else (xm, xg)
 
 
 def int_pairs(coeffs) -> tuple:

@@ -134,12 +134,12 @@ def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
 # each half has at least _SPLIT_ROWS rows.  A round trip, fork_map of two
 # items from a process that imported stochdyn, took about 2.7 ms, plus about
 # 2 ms per 800 KB the child returns, so a split saves at least one round
-# trip.  A row-step took about 17 ns through the IFS and 0.9 us through
+# trip.  A row-step took about 17 ns through the IFS and 0.7 us through
 # numeric fibers (orbits.backward_walk), and 10 ns through the valuation
 # IFS (padicmodel); all on a 2-vCPU VM, Python 3.11, numpy 2.4.
 _ROUND_TRIP_S = 2.7e-3
 _RETURN_S_PER_BYTE = 2e-3 / 800e3
-_ROW_STEP_S = {"ifs": 17e-9, "fiber": 0.9e-6, "valuation": 10e-9}
+_ROW_STEP_S = {"ifs": 17e-9, "fiber": 0.7e-6, "valuation": 10e-9}
 _SPLIT_FACTOR = 4
 _SPLIT_ROWS = 1024
 

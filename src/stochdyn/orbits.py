@@ -11,22 +11,19 @@ walker, is a pair (log|z|, arg z), which holds moduli far outside float
 range; tree nodes add an exact projective identity whenever the preimage
 is rational.  Fibers of rational points are exact and come in the same
 form (dynsys.fiber), so no rational preimage loses its identity.  Fibers
-of numeric points come from one batched kernel, numeric_fiber, which
-solves the points' fibers under one map through exactnum.poly_roots, the
-root solver that exact fibers use too, ifs.ROW_BLOCK points at a time, so
-its working set is bounded whatever the point count; the tree calls it
-once per level and map for every root, the walker once per step and map
-for the one root each point drew.  The
-tree merges numerically coincident points by one rule, relative at every
-scale, and refuses a merge when the two carry distinct exact identities;
-any merge involving a point without an exact identity is counted as
-tolerance-driven so callers can see when output atoms rest on a numeric
-coincidence.  A level holds its nodes as arrays, point rows and
-(parent, map, mult) edge rows grouped by node, beside lists of numerators
-and exact identities.  It is built from arrays of all of its edges: a
-numeric edge that no other edge can meet under the merge rule opens its
-own node at once, and only the other edges take the rule one by one, so
-the levels are those of the edge-by-edge rule.
+of numeric points come from one kernel, numeric_fiber (exactnum.poly_roots
+on ifs.ROW_BLOCK points at a time): the tree asks it for every root, the
+walker for the one root each point drew.  The tree merges numerically
+coincident points by one rule, relative at every scale, and refuses a
+merge when the two carry distinct exact identities; any merge involving a
+point without an exact identity is counted as tolerance-driven so callers
+can see when output atoms rest on a numeric coincidence.  A level holds
+its nodes as arrays, point rows and (parent, map, mult) edge rows grouped
+by node, beside lists of numerators and exact identities.  It is built
+from arrays of all of its edges: a numeric edge that no other edge can
+meet under the merge rule opens its own node at once, and only the other
+edges take the rule one by one, so the levels are those of the
+edge-by-edge rule.
 """
 
 from __future__ import annotations
@@ -69,22 +66,24 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta, pick=None) -> tuple:
     column index per point, the arrays have shape (points,) and hold
     entry pick[k] of row k alone, bit for bit.
 
-    No point is formed as a complex number.  Its max-norm lift is
-    (e^{i theta}, e^{-log r}) when log r > 0, (e^{log r + i theta}, 1)
-    otherwise and (1, 0) at infinity.  The fiber form H = v F - u G of
-    each lift is solved in the chart of its larger end coefficient, w or
-    t = 1/w, by exactnum.poly_roots, with exponent 0 for the float
-    coefficients (ConvergenceFailure where a root fails its backward-error
-    test; with pick, only the picked roots are solved to the end and
-    tested).  An exact zero end coefficient gives an exact zero root, so
-    infinity is a preimage exactly when t = 0 is.  A finite point with
-    |log r| above _LOG_TINY raises OverflowError: its lift would
-    underflow, and the point pass for infinity or for 0.
+    No point is formed as a complex number: the fiber form H = v F - u G
+    of its max-norm lift (u, v), (e^{i theta}, e^{-log r}) when log r > 0,
+    (e^{log r + i theta}, 1) otherwise and (1, 0) at infinity, is solved
+    in the chart of its larger end coefficient, w or t = 1/w, by
+    exactnum.poly_roots (ConvergenceFailure where a root, with pick the
+    picked one, fails its backward-error test).  An exact zero end
+    coefficient gives an exact zero root, so infinity is a preimage
+    exactly when t = 0 is.  A finite point with |log r| above _LOG_TINY
+    raises OverflowError: its lift would underflow.
 
-    The points are solved ROW_BLOCK at a time into the output arrays, each
-    block by the operations a call on it alone would take, so the
-    transient arrays stay a fixed size whatever the point count.
-    """
+    The points are solved ROW_BLOCK at a time, each block by the
+    operations a call on it alone would take, holding per block row, in
+    floats of 8 bytes, for degree d, chart degree k <= 3 and pick: the
+    outputs (2); one buffer for the lift and H (2(d + 3)); the rows'
+    chart, lead and picks (3); poly_roots' split coefficients (3(k + 1))
+    and monic ratios (3k); _cubic's e and balanced coefficients (1 + 2k);
+    at most 8 complex arrays of _cardano or _newton and the latter's k - 1
+    derivative coefficients (2k + 14): 10k + 2d + 29, 65 on a cubic."""
     log_r = np.asarray(log_r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     if np.any(np.isfinite(log_r) & (np.abs(log_r) > _LOG_TINY)):
@@ -92,46 +91,61 @@ def numeric_fiber(phi: RationalMapQ, log_r, theta, pick=None) -> tuple:
                             "has a max-norm lift below float range")
     shape = (len(log_r), phi.d) if pick is None else (len(log_r),)
     log_w, arg_w = np.full(shape, math.inf), np.zeros(shape)
+    # a block's lift (u, v) and fiber form h, allocated once
+    lift = np.empty((phi.d + 3, min(len(log_r), ROW_BLOCK)), dtype=complex)
     for lo in range(0, len(log_r), ROW_BLOCK):
         rows = slice(lo, lo + ROW_BLOCK)
         _fiber_rows(phi, log_r[rows], theta[rows], log_w[rows], arg_w[rows],
-                    None if pick is None else pick[rows])
+                    None if pick is None else pick[rows], lift)
     return log_w, arg_w
 
 
-def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w, pick) -> None:
+def _fiber_rows(phi: RationalMapQ, log_r, theta, log_w, arg_w, pick,
+                lift) -> None:
     """numeric_fiber on one block of points, each row by itself, written
-    into the block's output rows log_w (+inf on entry) and arg_w (0)."""
+    into the block's output rows log_w (+inf on entry) and arg_w (0), with
+    u, v and h in the rows of the buffer lift."""
     fc, gc, _ = phi.float_forms
-    d = phi.d
-    u = np.exp(np.minimum(log_r, 0.0) + 1j * theta)
-    u = np.where(np.isposinf(log_r), 1.0, u)
-    v = np.exp(-np.maximum(log_r, 0.0))
-    h = v[:, None] * np.array(fc) - u[:, None] * np.array(gc)  # X^(d-i) Y^i
-    w_chart = np.abs(h[:, 0]) >= np.abs(h[:, d])
-    poly = np.where(w_chart[:, None], h, h[:, ::-1])  # descending in the chart
-    nonzero = poly != 0
-    assert np.all(nonzero.any(axis=1))
+    d, n = phi.d, len(log_r)
+    u, v, h = lift[0, :n], lift[1, :n].real, lift[2:, :n]
+    # u = e^(min(log r, 0) + i theta); theta + 0 makes a -0 angle +0
+    np.minimum(log_r, 0.0, out=u.real)
+    np.add(theta, 0.0, out=u.imag)
+    np.exp(u, out=u)
+    u[log_r == math.inf] = 1.0
+    np.exp(-np.maximum(log_r, 0.0), out=v)
+    for i in range(d + 1):  # h[i] = v F_i - u G_i, of X^(d-i) Y^i
+        np.multiply(v, fc[i], out=h[i])
+        if gc[i]:
+            h[i] -= u * gc[i]
+    # descending in the chart of the larger end coefficient
+    t_chart = np.flatnonzero(np.abs(h[0]) < np.abs(h[d]))
+    h[:, t_chart] = h[::-1, t_chart]
     # a leading zero in the chart means both ends of H vanish, so 0 and
     # infinity are both preimages; it counts as a root at the chart's infinity
-    lead = np.argmax(nonzero, axis=1)
+    lead, ends = np.zeros(n, dtype=int), np.flatnonzero(h[0] == 0)
+    nonzero = h[:, ends] != 0
+    assert np.all(nonzero.any(axis=0))
+    lead[ends] = np.argmax(nonzero, axis=0)
     for m in np.flatnonzero(np.bincount(lead)):
         rows = lead == m
-        if pick is None:
-            xm, xg = poly_roots(poly[rows, m:], 0, phi)
-            log_w[rows, m:], arg_w[rows, m:] = pair_log_polar(xm, xg)
+        if pick is not None:
+            # a pick among the m roots at the chart's infinity keeps +inf
+            rows &= pick >= m
+        if not rows.any():
             continue
-        # a pick among the m roots at the chart's infinity keeps +inf
-        rows &= pick >= m
-        if rows.any():
-            xm, xg = poly_roots(poly[rows, m:], 0, phi, pick[rows] - m)
-            log_w[rows], arg_w[rows] = pair_log_polar(xm, xg)
+        rows = slice(None) if rows.all() else rows
+        if pick is None:
+            log_w[rows, m:], arg_w[rows, m:] = pair_log_polar(
+                *poly_roots(h[m:, rows].T, 0, phi))
+        else:
+            log_w[rows], arg_w[rows] = pair_log_polar(
+                *poly_roots(h[m:, rows].T, 0, phi, pick[rows] - m))
     # in the t chart, log|w| = -log|t| and arg w = -arg t
-    sign = np.where(w_chart, 1.0, -1.0)
-    if pick is None:
-        sign = sign[:, None]
-    log_w *= sign
-    arg_w[...] = np.where(np.isinf(log_w), 0.0, wrap_angle(sign * arg_w))
+    log_w[t_chart] *= -1.0
+    arg_w[t_chart] *= -1.0
+    arg_w[...] = wrap_angle(arg_w)
+    arg_w[np.isinf(log_w)] = 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -471,11 +485,9 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     systems take fibers: start, when given, is the common start as an
     exact point, and while a path stays rational its fibers are the cached
     exact ones of dynsys.fiber, taken once per (map, point) in a step;
-    numeric points are solved by numeric_fiber, one call per map and step,
-    which works through them ifs.ROW_BLOCK at a time and solves, tests and
-    converts only the drawn preimage of each: a step raises
-    ConvergenceFailure only when a drawn root fails its backward-error
-    test.  The rows go through forks.split_walk as an "ifs" or a "fiber"
+    numeric points take numeric_fiber's pick, one call per map and step,
+    so a step raises ConvergenceFailure only when a drawn root fails its
+    backward-error test.  The rows go through forks.split_walk as an "ifs" or a "fiber"
     walk, so a large walk walks its second half of rows in a forked child,
     bit for bit as in one process.
     """

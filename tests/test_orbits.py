@@ -1,4 +1,5 @@
 import cmath
+import hashlib
 import io
 import itertools
 import math
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from stochdyn import orbits
+from stochdyn import exactnum, orbits
 from stochdyn.dynsys import fiber, make_map, make_system
 from stochdyn.exactnum import (
     INFINITY,
@@ -224,6 +225,111 @@ def test_numeric_fiber_pick_tests_its_root_alone():
         else:
             assert log_w[0] == pytest.approx((700.0 + math.log(2.0)) / 3.0)
     assert len(lost) == 1
+
+
+def _fiber_digests(general) -> list:
+    """SHA-256 of numeric_fiber's bytes under each map of general and of
+    _PICK_MAPS, the full call and a random pick, on a seeded grid of 4,096
+    points: 0, infinity, 1, |log|z|| = 700 and 1e-3 to 700 in both charts
+    (a ConvergenceFailure is hashed as its name); then of the exact fibers
+    of the irreducible cubics z^3 - 6z + 1 and 2z^3 - 3 10^400 - 2."""
+    rng = np.random.default_rng(35)
+    n = 4096
+    log_r = (rng.choice([-1.0, 1.0], n)
+             * np.exp(rng.uniform(math.log(1e-3), math.log(700.0), n)))
+    theta = rng.uniform(0.0, 2.0 * np.pi, n)
+    log_r[:6] = [-math.inf, math.inf, 0.0, 700.0, -700.0, 0.0]
+    theta[:6] = [0.0, 0.0, 0.0, 0.3, 2.0, np.pi]
+    digests = []
+    for phi in (*general.maps, *_PICK_MAPS):
+        h = hashlib.sha256()
+        for pick in (None, rng.integers(0, phi.d, n)):
+            try:
+                for part in numeric_fiber(phi, log_r, theta, pick):
+                    h.update(part.tobytes())
+            except ConvergenceFailure:
+                h.update(b"ConvergenceFailure")
+        digests.append(h.hexdigest())
+    for phi, point in ((general.maps[1], ProjPointQ(3, 1)),
+                       (make_map([1, 0, 0, 2], [3]),
+                        ProjPointQ(10**400 + 1, 1))):
+        digests.append(hashlib.sha256(
+            repr(fiber(phi, point)).encode()).hexdigest())
+    return digests
+
+
+# _fiber_digests of the solver whose cubic deflated every row, which
+# every later solver must keep bit for bit
+_FIBER_DIGESTS = [
+    "3afb25984ebb4c5072a9253adb07bc46"
+    "d9f0a683e0aac9002f0fda6ddb73d8e3",
+    "2d7e659c82c11e47c8758e4fc594a767"
+    "0c036540f5d009e0556fdb5dc4a3214d",
+    "8678a2af56c6c68898c54e04385674b5"
+    "0bdb20245da8b153b04dd6cd36851e24",
+    "57c0278a52acba2d4f7ee9a0f9db32b0"
+    "ee1fbe49672155c732bac81d2759c65e",
+    "8502ec6453a40030a314f4e49450dcb7"
+    "b9d73cfa687238adc7f5b3b50c92f764",
+    "fb47aabb38361aa2daefa502bc7f93f7"
+    "01c1854b681ea7fd085c5301f15be646",
+    "58e011a16a52d7bccbc65d381ac47d9d"
+    "8c668f3855ed6cfe89dd886c4bf6202c",
+    "68eb65ca3d5302d4843114db32ba4cab"
+    "ccee99694d06bf7a8fadb6bfde4e5694",
+    "d94127ea7c7a47c0404b11c91e2add3a"
+    "099692836fc5ef0dd5c091d6e52acf98",
+    "f7021f1aeabb2bccdcd5bd0a347d6661"
+    "aa9589ebc68a1ebbbeca43201ba2ce86",
+    "f35dfa3b807adf49263c81f325bdd5f6"
+    "6f52e7605dcc59164dbef105009d6178",
+    "804dda267b13186c482a0a6710518d49"
+    "c4a3b0dd390296aefdeb8e70d9d32af2",
+]
+
+
+def test_numeric_fiber_bytes_are_pinned(general):
+    assert _fiber_digests(general) == _FIBER_DIGESTS
+
+
+def _cubic_block(general, n=ROW_BLOCK):
+    """n finite points around general's Julia set, in both charts, and a
+    seeded pick of one of the three preimages of each under its cubic."""
+    rng = np.random.default_rng(11)
+    return (rng.uniform(-2.0, 2.0, n), rng.uniform(0.0, 2.0 * np.pi, n),
+            rng.integers(0, 3, n))
+
+
+def test_cubic_deflates_only_rows_that_pick_a_deflated_root(general,
+                                                              monkeypatch):
+    # the cubic's deflation to a quadratic sees the rows whose pick is 1 or
+    # 2 alone; every row used to take it
+    rows = []
+    quadratic = exactnum._quadratic
+
+    def counted(am, ag, pick):
+        rows.append(am.shape[1])
+        return quadratic(am, ag, pick)
+
+    monkeypatch.setattr(exactnum, "_quadratic", counted)
+    log_r, theta, pick = _cubic_block(general, 2000)
+    numeric_fiber(general.maps[1], log_r, theta, pick)
+    assert rows == [np.count_nonzero(pick >= 1)]
+
+
+def test_numeric_fiber_temporaries_per_row(general):
+    # numeric_fiber's docstring lists what a block row holds for a map of
+    # degree d, chart degree k <= 3, with pick: 10k + 2d + 29 floats, 65
+    # for general's cubic, so one ROW_BLOCK-row call peaks below that
+    log_r, theta, pick = _cubic_block(general)
+    numeric_fiber(general.maps[1], log_r, theta, pick)
+    tracemalloc.start()
+    try:
+        numeric_fiber(general.maps[1], log_r, theta, pick)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= (10 * 3 + 2 * 3 + 29) * 8 * ROW_BLOCK
 
 
 def _walk_outcome(walk, *args):
