@@ -21,6 +21,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from stochdyn.archpotential import equidist, write_equidist_csv
 from stochdyn.cli import (build_system, check_seed, exit_code_of, load_config,
                           parse_alpha)
+from stochdyn.dynsys import walk_start
 from stochdyn.heights import ARCH, PlaceQ
 
 
@@ -42,6 +43,8 @@ def main():
     seed = check_seed(args.seed if args.seed is not None else cfg.seed)
 
     places = [ARCH] + [PlaceQ(p) for p in args.primes]
+    # every walk's guard, before any output
+    walk_start(system, alpha, min(args.depths), samples)
     header = f"{'depth':>6} {'ks_radial':>10} {'ks_angular':>11} {'residual':>10}"
     for p in args.primes:
         header += f" {'ks@' + str(p):>8}"

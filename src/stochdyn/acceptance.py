@@ -41,6 +41,7 @@ import numpy as np
 
 from .dynsys import (
     eval_map,
+    exceptional_report,
     is_exceptional_system,
     make_map,
     make_system,
@@ -211,10 +212,8 @@ def _c08_pairing_lower_bounds(ctx):
 
 
 def _c09_exceptional_points(ctx):
-    from .dynsys import exceptional_set
-
     system = ctx["system"]
-    exc = exceptional_set(system)
+    exc = list(exceptional_report(system).confirmed)
     want = [normalize_point(0, 1), INFINITY]
     ok = exc == want
 

@@ -51,8 +51,8 @@ from typing import Optional, Sequence, Union
 
 import numpy as np
 
-from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
-from .exactnum import ProjPointQ, normalize_point
+from .dynsys import StochasticSystem, walk_start
+from .exactnum import ProjPointQ
 from .heights import ARCH, PlaceQ
 from .ifs import (
     ROW_BLOCK,
@@ -143,8 +143,7 @@ def canonical_sample(system: StochasticSystem, n: int, samples: int,
     step choosing a map by its probability and a preimage by
     multiplicity/degree.
     """
-    if n < 0 or samples < 1:
-        raise ValueError("need n >= 0 and samples >= 1")
+    walk_start(system, None, n, samples)
     rng = np.random.default_rng(seed)
     theta = rng.uniform(0.0, 2.0 * np.pi, samples)
     log_r, theta = backward_walk(system, np.zeros(samples), theta, None, n, rng)
@@ -198,17 +197,12 @@ def equidist(system: StochasticSystem, place: PlaceQ, alpha: ProjPointQ,
     double the noise floor (callers should double their thresholds on that
     path).
     """
-    if n < 0 or samples < 1:
-        raise ValueError("need n >= 0 and samples >= 1")
     if not place.is_arch:
         vals = sample_backward_valuations(system, place, alpha, n, samples,
                                           seed)
         law = radial_law(system, place)
         return EquidistResult(place, {"ks": ks_to_law(vals, law, n)}, vals,
                               law)
-    alpha = normalize_point(alpha.a, alpha.b)
-    if is_exceptional_system(system, alpha):
-        raise ExceptionalStart(f"{alpha} is exceptional for this system")
     batch = backward_sample(system, alpha, n, samples, seed)
     # the CDF CSV labels and the probe distances take a finite |z| as a float
     if np.any(np.isfinite(batch.log_abs) & (batch.log_abs > _LOG_FLOAT_MAX)):

@@ -32,11 +32,9 @@ from .archpotential import (
     write_equidist_csv,
 )
 from .dynsys import (
-    ExceptionalStart,
     StochasticSystem,
     bad_primes,
     exceptional_report,
-    is_exceptional_system,
     make_map,
     make_system,
     stochastic_degree,
@@ -192,8 +190,6 @@ def cmd_orbit_sample(cfg: SystemConfig, args, out):
     alpha = parse_alpha(args.alpha)
     depth = args.depth if args.depth is not None else cfg.depth
     samples = args.samples if args.samples is not None else cfg.samples
-    if is_exceptional_system(system, alpha):
-        raise ExceptionalStart(f"{alpha} is exceptional for this system")
     batch = backward_sample(system, alpha, depth, samples, args.seed)
     if not args.out:
         write_samples_csv(batch, out)

@@ -355,6 +355,21 @@ def is_exceptional_system(system: StochasticSystem, point: ProjPointQ) -> bool:
     return True
 
 
+def walk_start(system: StochasticSystem, alpha: Optional[ProjPointQ],
+               n: int, samples: int) -> Optional[ProjPointQ]:
+    """The one guard of every sampled walk: the sizes first, then the
+    start, returned normalized; alpha None (the canonical walk, which has
+    no start) checks the sizes alone."""
+    if n < 0 or samples < 1:
+        raise ValueError("need n >= 0 and samples >= 1")
+    if alpha is None:
+        return None
+    alpha = normalize_point(alpha.a, alpha.b)
+    if is_exceptional_system(system, alpha):
+        raise ExceptionalStart(f"{alpha} is exceptional for this system")
+    return alpha
+
+
 def _form_derivatives(coeffs, d):
     # descending lists for the X- and Y-partials of a degree-d form
     dx = tuple(coeffs[i] * (d - i) for i in range(d))
@@ -421,8 +436,3 @@ def exceptional_report(system: StochasticSystem) -> ExceptionalReport:
     confirmed = [p for p in candidates if is_exceptional_system(system, p)]
     confirmed.sort(key=lambda p: (p.is_infinity, None if p.is_infinity else p.as_fraction()))
     return ExceptionalReport(tuple(confirmed), tuple(unresolved))
-
-
-def exceptional_set(system: StochasticSystem) -> list:
-    """Rational exceptional points of the system, at most two of them."""
-    return list(exceptional_report(system).confirmed)

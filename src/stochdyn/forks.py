@@ -3,10 +3,9 @@
 fork_map hands the second half of a loop to a forked child and yields the
 results in item order (the acceptance battery, the CSV block writer);
 split_walk walks the second half of a seeded walk's rows in that child on
-the numbers they get in one process (the backward walker, the valuation
-walk), by one rule priced in one cost table keyed by walk kind.  Either
-prints the bytes one process prints.  This module imports nothing from
-stochdyn.
+the numbers they get in one process (the backward walker), by one rule
+priced in one cost table keyed by walk kind.  Either prints the bytes one
+process prints.  This module imports nothing from stochdyn.
 """
 
 from __future__ import annotations
@@ -135,11 +134,11 @@ def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
 # items from a process that imported stochdyn, took about 2.7 ms, plus about
 # 2 ms per 800 KB the child returns, so a split saves at least one round
 # trip.  A row-step took about 17 ns through the IFS and 0.7 us through
-# numeric fibers (orbits.backward_walk), and 10 ns through the valuation
-# IFS (padicmodel); all on a 2-vCPU VM, Python 3.11, numpy 2.4.
+# numeric fibers (orbits.backward_walk); both on a 2-vCPU VM, Python 3.11,
+# numpy 2.4.
 _ROUND_TRIP_S = 2.7e-3
 _RETURN_S_PER_BYTE = 2e-3 / 800e3
-_ROW_STEP_S = {"ifs": 17e-9, "fiber": 0.7e-6, "valuation": 10e-9}
+_ROW_STEP_S = {"ifs": 17e-9, "fiber": 0.7e-6}
 _SPLIT_FACTOR = 4
 _SPLIT_ROWS = 1024
 
@@ -172,9 +171,9 @@ def split_walk(walk: Callable, rows: list, steps: int, kind: str,
     list and may empty it, so that a walk in one piece frees its start
     arrays as it goes, and it makes every draw as rng.random(count),
     count = len(rows[0]).  rng is the PCG64 Generator of
-    np.random.default_rng that every seeded walk gets (backward_sample,
-    canonical_sample after its uniform angles, sample_backward_valuations),
-    which has drawn only doubles, so RowDraws reproduce its draws.
+    np.random.default_rng that backward_sample and canonical_sample (after
+    its uniform angles) give the walker, which has drawn only doubles, so
+    RowDraws reproduce its draws.
 
     When the walk is large enough (the rule beside _SPLIT_FACTOR) and
     fork_map may fork, a fork_map child walks rows [h, count), h = count //

@@ -37,7 +37,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynsys import RationalMapQ, StochasticSystem, fiber
+from .dynsys import RationalMapQ, StochasticSystem, fiber, walk_start
 from .exactnum import (ProjPointQ, StochdynError, pair_log_polar, poly_roots,
                        wrap_angle)
 from .forks import split_walk
@@ -569,9 +569,9 @@ def _fiber_step(system, log_r, theta, codes, exact, idx, j):
 
 def backward_sample(system: StochasticSystem, alpha: ProjPointQ, n: int,
                     samples: int, seed: int) -> OrbitSampleBatch:
-    """i.i.d. draws from the level-n measure, by backward_walk from alpha."""
-    if n < 0 or samples < 1:
-        raise ValueError("need n >= 0 and samples >= 1")
+    """i.i.d. draws from the level-n measure, by backward_walk from alpha
+    (dynsys.walk_start guards the sizes and the start)."""
+    alpha = walk_start(system, alpha, n, samples)
     rng = np.random.default_rng(seed)
     log_r0, theta0 = alpha.log_polar()
     log_r, theta = backward_walk(system, np.full(samples, log_r0),

@@ -16,19 +16,17 @@ approximated.
 
 Shifts, fixed points and atoms are exact rationals.  The walk itself
 runs in float64, which is exact while every degree is a power of 2 and
-the valuations need at most 53 significant bits.  It goes through
-forks.split_walk as a "valuation" walk, so a large walk walks half its
-rows in a forked child on the numbers they get in one process.
+the valuations need at most 53 significant bits.  It runs in one process:
+a forked half of it won no resolvable wall-clock time on the command.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .dynsys import ExceptionalStart, StochasticSystem, is_exceptional_system
-from .exactnum import ProjPointQ, StochdynError, normalize_point, padic_valuation
+from .dynsys import StochasticSystem, walk_start
+from .exactnum import ProjPointQ, StochdynError, padic_valuation
 from .heights import PlaceQ
-from .forks import split_walk
 from .ifs import affine_ifs, map_sampler
 
 
@@ -40,28 +38,20 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
                                alpha: ProjPointQ, n: int, samples: int,
                                seed: int) -> np.ndarray:
     """Level-n backward valuation samples at the prime place from alpha,
-    with all guards; level 0 is the atom at v_p(alpha)."""
+    with all guards (dynsys.walk_start's among them); level 0 is the atom
+    at v_p(alpha)."""
     if place.is_arch:
         raise ValueError("the valuation walk needs a prime place")
-    if n < 0 or samples < 1:
-        raise ValueError("need n >= 0 and samples >= 1")
-    alpha = normalize_point(alpha.a, alpha.b)
-    if is_exceptional_system(system, alpha):
-        raise ExceptionalStart(f"{alpha} is exceptional for this system")
+    alpha = walk_start(system, alpha, n, samples)
     ifs = affine_ifs(system, place)
     if ifs is None:
         raise UnsupportedStructure(
             f"system has a non-monomial map; no valuation dynamics at {place}")
-    start = float(padic_valuation(alpha.as_fraction(), place.p))
+    rng = np.random.default_rng(seed)
     draw = map_sampler(ifs.probs)
     degs = ifs.arrays[1]
-
-    def walk(rows, draws):
-        v = rows.pop()
-        for _ in range(n):
-            idx = draw(draws, samples)
-            v = ifs.step(v, idx, degs[idx])
-        return (v,)
-
-    return split_walk(walk, [np.full(samples, start)], n, "valuation",
-                      np.random.default_rng(seed))[0]
+    v = np.full(samples, float(padic_valuation(alpha.as_fraction(), place.p)))
+    for _ in range(n):
+        idx = draw(rng, samples)
+        v = ifs.step(v, idx, degs[idx])
+    return v

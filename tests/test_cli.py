@@ -457,7 +457,8 @@ def test_repeated_commands_identical(capsys, tmp_path):
 
 
 # os.fork calls of every command perfbench times, at the config's seed: a
-# 100k-row walk splits, and so does each 100k-row CSV; general's 1,000-row
+# 100k-row walk at infinity splits, and so does each 100k-row CSV, while the
+# valuation walk at a prime runs in one piece; general's 1,000-row
 # sample walks are too small to split, the canonical walks of its equidist
 # and radii are not; the suite forks for its battery alone, whose walks run
 # in one piece
@@ -466,7 +467,7 @@ _FORK_COUNTS = [
     (REPO_CONFIG, ("stoch-height", "1"), 0),
     (REPO_CONFIG, ("orbit-sample", "1", "--out", "F"), 2),
     (REPO_CONFIG, ("equidist", "1", "--place", "arch", "--out", "F"), 2),
-    (REPO_CONFIG, ("equidist", "1", "--place", "2", "--out", "F"), 2),
+    (REPO_CONFIG, ("equidist", "1", "--place", "2", "--out", "F"), 1),
     (REPO_CONFIG, ("green-eval", "0"), 0),
     (REPO_CONFIG, ("radii",), 0),
     (GENERAL_CONFIG, ("validate",), 0),
@@ -499,6 +500,21 @@ def test_forking_commands_leave_no_child(capsys, tmp_path, forks, config,
             assert sum(1 for _ in fh) == json.loads(out)["samples"] + 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
+
+
+def test_orbit_sample_checks_sizes_before_start(capsys, example_config):
+    # as equidist at every place: a bad size exits 3 even from the
+    # exceptional start 0, and a good one meets the start's exit 4
+    for sizes in (("--depth", "-1"), ("--samples", "0")):
+        code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                                 example_config, "0", *sizes)
+        assert (code, out) == (3, "")
+        assert err == "error: ValueError: need n >= 0 and samples >= 1\n"
+    code, out, err = run_cli(capsys, "orbit-sample", "--config",
+                             example_config, "0", "--depth", "3",
+                             "--samples", "10")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: ExceptionalStart")
 
 
 def test_orbit_sample_csv(capsys, tmp_path, example_config):
@@ -1071,6 +1087,22 @@ def test_unsupported_place_exit(capsys, monkeypatch, example_config):
     assert run_script(monkeypatch, SCRIPTS / "equidist_report.py", "--config",
                       str(REPO_CONFIG), "1", "--primes", "4") == 3
     assert capsys.readouterr().err == "error: ValueError: 4 is not prime\n"
+
+
+def test_equidist_report_prints_nothing_before_it_fails(capsys, monkeypatch):
+    # the script guards its start, its sample count and its smallest depth
+    # before the header: an exceptional start, or a negative depth after a
+    # good one, ends with empty stdout
+    for argv, code, want in (
+            (("0",), 4, "error: ExceptionalStart"),
+            (("1", "--depths", "5", "-1"), 3,
+             "error: ValueError: need n >= 0 and samples >= 1"),
+            (("1", "--samples", "0"), 3, "error: ValueError")):
+        assert run_script(monkeypatch, SCRIPTS / "equidist_report.py",
+                          "--config", str(REPO_CONFIG), *argv) == code
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith(want)
 
 
 # every CLI command on both committed configs, validate and orbit-sample on

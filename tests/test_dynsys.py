@@ -15,7 +15,6 @@ from stochdyn.dynsys import (
     bad_primes,
     eval_map,
     exceptional_report,
-    exceptional_set,
     fiber,
     is_exceptional_system,
     make_map,
@@ -157,7 +156,8 @@ def test_depth_two_is_not_enough():
 
 
 def test_exceptional_set_dyadic():
-    assert exceptional_set(dyadic_system()) == [ProjPointQ(0, 1), INFINITY]
+    assert list(exceptional_report(dyadic_system()).confirmed) == [
+        ProjPointQ(0, 1), INFINITY]
 
 
 def test_exceptional_set_mixed_pair_empty():
@@ -182,7 +182,8 @@ def test_exceptional_report_irrational_candidates():
 
 
 def test_exceptional_set_single_map():
-    assert exceptional_set(make_system([Z2_PLUS_1], [1])) == [INFINITY]
+    report = exceptional_report(make_system([Z2_PLUS_1], [1]))
+    assert list(report.confirmed) == [INFINITY]
 
 
 def test_wronskian_z2():

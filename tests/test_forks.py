@@ -1,8 +1,9 @@
 """The fork layer: a fork_map child that dies, the flag that keeps at
 most two processes computing, the confinement of process code and of the
-split rule's prices to stochdyn.forks, and the one caller of fork_map per
-job (the CSV block writer, the battery), of stationary_law, of np.mod (the
-angle wrap) and of the CLI's record writer."""
+split rule's prices to stochdyn.forks, the one caller of fork_map per job
+(the CSV block writer, the battery), of split_walk (the backward walker),
+of stationary_law, of np.mod (the angle wrap), of the CLI's record writer
+and of ExceptionalStart (the start guard)."""
 
 import ast
 import os
@@ -145,3 +146,14 @@ def test_one_angle_wrap():
 
 def test_one_record_writer():
     assert _callers("_emit") == {("cli", "_run")}
+
+
+def test_one_start_guard():
+    # every sampled walk's start is refused in one place
+    assert _callers("ExceptionalStart") == {("dynsys", "walk_start")}
+
+
+def test_one_split_walker():
+    # the valuation walk runs in one piece; only the backward walker splits
+    assert _callers("split_walk") == {("orbits", "backward_walk")}
+    assert set(stochdyn.forks._ROW_STEP_S) == {"ifs", "fiber"}
