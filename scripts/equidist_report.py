@@ -23,6 +23,7 @@ from stochdyn.cli import (build_system, check_seed, exit_code_of, load_config,
                           parse_alpha)
 from stochdyn.dynsys import walk_start
 from stochdyn.heights import ARCH, PlaceQ
+from stochdyn.padicmodel import valuation_ifs
 
 
 def main():
@@ -43,8 +44,10 @@ def main():
     seed = check_seed(args.seed if args.seed is not None else cfg.seed)
 
     places = [ARCH] + [PlaceQ(p) for p in args.primes]
-    # every walk's guard, before any output
+    # every walk's guards, before any output
     walk_start(system, alpha, min(args.depths), samples)
+    for place in places[1:]:
+        valuation_ifs(system, place)
     header = f"{'depth':>6} {'ks_radial':>10} {'ks_angular':>11} {'residual':>10}"
     for p in args.primes:
         header += f" {'ks@' + str(p):>8}"

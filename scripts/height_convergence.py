@@ -19,7 +19,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from stochdyn.cli import (build_system, check_seed, exit_code_of, load_config,
                           parse_alpha)
 from stochdyn.heights import l1_height_control_total, weil_height
-from stochdyn.stochheight import stoch_height
+from stochdyn.stochheight import stoch_height, tail_budget
 
 
 def main():
@@ -34,13 +34,16 @@ def main():
     cfg = load_config(args.config)
     seed = check_seed(args.seed if args.seed is not None else cfg.seed)
     system = build_system(cfg)
+    # every point's parse and every tol's check, before any output
+    alphas = [parse_alpha(text) for text in args.points]
+    for tol in args.tols:
+        tail_budget(system).depth(tol)
     budget = l1_height_control_total(system)
     print(f"distortion budget sum: {budget:.6f}")
     print(f"{'point':>8} {'h':>10} " +
           " ".join(f"{'h_S@' + format(t, '.0e'):>12}" for t in args.tols) +
           f" {'gap':>10} {'gap/budget':>11}")
-    for text in args.points:
-        alpha = parse_alpha(text)
+    for text, alpha in zip(args.points, alphas):
         h = weil_height(alpha)
         cells = []
         last = None

@@ -1,11 +1,12 @@
-"""The second CPU: one ordered fork map, and the row split of seeded walks.
+"""The second CPU: one ordered fork map, and the row split of the IFS walk.
 
 fork_map hands the second half of a loop to a forked child and yields the
 results in item order (the acceptance battery, the CSV block writer);
-split_walk walks the second half of a seeded walk's rows in that child on
-the numbers they get in one process (the backward walker), by one rule
-priced in one cost table keyed by walk kind.  Either prints the bytes one
-process prints.  This module imports nothing from stochdyn.
+split_walk walks the second half of a seeded IFS walk's rows in that child
+on the numbers they get in one process (the backward walker of
+monomial-shaped systems), by one rule priced at one cost per row-step.
+Either prints the bytes one process prints.  This module imports nothing
+from stochdyn.
 """
 
 from __future__ import annotations
@@ -128,17 +129,16 @@ def _serve(fn: Callable, items: Sequence, rfd: int, wfd: int) -> None:
         os._exit(0)
 
 
-# A walk splits when its estimated work, rows x steps x the cost per
-# row-step of its kind, is at least _SPLIT_FACTOR fork_map round trips, and
-# each half has at least _SPLIT_ROWS rows.  A round trip, fork_map of two
-# items from a process that imported stochdyn, took about 2.7 ms, plus about
-# 2 ms per 800 KB the child returns, so a split saves at least one round
-# trip.  A row-step took about 17 ns through the IFS and 0.7 us through
-# numeric fibers (orbits.backward_walk); both on a 2-vCPU VM, Python 3.11,
-# numpy 2.4.
+# A walk splits when its estimated work, rows x steps x _ROW_STEP_S, is at
+# least _SPLIT_FACTOR fork_map round trips, and each half has at least
+# _SPLIT_ROWS rows.  A round trip, fork_map of two items from a process that
+# imported stochdyn, took about 2.7 ms, plus about 2 ms per 800 KB the child
+# returns, so a split saves at least one round trip.  A row-step of the IFS
+# walk (orbits.backward_walk) took about 17 ns; both on a 2-vCPU VM, Python
+# 3.11, numpy 2.4.
 _ROUND_TRIP_S = 2.7e-3
 _RETURN_S_PER_BYTE = 2e-3 / 800e3
-_ROW_STEP_S = {"ifs": 17e-9, "fiber": 0.7e-6}
+_ROW_STEP_S = 17e-9
 _SPLIT_FACTOR = 4
 _SPLIT_ROWS = 1024
 
@@ -162,18 +162,16 @@ class RowDraws:
         return values
 
 
-def split_walk(walk: Callable, rows: list, steps: int, kind: str,
+def split_walk(walk: Callable, rows: list, steps: int,
                rng: np.random.Generator) -> tuple:
-    """The arrays walk(rows, rng) returns: a seeded walk of `steps` steps
-    of the given kind (a key of _ROW_STEP_S), each of whose rows starts at
-    its entries of the start arrays in the list rows and ends at its
-    entries of the returned arrays, one per start array.  walk owns the
-    list and may empty it, so that a walk in one piece frees its start
-    arrays as it goes, and it makes every draw as rng.random(count),
-    count = len(rows[0]).  rng is the PCG64 Generator of
-    np.random.default_rng that backward_sample and canonical_sample (after
-    its uniform angles) give the walker, which has drawn only doubles, so
-    RowDraws reproduce its draws.
+    """The arrays walk(rows, rng) returns: a seeded IFS walk of `steps`
+    steps, whose row k starts at entry k of each start array in the list
+    rows and ends at entry k of each returned array.  walk owns the list
+    and may empty it, so that a walk in one piece frees its start arrays
+    as it goes; it makes every draw as rng.random(count), count =
+    len(rows[0]), and raises nothing.  rng is the PCG64 Generator of
+    np.random.default_rng that orbits.backward_walk gets, which has drawn
+    only doubles, so RowDraws reproduce its draws.
 
     When the walk is large enough (the rule beside _SPLIT_FACTOR) and
     fork_map may fork, a fork_map child walks rows [h, count), h = count //
@@ -181,13 +179,12 @@ def split_walk(walk: Callable, rows: list, steps: int, kind: str,
     RowDraws(rng, lo, hi)) from rng's start state; the halves go into one
     output, allocated once this process's half is done.  Every row sees
     the numbers it sees in the walk in one piece, so the arrays are that
-    walk's bit for bit, and rng ends in its end state.  A split walk that
-    raises is walked again in one piece here, so it raises what that walk
-    raises.  Any other walk runs in one piece here.
+    walk's bit for bit, and rng ends in its end state.  Any other walk
+    runs in one piece here.
     """
     count = len(rows[0])
     h = count // 2
-    work = count * steps * _ROW_STEP_S[kind]
+    work = count * steps * _ROW_STEP_S
     trip = _ROUND_TRIP_S + _RETURN_S_PER_BYTE * sum(
         a[h:].nbytes for a in rows)
     if h < _SPLIT_ROWS or work < _SPLIT_FACTOR * trip or not _may_fork():
@@ -201,13 +198,9 @@ def split_walk(walk: Callable, rows: list, steps: int, kind: str,
         rng.bit_generator.state = start
         return walk([a[lo:hi] for a in rows], RowDraws(rng, lo, hi))
 
-    try:
-        for (lo, hi), part in zip(spans, fork_map(half, spans, 1)):
-            if not out:
-                out = [np.empty(count, p.dtype) for p in part]
-            for whole, piece in zip(out, part):
-                whole[lo:hi] = piece
-    except Exception:
-        rng.bit_generator.state = start
-        return walk(rows, rng)
+    for (lo, hi), part in zip(spans, fork_map(half, spans, 1)):
+        if not out:
+            out = [np.empty(count, p.dtype) for p in part]
+        for whole, piece in zip(out, part):
+            whole[lo:hi] = piece
     return tuple(out)

@@ -26,6 +26,7 @@ from .exactnum import (
     LogCombination,
     ProjPointQ,
     StochdynError,
+    factor_integer,
     int_log,
     isprime,
     log_abs_fraction,
@@ -166,18 +167,17 @@ def energy_pairing_discrete(gamma: DiscreteMeasure, delta: DiscreteMeasure,
 def product_formula_sum(gamma: DiscreteMeasure, delta: DiscreteMeasure) -> float:
     """Sum of the local pairings over every place, computed exactly.
 
-    For rational supports each difference z - w contributes log|z - w| at
-    the archimedean place and -v_p(z - w) log p at each prime, and these
-    cancel by the product formula; the return value is exactly 0.0 unless
-    something is wrong.
+    For rational supports each difference q = z - w contributes log|q| at
+    the archimedean place and -v_p(q) log p at each prime p of q, found by
+    factoring q apart from the archimedean side, and these cancel by the
+    product formula; the return value is exactly 0.0 unless something is
+    wrong.
     """
     total = LogCombination()
     for st, q in _pairs(gamma, delta):
-        arch = LogCombination.of_log_abs(q)
-        finite = LogCombination(
-            {p: -padic_valuation(q, p) for p in arch.coeffs}
-        )
-        total = total + (arch + finite).scaled(-st)
+        primes = {*factor_integer(q.numerator), *factor_integer(q.denominator)}
+        finite = LogCombination({p: -padic_valuation(q, p) for p in primes})
+        total = total + (LogCombination.of_log_abs(q) + finite).scaled(-st)
     return total.evaluate()
 
 

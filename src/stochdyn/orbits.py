@@ -481,58 +481,55 @@ def backward_walk(system: StochasticSystem, log_r: np.ndarray,
     preimage of multiplicity m appears m times, so it is drawn with chance
     m/d.  Magnitudes are tracked as logs, so deep walks neither underflow
     nor overflow.  Systems whose maps are all of monomial shape step the
-    radius through their affine IFS and the angle alongside it.  Other
-    systems take fibers: start, when given, is the common start as an
-    exact point, and while a path stays rational its fibers are the cached
-    exact ones of dynsys.fiber, taken once per (map, point) in a step;
-    numeric points take numeric_fiber's pick, one call per map and step,
-    so a step raises ConvergenceFailure only when a drawn root fails its
-    backward-error test.  The rows go through forks.split_walk as an "ifs" or a "fiber"
-    walk, so a large walk walks its second half of rows in a forked child,
-    bit for bit as in one process.
+    radius through their affine IFS and the angle alongside it; their rows
+    go through forks.split_walk, so a large walk walks its second half of
+    rows in a forked child, bit for bit as in one process.  Other systems
+    take fibers, in one process: start, when given, is the common start as
+    an exact point, and while a path stays rational its fibers are the
+    cached exact ones of dynsys.fiber, taken once per (map, point) in a
+    step; numeric points take numeric_fiber's pick, one call per map and
+    step, so a step raises ConvergenceFailure only when a drawn root fails
+    its backward-error test.
     """
     count = len(log_r)
     draw = map_sampler(system.probs)
     ifs = affine_ifs(system)
-    if ifs is not None:
-        arg_a = np.array([0.0 if phi.monomial_profile.coeff > 0 else math.pi
-                          for phi in system.maps])
-        _, degs, inverted = ifs.arrays
-        sign = np.where(inverted, -1.0, 1.0)
-        # sign and shift are exact no-ops, -0 too, for positive uninverted maps
-        turn = bool(np.any(inverted) or np.any(arg_a))
-    else:
+    if ifs is None:
         degs = np.array([float(phi.d) for phi in system.maps])
+        # code c >= 0: the path is still at the exact point exact[c]
+        exact = [] if start is None else [start]
+        codes = np.full(count, -1 if start is None else 0)
+        for _ in range(steps):
+            idx = draw(rng, count)
+            j = np.floor(rng.random(count) * degs[idx]).astype(int)
+            log_r, theta = _fiber_step(system, log_r, theta, codes, exact,
+                                       idx, j)
+        return log_r, theta
+    arg_a = np.array([0.0 if phi.monomial_profile.coeff > 0 else math.pi
+                      for phi in system.maps])
+    _, degs, inverted = ifs.arrays
+    sign = np.where(inverted, -1.0, 1.0)
+    # sign and shift are exact no-ops, -0 too, for positive uninverted maps
+    turn = bool(np.any(inverted) or np.any(arg_a))
 
     def walk(rows, draws):
         log_r, theta = rows
         rows.clear()  # so that the start arrays go as the walk moves on
-        if ifs is None:
-            # code c >= 0: the path is still at the exact point exact[c]
-            exact = [] if start is None else [start]
-            codes = np.full(len(log_r), -1 if start is None else 0)
         for _ in range(steps):
             idx = draw(draws, count)
             d = degs[idx]
             j = np.floor(draws.random(count) * d)
-            if ifs is not None:
-                log_r = ifs.step(log_r, idx, d)
-                if turn:
-                    theta = sign[idx] * (theta - arg_a[idx])
-                theta = theta / d + 2.0 * np.pi * j / d
-                out = np.flatnonzero((theta <= 0.0) | (theta >= 2.0 * np.pi))
-                theta[out] = wrap_angle(theta[out])  # -0 turns into +0
-            else:
-                j = j.astype(int)  # frees the float draws
-                del d  # and the degrees, over the fiber step
-                log_r, theta = _fiber_step(system, log_r, theta, codes,
-                                           exact, idx, j)
+            log_r = ifs.step(log_r, idx, d)
+            if turn:
+                theta = sign[idx] * (theta - arg_a[idx])
+            theta = theta / d + 2.0 * np.pi * j / d
+            out = np.flatnonzero((theta <= 0.0) | (theta >= 2.0 * np.pi))
+            theta[out] = wrap_angle(theta[out])  # -0 turns into +0
         return log_r, theta
 
     rows = [log_r, theta]
     del log_r, theta  # walk alone holds them
-    return split_walk(walk, rows, steps, "fiber" if ifs is None else "ifs",
-                      rng)
+    return split_walk(walk, rows, steps, rng)
 
 
 def _fiber_step(system, log_r, theta, codes, exact, idx, j):

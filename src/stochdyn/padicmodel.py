@@ -34,6 +34,16 @@ class UnsupportedStructure(StochdynError):
     """No computable valuation dynamics for this system at this place."""
 
 
+def valuation_ifs(system: StochasticSystem, place: PlaceQ):
+    """The valuations' IFS at the prime place; UnsupportedStructure unless
+    every map is monomial-shaped."""
+    ifs = affine_ifs(system, place)
+    if ifs is None:
+        raise UnsupportedStructure(
+            f"system has a non-monomial map; no valuation dynamics at {place}")
+    return ifs
+
+
 def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
                                alpha: ProjPointQ, n: int, samples: int,
                                seed: int) -> np.ndarray:
@@ -43,10 +53,7 @@ def sample_backward_valuations(system: StochasticSystem, place: PlaceQ,
     if place.is_arch:
         raise ValueError("the valuation walk needs a prime place")
     alpha = walk_start(system, alpha, n, samples)
-    ifs = affine_ifs(system, place)
-    if ifs is None:
-        raise UnsupportedStructure(
-            f"system has a non-monomial map; no valuation dynamics at {place}")
+    ifs = valuation_ifs(system, place)
     rng = np.random.default_rng(seed)
     draw = map_sampler(ifs.probs)
     degs = ifs.arrays[1]

@@ -21,9 +21,9 @@ def no_child_left():
 
 @pytest.fixture()
 def forks(monkeypatch):
-    """The test runs as if on two CPUs (so forks.fork_map and
-    forks.split_walk may fork), and the list counts its calls of os.fork,
-    one entry each."""
+    """The test runs as if on two CPUs (so forks.fork_map, and through it
+    forks.split_walk, which only the IFS walk calls, may fork), and the list
+    counts its calls of os.fork, one entry each."""
     calls = []
     real_fork = os.fork
 

@@ -473,9 +473,9 @@ _FORK_COUNTS = [
     (GENERAL_CONFIG, ("validate",), 0),
     (GENERAL_CONFIG, ("stoch-height", "3/2"), 0),
     (GENERAL_CONFIG, ("orbit-sample", "3", "--out", "F"), 0),
-    (GENERAL_CONFIG, ("equidist", "3"), 1),
+    (GENERAL_CONFIG, ("equidist", "3"), 0),
     (GENERAL_CONFIG, ("green-eval", "0"), 0),
-    (GENERAL_CONFIG, ("radii",), 1),
+    (GENERAL_CONFIG, ("radii",), 0),
     (REPO_CONFIG, ("suite",), 1),
     (GENERAL_CONFIG, ("stoch-height", "3/2", "--tol", "1e-4"), 0),
     (REPO_CONFIG, ("stoch-height", "3/2", "--tol", "1e-6"), 0),
@@ -1090,19 +1090,38 @@ def test_unsupported_place_exit(capsys, monkeypatch, example_config):
 
 
 def test_equidist_report_prints_nothing_before_it_fails(capsys, monkeypatch):
-    # the script guards its start, its sample count and its smallest depth
-    # before the header: an exceptional start, or a negative depth after a
-    # good one, ends with empty stdout
-    for argv, code, want in (
-            (("0",), 4, "error: ExceptionalStart"),
-            (("1", "--depths", "5", "-1"), 3,
+    # the script guards its start, its sample count, its smallest depth and
+    # its primes before the header: an exceptional start, a negative depth
+    # after a good one, or a prime without valuation dynamics ends with
+    # empty stdout
+    for config, argv, code, want in (
+            (REPO_CONFIG, ("0",), 4, "error: ExceptionalStart"),
+            (REPO_CONFIG, ("1", "--depths", "5", "-1"), 3,
              "error: ValueError: need n >= 0 and samples >= 1"),
-            (("1", "--samples", "0"), 3, "error: ValueError")):
+            (REPO_CONFIG, ("1", "--samples", "0"), 3, "error: ValueError"),
+            (GENERAL_CONFIG, ("3", "--primes", "2", "--depths", "2",
+                              "--samples", "10"), 3,
+             "error: UnsupportedStructure")):
         assert run_script(monkeypatch, SCRIPTS / "equidist_report.py",
-                          "--config", str(REPO_CONFIG), *argv) == code
+                          "--config", str(config), *argv) == code
         out, err = capsys.readouterr()
         assert out == ""
         assert err.startswith(want)
+
+
+@pytest.mark.parametrize("argv, code, want", [
+    (("--tols", "0", "--", "1"), 3,
+     "error: ValueError: tol must be positive, got 0.0\n"),
+    (("--tols", "1e-2", "--", "1", "x"), 2, "error: ConfigParseError")],
+    ids=["zero-tol", "bad-point"])
+def test_height_convergence_prints_nothing_before_it_fails(
+        capsys, monkeypatch, argv, code, want):
+    # every point is parsed and every tol checked before the budget line
+    assert run_script(monkeypatch, SCRIPTS / "height_convergence.py",
+                      "--config", str(REPO_CONFIG), *argv) == code
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(want)
 
 
 # every CLI command on both committed configs, validate and orbit-sample on

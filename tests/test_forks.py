@@ -1,9 +1,9 @@
 """The fork layer: a fork_map child that dies, the flag that keeps at
 most two processes computing, the confinement of process code and of the
 split rule's prices to stochdyn.forks, the one caller of fork_map per job
-(the CSV block writer, the battery), of split_walk (the backward walker),
-of stationary_law, of np.mod (the angle wrap), of the CLI's record writer
-and of ExceptionalStart (the start guard)."""
+(the CSV block writer, the battery), of split_walk (the backward walker's
+IFS walk), of stationary_law, of np.mod (the angle wrap), of the CLI's
+record writer and of ExceptionalStart (the start guard)."""
 
 import ast
 import os
@@ -154,6 +154,7 @@ def test_one_start_guard():
 
 
 def test_one_split_walker():
-    # the valuation walk runs in one piece; only the backward walker splits
+    # the valuation and fiber walks run in one piece; only the backward
+    # walker's IFS walk splits, at one price per row-step
     assert _callers("split_walk") == {("orbits", "backward_walk")}
-    assert set(stochdyn.forks._ROW_STEP_S) == {"ifs", "fiber"}
+    assert isinstance(stochdyn.forks._ROW_STEP_S, float)

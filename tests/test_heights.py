@@ -12,6 +12,7 @@ from strategies import finite_measures, points, small_maps
 from stochdyn.dynsys import MonomialProfile, make_map, make_system
 from stochdyn.exactnum import (
     INFINITY,
+    LogCombination,
     ProjPointQ,
     factor_integer,
     int_log,
@@ -170,6 +171,22 @@ def test_product_formula_examples():
 @given(finite_measures(), finite_measures())
 def test_product_formula_fuzz(m1, m2):
     assert product_formula_sum(m1, m2) == 0.0
+
+
+def test_product_formula_sees_a_wrong_archimedean_side(monkeypatch):
+    # the finite places come from factoring q: an of_log_abs that drops the
+    # prime 3 leaves log 3 on the pair 7/2, 1/2, whose difference is 3
+    real = LogCombination.of_log_abs.__func__
+
+    def without_3(cls, q):
+        out = real(cls, q)
+        out.coeffs.pop(3, None)
+        return out
+
+    monkeypatch.setattr(LogCombination, "of_log_abs", classmethod(without_3))
+    assert product_formula_sum(dirac(ProjPointQ(7, 2)),
+                               dirac(ProjPointQ(1, 2))) == pytest.approx(
+        math.log(3))
 
 
 def test_standard_energy_defect_examples():

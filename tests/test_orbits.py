@@ -374,17 +374,14 @@ def test_walks_match_all_roots_step(system, start, seed):
 
 def test_numeric_walk_memory_per_sample(general):
     # the traced peak of a numeric walk grows per added sample by at most
-    # 16 floats.  In one process (11.1 measured): the start angles
-    # canonical_sample holds (1); 5 arrays the walk holds over a step
-    # (coordinates, map indices, the draws as ints, exact codes, rewritten
-    # in place); the two new coordinate columns (2); for the points under
-    # one map, at most all of them, their indices, coordinates, draws and
-    # the picked root's two columns (6, whatever d is), so 14, with 2 to
-    # spare for the masks (on_exact is 1/8); the fiber's own temporaries
-    # stay a ROW_BLOCK-row constant.  Split over two CPUs (15.7 measured),
-    # this process holds both start arrays (2) and walks half the rows, and
-    # the fiber temporaries of its half grow from about 5,000 rows per map
-    # at 20,000 samples to a full ROW_BLOCK at 60,000 (about 9)
+    # 16 floats (11.1 measured): the start angles canonical_sample holds
+    # (1); 5 arrays the walk holds over a step (coordinates, map indices,
+    # the draws as ints, exact codes, rewritten in place); the two new
+    # coordinate columns (2); for the points under one map, at most all of
+    # them, their indices, coordinates, draws and the picked root's two
+    # columns (6, whatever d is), so 14, with 2 to spare for the masks
+    # (on_exact is 1/8); the fiber's own temporaries stay a ROW_BLOCK-row
+    # constant.  The walk runs in one process, on any number of CPUs
     def peak(samples):
         tracemalloc.start()
         try:
@@ -395,6 +392,39 @@ def test_numeric_walk_memory_per_sample(general):
 
     small, large = 20_000, 60_000
     assert peak(large) - peak(small) <= 16 * 8 * (large - small)
+
+
+@pytest.mark.parametrize("start", [ProjPointQ(0, 1), INFINITY,
+                                   ProjPointQ(3, 2)])
+@pytest.mark.parametrize("name", ["general", "mixed"])
+def test_fiber_walks_run_in_one_piece(forks, request, name, start):
+    # backward_sample's walk, called past its start guard (infinity is
+    # exceptional for mixed), forks no child on two CPUs: neither its exact
+    # nor its numeric steps
+    system = request.getfixturevalue(name)
+    log_r, theta = start.log_polar()
+    backward_walk(system, np.full(2048, log_r), np.full(2048, theta), start,
+                  8, np.random.default_rng(4))
+    assert forks == []
+
+
+def test_canonical_fiber_walk_runs_in_one_piece(forks, general):
+    canonical_sample(general, 20, 8192, 4)
+    assert forks == []
+
+
+def test_fiber_walk_failure_names_the_first_map(forks):
+    # the small root of (w^4 + 1)/(2 w) = z is lost at |z| = e^700
+    # (test_numeric_fiber_refuses_lost_roots); both maps lose it, and the
+    # walk names the map it meets first
+    system = make_system([make_map([1, 0, 0, 0, 1], [0, 2]),
+                          make_map([1, 0, 0, 0, 1], [0, 3])],
+                         [Fraction(1, 2)] * 2)
+    with pytest.raises(ConvergenceFailure,
+                       match=r"^roots of \(z\^4 \+ 1\)/\(2z\) did not"):
+        backward_walk(system, np.full(8192, 700.0), np.full(8192, 0.3), None,
+                      2, np.random.default_rng(1))
+    assert forks == []
 
 
 # a coefficient as the pair (mantissa, exponent) of mantissa 2^exponent

@@ -1,8 +1,8 @@
-"""Split walks: forks.RowDraws and forks.split_walk, and the walkers that
-go through them, against the same walks in one process."""
+"""Split walks: forks.RowDraws and forks.split_walk, and the IFS walks
+that go through them, against the same walks in one process.  Fiber walks
+run in one process (test_orbits)."""
 
 import os
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,10 +10,9 @@ from hypothesis import given, settings, strategies as st
 
 import stochdyn.forks
 from stochdyn.archpotential import canonical_sample
-from stochdyn.dynsys import make_map, make_system
-from stochdyn.exactnum import INFINITY, ConvergenceFailure, normalize_point
+from stochdyn.exactnum import normalize_point
 from stochdyn.forks import RowDraws, fork_map, split_walk
-from stochdyn.orbits import backward_sample, backward_walk
+from stochdyn.orbits import backward_sample
 
 
 def _state(rng) -> dict:
@@ -22,9 +21,9 @@ def _state(rng) -> dict:
 
 @pytest.fixture()
 def dear(monkeypatch):
-    """A walk kind "dear", at 1 s per row-step, so that whether a test walk
-    splits turns on its rows and on whether this process may fork."""
-    monkeypatch.setitem(stochdyn.forks._ROW_STEP_S, "dear", 1.0)
+    """A walk price of 1 s per row-step, so that whether a test walk splits
+    turns on its rows and on whether this process may fork."""
+    monkeypatch.setattr(stochdyn.forks, "_ROW_STEP_S", 1.0)
 
 
 @st.composite
@@ -69,7 +68,7 @@ def _walk(count):
 
 def _split(rng, count=_N):
     return split_walk(_walk(count), [np.arange(count, dtype=float)], 2,
-                      "dear", rng)[0]
+                      rng)[0]
 
 
 def _one_piece(seed, count=_N):
@@ -98,7 +97,7 @@ def test_split_walk_rule(forks, monkeypatch):
                                 (2 * half, 0.99 * at_bound, False),
                                 (2 * half - 1, 1.0, False)):
         forks.clear()
-        monkeypatch.setitem(rule._ROW_STEP_S, "dear", cost)
+        monkeypatch.setattr(rule, "_ROW_STEP_S", cost)
         rng = np.random.default_rng(5)
         x, state = _one_piece(5, count)
         assert _split(rng, count).tobytes() == x.tobytes()
@@ -116,36 +115,6 @@ def test_split_walk_on_one_cpu_or_in_a_fork_map_half(forks, dear,
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     assert _split(np.random.default_rng(3)).tobytes() == x.tobytes()
     assert forks == [1]
-
-
-@pytest.mark.parametrize("here_fails", [False, True])
-def test_split_walk_raises_the_one_piece_exception(forks, dear, monkeypatch,
-                                                   here_fails):
-    # rows [h, N), the child's, fail at the first step; rows [0, h) pass,
-    # or fail at the second step, which the split walk meets first here
-    h = _N // 2
-
-    def walk(rows, draws):
-        index = rows.pop()
-        x = np.zeros(len(index))
-        for step in range(2):
-            x += draws.random(_N)
-            if step == 0 and np.any(index >= h):
-                raise ConvergenceFailure("roots of map 1 did not converge")
-            if step == 1 and here_fails and np.any(index < h):
-                raise ConvergenceFailure("roots of map 0 did not converge")
-        return (x,)
-
-    def failure():
-        rng = np.random.default_rng(7)
-        with pytest.raises(ConvergenceFailure) as raised:
-            split_walk(walk, [np.arange(_N, dtype=float)], 2, "dear", rng)
-        return str(raised.value), _state(rng)
-
-    split = failure()
-    assert split[0] == "roots of map 1 did not converge" and forks == [1]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert failure() == split and forks == [1]
 
 
 def _forked_and_one_cpu(monkeypatch, forks, sample):
@@ -175,44 +144,3 @@ def test_ifs_walks_split_as_in_one_process(monkeypatch, forks, request,
     forks.clear()
     _forked_and_one_cpu(monkeypatch, forks, lambda: _batch(canonical_sample(
         system, 40, 20_000, 9)))
-
-
-@pytest.mark.parametrize("start", [normalize_point(0, 1), INFINITY,
-                                   normalize_point(3, 2)])
-@pytest.mark.parametrize("name", ["general", "mixed"])
-def test_fiber_walks_split_as_in_one_process(monkeypatch, forks, request,
-                                             name, start):
-    # backward_sample's walk, called past its start guard: infinity is
-    # exceptional for mixed, and its exact walk there still splits
-    system = request.getfixturevalue(name)
-    log_r, theta = start.log_polar()
-    _forked_and_one_cpu(monkeypatch, forks, lambda: np.stack(backward_walk(
-        system, np.full(2048, log_r), np.full(2048, theta), start, 8,
-        np.random.default_rng(4))))
-
-
-def test_canonical_fiber_walk_splits_as_in_one_process(monkeypatch, forks,
-                                                       general):
-    _forked_and_one_cpu(monkeypatch, forks, lambda: _batch(canonical_sample(
-        general, 8, 2048, 4)))
-
-
-def test_split_fiber_walk_raises_the_one_piece_failure(monkeypatch, forks):
-    # the small root of (w^4 + 1)/(2 w) = z is lost at |z| = e^700
-    # (test_numeric_fiber_refuses_lost_roots); both maps lose it, and the
-    # walk in one piece names the map it meets first
-    system = make_system([make_map([1, 0, 0, 0, 1], [0, 2]),
-                          make_map([1, 0, 0, 0, 1], [0, 3])],
-                         [Fraction(1, 2)] * 2)
-
-    def failure():
-        rng = np.random.default_rng(1)
-        with pytest.raises(ConvergenceFailure) as raised:
-            backward_walk(system, np.full(8192, 700.0), np.full(8192, 0.3),
-                          None, 2, rng)
-        return str(raised.value), _state(rng)
-
-    split = failure()
-    assert forks == [1]
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
-    assert failure() == split
